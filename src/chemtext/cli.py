@@ -12,16 +12,13 @@ Subcommands:
 
 Exit codes are stable: 0 success, 1 usage error, 2 data error, 3 internal
 error. Output is line-oriented except for evaluation reports, which are
-canonical JSON. The environment variable ``CHEMTEXT_THREADS`` caps worker
-parallelism (0 = auto); the current pipelines run sequentially, which
-satisfies any cap.
+canonical JSON.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import IO, Sequence
 
@@ -36,6 +33,7 @@ from chemtext.dataset import (
 )
 from chemtext.errors import ChemtextError
 from chemtext.fingerprints import (
+    FingerprintError,
     key_fingerprint,
     morgan_fingerprint,
     path_fingerprint,
@@ -75,20 +73,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)
-
-
-def worker_cap() -> int:
-    """Parsed CHEMTEXT_THREADS value (0 = auto); invalid values fall back to
-    auto with a warning."""
-    raw = os.environ.get("CHEMTEXT_THREADS", "0")
-    try:
-        cap = int(raw)
-        if cap < 0:
-            raise ValueError
-    except ValueError:
-        print(f"warning: ignoring invalid CHEMTEXT_THREADS={raw!r}", file=sys.stderr)
-        return 0
-    return cap
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -154,7 +138,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    worker_cap()
     try:
         return args.func(args)
     except _UsageError as err:
@@ -208,29 +191,31 @@ def _read_prediction_pairs(path: str, task: TaskKind) -> list[PredictionPair]:
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                print(f"{path}:{lineno}: bad JSON", file=sys.stderr)
-                raise RecordError(f"bad JSON at line {lineno}: {exc}") from None
+                raise RecordError(f"{where}: bad JSON: {exc}") from None
             if not isinstance(obj, dict):
-                print(f"{path}:{lineno}: not an object", file=sys.stderr)
-                raise RecordError(f"line {lineno}: not an object")
+                raise RecordError(f"{where}: not an object")
             missing = [k for k in ("id", "task", "prediction", "reference") if k not in obj]
             if missing:
-                print(f"{path}:{lineno}: missing {missing}", file=sys.stderr)
-                raise RecordError(f"line {lineno}: missing fields {missing}")
+                raise RecordError(f"{where}: missing fields {missing}")
             try:
                 pair_task = TaskKind(obj["task"])
             except ValueError:
-                print(f"{path}:{lineno}: unknown task", file=sys.stderr)
-                raise RecordError(f"line {lineno}: unknown task {obj['task']!r}") from None
+                raise RecordError(f"{where}: unknown task {obj['task']!r}") from None
+            not_strings = [
+                k for k in ("id", "prediction", "reference") if not isinstance(obj[k], str)
+            ]
+            if not_strings:
+                raise RecordError(f"{where}: fields {not_strings} must be strings")
             pairs.append(
                 PredictionPair(
                     task=pair_task,
-                    prediction=str(obj["prediction"]),
-                    reference=str(obj["reference"]),
-                    id=str(obj["id"]),
+                    prediction=obj["prediction"],
+                    reference=obj["reference"],
+                    id=obj["id"],
                 )
             )
     return pairs
@@ -246,12 +231,19 @@ def _load_oracle(spec: str) -> LookupOracle:
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
-            if "precursors" not in obj or "product" not in obj:
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise RecordError(f"{path}:{lineno}: bad JSON: {exc}") from None
+            if not (
+                isinstance(obj, dict)
+                and isinstance(obj.get("precursors"), str)
+                and isinstance(obj.get("product"), str)
+            ):
                 raise RecordError(
-                    f"{path}:{lineno}: oracle entries need precursors and product"
+                    f"{path}:{lineno}: oracle entries need string precursors and product"
                 )
-            table[str(obj["precursors"])] = str(obj["product"])
+            table[obj["precursors"]] = obj["product"]
     return LookupOracle(table)
 
 
@@ -309,7 +301,7 @@ def cmd_fingerprint(args) -> int:
             else:
                 fp = key_fingerprint(mol, key_table)
             print(" ".join(str(b) for b in sorted(fp.bits)))
-        except (LexError, ParseError, CanonError) as err:
+        except (LexError, ParseError, CanonError, FingerprintError) as err:
             invalid += 1
             print(f"INVALID {err}")
     if lines and invalid == len(lines):

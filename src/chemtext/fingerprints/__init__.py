@@ -13,18 +13,30 @@ No bit-for-bit parity with any external toolkit is claimed; the schemes are
 pinned by the hashing and encoding rules in this module so fingerprints are
 stable across platforms and releases. The hash is 64-bit FNV-1a over the
 UTF-8 serialization spelled out in each function.
+
+Two rules hold across releases:
+
+- Bits are stable. A faster kernel must set exactly the bits of the
+  reference implementations kept in ``tests/fingerprint_oracles.py``.
+- The path budget is an operation count, not a time. Every one-bond
+  extension of a walk counts, and every path is walked from both of its
+  ends, so a molecule uses twice its number of simple paths of 1..max_len
+  bonds. More than ``_MAX_PATHS_WALKED`` raises :class:`FingerprintError`
+  on every machine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from chemtext.errors import ChemtextError
 from chemtext.fingerprints.keys import (
     KeyDefinition,
+    KeyTable,
     KeyTableError,
-    count_matches,
     default_key_table,
     load_key_table,
     parse_pattern,
@@ -132,6 +144,11 @@ def path_fingerprint(mol: Molecule, max_len: int = 7, nbits: int = 2048) -> BitF
     alternating atom and bond codes (aromatic atoms lowercase); the
     lexicographically smaller of the forward and reverse renderings is
     hashed. Longer ``max_len`` yields a superset of bits.
+
+    The walk starts at every atom, so each path is reached once from each
+    end; both renderings are grown one step at a time and a path is recorded
+    from the end with the lower atom index. Every step of the walk, in both
+    directions, counts toward the path budget.
     """
     if max_len < 1:
         raise ValueError("max_len must be positive")
@@ -139,36 +156,39 @@ def path_fingerprint(mol: Molecule, max_len: int = 7, nbits: int = 2048) -> BitF
     atom_code = [
         a.symbol.lower() if a.aromatic else a.symbol for a in mol.atoms
     ]
-    bond_text = {bi: _path_bond_text(mol, bi) for bi in range(len(mol.bonds))}
+    bond_text = [_path_bond_text(mol, bi) for bi in range(len(mol.bonds))]
+    steps = [
+        tuple((j, bond_text[bi], atom_code[j]) for j, bi in neighbors)
+        for neighbors in mol.adjacency
+    ]
+    on_path = [False] * len(mol.atoms)
     encodings: set[str] = set()
+    add = encodings.add
     walked = 0
 
-    def walk(path_atoms: list[int], path_bonds: list[int]) -> None:
+    def walk(start: int, tail: int, forward: str, backward: str, depth: int) -> None:
+        # forward/backward render the path start..tail from either end;
+        # depth is its bond count
         nonlocal walked
-        if path_bonds:
+        on_path[tail] = True
+        depth += 1
+        for nxt, bond, atom in steps[tail]:
+            if on_path[nxt]:
+                continue
             walked += 1
             if walked > _MAX_PATHS_WALKED:
                 raise FingerprintError("path enumeration budget exceeded")
-            forward = _render_path(path_atoms, path_bonds, atom_code, bond_text)
-            backward = _render_path(path_atoms[::-1], path_bonds[::-1], atom_code, bond_text)
-            encodings.add(min(forward, backward))
-        if len(path_bonds) == max_len:
-            return
-        tail = path_atoms[-1]
-        on_path = set(path_atoms)
-        for nxt, bi in mol.adjacency[tail]:
-            if nxt in on_path:
-                continue
-            path_atoms.append(nxt)
-            path_bonds.append(bi)
-            walk(path_atoms, path_bonds)
-            path_atoms.pop()
-            path_bonds.pop()
+            f = forward + bond + atom
+            r = atom + bond + backward
+            if start < nxt:
+                add(f if f < r else r)
+            if depth < max_len:
+                walk(start, nxt, f, r, depth)
+        on_path[tail] = False
 
-    for start in range(len(mol.atoms)):
-        walk([start], [])
-    bits = frozenset(fnv1a64(e.encode()) % nbits for e in encodings)
-    return BitFingerprint(scheme="path", nbits=nbits, bits=bits)
+    for start, code in enumerate(atom_code):
+        walk(start, start, code, code, 0)
+    return BitFingerprint(scheme="path", nbits=nbits, bits=_hashed_bits(encodings, nbits))
 
 
 def _path_bond_text(mol: Molecule, bond_index: int) -> str:
@@ -178,12 +198,28 @@ def _path_bond_text(mol: Molecule, bond_index: int) -> str:
     return {1: "-", 2: "=", 3: "#"}[bond.order]
 
 
-def _render_path(atoms: list[int], bonds: list[int], atom_code, bond_text) -> str:
-    parts = [atom_code[atoms[0]]]
-    for atom, bond in zip(atoms[1:], bonds):
-        parts.append(bond_text[bond])
-        parts.append(atom_code[atom])
-    return "".join(parts)
+def _hashed_bits(texts: Iterable[str], nbits: int) -> frozenset[int]:
+    """``{fnv1a64(t.encode()) % nbits for t in texts}`` in one numpy pass.
+
+    The strings, longest first, are packed into a zero-padded byte matrix
+    and hashed a column at a time over the rows still that long; uint64
+    arithmetic wraps exactly like FNV-1a's mod 2**64.
+    """
+    data = sorted((t.encode() for t in texts), key=len, reverse=True)
+    if not data:
+        return frozenset()
+    hashes = np.full(len(data), _FNV_OFFSET, dtype=np.uint64)
+    width = len(data[0])
+    matrix = np.array(data, dtype=f"S{max(width, 1)}").view(np.uint8).reshape(len(data), -1)
+    prime = np.uint64(_FNV_PRIME)
+    live = len(data)
+    for col in range(width):
+        while len(data[live - 1]) <= col:
+            live -= 1
+        rows = hashes[:live]
+        rows ^= matrix[:live, col]
+        rows *= prime
+    return frozenset(h % nbits for h in hashes.tolist())
 
 
 def key_fingerprint(
@@ -191,19 +227,17 @@ def key_fingerprint(
 ) -> BitFingerprint:
     """Substructure-key fingerprint: bit ``id - 1`` is set iff the pattern
     matches at least its count threshold. With ``key_table`` omitted the
-    shipped 166-entry table is used."""
+    shipped 166-entry table is used. A :class:`KeyTable` (what
+    :func:`load_key_table` returns) is compiled once; any other sequence is
+    compiled on every call."""
     if key_table is None:
         key_table = default_key_table()
-    table = list(key_table)
+    table = key_table if isinstance(key_table, KeyTable) else KeyTable(key_table)
     if not table:
         raise KeyTableError("key table must be non-empty")
     _require_valid(mol)
-    nbits = max(key.id for key in table)
-    bits: set[int] = set()
-    for key in table:
-        if count_matches(mol, key.pattern, limit=key.count_threshold) >= key.count_threshold:
-            bits.add(key.id - 1)
-    return BitFingerprint(scheme="keys", nbits=nbits, bits=frozenset(bits))
+    compiled = table.compiled
+    return BitFingerprint(scheme="keys", nbits=compiled.nbits, bits=compiled.bits(mol))
 
 
 def tanimoto(a: BitFingerprint, b: BitFingerprint) -> float:
@@ -223,6 +257,7 @@ __all__ = [
     "BitFingerprint",
     "FingerprintError",
     "KeyDefinition",
+    "KeyTable",
     "KeyTableError",
     "SchemeMismatchError",
     "default_key_table",

@@ -27,14 +27,24 @@ Matching embeds the pattern tree injectively (distinct pattern nodes map to
 distinct atoms). The match count is the number of distinct atom SETS
 supporting an embedding, so a symmetric pattern like ``O-C-O`` counts each
 acetal site once.
+
+A :class:`KeyTable` is compiled on first use: its distinct pattern atoms
+become numbered slots, and each molecule is scored from per-slot atom
+bitsets. Single-atom keys count atoms, single-bond keys count bonds, and
+larger patterns go through the same embedder as :func:`count_matches`.
+Key bits are stable across releases: the compiled matcher must set exactly
+the bits of the one-pattern-at-a-time reference kept in
+``tests/fingerprint_oracles.py``.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from chemtext.errors import ChemtextError
 from chemtext.smiles.parse import Molecule
@@ -70,6 +80,18 @@ class KeyDefinition:
     count_threshold: int
     pattern: PatternNode
     source: str
+
+
+class KeyTable(tuple):
+    """An immutable sequence of :class:`KeyDefinition`.
+
+    The form used for matching is built on first use and kept with the
+    table, so a table is compiled once however many molecules it scores.
+    """
+
+    @cached_property
+    def compiled(self) -> "_CompiledTable":
+        return _CompiledTable(self)
 
 
 def parse_pattern(text: str) -> PatternNode:
@@ -147,7 +169,7 @@ def _parse_atom(text: str, pos: int) -> tuple[PatternAtom, int]:
     )
 
 
-def load_key_table(lines: Iterable[str]) -> list[KeyDefinition]:
+def load_key_table(lines: Iterable[str]) -> KeyTable:
     """Parse a key table from text lines; validates unique positive ids,
     positive thresholds and pattern syntax."""
     table: list[KeyDefinition] = []
@@ -182,13 +204,13 @@ def load_key_table(lines: Iterable[str]) -> list[KeyDefinition]:
         )
     if not table:
         raise KeyTableError("key table must be non-empty")
-    return table
+    return KeyTable(table)
 
 
-_DEFAULT_TABLE: list[KeyDefinition] | None = None
+_DEFAULT_TABLE: KeyTable | None = None
 
 
-def default_key_table() -> list[KeyDefinition]:
+def default_key_table() -> KeyTable:
     """The shipped 166-entry table (cached)."""
     global _DEFAULT_TABLE
     if _DEFAULT_TABLE is None:
@@ -203,51 +225,203 @@ def default_key_table() -> list[KeyDefinition]:
 
 # -- matching -----------------------------------------------------------------
 
-
-def _pattern_elements(node: PatternNode, out: list[str]) -> None:
-    if node.atom.element is not None:
-        out.append(node.atom.element)
-    for _, child in node.children:
-        _pattern_elements(child, out)
+# atom feature tuple: (symbol, aromatic, charge, hydrogens, degree, ring bonds)
+_FIELD_INDEX = {"chg": 2, "H": 3, "deg": 4, "rb": 5}
 
 
-def _atom_matches(mol: Molecule, i: int, patom: PatternAtom) -> bool:
-    atom = mol.atoms[i]
-    if patom.element is not None and atom.symbol != patom.element:
-        return False
-    if patom.class_ == "X" and atom.symbol not in _HALOGENS:
-        return False
-    if patom.class_ == "Q" and atom.symbol in ("C", "H"):
-        return False
-    if patom.aromatic is not None and atom.aromatic != patom.aromatic:
-        return False
-    for field, op, value in patom.constraints:
-        if field == "chg":
-            have = atom.charge
-        elif field == "rb":
-            have = mol.ring_bond_count(i)
-        elif field == "H":
-            have = atom.hydrogens or 0
-        else:  # deg
-            have = mol.degree(i)
-        if op == "=" and have != value:
-            return False
-        if op == ">=" and have < value:
-            return False
-        if op == "<=" and have > value:
-            return False
-    return True
+def _atom_features(mol: Molecule) -> list[tuple]:
+    ring_bonds = mol.ring_bond_indices
+    return [
+        (
+            atom.symbol,
+            atom.aromatic,
+            atom.charge,
+            atom.hydrogens or 0,
+            len(neighbors),
+            sum(1 for _, bi in neighbors if bi in ring_bonds),
+        )
+        for atom, neighbors in zip(mol.atoms, mol.adjacency)
+    ]
 
 
-def _bond_matches(mol: Molecule, bond_index: int, spec: str) -> bool:
-    bond = mol.bonds[bond_index]
-    if spec == "~":
-        return True
-    if spec == ":":
-        return bond.aromatic
-    if bond.aromatic:
+def _bond_kinds(mol: Molecule) -> list[str]:
+    """Per bond, the one specific bond symbol it matches (besides ``~``)."""
+    return [
+        ":" if bond.aromatic else "-=#"[bond.order - 1] for bond in mol.bonds
+    ]
+
+
+class _CompiledPatterns:
+    """Patterns whose distinct pattern atoms are numbered as slots.
+
+    A compiled pattern is its tree in preorder, one ``(parent step, bond
+    symbol, slot)`` step per node; the root's parent is -1. Matching a
+    molecule first computes, per slot, the bitset of atoms that satisfy it,
+    so an atom test is one shift.
+    """
+
+    def __init__(self, patterns: Iterable[PatternNode]) -> None:
+        self._slot_of: dict[PatternAtom, int] = {}
+        self.steps: list[tuple[tuple[int, str, int], ...]] = []
+        for pattern in patterns:
+            steps: list[tuple[int, str, int]] = []
+            self._linearize(pattern, -1, "", steps)
+            self.steps.append(tuple(steps))
+        # per slot: (aromatic, ((feature index, low, high), ...))
+        self._tests: list[tuple] = []
+        self._by_element: dict[str, list[int]] = {}
+        self._by_class: dict[str | None, list[int]] = {None: [], "X": [], "Q": []}
+        for slot, patom in enumerate(self._slot_of):
+            bounds: dict[int, tuple[float, float]] = {}
+            for field, op, value in patom.constraints:
+                low, high = bounds.get(_FIELD_INDEX[field], (-math.inf, math.inf))
+                if op in ("=", ">="):
+                    low = max(low, value)
+                if op in ("=", "<="):
+                    high = min(high, value)
+                bounds[_FIELD_INDEX[field]] = (low, high)
+            self._tests.append(
+                (patom.aromatic, tuple((i, lo, hi) for i, (lo, hi) in bounds.items()))
+            )
+            if patom.element is not None:
+                self._by_element.setdefault(patom.element, []).append(slot)
+            else:
+                self._by_class[patom.class_].append(slot)
+
+    def _linearize(self, node: PatternNode, parent: int, bond: str, out: list) -> None:
+        slot = self._slot_of.setdefault(node.atom, len(self._slot_of))
+        step = len(out)
+        out.append((parent, bond, slot))
+        for child_bond, child in node.children:
+            self._linearize(child, step, child_bond, out)
+
+    def _matching_slots(self, features: tuple) -> list[int]:
+        symbol, aromatic = features[0], features[1]
+        candidates = self._by_element.get(symbol, []) + self._by_class[None]
+        if symbol in _HALOGENS:
+            candidates += self._by_class["X"]
+        if symbol not in ("C", "H"):
+            candidates += self._by_class["Q"]
+        out = []
+        for slot in candidates:
+            want_aromatic, bounds = self._tests[slot]
+            if want_aromatic is not None and aromatic != want_aromatic:
+                continue
+            for i, low, high in bounds:
+                if not low <= features[i] <= high:
+                    break
+            else:
+                out.append(slot)
+        return out
+
+    def slot_atoms(self, mol: Molecule) -> list[int]:
+        """Per slot, the bitset of atom indices that satisfy it."""
+        by_features: dict[tuple, int] = {}
+        for i, features in enumerate(_atom_features(mol)):
+            by_features[features] = by_features.get(features, 0) | (1 << i)
+        out = [0] * len(self._slot_of)
+        for features, atoms in by_features.items():
+            for slot in self._matching_slots(features):
+                out[slot] |= atoms
+        return out
+
+
+class _CompiledTable(_CompiledPatterns):
+    """A key table split by pattern size: single-atom keys count atoms,
+    single-bond keys count bonds, and only larger trees use the embedder."""
+
+    def __init__(self, table: Sequence[KeyDefinition]) -> None:
+        super().__init__(key.pattern for key in table)
+        self.nbits = max(key.id for key in table)
+        self.atom_keys: list[tuple[int, int, int]] = []
+        self.bond_keys: list[tuple[int, int, int, str, int]] = []
+        self.tree_keys: list[tuple[int, int, tuple]] = []
+        for key, steps in zip(table, self.steps):
+            bit, threshold = key.id - 1, key.count_threshold
+            if len(steps) == 1:
+                self.atom_keys.append((bit, threshold, steps[0][2]))
+            elif len(steps) == 2:
+                (_, _, slot), (_, bond, child_slot) = steps
+                self.bond_keys.append((bit, threshold, slot, bond, child_slot))
+            else:
+                self.tree_keys.append((bit, threshold, steps))
+
+    def bits(self, mol: Molecule) -> frozenset[int]:
+        """Indices of the keys whose pattern reaches its count threshold."""
+        slot_atoms = self.slot_atoms(mol)
+        bits = {
+            bit
+            for bit, threshold, slot in self.atom_keys
+            if slot_atoms[slot].bit_count() >= threshold
+        }
+        kinds = _bond_kinds(mol)
+        ends_by_kind: dict[str, list[tuple[int, int]]] = {"~": []}
+        for bond, kind in zip(mol.bonds, kinds):
+            ends = (1 << bond.a, 1 << bond.b)
+            ends_by_kind["~"].append(ends)
+            ends_by_kind.setdefault(kind, []).append(ends)
+        # one bond is one atom set, so a single-bond key counts bonds
+        for bit, threshold, slot, bond, child_slot in self.bond_keys:
+            first, second = slot_atoms[slot], slot_atoms[child_slot]
+            if not (first and second):
+                continue
+            count = 0
+            for a, b in ends_by_kind.get(bond, ()):
+                if (first & a and second & b) or (first & b and second & a):
+                    count += 1
+                    if count >= threshold:
+                        bits.add(bit)
+                        break
+        for bit, threshold, steps in self.tree_keys:
+            if not all(slot_atoms[slot] for _, _, slot in steps):
+                continue
+            if _count_embeddings(mol, kinds, slot_atoms, steps, threshold) >= threshold:
+                bits.add(bit)
+        return frozenset(bits)
+
+
+def _count_embeddings(
+    mol: Molecule,
+    kinds: list[str],
+    slot_atoms: list[int],
+    steps: tuple[tuple[int, str, int], ...],
+    limit: int | None,
+) -> int:
+    """Number of distinct atom sets supporting an injective embedding of the
+    compiled pattern ``steps``, stopping once ``limit`` sets are found.
+
+    Steps are assigned atoms in order; each non-root step takes an unused
+    neighbor of its parent's atom, over a bond its symbol allows.
+    """
+    adjacency = mol.adjacency
+    assigned = [0] * len(steps)
+    found: set[int] = set()  # atom sets as bitsets
+
+    def extend(k: int, used: int) -> bool:
+        """True once ``limit`` distinct atom sets were recorded."""
+        if k == len(steps):
+            found.add(used)
+            return limit is not None and len(found) >= limit
+        parent, bond, slot = steps[k]
+        allowed = slot_atoms[slot] & ~used
+        for neighbor, bond_index in adjacency[assigned[parent]]:
+            if not allowed >> neighbor & 1:
+                continue
+            if bond != "~" and kinds[bond_index] != bond:
+                continue
+            assigned[k] = neighbor
+            if extend(k + 1, used | 1 << neighbor):
+                return True
         return False
-    return bond.order == {"-": 1, "=": 2, "#": 3}[spec]
+
+    roots = slot_atoms[steps[0][2]]
+    while roots:
+        low = roots & -roots
+        assigned[0] = low.bit_length() - 1
+        if extend(1, low):
+            break
+        roots ^= low
+    return len(found)
 
 
 def count_matches(mol: Molecule, pattern: PatternNode, limit: int | None = None) -> int:
@@ -256,48 +430,10 @@ def count_matches(mol: Molecule, pattern: PatternNode, limit: int | None = None)
     ``limit`` allows early exit once that many distinct sets are found
     (thresholds only need "at least k").
     """
-    needed: list[str] = []
-    _pattern_elements(pattern, needed)
-    if needed:
-        present = {a.symbol for a in mol.atoms}
-        if any(symbol not in present for symbol in needed):
-            return 0
-    found: set[frozenset[int]] = set()
-
-    def stop() -> bool:
-        return limit is not None and len(found) >= limit
-
-    def embed(obligations: tuple, used: set[int]) -> bool:
-        """Each obligation is (node, mapped atom, next child index). Returns
-        True once ``limit`` distinct embeddings were recorded."""
-        if not obligations:
-            found.add(frozenset(used))
-            return stop()
-        node, atom_index, child_pos = obligations[-1]
-        if child_pos == len(node.children):
-            return embed(obligations[:-1], used)
-        bond_spec, child = node.children[child_pos]
-        advanced = obligations[:-1] + ((node, atom_index, child_pos + 1),)
-        for neighbor, bond_index in mol.adjacency[atom_index]:
-            if neighbor in used:
-                continue
-            if not _bond_matches(mol, bond_index, bond_spec):
-                continue
-            if not _atom_matches(mol, neighbor, child.atom):
-                continue
-            used.add(neighbor)
-            done = embed(advanced + ((child, neighbor, 0),), used)
-            used.discard(neighbor)
-            if done:
-                return True
-        return False
-
-    for root in range(len(mol.atoms)):
-        if not _atom_matches(mol, root, pattern.atom):
-            continue
-        if embed(((pattern, root, 0),), {root}):
-            break
-    return len(found)
+    compiled = _CompiledPatterns([pattern])
+    return _count_embeddings(
+        mol, _bond_kinds(mol), compiled.slot_atoms(mol), compiled.steps[0], limit
+    )
 
 
 def matches(mol: Molecule, pattern: PatternNode) -> bool:

@@ -11,8 +11,8 @@ Task conventions:
   accuracy under canonical-SMILES equality (an invalid prediction counts as
   incorrect), mean Levenshtein over raw strings, mean Tanimoto over the
   keys/path/morgan fingerprints restricted to pairs where BOTH sides are
-  valid (skipped pairs are counted and reported), and validity
-  (valid predictions / total).
+  valid and within the path-enumeration budget (skipped pairs are counted
+  per reason and reported), and validity (valid predictions / total).
 - forward: top-1 accuracy under canonical-SMILES equality.
 - retro: roundtrip accuracy through a ForwardOracle: the predicted
   precursors are fed to the oracle and the regenerated product must match
@@ -40,6 +40,7 @@ import numpy as np
 from chemtext.dataset import TaskKind
 from chemtext.errors import ChemtextError
 from chemtext.fingerprints import (
+    FingerprintError,
     KeyDefinition,
     key_fingerprint,
     morgan_fingerprint,
@@ -141,14 +142,7 @@ class MetricReport:
 
 
 class ForwardOracle(Protocol):
-    """Single-operation interface standing in for a forward-reaction model.
-
-    ``supports_concurrent_calls`` declares whether the harness may call
-    ``predict_product`` from several workers; the shipped harness is
-    sequential either way, which trivially honors a False value.
-    """
-
-    supports_concurrent_calls: bool
+    """Single-operation interface standing in for a forward-reaction model."""
 
     def predict_product(self, precursors: str) -> str:
         """Product SMILES for dot-joined precursors; raises OracleError on
@@ -162,8 +156,6 @@ class LookupOracle:
     Keys are normalized to canonical SMILES when possible, so any atom
     ordering of the same precursor set hits the same entry.
     """
-
-    supports_concurrent_calls = True
 
     def __init__(self, table: dict[str, str]) -> None:
         self._table: dict[str, str] = {}
@@ -260,6 +252,7 @@ def eval_text2mol(
     lev_total = 0
     fts_sums = {"maccs_fts": 0.0, "rdk_fts": 0.0, "morgan_fts": 0.0}
     fts_support = 0
+    budget_hits = 0
     for pair in pairs:
         lev_total += levenshtein(pair.prediction, pair.reference)
         pred_mol = _parse_valid(pair.prediction)
@@ -269,18 +262,27 @@ def eval_text2mol(
         if pred_mol is not None and ref_mol is not None:
             if canonicalize(pred_mol) == canonicalize(ref_mol):
                 exact += 1
-            fts_sums["maccs_fts"] += tanimoto(
-                key_fingerprint(pred_mol, config.key_table),
-                key_fingerprint(ref_mol, config.key_table),
-            )
-            fts_sums["rdk_fts"] += tanimoto(
-                path_fingerprint(pred_mol, config.path_max_len, config.nbits),
-                path_fingerprint(ref_mol, config.path_max_len, config.nbits),
-            )
-            fts_sums["morgan_fts"] += tanimoto(
-                morgan_fingerprint(pred_mol, config.radius, config.nbits),
-                morgan_fingerprint(ref_mol, config.radius, config.nbits),
-            )
+            try:
+                fts = {
+                    "maccs_fts": tanimoto(
+                        key_fingerprint(pred_mol, config.key_table),
+                        key_fingerprint(ref_mol, config.key_table),
+                    ),
+                    "rdk_fts": tanimoto(
+                        path_fingerprint(pred_mol, config.path_max_len, config.nbits),
+                        path_fingerprint(ref_mol, config.path_max_len, config.nbits),
+                    ),
+                    "morgan_fts": tanimoto(
+                        morgan_fingerprint(pred_mol, config.radius, config.nbits),
+                        morgan_fingerprint(ref_mol, config.radius, config.nbits),
+                    ),
+                }
+            except FingerprintError:
+                # both sides are valid, so only the path budget can raise
+                budget_hits += 1
+                continue
+            for name, value in fts.items():
+                fts_sums[name] += value
             fts_support += 1
 
     n = len(pairs)
@@ -292,16 +294,23 @@ def eval_text2mol(
         for name, total in fts_sums.items():
             metrics[name] = MetricValue(name, total / fts_support, fts_support)
     else:
+        reason = "no pair with both sides valid"
+        if budget_hits:
+            reason += " within the path-enumeration budget"
         for name in fts_sums:
-            omitted[name] = "no pair with both sides valid"
+            omitted[name] = reason
     skipped = n - fts_support
+    skip_reasons = {
+        "invalid_smiles_side": skipped - budget_hits,
+        "fingerprint_budget": budget_hits,
+    }
     return MetricReport(
         task=TaskKind.TEXT2MOL,
         metrics=metrics,
         n_total=n,
         n_valid_pred=n_valid,
         n_skipped=skipped,
-        skip_reasons={"invalid_smiles_side": skipped} if skipped else {},
+        skip_reasons={k: v for k, v in skip_reasons.items() if v},
         omitted_metrics=omitted,
     )
 

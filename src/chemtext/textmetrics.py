@@ -249,25 +249,37 @@ def meteor_lite(
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Minimal edit count (insert/delete/substitute) over unicode scalars."""
+    """Minimal edit count (insert/delete/substitute) over unicode scalars.
+
+    Bit-parallel (Myers, J. ACM 46(3), 1999, in Hyyrö's form for global
+    distance): one column of the edit table is held as vertical +1/-1
+    delta bitsets over the longer string, in Python ints of any width, and
+    advanced once per character of the shorter string.
+    """
     if a == b:
         return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
     if len(b) > len(a):
         a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, x in enumerate(a, start=1):
-        current = [i]
-        for j, y in enumerate(b, start=1):
-            current.append(
-                min(
-                    previous[j] + 1,
-                    current[j - 1] + 1,
-                    previous[j - 1] + (x != y),
-                )
-            )
-        previous = current
-    return previous[-1]
+    if not b:
+        return len(a)
+    peq: dict[str, int] = {}
+    for i, ch in enumerate(a):
+        peq[ch] = peq.get(ch, 0) | (1 << i)
+    mask = (1 << len(a)) - 1
+    last = 1 << (len(a) - 1)
+    pv, mv, score = mask, 0, len(a)
+    for ch in b:
+        eq = peq.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        ph = (ph << 1) | 1
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
+    return score

@@ -1,5 +1,6 @@
-"""Test helpers: random valid molecule generation and a brute-force
-graph-isomorphism check used as the round-trip oracle.
+"""Test helpers: random valid molecule generation, a brute-force
+graph-isomorphism check used as the round-trip oracle, and a dense clique
+that exceeds the path-enumeration budget.
 
 The generator builds graphs directly (tree growth with valence budgets, ring
 edges, optional aromatic rings, charges, isotopes, annotations) so validity
@@ -42,6 +43,22 @@ def random_molecule(rng: random.Random, max_atoms: int = 20) -> Molecule:
         mol = _try_random_molecule(rng, max_atoms)
         if mol is not None and len(mol.atoms) <= max_atoms and validate(mol).valid:
             return mol
+
+
+def clique_smiles() -> str:
+    """Ten distinct bracket elements (valence unchecked), every pair bonded:
+    quick to canonicalize, far beyond the path-enumeration budget."""
+    elements = ["Au", "Ag", "Pt", "Pd", "Rh", "Ru", "Ir", "Os", "Re", "W"]
+    labels: dict[tuple[int, int], int] = {}
+    parts = []
+    for i, element in enumerate(elements):
+        closures = ""
+        for j in range(len(elements)):
+            if abs(i - j) > 1:  # neighbors in the string are already bonded
+                label = labels.setdefault((min(i, j), max(i, j)), 10 + len(labels))
+                closures += f"%{label}"
+        parts.append(f"[{element}]{closures}")
+    return "".join(parts)
 
 
 def _try_random_molecule(rng: random.Random, max_atoms: int) -> Molecule | None:

@@ -2,8 +2,11 @@ import io
 import json
 import sys
 
+import pytest
+
 from chemtext.cli import main
 from chemtext.dataset import TaskKind, make_record, read_records, write_records
+from molgen import clique_smiles
 
 
 def run_cli(argv, stdin_text=None, capsys=None, monkeypatch=None):
@@ -157,6 +160,87 @@ def test_evaluate_malformed_line_reports_line_number(tmp_path, capsys):
     )
     assert code == 2
     assert ":2:" in err
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"id":"0","task":"mol2text","prediction":null,"reference":"None"}',
+        '{"id":"0","task":"mol2text","prediction":"a","reference":5}',
+        '{"id":0,"task":"mol2text","prediction":"a","reference":"a"}',
+        '{"id":"0","task":"mol2text","prediction":["a"],"reference":"a"}',
+    ],
+)
+def test_evaluate_non_string_field_is_data_error(tmp_path, capsys, line):
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text(line + "\n")
+    code, out, err = run_cli(
+        ["evaluate", "--task", "mol2text", "--predictions", str(preds)], capsys=capsys
+    )
+    assert code == 2
+    assert out == ""
+    # one message, naming the file and line
+    assert err.count("\n") == 1 and f"{preds}:1:" in err
+
+
+def test_evaluate_bad_json_reported_once(tmp_path, capsys):
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text("not json\n")
+    code, _, err = run_cli(
+        ["evaluate", "--task", "text2mol", "--predictions", str(preds)], capsys=capsys
+    )
+    assert code == 2
+    assert err.count("\n") == 1 and f"{preds}:1:" in err
+
+
+@pytest.mark.parametrize(
+    "oracle_line", ["5", '["CC.O","CCO"]', '{"precursors":null,"product":"CCO"}']
+)
+def test_evaluate_bad_oracle_line_is_data_error(tmp_path, capsys, oracle_line):
+    preds = tmp_path / "preds.jsonl"
+    write_predictions(preds, TaskKind.RETRO, [("CC.O", "CCO")])
+    oracle = tmp_path / "oracle.jsonl"
+    oracle.write_text('{"precursors":"CN.O","product":"CO"}\n' + oracle_line + "\n")
+    code, _, err = run_cli(
+        ["evaluate", "--task", "retro", "--predictions", str(preds),
+         "--oracle", f"lookup:{oracle}"],
+        capsys=capsys,
+    )
+    assert code == 2
+    assert f"{oracle}:2:" in err
+
+
+def test_evaluate_fingerprint_budget_skips_one_pair(tmp_path, capsys):
+    clique = clique_smiles()
+    preds = tmp_path / "preds.jsonl"
+    write_predictions(
+        preds, TaskKind.TEXT2MOL, [(clique, clique), ("CCO", "OCC"), ("CCN", "CCO")]
+    )
+    code, out, _ = run_cli(
+        ["evaluate", "--task", "text2mol", "--predictions", str(preds), "--quiet"],
+        capsys=capsys,
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["counts"] == {"n_skipped": 1, "n_total": 3, "n_valid_pred": 3}
+    assert report["skip_reasons"] == {"fingerprint_budget": 1}
+    # the skipped pair still counts toward accuracy and validity
+    assert report["metrics"]["accuracy"] == pytest.approx(2 / 3, abs=1e-6)
+    assert report["metrics"]["validity"] == 1.0
+    assert report["supports"]["morgan_fts"] == 2
+
+
+def test_fingerprint_budget_line_is_invalid(capsys, monkeypatch):
+    code, out, _ = run_cli(
+        ["fingerprint", "--scheme", "path"],
+        stdin_text=clique_smiles() + "\nCCO\n",
+        capsys=capsys,
+        monkeypatch=monkeypatch,
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "INVALID path enumeration budget exceeded"
+    assert lines[1] and not lines[1].startswith("INVALID")
 
 
 def test_evaluate_unreadable_file(tmp_path, capsys):

@@ -33,6 +33,7 @@ from chemtext.textmetrics import (
     rouge_n,
     word_tokenize,
 )
+from molgen import clique_smiles
 
 
 def pairs_for(task, rows):
@@ -127,6 +128,23 @@ def test_text2mol_mixed_counting():
     assert report.skip_reasons == {"invalid_smiles_side": 2}
 
 
+def test_text2mol_fingerprint_budget_is_a_skip_reason():
+    clique = clique_smiles()
+    rows = [(clique, clique), ("C(", "CCO"), ("CCO", "OCC")]
+    report = eval_text2mol(pairs_for(TaskKind.TEXT2MOL, rows))
+    assert report.n_skipped == 2
+    assert report.skip_reasons == {"fingerprint_budget": 1, "invalid_smiles_side": 1}
+    # the budget pair still counts as valid and correct
+    assert report.value("validity") == pytest.approx(2 / 3)
+    assert report.value("accuracy") == pytest.approx(2 / 3)
+    assert report.metrics["rdk_fts"].support == 1
+    assert report.value("rdk_fts") == 1.0
+    only = eval_text2mol(pairs_for(TaskKind.TEXT2MOL, rows[:1]))
+    assert only.omitted_metrics["rdk_fts"] == (
+        "no pair with both sides valid within the path-enumeration budget"
+    )
+
+
 def test_text2mol_canonical_equality_not_string_equality():
     rows = [("OCC", "CCO")]
     report = eval_text2mol(pairs_for(TaskKind.TEXT2MOL, rows))
@@ -204,8 +222,6 @@ def test_retro_lookup_oracle_full_coverage():
 
 def test_retro_constant_oracle_zero():
     class ConstantOracle:
-        supports_concurrent_calls = True
-
         def predict_product(self, precursors: str) -> str:
             return "C"
 

@@ -182,6 +182,18 @@ def test_levenshtein_matches_full_table_oracle(a, b):
     assert levenshtein(a, b) == levenshtein_oracle(a, b)
 
 
+# a small alphabet makes edits overlap; the astral-plane scalars are one
+# character each, not two UTF-16 units
+_MULTI_WORD = st.text(alphabet="ab\U0001F600\U00010348", min_size=60, max_size=200)
+
+
+@given(_MULTI_WORD, _MULTI_WORD)
+@settings(max_examples=60, deadline=None)
+def test_levenshtein_matches_oracle_past_one_machine_word(a, b):
+    # lengths past 64 exercise carries across the bit-vector's words
+    assert levenshtein(a, b) == levenshtein_oracle(a, b)
+
+
 @given(st.text(max_size=8), st.text(max_size=8), st.text(max_size=8))
 @settings(max_examples=200, deadline=None)
 def test_levenshtein_symmetry_and_triangle(a, b, c):
