@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import IO, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -28,24 +28,20 @@ from chemtext.dataset import (
     RecordError,
     TaskKind,
     equal_mix,
+    read_jsonl,
     read_records,
     write_records,
 )
 from chemtext.errors import ChemtextError
 from chemtext.fingerprints import (
+    SCHEMES,
+    FingerprintConfig,
     FingerprintError,
-    key_fingerprint,
-    morgan_fingerprint,
-    path_fingerprint,
+    fingerprint,
+    load_key_table,
     tanimoto,
 )
-from chemtext.harness import (
-    FingerprintConfig,
-    LookupOracle,
-    PredictionPair,
-    eval_pairs,
-    report_to_json,
-)
+from chemtext.harness import LookupOracle, PredictionPair, eval_pairs, report_to_json
 from chemtext.merge import (
     CombineMode,
     MergeParams,
@@ -58,7 +54,6 @@ from chemtext.merge import (
     save_matrix,
 )
 from chemtext.smiles import CanonError, LexError, ParseError, canonical_smiles, parse_smiles
-from chemtext.smiles.valence import validate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -75,6 +70,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # a non-integer reads "invalid int value: ..."
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="chemtext",
@@ -87,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--task-file", action="append", required=True, metavar="KIND=PATH",
         help="task stream as kind=path; repeatable",
     )
-    build.add_argument("--per-task", type=int, required=True)
+    build.add_argument("--per-task", type=_positive_int, required=True)
     build.add_argument("--seed", type=int, required=True)
     build.add_argument("--out", required=True)
     build.add_argument("--quiet", action="store_true")
@@ -97,8 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--task", required=True, choices=[t.value for t in TaskKind])
     ev.add_argument("--predictions", required=True)
     ev.add_argument("--oracle", help="forward oracle spec, e.g. lookup:PATH")
-    ev.add_argument("--fp-bits", type=int, default=2048)
-    ev.add_argument("--fp-radius", type=int, default=2)
+    ev.add_argument("--fp-bits", type=_positive_int, default=2048)
+    ev.add_argument("--fp-radius", type=_non_negative_int, default=2)
     ev.add_argument("--quiet", action="store_true")
     ev.set_defaults(func=cmd_evaluate)
 
@@ -106,20 +116,20 @@ def build_parser() -> argparse.ArgumentParser:
     canon.set_defaults(func=cmd_canonicalize)
 
     fp = sub.add_parser("fingerprint", help="set-bit indices per stdin line")
-    fp.add_argument("--scheme", required=True, choices=["morgan", "path", "keys"])
-    fp.add_argument("--bits", type=int, default=2048)
-    fp.add_argument("--radius", type=int, default=2)
-    fp.add_argument("--max-len", type=int, default=7)
+    fp.add_argument("--scheme", required=True, choices=SCHEMES)
+    fp.add_argument("--bits", type=_positive_int, default=2048)
+    fp.add_argument("--radius", type=_non_negative_int, default=2)
+    fp.add_argument("--max-len", type=_positive_int, default=7)
     fp.add_argument("--key-table", help="custom key table file (keys scheme)")
     fp.set_defaults(func=cmd_fingerprint)
 
     sim = sub.add_parser("similarity", help="Tanimoto between two SMILES")
     sim.add_argument("smiles_a")
     sim.add_argument("smiles_b")
-    sim.add_argument("--scheme", default="morgan", choices=["morgan", "path", "keys"])
-    sim.add_argument("--bits", type=int, default=2048)
-    sim.add_argument("--radius", type=int, default=2)
-    sim.add_argument("--max-len", type=int, default=7)
+    sim.add_argument("--scheme", default="morgan", choices=SCHEMES)
+    sim.add_argument("--bits", type=_positive_int, default=2048)
+    sim.add_argument("--radius", type=_non_negative_int, default=2)
+    sim.add_argument("--max-len", type=_positive_int, default=7)
     sim.set_defaults(func=cmd_similarity)
 
     demo = sub.add_parser("merge-demo", help="cross-attention merge demo")
@@ -184,41 +194,20 @@ def cmd_build_dataset(args) -> int:
     return EXIT_OK
 
 
-def _read_prediction_pairs(path: str, task: TaskKind) -> list[PredictionPair]:
-    pairs: list[PredictionPair] = []
-    with open(path, "r", encoding="utf-8") as fp:
-        for lineno, line in enumerate(fp, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise RecordError(f"{where}: bad JSON: {exc}") from None
-            if not isinstance(obj, dict):
-                raise RecordError(f"{where}: not an object")
-            missing = [k for k in ("id", "task", "prediction", "reference") if k not in obj]
-            if missing:
-                raise RecordError(f"{where}: missing fields {missing}")
-            try:
-                pair_task = TaskKind(obj["task"])
-            except ValueError:
-                raise RecordError(f"{where}: unknown task {obj['task']!r}") from None
-            not_strings = [
-                k for k in ("id", "prediction", "reference") if not isinstance(obj[k], str)
-            ]
-            if not_strings:
-                raise RecordError(f"{where}: fields {not_strings} must be strings")
-            pairs.append(
-                PredictionPair(
-                    task=pair_task,
-                    prediction=obj["prediction"],
-                    reference=obj["reference"],
-                    id=obj["id"],
-                )
-            )
-    return pairs
+def _prediction_pair(where: str, obj: dict) -> PredictionPair:
+    missing = [k for k in ("id", "task", "prediction", "reference") if k not in obj]
+    if missing:
+        raise RecordError(f"{where}: missing fields {missing}")
+    try:
+        task = TaskKind(obj["task"])
+    except ValueError:
+        raise RecordError(f"{where}: unknown task {obj['task']!r}") from None
+    not_strings = [k for k in ("id", "prediction", "reference") if not isinstance(obj[k], str)]
+    if not_strings:
+        raise RecordError(f"{where}: fields {not_strings} must be strings")
+    return PredictionPair(
+        task=task, prediction=obj["prediction"], reference=obj["reference"], id=obj["id"]
+    )
 
 
 def _load_oracle(spec: str) -> LookupOracle:
@@ -227,22 +216,9 @@ def _load_oracle(spec: str) -> LookupOracle:
         raise _UsageError(f"unsupported oracle spec {spec!r}; expected lookup:PATH")
     table: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fp:
-        for lineno, line in enumerate(fp, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise RecordError(f"{path}:{lineno}: bad JSON: {exc}") from None
-            if not (
-                isinstance(obj, dict)
-                and isinstance(obj.get("precursors"), str)
-                and isinstance(obj.get("product"), str)
-            ):
-                raise RecordError(
-                    f"{path}:{lineno}: oracle entries need string precursors and product"
-                )
+        for where, obj in read_jsonl(fp, path):
+            if not (isinstance(obj.get("precursors"), str) and isinstance(obj.get("product"), str)):
+                raise RecordError(f"{where}: oracle entries need string precursors and product")
             table[obj["precursors"]] = obj["product"]
     return LookupOracle(table)
 
@@ -252,7 +228,8 @@ def cmd_evaluate(args) -> int:
     if task is TaskKind.RETRO and not args.oracle:
         raise _UsageError("retro evaluation requires --oracle lookup:PATH")
     oracle = _load_oracle(args.oracle) if args.oracle else None
-    pairs = _read_prediction_pairs(args.predictions, task)
+    with open(args.predictions, "r", encoding="utf-8") as fp:
+        pairs = [_prediction_pair(where, obj) for where, obj in read_jsonl(fp, args.predictions)]
     config = FingerprintConfig(radius=args.fp_radius, nbits=args.fp_bits)
     report = eval_pairs(pairs, task, oracle=oracle, fp_config=config)
     print(report_to_json(report))
@@ -261,65 +238,50 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _stdin_lines(stream: IO[str]) -> list[str]:
-    return [line.strip() for line in stream if line.strip()]
+def _each_stdin_line(transform: Callable[[str], str], invalid_errors: tuple) -> int:
+    """Print ``transform(line)`` for each non-blank stdin line as it is read,
+    or ``INVALID <reason>`` when it raises one of ``invalid_errors``. Exits
+    with a data error only when there were lines and all were invalid."""
+    lines = invalid = 0
+    for line in sys.stdin:
+        line = line.strip()
+        if not line:
+            continue
+        lines += 1
+        try:
+            print(transform(line))
+        except invalid_errors as err:
+            invalid += 1
+            print(f"INVALID {err}")
+    return EXIT_DATA if lines and invalid == lines else EXIT_OK
 
 
 def cmd_canonicalize(args) -> int:
-    lines = _stdin_lines(sys.stdin)
-    invalid = 0
-    for line in lines:
-        try:
-            print(canonical_smiles(line))
-        except (LexError, ParseError, CanonError) as err:
-            invalid += 1
-            print(f"INVALID {err}")
-    if lines and invalid == len(lines):
-        return EXIT_DATA
-    return EXIT_OK
+    return _each_stdin_line(canonical_smiles, (LexError, ParseError, CanonError))
 
 
 def cmd_fingerprint(args) -> int:
     key_table = None
     if args.key_table:
-        from chemtext.fingerprints import load_key_table
-
         with open(args.key_table, "r", encoding="utf-8") as fp:
             key_table = load_key_table(fp)
-    lines = _stdin_lines(sys.stdin)
-    invalid = 0
-    for line in lines:
-        try:
-            mol = parse_smiles(line)
-            result = validate(mol)
-            if not result.valid:
-                raise CanonError("; ".join(result.reasons))
-            if args.scheme == "morgan":
-                fp = morgan_fingerprint(mol, args.radius, args.bits)
-            elif args.scheme == "path":
-                fp = path_fingerprint(mol, args.max_len, args.bits)
-            else:
-                fp = key_fingerprint(mol, key_table)
-            print(" ".join(str(b) for b in sorted(fp.bits)))
-        except (LexError, ParseError, CanonError, FingerprintError) as err:
-            invalid += 1
-            print(f"INVALID {err}")
-    if lines and invalid == len(lines):
-        return EXIT_DATA
-    return EXIT_OK
+    config = FingerprintConfig(
+        radius=args.radius, nbits=args.bits, path_max_len=args.max_len, key_table=key_table
+    )
+
+    def set_bits(smiles: str) -> str:
+        fp = fingerprint(parse_smiles(smiles), args.scheme, config)
+        return " ".join(str(b) for b in sorted(fp.bits))
+
+    return _each_stdin_line(set_bits, (LexError, ParseError, FingerprintError))
 
 
 def cmd_similarity(args) -> int:
-    def fingerprint(smiles: str):
-        mol = parse_smiles(smiles)
-        if args.scheme == "morgan":
-            return morgan_fingerprint(mol, args.radius, args.bits)
-        if args.scheme == "path":
-            return path_fingerprint(mol, args.max_len, args.bits)
-        return key_fingerprint(mol)
-
-    value = tanimoto(fingerprint(args.smiles_a), fingerprint(args.smiles_b))
-    print(f"{value:.6f}")
+    config = FingerprintConfig(radius=args.radius, nbits=args.bits, path_max_len=args.max_len)
+    fp_a, fp_b = (
+        fingerprint(parse_smiles(s), args.scheme, config) for s in (args.smiles_a, args.smiles_b)
+    )
+    print(f"{tanimoto(fp_a, fp_b):.6f}")
     return EXIT_OK
 
 

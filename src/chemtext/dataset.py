@@ -23,7 +23,7 @@ import enum
 import json
 import random
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from chemtext.errors import ChemtextError
 
@@ -196,8 +196,10 @@ def record_to_json(record: TaskRecord) -> str:
     return json.dumps(payload, ensure_ascii=False, separators=(",", ":"))
 
 
-def record_from_obj(obj: dict, lineno: int | None = None) -> TaskRecord:
-    where = "" if lineno is None else f" (line {lineno})"
+def record_from_obj(obj: dict, where: str | None = None) -> TaskRecord:
+    """Validate one decoded record; ``where`` (as :func:`read_jsonl` yields
+    it) is appended to error messages."""
+    where = "" if where is None else f" ({where})"
     if not isinstance(obj, dict):
         raise RecordError(f"record is not an object{where}")
     try:
@@ -226,20 +228,30 @@ def record_from_obj(obj: dict, lineno: int | None = None) -> TaskRecord:
         raise RecordError(f"{exc}{where}") from None
 
 
-def read_records(fp: IO[str]) -> list[TaskRecord]:
-    """Read JSONL task records; raises RecordError with the line number on
-    malformed lines. A missing prompt field is rendered from the template."""
-    records: list[TaskRecord] = []
+def read_jsonl(fp: IO[str], path: str | None = None) -> Iterator[tuple[str, dict]]:
+    """Yield ``(where, obj)`` for each non-blank line of a JSONL stream.
+
+    ``where`` names the line as ``path:N``, or ``line N`` when ``path`` is
+    omitted. A line that is not JSON or not an object raises
+    :class:`RecordError` starting with it."""
     for lineno, line in enumerate(fp, start=1):
         line = line.strip()
         if not line:
             continue
+        where = f"line {lineno}" if path is None else f"{path}:{lineno}"
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise RecordError(f"bad JSON (line {lineno}): {exc}") from None
-        records.append(record_from_obj(obj, lineno))
-    return records
+            raise RecordError(f"{where}: bad JSON: {exc}") from None
+        if not isinstance(obj, dict):
+            raise RecordError(f"{where}: not an object")
+        yield where, obj
+
+
+def read_records(fp: IO[str]) -> list[TaskRecord]:
+    """Read JSONL task records; raises RecordError with the line number on
+    malformed lines. A missing prompt field is rendered from the template."""
+    return [record_from_obj(obj, where) for where, obj in read_jsonl(fp)]
 
 
 def write_records(fp: IO[str], records: Iterable[TaskRecord]) -> int:

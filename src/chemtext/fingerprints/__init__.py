@@ -1,6 +1,8 @@
 """Molecular bit fingerprints and Tanimoto similarity.
 
-Three schemes back the corpus-level fingerprint-similarity metrics:
+Three schemes back the corpus-level fingerprint-similarity metrics;
+:func:`fingerprint` applies one by name with the parameters of a
+:class:`FingerprintConfig`:
 
 - ``morgan``: circular environments up to a radius, one bit per hashed
   environment (folded modulo ``nbits``)
@@ -42,7 +44,6 @@ from chemtext.fingerprints.keys import (
     parse_pattern,
 )
 from chemtext.smiles.parse import Molecule
-from chemtext.smiles.valence import validate
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -52,6 +53,9 @@ _MASK64 = (1 << 64) - 1
 # real molecules tame, but unknown bracket elements have unchecked degree.
 _MAX_PATHS_WALKED = 500_000
 
+# scheme names :func:`fingerprint` accepts
+SCHEMES = ("morgan", "path", "keys")
+
 
 class FingerprintError(ChemtextError):
     """Fingerprint requested for an invalid molecule."""
@@ -59,6 +63,16 @@ class FingerprintError(ChemtextError):
 
 class SchemeMismatchError(ChemtextError):
     """Tanimoto between fingerprints of different scheme or width."""
+
+
+@dataclass(frozen=True)
+class FingerprintConfig:
+    """Parameters of the three schemes, as :func:`fingerprint` applies them."""
+
+    radius: int = 2
+    nbits: int = 2048
+    path_max_len: int = 7
+    key_table: tuple[KeyDefinition, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -90,9 +104,8 @@ def fnv1a64(data: bytes) -> int:
 
 
 def _require_valid(mol: Molecule) -> None:
-    result = validate(mol)
-    if not result.valid:
-        raise FingerprintError("; ".join(result.reasons))
+    if not mol.validity.valid:
+        raise FingerprintError("; ".join(mol.validity.reasons))
 
 
 def _atom_seed(mol: Molecule, i: int) -> str:
@@ -113,6 +126,8 @@ def morgan_fingerprint(mol: Molecule, radius: int = 2, nbits: int = 2048) -> Bit
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
+    if nbits <= 0:
+        raise ValueError("nbits must be positive")
     _require_valid(mol)
     n = len(mol.atoms)
     current = [fnv1a64(f"A|{_atom_seed(mol, i)}".encode()) for i in range(n)]
@@ -152,6 +167,8 @@ def path_fingerprint(mol: Molecule, max_len: int = 7, nbits: int = 2048) -> BitF
     """
     if max_len < 1:
         raise ValueError("max_len must be positive")
+    if nbits <= 0:
+        raise ValueError("nbits must be positive")
     _require_valid(mol)
     atom_code = [
         a.symbol.lower() if a.aromatic else a.symbol for a in mol.atoms
@@ -240,6 +257,20 @@ def key_fingerprint(
     return BitFingerprint(scheme="keys", nbits=compiled.nbits, bits=compiled.bits(mol))
 
 
+def fingerprint(
+    mol: Molecule, scheme: str, config: FingerprintConfig = FingerprintConfig()
+) -> BitFingerprint:
+    """The ``morgan``, ``path`` or ``keys`` fingerprint of ``mol`` with the
+    parameters of ``config`` (``keys`` uses only its key table)."""
+    if scheme == "morgan":
+        return morgan_fingerprint(mol, config.radius, config.nbits)
+    if scheme == "path":
+        return path_fingerprint(mol, config.path_max_len, config.nbits)
+    if scheme == "keys":
+        return key_fingerprint(mol, config.key_table)
+    raise ValueError(f"unknown fingerprint scheme {scheme!r}")
+
+
 def tanimoto(a: BitFingerprint, b: BitFingerprint) -> float:
     """|A intersect B| / |A union B|; 0.0 when both sets are empty (the 0/0
     case is pinned to zero, matching common toolkit behavior)."""
@@ -255,12 +286,15 @@ def tanimoto(a: BitFingerprint, b: BitFingerprint) -> float:
 
 __all__ = [
     "BitFingerprint",
+    "FingerprintConfig",
     "FingerprintError",
     "KeyDefinition",
     "KeyTable",
     "KeyTableError",
+    "SCHEMES",
     "SchemeMismatchError",
     "default_key_table",
+    "fingerprint",
     "fnv1a64",
     "key_fingerprint",
     "load_key_table",

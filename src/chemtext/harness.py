@@ -39,15 +39,8 @@ import numpy as np
 
 from chemtext.dataset import TaskKind
 from chemtext.errors import ChemtextError
-from chemtext.fingerprints import (
-    FingerprintError,
-    KeyDefinition,
-    key_fingerprint,
-    morgan_fingerprint,
-    path_fingerprint,
-    tanimoto,
-)
-from chemtext.smiles import CanonError, LexError, Molecule, ParseError, parse_smiles, validate
+from chemtext.fingerprints import FingerprintConfig, FingerprintError, fingerprint, tanimoto
+from chemtext.smiles import CanonError, LexError, Molecule, ParseError, parse_smiles
 from chemtext.smiles.canon import canonicalize
 from chemtext.smiles.tokenize import tokenize as smiles_tokenize
 from chemtext.textmetrics import (
@@ -109,16 +102,6 @@ class PredictionPair:
     prediction: str
     reference: str
     id: str = ""
-
-
-@dataclass(frozen=True)
-class FingerprintConfig:
-    """Parameters for the text2mol fingerprint metrics."""
-
-    radius: int = 2
-    nbits: int = 2048
-    path_max_len: int = 7
-    key_table: tuple[KeyDefinition, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -203,7 +186,7 @@ def _parse_valid(smiles: str) -> Molecule | None:
         mol = parse_smiles(smiles)
     except (LexError, ParseError):
         return None
-    return mol if validate(mol).valid else None
+    return mol if mol.validity.valid else None
 
 
 def _canonical_or_none(smiles: str) -> str | None:
@@ -225,6 +208,9 @@ def eval_mol2text(pairs: Sequence[PredictionPair]) -> MetricReport:
         "meteor_lite": meteor_lite(cands, refs),
     }
     return MetricReport(task=TaskKind.MOL2TEXT, metrics=metrics, n_total=len(pairs))
+
+
+_FTS_SCHEMES = {"maccs_fts": "keys", "rdk_fts": "path", "morgan_fts": "morgan"}
 
 
 def eval_text2mol(
@@ -250,7 +236,7 @@ def eval_text2mol(
     exact = 0
     n_valid = 0
     lev_total = 0
-    fts_sums = {"maccs_fts": 0.0, "rdk_fts": 0.0, "morgan_fts": 0.0}
+    fts_sums = dict.fromkeys(_FTS_SCHEMES, 0.0)
     fts_support = 0
     budget_hits = 0
     for pair in pairs:
@@ -264,18 +250,11 @@ def eval_text2mol(
                 exact += 1
             try:
                 fts = {
-                    "maccs_fts": tanimoto(
-                        key_fingerprint(pred_mol, config.key_table),
-                        key_fingerprint(ref_mol, config.key_table),
-                    ),
-                    "rdk_fts": tanimoto(
-                        path_fingerprint(pred_mol, config.path_max_len, config.nbits),
-                        path_fingerprint(ref_mol, config.path_max_len, config.nbits),
-                    ),
-                    "morgan_fts": tanimoto(
-                        morgan_fingerprint(pred_mol, config.radius, config.nbits),
-                        morgan_fingerprint(ref_mol, config.radius, config.nbits),
-                    ),
+                    name: tanimoto(
+                        fingerprint(pred_mol, scheme, config),
+                        fingerprint(ref_mol, scheme, config),
+                    )
+                    for name, scheme in _FTS_SCHEMES.items()
                 }
             except FingerprintError:
                 # both sides are valid, so only the path budget can raise

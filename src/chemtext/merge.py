@@ -35,7 +35,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import IO, Callable
+from typing import IO
 
 import numpy as np
 
@@ -267,9 +267,6 @@ class GradCheckReport:
     def __post_init__(self) -> None:
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-
-
-_OPS: dict[str, Callable] = {}
 
 
 def grad_check(op_id: str, h_t, h_m, params: MergeParams | None = None,

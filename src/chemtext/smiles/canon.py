@@ -24,7 +24,7 @@ from typing import Sequence
 
 from chemtext.errors import ChemtextError
 from chemtext.smiles.parse import Bond, Molecule, parse_smiles
-from chemtext.smiles.valence import implicit_hydrogen_count, validate
+from chemtext.smiles.valence import implicit_hydrogen_count
 
 # Elements writable without brackets, per aromaticity.
 _BARE_PLAIN = frozenset({"B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I"})
@@ -44,11 +44,10 @@ def canonicalize(mol: Molecule) -> str:
     """Canonical SMILES of a valid molecule.
 
     Raises:
-        CanonError: if the molecule fails :func:`validate`.
+        CanonError: if the molecule fails validation (``mol.validity``).
     """
-    result = validate(mol)
-    if not result.valid:
-        raise CanonError("; ".join(result.reasons))
+    if not mol.validity.valid:
+        raise CanonError("; ".join(mol.validity.reasons))
     return _canonical_string(mol)
 
 

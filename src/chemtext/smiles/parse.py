@@ -21,10 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from chemtext.errors import ChemtextError
 from chemtext.smiles.tokenize import Token, TokenKind, ring_label, tokenize
+
+if TYPE_CHECKING:
+    from chemtext.smiles.valence import ValidityResult
 
 # Lowercase symbols allowed as aromatic atoms inside brackets.
 AROMATIC_BRACKET = frozenset({"b", "c", "n", "o", "p", "s", "se", "as"})
@@ -132,6 +135,14 @@ class Molecule:
 
     def degree(self, i: int) -> int:
         return len(self.adjacency[i])
+
+    @cached_property
+    def validity(self) -> ValidityResult:
+        """:func:`~chemtext.smiles.valence.validate` of this molecule,
+        computed once; canonicalization and fingerprints read it."""
+        from chemtext.smiles import valence  # valence imports this module
+
+        return valence.validate(self)
 
     @cached_property
     def ring_bond_indices(self) -> frozenset[int]:

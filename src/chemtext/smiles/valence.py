@@ -153,4 +153,4 @@ def validate_smiles(smiles: str) -> ValidityResult:
         mol = parse_smiles(smiles)
     except (LexError, ParseError) as exc:
         return ValidityResult(valid=False, reasons=(str(exc),))
-    return validate(mol)
+    return mol.validity

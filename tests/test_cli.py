@@ -338,6 +338,70 @@ def test_similarity_invalid_is_data_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fingerprint", "--scheme", "morgan", "--bits", "0"],
+        ["fingerprint", "--scheme", "path", "--bits", "-8"],
+        ["fingerprint", "--scheme", "morgan", "--radius", "-1"],
+        ["fingerprint", "--scheme", "path", "--max-len", "0"],
+        ["similarity", "CCO", "CCN", "--bits", "0"],
+        ["similarity", "CCO", "CCN", "--radius", "-1"],
+        ["similarity", "CCO", "CCN", "--scheme", "path", "--max-len", "0"],
+        ["evaluate", "--task", "text2mol", "--predictions", "PREDS", "--fp-bits", "0"],
+        ["evaluate", "--task", "text2mol", "--predictions", "PREDS", "--fp-radius", "-1"],
+        ["evaluate", "--task", "text2mol", "--predictions", "PREDS", "--fp-bits", "two"],
+        ["build-dataset", "--task-file", "text2mol=PREDS", "--per-task", "0",
+         "--seed", "1", "--out", "unused.jsonl"],
+    ],
+)
+def test_out_of_range_width_or_radius_is_usage_error(tmp_path, capsys, monkeypatch, argv):
+    preds = tmp_path / "preds.jsonl"
+    write_predictions(preds, TaskKind.TEXT2MOL, [("CCO", "CCO")])
+    argv = [str(preds) if a == "PREDS" else a for a in argv]
+    code, out, err = run_cli(argv, stdin_text="CCO\n", capsys=capsys, monkeypatch=monkeypatch)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: argument --")
+
+
+@pytest.mark.parametrize(
+    "argv", [["canonicalize"], ["fingerprint", "--scheme", "morgan"]]
+)
+def test_line_commands_answer_each_line_before_reading_the_next(monkeypatch, argv):
+    stdout = io.StringIO()
+    written_before_second_read = []
+
+    def stdin():
+        yield "CCO\n"
+        written_before_second_read.append(stdout.getvalue())
+        yield "C(\n"
+
+    monkeypatch.setattr(sys, "stdin", stdin())
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(argv) == 0
+    first, second = stdout.getvalue().splitlines()
+    assert written_before_second_read == [first + "\n"]
+    assert not first.startswith("INVALID") and second.startswith("INVALID ")
+
+
+def test_line_commands_empty_input_exits_0(capsys, monkeypatch):
+    for argv in (["canonicalize"], ["fingerprint", "--scheme", "keys"]):
+        code, out, _ = run_cli(argv, stdin_text="\n  \n", capsys=capsys, monkeypatch=monkeypatch)
+        assert (code, out) == (0, "")
+
+
+def test_fingerprint_invalid_valence_reason(capsys, monkeypatch):
+    code, out, _ = run_cli(
+        ["fingerprint", "--scheme", "path"],
+        stdin_text="C(C)(C)(C)(C)C\n",
+        capsys=capsys,
+        monkeypatch=monkeypatch,
+    )
+    assert code == 2
+    assert out == "INVALID valence violation at atom 0 (C): total 5 exceeds 4\n"
+
+
 # -- merge demo -------------------------------------------------------------------
 
 

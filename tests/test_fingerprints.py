@@ -3,10 +3,14 @@ import random
 import pytest
 
 from chemtext.fingerprints import (
+    SCHEMES,
     BitFingerprint,
+    FingerprintConfig,
     FingerprintError,
     SchemeMismatchError,
+    fingerprint,
     fnv1a64,
+    key_fingerprint,
     morgan_fingerprint,
     path_fingerprint,
     tanimoto,
@@ -20,6 +24,26 @@ def test_fnv1a64_reference_values():
     assert fnv1a64(b"") == 0xCBF29CE484222325
     assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
     assert fnv1a64(b"foobar") == 0x85944171F73967E8
+
+
+def test_fingerprint_dispatches_by_scheme_name():
+    mol = parse_smiles("CC(=O)Nc1ccccc1")
+    config = FingerprintConfig(radius=1, nbits=512, path_max_len=4)
+    assert fingerprint(mol, "morgan", config) == morgan_fingerprint(mol, 1, 512)
+    assert fingerprint(mol, "path", config) == path_fingerprint(mol, 4, 512)
+    assert fingerprint(mol, "keys", config) == key_fingerprint(mol)
+    assert [fingerprint(mol, s).scheme for s in SCHEMES] == ["morgan", "path", "keys"]
+    with pytest.raises(ValueError):
+        fingerprint(mol, "maccs")
+
+
+@pytest.mark.parametrize("nbits", [0, -1])
+def test_non_positive_width_rejected(nbits):
+    mol = parse_smiles("CCO")
+    with pytest.raises(ValueError, match="nbits"):
+        morgan_fingerprint(mol, nbits=nbits)
+    with pytest.raises(ValueError, match="nbits"):
+        path_fingerprint(mol, nbits=nbits)
 
 
 def test_methane_radius_zero_single_bit():

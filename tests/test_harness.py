@@ -197,6 +197,32 @@ def test_text2mol_bleu_tokenizer_override():
 # -- forward ------------------------------------------------------------------
 
 
+def test_each_parsed_molecule_is_validated_once(monkeypatch):
+    from chemtext import harness
+    from chemtext.smiles import valence
+
+    parsed, validated = [], []
+    parse, validate = harness.parse_smiles, valence.validate
+
+    def counting_parse(smiles):
+        parsed.append(parse(smiles))
+        return parsed[-1]
+
+    def counting_validate(mol):
+        validated.append(mol)
+        return validate(mol)
+
+    monkeypatch.setattr(harness, "parse_smiles", counting_parse)
+    monkeypatch.setattr(valence, "validate", counting_validate)
+    rows = [("CCO", "OCC"), ("c1ccccc1", "CCN"), ("C(C)(C)(C)(C)C", "CCO"), ("C(", "CC"), ("CC", "xx")]
+    eval_text2mol([PredictionPair(TaskKind.TEXT2MOL, p, r) for p, r in rows])
+    eval_forward([PredictionPair(TaskKind.FORWARD, p, r) for p, r in rows])
+    # text2mol parses 8 of its 10 fields ("C(" and "xx" fail); forward also
+    # skips the references of its two invalid predictions
+    assert len(parsed) == 14
+    assert sorted(map(id, validated)) == sorted(map(id, parsed))
+
+
 def test_forward_accuracy():
     rows = [("CCO", "CCO"), ("OCC", "CCO"), ("C(", "CC"), ("CC", "CCC")]
     report = eval_forward(pairs_for(TaskKind.FORWARD, rows))
