@@ -17,6 +17,11 @@ Task conventions:
 - retro: roundtrip accuracy through a ForwardOracle: the predicted
   precursors are fed to the oracle and the regenerated product must match
   the reference product canonically; oracle failures count as incorrect.
+- text2mol, forward and retro: a pair whose valid molecule the canonical
+  writer gives up on (``CanonError``, chiefly the symmetry-search budget)
+  scores as incorrect and is counted under the skip reason
+  ``canon_budget``; validity counts are unaffected, and text2mol also leaves
+  the pair out of Tanimoto.
 - para2actions: BLEU-4 over word tokens plus exact-string accuracy after
   whitespace normalization.
 
@@ -239,6 +244,7 @@ def eval_text2mol(
     fts_sums = dict.fromkeys(_FTS_SCHEMES, 0.0)
     fts_support = 0
     budget_hits = 0
+    canon_hits = 0
     for pair in pairs:
         lev_total += levenshtein(pair.prediction, pair.reference)
         pred_mol = _parse_valid(pair.prediction)
@@ -246,8 +252,12 @@ def eval_text2mol(
         if pred_mol is not None:
             n_valid += 1
         if pred_mol is not None and ref_mol is not None:
-            if canonicalize(pred_mol) == canonicalize(ref_mol):
-                exact += 1
+            try:
+                if canonicalize(pred_mol) == canonicalize(ref_mol):
+                    exact += 1
+            except CanonError:
+                canon_hits += 1
+                continue
             try:
                 fts = {
                     name: tanimoto(
@@ -280,8 +290,9 @@ def eval_text2mol(
             omitted[name] = reason
     skipped = n - fts_support
     skip_reasons = {
-        "invalid_smiles_side": skipped - budget_hits,
+        "invalid_smiles_side": skipped - budget_hits - canon_hits,
         "fingerprint_budget": budget_hits,
+        "canon_budget": canon_hits,
     }
     return MetricReport(
         task=TaskKind.TEXT2MOL,
@@ -299,16 +310,25 @@ def eval_forward(pairs: Sequence[PredictionPair]) -> MetricReport:
     _check_task(pairs, TaskKind.FORWARD)
     exact = 0
     n_valid = 0
+    canon_hits = 0
     for pair in pairs:
-        pred = _canonical_or_none(pair.prediction)
-        if pred is not None:
-            n_valid += 1
-        if pred is not None and pred == _canonical_or_none(pair.reference):
-            exact += 1
+        pred_mol = _parse_valid(pair.prediction)
+        if pred_mol is None:
+            continue
+        n_valid += 1
+        try:
+            if canonicalize(pred_mol) == _canonical_or_none(pair.reference):
+                exact += 1
+        except CanonError:
+            canon_hits += 1
     n = len(pairs)
     metrics = {"accuracy": MetricValue("accuracy", exact / n, n)}
     return MetricReport(
-        task=TaskKind.FORWARD, metrics=metrics, n_total=n, n_valid_pred=n_valid
+        task=TaskKind.FORWARD,
+        metrics=metrics,
+        n_total=n,
+        n_valid_pred=n_valid,
+        skip_reasons={"canon_budget": canon_hits} if canon_hits else {},
     )
 
 
@@ -323,6 +343,7 @@ def eval_retro(pairs: Sequence[PredictionPair], oracle: ForwardOracle) -> Metric
     hits = 0
     n_valid = 0
     failures = 0
+    canon_hits = 0
     for pair in pairs:
         if _parse_valid(pair.prediction) is not None:
             n_valid += 1
@@ -331,17 +352,21 @@ def eval_retro(pairs: Sequence[PredictionPair], oracle: ForwardOracle) -> Metric
         except OracleError:
             failures += 1
             continue
-        regenerated = _canonical_or_none(product)
-        if regenerated is not None and regenerated == _canonical_or_none(pair.reference):
-            hits += 1
+        try:
+            regenerated = _canonical_or_none(product)
+            if regenerated is not None and regenerated == _canonical_or_none(pair.reference):
+                hits += 1
+        except CanonError:
+            canon_hits += 1
     n = len(pairs)
     metrics = {"roundtrip_accuracy": MetricValue("roundtrip_accuracy", hits / n, n)}
+    skip_reasons = {"oracle_failure": failures, "canon_budget": canon_hits}
     return MetricReport(
         task=TaskKind.RETRO,
         metrics=metrics,
         n_total=n,
         n_valid_pred=n_valid,
-        skip_reasons={"oracle_failure": failures} if failures else {},
+        skip_reasons={k: v for k, v in skip_reasons.items() if v},
     )
 
 

@@ -20,6 +20,13 @@ Conventions pinned here:
   leftmost available reference token; chunks are maximal runs of adjacent
   pairs. Score = F_mean * (1 - gamma * (chunks/matches)^beta) with
   alpha=0.9, beta=3, gamma=0.5.
+
+Kernels: the ROUGE-L LCS length is bit-parallel on Python ints (Allison &
+Dix 1986, in Hyyrö's 2004 form), and the METEOR-lite alignment pops the
+leftmost free reference position from per-token (then per-stem) position
+lists, stemming each distinct token once per :func:`meteor_lite` call. They
+give the same integers and pairs as the full LCS table and the scan above,
+so the conventions are unchanged.
 """
 
 from __future__ import annotations
@@ -96,7 +103,7 @@ def _check_pairs(
 
 
 def _ngrams(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
 def bleu(
@@ -156,18 +163,21 @@ def rouge_n(
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    if not a or not b:
-        return 0
-    previous = [0] * (len(b) + 1)
-    for x in a:
-        current = [0]
-        for j, y in enumerate(b, start=1):
-            if x == y:
-                current.append(previous[j - 1] + 1)
-            else:
-                current.append(max(previous[j], current[j - 1]))
-        previous = current
-    return previous[-1]
+    """LCS length, bit-parallel (Allison & Dix, IPL 23, 1986, in Hyyrö's
+    form, AWOCA 2004): one column of the LCS table over ``b`` is held in a
+    Python int ``v`` of any width, whose zero bits mark the rows where the
+    column steps up, and is advanced once per token of ``a``."""
+    match: dict[str, int] = {}
+    for j, token in enumerate(b):
+        match[token] = match.get(token, 0) | (1 << j)
+    mask = (1 << len(b)) - 1
+    v = mask
+    for token in a:
+        m = match.get(token)
+        if m:
+            u = v & m
+            v = ((v + u) | (v - u)) & mask
+    return len(b) - v.bit_count()
 
 
 def rouge_l(
@@ -187,31 +197,48 @@ def rouge_l(
                        support=len(candidates))
 
 
-def _align(cand: Sequence[str], ref: Sequence[str]) -> list[tuple[int, int]]:
+def _align(
+    cand: Sequence[str], ref: Sequence[str], stems: dict[str, str]
+) -> list[tuple[int, int]]:
     """Two-stage alignment: exact matches first, stem matches on the rest.
     Candidate positions scan left to right and take the leftmost free
-    reference position."""
+    reference position.
+
+    Each stage keeps, per key, the free reference positions in descending
+    order, so ``pop()`` yields the leftmost one. ``stems`` maps a token to
+    its Porter stem and is filled on demand; sharing it across calls stems
+    each distinct token once.
+    """
+    free: dict[str, list[int]] = {}
+    for j in range(len(ref) - 1, -1, -1):
+        free.setdefault(ref[j], []).append(j)
     pairs: list[tuple[int, int]] = []
-    cand_free = [True] * len(cand)
-    ref_free = [True] * len(ref)
-    for stage in ("exact", "stem"):
-        if stage == "exact":
-            c_keys = list(cand)
-            r_keys = list(ref)
+    unmatched: list[int] = []
+    for i, token in enumerate(cand):
+        slots = free.get(token)
+        if slots:
+            pairs.append((i, slots.pop()))
         else:
-            c_keys = [porter_stem(t) for t in cand]
-            r_keys = [porter_stem(t) for t in ref]
-        for i, key in enumerate(c_keys):
-            if not cand_free[i]:
-                continue
-            for j, r_key in enumerate(r_keys):
-                if ref_free[j] and r_key == key:
-                    pairs.append((i, j))
-                    cand_free[i] = False
-                    ref_free[j] = False
-                    break
-    pairs.sort()
+            unmatched.append(i)
+    if unmatched and len(pairs) < len(ref):
+        taken = {j for _, j in pairs}
+        by_stem: dict[str, list[int]] = {}
+        for j in range(len(ref) - 1, -1, -1):
+            if j not in taken:
+                by_stem.setdefault(_stem(ref[j], stems), []).append(j)
+        for i in unmatched:
+            slots = by_stem.get(_stem(cand[i], stems))
+            if slots:
+                pairs.append((i, slots.pop()))
+        pairs.sort()
     return pairs
+
+
+def _stem(token: str, stems: dict[str, str]) -> str:
+    stem = stems.get(token)
+    if stem is None:
+        stem = stems[token] = porter_stem(token)
+    return stem
 
 
 def _chunk_count(pairs: list[tuple[int, int]]) -> int:
@@ -232,8 +259,9 @@ def meteor_lite(
     pairs."""
     _check_pairs(candidates, references)
     total = 0.0
+    stems: dict[str, str] = {}
     for cand, ref in zip(candidates, references):
-        pairs = _align(cand.tokens, ref.tokens)
+        pairs = _align(cand.tokens, ref.tokens, stems)
         m = len(pairs)
         if m == 0:
             continue

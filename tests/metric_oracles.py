@@ -137,6 +137,38 @@ def meteor_oracle(cands, refs):
     return sum(scores) / len(scores)
 
 
+def meteor_alignment_oracle(cand, ref):
+    """The sorted (candidate, reference) pairs of meteor_oracle's two
+    stages, for one pair."""
+    pairs = []
+    cand_taken = set()
+    ref_taken = set()
+    # stage 1: exact, candidate left-to-right, leftmost free reference
+    for i in range(len(cand)):
+        for j in range(len(ref)):
+            if i in cand_taken or j in ref_taken:
+                continue
+            if cand[i] == ref[j]:
+                pairs.append((i, j))
+                cand_taken.add(i)
+                ref_taken.add(j)
+                break
+    # stage 2: stems of whatever is left
+    for i in range(len(cand)):
+        if i in cand_taken:
+            continue
+        for j in range(len(ref)):
+            if j in ref_taken:
+                continue
+            if porter_stem(cand[i]) == porter_stem(ref[j]):
+                pairs.append((i, j))
+                cand_taken.add(i)
+                ref_taken.add(j)
+                break
+    pairs.sort()
+    return pairs
+
+
 def levenshtein_oracle(a, b):
     table = [[0] * (len(b) + 1) for _ in range(len(a) + 1)]
     for i in range(len(a) + 1):

@@ -6,6 +6,7 @@ import pytest
 
 from chemtext.cli import main
 from chemtext.dataset import TaskKind, make_record, read_records, write_records
+from chemtext.smiles import canon
 from molgen import clique_smiles
 
 
@@ -228,6 +229,47 @@ def test_evaluate_fingerprint_budget_skips_one_pair(tmp_path, capsys):
     assert report["metrics"]["accuracy"] == pytest.approx(2 / 3, abs=1e-6)
     assert report["metrics"]["validity"] == 1.0
     assert report["supports"]["morgan_fts"] == 2
+
+
+def test_evaluate_canon_budget_skips_one_pair(tmp_path, capsys, monkeypatch):
+    # one candidate allowed: the symmetric ring trips the budget, the
+    # asymmetric chains do not
+    monkeypatch.setattr(canon, "_MAX_CANDIDATES", 1)
+    preds = tmp_path / "preds.jsonl"
+    write_predictions(
+        preds,
+        TaskKind.TEXT2MOL,
+        [("C1CCCCC1", "C1CCCCC1"), ("CCO", "OCC"), ("CCN", "CCO")],
+    )
+    code, out, _ = run_cli(
+        ["evaluate", "--task", "text2mol", "--predictions", str(preds), "--quiet"],
+        capsys=capsys,
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["counts"] == {"n_skipped": 1, "n_total": 3, "n_valid_pred": 3}
+    assert report["skip_reasons"] == {"canon_budget": 1}
+    # the budget pair scores as incorrect but still counts as valid
+    assert report["metrics"]["accuracy"] == pytest.approx(1 / 3, abs=1e-6)
+    assert report["metrics"]["validity"] == 1.0
+    assert report["supports"]["morgan_fts"] == 2
+
+
+def test_evaluate_mol2text_long_y_run_exits_0(tmp_path, capsys):
+    # each "y" is a consonant or a vowel by the letter before it, so a long
+    # run must not cost one stack frame per letter
+    preds = tmp_path / "preds.jsonl"
+    write_predictions(
+        preds,
+        TaskKind.MOL2TEXT,
+        [("y" * 5000 + "s", "y" * 5000 + "ed"), ("the cat ran", "the cat ran")],
+    )
+    code, out, err = run_cli(
+        ["evaluate", "--task", "mol2text", "--predictions", str(preds), "--quiet"],
+        capsys=capsys,
+    )
+    assert code == 0, err
+    assert json.loads(out)["counts"]["n_total"] == 2
 
 
 def test_fingerprint_budget_line_is_invalid(capsys, monkeypatch):

@@ -25,6 +25,7 @@ from chemtext.harness import (
     frechet_distance,
     report_to_json,
 )
+from chemtext.smiles import canon
 from chemtext.textmetrics import (
     EmptyCorpusError,
     bleu,
@@ -236,6 +237,15 @@ def test_forward_half_invalid():
     assert report.value("accuracy") == 0.5
 
 
+def test_forward_canon_budget_is_a_skip_reason(monkeypatch):
+    monkeypatch.setattr(canon, "_MAX_CANDIDATES", 1)
+    rows = [("c1ccccc1", "c1ccccc1"), ("OCC", "CCO"), ("CCN", "CCO")]
+    report = eval_forward(pairs_for(TaskKind.FORWARD, rows))
+    assert report.skip_reasons == {"canon_budget": 1}
+    assert report.n_valid_pred == 3
+    assert report.value("accuracy") == pytest.approx(1 / 3)
+
+
 # -- retro --------------------------------------------------------------------
 
 
@@ -262,6 +272,23 @@ def test_retro_partial_lookup():
     report = eval_retro(pairs_for(TaskKind.RETRO, rows), oracle)
     assert report.value("roundtrip_accuracy") == pytest.approx(2 / 3)
     assert report.skip_reasons == {"oracle_failure": 1}
+
+
+def test_retro_canon_budget_is_a_skip_reason(monkeypatch):
+    class TableOracle:
+        def __init__(self, table):
+            self.table = table
+
+        def predict_product(self, precursors: str) -> str:
+            return self.table[precursors]
+
+    monkeypatch.setattr(canon, "_MAX_CANDIDATES", 1)
+    oracle = TableOracle({"CCN.O": "OCC", "CCCN.O": "c1ccccc1", "CCCO": "CCCO"})
+    rows = [("CCN.O", "CCO"), ("CCCN.O", "c1ccccc1"), ("CCCO", "CCO")]
+    report = eval_retro(pairs_for(TaskKind.RETRO, rows), oracle)
+    assert report.skip_reasons == {"canon_budget": 1}
+    assert report.n_valid_pred == 3
+    assert report.value("roundtrip_accuracy") == pytest.approx(1 / 3)
 
 
 def test_lookup_oracle_canonical_keys():

@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chemtext.stem import porter_stem
+from stem_oracle import porter_stem_oracle
 
 
 @pytest.mark.parametrize(
@@ -47,3 +50,10 @@ def test_idempotent_on_common_words():
     for word in ["running", "nationalization", "probabilities", "hopeful"]:
         once = porter_stem(word)
         assert porter_stem(once) == once
+
+
+# "y" runs make the consonant test depend on every preceding letter
+@given(st.text(alphabet="aeiouybcstl", max_size=40))
+@settings(max_examples=500, deadline=None)
+def test_matches_recursive_consonant_oracle(word):
+    assert porter_stem(word) == porter_stem_oracle(word)

@@ -1,9 +1,11 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import chemtext.textmetrics as textmetrics
+from chemtext.textmetrics import _align, _lcs_length
 from chemtext.textmetrics import (
     EmptyCorpusError,
     LengthMismatchError,
@@ -23,6 +25,7 @@ from metric_oracles import (
     rouge_l_oracle,
     rouge_n_oracle,
 )
+from metric_oracles import lcs_table, meteor_alignment_oracle
 
 _WORDS = [
     "the", "a", "cat", "dog", "ran", "running", "quickly", "molecule",
@@ -133,6 +136,18 @@ def test_rouge_l_dp_example():
     assert got == pytest.approx(0.75, abs=1e-12)
 
 
+# lengths drawn uniformly from 0..200, so most pairs carry across 64 bits
+_THREE_TOKENS = st.integers(0, 200).flatmap(
+    lambda n: st.lists(st.sampled_from(["x", "y", "z"]), min_size=n, max_size=n)
+)
+
+
+@given(_THREE_TOKENS, _THREE_TOKENS)
+@settings(max_examples=100, deadline=None)
+def test_lcs_length_matches_full_table(a, b):
+    assert _lcs_length(a, b) == lcs_table(a, b)
+
+
 # -- meteor -------------------------------------------------------------------
 
 
@@ -161,6 +176,40 @@ def test_meteor_fixed_corpus_matches_oracle():
     cands = corpus(["the cat ran", "a dog jumped over", "molecules running fast"])
     refs = corpus(["the cat ran quickly", "a dog jumps", "the molecule runs"])
     got = meteor_lite(cands, refs).value
+    want = meteor_oracle([c.tokens for c in cands], [r.tokens for r in refs])
+    assert got == pytest.approx(want, abs=1e-9)
+
+
+# exact repeats plus stem-equal variants ("react"/"reacts"/"reacted"...)
+_STEM_TOKENS = st.lists(
+    st.sampled_from(
+        ["react", "reacts", "reacted", "reacting", "cat", "cats", "the", "a"]
+    ),
+    max_size=30,
+)
+
+
+@given(_STEM_TOKENS, _STEM_TOKENS)
+@example(["reacts", "react"], ["react"])
+@example(["react", "react"], ["a", "react", "react"])
+@settings(max_examples=300, deadline=None)
+def test_align_matches_two_stage_oracle(cand, ref):
+    assert _align(cand, ref, {}) == meteor_alignment_oracle(cand, ref)
+
+
+def test_meteor_stems_each_distinct_token_once(monkeypatch):
+    calls = []
+    stem = textmetrics.porter_stem
+
+    def counting_stem(word):
+        calls.append(word)
+        return stem(word)
+
+    monkeypatch.setattr(textmetrics, "porter_stem", counting_stem)
+    cands, refs = random_pairs(random.Random(11), 60)
+    got = meteor_lite(cands, refs).value
+    distinct = {t for text in cands + refs for t in text.tokens}
+    assert 0 < len(calls) <= len(distinct)
     want = meteor_oracle([c.tokens for c in cands], [r.tokens for r in refs])
     assert got == pytest.approx(want, abs=1e-9)
 
