@@ -43,12 +43,10 @@ from chemtext.fingerprints import (
 )
 from chemtext.harness import LookupOracle, PredictionPair, eval_pairs, report_to_json
 from chemtext.merge import (
+    OPS,
     CombineMode,
     MergeParams,
-    bidirectional_merge,
-    cross_attend,
     grad_check,
-    hierarchical_merge,
     load_matrix,
     random_params,
     save_matrix,
@@ -295,15 +293,9 @@ def cmd_merge_demo(args) -> int:
     params = _params_from_spec(spec, h_t.shape[1], h_m.shape[1])
     if params.combine is CombineMode.BASE_ONLY:
         op_id = "hierarchical_merge" if params.depth > 1 else "cross_attend"
-        output = (
-            hierarchical_merge(h_t, h_m, params)
-            if params.depth > 1
-            else cross_attend(h_t, h_m, params)
-        )
     else:
         op_id = "bidirectional_merge"
-        output = bidirectional_merge(h_t, h_m, params)
-    save_matrix(sys.stdout, output)
+    save_matrix(sys.stdout, OPS[op_id](h_t, h_m, params))
     report = grad_check(op_id, h_t, h_m, params, epsilon=args.grad_epsilon)
     print(
         f"grad_check op={op_id} max_rel_error={report.max_rel_error:.3e} "
@@ -312,26 +304,55 @@ def cmd_merge_demo(args) -> int:
     return EXIT_OK
 
 
-def _params_from_spec(spec: dict, h_t_width: int, h_m_width: int) -> MergeParams:
+def _spec_int(spec: dict, name: str, default: int | None = None) -> int:
+    """``spec[name]`` as a JSON integer (not a boolean), never coerced."""
+    if name not in spec:
+        if default is None:
+            raise RecordError(f"params file needs {name!r}")
+        return default
+    value = spec[name]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise RecordError(f"params field {name!r} must be an integer, got {value!r}")
+    return value
+
+
+def _spec_matrix(spec: dict, name: str) -> np.ndarray:
+    try:
+        return np.array(spec[name], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise RecordError(f"params field {name!r} is not a matrix: {exc}") from None
+
+
+def _params_from_spec(spec, h_t_width: int, h_m_width: int) -> MergeParams:
+    if not isinstance(spec, dict):
+        raise RecordError("params file must hold a JSON object")
     combine = CombineMode(spec.get("combine", "base_only"))
-    depth = int(spec.get("depth", 1))
-    d = int(spec["d"])
-    explicit = {name: spec[name] for name in ("w_q", "w_k", "w_v", "w_c") if name in spec}
-    if {"w_q", "w_k", "w_v"} <= set(explicit):
-        return MergeParams(
-            w_q=np.array(explicit["w_q"], dtype=float),
-            w_k=np.array(explicit["w_k"], dtype=float),
-            w_v=np.array(explicit["w_v"], dtype=float),
-            depth=depth,
-            combine=combine,
-            w_c=np.array(explicit["w_c"], dtype=float) if "w_c" in explicit else None,
+    depth = _spec_int(spec, "depth", 1)
+    d = _spec_int(spec, "d")
+    if d < 1:
+        raise RecordError(f"params field 'd' must be at least 1, got {d}")
+    seed = _spec_int(spec, "seed") if "seed" in spec else None
+    given = [name for name in ("w_q", "w_k", "w_v", "w_c") if name in spec]
+    if not given:
+        if seed is None:
+            raise RecordError("params file needs either w_q/w_k/w_v or a seed")
+        return random_params(
+            h_t=h_t_width, h_m=h_m_width, d=d, seed=seed, depth=depth, combine=combine
         )
-    if "seed" not in spec:
-        raise RecordError("params file needs either w_q/w_k/w_v or a seed")
-    return random_params(
-        h_t=h_t_width, h_m=h_m_width, d=d,
-        seed=int(spec["seed"]), depth=depth, combine=combine,
+    missing = [name for name in ("w_q", "w_k", "w_v") if name not in spec]
+    if missing:
+        raise RecordError(f"params file gives {given} but not {missing}; give all of w_q/w_k/w_v")
+    params = MergeParams(
+        w_q=_spec_matrix(spec, "w_q"),
+        w_k=_spec_matrix(spec, "w_k"),
+        w_v=_spec_matrix(spec, "w_v"),
+        depth=depth,
+        combine=combine,
+        w_c=_spec_matrix(spec, "w_c") if "w_c" in spec else None,
     )
+    if params.d != d:
+        raise RecordError(f"params field 'd' is {d} but w_q has width {params.d}")
+    return params
 
 
 if __name__ == "__main__":

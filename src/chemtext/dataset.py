@@ -102,22 +102,6 @@ def make_record(task: TaskKind, source: str, target: str, extra: dict | None = N
     )
 
 
-@dataclass(frozen=True)
-class MixPlan:
-    """Record of an equal-mix run: identical target count per task."""
-
-    per_task: dict[TaskKind, int]
-    seed: int
-    strategy: str = "equal_mix"
-
-    def __post_init__(self) -> None:
-        counts = set(self.per_task.values())
-        if self.strategy != "equal_mix":
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        if len(counts) != 1 or min(counts) < 1:
-            raise ValueError("equal_mix requires one identical count >= 1 per task")
-
-
 def equal_mix(
     streams: Mapping[TaskKind, Sequence[TaskRecord]],
     per_task: int,
@@ -130,12 +114,13 @@ def equal_mix(
     """
     if per_task < 1:
         raise ValueError("per_task must be >= 1")
+    if not streams:
+        raise ValueError("equal_mix needs at least one task stream")
     for task in streams:
         if not streams[task]:
             raise EmptyStreamError(task)
         if any(r.task is not task for r in streams[task]):
             raise RecordError(f"stream for {task.value} contains other tasks")
-    MixPlan(per_task={task: per_task for task in streams}, seed=seed)
     rng = random.Random(seed)
     mixed: list[TaskRecord] = []
     for task in TaskKind:

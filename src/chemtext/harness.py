@@ -21,7 +21,8 @@ Task conventions:
   writer gives up on (``CanonError``, chiefly the symmetry-search budget)
   scores as incorrect and is counted under the skip reason
   ``canon_budget``; validity counts are unaffected, and text2mol also leaves
-  the pair out of Tanimoto.
+  the pair out of Tanimoto. For retro this includes an oracle lookup that
+  raises ``CanonError`` while normalizing the predicted precursors.
 - para2actions: BLEU-4 over word tokens plus exact-string accuracy after
   whitespace normalization.
 
@@ -134,7 +135,8 @@ class ForwardOracle(Protocol):
 
     def predict_product(self, precursors: str) -> str:
         """Product SMILES for dot-joined precursors; raises OracleError on
-        failure. Must be deterministic for a given input."""
+        failure (or CanonError when the precursors exceed the canonicalization
+        budget). Must be deterministic for a given input."""
         ...
 
 
@@ -142,19 +144,26 @@ class LookupOracle:
     """ForwardOracle backed by a precursors -> product table.
 
     Keys are normalized to canonical SMILES when possible, so any atom
-    ordering of the same precursor set hits the same entry.
+    ordering of the same precursor set hits the same entry. Precursors that
+    exceed the canonicalization budget raise ``CanonError`` on lookup in any
+    ordering; such table entries are dropped, as no lookup can reach them.
     """
 
     def __init__(self, table: dict[str, str]) -> None:
         self._table: dict[str, str] = {}
         for precursors, product in table.items():
-            self._table[self._normalize(precursors)] = product
+            try:
+                self._table[self._normalize(precursors)] = product
+            except CanonError:
+                pass
 
     @staticmethod
     def _normalize(smiles: str) -> str:
+        """Canonical SMILES, or the string itself when it does not parse;
+        ``CanonError`` propagates."""
         try:
             return canonicalize(parse_smiles(smiles))
-        except (LexError, ParseError, CanonError):
+        except (LexError, ParseError):
             return smiles
 
     def predict_product(self, precursors: str) -> str:
@@ -348,14 +357,11 @@ def eval_retro(pairs: Sequence[PredictionPair], oracle: ForwardOracle) -> Metric
         if _parse_valid(pair.prediction) is not None:
             n_valid += 1
         try:
-            product = oracle.predict_product(pair.prediction)
-        except OracleError:
-            failures += 1
-            continue
-        try:
-            regenerated = _canonical_or_none(product)
+            regenerated = _canonical_or_none(oracle.predict_product(pair.prediction))
             if regenerated is not None and regenerated == _canonical_or_none(pair.reference):
                 hits += 1
+        except OracleError:
+            failures += 1
         except CanonError:
             canon_hits += 1
     n = len(pairs)

@@ -26,6 +26,12 @@ Given base tokens ``H_t (n_t x h_t)`` and adaptation tokens
   differences on every parameter entry; for the parameter-free
   ``mean_aggregate`` the inputs are checked instead.
 
+Each op has one forward path: a stack of ``depth`` blocks (depth 1 for
+``cross_attend`` and ``attention_weights``) or the bidirectional pair. Both
+return the caches their backward pass reads, so ``grad_check`` differentiates
+the very forward the public functions run, and :data:`OPS` is the one table
+from op id to function, read by ``grad_check`` and the ``merge-demo`` CLI.
+
 All functions are pure; matrices are float64 throughout and accumulation
 order is fixed, so results are run-to-run stable.
 """
@@ -194,51 +200,62 @@ def _attend_backward(g_out: np.ndarray, cache: dict) -> dict:
     )
 
 
+def _stacked_forward(h_t: np.ndarray, h_m: np.ndarray, params: MergeParams,
+                     depth: int) -> tuple[np.ndarray, list[dict]]:
+    """``depth`` forward blocks, each fed the previous output as its base;
+    returns the output and one ``_attend`` cache per block."""
+    if depth > 1 and params.d != h_t.shape[1]:
+        raise ShapeError(
+            f"depth feedback needs d == h_t ({params.d} != {h_t.shape[1]})"
+        )
+    caches = []
+    current = h_t
+    for _ in range(depth):
+        current, cache = _attend(current, params.w_q, h_m, params.w_k, h_m, params.w_v)
+        caches.append(cache)
+    return current, caches
+
+
+def _bidirectional_forward(h_t: np.ndarray, h_m: np.ndarray, params: MergeParams
+                           ) -> tuple[np.ndarray, tuple[dict, dict, np.ndarray | None]]:
+    """Forward and reverse blocks combined per ``params.combine``; returns the
+    output and (forward cache, reverse cache, the concatenated rows fed to
+    ``w_c``, or None for the sum combine)."""
+    if params.combine is CombineMode.BASE_ONLY:
+        raise CombineError("bidirectional_merge requires a bidirectional combine mode")
+    forward, f_cache = _attend(h_t, params.w_q, h_m, params.w_k, h_m, params.w_v)
+    # the reverse block swaps roles: the adaptation side queries through w_k,
+    # the base side supplies keys and values through w_q
+    reverse, r_cache = _attend(h_m, params.w_k, h_t, params.w_q, h_t, params.w_q)
+    pooled = reverse.mean(axis=0, keepdims=True)
+    if params.combine is CombineMode.BIDIRECTIONAL_SUM:
+        return forward + pooled, (f_cache, r_cache, None)
+    stacked = np.concatenate([forward, np.repeat(pooled, forward.shape[0], axis=0)], axis=1)
+    return _check_finite("combined output", stacked @ params.w_c), (f_cache, r_cache, stacked)
+
+
 def attention_weights(h_t, h_m, params: MergeParams) -> np.ndarray:
     """The row-stochastic attention matrix of a single forward block."""
-    h_t = _as_matrix("H_t", h_t)
-    h_m = _as_matrix("H_m", h_m)
-    _, cache = _attend(h_t, params.w_q, h_m, params.w_k, h_m, params.w_v)
-    return cache["weights"]
+    _, caches = _stacked_forward(_as_matrix("H_t", h_t), _as_matrix("H_m", h_m), params, 1)
+    return caches[0]["weights"]
 
 
 def cross_attend(h_t, h_m, params: MergeParams) -> np.ndarray:
     """One cross-attention block; output is ``n_t x d``."""
-    h_t = _as_matrix("H_t", h_t)
-    h_m = _as_matrix("H_m", h_m)
-    out, _ = _attend(h_t, params.w_q, h_m, params.w_k, h_m, params.w_v)
-    return out
+    return _stacked_forward(_as_matrix("H_t", h_t), _as_matrix("H_m", h_m), params, 1)[0]
 
 
 def hierarchical_merge(h_t, h_m, params: MergeParams) -> np.ndarray:
     """``depth``-fold reapplication with the base replaced by the previous
     output. Requires ``d == h_t`` when depth > 1 so the output can feed
     back."""
-    h_t = _as_matrix("H_t", h_t)
-    h_m = _as_matrix("H_m", h_m)
-    if params.depth > 1 and params.d != h_t.shape[1]:
-        raise ShapeError(
-            f"depth feedback needs d == h_t ({params.d} != {h_t.shape[1]})"
-        )
-    current = h_t
-    for _ in range(params.depth):
-        current, _ = _attend(current, params.w_q, h_m, params.w_k, h_m, params.w_v)
-    return current
+    h_t, h_m = _as_matrix("H_t", h_t), _as_matrix("H_m", h_m)
+    return _stacked_forward(h_t, h_m, params, params.depth)[0]
 
 
 def bidirectional_merge(h_t, h_m, params: MergeParams) -> np.ndarray:
     """Forward and reverse blocks combined per ``params.combine``."""
-    h_t = _as_matrix("H_t", h_t)
-    h_m = _as_matrix("H_m", h_m)
-    if params.combine is CombineMode.BASE_ONLY:
-        raise CombineError("bidirectional_merge requires a bidirectional combine mode")
-    forward, _ = _attend(h_t, params.w_q, h_m, params.w_k, h_m, params.w_v)
-    reverse, _ = _attend(h_m, params.w_k, h_t, params.w_q, h_t, params.w_q)
-    pooled = reverse.mean(axis=0, keepdims=True)
-    if params.combine is CombineMode.BIDIRECTIONAL_SUM:
-        return forward + pooled
-    stacked = np.concatenate([forward, np.repeat(pooled, forward.shape[0], axis=0)], axis=1)
-    return _check_finite("combined output", stacked @ params.w_c)
+    return _bidirectional_forward(_as_matrix("H_t", h_t), _as_matrix("H_m", h_m), params)[0]
 
 
 def mean_aggregate(h_t, h_m) -> np.ndarray:
@@ -251,6 +268,16 @@ def mean_aggregate(h_t, h_m) -> np.ndarray:
         )
     pooled = h_m.mean(axis=0, keepdims=True)
     return (h_t + pooled) / 2.0
+
+
+#: The parameterised ops by id, as ``grad_check`` and the ``merge-demo`` CLI
+#: name them; ``mean_aggregate`` takes no parameters and is checked on its
+#: inputs instead.
+OPS = {
+    "cross_attend": cross_attend,
+    "hierarchical_merge": hierarchical_merge,
+    "bidirectional_merge": bidirectional_merge,
+}
 
 
 # -- gradient verification ----------------------------------------------------
@@ -284,99 +311,56 @@ def grad_check(op_id: str, h_t, h_m, params: MergeParams | None = None,
     h_t = _as_matrix("H_t", h_t)
     h_m = _as_matrix("H_m", h_m)
     if op_id == "mean_aggregate":
-        return _grad_check_inputs(h_t, h_m, epsilon)
-    if op_id not in ("cross_attend", "hierarchical_merge", "bidirectional_merge"):
-        raise ValueError(f"unknown op_id {op_id!r}")
-    if params is None:
-        raise ValueError(f"{op_id} requires params")
+        # d loss / d H_t = 1/2 per entry; d loss / d H_m = n_t / (2 n_m)
+        analytic = {
+            "h_t": np.full(h_t.shape, 0.5),
+            "h_m": np.full(h_m.shape, h_t.shape[0] / (2.0 * h_m.shape[0])),
+        }
+        centers = {"h_t": h_t, "h_m": h_m}
 
-    analytic = _analytic_param_grads(op_id, h_t, h_m, params)
-    forward = {
-        "cross_attend": cross_attend,
-        "hierarchical_merge": hierarchical_merge,
-        "bidirectional_merge": bidirectional_merge,
-    }[op_id]
+        def output_with(name: str, matrix: np.ndarray) -> np.ndarray:
+            return mean_aggregate(**{**centers, name: matrix})
+    elif op_id not in OPS:
+        raise ValueError(f"unknown op_id {op_id!r}")
+    elif params is None:
+        raise ValueError(f"{op_id} requires params")
+    else:
+        analytic = _analytic_param_grads(op_id, h_t, h_m, params)
+        centers = {name: getattr(params, name) for name in analytic}
+
+        def output_with(name: str, matrix: np.ndarray) -> np.ndarray:
+            return OPS[op_id](h_t, h_m, replace(params, **{name: matrix}))
 
     worst = 0.0
-    checked = 0
-    for name in analytic:
-        base = getattr(params, name)
-        for index in np.ndindex(base.shape):
-            numeric = _central_difference(
-                lambda value: float(np.sum(forward(h_t, h_m, _perturb(params, name, index, value)))),
-                base[index],
-                epsilon,
-            )
-            a = analytic[name][index]
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-            worst = max(worst, rel)
-            checked += 1
+    for name, grad in analytic.items():
+        center = centers[name]
+        for index in np.ndindex(center.shape):
+            losses = []
+            for value in (center[index] + epsilon, center[index] - epsilon):
+                matrix = center.copy()
+                matrix[index] = value
+                losses.append(float(np.sum(output_with(name, matrix))))
+            numeric = (losses[0] - losses[1]) / (2.0 * epsilon)
+            a = grad[index]
+            worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric), 1e-8))
     if not math.isfinite(worst):
         raise NonFiniteError("gradient check produced non-finite values")
-    return GradCheckReport(max_rel_error=worst, params_checked=checked, epsilon=epsilon)
-
-
-def _perturb(params: MergeParams, name: str, index, value: float) -> MergeParams:
-    matrix = getattr(params, name).copy()
-    matrix[index] = value
-    return replace(params, **{name: matrix})
-
-
-def _central_difference(loss_at, center: float, epsilon: float) -> float:
-    return (loss_at(center + epsilon) - loss_at(center - epsilon)) / (2.0 * epsilon)
-
-
-def _grad_check_inputs(h_t: np.ndarray, h_m: np.ndarray, epsilon: float) -> GradCheckReport:
-    if h_t.shape[1] != h_m.shape[1]:
-        raise ShapeError("mean_aggregate needs h_t == h_m")
-    # d loss / d H_t = 1/2 per entry; d loss / d H_m = n_t / (2 n_m)
-    grads = {
-        "h_t": np.full(h_t.shape, 0.5),
-        "h_m": np.full(h_m.shape, h_t.shape[0] / (2.0 * h_m.shape[0])),
-    }
-    matrices = {"h_t": h_t, "h_m": h_m}
-    worst = 0.0
-    checked = 0
-    for name, base in matrices.items():
-        for index in np.ndindex(base.shape):
-            def loss_at(value: float) -> float:
-                patched = dict(matrices)
-                changed = base.copy()
-                changed[index] = value
-                patched[name] = changed
-                return float(np.sum(mean_aggregate(patched["h_t"], patched["h_m"])))
-            numeric = _central_difference(loss_at, base[index], epsilon)
-            a = grads[name][index]
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-            worst = max(worst, rel)
-            checked += 1
+    checked = sum(grad.size for grad in analytic.values())
     return GradCheckReport(max_rel_error=worst, params_checked=checked, epsilon=epsilon)
 
 
 def _analytic_param_grads(op_id: str, h_t: np.ndarray, h_m: np.ndarray,
                           params: MergeParams) -> dict[str, np.ndarray]:
+    """Backward pass of ``loss = sum(output)`` through the op's forward."""
     grads = {
         "w_q": np.zeros_like(params.w_q),
         "w_k": np.zeros_like(params.w_k),
         "w_v": np.zeros_like(params.w_v),
     }
-    if op_id == "cross_attend":
-        out, cache = _attend(h_t, params.w_q, h_m, params.w_k, h_m, params.w_v)
-        back = _attend_backward(np.ones_like(out), cache)
-        grads["w_q"] += back["q_mat"]
-        grads["w_k"] += back["k_mat"]
-        grads["w_v"] += back["v_mat"]
-        return grads
-
-    if op_id == "hierarchical_merge":
-        if params.depth > 1 and params.d != h_t.shape[1]:
-            raise ShapeError("depth feedback needs d == h_t")
-        caches = []
-        current = h_t
-        for _ in range(params.depth):
-            current, cache = _attend(current, params.w_q, h_m, params.w_k, h_m, params.w_v)
-            caches.append(cache)
-        g_x = np.ones_like(current)
+    if op_id != "bidirectional_merge":
+        depth = params.depth if op_id == "hierarchical_merge" else 1
+        out, caches = _stacked_forward(h_t, h_m, params, depth)
+        g_x = np.ones_like(out)
         for cache in reversed(caches):
             back = _attend_backward(g_x, cache)
             grads["w_q"] += back["q_mat"]
@@ -386,20 +370,13 @@ def _analytic_param_grads(op_id: str, h_t: np.ndarray, h_m: np.ndarray,
         return grads
 
     # bidirectional: parameters appear in both branches
-    if params.combine is CombineMode.BASE_ONLY:
-        raise CombineError("bidirectional_merge requires a bidirectional combine mode")
-    forward, f_cache = _attend(h_t, params.w_q, h_m, params.w_k, h_m, params.w_v)
-    reverse, r_cache = _attend(h_m, params.w_k, h_t, params.w_q, h_t, params.w_q)
-    n_t = forward.shape[0]
-    n_m = reverse.shape[0]
-    if params.combine is CombineMode.BIDIRECTIONAL_SUM:
-        g_forward = np.ones_like(forward)
-        g_pooled = np.full((1, forward.shape[1]), float(n_t))
+    out, (f_cache, r_cache, stacked) = _bidirectional_forward(h_t, h_m, params)
+    n_t, n_m = h_t.shape[0], h_m.shape[0]
+    if stacked is None:
+        g_forward = np.ones_like(out)
+        g_pooled = np.full((1, params.d), float(n_t))
     else:
-        stacked = np.concatenate(
-            [forward, np.repeat(reverse.mean(axis=0, keepdims=True), n_t, axis=0)], axis=1
-        )
-        g_out = np.ones((n_t, params.d))
+        g_out = np.ones_like(out)
         grads["w_c"] = stacked.T @ g_out
         g_stacked = g_out @ params.w_c.T
         g_forward = g_stacked[:, : params.d]

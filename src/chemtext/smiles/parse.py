@@ -147,7 +147,7 @@ class Molecule:
     @cached_property
     def ring_bond_indices(self) -> frozenset[int]:
         """Indices of bonds that lie on a cycle (non-bridge edges)."""
-        return _non_bridge_edges(len(self.atoms), self.bonds)
+        return _non_bridge_edges(self.adjacency, len(self.bonds))
 
     @cached_property
     def ring_atom_indices(self) -> frozenset[int]:
@@ -177,12 +177,10 @@ def _component_count(n_atoms: int, bonds: Sequence[Bond]) -> int:
     return len({find(i) for i in range(n_atoms)})
 
 
-def _non_bridge_edges(n_atoms: int, bonds: Sequence[Bond]) -> frozenset[int]:
-    """Bridge detection via iterative DFS low-links; returns ring bonds."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n_atoms)]
-    for bi, bond in enumerate(bonds):
-        adj[bond.a].append((bond.b, bi))
-        adj[bond.b].append((bond.a, bi))
+def _non_bridge_edges(adj: Sequence[Sequence[tuple[int, int]]], n_bonds: int) -> frozenset[int]:
+    """Bridge detection via iterative DFS low-links over
+    :attr:`Molecule.adjacency`; returns ring bonds."""
+    n_atoms = len(adj)
     disc = [-1] * n_atoms
     low = [0] * n_atoms
     bridges: set[int] = set()
@@ -212,7 +210,7 @@ def _non_bridge_edges(n_atoms: int, bonds: Sequence[Bond]) -> frozenset[int]:
                     low[parent_node] = min(low[parent_node], low[node])
                     if low[node] > disc[parent_node]:
                         bridges.add(via_bond)
-    return frozenset(set(range(len(bonds))) - bridges)
+    return frozenset(set(range(n_bonds)) - bridges)
 
 
 @dataclass
@@ -227,7 +225,6 @@ class _Parser:
         self.tokens = tokens
         self.atoms: list[Atom] = []
         self.bonds: list[Bond] = []
-        self.bond_pairs: set[tuple[int, int]] = set()
         self.prev: int | None = None
         self.pending: _PendingBond | None = None
         self.branch_stack: list[int] = []
@@ -358,19 +355,14 @@ class _Parser:
         explicit_aromatic: bool,
         stereo: str | None,
     ) -> None:
-        pair = (min(a, b), max(a, b))
-        if pair in self.bond_pairs:
-            raise ParseError(f"duplicate bond between atoms {pair}")
         aromatic = explicit_aromatic
         if order is None:
             if self.atoms[a].aromatic and self.atoms[b].aromatic:
                 aromatic = True
             order = 1
-        if aromatic and not (self.atoms[a].aromatic and self.atoms[b].aromatic):
-            raise ParseError(f"aromatic bond between non-aromatic atoms {pair}")
         if stereo is not None and (order != 1 or aromatic):
             raise ParseError("stereo marker on a non-single bond")
-        self.bond_pairs.add(pair)
+        # duplicate and aromatic-endpoint bonds are rejected by Molecule.from_atoms_bonds
         self.bonds.append(Bond(a=a, b=b, order=order, aromatic=aromatic, stereo=stereo))
 
     def _on_branch_open(self, token: Token) -> None:

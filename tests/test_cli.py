@@ -487,6 +487,95 @@ def test_merge_demo_explicit_params(tmp_path, capsys):
     assert out.splitlines()[1] == "1.5"
 
 
+def _shipped_merge_demo(tmp_path, capsys, spec):
+    from importlib import resources
+
+    data = resources.files("chemtext") / "data" / "merge_demo"
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps(spec))
+    return run_cli(
+        [
+            "merge-demo",
+            "--base", str(data / "base_3x4.txt"),
+            "--adapt", str(data / "adapt_2x5.txt"),
+            "--params", str(params),
+        ],
+        capsys=capsys,
+    )
+
+
+@pytest.mark.parametrize(
+    "spec, op_id",
+    [
+        ({"d": 4, "depth": 2, "seed": 7}, "hierarchical_merge"),
+        ({"d": 3, "combine": "bidirectional_sum", "seed": 7}, "bidirectional_merge"),
+        ({"d": 3, "combine": "bidirectional_concat_project", "seed": 7}, "bidirectional_merge"),
+    ],
+)
+def test_merge_demo_op_paths_match_library(tmp_path, capsys, spec, op_id):
+    import numpy as np
+    from importlib import resources
+
+    from chemtext import merge
+
+    data = resources.files("chemtext") / "data" / "merge_demo"
+    with open(data / "base_3x4.txt", encoding="utf-8") as fp:
+        h_t = merge.load_matrix(fp)
+    with open(data / "adapt_2x5.txt", encoding="utf-8") as fp:
+        h_m = merge.load_matrix(fp)
+    params = merge.random_params(
+        h_t=4, h_m=5, d=spec["d"], seed=7, depth=spec.get("depth", 1),
+        combine=merge.CombineMode(spec.get("combine", "base_only")),
+    )
+    op = merge.hierarchical_merge if op_id == "hierarchical_merge" else merge.bidirectional_merge
+    expected = op(h_t, h_m, params)
+
+    code, out, _ = _shipped_merge_demo(tmp_path, capsys, spec)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == f"3 {spec['d']}"
+    got = np.array([[float(x) for x in line.split()] for line in lines[1:-1]])
+    assert got.shape == (3, spec["d"])
+    assert np.max(np.abs(got - expected)) <= 1e-12
+    grad_line = lines[-1]
+    assert grad_line.startswith(f"grad_check op={op_id} ")
+    assert float(grad_line.split("max_rel_error=")[1].split()[0]) < 1e-4
+
+
+@pytest.mark.parametrize(
+    "spec, field",
+    [
+        ({"seed": 7}, "d"),
+        ({"d": 3, "depth": 2.7, "seed": 7}, "depth"),
+        ({"d": 3, "seed": 7.9}, "seed"),
+        (
+            {"d": 1, "seed": 7.5, "w_q": [[1.0]] * 4, "w_k": [[1.0]] * 5, "w_v": [[1.0]] * 5},
+            "seed",
+        ),
+        ({"d": 3.0, "seed": 7}, "d"),
+        ({"d": True, "seed": 7}, "d"),
+        ({"d": 3, "depth": False, "seed": 7}, "depth"),
+        ({"d": 0, "seed": 7}, "d"),
+        ({"d": 1, "seed": 7, "w_q": [[1.0]] * 4, "w_k": [[1.0]] * 5}, "w_v"),
+        ({"d": 3, "seed": 7, "combine": "bidirectional_concat_project", "w_c": [[1.0]]}, "w_c"),
+        ({"d": 1, "w_q": {"a": 1}, "w_k": [[1.0]] * 5, "w_v": [[1.0]] * 5}, "w_q"),
+        ({"d": 3, "w_q": [[1.0]] * 4, "w_k": [[1.0]] * 5, "w_v": [[0.5]] * 5}, "d"),
+    ],
+)
+def test_merge_demo_bad_params_field_is_data_error(tmp_path, capsys, spec, field):
+    code, out, err = _shipped_merge_demo(tmp_path, capsys, spec)
+    assert code == 2
+    assert out == ""
+    assert repr(field) in err
+
+
+def test_merge_demo_params_must_be_an_object(tmp_path, capsys):
+    code, out, err = _shipped_merge_demo(tmp_path, capsys, [3, 7])
+    assert code == 2
+    assert out == ""
+    assert "JSON object" in err
+
+
 def test_unknown_command_is_usage_error(capsys):
     code, _, err = run_cli(["frobnicate"], capsys=capsys)
     assert code == 1

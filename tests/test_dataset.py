@@ -7,7 +7,6 @@ from chemtext.dataset import (
     BadFractionsError,
     EmptyInputError,
     EmptyStreamError,
-    MixPlan,
     PROMPT_TEMPLATES,
     RecordError,
     TaskKind,
@@ -132,11 +131,11 @@ def test_equal_mix_rejects_mixed_stream():
         equal_mix(bad, per_task=3, seed=0)
 
 
-def test_mix_plan_invariants():
+def test_equal_mix_needs_a_stream():
+    with pytest.raises(ValueError, match="at least one task stream"):
+        equal_mix({}, per_task=3, seed=0)
     with pytest.raises(ValueError):
-        MixPlan(per_task={TaskKind.FORWARD: 2, TaskKind.RETRO: 3}, seed=0)
-    with pytest.raises(ValueError):
-        MixPlan(per_task={TaskKind.FORWARD: 0}, seed=0)
+        equal_mix({TaskKind.FORWARD: stream(TaskKind.FORWARD, 3)}, per_task=0, seed=0)
 
 
 # -- splits -------------------------------------------------------------------

@@ -291,6 +291,16 @@ def test_retro_canon_budget_is_a_skip_reason(monkeypatch):
     assert report.value("roundtrip_accuracy") == pytest.approx(1 / 3)
 
 
+@pytest.mark.parametrize("precursors", ["C1CCCCC1.O", "O.C1CCCCC1"])
+def test_retro_lookup_canon_budget_in_any_atom_order(monkeypatch, precursors):
+    monkeypatch.setattr(canon, "_MAX_CANDIDATES", 1)
+    oracle = LookupOracle({"C1CCCCC1.O": "CCO"})
+    report = eval_retro(pairs_for(TaskKind.RETRO, [(precursors, "CCO")]), oracle)
+    assert report.skip_reasons == {"canon_budget": 1}
+    assert report.n_valid_pred == 1
+    assert report.value("roundtrip_accuracy") == 0.0
+
+
 def test_lookup_oracle_canonical_keys():
     oracle = LookupOracle({"CC.O": "CCO"})
     assert oracle.predict_product("O.CC") == "CCO"

@@ -1,11 +1,13 @@
-"""The benchmark pins the sha256 of the default seed's captions reports in
-``perfbench/digests.json``; reports are canonical JSON and the text metrics
-are exact, so a kernel change that moves one byte must fail here rather than
-in a benchmark run. The inputs come from the benchmark's own generator,
-loaded by path; nothing under ``perfbench/`` is written."""
+"""The benchmark pins the sha256 of the default seed's inputs and of every
+command's output in ``perfbench/digests.json``; reports are canonical JSON,
+fingerprints and text metrics are exact, so a change that moves one byte of
+any workload's output must fail here rather than in a benchmark run. The
+inputs come from the benchmark's own generator, loaded by path; nothing under
+``perfbench/`` is written."""
 
 import hashlib
 import importlib.util
+import io
 import json
 import sys
 from pathlib import Path
@@ -23,7 +25,9 @@ def _sha256(data: bytes) -> str:
 
 
 @pytest.fixture(scope="module")
-def captions(tmp_path_factory):
+def generated(tmp_path_factory):
+    """``generated(workload)``: the default seed's ``gen.Inputs``, made once
+    per workload and checked against the pinned input digests."""
     spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH / "gen.py")
     gen = importlib.util.module_from_spec(spec)
     # dataclasses look their module up while the class body is processed
@@ -32,11 +36,23 @@ def captions(tmp_path_factory):
         spec.loader.exec_module(gen)
     finally:
         del sys.modules[spec.name]
-    out_dir = tmp_path_factory.mktemp("captions")
-    inputs = gen.generate("captions", DIGESTS["default_seed"], out_dir)
-    got = {name: _sha256(Path(path).read_bytes()) for name, path in inputs.files.items()}
-    assert got == DIGESTS["inputs"]["captions"]
-    return inputs.files
+    made = {}
+
+    def inputs_for(workload):
+        if workload not in made:
+            out_dir = tmp_path_factory.mktemp(workload)
+            inputs = gen.generate(workload, DIGESTS["default_seed"], out_dir)
+            got = {name: _sha256(Path(path).read_bytes()) for name, path in inputs.files.items()}
+            assert got == DIGESTS["inputs"][workload]
+            made[workload] = inputs
+        return made[workload]
+
+    return inputs_for
+
+
+@pytest.fixture(scope="module")
+def captions(generated):
+    return generated("captions").files
 
 
 @pytest.mark.parametrize("task", ["mol2text", "para2actions"])
@@ -46,3 +62,49 @@ def test_default_seed_report_bytes_match_pinned_digest(task, captions, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert _sha256(out.encode("utf-8")) == DIGESTS["outputs"]["captions"][name]
+
+
+@pytest.mark.parametrize(
+    "workload, name",
+    [
+        ("text2mol_30", "text2mol.jsonl"),
+        ("reactions_10", "forward.jsonl"),
+        ("reactions_10", "retro.jsonl"),
+        ("reactions_10", "canonicalize.txt"),
+        ("captions", "corpus.jsonl"),
+    ],
+)
+def test_default_seed_output_bytes_match_pinned_digest(
+    workload, name, generated, tmp_path, capsys, monkeypatch
+):
+    # the arguments of ``perfbench/run.py::commands_for``; the digest is the
+    # sha256 of stdout followed by the file the command writes, if any
+    inputs = generated(workload)
+    files = inputs.files
+    written = None
+    if name == "canonicalize.txt":
+        argv = ["canonicalize"]
+        stdin = Path(files[name]).read_text(encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    elif name == "corpus.jsonl":
+        build = inputs.expect["build-dataset"]
+        written = tmp_path / name
+        argv = [
+            "build-dataset",
+            *[a for task in build["streams"] for a in ("--task-file", f"{task}={files[f'stream_{task}.jsonl']}")],
+            "--per-task", str(build["per_task"]),
+            "--seed", "7",
+            "--out", str(written),
+            "--quiet",
+        ]
+    else:
+        task = name.removesuffix(".jsonl")
+        argv = ["evaluate", "--task", task, "--predictions", files[name], "--quiet"]
+        if task == "retro":
+            argv += ["--oracle", "lookup:" + files["oracle.jsonl"]]
+    code = main(argv)
+    out = capsys.readouterr().out.encode("utf-8")
+    if written is not None:
+        out += written.read_bytes()
+    assert code == 0
+    assert _sha256(out) == DIGESTS["outputs"][workload][name]

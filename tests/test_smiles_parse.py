@@ -121,6 +121,23 @@ def test_explicit_aromatic_bond_needs_aromatic_atoms():
         parse_smiles("C:C")
 
 
+@pytest.mark.parametrize(
+    "smiles, message",
+    [
+        ("C1C1", "duplicate bond between atoms (0, 1)"),
+        ("CC12CC12", "duplicate bond between atoms (1, 3)"),
+        ("C:C", "aromatic bond between non-aromatic atoms (0, 1)"),
+        ("c1ccccc1:C", "aromatic bond between non-aromatic atoms (5, 6)"),
+        # the bond checks run when the molecule is built, after end-of-input checks
+        ("C1C1C(", "unclosed branch at end of input"),
+    ],
+)
+def test_structural_error_messages(smiles, message):
+    with pytest.raises(ParseError) as info:
+        parse_smiles(smiles)
+    assert str(info.value) == message
+
+
 def test_bond_orders_and_stereo():
     mol = parse_smiles("F/C=C\\F")
     orders = sorted(b.order for b in mol.bonds)
