@@ -159,12 +159,10 @@ class LookupOracle:
 
     @staticmethod
     def _normalize(smiles: str) -> str:
-        """Canonical SMILES, or the string itself when it does not parse;
-        ``CanonError`` propagates."""
-        try:
-            return canonicalize(parse_smiles(smiles))
-        except (LexError, ParseError):
-            return smiles
+        """Canonical SMILES, or the string itself when it does not parse or
+        fails validation; a budget ``CanonError`` propagates."""
+        mol = _parse_valid(smiles)
+        return smiles if mol is None else canonicalize(mol)
 
     def predict_product(self, precursors: str) -> str:
         key = self._normalize(precursors)

@@ -27,10 +27,11 @@ Given base tokens ``H_t (n_t x h_t)`` and adaptation tokens
   ``mean_aggregate`` the inputs are checked instead.
 
 Each op has one forward path: a stack of ``depth`` blocks (depth 1 for
-``cross_attend`` and ``attention_weights``) or the bidirectional pair. Both
-return the caches their backward pass reads, so ``grad_check`` differentiates
-the very forward the public functions run, and :data:`OPS` is the one table
-from op id to function, read by ``grad_check`` and the ``merge-demo`` CLI.
+``cross_attend``) or the bidirectional pair. Each returns its output and a
+backward closure over its own caches, so ``grad_check`` differentiates the
+very forward the public functions run. A private table maps each op id to
+its forward, next to :data:`OPS`, the public table from op id to function
+read by ``grad_check`` and the ``merge-demo`` CLI.
 
 All functions are pure; matrices are float64 throughout and accumulation
 order is fixed, so results are run-to-run stable.
@@ -41,7 +42,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import IO
+from typing import IO, Callable
 
 import numpy as np
 
@@ -200,10 +201,18 @@ def _attend_backward(g_out: np.ndarray, cache: dict) -> dict:
     )
 
 
+def _forward_block(x: np.ndarray, h_m: np.ndarray, params: MergeParams
+                   ) -> tuple[np.ndarray, dict]:
+    """One forward block: ``x`` queries through ``w_q``, the adaptation side
+    supplies keys through ``w_k`` and values through ``w_v``."""
+    return _attend(x, params.w_q, h_m, params.w_k, h_m, params.w_v)
+
+
 def _stacked_forward(h_t: np.ndarray, h_m: np.ndarray, params: MergeParams,
-                     depth: int) -> tuple[np.ndarray, list[dict]]:
+                     depth: int) -> tuple[np.ndarray, Callable]:
     """``depth`` forward blocks, each fed the previous output as its base;
-    returns the output and one ``_attend`` cache per block."""
+    returns the output and its backward (output gradient -> gradients of
+    ``w_q``, ``w_k``, ``w_v``)."""
     if depth > 1 and params.d != h_t.shape[1]:
         raise ShapeError(
             f"depth feedback needs d == h_t ({params.d} != {h_t.shape[1]})"
@@ -211,51 +220,87 @@ def _stacked_forward(h_t: np.ndarray, h_m: np.ndarray, params: MergeParams,
     caches = []
     current = h_t
     for _ in range(depth):
-        current, cache = _attend(current, params.w_q, h_m, params.w_k, h_m, params.w_v)
+        current, cache = _forward_block(current, h_m, params)
         caches.append(cache)
-    return current, caches
+
+    def backward(g_out: np.ndarray) -> dict[str, np.ndarray]:
+        grads = {name: np.zeros_like(getattr(params, name)) for name in ("w_q", "w_k", "w_v")}
+        for cache in reversed(caches):
+            back = _attend_backward(g_out, cache)
+            grads["w_q"] += back["q_mat"]
+            grads["w_k"] += back["k_mat"]
+            grads["w_v"] += back["v_mat"]
+            g_out = back["q_in"]
+        return grads
+
+    return current, backward
 
 
 def _bidirectional_forward(h_t: np.ndarray, h_m: np.ndarray, params: MergeParams
-                           ) -> tuple[np.ndarray, tuple[dict, dict, np.ndarray | None]]:
+                           ) -> tuple[np.ndarray, Callable]:
     """Forward and reverse blocks combined per ``params.combine``; returns the
-    output and (forward cache, reverse cache, the concatenated rows fed to
-    ``w_c``, or None for the sum combine)."""
+    output and its backward (output gradient -> parameter gradients)."""
     if params.combine is CombineMode.BASE_ONLY:
         raise CombineError("bidirectional_merge requires a bidirectional combine mode")
-    forward, f_cache = _attend(h_t, params.w_q, h_m, params.w_k, h_m, params.w_v)
+    forward, f_cache = _forward_block(h_t, h_m, params)
     # the reverse block swaps roles: the adaptation side queries through w_k,
     # the base side supplies keys and values through w_q
     reverse, r_cache = _attend(h_m, params.w_k, h_t, params.w_q, h_t, params.w_q)
     pooled = reverse.mean(axis=0, keepdims=True)
+    d, n_m = params.d, h_m.shape[0]
     if params.combine is CombineMode.BIDIRECTIONAL_SUM:
-        return forward + pooled, (f_cache, r_cache, None)
-    stacked = np.concatenate([forward, np.repeat(pooled, forward.shape[0], axis=0)], axis=1)
-    return _check_finite("combined output", stacked @ params.w_c), (f_cache, r_cache, stacked)
+        out, stacked = forward + pooled, None
+    else:
+        stacked = np.concatenate([forward, np.repeat(pooled, forward.shape[0], axis=0)], axis=1)
+        out = _check_finite("combined output", stacked @ params.w_c)
+
+    def backward(g_out: np.ndarray) -> dict[str, np.ndarray]:
+        if stacked is not None:
+            g_w_c = stacked.T @ g_out
+            g_out = g_out @ params.w_c.T
+        # the first d columns reach the forward rows, the last d the pooled
+        # reverse vector (the same d columns for the sum combine)
+        g_forward, g_pooled = g_out[:, :d], g_out[:, -d:].sum(axis=0, keepdims=True)
+        f_back = _attend_backward(g_forward, f_cache)
+        r_back = _attend_backward(np.repeat(g_pooled / n_m, n_m, axis=0), r_cache)
+        # matching the roles above: w_q also keys and values the reverse
+        # block, w_k also queries it
+        grads = {
+            "w_q": f_back["q_mat"] + r_back["k_mat"] + r_back["v_mat"],
+            "w_k": f_back["k_mat"] + r_back["q_mat"],
+            "w_v": f_back["v_mat"],
+        }
+        if stacked is not None:
+            grads["w_c"] = g_w_c
+        return grads
+
+    return out, backward
+
+
+def _run(op_id: str, h_t, h_m, params: MergeParams) -> np.ndarray:
+    return _FORWARDS[op_id](_as_matrix("H_t", h_t), _as_matrix("H_m", h_m), params)[0]
 
 
 def attention_weights(h_t, h_m, params: MergeParams) -> np.ndarray:
     """The row-stochastic attention matrix of a single forward block."""
-    _, caches = _stacked_forward(_as_matrix("H_t", h_t), _as_matrix("H_m", h_m), params, 1)
-    return caches[0]["weights"]
+    return _forward_block(_as_matrix("H_t", h_t), _as_matrix("H_m", h_m), params)[1]["weights"]
 
 
 def cross_attend(h_t, h_m, params: MergeParams) -> np.ndarray:
     """One cross-attention block; output is ``n_t x d``."""
-    return _stacked_forward(_as_matrix("H_t", h_t), _as_matrix("H_m", h_m), params, 1)[0]
+    return _run("cross_attend", h_t, h_m, params)
 
 
 def hierarchical_merge(h_t, h_m, params: MergeParams) -> np.ndarray:
     """``depth``-fold reapplication with the base replaced by the previous
     output. Requires ``d == h_t`` when depth > 1 so the output can feed
     back."""
-    h_t, h_m = _as_matrix("H_t", h_t), _as_matrix("H_m", h_m)
-    return _stacked_forward(h_t, h_m, params, params.depth)[0]
+    return _run("hierarchical_merge", h_t, h_m, params)
 
 
 def bidirectional_merge(h_t, h_m, params: MergeParams) -> np.ndarray:
     """Forward and reverse blocks combined per ``params.combine``."""
-    return _bidirectional_forward(_as_matrix("H_t", h_t), _as_matrix("H_m", h_m), params)[0]
+    return _run("bidirectional_merge", h_t, h_m, params)
 
 
 def mean_aggregate(h_t, h_m) -> np.ndarray:
@@ -268,6 +313,16 @@ def mean_aggregate(h_t, h_m) -> np.ndarray:
         )
     pooled = h_m.mean(axis=0, keepdims=True)
     return (h_t + pooled) / 2.0
+
+
+#: The caching forward of each parameterised op, by op id; the public ops
+#: return its output and ``grad_check`` also runs its backward.
+_FORWARDS: dict[str, Callable] = {
+    "cross_attend": lambda h_t, h_m, params: _stacked_forward(h_t, h_m, params, 1),
+    "hierarchical_merge":
+        lambda h_t, h_m, params: _stacked_forward(h_t, h_m, params, params.depth),
+    "bidirectional_merge": _bidirectional_forward,
+}
 
 
 #: The parameterised ops by id, as ``grad_check`` and the ``merge-demo`` CLI
@@ -325,7 +380,8 @@ def grad_check(op_id: str, h_t, h_m, params: MergeParams | None = None,
     elif params is None:
         raise ValueError(f"{op_id} requires params")
     else:
-        analytic = _analytic_param_grads(op_id, h_t, h_m, params)
+        out, backward = _FORWARDS[op_id](h_t, h_m, params)
+        analytic = backward(np.ones_like(out))
         centers = {name: getattr(params, name) for name in analytic}
 
         def output_with(name: str, matrix: np.ndarray) -> np.ndarray:
@@ -347,49 +403,6 @@ def grad_check(op_id: str, h_t, h_m, params: MergeParams | None = None,
         raise NonFiniteError("gradient check produced non-finite values")
     checked = sum(grad.size for grad in analytic.values())
     return GradCheckReport(max_rel_error=worst, params_checked=checked, epsilon=epsilon)
-
-
-def _analytic_param_grads(op_id: str, h_t: np.ndarray, h_m: np.ndarray,
-                          params: MergeParams) -> dict[str, np.ndarray]:
-    """Backward pass of ``loss = sum(output)`` through the op's forward."""
-    grads = {
-        "w_q": np.zeros_like(params.w_q),
-        "w_k": np.zeros_like(params.w_k),
-        "w_v": np.zeros_like(params.w_v),
-    }
-    if op_id != "bidirectional_merge":
-        depth = params.depth if op_id == "hierarchical_merge" else 1
-        out, caches = _stacked_forward(h_t, h_m, params, depth)
-        g_x = np.ones_like(out)
-        for cache in reversed(caches):
-            back = _attend_backward(g_x, cache)
-            grads["w_q"] += back["q_mat"]
-            grads["w_k"] += back["k_mat"]
-            grads["w_v"] += back["v_mat"]
-            g_x = back["q_in"]
-        return grads
-
-    # bidirectional: parameters appear in both branches
-    out, (f_cache, r_cache, stacked) = _bidirectional_forward(h_t, h_m, params)
-    n_t, n_m = h_t.shape[0], h_m.shape[0]
-    if stacked is None:
-        g_forward = np.ones_like(out)
-        g_pooled = np.full((1, params.d), float(n_t))
-    else:
-        g_out = np.ones_like(out)
-        grads["w_c"] = stacked.T @ g_out
-        g_stacked = g_out @ params.w_c.T
-        g_forward = g_stacked[:, : params.d]
-        g_pooled = g_stacked[:, params.d :].sum(axis=0, keepdims=True)
-    g_reverse = np.repeat(g_pooled / n_m, n_m, axis=0)
-    f_back = _attend_backward(g_forward, f_cache)
-    r_back = _attend_backward(g_reverse, r_cache)
-    # forward slots are (w_q, w_k, w_v); the reverse branch queries with w_k
-    # and uses w_q for both keys and values
-    grads["w_q"] += f_back["q_mat"] + r_back["k_mat"] + r_back["v_mat"]
-    grads["w_k"] += f_back["k_mat"] + r_back["q_mat"]
-    grads["w_v"] += f_back["v_mat"]
-    return grads
 
 
 # -- plain-text matrix exchange -------------------------------------------------

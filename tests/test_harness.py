@@ -301,6 +301,18 @@ def test_retro_lookup_canon_budget_in_any_atom_order(monkeypatch, precursors):
     assert report.value("roundtrip_accuracy") == 0.0
 
 
+def test_retro_lookup_invalid_valence_is_an_oracle_failure():
+    # parses but fails validation: not a budget hit, so the key stays the
+    # exact string and any other spelling misses the table
+    oracle = LookupOracle({"C(C)(C)(C)(C)C.O": "CCO"})
+    assert oracle.predict_product("C(C)(C)(C)(C)C.O") == "CCO"
+    rows = [("O.C(C)(C)(C)(C)C", "CCO"), ("C(C)(C)(C)(C)C.O", "CCO")]
+    report = eval_retro(pairs_for(TaskKind.RETRO, rows), oracle)
+    assert report.skip_reasons == {"oracle_failure": 1}
+    assert report.n_valid_pred == 0
+    assert report.value("roundtrip_accuracy") == pytest.approx(1 / 2)
+
+
 def test_lookup_oracle_canonical_keys():
     oracle = LookupOracle({"CC.O": "CCO"})
     assert oracle.predict_product("O.CC") == "CCO"

@@ -2,8 +2,8 @@
 command's output in ``perfbench/digests.json``; reports are canonical JSON,
 fingerprints and text metrics are exact, so a change that moves one byte of
 any workload's output must fail here rather than in a benchmark run. The
-inputs come from the benchmark's own generator, loaded by path; nothing under
-``perfbench/`` is written."""
+inputs, the commands and the digest rule come from the benchmark's own
+``run.py``, loaded by path; nothing under ``perfbench/`` is written."""
 
 import hashlib
 import importlib.util
@@ -25,43 +25,67 @@ def _sha256(data: bytes) -> str:
 
 
 @pytest.fixture(scope="module")
-def generated(tmp_path_factory):
-    """``generated(workload)``: the default seed's ``gen.Inputs``, made once
-    per workload and checked against the pinned input digests."""
-    spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
+def run_module():
+    """``perfbench/run.py``, loaded by path with its sibling ``gen`` and
+    ``trace`` modules; the names are restored afterwards, as ``trace`` shadows
+    the standard library's."""
+    saved = {name: sys.modules.pop(name, None) for name in ("gen", "trace")}
+    sys.path.insert(0, str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
     # dataclasses look their module up while the class body is processed
-    sys.modules[spec.name] = gen
+    sys.modules[spec.name] = run
     try:
-        spec.loader.exec_module(gen)
+        spec.loader.exec_module(run)
     finally:
         del sys.modules[spec.name]
-    made = {}
-
-    def inputs_for(workload):
-        if workload not in made:
-            out_dir = tmp_path_factory.mktemp(workload)
-            inputs = gen.generate(workload, DIGESTS["default_seed"], out_dir)
-            got = {name: _sha256(Path(path).read_bytes()) for name, path in inputs.files.items()}
-            assert got == DIGESTS["inputs"][workload]
-            made[workload] = inputs
-        return made[workload]
-
-    return inputs_for
+        sys.path.remove(str(PERFBENCH))
+        for name, module in saved.items():
+            sys.modules.pop(name, None)
+            if module is not None:
+                sys.modules[name] = module
+    return run
 
 
 @pytest.fixture(scope="module")
-def captions(generated):
-    return generated("captions").files
+def commands(run_module, tmp_path_factory):
+    """``commands(workload)``: the default seed's commands from
+    ``run.commands_for``, on inputs made once per workload and checked against
+    the pinned input digests."""
+    made = {}
+
+    def commands_for(workload):
+        if workload not in made:
+            in_dir, work = tmp_path_factory.mktemp(workload), tmp_path_factory.mktemp("work")
+            inputs = run_module.gen.generate(workload, DIGESTS["default_seed"], in_dir)
+            got = {name: _sha256(Path(path).read_bytes()) for name, path in inputs.files.items()}
+            assert got == DIGESTS["inputs"][workload]
+            cmds, _ = run_module.commands_for(workload, inputs, str(work))
+            made[workload] = {cmd.name: cmd for cmd in cmds}
+        return made[workload]
+
+    return commands_for
+
+
+def _output_digest(cmd, capsys, monkeypatch) -> str:
+    """Runs the benchmark command in-process; the digest rule of
+    ``run.output_digest``: sha256 of stdout followed by the written file."""
+    if cmd.stdin is not None:
+        stdin = Path(cmd.stdin).read_text(encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    code = main(cmd.args)
+    out = capsys.readouterr().out.encode("utf-8")
+    if cmd.out_file is not None:
+        out += Path(cmd.out_file).read_bytes()
+    assert code == 0
+    return _sha256(out)
 
 
 @pytest.mark.parametrize("task", ["mol2text", "para2actions"])
-def test_default_seed_report_bytes_match_pinned_digest(task, captions, capsys):
+def test_default_seed_report_bytes_match_pinned_digest(task, commands, capsys, monkeypatch):
     name = f"{task}.jsonl"
-    code = main(["evaluate", "--task", task, "--predictions", captions[name], "--quiet"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert _sha256(out.encode("utf-8")) == DIGESTS["outputs"]["captions"][name]
+    digest = _output_digest(commands("captions")[name], capsys, monkeypatch)
+    assert digest == DIGESTS["outputs"]["captions"][name]
 
 
 @pytest.mark.parametrize(
@@ -74,37 +98,6 @@ def test_default_seed_report_bytes_match_pinned_digest(task, captions, capsys):
         ("captions", "corpus.jsonl"),
     ],
 )
-def test_default_seed_output_bytes_match_pinned_digest(
-    workload, name, generated, tmp_path, capsys, monkeypatch
-):
-    # the arguments of ``perfbench/run.py::commands_for``; the digest is the
-    # sha256 of stdout followed by the file the command writes, if any
-    inputs = generated(workload)
-    files = inputs.files
-    written = None
-    if name == "canonicalize.txt":
-        argv = ["canonicalize"]
-        stdin = Path(files[name]).read_text(encoding="utf-8")
-        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
-    elif name == "corpus.jsonl":
-        build = inputs.expect["build-dataset"]
-        written = tmp_path / name
-        argv = [
-            "build-dataset",
-            *[a for task in build["streams"] for a in ("--task-file", f"{task}={files[f'stream_{task}.jsonl']}")],
-            "--per-task", str(build["per_task"]),
-            "--seed", "7",
-            "--out", str(written),
-            "--quiet",
-        ]
-    else:
-        task = name.removesuffix(".jsonl")
-        argv = ["evaluate", "--task", task, "--predictions", files[name], "--quiet"]
-        if task == "retro":
-            argv += ["--oracle", "lookup:" + files["oracle.jsonl"]]
-    code = main(argv)
-    out = capsys.readouterr().out.encode("utf-8")
-    if written is not None:
-        out += written.read_bytes()
-    assert code == 0
-    assert _sha256(out) == DIGESTS["outputs"][workload][name]
+def test_default_seed_output_bytes_match_pinned_digest(workload, name, commands, capsys, monkeypatch):
+    digest = _output_digest(commands(workload)[name], capsys, monkeypatch)
+    assert digest == DIGESTS["outputs"][workload][name]
