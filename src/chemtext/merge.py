@@ -82,7 +82,9 @@ class MergeParams:
 
     ``w_q`` maps the base hidden size to the attention width ``d``; ``w_k``
     and ``w_v`` map the adaptation hidden size to ``d``. ``w_c`` (2d x d) is
-    required only for the concat-project combine mode.
+    required by the concat-project combine mode and rejected by the others;
+    ``depth`` above 1 needs the base-only mode, because the bidirectional
+    merge runs a single block.
     """
 
     w_q: np.ndarray
@@ -110,8 +112,15 @@ class MergeParams:
             object.__setattr__(self, "w_c", _as_matrix("w_c", self.w_c))
             if self.w_c.shape != (2 * d, d):
                 raise ShapeError(f"w_c must be {2 * d}x{d}, got {self.w_c.shape}")
-        if self.combine is CombineMode.BIDIRECTIONAL_CONCAT_PROJECT and self.w_c is None:
+        concat = self.combine is CombineMode.BIDIRECTIONAL_CONCAT_PROJECT
+        if concat and self.w_c is None:
             raise CombineError("concat_project combine requires w_c")
+        if not concat and self.w_c is not None:
+            raise CombineError(f"'w_c' is read only by concat_project, not {self.combine.value}")
+        if self.depth > 1 and self.combine is not CombineMode.BASE_ONLY:
+            raise CombineError(
+                f"'depth' {self.depth} needs base_only; {self.combine.value} runs one block"
+            )
 
     @property
     def d(self) -> int:

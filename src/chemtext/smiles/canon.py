@@ -13,8 +13,10 @@ Stereo annotations (``@``/``@@`` and ``/``/``\\``) never participate in
 ranking. They are carried through to the output, so two atoms that differ
 only in annotations are ordered by the string comparison of the candidates.
 
-Dot-separated fragments are canonicalized independently and emitted in
-lexicographic order.
+Connected components (found from the bonds, so ``C1.C1`` is one) are
+canonicalized independently and emitted in lexicographic order. The search
+and its candidate budget are per component, so identical fragments do not
+multiply each other's candidates.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ _BARE_PLAIN = frozenset({"B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I"})
 _BARE_AROMATIC = frozenset({"B", "C", "N", "O", "P", "S"})
 
 # Safety valve for pathologically symmetric graphs: the tie-break search
-# emits one candidate string per complete ranking.
+# emits one candidate string per complete ranking of a component.
 _MAX_CANDIDATES = 200_000
 
 
@@ -62,7 +64,7 @@ def random_smiles(mol: Molecule, rng: random.Random) -> str:
     useful for augmentation and for exercising canonicalization."""
     ranks = list(range(len(mol.atoms)))
     rng.shuffle(ranks)
-    strings = [_write_component(mol, comp, ranks) for comp in _components(mol)]
+    strings = [_write_component(mol, comp, ranks) for comp in mol.components]
     rng.shuffle(strings)
     return ".".join(strings)
 
@@ -118,10 +120,10 @@ def _split(ranks: list[int], atom: int) -> list[int]:
     return _dense_ranks(keys)
 
 
-def _lowest_tied_class(ranks: list[int]) -> list[int]:
+def _lowest_tied_class(ranks: list[int], atoms: Sequence[int]) -> list[int]:
     members: dict[int, list[int]] = {}
-    for i, rank in enumerate(ranks):
-        members.setdefault(rank, []).append(i)
+    for i in atoms:
+        members.setdefault(ranks[i], []).append(i)
     for rank in sorted(members):
         if len(members[rank]) > 1:
             return members[rank]
@@ -162,20 +164,26 @@ def _branch_atoms(mol: Molecule, tied: list[int]) -> list[int]:
 
 
 def _canonical_string(mol: Molecule) -> str:
+    ranks = _refine(mol, _initial_ranks(mol))
+    return ".".join(
+        sorted(_canonical_component(mol, comp, ranks) for comp in mol.components)
+    )
+
+
+def _canonical_component(mol: Molecule, atoms: tuple[int, ...], ranks: list[int]) -> str:
+    """Smallest string of one component over the tie-break search on its
+    atoms; splits refine the whole molecule, but only ``atoms`` are read."""
     best: str | None = None
     emitted = 0
-    stack = [_refine(mol, _initial_ranks(mol))]
+    stack = [ranks]
     while stack:
         ranks = stack.pop()
-        tied = _lowest_tied_class(ranks)
+        tied = _lowest_tied_class(ranks, atoms)
         if not tied:
             emitted += 1
             if emitted > _MAX_CANDIDATES:
                 raise CanonError("symmetry search budget exceeded")
-            strings = sorted(
-                _write_component(mol, comp, ranks) for comp in _components(mol)
-            )
-            candidate = ".".join(strings)
+            candidate = _write_component(mol, atoms, ranks)
             if best is None or candidate < best:
                 best = candidate
             continue
@@ -188,27 +196,7 @@ def _canonical_string(mol: Molecule) -> str:
 # -- emission ----------------------------------------------------------------
 
 
-def _components(mol: Molecule) -> list[list[int]]:
-    seen = [False] * len(mol.atoms)
-    components: list[list[int]] = []
-    for start in range(len(mol.atoms)):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        frontier = [start]
-        while frontier:
-            u = frontier.pop()
-            for v, _ in mol.adjacency[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    frontier.append(v)
-        components.append(comp)
-    return components
-
-
-def _write_component(mol: Molecule, atoms: list[int], ranks: Sequence[int]) -> str:
+def _write_component(mol: Molecule, atoms: Sequence[int], ranks: Sequence[int]) -> str:
     start = min(atoms, key=lambda i: ranks[i])
 
     # Pass 1: preorder DFS in rank order; classify tree vs ring bonds.

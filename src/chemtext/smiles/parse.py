@@ -9,7 +9,8 @@ Bracket atoms support the standard field order
 ``[isotope? symbol chirality? Hcount? charge? :map?]``; atom maps are accepted
 and ignored. Ring-closure labels are reusable once closed, and closures may
 span ``.`` separators (so ``C1.C1`` parses to ethane written as two dot
-fragments).
+fragments). :attr:`Molecule.components` finds the connected components from
+the bonds, never from the dots, so that ethane is one component.
 
 Bond stereo markers ``/`` and ``\\`` and the chirality tags ``@``/``@@`` are
 preserved as annotations. A bond's ``stereo`` field is oriented: ``up`` means
@@ -78,14 +79,12 @@ class Molecule:
 
     atoms: tuple[Atom, ...]
     bonds: tuple[Bond, ...]
-    fragment_count: int = 1
 
     @classmethod
     def from_atoms_bonds(
         cls,
         atoms: Iterable[Atom],
         bonds: Iterable[Bond],
-        fragment_count: int | None = None,
     ) -> "Molecule":
         """Build a molecule, resolving implicit hydrogens and checking
         structural invariants (valid distinct endpoints, no duplicate bonds,
@@ -120,9 +119,7 @@ class Molecule:
                 h = implicit_hydrogen_count(atom.symbol, atom.aromatic, incident[i])
                 atom = replace(atom, hydrogens=h)
             resolved.append(atom)
-        if fragment_count is None:
-            fragment_count = max(1, _component_count(n, bond_list))
-        return cls(tuple(resolved), tuple(bond_list), fragment_count)
+        return cls(tuple(resolved), tuple(bond_list))
 
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -135,6 +132,30 @@ class Molecule:
 
     def degree(self, i: int) -> int:
         return len(self.adjacency[i])
+
+    @cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """Connected components as ascending atom-index tuples, ordered by
+        their smallest atom index. A ring bond that spans a dot joins its
+        two sides into one component."""
+        adjacency = self.adjacency
+        seen = [False] * len(self.atoms)
+        components: list[tuple[int, ...]] = []
+        for start in range(len(self.atoms)):
+            if seen[start]:
+                continue
+            comp = [start]
+            seen[start] = True
+            frontier = [start]
+            while frontier:
+                u = frontier.pop()
+                for v, _ in adjacency[u]:
+                    if not seen[v]:
+                        seen[v] = True
+                        comp.append(v)
+                        frontier.append(v)
+            components.append(tuple(sorted(comp)))
+        return tuple(components)
 
     @cached_property
     def validity(self) -> ValidityResult:
@@ -159,22 +180,6 @@ class Molecule:
 
     def ring_bond_count(self, i: int) -> int:
         return sum(1 for _, bi in self.adjacency[i] if bi in self.ring_bond_indices)
-
-
-def _component_count(n_atoms: int, bonds: Sequence[Bond]) -> int:
-    parent = list(range(n_atoms))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for bond in bonds:
-        ra, rb = find(bond.a), find(bond.b)
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(i) for i in range(n_atoms)})
 
 
 def _non_bridge_edges(adj: Sequence[Sequence[tuple[int, int]]], n_bonds: int) -> frozenset[int]:
@@ -230,7 +235,6 @@ class _Parser:
         self.branch_stack: list[int] = []
         # label -> (atom index, pending bond at the opening site)
         self.open_rings: dict[int, tuple[int, _PendingBond | None]] = {}
-        self.fragment_count = 1
 
     def parse(self) -> Molecule:
         if not self.tokens:
@@ -258,9 +262,7 @@ class _Parser:
             raise ParseError("unclosed branch at end of input")
         if self.prev is None:
             raise ParseError("dangling dot at end of input")
-        return Molecule.from_atoms_bonds(
-            self.atoms, self.bonds, fragment_count=self.fragment_count
-        )
+        return Molecule.from_atoms_bonds(self.atoms, self.bonds)
 
     # -- token handlers -------------------------------------------------
 
@@ -390,7 +392,6 @@ class _Parser:
         if self.prev is None:
             raise ParseError(f"dangling dot at position {token.position}")
         self.prev = None
-        self.fragment_count += 1
 
 
 def _parse_bracket(token: Token) -> Atom:

@@ -323,6 +323,24 @@ def test_canonicalize_all_invalid_exits_2(capsys, monkeypatch):
     assert all(l.startswith("INVALID ") for l in out.splitlines())
 
 
+def test_canonicalize_repeated_symmetric_fragments(capsys, monkeypatch):
+    # each cyclopropane is searched on its own, so five of them stay cheap
+    cyclopropanes = ".".join(["C1CC1"] * 5)
+    code, out, _ = run_cli(
+        ["canonicalize"],
+        stdin_text=f"OCC\n{cyclopropanes}\nC(\nC1.C1\n",
+        capsys=capsys,
+        monkeypatch=monkeypatch,
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 4
+    assert lines[0] == "CCO"
+    assert lines[1] == cyclopropanes
+    assert lines[2].startswith("INVALID ")
+    assert lines[3] == "CC"
+
+
 def test_fingerprint_pipe(capsys, monkeypatch):
     code, out, _ = run_cli(
         ["fingerprint", "--scheme", "morgan", "--bits", "128"],
@@ -560,6 +578,12 @@ def test_merge_demo_op_paths_match_library(tmp_path, capsys, spec, op_id):
         ({"d": 3, "seed": 7, "combine": "bidirectional_concat_project", "w_c": [[1.0]]}, "w_c"),
         ({"d": 1, "w_q": {"a": 1}, "w_k": [[1.0]] * 5, "w_v": [[1.0]] * 5}, "w_q"),
         ({"d": 3, "w_q": [[1.0]] * 4, "w_k": [[1.0]] * 5, "w_v": [[0.5]] * 5}, "d"),
+        ({"d": 4, "depth": 3, "combine": "bidirectional_sum", "seed": 7}, "depth"),
+        (
+            {"d": 1, "combine": "base_only", "w_q": [[1]] * 4, "w_k": [[1]] * 5,
+             "w_v": [[0.5]] * 5, "w_c": [[7], [9]]},
+            "w_c",
+        ),
     ],
 )
 def test_merge_demo_bad_params_field_is_data_error(tmp_path, capsys, spec, field):

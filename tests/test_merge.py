@@ -238,6 +238,19 @@ def test_combine_mode_errors():
         )
 
 
+def test_params_reject_fields_no_op_reads():
+    rng = np.random.default_rng(24)
+    _, _, params = random_instance(rng)
+    projections = dict(w_q=params.w_q, w_k=params.w_k, w_v=params.w_v)
+    for combine in (CombineMode.BIDIRECTIONAL_SUM, CombineMode.BIDIRECTIONAL_CONCAT_PROJECT):
+        w_c = np.ones((6, 3)) if combine is CombineMode.BIDIRECTIONAL_CONCAT_PROJECT else None
+        with pytest.raises(CombineError, match="'depth'"):
+            MergeParams(**projections, depth=2, combine=combine, w_c=w_c)
+    for combine in (CombineMode.BASE_ONLY, CombineMode.BIDIRECTIONAL_SUM):
+        with pytest.raises(CombineError, match="'w_c'"):
+            MergeParams(**projections, combine=combine, w_c=np.ones((6, 3)))
+
+
 # -- mean aggregation ------------------------------------------------------------
 
 

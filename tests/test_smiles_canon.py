@@ -9,6 +9,8 @@ from chemtext.smiles import (
     parse_smiles,
     random_smiles,
 )
+from chemtext.smiles import canon
+from canon_oracle import oracle_canonical_smiles
 from molgen import isomorphic, random_molecule
 
 
@@ -102,3 +104,46 @@ def test_highly_symmetric_molecules():
         rng = random.Random(5)
         for _ in range(10):
             assert canonical_smiles(random_smiles(mol, rng)) == reference
+
+
+def _distinct_joins(rng, max_atoms, count):
+    """``count`` molecules, each 2-3 distinct molgen molecules written as dot
+    fragments (no repeated fragment: the oracle's search multiplies their
+    symmetries)."""
+    joins = []
+    while len(joins) < count:
+        parts: dict[str, object] = {}
+        want = rng.choice((2, 3))
+        while len(parts) < want:
+            mol = random_molecule(rng, max_atoms)
+            parts.setdefault(canonicalize(mol), mol)
+        joins.append(parse_smiles(".".join(random_smiles(m, rng) for m in parts.values())))
+    return joins
+
+
+@pytest.mark.parametrize("max_atoms", [10, 20])
+def test_component_search_matches_whole_molecule_oracle(max_atoms):
+    rng = random.Random(4100 + max_atoms)
+    for mol in _distinct_joins(rng, max_atoms, 40):
+        expected = oracle_canonical_smiles(mol)
+        assert canonicalize(mol) == expected
+        for _ in range(2):
+            rewritten = random_smiles(mol, rng)
+            assert canonical_smiles(rewritten) == expected, rewritten
+            assert oracle_canonical_smiles(parse_smiles(rewritten)) == expected
+
+
+@pytest.mark.parametrize(
+    "smiles, expected",
+    [
+        # one benzene takes 12 candidates; repeats must not multiply them
+        ("c1ccccc1.c1ccccc1.c1ccccc1", "c1ccccc1.c1ccccc1.c1ccccc1"),
+        ("C1CC1.C1CC1.C1CC1.C1CC1.C1CC1", "C1CC1.C1CC1.C1CC1.C1CC1.C1CC1"),
+        # a ring bond spanning a dot joins one component
+        ("C1.C1", "CC"),
+        ("C1CC.C1", "CCCC"),
+    ],
+)
+def test_components_are_searched_on_their_own(monkeypatch, smiles, expected):
+    monkeypatch.setattr(canon, "_MAX_CANDIDATES", 12)
+    assert canonical_smiles(smiles) == expected

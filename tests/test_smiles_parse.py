@@ -70,7 +70,7 @@ def test_duplicate_bond_rejected():
 
 def test_fragments_and_dot():
     mol = parse_smiles("CC.O")
-    assert mol.fragment_count == 2
+    assert mol.components == ((0, 1), (2,))
     assert len(mol.atoms) == 3
     assert len(mol.bonds) == 1
 
@@ -79,7 +79,13 @@ def test_ring_closure_across_dot():
     # labels survive the separator; this is ethane written strangely
     mol = parse_smiles("C1.C1")
     assert len(mol.bonds) == 1
-    assert mol.fragment_count == 2
+    assert len(mol.components) == 1
+
+
+@pytest.mark.parametrize("smiles", ["CC.O", "C1.C1"])
+def test_equality_does_not_depend_on_construction(smiles):
+    mol = parse_smiles(smiles)
+    assert mol == Molecule.from_atoms_bonds(mol.atoms, mol.bonds) == Molecule(mol.atoms, mol.bonds)
 
 
 def test_ring_label_reuse_after_closure():
