@@ -20,9 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from chemtext.dataset import (
     RecordError,
@@ -42,16 +40,12 @@ from chemtext.fingerprints import (
     tanimoto,
 )
 from chemtext.harness import LookupOracle, PredictionPair, eval_pairs, report_to_json
-from chemtext.merge import (
-    OPS,
-    CombineMode,
-    MergeParams,
-    grad_check,
-    load_matrix,
-    random_params,
-    save_matrix,
-)
 from chemtext.smiles import CanonError, LexError, ParseError, canonical_smiles, parse_smiles
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from chemtext.merge import MergeParams
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -284,6 +278,8 @@ def cmd_similarity(args) -> int:
 
 
 def cmd_merge_demo(args) -> int:
+    from chemtext.merge import OPS, CombineMode, grad_check, load_matrix, save_matrix
+
     with open(args.base, "r", encoding="utf-8") as fp:
         h_t = load_matrix(fp)
     with open(args.adapt, "r", encoding="utf-8") as fp:
@@ -317,6 +313,8 @@ def _spec_int(spec: dict, name: str, default: int | None = None) -> int:
 
 
 def _spec_matrix(spec: dict, name: str) -> np.ndarray:
+    import numpy as np
+
     try:
         return np.array(spec[name], dtype=float)
     except (TypeError, ValueError) as exc:
@@ -324,6 +322,8 @@ def _spec_matrix(spec: dict, name: str) -> np.ndarray:
 
 
 def _params_from_spec(spec, h_t_width: int, h_m_width: int) -> MergeParams:
+    from chemtext.merge import CombineMode, MergeParams, random_params
+
     if not isinstance(spec, dict):
         raise RecordError("params file must hold a JSON object")
     combine = CombineMode(spec.get("combine", "base_only"))

@@ -32,8 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from chemtext.errors import ChemtextError
 from chemtext.fingerprints.keys import (
     KeyDefinition,
@@ -222,6 +220,8 @@ def _hashed_bits(texts: Iterable[str], nbits: int) -> frozenset[int]:
     and hashed a column at a time over the rows still that long; uint64
     arithmetic wraps exactly like FNV-1a's mod 2**64.
     """
+    import numpy as np
+
     data = sorted((t.encode() for t in texts), key=len, reverse=True)
     if not data:
         return frozenset()

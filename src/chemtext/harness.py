@@ -39,9 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Protocol, Sequence
 
 from chemtext.dataset import TaskKind
 from chemtext.errors import ChemtextError
@@ -57,10 +55,13 @@ from chemtext.textmetrics import (
     char_tokenize,
     levenshtein,
     meteor_lite,
+    ngram_scores,
     rouge_l,
-    rouge_n,
     word_tokenize,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DimensionMismatchError",
@@ -212,10 +213,7 @@ def eval_mol2text(pairs: Sequence[PredictionPair]) -> MetricReport:
     cands = [word_tokenize(p.prediction) for p in pairs]
     refs = [word_tokenize(p.reference) for p in pairs]
     metrics = {
-        "bleu2": bleu(cands, refs, 2),
-        "bleu4": bleu(cands, refs, 4),
-        "rouge1": rouge_n(cands, refs, 1),
-        "rouge2": rouge_n(cands, refs, 2),
+        **ngram_scores(cands, refs),
         "rougeL": rouge_l(cands, refs),
         "meteor_lite": meteor_lite(cands, refs),
     }
@@ -471,6 +469,8 @@ def report_to_json(report: MetricReport) -> str:
 
 
 def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     eigvals, eigvecs = np.linalg.eigh(matrix)
     if np.any(eigvals < -1e-8):
         raise IllConditionedError(
@@ -490,6 +490,8 @@ def frechet_distance(features_a, features_b, *, ridge: float = 0.0) -> float:
     tiny negatives are clamped to zero. Each set needs at least d+1 vectors
     unless ``ridge`` > 0, which adds ``ridge * I`` to both covariances.
     """
+    import numpy as np
+
     a = np.asarray(features_a, dtype=np.float64)
     b = np.asarray(features_b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2:

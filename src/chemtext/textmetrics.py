@@ -21,12 +21,16 @@ Conventions pinned here:
   pairs. Score = F_mean * (1 - gamma * (chunks/matches)^beta) with
   alpha=0.9, beta=3, gamma=0.5.
 
-Kernels: the ROUGE-L LCS length is bit-parallel on Python ints (Allison &
-Dix 1986, in Hyyrö's 2004 form), and the METEOR-lite alignment pops the
-leftmost free reference position from per-token (then per-stem) position
-lists, stemming each distinct token once per :func:`meteor_lite` call. They
-give the same integers and pairs as the full LCS table and the scan above,
-so the conventions are unchanged.
+Kernels: each pair's n-grams are counted once per order in one pass that
+BLEU-2/4 and ROUGE-1/2 share (:func:`ngram_scores`); the clipped overlap
+caps each candidate n-gram's count by the reference's without a
+Python-level loop, and n-gram totals come from the token counts. The
+ROUGE-L LCS length is bit-parallel on Python ints (Allison & Dix 1986, in
+Hyyrö's 2004 form), and the METEOR-lite alignment pops the leftmost free
+reference position from per-token (then per-stem) position lists, stemming
+each distinct token once per :func:`meteor_lite` call. They give the same
+integers and pairs as counting per metric, the full LCS table and the scan
+above, so the conventions are unchanged.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 from chemtext.errors import ChemtextError
@@ -106,6 +111,70 @@ def _ngrams(tokens: Sequence[str], n: int) -> Counter:
     return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
+def _ngram_total(length: int, n: int) -> int:
+    """The number of order-``n`` n-grams in ``length`` tokens."""
+    return max(length - n + 1, 0)
+
+
+_Row = tuple[int, int, dict[int, int]]
+
+
+def _overlap_rows(
+    candidates: Sequence[TokenizedText],
+    references: Sequence[TokenizedText],
+    orders: Sequence[int],
+) -> list[_Row]:
+    """The one n-gram pass: per pair, the candidate and reference lengths and
+    the clipped overlap keyed by each of ``orders``. The overlap caps each
+    candidate n-gram's count by the reference's (``dict.get``, so a miss
+    calls no ``Counter.__missing__``) in ``map`` calls, with no Python-level
+    loop over the n-grams."""
+    rows = []
+    for cand, ref in zip(candidates, references):
+        overlaps = {}
+        for n in orders:
+            c_counts = _ngrams(cand.tokens, n)
+            r_counts = _ngrams(ref.tokens, n)
+            overlaps[n] = sum(map(min, c_counts.values(), map(r_counts.get, c_counts, repeat(0))))
+        rows.append((len(cand.tokens), len(ref.tokens), overlaps))
+    return rows
+
+
+def _bleu_value(rows: list[_Row], max_n: int) -> float:
+    matches = [0] * max_n
+    totals = [0] * max_n
+    cand_len = 0
+    ref_len = 0
+    for c_len, r_len, overlaps in rows:
+        cand_len += c_len
+        ref_len += r_len
+        for n in range(1, max_n + 1):
+            matches[n - 1] += overlaps[n]
+            totals[n - 1] += _ngram_total(c_len, n)
+    log_sum = 0.0
+    for m, t in zip(matches, totals):
+        log_sum += math.log((m + BLEU_EPSILON) / (t + BLEU_EPSILON))
+    if cand_len == 0:
+        return 0.0
+    brevity = 1.0 if cand_len >= ref_len else math.exp(1.0 - ref_len / cand_len)
+    return brevity * math.exp(log_sum / max_n)
+
+
+def _f1(overlap: int, c_total: int, r_total: int) -> float:
+    precision = overlap / c_total if c_total else 0.0
+    recall = overlap / r_total if r_total else 0.0
+    if precision + recall > 0:
+        return 2 * precision * recall / (precision + recall)
+    return 0.0
+
+
+def _rouge_value(rows: list[_Row], n: int) -> float:
+    total = 0.0
+    for c_len, r_len, overlaps in rows:
+        total += _f1(overlaps[n], _ngram_total(c_len, n), _ngram_total(r_len, n))
+    return total / len(rows)
+
+
 def bleu(
     candidates: Sequence[TokenizedText],
     references: Sequence[TokenizedText],
@@ -115,27 +184,9 @@ def bleu(
     if max_n not in (2, 4):
         raise ValueError("max_n must be 2 or 4")
     _check_pairs(candidates, references)
-    matches = [0] * max_n
-    totals = [0] * max_n
-    cand_len = 0
-    ref_len = 0
-    for cand, ref in zip(candidates, references):
-        cand_len += len(cand.tokens)
-        ref_len += len(ref.tokens)
-        for n in range(1, max_n + 1):
-            c_counts = _ngrams(cand.tokens, n)
-            r_counts = _ngrams(ref.tokens, n)
-            matches[n - 1] += sum(min(c, r_counts[g]) for g, c in c_counts.items())
-            totals[n - 1] += sum(c_counts.values())
-    log_sum = 0.0
-    for m, t in zip(matches, totals):
-        log_sum += math.log((m + BLEU_EPSILON) / (t + BLEU_EPSILON))
-    if cand_len == 0:
-        value = 0.0
-    else:
-        brevity = 1.0 if cand_len >= ref_len else math.exp(1.0 - ref_len / cand_len)
-        value = brevity * math.exp(log_sum / max_n)
-    return MetricValue(name=f"bleu{max_n}", value=value, support=len(candidates))
+    rows = _overlap_rows(candidates, references, range(1, max_n + 1))
+    return MetricValue(name=f"bleu{max_n}", value=_bleu_value(rows, max_n),
+                       support=len(candidates))
 
 
 def rouge_n(
@@ -147,19 +198,26 @@ def rouge_n(
     if n not in (1, 2):
         raise ValueError("n must be 1 or 2")
     _check_pairs(candidates, references)
-    total = 0.0
-    for cand, ref in zip(candidates, references):
-        c_counts = _ngrams(cand.tokens, n)
-        r_counts = _ngrams(ref.tokens, n)
-        overlap = sum(min(c, r_counts[g]) for g, c in c_counts.items())
-        c_total = sum(c_counts.values())
-        r_total = sum(r_counts.values())
-        precision = overlap / c_total if c_total else 0.0
-        recall = overlap / r_total if r_total else 0.0
-        if precision + recall > 0:
-            total += 2 * precision * recall / (precision + recall)
-    return MetricValue(name=f"rouge{n}", value=total / len(candidates),
+    rows = _overlap_rows(candidates, references, (n,))
+    return MetricValue(name=f"rouge{n}", value=_rouge_value(rows, n),
                        support=len(candidates))
+
+
+def ngram_scores(
+    candidates: Sequence[TokenizedText],
+    references: Sequence[TokenizedText],
+) -> dict[str, MetricValue]:
+    """BLEU-2, BLEU-4, ROUGE-1 and ROUGE-2 from one n-gram pass per pair,
+    keyed by metric name; each value equals the one its own function gives."""
+    _check_pairs(candidates, references)
+    rows = _overlap_rows(candidates, references, range(1, 5))
+    support = len(candidates)
+    return {
+        "bleu2": MetricValue("bleu2", _bleu_value(rows, 2), support),
+        "bleu4": MetricValue("bleu4", _bleu_value(rows, 4), support),
+        "rouge1": MetricValue("rouge1", _rouge_value(rows, 1), support),
+        "rouge2": MetricValue("rouge2", _rouge_value(rows, 2), support),
+    }
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
@@ -189,10 +247,7 @@ def rouge_l(
     total = 0.0
     for cand, ref in zip(candidates, references):
         lcs = _lcs_length(cand.tokens, ref.tokens)
-        precision = lcs / len(cand.tokens) if cand.tokens else 0.0
-        recall = lcs / len(ref.tokens) if ref.tokens else 0.0
-        if precision + recall > 0:
-            total += 2 * precision * recall / (precision + recall)
+        total += _f1(lcs, len(cand.tokens), len(ref.tokens))
     return MetricValue(name="rougeL", value=total / len(candidates),
                        support=len(candidates))
 

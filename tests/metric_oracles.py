@@ -2,14 +2,19 @@
 
 These transcribe the documented metric definitions as literally as possible
 (explicit loops, full DP tables, no shared helpers with the package) and
-exist solely to cross-check chemtext.textmetrics.
+exist solely to cross-check chemtext.textmetrics. The per-order Counter
+BLEU and ROUGE-N below are the exception: they keep the package's earlier
+kernels, sharing only its types and pair check, as the bit-exact reference.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
+from typing import Sequence
 
 from chemtext.stem import porter_stem
+from chemtext.textmetrics import BLEU_EPSILON, MetricValue, TokenizedText, _check_pairs
 
 EPS = 1e-9
 
@@ -66,6 +71,74 @@ def rouge_n_oracle(cands, refs, n):
         f1 = 0.0 if (p + r) == 0 else 2 * p * r / (p + r)
         scores.append(f1)
     return sum(scores) / len(scores)
+
+
+# -- per-order Counter BLEU and ROUGE-N ------------------------------------------
+#
+# The package's BLEU and ROUGE-N as they were before one n-gram pass per pair
+# was shared between them: every metric and every order builds its own
+# Counters and sums the clipped overlap over all candidate n-grams. Their
+# floats are the reference the shared pass must reproduce bit for bit.
+
+
+def _ngrams(tokens: Sequence[str], n: int) -> Counter:
+    return Counter(zip(*(tokens[i:] for i in range(n))))
+
+
+def bleu_counter_oracle(
+    candidates: Sequence[TokenizedText],
+    references: Sequence[TokenizedText],
+    max_n: int,
+) -> MetricValue:
+    """Corpus BLEU with uniform weights over orders 1..max_n."""
+    if max_n not in (2, 4):
+        raise ValueError("max_n must be 2 or 4")
+    _check_pairs(candidates, references)
+    matches = [0] * max_n
+    totals = [0] * max_n
+    cand_len = 0
+    ref_len = 0
+    for cand, ref in zip(candidates, references):
+        cand_len += len(cand.tokens)
+        ref_len += len(ref.tokens)
+        for n in range(1, max_n + 1):
+            c_counts = _ngrams(cand.tokens, n)
+            r_counts = _ngrams(ref.tokens, n)
+            matches[n - 1] += sum(min(c, r_counts[g]) for g, c in c_counts.items())
+            totals[n - 1] += sum(c_counts.values())
+    log_sum = 0.0
+    for m, t in zip(matches, totals):
+        log_sum += math.log((m + BLEU_EPSILON) / (t + BLEU_EPSILON))
+    if cand_len == 0:
+        value = 0.0
+    else:
+        brevity = 1.0 if cand_len >= ref_len else math.exp(1.0 - ref_len / cand_len)
+        value = brevity * math.exp(log_sum / max_n)
+    return MetricValue(name=f"bleu{max_n}", value=value, support=len(candidates))
+
+
+def rouge_n_counter_oracle(
+    candidates: Sequence[TokenizedText],
+    references: Sequence[TokenizedText],
+    n: int,
+) -> MetricValue:
+    """Mean per-pair n-gram F1 (clipped overlap)."""
+    if n not in (1, 2):
+        raise ValueError("n must be 1 or 2")
+    _check_pairs(candidates, references)
+    total = 0.0
+    for cand, ref in zip(candidates, references):
+        c_counts = _ngrams(cand.tokens, n)
+        r_counts = _ngrams(ref.tokens, n)
+        overlap = sum(min(c, r_counts[g]) for g, c in c_counts.items())
+        c_total = sum(c_counts.values())
+        r_total = sum(r_counts.values())
+        precision = overlap / c_total if c_total else 0.0
+        recall = overlap / r_total if r_total else 0.0
+        if precision + recall > 0:
+            total += 2 * precision * recall / (precision + recall)
+    return MetricValue(name=f"rouge{n}", value=total / len(candidates),
+                       support=len(candidates))
 
 
 def lcs_table(a, b):

@@ -1,9 +1,14 @@
 import io
 import json
+import os
+import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import chemtext
 from chemtext.cli import main
 from chemtext.dataset import TaskKind, make_record, read_records, write_records
 from chemtext.smiles import canon
@@ -603,3 +608,128 @@ def test_merge_demo_params_must_be_an_object(tmp_path, capsys):
 def test_unknown_command_is_usage_error(capsys):
     code, _, err = run_cli(["frobnicate"], capsys=capsys)
     assert code == 1
+
+
+# -- start-up -------------------------------------------------------------------
+
+_NUMPY_PROBE = (
+    "import json, sys\n"
+    "from chemtext.cli import main\n"
+    "code = main(json.loads(sys.argv[1]))\n"
+    "print(json.dumps([code, 'numpy' in sys.modules]), file=sys.stderr)\n"
+)
+
+_PROBE_ROWS = {
+    TaskKind.MOL2TEXT: [("an acid", "a strong acid")],
+    TaskKind.PARA2ACTIONS: [("ADD water", "ADD  water")],
+    TaskKind.FORWARD: [("OCC", "CCO")],
+    TaskKind.RETRO: [("CC.O", "CCO")],
+}
+
+
+@pytest.mark.parametrize(
+    "command", ["mol2text", "para2actions", "forward", "retro", "canonicalize", "build-dataset"]
+)
+def test_text_and_smiles_commands_never_import_numpy(tmp_path, command):
+    stdin_text = ""
+    if command == "canonicalize":
+        argv = ["canonicalize"]
+        stdin_text = "OCC\nc1ccccc1\n"
+    elif command == "build-dataset":
+        stream = tmp_path / "fwd.jsonl"
+        write_task_file(stream, TaskKind.FORWARD, 3)
+        argv = ["build-dataset", "--task-file", f"forward={stream}", "--per-task", "4",
+                "--seed", "1", "--out", str(tmp_path / "mix.jsonl"), "--quiet"]
+    else:
+        preds = tmp_path / "preds.jsonl"
+        write_predictions(preds, TaskKind(command), _PROBE_ROWS[TaskKind(command)])
+        argv = ["evaluate", "--task", command, "--predictions", str(preds), "--quiet"]
+        if command == "retro":
+            oracle = tmp_path / "oracle.jsonl"
+            oracle.write_text('{"precursors":"CC.O","product":"CCO"}\n')
+            argv += ["--oracle", f"lookup:{oracle}"]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(chemtext.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(argv)],
+        input=stdin_text, capture_output=True, text=True, env=env, timeout=120,
+    )
+    code, numpy_loaded = json.loads(proc.stderr.splitlines()[-1])
+    assert code == 0, proc.stderr
+    assert not numpy_loaded
+
+
+# -- generated text-task streams -------------------------------------------------
+
+_TEXT = st.one_of(st.text(), st.text(alphabet=" \t\r\n\u00a0\u2028\u3000"))
+_NOT_STRING = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.lists(st.text(max_size=3), max_size=2),
+)
+_ANY_TASK = st.one_of(st.sampled_from([t.value for t in TaskKind]), _TEXT, _NOT_STRING)
+
+
+@st.composite
+def _jsonl_stream(draw, task, fields):
+    """JSONL text meant to hold ``task`` records with string ``fields``:
+    either every line well formed with arbitrary unicode values, or lines
+    with missing or non-string fields and other tasks, plus non-JSON text."""
+    clean = draw(st.booleans())
+    lines = []
+    for _ in range(draw(st.integers(1, 6))):
+        if clean:
+            obj = {"task": task.value, **{f: draw(_TEXT) for f in fields}}
+        elif draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.text()))
+            continue
+        else:
+            obj = {}
+            for f in ("task",) + fields:
+                shape = draw(st.sampled_from(["missing", "string", "other"]))
+                if shape == "string":
+                    obj[f] = draw(_ANY_TASK if f == "task" else _TEXT)
+                elif shape == "other":
+                    obj[f] = draw(_NOT_STRING)
+        lines.append(json.dumps(obj, ensure_ascii=draw(st.booleans())))
+    return "\n".join(lines) + "\n"
+
+
+def _canonical_json(value) -> str:
+    """Sorted keys at every level; floats with exactly six fractional digits."""
+    if isinstance(value, dict):
+        items = sorted(value.items())
+        return "{" + ", ".join(f"{json.dumps(k)}: {_canonical_json(v)}" for k, v in items) + "}"
+    if isinstance(value, float):
+        return f"{value:.6f}"
+    return json.dumps(value)
+
+
+@pytest.mark.parametrize("task", [TaskKind.MOL2TEXT, TaskKind.PARA2ACTIONS])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_evaluate_text_task_never_exits_3(tmp_path, capsys, task, data):
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text(data.draw(_jsonl_stream(task, ("id", "prediction", "reference"))),
+                     encoding="utf-8")
+    code, out, err = run_cli(
+        ["evaluate", "--task", task.value, "--predictions", str(preds), "--quiet"],
+        capsys=capsys,
+    )
+    assert code in (0, 1, 2), err
+    if code == 0:
+        assert out == _canonical_json(json.loads(out)) + "\n"
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_build_dataset_never_exits_3(tmp_path, capsys, data):
+    argv = ["build-dataset", "--per-task", "3", "--seed", "5",
+            "--out", str(tmp_path / "mix.jsonl"), "--quiet"]
+    for task in (TaskKind.MOL2TEXT, TaskKind.PARA2ACTIONS):
+        stream = tmp_path / f"{task.value}.jsonl"
+        stream.write_text(data.draw(_jsonl_stream(task, ("source", "target"))),
+                          encoding="utf-8")
+        argv += ["--task-file", f"{task.value}={stream}"]
+    code, _, err = run_cli(argv, capsys=capsys)
+    assert code in (0, 1, 2), err

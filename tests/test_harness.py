@@ -25,6 +25,7 @@ from chemtext.harness import (
     frechet_distance,
     report_to_json,
 )
+from chemtext import textmetrics
 from chemtext.smiles import canon
 from chemtext.textmetrics import (
     EmptyCorpusError,
@@ -55,6 +56,22 @@ def test_mol2text_perfect_predictions():
     assert set(report.metrics) == {
         "bleu2", "bleu4", "rouge1", "rouge2", "rougeL", "meteor_lite",
     }
+
+
+def test_mol2text_counts_each_pairs_ngrams_once(monkeypatch):
+    # one Counter per side for each order 1..4, shared by BLEU-2/4 and ROUGE-1/2
+    calls = []
+    ngrams = textmetrics._ngrams
+
+    def counting(tokens, n):
+        calls.append(n)
+        return ngrams(tokens, n)
+
+    monkeypatch.setattr(textmetrics, "_ngrams", counting)
+    rows = [("an acid", "a strong acid"), ("", "a sugar"), ("a blue dye", "")]
+    eval_mol2text(pairs_for(TaskKind.MOL2TEXT, rows))
+    assert len(calls) == 8 * len(rows)
+    assert sorted(set(calls)) == [1, 2, 3, 4]
 
 
 def test_mol2text_empty_corpus():

@@ -14,15 +14,18 @@ from chemtext.textmetrics import (
     char_tokenize,
     levenshtein,
     meteor_lite,
+    ngram_scores,
     rouge_l,
     rouge_n,
     word_tokenize,
 )
 from metric_oracles import (
+    bleu_counter_oracle,
     bleu_oracle,
     levenshtein_oracle,
     meteor_oracle,
     rouge_l_oracle,
+    rouge_n_counter_oracle,
     rouge_n_oracle,
 )
 from metric_oracles import lcs_table, meteor_alignment_oracle
@@ -109,6 +112,10 @@ def test_bleu_validations():
         bleu([], [], 2)
     with pytest.raises(ValueError):
         bleu(texts, texts, 3)
+    with pytest.raises(LengthMismatchError):
+        ngram_scores(texts, corpus(["a", "b"]))
+    with pytest.raises(EmptyCorpusError):
+        ngram_scores([], [])
 
 
 # -- rouge --------------------------------------------------------------------
@@ -128,6 +135,36 @@ def test_rouge1_direct_count():
     # "a b c" vs "a b d": overlap 2, P=R=2/3, F1=2/3
     got = rouge_n(corpus(["a b c"]), corpus(["a b d"]), 1).value
     assert got == pytest.approx(2 / 3, abs=1e-12)
+
+
+# x/y/z/w sides overlap often; p/q sides share nothing with them; runs of one
+# token clip; lists of at most three tokens fall short of the higher orders
+_NGRAM_SIDE = st.one_of(
+    st.lists(st.sampled_from(["x", "y", "z", "w"]), max_size=12),
+    st.builds(lambda token, k: [token] * k, st.sampled_from(["x", "y"]), st.integers(0, 12)),
+    st.lists(st.sampled_from(["p", "q"]), max_size=6),
+    st.lists(st.sampled_from(["x", "y"]), max_size=3),
+)
+
+
+@given(st.lists(st.tuples(_NGRAM_SIDE, _NGRAM_SIDE), min_size=1, max_size=8))
+@example([([], [])])
+@example([(["x"], ["x", "x", "x", "x"]), (["x", "y", "z"], [])])
+@example([(["x"] * 9, ["x", "x"]), (["y", "y"], ["y"] * 7)])
+@example([(["x", "y"], ["y", "x"]), (["p", "q", "p"], ["x", "y", "z", "w"])])
+@settings(max_examples=300, deadline=None)
+def test_shared_ngram_pass_equals_per_order_counters_exactly(pairs):
+    cands = [TokenizedText(tuple(c), " ".join(c)) for c, _ in pairs]
+    refs = [TokenizedText(tuple(r), " ".join(r)) for _, r in pairs]
+    shared = ngram_scores(cands, refs)
+    for max_n in (2, 4):
+        want = bleu_counter_oracle(cands, refs, max_n)
+        assert bleu(cands, refs, max_n) == want
+        assert shared[f"bleu{max_n}"] == want
+    for n in (1, 2):
+        want = rouge_n_counter_oracle(cands, refs, n)
+        assert rouge_n(cands, refs, n) == want
+        assert shared[f"rouge{n}"] == want
 
 
 def test_rouge_l_dp_example():
