@@ -16,17 +16,18 @@ only in annotations are ordered by the string comparison of the candidates.
 Connected components (found from the bonds, so ``C1.C1`` is one) are
 canonicalized independently and emitted in lexicographic order. The search
 and its candidate budget are per component, so identical fragments do not
-multiply each other's candidates.
+multiply each other's candidates. Each atom's text (bare or bracketed, by the
+molecule's recorded default hydrogens) is computed once per call.
 """
 
 from __future__ import annotations
 
 import random
+from heapq import heappop, heappush
 from typing import Sequence
 
 from chemtext.errors import ChemtextError
-from chemtext.smiles.parse import Bond, Molecule, parse_smiles
-from chemtext.smiles.valence import implicit_hydrogen_count
+from chemtext.smiles.parse import Atom, Bond, Molecule, parse_smiles
 
 # Elements writable without brackets, per aromaticity.
 _BARE_PLAIN = frozenset({"B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I"})
@@ -64,7 +65,8 @@ def random_smiles(mol: Molecule, rng: random.Random) -> str:
     useful for augmentation and for exercising canonicalization."""
     ranks = list(range(len(mol.atoms)))
     rng.shuffle(ranks)
-    strings = [_write_component(mol, comp, ranks) for comp in mol.components]
+    texts = _atom_texts(mol)
+    strings = [_write_component(mol, comp, ranks, texts) for comp in mol.components]
     rng.shuffle(strings)
     return ".".join(strings)
 
@@ -165,12 +167,15 @@ def _branch_atoms(mol: Molecule, tied: list[int]) -> list[int]:
 
 def _canonical_string(mol: Molecule) -> str:
     ranks = _refine(mol, _initial_ranks(mol))
+    texts = _atom_texts(mol)
     return ".".join(
-        sorted(_canonical_component(mol, comp, ranks) for comp in mol.components)
+        sorted(_canonical_component(mol, comp, ranks, texts) for comp in mol.components)
     )
 
 
-def _canonical_component(mol: Molecule, atoms: tuple[int, ...], ranks: list[int]) -> str:
+def _canonical_component(
+    mol: Molecule, atoms: tuple[int, ...], ranks: list[int], texts: Sequence[str]
+) -> str:
     """Smallest string of one component over the tie-break search on its
     atoms; splits refine the whole molecule, but only ``atoms`` are read."""
     best: str | None = None
@@ -183,7 +188,7 @@ def _canonical_component(mol: Molecule, atoms: tuple[int, ...], ranks: list[int]
             emitted += 1
             if emitted > _MAX_CANDIDATES:
                 raise CanonError("symmetry search budget exceeded")
-            candidate = _write_component(mol, atoms, ranks)
+            candidate = _write_component(mol, atoms, ranks, texts)
             if best is None or candidate < best:
                 best = candidate
             continue
@@ -196,91 +201,89 @@ def _canonical_component(mol: Molecule, atoms: tuple[int, ...], ranks: list[int]
 # -- emission ----------------------------------------------------------------
 
 
-def _write_component(mol: Molecule, atoms: Sequence[int], ranks: Sequence[int]) -> str:
-    start = min(atoms, key=lambda i: ranks[i])
+_CLOSE_BRANCH = (-1, ")")
 
-    # Pass 1: preorder DFS in rank order; classify tree vs ring bonds.
+
+def _write_component(
+    mol: Molecule, atoms: Sequence[int], ranks: Sequence[int], texts: Sequence[str]
+) -> str:
+    """SMILES of component ``atoms`` in ``ranks`` order; ``texts`` from :func:`_atom_texts`."""
+    adjacency = mol.adjacency
+
+    def by_rank(entry: tuple[int, int]) -> int:
+        return ranks[entry[0]]
+
+    start = min(atoms, key=ranks.__getitem__)
+
+    # Pass 1: preorder DFS in rank order; classify tree vs ring bonds. Each
+    # stack entry holds an atom and the iterator over its sorted neighbours.
     disc: dict[int, int] = {start: 0}
     tree_children: dict[int, list[tuple[int, int]]] = {start: []}
     ring_open: dict[int, list[tuple[int, int]]] = {}
     ring_close: dict[int, list[tuple[int, int]]] = {}
     used_bonds: set[int] = set()
-    stack: list[tuple[int, list[tuple[int, int]], int]] = []
-    neighbors = sorted(mol.adjacency[start], key=lambda e: ranks[e[0]])
-    stack.append((start, neighbors, 0))
+    stack = [(start, iter(sorted(adjacency[start], key=by_rank)))]
     while stack:
-        u, nbrs, ptr = stack[-1]
-        if ptr >= len(nbrs):
-            stack.pop()
-            continue
-        stack[-1] = (u, nbrs, ptr + 1)
-        v, bi = nbrs[ptr]
-        if bi in used_bonds:
-            continue
-        used_bonds.add(bi)
-        if v in disc:
-            # ring bond: the earlier-discovered endpoint opens
-            ring_open.setdefault(v, []).append((u, bi))
-            ring_close.setdefault(u, []).append((v, bi))
+        u, nbrs = stack[-1]
+        for v, bi in nbrs:
+            if bi in used_bonds:
+                continue
+            used_bonds.add(bi)
+            if v in disc:
+                # ring bond: the earlier-discovered endpoint opens
+                ring_open.setdefault(v, []).append((u, bi))
+                ring_close.setdefault(u, []).append((v, bi))
+            else:
+                disc[v] = len(disc)
+                tree_children[u].append((v, bi))
+                tree_children[v] = []
+                stack.append((v, iter(sorted(adjacency[v], key=by_rank))))
+                break
         else:
-            disc[v] = len(disc)
-            tree_children[u].append((v, bi))
-            tree_children[v] = []
-            child_nbrs = sorted(mol.adjacency[v], key=lambda e: ranks[e[0]])
-            stack.append((v, child_nbrs, 0))
-    for u in ring_open:
-        ring_open[u].sort(key=lambda e: disc[e[0]])
-    for u in ring_close:
-        ring_close[u].sort(key=lambda e: disc[e[0]])
+            stack.pop()
+    for entries in ring_open.values():
+        entries.sort(key=lambda e: disc[e[0]])
+    for entries in ring_close.values():
+        entries.sort(key=lambda e: disc[e[0]])
 
     # Pass 2: emit in the same preorder with explicit branch parentheses.
+    # Stack entries are (atom, text written before it); _CLOSE_BRANCH writes
+    # ")" only. Ring digits reuse the smallest free one.
     out: list[str] = []
     digit_of: dict[int, int] = {}
     free_digits: list[int] = []
     next_digit = 1
-
-    def alloc_digit() -> int:
-        nonlocal next_digit
-        if free_digits:
-            free_digits.sort()
-            return free_digits.pop(0)
-        digit = next_digit
-        next_digit += 1
-        if digit > 99:
-            raise CanonError("more than 99 simultaneously open ring closures")
-        return digit
-
-    def digit_text(digit: int) -> str:
-        return str(digit) if digit < 10 else f"%{digit:02d}"
-
-    emit_stack: list = [("atom", start, None, None)]
+    emit_stack = [(start, "")]
     while emit_stack:
-        item = emit_stack.pop()
-        if isinstance(item, str):
-            out.append(item)
+        u, prefix = emit_stack.pop()
+        out.append(prefix)
+        if u < 0:
             continue
-        _, u, via_bond, parent = item
-        if via_bond is not None:
-            out.append(_bond_text(mol, via_bond, parent, u))
-        out.append(_atom_text(mol, u))
+        out.append(texts[u])
         for v, bi in ring_close.get(u, ()):
             digit = digit_of.pop(bi)
-            free_digits.append(digit)
-            out.append(digit_text(digit))
+            heappush(free_digits, digit)
+            out.append(str(digit) if digit < 10 else f"%{digit:02d}")
         for v, bi in ring_open.get(u, ()):
-            digit = alloc_digit()
+            if free_digits:
+                digit = heappop(free_digits)
+            else:
+                digit = next_digit
+                next_digit += 1
+                if digit > 99:
+                    raise CanonError("more than 99 simultaneously open ring closures")
             digit_of[bi] = digit
-            out.append(_bond_text(mol, bi, u, v) + digit_text(digit))
+            out.append(_bond_text(mol, bi, u, v))
+            out.append(str(digit) if digit < 10 else f"%{digit:02d}")
         children = tree_children[u]
-        ops: list = []
-        for idx, (v, bi) in enumerate(children):
-            last = idx == len(children) - 1
-            if not last:
-                ops.append("(")
-            ops.append(("atom", v, bi, u))
-            if not last:
-                ops.append(")")
-        emit_stack.extend(reversed(ops))
+        if children:
+            # the last child continues the chain; earlier ones are branches
+            v, bi = children[-1]
+            emit_stack.append((v, _bond_text(mol, bi, u, v)))
+            for k in range(len(children) - 2, -1, -1):
+                v, bi = children[k]
+                emit_stack.append(_CLOSE_BRANCH)
+                emit_stack.append((v, "(" + _bond_text(mol, bi, u, v)))
     return "".join(out)
 
 
@@ -302,8 +305,11 @@ def _bond_text(mol: Molecule, bond_index: int, from_atom: int, to_atom: int) -> 
     return ""
 
 
-def _atom_text(mol: Molecule, i: int) -> str:
-    atom = mol.atoms[i]
+def _atom_texts(mol: Molecule) -> list[str]:
+    return [_atom_text(atom, h) for atom, h in zip(mol.atoms, mol.default_hydrogens)]
+
+
+def _atom_text(atom: Atom, default_hydrogens: int) -> str:
     symbol = atom.symbol.lower() if atom.aromatic else atom.symbol
     bare_set = _BARE_AROMATIC if atom.aromatic else _BARE_PLAIN
     if (
@@ -311,30 +317,12 @@ def _atom_text(mol: Molecule, i: int) -> str:
         and atom.charge == 0
         and atom.isotope is None
         and atom.chirality is None
+        and atom.hydrogens == default_hydrogens
     ):
-        incident = [
-            (mol.bonds[bi].order, mol.bonds[bi].aromatic) for _, bi in mol.adjacency[i]
-        ]
-        if atom.hydrogens == implicit_hydrogen_count(atom.symbol, atom.aromatic, incident):
-            return symbol
-    parts = ["["]
-    if atom.isotope is not None:
-        parts.append(str(atom.isotope))
-    parts.append(symbol)
-    if atom.chirality:
-        parts.append(atom.chirality)
+        return symbol
+    isotope = "" if atom.isotope is None else atom.isotope
     hydrogens = atom.hydrogens or 0
-    if hydrogens == 1:
-        parts.append("H")
-    elif hydrogens > 1:
-        parts.append(f"H{hydrogens}")
-    if atom.charge == 1:
-        parts.append("+")
-    elif atom.charge == -1:
-        parts.append("-")
-    elif atom.charge > 1:
-        parts.append(f"+{atom.charge}")
-    elif atom.charge < -1:
-        parts.append(str(atom.charge))
-    parts.append("]")
-    return "".join(parts)
+    h_text = "H" if hydrogens == 1 else f"H{hydrogens}" if hydrogens > 1 else ""
+    charge = atom.charge
+    charge_text = "" if charge == 0 else {1: "+", -1: "-"}.get(charge, f"{charge:+d}")
+    return f"[{isotope}{symbol}{atom.chirality or ''}{h_text}{charge_text}]"

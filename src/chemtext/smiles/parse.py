@@ -1,9 +1,11 @@
 """SMILES parser: token sequence to molecular graph.
 
 The parser resolves branches and ring closures into an explicit atom/bond
-graph and assigns implicit hydrogen counts from the default valence table at
-finalize time. Aromaticity is taken syntactically from lowercase notation; no
-ring perception or kekulization is performed.
+graph. :meth:`Molecule.from_atoms_bonds` records each atom's adjacency,
+bond-order total and default (valence-table) hydrogen count as it builds the
+molecule; validation and canonicalization read these facts. Aromaticity is
+taken syntactically from lowercase notation; no ring perception or
+kekulization is performed.
 
 Bracket atoms support the standard field order
 ``[isotope? symbol chirality? Hcount? charge? :map?]``; atom maps are accepted
@@ -20,7 +22,7 @@ read in the other direction is ``down``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -88,38 +90,47 @@ class Molecule:
     ) -> "Molecule":
         """Build a molecule, resolving implicit hydrogens and checking
         structural invariants (valid distinct endpoints, no duplicate bonds,
-        aromatic bonds only between aromatic atoms)."""
-        from chemtext.smiles.valence import implicit_hydrogen_count
+        aromatic bonds only between aromatic atoms). Stores the adjacency,
+        bond-order totals and default hydrogens it finds as cached values."""
+        from chemtext.smiles.valence import hydrogens_for_total  # valence imports this module
 
         atom_list = list(atoms)
-        bond_list = list(bonds)
+        bond_list = tuple(bonds)
         n = len(atom_list)
         seen_pairs: set[tuple[int, int]] = set()
-        incident: list[list[tuple[int, bool]]] = [[] for _ in range(n)]
-        for bond in bond_list:
-            if not (0 <= bond.a < n and 0 <= bond.b < n):
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        totals = [0] * n
+        for bi, bond in enumerate(bond_list):
+            a, b = bond.a, bond.b
+            if not (0 <= a < n and 0 <= b < n):
                 raise ParseError(f"bond endpoint out of range: {bond}")
-            if bond.a == bond.b:
+            if a == b:
                 raise ParseError(f"bond endpoints must be distinct: {bond}")
-            pair = (min(bond.a, bond.b), max(bond.a, bond.b))
+            pair = (a, b) if a < b else (b, a)
             if pair in seen_pairs:
                 raise ParseError(f"duplicate bond between atoms {pair}")
             seen_pairs.add(pair)
-            if bond.aromatic and not (
-                atom_list[bond.a].aromatic and atom_list[bond.b].aromatic
-            ):
-                raise ParseError(
-                    f"aromatic bond between non-aromatic atoms {pair}"
-                )
-            incident[bond.a].append((bond.order, bond.aromatic))
-            incident[bond.b].append((bond.order, bond.aromatic))
+            if bond.aromatic and not (atom_list[a].aromatic and atom_list[b].aromatic):
+                raise ParseError(f"aromatic bond between non-aromatic atoms {pair}")
+            adj[a].append((b, bi))
+            adj[b].append((a, bi))
+            totals[a] += bond.order
+            totals[b] += bond.order
+        adjacency = tuple(map(tuple, adj))
+        defaults: list[int] = []
         resolved: list[Atom] = []
-        for i, atom in enumerate(atom_list):
+        for atom, total, entries in zip(atom_list, totals, adjacency):
+            h = hydrogens_for_total(atom.symbol, atom.aromatic, total, len(entries))
+            defaults.append(h)
             if atom.hydrogens is None:
-                h = implicit_hydrogen_count(atom.symbol, atom.aromatic, incident[i])
-                atom = replace(atom, hydrogens=h)
+                atom = Atom(atom.symbol, atom.aromatic, atom.charge, atom.isotope, h, atom.chirality)
             resolved.append(atom)
-        return cls(tuple(resolved), tuple(bond_list))
+        mol = cls(tuple(resolved), bond_list)
+        # seed the cached properties below (cached_property reads __dict__)
+        mol.__dict__.update(
+            adjacency=adjacency, bond_order_totals=tuple(totals), default_hydrogens=tuple(defaults)
+        )
+        return mol
 
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -128,7 +139,24 @@ class Molecule:
         for bi, bond in enumerate(self.bonds):
             adj[bond.a].append((bond.b, bi))
             adj[bond.b].append((bond.a, bi))
-        return tuple(tuple(entries) for entries in adj)
+        return tuple(map(tuple, adj))
+
+    @cached_property
+    def bond_order_totals(self) -> tuple[int, ...]:
+        """Per atom: the sum of its bonds' orders (an aromatic bond counts 1)."""
+        bonds = self.bonds
+        return tuple(sum(bonds[bi].order for _, bi in entries) for entries in self.adjacency)
+
+    @cached_property
+    def default_hydrogens(self) -> tuple[int, ...]:
+        """Per atom: the implicit hydrogen count the valence table gives it
+        when written without brackets."""
+        from chemtext.smiles.valence import hydrogens_for_total  # valence imports this module
+
+        return tuple(
+            hydrogens_for_total(atom.symbol, atom.aromatic, total, len(entries))
+            for atom, total, entries in zip(self.atoms, self.bond_order_totals, self.adjacency)
+        )
 
     def degree(self, i: int) -> int:
         return len(self.adjacency[i])
@@ -279,7 +307,7 @@ class _Parser:
         index = len(self.atoms)
         self.atoms.append(atom)
         if self.prev is not None:
-            self._add_bond(self.prev, index, self.pending)
+            self._append_bond(self.prev, index, self.pending)
         self.pending = None
         self.prev = index
 
@@ -289,16 +317,12 @@ class _Parser:
         if self.prev is None:
             raise ParseError(f"bond symbol with no preceding atom at position {token.position}")
         ch = token.text
-        pending = _PendingBond()
         if ch == ":":
-            pending.aromatic = True
-            pending.order = 1
+            self.pending = _PendingBond(1, aromatic=True)
         elif ch in "/\\":
-            pending.order = 1
-            pending.stereo = "up" if ch == "/" else "down"
+            self.pending = _PendingBond(1, stereo="up" if ch == "/" else "down")
         else:
-            pending.order = BOND_ORDER[ch]
-        self.pending = pending
+            self.pending = _PendingBond(BOND_ORDER[ch])
 
     def _on_ring(self, token: Token) -> None:
         if self.prev is None:
@@ -331,7 +355,6 @@ class _Parser:
                 raise ParseError(f"conflicting bond symbols on ring label {label}")
         order = order_a if order_a is not None else order_b
         explicit_aromatic = bool(arom_a) or bool(arom_b)
-        stereo: str | None = None
         # Stereo is oriented from a to b. A marker written at the closing
         # site describes the b->a direction and is flipped.
         stereo_a = opening.stereo if opening else None
@@ -341,31 +364,17 @@ class _Parser:
         if stereo_a is not None and stereo_b is not None and stereo_a != stereo_b:
             raise ParseError(f"conflicting stereo markers on ring label {label}")
         stereo = stereo_a if stereo_a is not None else stereo_b
-        self._append_bond(a, b, order, explicit_aromatic, stereo)
+        self._append_bond(a, b, _PendingBond(order, explicit_aromatic, stereo))
 
-    def _add_bond(self, a: int, b: int, pending: _PendingBond | None) -> None:
-        order = pending.order if pending else None
-        explicit_aromatic = bool(pending.aromatic) if pending else False
-        stereo = pending.stereo if pending else None
-        self._append_bond(a, b, order, explicit_aromatic, stereo)
-
-    def _append_bond(
-        self,
-        a: int,
-        b: int,
-        order: int | None,
-        explicit_aromatic: bool,
-        stereo: str | None,
-    ) -> None:
-        aromatic = explicit_aromatic
-        if order is None:
-            if self.atoms[a].aromatic and self.atoms[b].aromatic:
-                aromatic = True
-            order = 1
-        if stereo is not None and (order != 1 or aromatic):
+    def _append_bond(self, a: int, b: int, pending: _PendingBond | None) -> None:
+        if pending is None or pending.order is None:
+            # no bond symbol: single, aromatic between two aromatic atoms
+            self.bonds.append(Bond(a, b, 1, self.atoms[a].aromatic and self.atoms[b].aromatic))
+            return
+        if pending.stereo is not None and (pending.order != 1 or pending.aromatic):
             raise ParseError("stereo marker on a non-single bond")
         # duplicate and aromatic-endpoint bonds are rejected by Molecule.from_atoms_bonds
-        self.bonds.append(Bond(a=a, b=b, order=order, aromatic=aromatic, stereo=stereo))
+        self.bonds.append(Bond(a, b, pending.order, bool(pending.aromatic), pending.stereo))
 
     def _on_branch_open(self, token: Token) -> None:
         if self.prev is None:

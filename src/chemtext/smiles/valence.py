@@ -85,15 +85,21 @@ def implicit_hydrogen_count(
 ) -> int:
     """Implicit hydrogen count for a bare (non-bracket) atom.
 
-    ``incident`` lists ``(order, aromatic)`` per incident bond. The count
-    fills up to the smallest allowed valence that accommodates the bond
-    total; over-bonded atoms get zero (and fail validation later).
+    ``incident`` lists ``(order, aromatic)`` per incident bond; see
+    :func:`hydrogens_for_total`.
     """
+    return hydrogens_for_total(symbol, aromatic, sum(o for o, _ in incident), len(incident))
+
+
+def hydrogens_for_total(symbol: str, aromatic: bool, total: int, degree: int) -> int:
+    """Implicit hydrogen count for a bare atom with ``degree`` bonds whose
+    orders sum to ``total``. The count fills up to the smallest allowed
+    valence that accommodates the total; over-bonded atoms get zero (and fail
+    validation later)."""
     allowed = DEFAULT_VALENCES.get(symbol)
     if allowed is None:
         return 0
-    total = sum(order for order, _ in incident)
-    total += _pi_increment(symbol, aromatic, len(incident), hydrogens=0)
+    total += _pi_increment(symbol, aromatic, degree, hydrogens=0)
     for valence in allowed:
         if total <= valence:
             return valence - total
@@ -120,18 +126,15 @@ def validate(mol: Molecule) -> ValidityResult:
     """Check every atom's bond-order total plus hydrogens against the
     valence table. Violations are reported, never raised."""
     reasons: list[str] = []
-    for i, atom in enumerate(mol.atoms):
+    for i, (atom, bond_total, entries) in enumerate(
+        zip(mol.atoms, mol.bond_order_totals, mol.adjacency)
+    ):
         allowed = allowed_valences(atom.symbol, atom.charge)
         if allowed is None:
             continue
-        incident = [
-            (mol.bonds[bi].order, mol.bonds[bi].aromatic)
-            for _, bi in mol.adjacency[i]
-        ]
         hydrogens = atom.hydrogens or 0
-        total = sum(order for order, _ in incident) + hydrogens
-        total += _pi_increment(
-            atom.symbol, atom.aromatic, len(incident), hydrogens, atom.charge
+        total = bond_total + hydrogens + _pi_increment(
+            atom.symbol, atom.aromatic, len(entries), hydrogens, atom.charge
         )
         limit = max(allowed)
         if total > limit:

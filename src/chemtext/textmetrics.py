@@ -108,6 +108,10 @@ def _check_pairs(
 
 
 def _ngrams(tokens: Sequence[str], n: int) -> Counter:
+    """Counts of the order-``n`` n-grams; order 1 keys by the token itself
+    (callers only compare counts, so the key type does not matter)."""
+    if n == 1:
+        return Counter(tokens)
     return Counter(zip(*(tokens[i:] for i in range(n))))
 
 

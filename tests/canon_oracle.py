@@ -6,19 +6,28 @@ writes every connected component at each leaf, so identical fragments
 multiply its leaves; keep repeated symmetric fragments out of inputs given to
 it. The package searches each connected component on its own and must give
 the same strings; tests/test_smiles_canon.py checks that it does.
+
+The writer below (``_write_component``, ``_bond_text``, ``_atom_text``) is the
+first release's too: it recomputes each atom's implicit hydrogen count and
+rebuilds a stack tuple at every step. The package's writer must emit the same
+string for every component under any ranking.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from chemtext.smiles.canon import (
+    _BARE_AROMATIC,
+    _BARE_PLAIN,
     CanonError,
     _bond_code,
     _initial_ranks,
     _refine,
     _split,
-    _write_component,
 )
 from chemtext.smiles.parse import Molecule
+from chemtext.smiles.valence import implicit_hydrogen_count
 
 _MAX_CANDIDATES = 200_000
 
@@ -115,3 +124,147 @@ def _components(mol: Molecule) -> list[list[int]]:
                     frontier.append(v)
         components.append(comp)
     return components
+
+
+def _write_component(mol: Molecule, atoms: Sequence[int], ranks: Sequence[int]) -> str:
+    start = min(atoms, key=lambda i: ranks[i])
+
+    # Pass 1: preorder DFS in rank order; classify tree vs ring bonds.
+    disc: dict[int, int] = {start: 0}
+    tree_children: dict[int, list[tuple[int, int]]] = {start: []}
+    ring_open: dict[int, list[tuple[int, int]]] = {}
+    ring_close: dict[int, list[tuple[int, int]]] = {}
+    used_bonds: set[int] = set()
+    stack: list[tuple[int, list[tuple[int, int]], int]] = []
+    neighbors = sorted(mol.adjacency[start], key=lambda e: ranks[e[0]])
+    stack.append((start, neighbors, 0))
+    while stack:
+        u, nbrs, ptr = stack[-1]
+        if ptr >= len(nbrs):
+            stack.pop()
+            continue
+        stack[-1] = (u, nbrs, ptr + 1)
+        v, bi = nbrs[ptr]
+        if bi in used_bonds:
+            continue
+        used_bonds.add(bi)
+        if v in disc:
+            # ring bond: the earlier-discovered endpoint opens
+            ring_open.setdefault(v, []).append((u, bi))
+            ring_close.setdefault(u, []).append((v, bi))
+        else:
+            disc[v] = len(disc)
+            tree_children[u].append((v, bi))
+            tree_children[v] = []
+            child_nbrs = sorted(mol.adjacency[v], key=lambda e: ranks[e[0]])
+            stack.append((v, child_nbrs, 0))
+    for u in ring_open:
+        ring_open[u].sort(key=lambda e: disc[e[0]])
+    for u in ring_close:
+        ring_close[u].sort(key=lambda e: disc[e[0]])
+
+    # Pass 2: emit in the same preorder with explicit branch parentheses.
+    out: list[str] = []
+    digit_of: dict[int, int] = {}
+    free_digits: list[int] = []
+    next_digit = 1
+
+    def alloc_digit() -> int:
+        nonlocal next_digit
+        if free_digits:
+            free_digits.sort()
+            return free_digits.pop(0)
+        digit = next_digit
+        next_digit += 1
+        if digit > 99:
+            raise CanonError("more than 99 simultaneously open ring closures")
+        return digit
+
+    def digit_text(digit: int) -> str:
+        return str(digit) if digit < 10 else f"%{digit:02d}"
+
+    emit_stack: list = [("atom", start, None, None)]
+    while emit_stack:
+        item = emit_stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        _, u, via_bond, parent = item
+        if via_bond is not None:
+            out.append(_bond_text(mol, via_bond, parent, u))
+        out.append(_atom_text(mol, u))
+        for v, bi in ring_close.get(u, ()):
+            digit = digit_of.pop(bi)
+            free_digits.append(digit)
+            out.append(digit_text(digit))
+        for v, bi in ring_open.get(u, ()):
+            digit = alloc_digit()
+            digit_of[bi] = digit
+            out.append(_bond_text(mol, bi, u, v) + digit_text(digit))
+        children = tree_children[u]
+        ops: list = []
+        for idx, (v, bi) in enumerate(children):
+            last = idx == len(children) - 1
+            if not last:
+                ops.append("(")
+            ops.append(("atom", v, bi, u))
+            if not last:
+                ops.append(")")
+        emit_stack.extend(reversed(ops))
+    return "".join(out)
+
+
+def _bond_text(mol: Molecule, bond_index: int, from_atom: int, to_atom: int) -> str:
+    bond = mol.bonds[bond_index]
+    if bond.aromatic:
+        return ""
+    if bond.order == 2:
+        return "="
+    if bond.order == 3:
+        return "#"
+    if bond.stereo is not None:
+        up = bond.stereo == "up"
+        if (from_atom, to_atom) != (bond.a, bond.b):
+            up = not up
+        return "/" if up else "\\"
+    if mol.atoms[from_atom].aromatic and mol.atoms[to_atom].aromatic:
+        return "-"
+    return ""
+
+
+def _atom_text(mol: Molecule, i: int) -> str:
+    atom = mol.atoms[i]
+    symbol = atom.symbol.lower() if atom.aromatic else atom.symbol
+    bare_set = _BARE_AROMATIC if atom.aromatic else _BARE_PLAIN
+    if (
+        atom.symbol in bare_set
+        and atom.charge == 0
+        and atom.isotope is None
+        and atom.chirality is None
+    ):
+        incident = [
+            (mol.bonds[bi].order, mol.bonds[bi].aromatic) for _, bi in mol.adjacency[i]
+        ]
+        if atom.hydrogens == implicit_hydrogen_count(atom.symbol, atom.aromatic, incident):
+            return symbol
+    parts = ["["]
+    if atom.isotope is not None:
+        parts.append(str(atom.isotope))
+    parts.append(symbol)
+    if atom.chirality:
+        parts.append(atom.chirality)
+    hydrogens = atom.hydrogens or 0
+    if hydrogens == 1:
+        parts.append("H")
+    elif hydrogens > 1:
+        parts.append(f"H{hydrogens}")
+    if atom.charge == 1:
+        parts.append("+")
+    elif atom.charge == -1:
+        parts.append("-")
+    elif atom.charge > 1:
+        parts.append(f"+{atom.charge}")
+    elif atom.charge < -1:
+        parts.append(str(atom.charge))
+    parts.append("]")
+    return "".join(parts)

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 import chemtext
 from chemtext.cli import main
 from chemtext.dataset import TaskKind, make_record, read_records, write_records
-from chemtext.smiles import canon
-from molgen import clique_smiles
+from chemtext.smiles import canon, random_smiles
+from molgen import clique_smiles, random_molecule
 
 
 def run_cli(argv, stdin_text=None, capsys=None, monkeypatch=None):
@@ -733,3 +734,54 @@ def test_build_dataset_never_exits_3(tmp_path, capsys, data):
         argv += ["--task-file", f"{task.value}={stream}"]
     code, _, err = run_cli(argv, capsys=capsys)
     assert code in (0, 1, 2), err
+
+
+# -- generated SMILES-task inputs ------------------------------------------------
+
+# Pieces of the SMILES alphabet, valid or not in any order: organic and bracket
+# atoms, ring labels (two-digit ones too), dots, unbalanced parentheses and
+# every bond symbol.
+_SMILES_PIECES = [
+    "C", "c", "N", "n", "O", "o", "S", "s", "Cl", "Br", "F", "P", "B", "I",
+    "[CH4]", "[nH]", "[NH4+]", "[13C]", "[Fe+3]", "[O-]", "[C@@H]", "[Xx]", "[U]",
+    "[", "]", "H", "@", "+", "1", "2", "3", "9", "%10", "%99", "%1", "0",
+    ".", "(", ")", "=", "#", "-", ":", "/", "\\", " ",
+]
+_PIECED = st.lists(st.sampled_from(_SMILES_PIECES), max_size=24).map("".join)
+_MOLGEN = st.integers(0, 2**32 - 1).map(
+    lambda seed: random_smiles(random_molecule(random.Random(seed), 10), random.Random(seed))
+)
+_SMILES_TEXT = st.one_of(_PIECED, _MOLGEN)
+
+
+@given(lines=st.lists(_SMILES_TEXT, max_size=8))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_canonicalize_never_exits_3(capsys, monkeypatch, lines):
+    code, out, err = run_cli(["canonicalize"], stdin_text="".join(l + "\n" for l in lines),
+                             capsys=capsys, monkeypatch=monkeypatch)
+    assert code in (0, 1, 2), err
+    assert len(out.splitlines()) == sum(1 for l in lines if l.strip())
+
+
+@pytest.mark.parametrize("task", [TaskKind.FORWARD, TaskKind.RETRO, TaskKind.TEXT2MOL])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_evaluate_smiles_task_never_exits_3(tmp_path, capsys, task, data):
+    rows = data.draw(st.lists(st.tuples(_SMILES_TEXT, _SMILES_TEXT), min_size=1, max_size=5))
+    preds = tmp_path / "preds.jsonl"
+    write_predictions(preds, task, rows)
+    argv = ["evaluate", "--task", task.value, "--predictions", str(preds), "--quiet"]
+    if task is TaskKind.RETRO:
+        # some entries are keyed by a drawn prediction, so lookups can hit
+        key = st.one_of(st.sampled_from([p for p, _ in rows]), _SMILES_TEXT)
+        entries = data.draw(st.lists(st.tuples(key, _SMILES_TEXT), max_size=5))
+        oracle = tmp_path / "oracle.jsonl"
+        oracle.write_text("".join(json.dumps({"precursors": p, "product": q}) + "\n"
+                                  for p, q in entries), encoding="utf-8")
+        argv += ["--oracle", f"lookup:{oracle}"]
+    code, out, err = run_cli(argv, capsys=capsys)
+    assert code in (0, 1, 2), err
+    if code == 0:
+        assert out == _canonical_json(json.loads(out)) + "\n"

@@ -1,15 +1,22 @@
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chemtext.smiles import (
+    Atom,
+    Bond,
     CanonError,
+    Molecule,
     canonical_smiles,
     canonicalize,
     parse_smiles,
     random_smiles,
 )
-from chemtext.smiles import canon
+from chemtext.smiles import canon, valence
+from canon_oracle import _write_component as oracle_write_component
 from canon_oracle import oracle_canonical_smiles
 from molgen import isomorphic, random_molecule
 
@@ -147,3 +154,147 @@ def test_component_search_matches_whole_molecule_oracle(max_atoms):
 def test_components_are_searched_on_their_own(monkeypatch, smiles, expected):
     monkeypatch.setattr(canon, "_MAX_CANDIDATES", 12)
     assert canonical_smiles(smiles) == expected
+
+
+# -- the writer against the first release's ------------------------------------
+
+
+def _writes(mol, ranks):
+    """Each component written by the package's writer and by the oracle's,
+    or the error each raised."""
+    texts = canon._atom_texts(mol)
+    results = []
+    for comp in mol.components:
+        pair = []
+        for write in (lambda: canon._write_component(mol, comp, ranks, texts),
+                      lambda: oracle_write_component(mol, comp, ranks)):
+            try:
+                pair.append(write())
+            except CanonError as exc:
+                pair.append(("CanonError", str(exc)))
+        results.append(pair)
+    return results
+
+
+def _assert_writers_agree(mol, ranks):
+    for new, old in _writes(mol, ranks):
+        assert new == old
+
+
+@pytest.mark.parametrize("max_atoms", [10, 30])
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_writer_matches_oracle_on_molgen_under_random_ranks(max_atoms, seed, data):
+    mol = random_molecule(random.Random(seed), max_atoms)
+    ranks = data.draw(st.permutations(range(len(mol.atoms))))
+    _assert_writers_agree(mol, ranks)
+
+
+# Bare and bracket atoms: default and non-default hydrogen counts, charges,
+# isotopes, chirality, and elements outside the valence table.
+_ATOMS = [
+    Atom("C"), Atom("N"), Atom("O"), Atom("S"), Atom("Cl"), Atom("B"),
+    Atom("C", aromatic=True), Atom("N", aromatic=True), Atom("S", aromatic=True),
+    Atom("C", hydrogens=4), Atom("C", hydrogens=1), Atom("N", aromatic=True, hydrogens=1),
+    Atom("N", charge=1, hydrogens=4), Atom("O", charge=-1, hydrogens=0),
+    Atom("C", charge=-2, hydrogens=2), Atom("Fe", charge=3, hydrogens=0),
+    Atom("C", isotope=13), Atom("H", isotope=2, hydrogens=0),
+    Atom("C", chirality="@", hydrogens=1), Atom("C", chirality="@@", hydrogens=0),
+    Atom("Pt", hydrogens=0), Atom("Se", aromatic=True, hydrogens=0),
+]
+
+
+@st.composite
+def _graphs(draw):
+    """A molecule (valid or not) over ``_ATOMS``; a dense one is a clique of
+    up to 22 atoms, whose rings need ``%nn`` labels, and beyond 99 open
+    ring bonds both writers raise."""
+    dense = draw(st.booleans())
+    n = draw(st.integers(10, 22) if dense else st.integers(1, 16))
+    atoms = [draw(st.sampled_from(_ATOMS)) for _ in range(n)]
+    if dense:
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    else:
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=2 * n))
+    bonds, seen = [], set()
+    for a, b in pairs:
+        if a == b or frozenset((a, b)) in seen:
+            continue
+        seen.add(frozenset((a, b)))
+        aromatic = atoms[a].aromatic and atoms[b].aromatic and draw(st.booleans())
+        order = 1 if aromatic else draw(st.sampled_from([1, 1, 2, 3]))
+        # stereo is oriented from a to b; either end may be written first
+        stereo = None if aromatic or order != 1 else draw(st.sampled_from([None, "up", "down"]))
+        bonds.append(Bond(a, b, order, aromatic, stereo))
+    return Molecule.from_atoms_bonds(atoms, bonds)
+
+
+@given(mol=_graphs(), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_writer_matches_oracle_on_any_graph_under_random_ranks(mol, data):
+    ranks = data.draw(st.permutations(range(len(mol.atoms))))
+    _assert_writers_agree(mol, ranks)
+
+
+def test_writer_cases_reach_percent_labels_and_the_ring_limit():
+    def clique(n):
+        atoms = [Atom("Pt", hydrogens=0)] * n
+        return Molecule.from_atoms_bonds(
+            atoms, [Bond(a, b) for a in range(n) for b in range(a + 1, n)])
+
+    (new, old), = _writes(clique(16), list(range(16)))
+    assert new == old and "%" in new
+    (new, old), = _writes(clique(22), list(range(22)))
+    assert new == old == ("CanonError", "more than 99 simultaneously open ring closures")
+
+
+def _first_atom_end(smiles):
+    if smiles.startswith("["):
+        return smiles.index("]") + 1
+    return 2 if smiles[:2] in ("Cl", "Br") else 1
+
+
+@given(seeds=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
+       data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_writer_matches_oracle_on_ring_bonds_spanning_a_dot(seeds, data):
+    # two molgen molecules joined by ring label 98, written across the dot
+    parts = []
+    for seed in seeds:
+        smiles = random_smiles(random_molecule(random.Random(seed), 10), random.Random(seed))
+        end = _first_atom_end(smiles)
+        parts.append(smiles[:end] + "%98" + smiles[end:])
+    mol = parse_smiles(".".join(parts))
+    assert len(mol.components) < ".".join(parts).count(".") + 1
+    ranks = data.draw(st.permutations(range(len(mol.atoms))))
+    _assert_writers_agree(mol, ranks)
+
+
+# -- work counts -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("max_atoms", [10, 30])
+def test_hydrogen_counts_are_worked_out_once_per_atom(monkeypatch, max_atoms):
+    calls = {"hydrogens": 0, "replace": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(valence, "hydrogens_for_total",
+                        counting("hydrogens", valence.hydrogens_for_total))
+    monkeypatch.setattr(dataclasses, "replace", counting("replace", dataclasses.replace))
+    rng = random.Random(900 + max_atoms)
+    corpus = [random_smiles(random_molecule(rng, max_atoms), rng) for _ in range(30)]
+    corpus += ["[CH4]", "[CH3-]", "c1cc[nH]c1", "[13CH3]C(=O)[O-]", "F/C=C/F", "C1.C1"]
+    for smiles in corpus:
+        calls.update(hydrogens=0, replace=0)
+        mol = parse_smiles(smiles)
+        assert calls["hydrogens"] <= len(mol.atoms), smiles
+        calls.update(hydrogens=0)
+        assert mol.validity.valid
+        canonicalize(mol)
+        assert calls == {"hydrogens": 0, "replace": 0}, smiles

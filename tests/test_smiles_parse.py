@@ -1,6 +1,11 @@
-import pytest
+import random
 
-from chemtext.smiles import Molecule, ParseError, parse, parse_smiles, tokenize
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chemtext.smiles import Molecule, ParseError, canonicalize, parse, parse_smiles, tokenize
+from molgen import random_molecule
 
 
 def test_ethanol_graph():
@@ -86,6 +91,21 @@ def test_ring_closure_across_dot():
 def test_equality_does_not_depend_on_construction(smiles):
     mol = parse_smiles(smiles)
     assert mol == Molecule.from_atoms_bonds(mol.atoms, mol.bonds) == Molecule(mol.atoms, mol.bonds)
+
+
+@pytest.mark.parametrize("max_atoms", [10, 30])
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_recorded_facts_do_not_depend_on_construction(max_atoms, seed):
+    # from_atoms_bonds records these while checking the bonds; a molecule
+    # built directly computes them on first use
+    mol = random_molecule(random.Random(seed), max_atoms)
+    built = Molecule.from_atoms_bonds(mol.atoms, mol.bonds)
+    direct = Molecule(mol.atoms, mol.bonds)
+    for name in ("adjacency", "bond_order_totals", "default_hydrogens", "validity",
+                 "components"):
+        assert getattr(direct, name) == getattr(built, name), name
+    assert canonicalize(direct) == canonicalize(built)
 
 
 def test_ring_label_reuse_after_closure():
