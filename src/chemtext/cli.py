@@ -219,6 +219,8 @@ def cmd_evaluate(args) -> int:
     task = TaskKind(args.task)
     if task is TaskKind.RETRO and not args.oracle:
         raise _UsageError("retro evaluation requires --oracle lookup:PATH")
+    if task is not TaskKind.RETRO and args.oracle:
+        raise _UsageError(f"argument --oracle: only --task retro reads it, not {task.value}")
     oracle = _load_oracle(args.oracle) if args.oracle else None
     with open(args.predictions, "r", encoding="utf-8") as fp:
         pairs = [_prediction_pair(where, obj) for where, obj in read_jsonl(fp, args.predictions)]
@@ -253,6 +255,8 @@ def cmd_canonicalize(args) -> int:
 
 
 def cmd_fingerprint(args) -> int:
+    if args.key_table and args.scheme != "keys":
+        raise _UsageError(f"argument --key-table: only --scheme keys reads it, not {args.scheme}")
     key_table = None
     if args.key_table:
         with open(args.key_table, "r", encoding="utf-8") as fp:
@@ -278,8 +282,19 @@ def cmd_similarity(args) -> int:
 
 
 def cmd_merge_demo(args) -> int:
-    from chemtext.merge import OPS, CombineMode, grad_check, load_matrix, save_matrix
+    from chemtext.merge import (
+        OPS,
+        CombineMode,
+        check_grad_epsilon,
+        grad_check,
+        load_matrix,
+        save_matrix,
+    )
 
+    try:
+        check_grad_epsilon(args.grad_epsilon)
+    except ValueError as err:
+        raise _UsageError(f"argument --grad-epsilon: {err}") from None
     with open(args.base, "r", encoding="utf-8") as fp:
         h_t = load_matrix(fp)
     with open(args.adapt, "r", encoding="utf-8") as fp:

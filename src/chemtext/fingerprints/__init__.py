@@ -16,10 +16,14 @@ pinned by the hashing and encoding rules in this module so fingerprints are
 stable across platforms and releases. The hash is 64-bit FNV-1a over the
 UTF-8 serialization spelled out in each function.
 
-Two rules hold across releases:
+Three rules hold across releases:
 
 - Bits are stable. A faster kernel must set exactly the bits of the
   reference implementations kept in ``tests/fingerprint_oracles.py``.
+- Bits depend on the molecule, not on how it was written. Molecules with
+  equal canonical SMILES have equal fingerprints in every scheme, and hit
+  the path budget together; text2mol evaluation fingerprints only the
+  reference of an exact-match pair because of this.
 - The path budget is an operation count, not a time. Every one-bond
   extension of a walk counts, and every path is walked from both of its
   ends, so a molecule uses twice its number of simple paths of 1..max_len

@@ -13,6 +13,10 @@ Task conventions:
   keys/path/morgan fingerprints restricted to pairs where BOTH sides are
   valid and within the path-enumeration budget (skipped pairs are counted
   per reason and reported), and validity (valid predictions / total).
+  An exact-match pair is scored from the reference's fingerprints alone,
+  as ``tanimoto(ref_fp, ref_fp)``: equal canonical SMILES give equal
+  fingerprints (see :mod:`chemtext.fingerprints`), and the pinned 0/0 rule
+  still scores an empty fingerprint 0.0.
 - forward: top-1 accuracy under canonical-SMILES equality.
 - retro: roundtrip accuracy through a ForwardOracle: the predicted
   precursors are fed to the oracle and the regenerated product must match
@@ -258,19 +262,18 @@ def eval_text2mol(
             n_valid += 1
         if pred_mol is not None and ref_mol is not None:
             try:
-                if canonicalize(pred_mol) == canonicalize(ref_mol):
-                    exact += 1
+                same = canonicalize(pred_mol) == canonicalize(ref_mol)
             except CanonError:
                 canon_hits += 1
                 continue
+            exact += same
             try:
-                fts = {
-                    name: tanimoto(
-                        fingerprint(pred_mol, scheme, config),
-                        fingerprint(ref_mol, scheme, config),
-                    )
-                    for name, scheme in _FTS_SCHEMES.items()
-                }
+                fts = {}
+                for name, scheme in _FTS_SCHEMES.items():
+                    ref_fp = fingerprint(ref_mol, scheme, config)
+                    # equal canonical SMILES give equal fingerprints
+                    pred_fp = ref_fp if same else fingerprint(pred_mol, scheme, config)
+                    fts[name] = tanimoto(pred_fp, ref_fp)
             except FingerprintError:
                 # both sides are valid, so only the path budget can raise
                 budget_hits += 1

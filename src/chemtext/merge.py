@@ -24,7 +24,9 @@ Given base tokens ``H_t (n_t x h_t)`` and adaptation tokens
 - :func:`grad_check`: analytic gradients (hand chain rule through softmax
   and the matrix products) of ``loss = sum(output)`` against central finite
   differences on every parameter entry; for the parameter-free
-  ``mean_aggregate`` the inputs are checked instead.
+  ``mean_aggregate`` the inputs are checked instead. The step must pass
+  :func:`check_grad_epsilon`, which the ``merge-demo`` CLI also calls before
+  it reads any file.
 
 Each op has one forward path: a stack of ``depth`` blocks (depth 1 for
 ``cross_attend``) or the bidirectional pair. Each returns its output and a
@@ -360,6 +362,13 @@ class GradCheckReport:
             raise ValueError("epsilon must be positive")
 
 
+def check_grad_epsilon(epsilon: float) -> None:
+    """Raise ``ValueError`` unless ``0 < epsilon <= 1e-3`` (NaN fails too):
+    the finite-difference step :func:`grad_check` accepts."""
+    if not 0 < epsilon <= 1e-3:
+        raise ValueError(f"epsilon must be in (0, 1e-3], got {epsilon!r}")
+
+
 def grad_check(op_id: str, h_t, h_m, params: MergeParams | None = None,
                epsilon: float = 1e-5) -> GradCheckReport:
     """Compare analytic gradients of ``loss = sum(output)`` against central
@@ -370,8 +379,7 @@ def grad_check(op_id: str, h_t, h_m, params: MergeParams | None = None,
     instead. Relative error uses max(|analytic|, |numeric|, 1e-8) as the
     denominator.
     """
-    if not 0 < epsilon <= 1e-3:
-        raise ValueError("epsilon must be in (0, 1e-3]")
+    check_grad_epsilon(epsilon)
     h_t = _as_matrix("H_t", h_t)
     h_m = _as_matrix("H_m", h_m)
     if op_id == "mean_aggregate":

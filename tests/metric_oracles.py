@@ -5,6 +5,9 @@ These transcribe the documented metric definitions as literally as possible
 exist solely to cross-check chemtext.textmetrics. The per-order Counter
 BLEU and ROUGE-N below are the exception: they keep the package's earlier
 kernels, sharing only its types and pair check, as the bit-exact reference.
+So is the text2mol loop at the end, which fingerprints both sides of every
+pair, as the harness did before it scored an exact match from the
+reference's fingerprints alone.
 """
 
 from __future__ import annotations
@@ -13,8 +16,20 @@ import math
 from collections import Counter
 from typing import Sequence
 
+from chemtext.dataset import TaskKind
+from chemtext.fingerprints import FingerprintConfig, FingerprintError, fingerprint, tanimoto
+from chemtext.harness import MetricReport, PredictionPair
+from chemtext.smiles import CanonError, LexError, ParseError, canonicalize, parse_smiles
 from chemtext.stem import porter_stem
-from chemtext.textmetrics import BLEU_EPSILON, MetricValue, TokenizedText, _check_pairs
+from chemtext.textmetrics import (
+    BLEU_EPSILON,
+    MetricValue,
+    TokenizedText,
+    _check_pairs,
+    bleu,
+    char_tokenize,
+    levenshtein,
+)
 
 EPS = 1e-9
 
@@ -257,3 +272,78 @@ def levenshtein_oracle(a, b):
                 table[i - 1][j - 1] + cost,
             )
     return table[len(a)][len(b)]
+
+
+_FTS_SCHEMES = {"maccs_fts": "keys", "rdk_fts": "path", "morgan_fts": "morgan"}
+
+
+def _valid_or_none(smiles):
+    try:
+        mol = parse_smiles(smiles)
+    except (LexError, ParseError):
+        return None
+    return mol if mol.validity.valid else None
+
+
+def text2mol_both_sides_oracle(
+    pairs: Sequence[PredictionPair], config: FingerprintConfig = FingerprintConfig()
+) -> MetricReport:
+    """The text2mol report with each scheme fingerprinted on both sides of
+    every pair with two valid sides, exact matches included."""
+    bleu4 = bleu([char_tokenize(p.prediction) for p in pairs],
+                 [char_tokenize(p.reference) for p in pairs], 4)
+    metrics = {"bleu": MetricValue("bleu", bleu4.value, bleu4.support)}
+    exact = n_valid = lev_total = fts_support = budget_hits = canon_hits = 0
+    fts_sums = dict.fromkeys(_FTS_SCHEMES, 0.0)
+    for pair in pairs:
+        lev_total += levenshtein(pair.prediction, pair.reference)
+        pred_mol = _valid_or_none(pair.prediction)
+        ref_mol = _valid_or_none(pair.reference)
+        n_valid += pred_mol is not None
+        if pred_mol is None or ref_mol is None:
+            continue
+        try:
+            exact += canonicalize(pred_mol) == canonicalize(ref_mol)
+        except CanonError:
+            canon_hits += 1
+            continue
+        try:
+            fts = {
+                name: tanimoto(fingerprint(pred_mol, scheme, config),
+                               fingerprint(ref_mol, scheme, config))
+                for name, scheme in _FTS_SCHEMES.items()
+            }
+        except FingerprintError:
+            budget_hits += 1
+            continue
+        for name, value in fts.items():
+            fts_sums[name] += value
+        fts_support += 1
+    n = len(pairs)
+    metrics["accuracy"] = MetricValue("accuracy", exact / n, n)
+    metrics["levenshtein"] = MetricValue("levenshtein", lev_total / n, n)
+    metrics["validity"] = MetricValue("validity", n_valid / n, n)
+    omitted = {}
+    if fts_support:
+        for name, total in fts_sums.items():
+            metrics[name] = MetricValue(name, total / fts_support, fts_support)
+    else:
+        reason = "no pair with both sides valid"
+        if budget_hits:
+            reason += " within the path-enumeration budget"
+        omitted = dict.fromkeys(fts_sums, reason)
+    skipped = n - fts_support
+    skip_reasons = {
+        "invalid_smiles_side": skipped - budget_hits - canon_hits,
+        "fingerprint_budget": budget_hits,
+        "canon_budget": canon_hits,
+    }
+    return MetricReport(
+        task=TaskKind.TEXT2MOL,
+        metrics=metrics,
+        n_total=n,
+        n_valid_pred=n_valid,
+        n_skipped=skipped,
+        skip_reasons={k: v for k, v in skip_reasons.items() if v},
+        omitted_metrics=omitted,
+    )

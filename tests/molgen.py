@@ -1,6 +1,7 @@
 """Test helpers: random valid molecule generation, a brute-force
-graph-isomorphism check used as the round-trip oracle, and a dense clique
-that exceeds the path-enumeration budget.
+graph-isomorphism check used as the round-trip oracle, a dense clique
+that exceeds the path-enumeration budget, and the walk-step count that
+budget is charged.
 
 The generator builds graphs directly (tree growth with valence budgets, ring
 edges, optional aromatic rings, charges, isotopes, annotations) so validity
@@ -59,6 +60,21 @@ def clique_smiles() -> str:
                 closures += f"%{label}"
         parts.append(f"[{element}]{closures}")
     return "".join(parts)
+
+
+def directed_path_steps(mol: Molecule, max_len: int) -> int:
+    """Walk steps of a full path enumeration: every simple path of
+    1..max_len bonds, once from each end (what the path budget counts)."""
+    def count(path):
+        total = 0
+        for nxt, _ in mol.adjacency[path[-1]]:
+            if nxt not in path:
+                total += 1
+                if len(path) < max_len:
+                    total += count(path + [nxt])
+        return total
+
+    return sum(count([start]) for start in range(len(mol.atoms)))
 
 
 def _try_random_molecule(rng: random.Random, max_atoms: int) -> Molecule | None:

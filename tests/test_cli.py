@@ -432,6 +432,41 @@ def test_out_of_range_width_or_radius_is_usage_error(tmp_path, capsys, monkeypat
 
 
 @pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["evaluate", "--task", "text2mol", "--predictions", "PREDS", "--oracle", "MISSING"],
+         "--oracle"),
+        (["evaluate", "--task", "forward", "--predictions", "PREDS", "--oracle", "MISSING"],
+         "--oracle"),
+        (["evaluate", "--task", "mol2text", "--predictions", "PREDS", "--oracle", "MISSING"],
+         "--oracle"),
+        (["fingerprint", "--scheme", "morgan", "--key-table", "MISSING"], "--key-table"),
+        (["fingerprint", "--scheme", "path", "--key-table", "MISSING"], "--key-table"),
+        (["merge-demo", "--base", "MISSING", "--adapt", "MISSING", "--params", "MISSING",
+          "--grad-epsilon", "0"], "--grad-epsilon"),
+        (["merge-demo", "--base", "MISSING", "--adapt", "MISSING", "--params", "MISSING",
+          "--grad-epsilon=-1"], "--grad-epsilon"),
+        (["merge-demo", "--base", "MISSING", "--adapt", "MISSING", "--params", "MISSING",
+          "--grad-epsilon", "nan"], "--grad-epsilon"),
+        (["merge-demo", "--base", "MISSING", "--adapt", "MISSING", "--params", "MISSING",
+          "--grad-epsilon", "2e-3"], "--grad-epsilon"),
+    ],
+)
+def test_ignored_or_out_of_range_flag_is_usage_error_before_any_read(
+    tmp_path, capsys, monkeypatch, argv, flag
+):
+    # the named files do not exist, so reading any of them would exit 2
+    preds = tmp_path / "preds.jsonl"
+    write_predictions(preds, TaskKind.TEXT2MOL, [("CCO", "CCO")])
+    missing = str(tmp_path / "missing")
+    argv = [str(preds) if a == "PREDS" else missing if a == "MISSING" else a for a in argv]
+    code, out, err = run_cli(argv, stdin_text="CCO\n", capsys=capsys, monkeypatch=monkeypatch)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"usage error: argument {flag}: ")
+
+
+@pytest.mark.parametrize(
     "argv", [["canonicalize"], ["fingerprint", "--scheme", "morgan"]]
 )
 def test_line_commands_answer_each_line_before_reading_the_next(monkeypatch, argv):
@@ -597,6 +632,74 @@ def test_merge_demo_bad_params_field_is_data_error(tmp_path, capsys, spec, field
     assert code == 2
     assert out == ""
     assert repr(field) in err
+
+
+_PARAM_NAMES = ("d", "depth", "combine", "seed", "w_q", "w_k", "w_v", "w_c")
+_COMBINES = ["base_only", "bidirectional_sum", "bidirectional_concat_project"]
+_JSON_SCALAR = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 6), st.floats(), st.text(max_size=4)
+)
+# rows of any small length, so shapes may be right, wrong or ragged
+_ROWS = st.lists(st.lists(st.one_of(st.floats(-3, 3), _JSON_SCALAR), max_size=6), max_size=11)
+_MATRIX = st.one_of(_ROWS, _JSON_SCALAR, st.dictionaries(st.text(max_size=2), _JSON_SCALAR))
+_ANY_VALUES = {
+    "d": _JSON_SCALAR, "depth": _JSON_SCALAR,
+    "seed": st.one_of(st.integers(-2, 2**64), _JSON_SCALAR),
+    "combine": st.one_of(st.sampled_from(_COMBINES), _JSON_SCALAR),
+    "w_q": _MATRIX, "w_k": _MATRIX, "w_v": _MATRIX, "w_c": _MATRIX,
+}
+_EPSILON = st.one_of(
+    st.sampled_from(["1e-5", "1e-4", "1e-3"]),
+    st.floats(min_value=1e-8, max_value=1e-3).map(repr),
+    st.floats().map(repr),
+    st.text(max_size=5),
+)
+
+
+@st.composite
+def _merge_params(draw):
+    """Params that fit the shipped 3x4 base and 2x5 adaptation inputs (by
+    seed or by explicit matrices), with up to three fields then dropped or
+    replaced by a value of any type or shape."""
+    combine = draw(st.sampled_from(_COMBINES))
+    depth = draw(st.integers(1, 3)) if combine == "base_only" else 1
+    d = 4 if depth > 1 else draw(st.integers(1, 4))
+    spec = {"d": d, "depth": depth, "combine": combine}
+    if draw(st.booleans()):
+        spec["seed"] = draw(st.integers(0, 2**32 - 1))
+    else:
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        shapes = {"w_q": (4, d), "w_k": (5, d), "w_v": (5, d)}
+        if combine == "bidirectional_concat_project":
+            shapes["w_c"] = (2 * d, d)
+        for name, (rows, cols) in shapes.items():
+            spec[name] = [[rng.uniform(-1, 1) for _ in range(cols)] for _ in range(rows)]
+    for name in draw(st.lists(st.sampled_from(_PARAM_NAMES), unique=True, max_size=3)):
+        if name in spec and draw(st.booleans()):
+            del spec[name]
+        else:
+            spec[name] = draw(_ANY_VALUES[name])
+    return spec
+
+
+@given(spec=_merge_params(), epsilon=_EPSILON)
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_merge_demo_never_exits_3(tmp_path, capsys, spec, epsilon):
+    from importlib import resources
+
+    data = resources.files("chemtext") / "data" / "merge_demo"
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps(spec))
+    code, out, err = run_cli(
+        ["merge-demo", "--base", str(data / "base_3x4.txt"),
+         "--adapt", str(data / "adapt_2x5.txt"), "--params", str(params),
+         f"--grad-epsilon={epsilon}"],
+        capsys=capsys,
+    )
+    assert code in (0, 1, 2), err
+    if code == 1:
+        assert out == ""
 
 
 def test_merge_demo_params_must_be_an_object(tmp_path, capsys):

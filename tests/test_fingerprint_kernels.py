@@ -18,7 +18,7 @@ from chemtext.fingerprints import (
 )
 from chemtext.fingerprints.keys import count_matches, parse_pattern
 from chemtext.smiles import Atom, Bond, Molecule, parse_smiles
-from molgen import random_molecule
+from molgen import directed_path_steps, random_molecule
 
 # a table exercising what the shipped one barely does: "~" bonds, classes,
 # ranged constraints, thresholds above one, branches at the root and below
@@ -118,28 +118,13 @@ def _dense(n):
     return Molecule.from_atoms_bonds(atoms, bonds)
 
 
-def _directed_paths(mol, max_len):
-    """Walk steps of a full enumeration: every simple path of 1..max_len
-    bonds, once from each end."""
-    def count(path):
-        total = 0
-        for nxt, _ in mol.adjacency[path[-1]]:
-            if nxt not in path:
-                total += 1
-                if len(path) < max_len:
-                    total += count(path + [nxt])
-        return total
-
-    return sum(count([start]) for start in range(len(mol.atoms)))
-
-
 @pytest.mark.parametrize("module", [fingerprints, oracles], ids=["kernel", "oracle"])
 @pytest.mark.parametrize("max_len", [3, 5])
 def test_budget_counts_every_step_in_both_directions(monkeypatch, module, max_len):
     # the kernel and the reference trip the budget on exactly the same inputs
     fingerprint = path_fingerprint if module is fingerprints else oracles.path_oracle
     for mol in (_dense(6), _LARGE[0], parse_smiles("c1ccc2ccccc2c1")):
-        steps = _directed_paths(mol, max_len)
+        steps = directed_path_steps(mol, max_len)
         monkeypatch.setattr(module, "_MAX_PATHS_WALKED", steps)
         fingerprint(mol, max_len=max_len)
         monkeypatch.setattr(module, "_MAX_PATHS_WALKED", steps - 1)

@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import chemtext.fingerprints as fingerprints
 from chemtext.fingerprints import (
     SCHEMES,
     BitFingerprint,
@@ -15,8 +18,8 @@ from chemtext.fingerprints import (
     path_fingerprint,
     tanimoto,
 )
-from chemtext.smiles import canonicalize, parse_smiles
-from molgen import random_molecule
+from chemtext.smiles import canonicalize, parse_smiles, random_smiles
+from molgen import directed_path_steps, random_molecule
 
 
 def test_fnv1a64_reference_values():
@@ -103,6 +106,49 @@ def test_fingerprints_deterministic_across_isomorphic_inputs():
             key_fingerprint,
         ):
             assert fn(mol) == fn(remol)
+
+
+# bracket atoms, charges, isotopes, explicit hydrogens, chirality and "/" "\\"
+# bonds, on top of the ones molgen draws
+_NAMED = [
+    "[CH4]", "[NH4+].[O-]C(=O)C", "[13CH3][18OH]", "F/C=C/F", "F/C=C\\Cl",
+    "C[C@@H](N)C(=O)[O-]", "[2H]C([2H])([2H])Cl", "c1cc[nH]c1",
+    "[Fe+3].[Cl-].[Cl-].[Cl-]", "[U]1[U][U]1", "O=[N+]([O-])c1ccc(/C=C/Br)cc1",
+]
+
+
+def _molecules(max_atoms):
+    drawn = st.integers(0, 2**32 - 1).map(
+        lambda seed: random_molecule(random.Random(seed), max_atoms)
+    )
+    return st.one_of(drawn, st.sampled_from(_NAMED).map(parse_smiles))
+
+
+@pytest.mark.parametrize("max_atoms", [10, 30], ids=["le10", "le30"])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_equal_canonical_smiles_give_equal_fingerprints(max_atoms, data):
+    # the rule eval_text2mol relies on to fingerprint only the reference of
+    # an exact-match pair: every writing of a molecule gets the same bits
+    # and the same path-budget outcome
+    mol = data.draw(_molecules(max_atoms))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    canonical = canonicalize(mol)
+    forms = [parse_smiles(canonical)] + [parse_smiles(random_smiles(mol, rng)) for _ in range(3)]
+    assert [canonicalize(form) for form in forms] == [canonical] * len(forms)
+    for scheme in SCHEMES:
+        expected = fingerprint(mol, scheme)
+        assert [fingerprint(form, scheme) for form in forms] == [expected] * len(forms)
+    steps = directed_path_steps(mol, FingerprintConfig().path_max_len)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fingerprints, "_MAX_PATHS_WALKED", steps)
+        for form in [mol, *forms]:
+            fingerprint(form, "path")  # exactly within the budget
+        if steps:
+            mp.setattr(fingerprints, "_MAX_PATHS_WALKED", steps - 1)
+            for form in [mol, *forms]:
+                with pytest.raises(FingerprintError):
+                    fingerprint(form, "path")
 
 
 def test_tanimoto_direct_count():

@@ -25,8 +25,8 @@ from chemtext.harness import (
     frechet_distance,
     report_to_json,
 )
-from chemtext import textmetrics
-from chemtext.smiles import canon
+from chemtext import harness, textmetrics
+from chemtext.smiles import canon, random_smiles
 from chemtext.textmetrics import (
     EmptyCorpusError,
     bleu,
@@ -35,7 +35,8 @@ from chemtext.textmetrics import (
     rouge_n,
     word_tokenize,
 )
-from molgen import clique_smiles
+from metric_oracles import text2mol_both_sides_oracle
+from molgen import clique_smiles, random_molecule
 
 
 def pairs_for(task, rows):
@@ -195,6 +196,88 @@ def test_text2mol_fp_config_respected():
     )
     default = eval_text2mol(pairs_for(TaskKind.TEXT2MOL, rows))
     assert small.value("morgan_fts") != default.value("morgan_fts")
+
+
+def _counted_fingerprints(monkeypatch):
+    calls = []
+    real = harness.fingerprint
+
+    def counting(mol, scheme, config):
+        calls.append(scheme)
+        return real(mol, scheme, config)
+
+    monkeypatch.setattr(harness, "fingerprint", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "row, expected",
+    [
+        (("OCC", "CCO"), 3),             # exact match: the reference only
+        (("CCN", "CCO"), 6),             # two valid sides that differ
+        (("C(", "CCO"), 0),              # unparseable prediction
+        (("CCO", "C("), 0),              # unparseable reference
+        (("C(C)(C)(C)(C)C", "CCO"), 0),  # valence violation
+    ],
+)
+def test_text2mol_fingerprint_calls_per_pair(monkeypatch, row, expected):
+    calls = _counted_fingerprints(monkeypatch)
+    eval_text2mol(pairs_for(TaskKind.TEXT2MOL, [row]))
+    assert len(calls) == expected
+    if expected:
+        assert sorted(set(calls)) == ["keys", "morgan", "path"]
+
+
+def test_text2mol_exact_pair_keeps_the_empty_fingerprint_rule():
+    # methane has no bonds, so no paths: 0/0 is pinned to 0.0, not 1.0
+    report = eval_text2mol(pairs_for(TaskKind.TEXT2MOL, [("C", "[CH4]")]))
+    assert report.value("accuracy") == 1.0
+    assert report.value("rdk_fts") == 0.0
+    assert report.value("morgan_fts") == 1.0
+
+
+@pytest.mark.parametrize("budget_side", ["prediction", "reference"])
+def test_text2mol_budget_on_either_side_of_a_non_exact_pair(budget_side):
+    clique = clique_smiles()
+    row = (clique, "CCO") if budget_side == "prediction" else ("CCO", clique)
+    report = eval_text2mol(pairs_for(TaskKind.TEXT2MOL, [row, ("CCN", "CCO")]))
+    assert report.skip_reasons == {"fingerprint_budget": 1}
+    assert report.metrics["rdk_fts"].support == 1
+
+
+def _text2mol_corpus(seed, max_atoms, n):
+    """Exact matches as rewrites, other valid molecules, broken and
+    non-SMILES text, and the special cases the scoring treats apart."""
+    rng = random.Random(seed)
+    rows = [("C", "[CH4]"), (clique_smiles(), clique_smiles()), (clique_smiles(), "CCO")]
+    for _ in range(n):
+        ref = random_molecule(rng, max_atoms)
+        kind = rng.randrange(4)
+        if kind == 0:
+            pred = random_smiles(ref, rng)
+        elif kind == 1:
+            pred = random_smiles(random_molecule(rng, max_atoms), rng)
+        elif kind == 2:
+            pred = random_smiles(ref, rng)[:-1] + "("
+        else:
+            pred = "a molecule"
+        rows.append((pred, random_smiles(ref, rng)))
+    return pairs_for(TaskKind.TEXT2MOL, rows)
+
+
+@pytest.mark.parametrize("max_atoms", [10, 30])
+@pytest.mark.parametrize(
+    "config", [FingerprintConfig(), FingerprintConfig(radius=0, nbits=64)], ids=["default", "small"]
+)
+def test_text2mol_report_equals_both_sides_oracle(max_atoms, config):
+    pairs = _text2mol_corpus(7, max_atoms, 60)
+    report = eval_text2mol(pairs, config)
+    expected = text2mol_both_sides_oracle(pairs, config)
+    assert report == expected
+    assert report_to_json(report) == report_to_json(expected)
+    # the corpus holds exact and non-exact valid pairs and both budget pairs
+    assert 0 < report.value("accuracy") < report.value("validity")
+    assert report.skip_reasons["fingerprint_budget"] == 2
 
 
 def test_text2mol_bleu_tokenizer_override():

@@ -327,7 +327,7 @@ def test_grad_check_mean_aggregate_inputs():
 def test_grad_check_epsilon_validation():
     rng = np.random.default_rng(23)
     h_t, h_m, params = random_instance(rng)
-    for bad in (0.0, -1e-5, 2e-3):
+    for bad in (0.0, -1e-5, 2e-3, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             grad_check("cross_attend", h_t, h_m, params, epsilon=bad)
     with pytest.raises(ValueError):
