@@ -99,8 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--task", required=True, choices=[t.value for t in TaskKind])
     ev.add_argument("--predictions", required=True)
     ev.add_argument("--oracle", help="forward oracle spec, e.g. lookup:PATH")
-    ev.add_argument("--fp-bits", type=_positive_int, default=2048)
-    ev.add_argument("--fp-radius", type=_non_negative_int, default=2)
+    ev.add_argument("--fp-bits", type=_positive_int, help="text2mol only; default 2048")
+    ev.add_argument("--fp-radius", type=_non_negative_int, help="text2mol only; default 2")
     ev.add_argument("--quiet", action="store_true")
     ev.set_defaults(func=cmd_evaluate)
 
@@ -157,15 +157,20 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def cmd_build_dataset(args) -> int:
-    streams = {}
+    paths: dict[TaskKind, str] = {}
     for spec in args.task_file:
         kind_name, sep, path = spec.partition("=")
         if not sep:
-            raise _UsageError(f"--task-file needs KIND=PATH, got {spec!r}")
+            raise _UsageError(f"argument --task-file: needs KIND=PATH, got {spec!r}")
         try:
             kind = TaskKind(kind_name)
         except ValueError:
-            raise _UsageError(f"unknown task kind {kind_name!r}") from None
+            raise _UsageError(f"argument --task-file: unknown task kind {kind_name!r}") from None
+        if kind in paths:
+            raise _UsageError(f"argument --task-file: task kind {kind.value!r} given more than once")
+        paths[kind] = path
+    streams = {}
+    for kind, path in paths.items():
         with open(path, "r", encoding="utf-8") as fp:
             records = read_records(fp)
         for record in records:
@@ -221,10 +226,16 @@ def cmd_evaluate(args) -> int:
         raise _UsageError("retro evaluation requires --oracle lookup:PATH")
     if task is not TaskKind.RETRO and args.oracle:
         raise _UsageError(f"argument --oracle: only --task retro reads it, not {task.value}")
+    for flag, value in (("--fp-bits", args.fp_bits), ("--fp-radius", args.fp_radius)):
+        if task is not TaskKind.TEXT2MOL and value is not None:
+            raise _UsageError(f"argument {flag}: only --task text2mol reads it, not {task.value}")
     oracle = _load_oracle(args.oracle) if args.oracle else None
     with open(args.predictions, "r", encoding="utf-8") as fp:
         pairs = [_prediction_pair(where, obj) for where, obj in read_jsonl(fp, args.predictions)]
-    config = FingerprintConfig(radius=args.fp_radius, nbits=args.fp_bits)
+    config = FingerprintConfig(
+        radius=2 if args.fp_radius is None else args.fp_radius,
+        nbits=2048 if args.fp_bits is None else args.fp_bits,
+    )
     report = eval_pairs(pairs, task, oracle=oracle, fp_config=config)
     print(report_to_json(report))
     if not args.quiet:
@@ -341,7 +352,11 @@ def _params_from_spec(spec, h_t_width: int, h_m_width: int) -> MergeParams:
 
     if not isinstance(spec, dict):
         raise RecordError("params file must hold a JSON object")
-    combine = CombineMode(spec.get("combine", "base_only"))
+    try:
+        combine = CombineMode(spec.get("combine", "base_only"))
+    except ValueError:
+        names = ", ".join(mode.value for mode in CombineMode)
+        raise RecordError(f"params field 'combine' must be one of {names}") from None
     depth = _spec_int(spec, "depth", 1)
     d = _spec_int(spec, "d")
     if d < 1:

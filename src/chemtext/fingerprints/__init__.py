@@ -114,7 +114,7 @@ def _atom_seed(mol: Molecule, i: int) -> str:
     a = mol.atoms[i]
     return (
         f"{a.symbol}|{int(a.aromatic)}|{a.charge}|{a.isotope or 0}"
-        f"|{mol.degree(i)}|{a.hydrogens or 0}"
+        f"|{mol.degree(i)}|{a.hydrogens}"
     )
 
 
@@ -175,7 +175,7 @@ def path_fingerprint(mol: Molecule, max_len: int = 7, nbits: int = 2048) -> BitF
     atom_code = [
         a.symbol.lower() if a.aromatic else a.symbol for a in mol.atoms
     ]
-    bond_text = [_path_bond_text(mol, bi) for bi in range(len(mol.bonds))]
+    bond_text = [bond.symbol for bond in mol.bonds]
     steps = [
         tuple((j, bond_text[bi], atom_code[j]) for j, bi in neighbors)
         for neighbors in mol.adjacency
@@ -208,13 +208,6 @@ def path_fingerprint(mol: Molecule, max_len: int = 7, nbits: int = 2048) -> BitF
     for start, code in enumerate(atom_code):
         walk(start, start, code, code, 0)
     return BitFingerprint(scheme="path", nbits=nbits, bits=_hashed_bits(encodings, nbits))
-
-
-def _path_bond_text(mol: Molecule, bond_index: int) -> str:
-    bond = mol.bonds[bond_index]
-    if bond.aromatic:
-        return ":"
-    return {1: "-", 2: "=", 3: "#"}[bond.order]
 
 
 def _hashed_bits(texts: Iterable[str], nbits: int) -> frozenset[int]:

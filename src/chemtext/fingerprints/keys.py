@@ -236,18 +236,11 @@ def _atom_features(mol: Molecule) -> list[tuple]:
             atom.symbol,
             atom.aromatic,
             atom.charge,
-            atom.hydrogens or 0,
+            atom.hydrogens,
             len(neighbors),
             sum(1 for _, bi in neighbors if bi in ring_bonds),
         )
         for atom, neighbors in zip(mol.atoms, mol.adjacency)
-    ]
-
-
-def _bond_kinds(mol: Molecule) -> list[str]:
-    """Per bond, the one specific bond symbol it matches (besides ``~``)."""
-    return [
-        ":" if bond.aromatic else "-=#"[bond.order - 1] for bond in mol.bonds
     ]
 
 
@@ -354,7 +347,7 @@ class _CompiledTable(_CompiledPatterns):
             for bit, threshold, slot in self.atom_keys
             if slot_atoms[slot].bit_count() >= threshold
         }
-        kinds = _bond_kinds(mol)
+        kinds = [bond.symbol for bond in mol.bonds]
         ends_by_kind: dict[str, list[tuple[int, int]]] = {"~": []}
         for bond, kind in zip(mol.bonds, kinds):
             ends = (1 << bond.a, 1 << bond.b)
@@ -431,9 +424,8 @@ def count_matches(mol: Molecule, pattern: PatternNode, limit: int | None = None)
     (thresholds only need "at least k").
     """
     compiled = _CompiledPatterns([pattern])
-    return _count_embeddings(
-        mol, _bond_kinds(mol), compiled.slot_atoms(mol), compiled.steps[0], limit
-    )
+    kinds = [bond.symbol for bond in mol.bonds]
+    return _count_embeddings(mol, kinds, compiled.slot_atoms(mol), compiled.steps[0], limit)
 
 
 def matches(mol: Molecule, pattern: PatternNode) -> bool:

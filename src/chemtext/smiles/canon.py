@@ -92,7 +92,7 @@ def _initial_ranks(mol: Molecule) -> list[int]:
             atom.charge,
             atom.isotope or 0,
             mol.degree(i),
-            atom.hydrogens or 0,
+            atom.hydrogens,
             i in ring,
         )
         for i, atom in enumerate(mol.atoms)
@@ -321,7 +321,7 @@ def _atom_text(atom: Atom, default_hydrogens: int) -> str:
     ):
         return symbol
     isotope = "" if atom.isotope is None else atom.isotope
-    hydrogens = atom.hydrogens or 0
+    hydrogens = atom.hydrogens
     h_text = "H" if hydrogens == 1 else f"H{hydrogens}" if hydrogens > 1 else ""
     charge = atom.charge
     charge_text = "" if charge == 0 else {1: "+", -1: "-"}.get(charge, f"{charge:+d}")

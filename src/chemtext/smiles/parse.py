@@ -1,11 +1,11 @@
 """SMILES parser: token sequence to molecular graph.
 
 The parser resolves branches and ring closures into an explicit atom/bond
-graph. :meth:`Molecule.from_atoms_bonds` records each atom's adjacency,
-bond-order total and default (valence-table) hydrogen count as it builds the
-molecule; validation and canonicalization read these facts. Aromaticity is
-taken syntactically from lowercase notation; no ring perception or
-kekulization is performed.
+graph. ``Molecule(atoms, bonds)``, the one constructor, checks the bonds,
+gives atoms without a hydrogen count their valence-table default and records
+each atom's adjacency, bond-order total and default hydrogen count, which
+validation, canonicalization and fingerprints read. Aromaticity is taken
+syntactically from lowercase notation; no ring perception or kekulization.
 
 Bracket atoms support the standard field order
 ``[isotope? symbol chirality? Hcount? charge? :map?]``; atom maps are accepted
@@ -22,9 +22,9 @@ read in the other direction is ``down``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from chemtext.errors import ChemtextError
 from chemtext.smiles.tokenize import Token, TokenKind, ring_label, tokenize
@@ -46,9 +46,10 @@ class ParseError(ChemtextError):
 class Atom:
     """One atom of the graph.
 
-    ``hydrogens`` is the resolved total hydrogen count: the explicit count for
-    bracket atoms, the valence-table implicit count otherwise. ``None`` is
-    only legal while a molecule is under construction.
+    ``hydrogens`` is the total hydrogen count: the explicit count for
+    bracket atoms, or ``None`` for "the valence-table default", which the
+    :class:`Molecule` constructor fills in. Inside a molecule it is always
+    an int.
     """
 
     symbol: str
@@ -65,7 +66,7 @@ class Bond:
 
     ``order`` is 1, 2 or 3; aromatic bonds carry ``order == 1`` plus the
     ``aromatic`` flag. ``stereo`` is ``None``, ``"up"`` or ``"down"``,
-    oriented from ``a`` to ``b``.
+    oriented from ``a`` to ``b``, and only a plain single bond carries one.
     """
 
     a: int
@@ -74,34 +75,47 @@ class Bond:
     aromatic: bool = False
     stereo: str | None = None
 
+    @property
+    def symbol(self) -> str:
+        """``:`` if aromatic, otherwise ``-``, ``=`` or ``#`` by order; path
+        fingerprints and substructure keys read bonds by this symbol."""
+        return ":" if self.aromatic else "-=#"[self.order - 1]
+
 
 @dataclass(frozen=True)
 class Molecule:
-    """Immutable molecular graph."""
+    """Immutable molecular graph, checked and resolved when built.
+
+    Atoms and bonds may be any iterables and are stored as tuples. A bond
+    that breaks a :class:`Bond` rule, joins an atom to itself or to a missing
+    atom, repeats a pair, or is aromatic between atoms not both aromatic
+    raises :class:`ParseError`. An atom with ``hydrogens=None`` gets its
+    valence-table default. Equality, hashing and ``repr`` read only
+    ``atoms`` and ``bonds``; the other fields are facts recorded on the way.
+    """
 
     atoms: tuple[Atom, ...]
     bonds: tuple[Bond, ...]
+    # per atom: tuple of (neighbor index, bond index) pairs
+    adjacency: tuple[tuple[tuple[int, int], ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    # per atom: the sum of its bonds' orders (an aromatic bond counts 1)
+    bond_order_totals: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # per atom: the hydrogen count the valence table gives it when written bare
+    default_hydrogens: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    @classmethod
-    def from_atoms_bonds(
-        cls,
-        atoms: Iterable[Atom],
-        bonds: Iterable[Bond],
-    ) -> "Molecule":
-        """Build a molecule, resolving implicit hydrogens and checking
-        structural invariants (valid distinct endpoints, no duplicate bonds,
-        aromatic bonds only between aromatic atoms). Stores the adjacency,
-        bond-order totals and default hydrogens it finds as cached values."""
+    def __post_init__(self) -> None:
         from chemtext.smiles.valence import hydrogens_for_total  # valence imports this module
 
-        atom_list = list(atoms)
-        bond_list = tuple(bonds)
-        n = len(atom_list)
+        atoms = tuple(self.atoms)
+        bonds = tuple(self.bonds)
+        n = len(atoms)
         seen_pairs: set[tuple[int, int]] = set()
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         totals = [0] * n
-        for bi, bond in enumerate(bond_list):
-            a, b = bond.a, bond.b
+        for bi, bond in enumerate(bonds):
+            a, b, order = bond.a, bond.b, bond.order
             if not (0 <= a < n and 0 <= b < n):
                 raise ParseError(f"bond endpoint out of range: {bond}")
             if a == b:
@@ -110,53 +124,37 @@ class Molecule:
             if pair in seen_pairs:
                 raise ParseError(f"duplicate bond between atoms {pair}")
             seen_pairs.add(pair)
-            if bond.aromatic and not (atom_list[a].aromatic and atom_list[b].aromatic):
-                raise ParseError(f"aromatic bond between non-aromatic atoms {pair}")
+            if order not in (1, 2, 3):
+                raise ParseError(f"bond order must be 1, 2 or 3: {bond}")
+            if bond.aromatic:
+                if order != 1:
+                    raise ParseError(f"aromatic bond must have order 1: {bond}")
+                if not (atoms[a].aromatic and atoms[b].aromatic):
+                    raise ParseError(f"aromatic bond between non-aromatic atoms {pair}")
+            if bond.stereo is not None:
+                if bond.stereo not in ("up", "down"):
+                    raise ParseError(f"bond stereo must be None, 'up' or 'down': {bond}")
+                if order != 1 or bond.aromatic:
+                    raise ParseError("stereo marker on a non-single bond")
             adj[a].append((b, bi))
             adj[b].append((a, bi))
-            totals[a] += bond.order
-            totals[b] += bond.order
+            totals[a] += order
+            totals[b] += order
         adjacency = tuple(map(tuple, adj))
         defaults: list[int] = []
         resolved: list[Atom] = []
-        for atom, total, entries in zip(atom_list, totals, adjacency):
+        for atom, total, entries in zip(atoms, totals, adjacency):
             h = hydrogens_for_total(atom.symbol, atom.aromatic, total, len(entries))
             defaults.append(h)
             if atom.hydrogens is None:
                 atom = Atom(atom.symbol, atom.aromatic, atom.charge, atom.isotope, h, atom.chirality)
             resolved.append(atom)
-        mol = cls(tuple(resolved), bond_list)
-        # seed the cached properties below (cached_property reads __dict__)
-        mol.__dict__.update(
-            adjacency=adjacency, bond_order_totals=tuple(totals), default_hydrogens=tuple(defaults)
-        )
-        return mol
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per atom: tuple of ``(neighbor index, bond index)`` pairs."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in self.atoms]
-        for bi, bond in enumerate(self.bonds):
-            adj[bond.a].append((bond.b, bi))
-            adj[bond.b].append((bond.a, bi))
-        return tuple(map(tuple, adj))
-
-    @cached_property
-    def bond_order_totals(self) -> tuple[int, ...]:
-        """Per atom: the sum of its bonds' orders (an aromatic bond counts 1)."""
-        bonds = self.bonds
-        return tuple(sum(bonds[bi].order for _, bi in entries) for entries in self.adjacency)
-
-    @cached_property
-    def default_hydrogens(self) -> tuple[int, ...]:
-        """Per atom: the implicit hydrogen count the valence table gives it
-        when written without brackets."""
-        from chemtext.smiles.valence import hydrogens_for_total  # valence imports this module
-
-        return tuple(
-            hydrogens_for_total(atom.symbol, atom.aromatic, total, len(entries))
-            for atom, total, entries in zip(self.atoms, self.bond_order_totals, self.adjacency)
-        )
+        set_field = object.__setattr__  # the dataclass is frozen
+        set_field(self, "atoms", tuple(resolved))
+        set_field(self, "bonds", bonds)
+        set_field(self, "adjacency", adjacency)
+        set_field(self, "bond_order_totals", tuple(totals))
+        set_field(self, "default_hydrogens", tuple(defaults))
 
     def degree(self, i: int) -> int:
         return len(self.adjacency[i])
@@ -290,13 +288,13 @@ class _Parser:
             raise ParseError("unclosed branch at end of input")
         if self.prev is None:
             raise ParseError("dangling dot at end of input")
-        return Molecule.from_atoms_bonds(self.atoms, self.bonds)
+        return Molecule(self.atoms, self.bonds)
 
     # -- token handlers -------------------------------------------------
 
     def _on_atom(self, token: Token) -> None:
         if token.kind is TokenKind.ATOM_ORGANIC:
-            # hydrogens stay None here; Molecule.from_atoms_bonds resolves them
+            # hydrogens stay None here; the Molecule constructor resolves them
             text = token.text
             if text.islower():
                 atom = Atom(symbol=text.upper(), aromatic=True)
@@ -371,9 +369,7 @@ class _Parser:
             # no bond symbol: single, aromatic between two aromatic atoms
             self.bonds.append(Bond(a, b, 1, self.atoms[a].aromatic and self.atoms[b].aromatic))
             return
-        if pending.stereo is not None and (pending.order != 1 or pending.aromatic):
-            raise ParseError("stereo marker on a non-single bond")
-        # duplicate and aromatic-endpoint bonds are rejected by Molecule.from_atoms_bonds
+        # the Molecule constructor checks the bonds (duplicates, aromatic ends, stereo)
         self.bonds.append(Bond(a, b, pending.order, bool(pending.aromatic), pending.stereo))
 
     def _on_branch_open(self, token: Token) -> None:

@@ -132,9 +132,8 @@ def validate(mol: Molecule) -> ValidityResult:
         allowed = allowed_valences(atom.symbol, atom.charge)
         if allowed is None:
             continue
-        hydrogens = atom.hydrogens or 0
-        total = bond_total + hydrogens + _pi_increment(
-            atom.symbol, atom.aromatic, len(entries), hydrogens, atom.charge
+        total = bond_total + atom.hydrogens + _pi_increment(
+            atom.symbol, atom.aromatic, len(entries), atom.hydrogens, atom.charge
         )
         limit = max(allowed)
         if total > limit:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 
-from chemtext.smiles import Atom, Bond, Molecule, validate
+from chemtext.smiles import Atom, Bond, Molecule, ParseError, validate
 
 # (symbol, bonding budget, weight); budgets are conservative single valences
 _ELEMENTS = [
@@ -146,10 +146,8 @@ def _try_random_molecule(rng: random.Random, max_atoms: int) -> Molecule | None:
 
     _decorate(rng, atoms, bonds, budget)
     try:
-        return Molecule.from_atoms_bonds(
-            [Atom(**spec) for spec in atoms], bonds
-        )
-    except Exception:
+        return Molecule([Atom(**spec) for spec in atoms], bonds)
+    except ParseError:
         return None
 
 

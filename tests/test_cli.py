@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 import chemtext
 from chemtext.cli import main
 from chemtext.dataset import TaskKind, make_record, read_records, write_records
+from chemtext.fingerprints import FingerprintConfig
+from chemtext.harness import PredictionPair, eval_pairs, report_to_json
 from chemtext.smiles import canon, random_smiles
 from molgen import clique_smiles, random_molecule
 
@@ -118,6 +120,25 @@ def test_evaluate_text2mol_perfect(tmp_path, capsys):
     assert '"accuracy": 1.000000' in out
     payload = json.loads(out)
     assert payload["metrics"]["validity"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "flags, config",
+    [([], FingerprintConfig(radius=2, nbits=2048)),
+     (["--fp-bits", "64", "--fp-radius", "0"], FingerprintConfig(radius=0, nbits=64))],
+    ids=["defaults", "given"],
+)
+def test_evaluate_text2mol_reads_fp_flags(tmp_path, capsys, flags, config):
+    rows = [("CCO", "CCN"), ("c1ccccc1O", "c1ccccc1N"), ("CC(=O)O", "CC(=O)O")]
+    preds = tmp_path / "preds.jsonl"
+    write_predictions(preds, TaskKind.TEXT2MOL, rows)
+    code, out, _ = run_cli(
+        ["evaluate", "--task", "text2mol", "--predictions", str(preds), "--quiet", *flags],
+        capsys=capsys,
+    )
+    assert code == 0
+    pairs = [PredictionPair(TaskKind.TEXT2MOL, p, r, str(i)) for i, (p, r) in enumerate(rows)]
+    assert out == report_to_json(eval_pairs(pairs, TaskKind.TEXT2MOL, fp_config=config)) + "\n"
 
 
 def test_evaluate_retro_needs_oracle(tmp_path, capsys):
@@ -450,6 +471,17 @@ def test_out_of_range_width_or_radius_is_usage_error(tmp_path, capsys, monkeypat
           "--grad-epsilon", "nan"], "--grad-epsilon"),
         (["merge-demo", "--base", "MISSING", "--adapt", "MISSING", "--params", "MISSING",
           "--grad-epsilon", "2e-3"], "--grad-epsilon"),
+        (["build-dataset", "--task-file", "forward=MISSING", "--task-file", "forward=MISSING",
+          "--per-task", "1", "--seed", "1", "--out", "MISSING"], "--task-file"),
+        (["build-dataset", "--task-file", "retro=MISSING", "--task-file", "forward=MISSING",
+          "--task-file", "retro=MISSING", "--per-task", "1", "--seed", "1", "--out", "MISSING"],
+         "--task-file"),
+        (["evaluate", "--task", "forward", "--predictions", "MISSING", "--fp-bits", "7"],
+         "--fp-bits"),
+        (["evaluate", "--task", "mol2text", "--predictions", "MISSING", "--fp-radius", "9"],
+         "--fp-radius"),
+        (["evaluate", "--task", "retro", "--predictions", "MISSING", "--oracle", "lookup:MISSING",
+          "--fp-bits", "7", "--fp-radius", "9"], "--fp-bits"),
     ],
 )
 def test_ignored_or_out_of_range_flag_is_usage_error_before_any_read(
@@ -625,6 +657,9 @@ def test_merge_demo_op_paths_match_library(tmp_path, capsys, spec, op_id):
              "w_v": [[0.5]] * 5, "w_c": [[7], [9]]},
             "w_c",
         ),
+        ({"d": 3, "seed": 7, "combine": None}, "combine"),
+        ({"d": 3, "seed": 7, "combine": "sideways"}, "combine"),
+        ({"d": 3, "seed": 7, "combine": 3}, "combine"),
     ],
 )
 def test_merge_demo_bad_params_field_is_data_error(tmp_path, capsys, spec, field):
@@ -830,12 +865,19 @@ def test_evaluate_text_task_never_exits_3(tmp_path, capsys, task, data):
 def test_build_dataset_never_exits_3(tmp_path, capsys, data):
     argv = ["build-dataset", "--per-task", "3", "--seed", "5",
             "--out", str(tmp_path / "mix.jsonl"), "--quiet"]
-    for task in (TaskKind.MOL2TEXT, TaskKind.PARA2ACTIONS):
-        stream = tmp_path / f"{task.value}.jsonl"
+    tasks = [TaskKind.MOL2TEXT, TaskKind.PARA2ACTIONS]
+    repeated = data.draw(st.sampled_from([None, *tasks]))
+    if repeated is not None:
+        tasks.append(repeated)
+    for k, task in enumerate(tasks):
+        stream = tmp_path / f"{k}-{task.value}.jsonl"
         stream.write_text(data.draw(_jsonl_stream(task, ("source", "target"))),
                           encoding="utf-8")
         argv += ["--task-file", f"{task.value}={stream}"]
     code, _, err = run_cli(argv, capsys=capsys)
+    if repeated is not None:
+        assert code == 1
+        assert err.startswith("usage error: argument --task-file: ") and repeated.value in err
     assert code in (0, 1, 2), err
 
 

@@ -115,7 +115,7 @@ def test_morgan_bits_match_oracle(corpus):
 def _dense(n):
     atoms = [Atom(symbol="Au", hydrogens=0) for _ in range(n)]
     bonds = [Bond(a=i, b=j) for i in range(n) for j in range(i + 1, n)]
-    return Molecule.from_atoms_bonds(atoms, bonds)
+    return Molecule(atoms, bonds)
 
 
 @pytest.mark.parametrize("module", [fingerprints, oracles], ids=["kernel", "oracle"])

@@ -212,6 +212,6 @@ def test_path_enumeration_budget():
     n = 10
     atoms = [Atom(symbol="Au", hydrogens=0) for _ in range(n)]
     bonds = [Bond(a=i, b=j) for i in range(n) for j in range(i + 1, n)]
-    dense = Molecule.from_atoms_bonds(atoms, bonds)
+    dense = Molecule(atoms, bonds)
     with pytest.raises(FingerprintError):
         path_fingerprint(dense, max_len=7, nbits=2048)

@@ -227,7 +227,7 @@ def _graphs(draw):
         # stereo is oriented from a to b; either end may be written first
         stereo = None if aromatic or order != 1 else draw(st.sampled_from([None, "up", "down"]))
         bonds.append(Bond(a, b, order, aromatic, stereo))
-    return Molecule.from_atoms_bonds(atoms, bonds)
+    return Molecule(atoms, bonds)
 
 
 @given(mol=_graphs(), data=st.data())
@@ -240,7 +240,7 @@ def test_writer_matches_oracle_on_any_graph_under_random_ranks(mol, data):
 def test_writer_cases_reach_percent_labels_and_the_ring_limit():
     def clique(n):
         atoms = [Atom("Pt", hydrogens=0)] * n
-        return Molecule.from_atoms_bonds(
+        return Molecule(
             atoms, [Bond(a, b) for a in range(n) for b in range(a + 1, n)])
 
     (new, old), = _writes(clique(16), list(range(16)))

@@ -1,10 +1,22 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chemtext.smiles import Molecule, ParseError, canonicalize, parse, parse_smiles, tokenize
+from chemtext.smiles import (
+    Atom,
+    Bond,
+    Molecule,
+    ParseError,
+    canonical_smiles,
+    canonicalize,
+    implicit_hydrogen_count,
+    parse,
+    parse_smiles,
+    tokenize,
+)
 from molgen import random_molecule
 
 
@@ -89,23 +101,94 @@ def test_ring_closure_across_dot():
 
 @pytest.mark.parametrize("smiles", ["CC.O", "C1.C1"])
 def test_equality_does_not_depend_on_construction(smiles):
+    # bare atoms given with hydrogens=None resolve to what the parser wrote
     mol = parse_smiles(smiles)
-    assert mol == Molecule.from_atoms_bonds(mol.atoms, mol.bonds) == Molecule(mol.atoms, mol.bonds)
+    bare = [Atom(a.symbol, a.aromatic) for a in mol.atoms]
+    for built in (Molecule(mol.atoms, mol.bonds), Molecule(bare, mol.bonds)):
+        assert built == mol and hash(built) == hash(mol) and repr(built) == repr(mol)
+
+
+def test_bare_atom_gets_its_default_hydrogens():
+    mol = Molecule((Atom("C"),), ())
+    assert mol == parse_smiles("C")
+    assert canonicalize(mol) == "C"
+
+
+_C, _c = Atom("C"), Atom("C", aromatic=True)
+
+
+@pytest.mark.parametrize(
+    "atoms, bonds, message",
+    [
+        ([_C, _C], [Bond(0, 0)], "bond endpoints must be distinct"),
+        ([_C, _C], [Bond(0, 2)], "bond endpoint out of range"),
+        ([_C, _C], [Bond(-1, 0)], "bond endpoint out of range"),
+        ([_C, _C], [Bond(0, 1), Bond(1, 0, 2)], "duplicate bond between atoms (0, 1)"),
+        ([_C, _C], [Bond(0, 1, aromatic=True)], "aromatic bond between non-aromatic atoms (0, 1)"),
+        ([_C, _C], [Bond(0, 1, order=0)], "bond order must be 1, 2 or 3"),
+        ([_C, _C], [Bond(0, 1, order=4)], "bond order must be 1, 2 or 3"),
+        ([_c, _c], [Bond(0, 1, 2, aromatic=True)], "aromatic bond must have order 1"),
+        ([_C, _C], [Bond(0, 1, stereo="x")], "bond stereo must be None, 'up' or 'down'"),
+        ([_C, _C], [Bond(0, 1, 2, stereo="up")], "stereo marker on a non-single bond"),
+        ([_c, _c], [Bond(0, 1, 1, True, "down")], "stereo marker on a non-single bond"),
+    ],
+    ids=["self", "out_of_range", "negative", "duplicate", "aromatic_plain_ends", "order_0",
+         "order_4", "aromatic_order_2", "stereo_x", "stereo_double", "stereo_aromatic"],
+)
+def test_constructor_rejects_malformed_bonds(atoms, bonds, message):
+    with pytest.raises(ParseError, match=re.escape(message)):
+        Molecule(atoms, bonds)
+
+
+def _random_bond(rng, n):
+    if rng.random() < 0.05:  # any field may be out of range
+        return Bond(rng.randrange(-1, n + 1), rng.randrange(-1, n + 1), rng.randrange(5),
+                    rng.random() < 0.5, rng.choice([None, "up", "down", "x"]))
+    return Bond(rng.randrange(n), rng.randrange(n), rng.choice([1, 1, 1, 2, 3]),
+                rng.random() < 0.2, rng.choice([None, None, None, "up", "down"]))
+
+
+@pytest.mark.parametrize("max_atoms", [10, 30])
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_random_bond_lists_are_rejected_or_canonicalize_stably(max_atoms, seed):
+    # molgen atoms, 30% of them with hydrogens left to the constructor
+    rng = random.Random(seed)
+    atoms = [
+        Atom(a.symbol, a.aromatic, a.charge, a.isotope, None, a.chirality)
+        if rng.random() < 0.3 else a
+        for a in random_molecule(rng, max_atoms).atoms
+    ]
+    bonds = [_random_bond(rng, len(atoms)) for _ in range(rng.randint(0, len(atoms)))]
+    try:
+        mol = Molecule(atoms, bonds)
+    except ParseError:
+        return
+    if mol.validity.valid:
+        text = canonicalize(mol)
+        assert canonical_smiles(text) == text
 
 
 @pytest.mark.parametrize("max_atoms", [10, 30])
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_recorded_facts_do_not_depend_on_construction(max_atoms, seed):
-    # from_atoms_bonds records these while checking the bonds; a molecule
-    # built directly computes them on first use
+    # the stored facts equal what the bonds say, however the atoms were given
     mol = random_molecule(random.Random(seed), max_atoms)
-    built = Molecule.from_atoms_bonds(mol.atoms, mol.bonds)
-    direct = Molecule(mol.atoms, mol.bonds)
-    for name in ("adjacency", "bond_order_totals", "default_hydrogens", "validity",
-                 "components"):
-        assert getattr(direct, name) == getattr(built, name), name
-    assert canonicalize(direct) == canonicalize(built)
+    incident = [[] for _ in mol.atoms]
+    for bi, bond in enumerate(mol.bonds):
+        incident[bond.a].append((bond.b, bi))
+        incident[bond.b].append((bond.a, bi))
+    bonds_of = [[(mol.bonds[bi].order, mol.bonds[bi].aromatic) for _, bi in e] for e in incident]
+    assert mol.adjacency == tuple(map(tuple, incident))
+    assert mol.bond_order_totals == tuple(sum(o for o, _ in b) for b in bonds_of)
+    assert mol.default_hydrogens == tuple(
+        implicit_hydrogen_count(a.symbol, a.aromatic, b) for a, b in zip(mol.atoms, bonds_of)
+    )
+    bare = Molecule([Atom(a.symbol, a.aromatic) for a in mol.atoms], mol.bonds)
+    assert [a.hydrogens for a in bare.atoms] == list(mol.default_hydrogens)
+    for name in ("adjacency", "bond_order_totals", "default_hydrogens"):
+        assert getattr(bare, name) == getattr(mol, name), name
 
 
 def test_ring_label_reuse_after_closure():
