@@ -16,25 +16,36 @@ pinned by the hashing and encoding rules in this module so fingerprints are
 stable across platforms and releases. The hash is 64-bit FNV-1a over the
 UTF-8 serialization spelled out in each function.
 
-Three rules hold across releases:
+Morgan and path fingerprints are computed in batches:
+:func:`morgan_fingerprints` and :func:`path_fingerprints` hash the strings
+of all their molecules in one call per Morgan layer and one for all path
+encodings, and :func:`morgan_fingerprint` and :func:`path_fingerprint` are
+batches of one.
+
+Four rules hold across releases:
 
 - Bits are stable. A faster kernel must set exactly the bits of the
   reference implementations kept in ``tests/fingerprint_oracles.py``.
+- A batch sets exactly the bits of one molecule at a time: each
+  molecule's fingerprint is the one it gets alone, whatever else is in
+  the batch.
 - Bits depend on the molecule, not on how it was written. Molecules with
   equal canonical SMILES have equal fingerprints in every scheme, and hit
   the path budget together; text2mol evaluation fingerprints only the
   reference of an exact-match pair because of this.
-- The path budget is an operation count, not a time. Every one-bond
-  extension of a walk counts, and every path is walked from both of its
-  ends, so a molecule uses twice its number of simple paths of 1..max_len
-  bonds. More than ``_MAX_PATHS_WALKED`` raises :class:`FingerprintError`
-  on every machine.
+- The path budget is an operation count, not a time, counted per
+  molecule. Every one-bond extension of a walk counts, and every path is
+  walked from both of its ends, so a molecule uses twice its number of
+  simple paths of 1..max_len bonds. A molecule over ``_MAX_PATHS_WALKED``
+  gets ``None`` from :func:`path_fingerprints`, without raising for the
+  rest of its batch, and :class:`FingerprintError` from
+  :func:`path_fingerprint`, on every machine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from chemtext.errors import ChemtextError
 from chemtext.fingerprints.keys import (
@@ -54,6 +65,11 @@ _MASK64 = (1 << 64) - 1
 # Simple-path enumeration is exponential in principle; valence bounds keep
 # real molecules tame, but unknown bracket elements have unchecked degree.
 _MAX_PATHS_WALKED = 500_000
+
+# Below this many rows, hashing each in Python beats one numpy pass; the two
+# cross near 30 rows on both Morgan payloads (~57 bytes) and path encodings
+# (~11 bytes) of <=30-atom molecules.
+_NUMPY_MIN_ROWS = 32
 
 # scheme names :func:`fingerprint` accepts
 SCHEMES = ("morgan", "path", "keys")
@@ -105,73 +121,142 @@ def fnv1a64(data: bytes) -> int:
     return value
 
 
+def _fnv1a64_many(data: list[bytes]) -> list[int]:
+    """``[fnv1a64(d) for d in data]``, in one numpy pass when that is faster.
+
+    Fewer than ``_NUMPY_MIN_ROWS`` rows are hashed one at a time in Python.
+    Otherwise the rows, longest first, are packed into a zero-padded byte
+    matrix and hashed a column at a time over the rows still that long;
+    uint64 arithmetic wraps exactly like FNV-1a's mod 2**64.
+    """
+    if not data or len(data) < _NUMPY_MIN_ROWS:
+        return [fnv1a64(d) for d in data]
+    import numpy as np
+
+    order = sorted(range(len(data)), key=lambda k: len(data[k]), reverse=True)
+    rows = [data[k] for k in order]
+    width = len(rows[0])
+    matrix = np.array(rows, dtype=f"S{max(width, 1)}").view(np.uint8).reshape(len(rows), -1)
+    hashes = np.full(len(rows), _FNV_OFFSET, dtype=np.uint64)
+    prime = np.uint64(_FNV_PRIME)
+    live = len(rows)
+    for col in range(width):
+        while len(rows[live - 1]) <= col:
+            live -= 1
+        head = hashes[:live]
+        head ^= matrix[:live, col]
+        head *= prime
+    out = np.empty_like(hashes)
+    out[order] = hashes
+    return out.tolist()
+
+
 def _require_valid(mol: Molecule) -> None:
     if not mol.validity.valid:
         raise FingerprintError("; ".join(mol.validity.reasons))
 
 
-def _atom_seed(mol: Molecule, i: int) -> str:
-    a = mol.atoms[i]
-    return (
-        f"{a.symbol}|{int(a.aromatic)}|{a.charge}|{a.isotope or 0}"
-        f"|{mol.degree(i)}|{a.hydrogens}"
-    )
-
-
 def morgan_fingerprint(mol: Molecule, radius: int = 2, nbits: int = 2048) -> BitFingerprint:
-    """Circular fingerprint.
+    """:func:`morgan_fingerprints` of one molecule."""
+    return morgan_fingerprints([mol], radius, nbits)[0]
+
+
+def morgan_fingerprints(
+    mols: Sequence[Molecule], radius: int = 2, nbits: int = 2048
+) -> list[BitFingerprint]:
+    """Circular fingerprints, one per molecule.
 
     Layer 0 hashes the atom invariant string
-    ``symbol|aromatic|charge|isotope|degree|hcount``; layer r hashes
+    ``A|symbol|aromatic|charge|isotope|degree|hcount``; layer r hashes
     ``E|<own layer r-1 hash>|<sorted (bond code, neighbor layer r-1 hash)
-    pairs>``. Every (atom, layer) hash sets bit ``hash % nbits``.
+    pairs>``, each pair written ``code:hash`` with the hash as 16 hex digits
+    and the bond code ``:`` (aromatic) or the order. Every (atom, layer)
+    hash sets bit ``hash % nbits``. Each layer of all the molecules is
+    hashed in one call.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
     if nbits <= 0:
         raise ValueError("nbits must be positive")
-    _require_valid(mol)
-    n = len(mol.atoms)
-    current = [fnv1a64(f"A|{_atom_seed(mol, i)}".encode()) for i in range(n)]
-    bits = {h % nbits for h in current}
+    seeds: list[bytes] = []
+    # per atom of the batch: (bond code + ":", batch index of the neighbor)
+    neighbors: list[list[tuple[str, int]]] = []
+    bounds = [0]
+    for mol in mols:
+        _require_valid(mol)
+        base = bounds[-1]
+        codes = [":" if bond.aromatic else str(bond.order) for bond in mol.bonds]
+        for a, entries in zip(mol.atoms, mol.adjacency):
+            seeds.append(
+                f"A|{a.symbol}|{int(a.aromatic)}|{a.charge}|{a.isotope or 0}"
+                f"|{len(entries)}|{a.hydrogens}".encode()
+            )
+            neighbors.append([(codes[bi] + ":", base + j) for j, bi in entries])
+        bounds.append(base + len(mol.atoms))
+    layers = [_fnv1a64_many(seeds)]
     for _ in range(radius):
-        nxt: list[int] = []
-        for i in range(n):
-            parts = sorted(
-                (_bond_code_text(mol, bi), current[j]) for j, bi in mol.adjacency[i]
-            )
-            payload = f"E|{current[i]:016x}|" + "|".join(
-                f"{code}:{h:016x}" for code, h in parts
-            )
-            nxt.append(fnv1a64(payload.encode()))
-        current = nxt
-        bits.update(h % nbits for h in current)
-    return BitFingerprint(scheme="morgan", nbits=nbits, bits=frozenset(bits))
-
-
-def _bond_code_text(mol: Molecule, bond_index: int) -> str:
-    bond = mol.bonds[bond_index]
-    return ":" if bond.aromatic else str(bond.order)
+        hexes = [f"{h:016x}" for h in layers[-1]]
+        payloads = []
+        for own, entries in zip(hexes, neighbors):
+            # the hex is fixed-width, so sorting "code:hex" sorts (code, hash)
+            parts = sorted([code + hexes[j] for code, j in entries])
+            payloads.append(f"E|{own}|{'|'.join(parts)}".encode())
+        layers.append(_fnv1a64_many(payloads))
+    return [
+        BitFingerprint(
+            scheme="morgan",
+            nbits=nbits,
+            bits=frozenset(h % nbits for layer in layers for h in layer[lo:hi]),
+        )
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
 
 
 def path_fingerprint(mol: Molecule, max_len: int = 7, nbits: int = 2048) -> BitFingerprint:
-    """Linear-path fingerprint.
+    """:func:`path_fingerprints` of one molecule; a molecule over the path
+    budget raises :class:`FingerprintError`."""
+    (fp,) = path_fingerprints([mol], max_len, nbits)
+    if fp is None:
+        raise FingerprintError("path enumeration budget exceeded")
+    return fp
+
+
+def path_fingerprints(
+    mols: Sequence[Molecule], max_len: int = 7, nbits: int = 2048
+) -> list[BitFingerprint | None]:
+    """Linear-path fingerprints, one per molecule, or ``None`` for a
+    molecule over the path budget.
 
     Enumerates simple paths of 1..max_len bonds. Each path is encoded as
     alternating atom and bond codes (aromatic atoms lowercase); the
     lexicographically smaller of the forward and reverse renderings is
-    hashed. Longer ``max_len`` yields a superset of bits.
-
-    The walk starts at every atom, so each path is reached once from each
-    end; both renderings are grown one step at a time and a path is recorded
-    from the end with the lower atom index. Every step of the walk, in both
-    directions, counts toward the path budget.
+    hashed. Longer ``max_len`` yields a superset of bits. The distinct
+    encodings of all the molecules are hashed in one call.
     """
     if max_len < 1:
         raise ValueError("max_len must be positive")
     if nbits <= 0:
         raise ValueError("nbits must be positive")
-    _require_valid(mol)
+    for mol in mols:
+        _require_valid(mol)
+    found = [_path_encodings(mol, max_len) for mol in mols]
+    distinct = list(set().union(*(e for e in found if e is not None)))
+    bit_of = dict(zip(distinct, (h % nbits for h in _fnv1a64_many([e.encode() for e in distinct]))))
+    return [
+        None if e is None
+        else BitFingerprint(scheme="path", nbits=nbits, bits=frozenset(map(bit_of.__getitem__, e)))
+        for e in found
+    ]
+
+
+def _path_encodings(mol: Molecule, max_len: int) -> set[str] | None:
+    """The path encodings of ``mol``, or ``None`` over the path budget.
+
+    The walk starts at every atom, so each path is reached once from each
+    end; both renderings are grown one step at a time and a path is recorded
+    from the end with the lower atom index. Every step of the walk, in both
+    directions, counts toward the budget.
+    """
     atom_code = [
         a.symbol.lower() if a.aromatic else a.symbol for a in mol.atoms
     ]
@@ -205,35 +290,12 @@ def path_fingerprint(mol: Molecule, max_len: int = 7, nbits: int = 2048) -> BitF
                 walk(start, nxt, f, r, depth)
         on_path[tail] = False
 
-    for start, code in enumerate(atom_code):
-        walk(start, start, code, code, 0)
-    return BitFingerprint(scheme="path", nbits=nbits, bits=_hashed_bits(encodings, nbits))
-
-
-def _hashed_bits(texts: Iterable[str], nbits: int) -> frozenset[int]:
-    """``{fnv1a64(t.encode()) % nbits for t in texts}`` in one numpy pass.
-
-    The strings, longest first, are packed into a zero-padded byte matrix
-    and hashed a column at a time over the rows still that long; uint64
-    arithmetic wraps exactly like FNV-1a's mod 2**64.
-    """
-    import numpy as np
-
-    data = sorted((t.encode() for t in texts), key=len, reverse=True)
-    if not data:
-        return frozenset()
-    hashes = np.full(len(data), _FNV_OFFSET, dtype=np.uint64)
-    width = len(data[0])
-    matrix = np.array(data, dtype=f"S{max(width, 1)}").view(np.uint8).reshape(len(data), -1)
-    prime = np.uint64(_FNV_PRIME)
-    live = len(data)
-    for col in range(width):
-        while len(data[live - 1]) <= col:
-            live -= 1
-        rows = hashes[:live]
-        rows ^= matrix[:live, col]
-        rows *= prime
-    return frozenset(h % nbits for h in hashes.tolist())
+    try:
+        for start, code in enumerate(atom_code):
+            walk(start, start, code, code, 0)
+    except FingerprintError:
+        return None
+    return encodings
 
 
 def key_fingerprint(
@@ -296,7 +358,9 @@ __all__ = [
     "key_fingerprint",
     "load_key_table",
     "morgan_fingerprint",
+    "morgan_fingerprints",
     "parse_pattern",
     "path_fingerprint",
+    "path_fingerprints",
     "tanimoto",
 ]

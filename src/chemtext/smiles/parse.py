@@ -89,7 +89,9 @@ class Molecule:
     Atoms and bonds may be any iterables and are stored as tuples. A bond
     that breaks a :class:`Bond` rule, joins an atom to itself or to a missing
     atom, repeats a pair, or is aromatic between atoms not both aromatic
-    raises :class:`ParseError`. An atom with ``hydrogens=None`` gets its
+    raises :class:`ParseError`, as does an atom whose charge is not an int
+    or whose isotope or hydrogen count is neither ``None`` nor a
+    non-negative int. An atom with ``hydrogens=None`` gets its
     valence-table default. Equality, hashing and ``repr`` read only
     ``atoms`` and ``bonds``; the other fields are facts recorded on the way.
     """
@@ -144,10 +146,17 @@ class Molecule:
         defaults: list[int] = []
         resolved: list[Atom] = []
         for atom, total, entries in zip(atoms, totals, adjacency):
+            isotope, hydrogens = atom.isotope, atom.hydrogens
+            if type(atom.charge) is not int:
+                raise ParseError(f"atom charge must be an int: {atom}")
+            if isotope is not None and (type(isotope) is not int or isotope < 0):
+                raise ParseError(f"atom isotope must be None or a non-negative int: {atom}")
+            if hydrogens is not None and (type(hydrogens) is not int or hydrogens < 0):
+                raise ParseError(f"atom hydrogen count must be None or a non-negative int: {atom}")
             h = hydrogens_for_total(atom.symbol, atom.aromatic, total, len(entries))
             defaults.append(h)
-            if atom.hydrogens is None:
-                atom = Atom(atom.symbol, atom.aromatic, atom.charge, atom.isotope, h, atom.chirality)
+            if hydrogens is None:
+                atom = Atom(atom.symbol, atom.aromatic, atom.charge, isotope, h, atom.chirality)
             resolved.append(atom)
         set_field = object.__setattr__  # the dataclass is frozen
         set_field(self, "atoms", tuple(resolved))
@@ -203,9 +212,6 @@ class Molecule:
             atoms.add(self.bonds[bi].a)
             atoms.add(self.bonds[bi].b)
         return frozenset(atoms)
-
-    def ring_bond_count(self, i: int) -> int:
-        return sum(1 for _, bi in self.adjacency[i] if bi in self.ring_bond_indices)
 
 
 def _non_bridge_edges(adj: Sequence[Sequence[tuple[int, int]]], n_bonds: int) -> frozenset[int]:

@@ -159,6 +159,11 @@ def key_oracle(
 # -- matching -----------------------------------------------------------------
 
 
+def ring_bond_count(mol: Molecule, i: int) -> int:
+    """Bonds of atom ``i`` that lie on a cycle."""
+    return sum(1 for _, bi in mol.adjacency[i] if bi in mol.ring_bond_indices)
+
+
 def _pattern_elements(node: PatternNode, out: list[str]) -> None:
     if node.atom.element is not None:
         out.append(node.atom.element)
@@ -180,7 +185,7 @@ def _atom_matches(mol: Molecule, i: int, patom: PatternAtom) -> bool:
         if field == "chg":
             have = atom.charge
         elif field == "rb":
-            have = mol.ring_bond_count(i)
+            have = ring_bond_count(mol, i)
         elif field == "H":
             have = atom.hydrogens or 0
         else:  # deg

@@ -11,14 +11,17 @@ from chemtext.fingerprints import (
     FingerprintError,
     KeyTable,
     default_key_table,
+    fnv1a64,
     key_fingerprint,
     load_key_table,
     morgan_fingerprint,
+    morgan_fingerprints,
     path_fingerprint,
+    path_fingerprints,
 )
 from chemtext.fingerprints.keys import count_matches, parse_pattern
 from chemtext.smiles import Atom, Bond, Molecule, parse_smiles
-from molgen import directed_path_steps, random_molecule
+from molgen import clique_smiles, directed_path_steps, random_molecule
 
 # a table exercising what the shipped one barely does: "~" bonds, classes,
 # ranged constraints, thresholds above one, branches at the root and below
@@ -130,3 +133,82 @@ def test_budget_counts_every_step_in_both_directions(monkeypatch, module, max_le
         monkeypatch.setattr(module, "_MAX_PATHS_WALKED", steps - 1)
         with pytest.raises(FingerprintError):
             fingerprint(mol, max_len=max_len)
+
+
+# -- batch kernels ----------------------------------------------------------------
+
+# hash every batch as the measured crossover picks, all in numpy, or all in Python
+_HASH_METHODS = {"measured": None, "numpy": 0, "python": 10**9}
+
+
+@pytest.fixture(params=list(_HASH_METHODS), ids=list(_HASH_METHODS))
+def hash_method(request, monkeypatch):
+    if _HASH_METHODS[request.param] is not None:
+        monkeypatch.setattr(fingerprints, "_NUMPY_MIN_ROWS", _HASH_METHODS[request.param])
+    return request.param
+
+
+_ORACLE_BITS = {
+    name: (corpus, [oracles.morgan_oracle(m) for m in corpus], [oracles.path_oracle(m) for m in corpus])
+    for name, corpus in (("le10", _SMALL[:120]), ("le30", _LARGE[:60]))
+}
+
+
+@pytest.mark.parametrize("corpus", list(_ORACLE_BITS))
+@pytest.mark.parametrize("batch", [1, 2, 5, 40])
+def test_batch_kernels_match_oracle(hash_method, corpus, batch):
+    # 1 and 2 molecules hash fewer rows than the crossover, 40 far more
+    mols, morgan, path = _ORACLE_BITS[corpus]
+    for lo in range(0, len(mols), batch):
+        chunk = mols[lo:lo + batch]
+        assert morgan_fingerprints(chunk) == morgan[lo:lo + batch]
+        assert path_fingerprints(chunk) == path[lo:lo + batch]
+
+
+@pytest.mark.parametrize("radius,max_len,nbits", [(0, 1, 64), (3, 3, 1024), (1, 9, 997)])
+def test_batch_kernels_match_oracle_off_defaults(hash_method, radius, max_len, nbits):
+    mols = _SMALL[:30] + _LARGE[:10]
+    assert morgan_fingerprints(mols, radius, nbits) == [
+        oracles.morgan_oracle(m, radius, nbits) for m in mols
+    ]
+    assert path_fingerprints(mols, max_len, nbits) == [
+        oracles.path_oracle(m, max_len, nbits) for m in mols
+    ]
+
+
+def test_budget_molecule_is_marked_without_touching_its_batch(hash_method):
+    clique = parse_smiles(clique_smiles())
+    mols = _LARGE[:6] + [clique] + _LARGE[6:12]
+    marked = path_fingerprints(mols)
+    assert marked[6] is None
+    assert marked[:6] + marked[7:] == [oracles.path_oracle(m) for m in mols if m is not clique]
+    # Morgan has no budget: the clique gets its bits like any molecule
+    assert morgan_fingerprints(mols) == [oracles.morgan_oracle(m) for m in mols]
+
+
+def test_empty_batches():
+    assert morgan_fingerprints([]) == []
+    assert path_fingerprints([]) == []
+
+
+def test_batch_rejects_an_invalid_molecule():
+    with pytest.raises(FingerprintError):
+        morgan_fingerprints([_LARGE[0], parse_smiles("C(C)(C)(C)(C)C")])
+    with pytest.raises(FingerprintError):
+        path_fingerprints([_LARGE[0], parse_smiles("C(C)(C)(C)(C)C")])
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [],
+        [b""],
+        [b"", b"", b"a"],
+        [b"a\x00", b"a", b"\x00", b"\x00\x00", b"CC\x00\x00"],
+        [bytes(range(0x80, 0x100)), b"\xff", "Fe\u00e9".encode()],
+        [b"x" * 300] + [bytes([i % 7 + 40]) * (i % 5) for i in range(60)],
+    ],
+    ids=["empty_list", "empty_row", "empty_rows", "trailing_nul", "high_bytes", "one_long_row"],
+)
+def test_fnv1a64_many_equals_fnv1a64(hash_method, rows):
+    assert fingerprints._fnv1a64_many(rows) == [fnv1a64(row) for row in rows]

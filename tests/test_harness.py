@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from chemtext.harness import (
     frechet_distance,
     report_to_json,
 )
-from chemtext import harness, textmetrics
+from chemtext import fingerprints, harness, textmetrics
 from chemtext.smiles import canon, random_smiles
 from chemtext.textmetrics import (
     EmptyCorpusError,
@@ -198,16 +199,17 @@ def test_text2mol_fp_config_respected():
     assert small.value("morgan_fts") != default.value("morgan_fts")
 
 
-def _counted_fingerprints(monkeypatch):
-    calls = []
-    real = harness.fingerprint
+def _counted_fingerprint_molecules(monkeypatch):
+    """Molecules handed to each scheme's kernel, by scheme."""
+    counts = Counter()
+    kernels = {"keys": "key_fingerprint", "path": "path_fingerprints", "morgan": "morgan_fingerprints"}
+    for scheme, name in kernels.items():
+        def counted(mol_or_mols, *args, scheme=scheme, kernel=getattr(harness, name)):
+            counts[scheme] += 1 if scheme == "keys" else len(mol_or_mols)
+            return kernel(mol_or_mols, *args)
 
-    def counting(mol, scheme, config):
-        calls.append(scheme)
-        return real(mol, scheme, config)
-
-    monkeypatch.setattr(harness, "fingerprint", counting)
-    return calls
+        monkeypatch.setattr(harness, name, counted)
+    return counts
 
 
 @pytest.mark.parametrize(
@@ -221,11 +223,12 @@ def _counted_fingerprints(monkeypatch):
     ],
 )
 def test_text2mol_fingerprint_calls_per_pair(monkeypatch, row, expected):
-    calls = _counted_fingerprints(monkeypatch)
+    # expected counts the molecules of all three schemes together
+    counts = _counted_fingerprint_molecules(monkeypatch)
     eval_text2mol(pairs_for(TaskKind.TEXT2MOL, [row]))
-    assert len(calls) == expected
+    assert sum(counts.values()) == expected
     if expected:
-        assert sorted(set(calls)) == ["keys", "morgan", "path"]
+        assert counts == dict.fromkeys(["keys", "path", "morgan"], expected // 3)
 
 
 def test_text2mol_exact_pair_keeps_the_empty_fingerprint_rule():
@@ -278,6 +281,22 @@ def test_text2mol_report_equals_both_sides_oracle(max_atoms, config):
     # the corpus holds exact and non-exact valid pairs and both budget pairs
     assert 0 < report.value("accuracy") < report.value("validity")
     assert report.skip_reasons["fingerprint_budget"] == 2
+
+
+@pytest.mark.parametrize("n", [1, 15, 16, 17, 33])
+def test_text2mol_chunks_equal_both_sides_oracle(monkeypatch, n):
+    # pairs are fingerprinted 16 at a time; budget pairs end the first chunk
+    # and open the second
+    monkeypatch.setattr(fingerprints, "_MAX_PATHS_WALKED", 50_000)
+    rows = [(p.prediction, p.reference) for p in _text2mol_corpus(13, 30, 40)[3:3 + n]]
+    budget_rows = {15: (clique_smiles(), "CCO"), 16: ("CCO", clique_smiles())}
+    for i, row in budget_rows.items():
+        if i < n:
+            rows[i] = row
+    pairs = pairs_for(TaskKind.TEXT2MOL, rows)
+    report = eval_text2mol(pairs)
+    assert report == text2mol_both_sides_oracle(pairs)
+    assert report.skip_reasons.get("fingerprint_budget", 0) == sum(i < n for i in budget_rows)
 
 
 def test_text2mol_bleu_tokenizer_override():

@@ -140,6 +140,33 @@ def test_constructor_rejects_malformed_bonds(atoms, bonds, message):
         Molecule(atoms, bonds)
 
 
+@pytest.mark.parametrize(
+    "atom, message",
+    [
+        (Atom("C", hydrogens=-1), "atom hydrogen count must be None or a non-negative int"),
+        (Atom("C", hydrogens=1.0), "atom hydrogen count must be None or a non-negative int"),
+        (Atom("C", isotope=-3), "atom isotope must be None or a non-negative int"),
+        (Atom("C", isotope="13"), "atom isotope must be None or a non-negative int"),
+        (Atom("C", charge=2.5), "atom charge must be an int"),
+        (Atom("C", charge=None), "atom charge must be an int"),
+    ],
+    ids=["hydrogens_negative", "hydrogens_float", "isotope_negative", "isotope_str",
+         "charge_float", "charge_none"],
+)
+def test_constructor_rejects_malformed_atoms(atom, message):
+    # each of these once built a molecule whose canonical string named another
+    # molecule, did not parse, or raised ValueError
+    with pytest.raises(ParseError, match=re.escape(message)):
+        Molecule([atom], [])
+    with pytest.raises(ParseError, match=re.escape(message)):
+        Molecule([_C, atom], [Bond(0, 1)])
+
+
+def test_constructor_accepts_zero_counts():
+    mol = Molecule([Atom("C", isotope=0, hydrogens=0)], [])
+    assert canonical_smiles(canonicalize(mol)) == canonicalize(mol)
+
+
 def _random_bond(rng, n):
     if rng.random() < 0.05:  # any field may be out of range
         return Bond(rng.randrange(-1, n + 1), rng.randrange(-1, n + 1), rng.randrange(5),
