@@ -216,7 +216,13 @@ def _load_oracle(spec: str) -> LookupOracle:
         for where, obj in read_jsonl(fp, path):
             if not (isinstance(obj.get("precursors"), str) and isinstance(obj.get("product"), str)):
                 raise RecordError(f"{where}: oracle entries need string precursors and product")
-            table[obj["precursors"]] = obj["product"]
+            precursors, product = obj["precursors"], obj["product"]
+            if precursors in table and not LookupOracle.same_product(table[precursors], product):
+                raise RecordError(
+                    f"{where}: precursors {precursors!r} have product {product!r} here "
+                    f"and {table[precursors]!r} on an earlier line"
+                )
+            table[precursors] = product
     return LookupOracle(table)
 
 

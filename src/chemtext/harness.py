@@ -24,12 +24,16 @@ Task conventions:
 - retro: roundtrip accuracy through a ForwardOracle: the predicted
   precursors are fed to the oracle and the regenerated product must match
   the reference product canonically; oracle failures count as incorrect.
-- text2mol, forward and retro: a pair whose valid molecule the canonical
-  writer gives up on (``CanonError``, chiefly the symmetry-search budget)
-  scores as incorrect and is counted under the skip reason
-  ``canon_budget``; validity counts are unaffected, and text2mol also leaves
-  the pair out of Tanimoto. For retro this includes an oracle lookup that
-  raises ``CanonError`` while normalizing the predicted precursors.
+- text2mol, forward and retro: each SMILES field is parsed once into one
+  record holding the string and the molecule (``None`` unless it is valid);
+  its canonical string is computed on first read, so a side whose pair is
+  already decided is never canonicalized. A :class:`LookupOracle` is handed
+  the prediction's record, any other ForwardOracle the string. A pair whose
+  valid molecule the canonical writer gives up on (``CanonError``, chiefly
+  the symmetry-search budget) scores as incorrect and is counted under the
+  skip reason ``canon_budget``; validity counts are unaffected, and
+  text2mol also leaves the pair out of Tanimoto. For retro this includes an
+  oracle lookup that raises ``CanonError`` on the predicted precursors.
 - para2actions: BLEU-4 over word tokens plus exact-string accuracy after
   whitespace normalization.
 
@@ -45,7 +49,9 @@ their feature source.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Protocol, Sequence
 
 from chemtext.dataset import TaskKind
@@ -154,35 +160,77 @@ class ForwardOracle(Protocol):
         ...
 
 
+@dataclass(frozen=True)
+class _Side:
+    """One SMILES field, parsed once: ``mol`` is ``None`` unless the string
+    lexes, parses and passes validation. ``canonical`` is computed on first
+    read and cached; a budget ``CanonError`` propagates to the reader."""
+
+    smiles: str
+    mol: Molecule | None
+
+    @classmethod
+    def of(cls, smiles: str) -> _Side:
+        try:
+            mol = parse_smiles(smiles)
+        except (LexError, ParseError):
+            return cls(smiles, None)
+        return cls(smiles, mol if mol.validity.valid else None)
+
+    @cached_property
+    def canonical(self) -> str | None:
+        return None if self.mol is None else canonicalize(self.mol)
+
+    @property
+    def key(self) -> str:
+        """Lookup-oracle key: the canonical string, else the string itself."""
+        return self.smiles if self.mol is None else self.canonical
+
+
 class LookupOracle:
     """ForwardOracle backed by a precursors -> product table.
 
-    Keys are normalized to canonical SMILES when possible, so any atom
-    ordering of the same precursor set hits the same entry. Precursors that
-    exceed the canonicalization budget raise ``CanonError`` on lookup in any
+    Keys are the precursors' canonical SMILES, so any atom ordering of the
+    same precursor set hits the same entry; precursors that do not parse or
+    fail validation are keyed by their exact string. Precursors that exceed
+    the canonicalization budget raise ``CanonError`` on lookup in any
     ordering; such table entries are dropped, as no lookup can reach them.
+    Two spellings of one precursor set whose products differ (see
+    :meth:`same_product`) raise ``ChemtextError`` naming both.
+    :meth:`predict_product` also takes the record :func:`eval_retro` has
+    already made for the prediction, so the precursors are parsed once.
     """
 
     def __init__(self, table: dict[str, str]) -> None:
         self._table: dict[str, str] = {}
+        spellings: dict[str, str] = {}
         for precursors, product in table.items():
             try:
-                self._table[self._normalize(precursors)] = product
+                key = _Side.of(precursors).key
             except CanonError:
-                pass
+                continue
+            if key in self._table and not self.same_product(self._table[key], product):
+                raise ChemtextError(
+                    f"oracle precursors {spellings[key]!r} and {precursors!r} are one "
+                    f"precursor set with different products {self._table[key]!r} and {product!r}"
+                )
+            self._table[key] = product
+            spellings[key] = precursors
 
     @staticmethod
-    def _normalize(smiles: str) -> str:
-        """Canonical SMILES, or the string itself when it does not parse or
-        fails validation; a budget ``CanonError`` propagates."""
-        mol = _parse_valid(smiles)
-        return smiles if mol is None else canonicalize(mol)
+    def same_product(a: str, b: str) -> bool:
+        """Whether two product strings are equal or canonically equal; a
+        product over the canonicalization budget equals only itself."""
+        try:
+            return a == b or _Side.of(a).key == _Side.of(b).key
+        except CanonError:
+            return False
 
-    def predict_product(self, precursors: str) -> str:
-        key = self._normalize(precursors)
-        if key not in self._table:
-            raise OracleError(f"no product known for precursors {precursors!r}")
-        return self._table[key]
+    def predict_product(self, precursors: str | _Side) -> str:
+        side = precursors if isinstance(precursors, _Side) else _Side.of(precursors)
+        if side.key not in self._table:
+            raise OracleError(f"no product known for precursors {side.smiles!r}")
+        return self._table[side.key]
 
 
 def _check_task(pairs: Sequence[PredictionPair], task: TaskKind) -> None:
@@ -205,19 +253,6 @@ def smiles_bleu_tokenize(smiles: str) -> TokenizedText:
     if not tokens:
         return char_tokenize(smiles)
     return TokenizedText(tokens=tokens, source=smiles)
-
-
-def _parse_valid(smiles: str) -> Molecule | None:
-    try:
-        mol = parse_smiles(smiles)
-    except (LexError, ParseError):
-        return None
-    return mol if mol.validity.valid else None
-
-
-def _canonical_or_none(smiles: str) -> str | None:
-    mol = _parse_valid(smiles)
-    return canonicalize(mol) if mol is not None else None
 
 
 def eval_mol2text(pairs: Sequence[PredictionPair]) -> MetricReport:
@@ -265,31 +300,29 @@ def eval_text2mol(
     lev_total = 0
     fts_sums = dict.fromkeys(_FTS_SCHEMES, 0.0)
     fts_support = 0
-    budget_hits = 0
-    canon_hits = 0
+    reasons: Counter[str] = Counter()
     for start in range(0, len(pairs), _CHUNK_PAIRS):
         mols: list[Molecule] = []
         # per scored pair of the chunk: (reference, prediction) indices in mols
         sides: list[tuple[int, int]] = []
         for pair in pairs[start:start + _CHUNK_PAIRS]:
             lev_total += levenshtein(pair.prediction, pair.reference)
-            pred_mol = _parse_valid(pair.prediction)
-            ref_mol = _parse_valid(pair.reference)
-            if pred_mol is not None:
-                n_valid += 1
-            if pred_mol is None or ref_mol is None:
+            pred, ref = _Side.of(pair.prediction), _Side.of(pair.reference)
+            n_valid += pred.mol is not None
+            if pred.mol is None or ref.mol is None:
+                reasons["invalid_smiles_side"] += 1
                 continue
             try:
-                same = canonicalize(pred_mol) == canonicalize(ref_mol)
+                same = pred.canonical == ref.canonical
             except CanonError:
-                canon_hits += 1
+                reasons["canon_budget"] += 1
                 continue
             exact += same
             ref_index = len(mols)
-            mols.append(ref_mol)
+            mols.append(ref.mol)
             if not same:
                 # equal canonical SMILES give equal fingerprints
-                mols.append(pred_mol)
+                mols.append(pred.mol)
             sides.append((ref_index, len(mols) - 1))
         if not mols:
             continue
@@ -298,12 +331,12 @@ def eval_text2mol(
             "path": path_fingerprints(mols, config.path_max_len, config.nbits),
             "morgan": morgan_fingerprints(mols, config.radius, config.nbits),
         }
-        for ref, pred in sides:
-            if fps["path"][ref] is None or fps["path"][pred] is None:
-                budget_hits += 1
+        for ref_at, pred_at in sides:
+            if fps["path"][ref_at] is None or fps["path"][pred_at] is None:
+                reasons["fingerprint_budget"] += 1
                 continue
             for name, scheme in _FTS_SCHEMES.items():
-                fts_sums[name] += tanimoto(fps[scheme][pred], fps[scheme][ref])
+                fts_sums[name] += tanimoto(fps[scheme][pred_at], fps[scheme][ref_at])
             fts_support += 1
 
     n = len(pairs)
@@ -316,23 +349,16 @@ def eval_text2mol(
             metrics[name] = MetricValue(name, total / fts_support, fts_support)
     else:
         reason = "no pair with both sides valid"
-        if budget_hits:
+        if reasons["fingerprint_budget"]:
             reason += " within the path-enumeration budget"
-        for name in fts_sums:
-            omitted[name] = reason
-    skipped = n - fts_support
-    skip_reasons = {
-        "invalid_smiles_side": skipped - budget_hits - canon_hits,
-        "fingerprint_budget": budget_hits,
-        "canon_budget": canon_hits,
-    }
+        omitted = dict.fromkeys(fts_sums, reason)
     return MetricReport(
         task=TaskKind.TEXT2MOL,
         metrics=metrics,
         n_total=n,
         n_valid_pred=n_valid,
-        n_skipped=skipped,
-        skip_reasons={k: v for k, v in skip_reasons.items() if v},
+        n_skipped=n - fts_support,
+        skip_reasons=dict(reasons),
         omitted_metrics=omitted,
     )
 
@@ -342,17 +368,17 @@ def eval_forward(pairs: Sequence[PredictionPair]) -> MetricReport:
     _check_task(pairs, TaskKind.FORWARD)
     exact = 0
     n_valid = 0
-    canon_hits = 0
+    reasons: Counter[str] = Counter()
     for pair in pairs:
-        pred_mol = _parse_valid(pair.prediction)
-        if pred_mol is None:
+        pred = _Side.of(pair.prediction)
+        if pred.mol is None:
             continue
         n_valid += 1
         try:
-            if canonicalize(pred_mol) == _canonical_or_none(pair.reference):
-                exact += 1
+            # the reference is parsed only once the prediction canonicalized
+            exact += pred.canonical == _Side.of(pair.reference).canonical
         except CanonError:
-            canon_hits += 1
+            reasons["canon_budget"] += 1
     n = len(pairs)
     metrics = {"accuracy": MetricValue("accuracy", exact / n, n)}
     return MetricReport(
@@ -360,7 +386,7 @@ def eval_forward(pairs: Sequence[PredictionPair]) -> MetricReport:
         metrics=metrics,
         n_total=n,
         n_valid_pred=n_valid,
-        skip_reasons={"canon_budget": canon_hits} if canon_hits else {},
+        skip_reasons=dict(reasons),
     )
 
 
@@ -374,28 +400,27 @@ def eval_retro(pairs: Sequence[PredictionPair], oracle: ForwardOracle) -> Metric
     _check_task(pairs, TaskKind.RETRO)
     hits = 0
     n_valid = 0
-    failures = 0
-    canon_hits = 0
+    reasons: Counter[str] = Counter()
     for pair in pairs:
-        if _parse_valid(pair.prediction) is not None:
-            n_valid += 1
+        pred = _Side.of(pair.prediction)
+        n_valid += pred.mol is not None
+        lookup = pred if isinstance(oracle, LookupOracle) else pair.prediction
         try:
-            regenerated = _canonical_or_none(oracle.predict_product(pair.prediction))
-            if regenerated is not None and regenerated == _canonical_or_none(pair.reference):
+            regenerated = _Side.of(oracle.predict_product(lookup)).canonical
+            if regenerated is not None and regenerated == _Side.of(pair.reference).canonical:
                 hits += 1
         except OracleError:
-            failures += 1
+            reasons["oracle_failure"] += 1
         except CanonError:
-            canon_hits += 1
+            reasons["canon_budget"] += 1
     n = len(pairs)
     metrics = {"roundtrip_accuracy": MetricValue("roundtrip_accuracy", hits / n, n)}
-    skip_reasons = {"oracle_failure": failures, "canon_budget": canon_hits}
     return MetricReport(
         task=TaskKind.RETRO,
         metrics=metrics,
         n_total=n,
         n_valid_pred=n_valid,
-        skip_reasons={k: v for k, v in skip_reasons.items() if v},
+        skip_reasons=dict(reasons),
     )
 
 

@@ -7,7 +7,9 @@ BLEU and ROUGE-N below are the exception: they keep the package's earlier
 kernels, sharing only its types and pair check, as the bit-exact reference.
 So is the text2mol loop at the end, which fingerprints both sides of every
 pair, as the harness did before it scored an exact match from the
-reference's fingerprints alone.
+reference's fingerprints alone, and so are the forward and retro loops
+after it, which parse and canonicalize each field through their own helpers,
+as the harness did before it analysed each SMILES side into one record.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Sequence
 
 from chemtext.dataset import TaskKind
 from chemtext.fingerprints import FingerprintConfig, FingerprintError, fingerprint, tanimoto
-from chemtext.harness import MetricReport, PredictionPair
+from chemtext.harness import ForwardOracle, MetricReport, OracleError, PredictionPair
 from chemtext.smiles import CanonError, LexError, ParseError, canonicalize, parse_smiles
 from chemtext.stem import porter_stem
 from chemtext.textmetrics import (
@@ -277,12 +279,17 @@ def levenshtein_oracle(a, b):
 _FTS_SCHEMES = {"maccs_fts": "keys", "rdk_fts": "path", "morgan_fts": "morgan"}
 
 
-def _valid_or_none(smiles):
+def _parse_valid(smiles):
     try:
         mol = parse_smiles(smiles)
     except (LexError, ParseError):
         return None
     return mol if mol.validity.valid else None
+
+
+def _canonical_or_none(smiles):
+    mol = _parse_valid(smiles)
+    return canonicalize(mol) if mol is not None else None
 
 
 def text2mol_both_sides_oracle(
@@ -297,8 +304,8 @@ def text2mol_both_sides_oracle(
     fts_sums = dict.fromkeys(_FTS_SCHEMES, 0.0)
     for pair in pairs:
         lev_total += levenshtein(pair.prediction, pair.reference)
-        pred_mol = _valid_or_none(pair.prediction)
-        ref_mol = _valid_or_none(pair.reference)
+        pred_mol = _parse_valid(pair.prediction)
+        ref_mol = _parse_valid(pair.reference)
         n_valid += pred_mol is not None
         if pred_mol is None or ref_mol is None:
             continue
@@ -346,4 +353,62 @@ def text2mol_both_sides_oracle(
         n_skipped=skipped,
         skip_reasons={k: v for k, v in skip_reasons.items() if v},
         omitted_metrics=omitted,
+    )
+
+
+def forward_oracle(pairs: Sequence[PredictionPair]) -> MetricReport:
+    """The forward report as the harness computed it before it analysed
+    each SMILES side into one record."""
+    exact = 0
+    n_valid = 0
+    canon_hits = 0
+    for pair in pairs:
+        pred_mol = _parse_valid(pair.prediction)
+        if pred_mol is None:
+            continue
+        n_valid += 1
+        try:
+            if canonicalize(pred_mol) == _canonical_or_none(pair.reference):
+                exact += 1
+        except CanonError:
+            canon_hits += 1
+    n = len(pairs)
+    metrics = {"accuracy": MetricValue("accuracy", exact / n, n)}
+    return MetricReport(
+        task=TaskKind.FORWARD,
+        metrics=metrics,
+        n_total=n,
+        n_valid_pred=n_valid,
+        skip_reasons={"canon_budget": canon_hits} if canon_hits else {},
+    )
+
+
+def retro_oracle(pairs: Sequence[PredictionPair], oracle: ForwardOracle) -> MetricReport:
+    """The retro report as the harness computed it before it analysed each
+    SMILES side into one record: the prediction is parsed for the validity
+    count and handed to the oracle as a string."""
+    hits = 0
+    n_valid = 0
+    failures = 0
+    canon_hits = 0
+    for pair in pairs:
+        if _parse_valid(pair.prediction) is not None:
+            n_valid += 1
+        try:
+            regenerated = _canonical_or_none(oracle.predict_product(pair.prediction))
+            if regenerated is not None and regenerated == _canonical_or_none(pair.reference):
+                hits += 1
+        except OracleError:
+            failures += 1
+        except CanonError:
+            canon_hits += 1
+    n = len(pairs)
+    metrics = {"roundtrip_accuracy": MetricValue("roundtrip_accuracy", hits / n, n)}
+    skip_reasons = {"oracle_failure": failures, "canon_budget": canon_hits}
+    return MetricReport(
+        task=TaskKind.RETRO,
+        metrics=metrics,
+        n_total=n,
+        n_valid_pred=n_valid,
+        skip_reasons={k: v for k, v in skip_reasons.items() if v},
     )

@@ -5,6 +5,7 @@ Run with ``pytest tests/test_acceptance.py -v``.
 """
 
 import json
+import os
 import random
 import re
 import subprocess
@@ -16,6 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from attention_oracle import cross_attend_loops, random_instance
+import chemtext
 from chemtext.dataset import (
     PROMPT_TEMPLATES,
     TaskKind,
@@ -402,12 +404,15 @@ def test_criterion_8_end_to_end_cli(tmp_path):
                 )
                 + "\n"
             )
+    # the child imports the package this process imported
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(chemtext.__file__)))
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "chemtext", "evaluate", "--task", "text2mol",
          "--predictions", str(path), "--quiet"],
         capture_output=True,
         text=True,
+        env=env,
     )
     elapsed = time.perf_counter() - start
     assert proc.returncode == 0, proc.stderr

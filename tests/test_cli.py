@@ -238,6 +238,34 @@ def test_evaluate_bad_oracle_line_is_data_error(tmp_path, capsys, oracle_line):
     assert f"{oracle}:2:" in err
 
 
+@pytest.mark.parametrize(
+    "second, code",
+    [
+        ('{"precursors":"CC.O","product":"CN"}', 2),   # a repeated line, another product
+        ('{"precursors":"O.CC","product":"CN"}', 2),   # another spelling, another product
+        ('{"precursors":"CC.O","product":"CCO"}', 0),  # the same product
+        ('{"precursors":"O.CC","product":"OCC"}', 0),  # a canonically equal product
+    ],
+)
+def test_evaluate_conflicting_oracle_entries_are_data_errors(tmp_path, capsys, second, code):
+    preds = tmp_path / "preds.jsonl"
+    write_predictions(preds, TaskKind.RETRO, [("CC.O", "CCO")])
+    oracle = tmp_path / "oracle.jsonl"
+    oracle.write_text('{"precursors":"CC.O","product":"CCO"}\n' + second + "\n")
+    got, out, err = run_cli(
+        ["evaluate", "--task", "retro", "--predictions", str(preds),
+         "--oracle", f"lookup:{oracle}", "--quiet"],
+        capsys=capsys,
+    )
+    assert got == code, err
+    if code:
+        assert out == "" and "'CCO'" in err and "'CN'" in err
+        # a repeated line is named by path:line, a second spelling by itself
+        assert (f"{oracle}:2:" if '"CC.O"' in second else "'CC.O' and 'O.CC'") in err
+    else:
+        assert '"roundtrip_accuracy": 1.000000' in out
+
+
 def test_evaluate_fingerprint_budget_skips_one_pair(tmp_path, capsys):
     clique = clique_smiles()
     preds = tmp_path / "preds.jsonl"

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chemtext.dataset import TaskKind
+from chemtext.errors import ChemtextError
 from chemtext.harness import (
     DimensionMismatchError,
     FingerprintConfig,
@@ -27,7 +28,7 @@ from chemtext.harness import (
     report_to_json,
 )
 from chemtext import fingerprints, harness, textmetrics
-from chemtext.smiles import canon, random_smiles
+from chemtext.smiles import canon, canonicalize, parse_smiles, random_smiles
 from chemtext.textmetrics import (
     EmptyCorpusError,
     bleu,
@@ -36,7 +37,7 @@ from chemtext.textmetrics import (
     rouge_n,
     word_tokenize,
 )
-from metric_oracles import text2mol_both_sides_oracle
+from metric_oracles import forward_oracle, retro_oracle, text2mol_both_sides_oracle
 from molgen import clique_smiles, random_molecule
 
 
@@ -337,9 +338,13 @@ def test_each_parsed_molecule_is_validated_once(monkeypatch):
     rows = [("CCO", "OCC"), ("c1ccccc1", "CCN"), ("C(C)(C)(C)(C)C", "CCO"), ("C(", "CC"), ("CC", "xx")]
     eval_text2mol([PredictionPair(TaskKind.TEXT2MOL, p, r) for p, r in rows])
     eval_forward([PredictionPair(TaskKind.FORWARD, p, r) for p, r in rows])
+    oracle = LookupOracle({"OCC": "CCO", "c1ccccc1": "CCN", "CC": "CC"})
+    eval_retro([PredictionPair(TaskKind.RETRO, p, r) for p, r in rows], oracle)
     # text2mol parses 8 of its 10 fields ("C(" and "xx" fail); forward also
-    # skips the references of its two invalid predictions
-    assert len(parsed) == 14
+    # skips the references of its two invalid predictions; retro parses the
+    # 3 table keys, then each prediction once and, on its 3 hits, the
+    # product and the reference ("xx" fails)
+    assert len(parsed) == 14 + 3 + 9
     assert sorted(map(id, validated)) == sorted(map(id, parsed))
 
 
@@ -437,6 +442,206 @@ def test_lookup_oracle_canonical_keys():
     assert oracle.predict_product("O.CC") == "CCO"
     with pytest.raises(OracleError):
         oracle.predict_product("CN")
+
+
+def test_lookup_oracle_conflicting_spellings_raise():
+    with pytest.raises(ChemtextError, match=r"'CC\.O' and 'O\.CC'.*'CCO' and 'CN'"):
+        LookupOracle({"CC.O": "CCO", "O.CC": "CN"})
+    # spellings that do not parse are keyed by their exact string, so they
+    # never collide with one another
+    oracle = LookupOracle({"C(.O": "CCO", "O.C(": "CN"})
+    assert oracle.predict_product("O.C(") == "CN"
+
+
+@pytest.mark.parametrize("product", ["CCO", "OCC"])
+def test_lookup_oracle_repeats_with_one_product_are_accepted(product):
+    oracle = LookupOracle({"CC.O": "CCO", "O.CC": product})
+    assert oracle.predict_product("CC.O") == product
+
+
+def test_lookup_oracle_same_product(monkeypatch):
+    assert LookupOracle.same_product("CCO", "OCC")
+    assert not LookupOracle.same_product("CCO", "CN")
+    assert LookupOracle.same_product("C(", "C(")
+    assert not LookupOracle.same_product("C(", "C(C")
+    # over the canonicalization budget, a product equals only itself
+    monkeypatch.setattr(canon, "_MAX_CANDIDATES", 1)
+    assert LookupOracle.same_product("c1ccccc1", "c1ccccc1")
+    assert not LookupOracle.same_product("c1ccccc1", "C1=CC=CC=C1")
+
+
+def test_retro_hands_other_oracles_the_string():
+    seen = []
+
+    class RecordingOracle:
+        def predict_product(self, precursors: str) -> str:
+            seen.append(precursors)
+            return "CCO"
+
+    rows = [("CC.O", "CCO"), ("C(", "CCO")]
+    report = eval_retro(pairs_for(TaskKind.RETRO, rows), RecordingOracle())
+    assert seen == ["CC.O", "C("] and all(type(p) is str for p in seen)
+    assert report.value("roundtrip_accuracy") == 1.0
+
+
+def _counted_smiles_calls(monkeypatch):
+    """parse_smiles and canonicalize calls the harness makes, by name."""
+    counts = Counter()
+    for name in ("parse_smiles", "canonicalize"):
+        def counted(arg, name=name, fn=getattr(harness, name)):
+            counts[name] += 1
+            return fn(arg)
+
+        monkeypatch.setattr(harness, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "row, budget, parses, canons",
+    [
+        # hit: the prediction, the product and the reference, each once
+        (("O.CC", "OCC"), None, 3, 3),
+        (("CI.O", "CO"), None, 1, 1),                 # miss
+        (("C(", "CCO"), None, 1, 0),                  # does not parse: a miss
+        (("C(C)(C)(C)(C)C.O", "CCO"), None, 3, 2),    # fails validation: hit by its string
+        (("C1CCCCC1.O", "CCO"), 1, 1, 1),             # over the canonicalization budget
+    ],
+    ids=["hit", "miss", "unparseable", "invalid", "canon_budget"],
+)
+def test_retro_lookup_calls_per_pair(monkeypatch, row, budget, parses, canons):
+    oracle = LookupOracle({"CC.O": "CCO", "C(C)(C)(C)(C)C.O": "CCO"})
+    counts = _counted_smiles_calls(monkeypatch)
+    if budget is not None:
+        monkeypatch.setattr(canon, "_MAX_CANDIDATES", budget)
+    eval_retro(pairs_for(TaskKind.RETRO, [row]), oracle)
+    assert (counts["parse_smiles"], counts["canonicalize"]) == (parses, canons)
+
+
+# -- forward and retro against the loops that parsed each field on its own ---
+
+_INVALID = ["C(", "a molecule", "c1cc", "C(C)(C)(C)(C)C", "O(C)(C)C", "C1CC", "[Xx]", ""]
+
+
+def _invalid(rng):
+    """A string that does not parse, or parses and fails validation."""
+    return rng.choice(_INVALID)
+
+
+def _forward_corpus(seed, max_atoms, n):
+    """Exact matches as rewrites, other molecules, and predictions or
+    references that do not parse or fail validation."""
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(n):
+        ref = random_molecule(rng, max_atoms)
+        pred, ref_text = random_smiles(ref, rng), random_smiles(ref, rng)
+        kind = rng.randrange(5)
+        if kind == 1:
+            pred = random_smiles(random_molecule(rng, max_atoms), rng)
+        elif kind == 2:
+            pred = _invalid(rng)
+        elif kind == 3:
+            pred = pred[:-1] + "("
+        elif kind == 4:
+            ref_text = _invalid(rng)
+        rows.append((pred, ref_text))
+    return pairs_for(TaskKind.FORWARD, rows)
+
+
+def _retro_corpus(seed, max_atoms, n):
+    """Retro pairs and the oracle table they are scored with: hits in the
+    written and in a rewritten atom order, wrong products, misses, keys and
+    products that do not parse or fail validation."""
+    rng = random.Random(seed)
+    table = {"C(C)(C)(C)(C)C.O": "CCO", "O.C(": "c1ccccc1"}
+    keys = set()
+    entries = []
+    while len(entries) < max(2, n // 3):
+        precursors = parse_smiles(
+            f"{random_smiles(random_molecule(rng, max_atoms), rng)}."
+            f"{random_smiles(random_molecule(rng, max_atoms // 2), rng)}"
+        )
+        if canonicalize(precursors) in keys:
+            continue
+        keys.add(canonicalize(precursors))
+        product = random_molecule(rng, max_atoms) if rng.random() < 0.9 else None
+        text = random_smiles(product, rng) if product else _invalid(rng)
+        table[random_smiles(precursors, rng)] = text
+        entries.append((precursors, product))
+    rows = [("C(C)(C)(C)(C)C.O", "OCC"), ("O.C(C)(C)(C)(C)C", "CCO"), ("O.C(", "c1ccccc1")]
+    for _ in range(n):
+        precursors, product = rng.choice(entries)
+        ref = random_smiles(product, rng) if product else _invalid(rng)
+        kind = rng.randrange(5)
+        if kind == 0:
+            pred = random_smiles(precursors, rng)
+        elif kind == 1:
+            pred, ref = random_smiles(precursors, rng), random_smiles(random_molecule(rng, max_atoms), rng)
+        elif kind == 2:
+            pred = random_smiles(random_molecule(rng, max_atoms), rng)
+        elif kind == 3:
+            pred = _invalid(rng)
+        else:
+            pred, ref = random_smiles(precursors, rng), _invalid(rng)
+        rows.append((pred, ref))
+    return pairs_for(TaskKind.RETRO, rows), table
+
+
+class _StringOracle:
+    """The same table behind the plain string protocol."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+
+    def predict_product(self, precursors: str) -> str:
+        return self.oracle.predict_product(precursors)
+
+
+_BUDGETS = st.sampled_from([None, 1, 40])
+
+
+@given(seed=st.integers(0, 2**32 - 1), max_atoms=st.sampled_from([10, 30]), budget=_BUDGETS)
+@settings(max_examples=40, deadline=None)
+def test_forward_equals_field_by_field_loop(seed, max_atoms, budget):
+    pairs = _forward_corpus(seed, max_atoms, 12)
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr(canon, "_MAX_CANDIDATES", budget)
+        report, expected = eval_forward(pairs), forward_oracle(pairs)
+    assert report == expected
+    assert report_to_json(report) == report_to_json(expected)
+
+
+@given(seed=st.integers(0, 2**32 - 1), max_atoms=st.sampled_from([10, 30]), budget=_BUDGETS)
+@settings(max_examples=40, deadline=None)
+def test_retro_equals_field_by_field_loop(seed, max_atoms, budget):
+    pairs, table = _retro_corpus(seed, max_atoms, 12)
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr(canon, "_MAX_CANDIDATES", budget)
+        oracle = LookupOracle(table)
+        lookup = eval_retro(pairs, oracle)
+        strings = eval_retro(pairs, _StringOracle(oracle))
+        expected = retro_oracle(pairs, oracle)
+    assert lookup == strings == expected
+    assert report_to_json(lookup) == report_to_json(strings) == report_to_json(expected)
+
+
+def test_field_by_field_corpora_reach_every_outcome():
+    # the corpora above score hits and misses and trip every skip reason
+    forward = [forward_oracle(_forward_corpus(seed, 10, 12)) for seed in range(4)]
+    assert all(0 < r.value("accuracy") < r.n_valid_pred / r.n_total < 1 for r in forward)
+    retro = []
+    for seed in range(4):
+        pairs, table = _retro_corpus(seed, 10, 12)
+        retro.append(retro_oracle(pairs, LookupOracle(table)))
+    assert all(0 < r.value("roundtrip_accuracy") < 1 for r in retro)
+    assert all(r.skip_reasons.get("oracle_failure") for r in retro)
+    (pairs, table), forward_pairs = _retro_corpus(0, 10, 12), _forward_corpus(0, 10, 12)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(canon, "_MAX_CANDIDATES", 1)
+        assert retro_oracle(pairs, LookupOracle(table)).skip_reasons.get("canon_budget")
+        assert forward_oracle(forward_pairs).skip_reasons.get("canon_budget")
 
 
 def test_eval_pairs_retro_requires_oracle():
