@@ -1,23 +1,41 @@
 """Deterministic SMILES canonicalization.
 
-Atom ranks come from iterative refinement of local invariants (element,
-aromatic flag, charge, isotope, degree, hydrogen count, ring membership):
-each round extends an atom's rank with the sorted multiset of
-(bond order, neighbor rank) pairs until the partition stabilizes. Remaining
-ties are broken by artificially splitting one atom of the lowest-ranked tied
-class; every member of that class is tried and the lexicographically smallest
-emitted string wins, which keeps the result invariant under any renumbering
-of the input atoms, including graphs the refinement alone cannot separate.
+Atom ranks come from refining an ordered partition of the atoms. Cells are
+contiguous ranges of the partition, and an atom's rank is the start of its
+cell. The first cells group atoms by local invariants (element, aromatic
+flag, charge, isotope, degree, hydrogen count, ring membership). A round keys
+each member of a cell by the sorted multiset of (bond code, neighbour rank)
+pairs, where a bond's code is its order, or 4 if it is aromatic, and splits
+the cell into sub-cells in key order; the first sub-cell
+keeps the cell's start, so only atoms of the later sub-cells change rank.
+The first round keys every cell; later rounds key only the cells holding a
+neighbour of an atom whose rank just changed, since no other cell can split.
+Rounds run in lockstep: every key of a round is read from the ranks the round
+began with, and only then are the splits applied, because the order of the
+sub-cells depends on it. Refinement stops when no cell splits.
+
+Remaining ties are broken by individualizing one atom of the lowest-ranked
+tied class: it keeps its cell's start alone, the rest of the cell moves one
+place up, and refinement continues from the cells next to the atoms that
+moved. Every member of that class is tried and the lexicographically
+smallest emitted string wins, which keeps the result invariant under any
+renumbering of the input atoms, including graphs the refinement alone
+cannot separate.
 
 Stereo annotations (``@``/``@@`` and ``/``/``\\``) never participate in
-ranking. They are carried through to the output, so two atoms that differ
-only in annotations are ordered by the string comparison of the candidates.
+ranking. ``/`` and ``\\`` are written for the direction each bond is
+emitted in, so both writings of a double bond's configuration agree.
+``@``/``@@`` are copied as written and not re-derived for the output
+neighbour order, so tetrahedral parity is not invariant under reordering:
+``C[C@H](N)O`` and its own rewrite ``C[C@@H](O)N`` give two strings, while
+the enantiomers ``C[C@H](N)O`` and ``N[C@H](C)O`` give one.
 
 Connected components (found from the bonds, so ``C1.C1`` is one) are
 canonicalized independently and emitted in lexicographic order. The search
 and its candidate budget are per component, so identical fragments do not
 multiply each other's candidates. Each atom's text (bare or bracketed, by the
-molecule's recorded default hydrogens) is computed once per call.
+molecule's recorded default hydrogens) and its (bond code, neighbour) pairs
+are computed once per call.
 """
 
 from __future__ import annotations
@@ -72,18 +90,25 @@ def random_smiles(mol: Molecule, rng: random.Random) -> str:
 
 
 # -- ranking ----------------------------------------------------------------
+#
+# A partition is ``(ranks, order, ends)``: ``order`` lists the atoms cell by
+# cell, the cell starting at position ``s`` is ``order[s:ends[s]]``, and
+# ``ranks[i]`` is the start of atom ``i``'s cell. ``ends`` is read only at
+# cell starts. ``codes[i]`` holds atom ``i``'s (bond code, neighbour) pairs.
+
+_Partition = tuple[list[int], list[int], list[int]]
 
 
 def _bond_code(bond: Bond) -> int:
     return 4 if bond.aromatic else bond.order
 
 
-def _dense_ranks(keys: Sequence) -> list[int]:
-    index = {key: rank for rank, key in enumerate(sorted(set(keys)))}
-    return [index[key] for key in keys]
+def _neighbour_codes(mol: Molecule) -> list[list[tuple[int, int]]]:
+    bonds = mol.bonds
+    return [[(_bond_code(bonds[bi]), j) for j, bi in entries] for entries in mol.adjacency]
 
 
-def _initial_ranks(mol: Molecule) -> list[int]:
+def _initial_partition(mol: Molecule) -> _Partition:
     ring = mol.ring_atom_indices
     keys = [
         (
@@ -97,29 +122,79 @@ def _initial_ranks(mol: Molecule) -> list[int]:
         )
         for i, atom in enumerate(mol.atoms)
     ]
-    return _dense_ranks(keys)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    ranks = [0] * len(order)
+    ends = [len(order)] * len(order)
+    start = 0
+    for pos, i in enumerate(order):
+        if keys[i] != keys[order[start]]:
+            ends[start] = pos
+            start = pos
+        ranks[i] = start
+    return ranks, order, ends
 
 
-def _refine(mol: Molecule, ranks: list[int]) -> list[int]:
-    adjacency = mol.adjacency
-    bonds = mol.bonds
-    while True:
-        keys = [
-            (
-                ranks[i],
-                tuple(sorted((_bond_code(bonds[bi]), ranks[j]) for j, bi in adjacency[i])),
-            )
-            for i in range(len(ranks))
-        ]
-        new = _dense_ranks(keys)
-        if new == ranks:
-            return ranks
-        ranks = new
+def _refine(
+    codes: Sequence[Sequence[tuple[int, int]]], partition: _Partition, moved: Sequence[int]
+) -> None:
+    """Refine ``partition`` in place until no cell splits, starting from the
+    atoms in ``moved``, whose ranks have just changed.
+
+    A round keys each member of the cells holding a neighbour of a moved
+    atom (no other cell can split) by its sorted (bond code, neighbour rank)
+    pairs, all from the ranks the round began with, and only then splits
+    those cells: sub-cells in key order, the first keeping the cell's start.
+    The atoms of the later sub-cells are the next round's moved atoms.
+    """
+    ranks, order, ends = partition
+    while moved:
+        splits = []
+        for start in {ranks[j] for i in moved for _, j in codes[i]}:
+            end = ends[start]
+            if end - start < 2:
+                continue
+            groups: dict[tuple, list[int]] = {}
+            for i in order[start:end]:
+                key = tuple(sorted([(code, ranks[j]) for code, j in codes[i]]))
+                if key in groups:
+                    groups[key].append(i)
+                else:
+                    groups[key] = [i]
+            if len(groups) > 1:
+                splits.append((start, groups))
+        moved = []
+        for start, groups in splits:
+            pos = start
+            for key in sorted(groups):
+                members = groups[key]
+                end = pos + len(members)
+                order[pos:end] = members
+                ends[pos] = end
+                if pos != start:
+                    for i in members:
+                        ranks[i] = pos
+                    moved += members
+                pos = end
 
 
-def _split(ranks: list[int], atom: int) -> list[int]:
-    keys = [(rank, 0 if i == atom else 1) for i, rank in enumerate(ranks)]
-    return _dense_ranks(keys)
+def _individualize(
+    codes: Sequence[Sequence[tuple[int, int]]], partition: _Partition, atom: int
+) -> _Partition:
+    """A refined copy of ``partition`` in which ``atom`` keeps its cell's
+    start alone and the rest of its cell moves one place up."""
+    ranks, order, ends = (part.copy() for part in partition)
+    start = ranks[atom]
+    end = ends[start]
+    rest = [i for i in order[start:end] if i != atom]
+    order[start] = atom
+    order[start + 1 : end] = rest
+    ends[start] = start + 1
+    ends[start + 1] = end
+    for i in rest:
+        ranks[i] = start + 1
+    partition = ranks, order, ends
+    _refine(codes, partition, rest)
+    return partition
 
 
 def _lowest_tied_class(ranks: list[int], atoms: Sequence[int]) -> list[int]:
@@ -166,23 +241,33 @@ def _branch_atoms(mol: Molecule, tied: list[int]) -> list[int]:
 
 
 def _canonical_string(mol: Molecule) -> str:
-    ranks = _refine(mol, _initial_ranks(mol))
+    codes = _neighbour_codes(mol)
+    partition = _initial_partition(mol)
+    _refine(codes, partition, range(len(mol.atoms)))
     texts = _atom_texts(mol)
     return ".".join(
-        sorted(_canonical_component(mol, comp, ranks, texts) for comp in mol.components)
+        sorted(
+            _canonical_component(mol, comp, partition, codes, texts)
+            for comp in mol.components
+        )
     )
 
 
 def _canonical_component(
-    mol: Molecule, atoms: tuple[int, ...], ranks: list[int], texts: Sequence[str]
+    mol: Molecule,
+    atoms: tuple[int, ...],
+    partition: _Partition,
+    codes: Sequence[Sequence[tuple[int, int]]],
+    texts: Sequence[str],
 ) -> str:
     """Smallest string of one component over the tie-break search on its
-    atoms; splits refine the whole molecule, but only ``atoms`` are read."""
+    atoms; branches refine the whole molecule, but only ``atoms`` are read."""
     best: str | None = None
     emitted = 0
-    stack = [ranks]
+    stack = [partition]
     while stack:
-        ranks = stack.pop()
+        partition = stack.pop()
+        ranks = partition[0]
         tied = _lowest_tied_class(ranks, atoms)
         if not tied:
             emitted += 1
@@ -193,7 +278,7 @@ def _canonical_component(
                 best = candidate
             continue
         for atom in _branch_atoms(mol, tied):
-            stack.append(_refine(mol, _split(ranks, atom)))
+            stack.append(_individualize(codes, partition, atom))
     assert best is not None
     return best
 

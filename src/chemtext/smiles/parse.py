@@ -4,8 +4,11 @@ The parser resolves branches and ring closures into an explicit atom/bond
 graph. ``Molecule(atoms, bonds)``, the one constructor, checks the bonds,
 gives atoms without a hydrogen count their valence-table default and records
 each atom's adjacency, bond-order total and default hydrogen count, which
-validation, canonicalization and fingerprints read. Aromaticity is taken
-syntactically from lowercase notation; no ring perception or kekulization.
+validation, canonicalization and fingerprints read. Atoms are frozen, so the
+parser takes organic-subset atoms from a prebuilt table and the constructor
+takes each atom with its default filled in from a bounded memo instead of
+building new ones. Aromaticity is taken syntactically from lowercase
+notation; no ring perception or kekulization.
 
 Bracket atoms support the standard field order
 ``[isotope? symbol chirality? Hcount? charge? :map?]``; atom maps are accepted
@@ -23,11 +26,19 @@ read in the other direction is ``down``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 from chemtext.errors import ChemtextError
-from chemtext.smiles.tokenize import Token, TokenKind, ring_label, tokenize
+from chemtext.smiles.tokenize import (
+    AROMATIC_ORGANIC,
+    ORGANIC_ONE_LETTER,
+    ORGANIC_TWO_LETTER,
+    Token,
+    TokenKind,
+    ring_label,
+    tokenize,
+)
 
 if TYPE_CHECKING:
     from chemtext.smiles.valence import ValidityResult
@@ -156,7 +167,9 @@ class Molecule:
             h = hydrogens_for_total(atom.symbol, atom.aromatic, total, len(entries))
             defaults.append(h)
             if hydrogens is None:
-                atom = Atom(atom.symbol, atom.aromatic, atom.charge, isotope, h, atom.chirality)
+                atom = _resolved_atom(
+                    atom.symbol, atom.aromatic, atom.charge, isotope, atom.chirality, h
+                )
             resolved.append(atom)
         set_field = object.__setattr__  # the dataclass is frozen
         set_field(self, "atoms", tuple(resolved))
@@ -214,6 +227,16 @@ class Molecule:
         return frozenset(atoms)
 
 
+@lru_cache(maxsize=1024, typed=True)
+def _resolved_atom(
+    symbol: str, aromatic: bool, charge: int, isotope: int | None, chirality: str | None, h: int
+) -> Atom:
+    """The atom with these fields and ``h`` hydrogens, built once per
+    distinct fields. The memo keys on each field's value and type, so an atom
+    keeps the repr it was given: ``aromatic=1`` is not answered with ``True``."""
+    return Atom(symbol, aromatic, charge, isotope, h, chirality)
+
+
 def _non_bridge_edges(adj: Sequence[Sequence[tuple[int, int]]], n_bonds: int) -> frozenset[int]:
     """Bridge detection via iterative DFS low-links over
     :attr:`Molecule.adjacency`; returns ring bonds."""
@@ -248,6 +271,14 @@ def _non_bridge_edges(adj: Sequence[Sequence[tuple[int, int]]], n_bonds: int) ->
                     if low[node] > disc[parent_node]:
                         bridges.add(via_bond)
     return frozenset(set(range(n_bonds)) - bridges)
+
+
+# Organic-subset atoms by token text; hydrogens stay None until the
+# Molecule constructor resolves them.
+_ORGANIC_ATOMS = {
+    **{text: Atom(text) for text in (*ORGANIC_ONE_LETTER, *ORGANIC_TWO_LETTER)},
+    **{text: Atom(text.upper(), aromatic=True) for text in AROMATIC_ORGANIC},
+}
 
 
 @dataclass
@@ -300,12 +331,7 @@ class _Parser:
 
     def _on_atom(self, token: Token) -> None:
         if token.kind is TokenKind.ATOM_ORGANIC:
-            # hydrogens stay None here; the Molecule constructor resolves them
-            text = token.text
-            if text.islower():
-                atom = Atom(symbol=text.upper(), aromatic=True)
-            else:
-                atom = Atom(symbol=text, aromatic=False)
+            atom = _ORGANIC_ATOMS[token.text]
         else:
             atom = _parse_bracket(token)
         index = len(self.atoms)

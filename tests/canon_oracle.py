@@ -7,6 +7,12 @@ multiply its leaves; keep repeated symmetric fragments out of inputs given to
 it. The package searches each connected component on its own and must give
 the same strings; tests/test_smiles_canon.py checks that it does.
 
+Its ranking is the first release's too, copied here so that the package's
+refinement is checked against it rather than with it: every round re-keys
+every atom by its rank and the sorted (bond code, neighbour rank) pairs, and
+each tie-break branch splits one atom off and re-refines the whole molecule.
+Only ``CanonError`` and the bare-atom element sets come from the package.
+
 The writer below (``_write_component``, ``_bond_text``, ``_atom_text``) is the
 first release's too: it recomputes each atom's implicit hydrogen count and
 rebuilds a stack tuple at every step. The package's writer must emit the same
@@ -17,16 +23,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from chemtext.smiles.canon import (
-    _BARE_AROMATIC,
-    _BARE_PLAIN,
-    CanonError,
-    _bond_code,
-    _initial_ranks,
-    _refine,
-    _split,
-)
-from chemtext.smiles.parse import Molecule
+from chemtext.smiles.canon import _BARE_AROMATIC, _BARE_PLAIN, CanonError
+from chemtext.smiles.parse import Bond, Molecule
 from chemtext.smiles.valence import implicit_hydrogen_count
 
 _MAX_CANDIDATES = 200_000
@@ -37,6 +35,60 @@ def oracle_canonical_smiles(mol: Molecule) -> str:
     if not mol.validity.valid:
         raise CanonError("; ".join(mol.validity.reasons))
     return _canonical_string(mol)
+
+
+# -- ranking: the first release's whole-molecule refinement ------------------
+
+
+def _bond_code(bond: Bond) -> int:
+    return 4 if bond.aromatic else bond.order
+
+
+def _dense_ranks(keys: Sequence) -> list[int]:
+    index = {key: rank for rank, key in enumerate(sorted(set(keys)))}
+    return [index[key] for key in keys]
+
+
+def _initial_ranks(mol: Molecule) -> list[int]:
+    ring = mol.ring_atom_indices
+    keys = [
+        (
+            atom.symbol,
+            atom.aromatic,
+            atom.charge,
+            atom.isotope or 0,
+            mol.degree(i),
+            atom.hydrogens,
+            i in ring,
+        )
+        for i, atom in enumerate(mol.atoms)
+    ]
+    return _dense_ranks(keys)
+
+
+def _refine(mol: Molecule, ranks: list[int]) -> list[int]:
+    adjacency = mol.adjacency
+    bonds = mol.bonds
+    while True:
+        keys = [
+            (
+                ranks[i],
+                tuple(sorted((_bond_code(bonds[bi]), ranks[j]) for j, bi in adjacency[i])),
+            )
+            for i in range(len(ranks))
+        ]
+        new = _dense_ranks(keys)
+        if new == ranks:
+            return ranks
+        ranks = new
+
+
+def _split(ranks: list[int], atom: int) -> list[int]:
+    keys = [(rank, 0 if i == atom else 1) for i, rank in enumerate(ranks)]
+    return _dense_ranks(keys)
+
+
+# -- search -------------------------------------------------------------------
 
 
 def _lowest_tied_class(ranks: list[int]) -> list[int]:

@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import pathlib
 import random
 
 import pytest
@@ -154,6 +156,99 @@ def test_component_search_matches_whole_molecule_oracle(max_atoms):
 def test_components_are_searched_on_their_own(monkeypatch, smiles, expected):
     monkeypatch.setattr(canon, "_MAX_CANDIDATES", 12)
     assert canonical_smiles(smiles) == expected
+
+
+# -- the refinement against the first release's ---------------------------------
+
+
+def test_oracle_ranks_with_its_own_copies():
+    """The oracle must not rank with the package's refinement, or it would
+    check that code against itself."""
+    tree = ast.parse(pathlib.Path(__file__).with_name("canon_oracle.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "chemtext.smiles.canon":
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module == "chemtext.smiles":
+            assert "canon" not in {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            assert "chemtext.smiles.canon" not in {alias.name for alias in node.names}
+    assert imported <= {"CanonError", "_BARE_AROMATIC", "_BARE_PLAIN"}
+
+
+def _clique(n):
+    atoms = [Atom("U", hydrogens=0)] * n
+    return Molecule(atoms, [Bond(a, b) for a in range(n) for b in range(a + 1, n)])
+
+
+def _molgen_with_brackets(count):
+    rng = random.Random(4242)
+    found = []
+    while len(found) < count:
+        mol = random_molecule(rng, 30)
+        if "[" in canonicalize(mol):
+            found.append(mol)
+    return found
+
+
+# family name -> builder of its molecules, called inside the test
+_SYMMETRIC_FAMILIES = {
+    "chains": lambda: [parse_smiles("C" * n) for n in (1, 2, 3, 4, 7, 20, 51, 200)],
+    "cycles": lambda: [parse_smiles("C1" + "C" * (n - 1) + "1")
+                       for n in (3, 4, 5, 6, 9, 16, 25, 40)],
+    "oligophenylenes": lambda: [parse_smiles("c1ccc(cc1)" * k + "C") for k in range(1, 7)],
+    "tied_fragments": lambda: [
+        parse_smiles(smiles)
+        for smiles in ("C1CC1.C1CC1.C1CC1", "CC.CC.CC", "c1ccccc1.c1ccccc1",
+                       "C1CC1.C1CCC1.C1CC1", "OCC(O)CO.OCC(O)CO", "C1CC2CCC1CC2.C1CC2CCC1CC2")
+    ],
+    "uranium_cliques": lambda: [_clique(4), _clique(5)],
+    # several cells split in one round here, so the sub-cell order depends on
+    # every split of a round reading the ranks the round began with
+    "ring_systems": lambda: [
+        parse_smiles(smiles)
+        for smiles in ("C1C2CNC2CC1F", "Cc1cnc(C)cc1O", "C1C2CNC2(CC1F)O", "C1C2COOOC1CO2",
+                       "C1Cc2cc(c1cn2)F", "CC(C)CN1C(CPCCC1O)Cl", "CC1(C2OC(C)(C(C1(F)F)Cl)S2)ON",
+                       "CC1C2CC1C(=C(C(C2)OCO)OF)[13S]O",
+                       "BrC(CSC(Br)(CO)S)([18CH](F)S[13C](Br)(C)C)Cl",
+                       "CC1C[18S]OCOC(=C(C(O)SC)OCl)C11C(C)OCC(C)O[13O]1")
+    ],
+    "molgen_brackets": lambda: _molgen_with_brackets(12),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_SYMMETRIC_FAMILIES))
+def test_symmetric_families_match_the_oracle(family):
+    """Chains, cycles, oligophenylenes, repeated fragments and cliques keep
+    the refinement and the tie-break search busiest, and ring systems split
+    several cells at once; each molecule and a rewrite of it must give the
+    oracle's string."""
+    rng = random.Random(family)
+    for mol in _SYMMETRIC_FAMILIES[family]():
+        expected = oracle_canonical_smiles(mol)
+        assert canonicalize(mol) == expected
+        rewritten = random_smiles(mol, rng)
+        assert canonical_smiles(rewritten) == expected, rewritten
+
+
+_PARITY_XFAIL = pytest.mark.xfail(
+    strict=True, reason="@/@@ are copied as written, not re-derived for the output "
+    "neighbour order (ROADMAP: chirality parity on output)")
+
+
+@_PARITY_XFAIL
+def test_enantiomers_get_different_strings():
+    assert canonical_smiles("C[C@H](N)O") != canonical_smiles("N[C@H](C)O")
+
+
+@_PARITY_XFAIL
+def test_one_stereoisomer_written_two_ways_gets_one_string():
+    assert canonical_smiles("C[C@H](N)O") == canonical_smiles("C[C@@H](O)N")
+
+
+def test_double_bond_markers_follow_the_output_order():
+    assert canonical_smiles("F/C=C/F") == canonical_smiles("F\\C=C\\F")
+    assert canonical_smiles("F/C=C/F") != canonical_smiles("F/C=C\\F")
 
 
 # -- the writer against the first release's ------------------------------------

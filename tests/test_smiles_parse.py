@@ -17,6 +17,7 @@ from chemtext.smiles import (
     parse_smiles,
     tokenize,
 )
+from chemtext.smiles.parse import _resolved_atom
 from molgen import random_molecule
 
 
@@ -302,3 +303,44 @@ def test_implicit_hydrogens_follow_valence_table():
         mol = parse_smiles(smi)
         het = next(a for a in mol.atoms if a.symbol == sym)
         assert het.hydrogens == 0
+
+
+# -- the resolved-atom memo ------------------------------------------------------
+
+
+def test_atom_memo_is_bounded_and_changes_nothing():
+    maxsize = _resolved_atom.cache_info().maxsize
+    assert maxsize is not None
+    # 5,000 atoms with distinct isotopes: 50 chains of 100 carbons
+    for first in range(1, 5001, 100):
+        atoms = [Atom("C", isotope=first + k) for k in range(100)]
+        bonds = [Bond(k, k + 1) for k in range(99)]
+        mol = Molecule(atoms, bonds)
+        assert _resolved_atom.cache_info().currsize <= maxsize
+        fresh = Molecule(
+            [Atom("C", isotope=first + k, hydrogens=3 if k in (0, 99) else 2)
+             for k in range(100)],
+            bonds,
+        )
+        assert mol == fresh
+        assert hash(mol) == hash(fresh)
+        assert repr(mol) == repr(fresh)
+        assert mol.default_hydrogens == fresh.default_hydrogens
+        assert all(type(a) is Atom for a in mol.atoms)
+
+
+def test_atom_memo_keeps_field_types():
+    # equal fields of different types (True and 1) are resolved apart
+    Molecule([Atom("C", aromatic=False)], [])
+    mol = Molecule([Atom("C", aromatic=0)], [])
+    assert repr(mol) == repr(Molecule([Atom("C", aromatic=0, hydrogens=4)], []))
+
+
+def test_each_resolved_atom_is_built_once():
+    _resolved_atom.cache_clear()
+    first = parse_smiles("CCCC")
+    second = parse_smiles("CCCC")
+    # the end and middle carbons, once each
+    assert _resolved_atom.cache_info().misses == 2
+    assert all(a is b for a, b in zip(first.atoms, second.atoms))
+    assert first.atoms[0] is first.atoms[3]
