@@ -65,7 +65,7 @@ from chemtext.fingerprints import (
 )
 from chemtext.smiles import CanonError, LexError, Molecule, ParseError, parse_smiles
 from chemtext.smiles.canon import canonicalize
-from chemtext.smiles.tokenize import tokenize as smiles_tokenize
+from chemtext.smiles.tokenize import lex
 from chemtext.textmetrics import (
     EmptyCorpusError,
     MetricValue,
@@ -247,7 +247,7 @@ def smiles_bleu_tokenize(smiles: str) -> TokenizedText:
     """SMILES-token-level tokenization for the text2mol BLEU; falls back to
     characters when the string does not tokenize."""
     try:
-        tokens = tuple(t.text for t in smiles_tokenize(smiles))
+        tokens = tuple(lex(smiles))
     except LexError:
         return char_tokenize(smiles)
     if not tokens:

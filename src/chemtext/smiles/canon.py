@@ -79,8 +79,12 @@ def canonical_smiles(smiles: str) -> str:
 
 def random_smiles(mol: Molecule, rng: random.Random) -> str:
     """Rewrite the molecule starting from a random atom with random neighbor
-    and fragment order. Round-trips through the parser to the same graph;
-    useful for augmentation and for exercising canonicalization."""
+    and fragment order; useful for augmentation and for exercising
+    canonicalization. The rewrite parses to the same graph, but ``@`` and
+    ``@@`` are copied as written while the neighbour order changes, so a
+    rewrite of a chiral molecule can be its other enantiomer (with
+    ``random.Random(1)``, 4 of 20 rewrites of ``C[C@H](N)O`` invert the
+    centre). ROADMAP item 6, "Chirality parity on output", holds the fix."""
     ranks = list(range(len(mol.atoms)))
     rng.shuffle(ranks)
     texts = _atom_texts(mol)

@@ -1,14 +1,16 @@
-"""SMILES parser: token sequence to molecular graph.
+"""SMILES parser: token texts to molecular graph.
 
-The parser resolves branches and ring closures into an explicit atom/bond
-graph. ``Molecule(atoms, bonds)``, the one constructor, checks the bonds,
-gives atoms without a hydrogen count their valence-table default and records
-each atom's adjacency, bond-order total and default hydrogen count, which
-validation, canonicalization and fingerprints read. Atoms are frozen, so the
-parser takes organic-subset atoms from a prebuilt table and the constructor
-takes each atom with its default filled in from a bounded memo instead of
-building new ones. Aromaticity is taken syntactically from lowercase
-notation; no ring perception or kekulization.
+One loop reads the texts of :func:`~chemtext.smiles.tokenize.lex`,
+dispatches on each text's first character and resolves branches and ring
+closures into an explicit atom/bond graph. ``Molecule(atoms, bonds)``, the
+one constructor, checks the bonds, gives atoms without a hydrogen count their
+valence-table default and records each atom's adjacency, bond-order total
+and default hydrogen count, which validation, canonicalization and
+fingerprints read. Atoms and bonds are frozen, so the parser takes
+organic-subset atoms from a prebuilt table and each bond from a bounded
+memo, and the constructor takes default hydrogen counts and resolved atoms
+from bounded memos instead of building new ones. Aromaticity is taken
+syntactically from lowercase notation; no ring perception or kekulization.
 
 Bracket atoms support the standard field order
 ``[isotope? symbol chirality? Hcount? charge? :map?]``; atom maps are accepted
@@ -35,9 +37,7 @@ from chemtext.smiles.tokenize import (
     ORGANIC_ONE_LETTER,
     ORGANIC_TWO_LETTER,
     Token,
-    TokenKind,
-    ring_label,
-    tokenize,
+    lex,
 )
 
 if TYPE_CHECKING:
@@ -45,8 +45,6 @@ if TYPE_CHECKING:
 
 # Lowercase symbols allowed as aromatic atoms inside brackets.
 AROMATIC_BRACKET = frozenset({"b", "c", "n", "o", "p", "s", "se", "as"})
-
-BOND_ORDER = {"-": 1, "=": 2, "#": 3}
 
 
 class ParseError(ChemtextError):
@@ -119,8 +117,6 @@ class Molecule:
     default_hydrogens: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        from chemtext.smiles.valence import hydrogens_for_total  # valence imports this module
-
         atoms = tuple(self.atoms)
         bonds = tuple(self.bonds)
         n = len(atoms)
@@ -164,7 +160,7 @@ class Molecule:
                 raise ParseError(f"atom isotope must be None or a non-negative int: {atom}")
             if hydrogens is not None and (type(hydrogens) is not int or hydrogens < 0):
                 raise ParseError(f"atom hydrogen count must be None or a non-negative int: {atom}")
-            h = hydrogens_for_total(atom.symbol, atom.aromatic, total, len(entries))
+            h = _default_hydrogens(atom.symbol, atom.aromatic, total, len(entries))
             defaults.append(h)
             if hydrogens is None:
                 atom = _resolved_atom(
@@ -237,6 +233,15 @@ def _resolved_atom(
     return Atom(symbol, aromatic, charge, isotope, h, chirality)
 
 
+@lru_cache(maxsize=1024)
+def _default_hydrogens(symbol: str, aromatic: bool, total: int, degree: int) -> int:
+    """:func:`~chemtext.smiles.valence.hydrogens_for_total`, computed once
+    per distinct arguments."""
+    from chemtext.smiles.valence import hydrogens_for_total  # valence imports this module
+
+    return hydrogens_for_total(symbol, aromatic, total, degree)
+
+
 def _non_bridge_edges(adj: Sequence[Sequence[tuple[int, int]]], n_bonds: int) -> frozenset[int]:
     """Bridge detection via iterative DFS low-links over
     :attr:`Molecule.adjacency`; returns ring bonds."""
@@ -280,169 +285,152 @@ _ORGANIC_ATOMS = {
     **{text: Atom(text.upper(), aromatic=True) for text in AROMATIC_ORGANIC},
 }
 
+# A pending bond is (order, aromatic, stereo); aromatic is True only for an
+# explicit ':'.
+_Pending = tuple[int, bool, str | None]
+_PENDING_BONDS: dict[str, _Pending] = {
+    "-": (1, False, None),
+    "=": (2, False, None),
+    "#": (3, False, None),
+    ":": (1, True, None),
+    "/": (1, False, "up"),
+    "\\": (1, False, "down"),
+}
 
-@dataclass
-class _PendingBond:
-    order: int | None = None
-    aromatic: bool | None = None  # True only for an explicit ':'
-    stereo: str | None = None
+# str.isdigit would also accept non-ASCII digits, which int() then reads
+_DIGITS = frozenset("0123456789")
 
 
-class _Parser:
-    def __init__(self, tokens: Sequence[Token]) -> None:
-        self.tokens = tokens
-        self.atoms: list[Atom] = []
-        self.bonds: list[Bond] = []
-        self.prev: int | None = None
-        self.pending: _PendingBond | None = None
-        self.branch_stack: list[int] = []
-        # label -> (atom index, pending bond at the opening site)
-        self.open_rings: dict[int, tuple[int, _PendingBond | None]] = {}
+@lru_cache(maxsize=4096, typed=True)
+def _bond(a: int, b: int, order: int, aromatic: bool, stereo: str | None) -> Bond:
+    """The bond with these fields, built once per distinct fields; the
+    :class:`Molecule` constructor still checks it."""
+    return Bond(a, b, order, aromatic, stereo)
 
-    def parse(self) -> Molecule:
-        if not self.tokens:
-            raise ParseError("empty SMILES")
-        for token in self.tokens:
-            kind = token.kind
-            if kind in (TokenKind.ATOM_ORGANIC, TokenKind.ATOM_BRACKET):
-                self._on_atom(token)
-            elif kind is TokenKind.BOND:
-                self._on_bond(token)
-            elif kind is TokenKind.RING_CLOSURE:
-                self._on_ring(token)
-            elif kind is TokenKind.BRANCH_OPEN:
-                self._on_branch_open(token)
-            elif kind is TokenKind.BRANCH_CLOSE:
-                self._on_branch_close(token)
-            else:
-                self._on_dot(token)
-        if self.pending is not None:
-            raise ParseError("bond symbol with no following atom at end of input")
-        if self.open_rings:
-            labels = ", ".join(str(k) for k in sorted(self.open_rings))
-            raise ParseError(f"unclosed ring label(s): {labels}")
-        if self.branch_stack:
-            raise ParseError("unclosed branch at end of input")
-        if self.prev is None:
-            raise ParseError("dangling dot at end of input")
-        return Molecule(self.atoms, self.bonds)
 
-    # -- token handlers -------------------------------------------------
+def _parse(texts: Sequence[str], positions: Sequence[int] | None) -> Molecule:
+    """The parse loop over token texts. ``positions`` holds each text's
+    offset; ``None`` means the texts cover the input from offset 0. An error
+    position is worked out only when an error is raised."""
 
-    def _on_atom(self, token: Token) -> None:
-        if token.kind is TokenKind.ATOM_ORGANIC:
-            atom = _ORGANIC_ATOMS[token.text]
-        else:
-            atom = _parse_bracket(token)
-        index = len(self.atoms)
-        self.atoms.append(atom)
-        if self.prev is not None:
-            self._append_bond(self.prev, index, self.pending)
-        self.pending = None
-        self.prev = index
+    def at(k: int) -> str:
+        return f"at position {sum(map(len, texts[:k])) if positions is None else positions[k]}"
 
-    def _on_bond(self, token: Token) -> None:
-        if self.pending is not None:
-            raise ParseError(f"two bond symbols in a row at position {token.position}")
-        if self.prev is None:
-            raise ParseError(f"bond symbol with no preceding atom at position {token.position}")
-        ch = token.text
-        if ch == ":":
-            self.pending = _PendingBond(1, aromatic=True)
-        elif ch in "/\\":
-            self.pending = _PendingBond(1, stereo="up" if ch == "/" else "down")
-        else:
-            self.pending = _PendingBond(BOND_ORDER[ch])
-
-    def _on_ring(self, token: Token) -> None:
-        if self.prev is None:
-            raise ParseError(f"ring closure with no preceding atom at position {token.position}")
-        label = ring_label(token)
-        if label in self.open_rings:
-            other, opening = self.open_rings.pop(label)
-            if other == self.prev:
+    if not texts:
+        raise ParseError("empty SMILES")
+    atoms: list[Atom] = []
+    bonds: list[Bond] = []
+    prev: int | None = None
+    pending: _Pending | None = None
+    branches: list[int] = []
+    # ring label -> (atom index, pending bond at the opening site)
+    rings: dict[int, tuple[int, _Pending | None]] = {}
+    for k, text in enumerate(texts):
+        atom = _ORGANIC_ATOMS.get(text)
+        c = text[0]
+        if atom is None and c == "[":
+            try:
+                atom = _bracket_atom(text)
+            except ParseError as exc:
+                raise ParseError(f"{exc} in bracket atom {text!r} {at(k)}") from None
+        if atom is not None:
+            index = len(atoms)
+            atoms.append(atom)
+            if prev is not None:
+                if pending is None:
+                    # no bond symbol: single, aromatic between two aromatic atoms
+                    bonds.append(_bond(prev, index, 1, atoms[prev].aromatic and atom.aromatic, None))
+                else:
+                    bonds.append(_bond(prev, index, *pending))
+            pending = None
+            prev = index
+        elif c in _PENDING_BONDS:
+            if pending is not None:
+                raise ParseError(f"two bond symbols in a row {at(k)}")
+            if prev is None:
+                raise ParseError(f"bond symbol with no preceding atom {at(k)}")
+            pending = _PENDING_BONDS[c]
+        elif c in _DIGITS or c == "%":
+            if prev is None:
+                raise ParseError(f"ring closure with no preceding atom {at(k)}")
+            label = int(text[1:] if c == "%" else text)
+            opened = rings.pop(label, None)
+            if opened is None:
+                rings[label] = (prev, pending)
+            elif opened[0] == prev:
                 raise ParseError(f"ring label {label} closes onto its own atom")
-            self._close_ring(other, self.prev, opening, self.pending, label)
+            else:
+                bonds.append(_ring_bond(opened[0], prev, opened[1], pending, label, atoms))
+            pending = None
+        elif c == "(":
+            if prev is None:
+                raise ParseError(f"branch with no root atom {at(k)}")
+            if pending is not None:
+                raise ParseError(f"bond symbol before branch {at(k)}")
+            branches.append(prev)
+        elif c == ")":
+            if not branches:
+                raise ParseError(f"unbalanced ')' {at(k)}")
+            if pending is not None:
+                raise ParseError(f"dangling bond inside branch {at(k)}")
+            root = branches.pop()
+            if prev == root:
+                raise ParseError(f"empty branch {at(k)}")
+            prev = root
+        elif c == ".":
+            if branches:
+                raise ParseError(f"dot inside branch {at(k)}")
+            if pending is not None:
+                raise ParseError(f"bond symbol before dot {at(k)}")
+            if prev is None:
+                raise ParseError(f"dangling dot {at(k)}")
+            prev = None
         else:
-            self.open_rings[label] = (self.prev, self.pending)
-        self.pending = None
-
-    def _close_ring(
-        self,
-        a: int,
-        b: int,
-        opening: _PendingBond | None,
-        closing: _PendingBond | None,
-        label: int,
-    ) -> None:
-        order_a = opening.order if opening else None
-        order_b = closing.order if closing else None
-        arom_a = opening.aromatic if opening else None
-        arom_b = closing.aromatic if closing else None
-        if order_a is not None and order_b is not None:
-            same_arom = bool(arom_a) == bool(arom_b)
-            if order_a != order_b or not same_arom:
-                raise ParseError(f"conflicting bond symbols on ring label {label}")
-        order = order_a if order_a is not None else order_b
-        explicit_aromatic = bool(arom_a) or bool(arom_b)
-        # Stereo is oriented from a to b. A marker written at the closing
-        # site describes the b->a direction and is flipped.
-        stereo_a = opening.stereo if opening else None
-        stereo_b = closing.stereo if closing else None
-        if stereo_b is not None:
-            stereo_b = "down" if stereo_b == "up" else "up"
-        if stereo_a is not None and stereo_b is not None and stereo_a != stereo_b:
-            raise ParseError(f"conflicting stereo markers on ring label {label}")
-        stereo = stereo_a if stereo_a is not None else stereo_b
-        self._append_bond(a, b, _PendingBond(order, explicit_aromatic, stereo))
-
-    def _append_bond(self, a: int, b: int, pending: _PendingBond | None) -> None:
-        if pending is None or pending.order is None:
-            # no bond symbol: single, aromatic between two aromatic atoms
-            self.bonds.append(Bond(a, b, 1, self.atoms[a].aromatic and self.atoms[b].aromatic))
-            return
-        # the Molecule constructor checks the bonds (duplicates, aromatic ends, stereo)
-        self.bonds.append(Bond(a, b, pending.order, bool(pending.aromatic), pending.stereo))
-
-    def _on_branch_open(self, token: Token) -> None:
-        if self.prev is None:
-            raise ParseError(f"branch with no root atom at position {token.position}")
-        if self.pending is not None:
-            raise ParseError(f"bond symbol before branch at position {token.position}")
-        self.branch_stack.append(self.prev)
-
-    def _on_branch_close(self, token: Token) -> None:
-        if not self.branch_stack:
-            raise ParseError(f"unbalanced ')' at position {token.position}")
-        if self.pending is not None:
-            raise ParseError(f"dangling bond inside branch at position {token.position}")
-        root = self.branch_stack.pop()
-        if self.prev == root:
-            raise ParseError(f"empty branch at position {token.position}")
-        self.prev = root
-
-    def _on_dot(self, token: Token) -> None:
-        if self.branch_stack:
-            raise ParseError(f"dot inside branch at position {token.position}")
-        if self.pending is not None:
-            raise ParseError(f"bond symbol before dot at position {token.position}")
-        if self.prev is None:
-            raise ParseError(f"dangling dot at position {token.position}")
-        self.prev = None
+            raise ParseError(f"unexpected token {text!r} {at(k)}")
+    if pending is not None:
+        raise ParseError("bond symbol with no following atom at end of input")
+    if rings:
+        labels = ", ".join(str(label) for label in sorted(rings))
+        raise ParseError(f"unclosed ring label(s): {labels}")
+    if branches:
+        raise ParseError("unclosed branch at end of input")
+    if prev is None:
+        raise ParseError("dangling dot at end of input")
+    # the Molecule constructor checks the bonds (duplicates, aromatic ends, stereo)
+    return Molecule(atoms, bonds)
 
 
-def _parse_bracket(token: Token) -> Atom:
-    inner = token.text[1:-1]
-    pos = token.position
+def _ring_bond(
+    a: int, b: int, opening: _Pending | None, closing: _Pending | None, label: int, atoms: list[Atom]
+) -> Bond:
+    """The bond a ring closure makes from the pending bonds at its two sites."""
+    order_a, arom_a, stereo_a = opening or (None, False, None)
+    order_b, arom_b, stereo_b = closing or (None, False, None)
+    if order_a is not None and order_b is not None and (order_a != order_b or arom_a != arom_b):
+        raise ParseError(f"conflicting bond symbols on ring label {label}")
+    # Stereo is oriented from a to b. A marker written at the closing site
+    # describes the b->a direction and is flipped.
+    if stereo_b is not None:
+        stereo_b = "down" if stereo_b == "up" else "up"
+    if stereo_a is not None and stereo_b is not None and stereo_a != stereo_b:
+        raise ParseError(f"conflicting stereo markers on ring label {label}")
+    if order_a is None and order_b is None:
+        return _bond(a, b, 1, atoms[a].aromatic and atoms[b].aromatic, None)
+    order = order_a if order_a is not None else order_b
+    return _bond(a, b, order, arom_a or arom_b, stereo_a if stereo_a is not None else stereo_b)
+
+
+def _bracket_atom(text: str) -> Atom:
+    """The atom of a bracket token. A malformed one raises
+    :class:`ParseError` with a message the parser completes with the token
+    and its position."""
+    inner = text[1:-1]
     i = 0
     n = len(inner)
 
-    def fail(msg: str) -> ParseError:
-        return ParseError(f"{msg} in bracket atom {token.text!r} at position {pos}")
-
     isotope: int | None = None
     start = i
-    while i < n and inner[i].isdigit():
+    while i < n and inner[i] in _DIGITS:
         i += 1
     if i > start:
         isotope = int(inner[start:i])
@@ -454,7 +442,7 @@ def _parse_bracket(token: Token) -> Atom:
         i += 2
     elif i < n and inner[i].islower():
         if inner[i] not in AROMATIC_BRACKET:
-            raise fail(f"unknown aromatic symbol {inner[i]!r}")
+            raise ParseError(f"unknown aromatic symbol {inner[i]!r}")
         symbol = inner[i].upper()
         aromatic = True
         i += 1
@@ -465,7 +453,7 @@ def _parse_bracket(token: Token) -> Atom:
             symbol += inner[i]
             i += 1
     else:
-        raise fail("expected element symbol")
+        raise ParseError("expected element symbol")
 
     chirality: str | None = None
     if i < n and inner[i] == "@":
@@ -480,7 +468,7 @@ def _parse_bracket(token: Token) -> Atom:
     if i < n and inner[i] == "H":
         i += 1
         start = i
-        while i < n and inner[i].isdigit():
+        while i < n and inner[i] in _DIGITS:
             i += 1
         hydrogens = int(inner[start:i]) if i > start else 1
 
@@ -493,11 +481,11 @@ def _parse_bracket(token: Token) -> Atom:
             run += 1
             i += 1
         start = i
-        while i < n and inner[i].isdigit():
+        while i < n and inner[i] in _DIGITS:
             i += 1
         if i > start:
             if run > 1:
-                raise fail("charge combines repeated signs with digits")
+                raise ParseError("charge combines repeated signs with digits")
             charge = sign * int(inner[start:i])
         else:
             charge = sign * run
@@ -506,35 +494,30 @@ def _parse_bracket(token: Token) -> Atom:
         # atom map label: accepted and ignored
         i += 1
         start = i
-        while i < n and inner[i].isdigit():
+        while i < n and inner[i] in _DIGITS:
             i += 1
         if i == start:
-            raise fail("expected digits after ':'")
+            raise ParseError("expected digits after ':'")
 
     if i != n:
-        raise fail(f"unexpected {inner[i:]!r}")
-    return Atom(
-        symbol=symbol,
-        aromatic=aromatic,
-        charge=charge,
-        isotope=isotope,
-        hydrogens=hydrogens,
-        chirality=chirality,
-    )
+        raise ParseError(f"unexpected {inner[i:]!r}")
+    return Atom(symbol, aromatic, charge, isotope, hydrogens, chirality)
 
 
 def parse(tokens: Sequence[Token]) -> Molecule:
     """Parse a token sequence (from :func:`chemtext.smiles.tokenize.tokenize`)
-    into a :class:`Molecule`.
+    into a :class:`Molecule`. Each token is read by its text and position.
 
     Raises:
         ParseError: on unbalanced branches, reused-unclosed or conflicting
             ring labels, bond symbols with no following atom, or dangling
             dots.
     """
-    return _Parser(tokens).parse()
+    return _parse([t.text for t in tokens], [t.position for t in tokens])
 
 
 def parse_smiles(smiles: str) -> Molecule:
-    """Tokenize and parse in one step."""
-    return parse(tokenize(smiles))
+    """Lex and parse in one step. The whole string is lexed first, so a
+    :class:`~chemtext.smiles.tokenize.LexError` wins over a parse error
+    earlier in the string."""
+    return _parse(lex(smiles), None)

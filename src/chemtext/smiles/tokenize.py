@@ -9,6 +9,13 @@ Splits a SMILES string into a flat token sequence for the parser:
 - ring closures: a single digit 0-9 or a two-digit ``%nn`` label
 - branches ``(`` ``)`` and the fragment separator ``.``
 
+One compiled regex lists these alternatives in that priority order, and
+:func:`lex` returns the texts it matches. Only when those texts do not cover
+the whole string does a slower scan look for the first character no
+alternative matches, to raise :class:`LexError` there. :func:`tokenize`
+builds its :class:`Token` records from the same texts;
+:func:`chemtext.smiles.parse.parse_smiles` reads the texts directly.
+
 Tokenization is purely lexical: bracket contents and structural balance are
 checked later by the parser, so e.g. ``"C(C"`` tokenizes fine and only fails
 to parse.
@@ -17,7 +24,9 @@ to parse.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
+from itertools import accumulate
 
 from chemtext.errors import ChemtextError
 
@@ -25,6 +34,9 @@ ORGANIC_ONE_LETTER = frozenset("BCNOPSFI")
 ORGANIC_TWO_LETTER = ("Cl", "Br")
 AROMATIC_ORGANIC = frozenset("bcnops")
 BOND_CHARS = frozenset("-=#:/\\")
+
+# [0-9] rather than \d, which would also match non-ASCII digits.
+_TOKEN = re.compile(r"\[[^\]]*\]|Cl|Br|[BCNOPSFIbcnops]|[-=#:/\\]|[0-9]|%[0-9][0-9]|[().]")
 
 
 class LexError(ChemtextError):
@@ -59,6 +71,38 @@ class Token:
     position: int
 
 
+# token kind by the first character of its text
+_KIND_OF_FIRST = {
+    "[": TokenKind.ATOM_BRACKET,
+    **dict.fromkeys(ORGANIC_ONE_LETTER | AROMATIC_ORGANIC, TokenKind.ATOM_ORGANIC),
+    **dict.fromkeys(BOND_CHARS, TokenKind.BOND),
+    **dict.fromkeys("0123456789%", TokenKind.RING_CLOSURE),
+    "(": TokenKind.BRANCH_OPEN,
+    ")": TokenKind.BRANCH_CLOSE,
+    ".": TokenKind.DOT,
+}
+
+
+def lex(smiles: str) -> list[str]:
+    """The token texts of a SMILES string, in order.
+
+    Raises:
+        LexError: as :func:`tokenize` does.
+    """
+    texts = _TOKEN.findall(smiles)
+    if sum(map(len, texts)) == len(smiles):
+        return texts
+    i = 0  # findall skipped a character: find the first one no alternative matches
+    while match := _TOKEN.match(smiles, i):
+        i = match.end()
+    ch = smiles[i]
+    if ch == "[":
+        raise LexError("unterminated bracket atom", i)
+    if ch == "%":
+        raise LexError("expected two digits after '%'", i)
+    raise LexError(f"character {ch!r} outside the SMILES alphabet", i)
+
+
 def tokenize(smiles: str) -> list[Token]:
     """Tokenize a SMILES string.
 
@@ -67,52 +111,6 @@ def tokenize(smiles: str) -> list[Token]:
             unterminated bracket atom. The reported position always lies
             inside the input string.
     """
-    tokens: list[Token] = []
-    i = 0
-    n = len(smiles)
-    while i < n:
-        ch = smiles[i]
-        if ch == "[":
-            end = smiles.find("]", i + 1)
-            if end < 0:
-                raise LexError("unterminated bracket atom", i)
-            tokens.append(Token(TokenKind.ATOM_BRACKET, smiles[i : end + 1], i))
-            i = end + 1
-        elif smiles[i : i + 2] in ORGANIC_TWO_LETTER:
-            tokens.append(Token(TokenKind.ATOM_ORGANIC, smiles[i : i + 2], i))
-            i += 2
-        elif ch in ORGANIC_ONE_LETTER or ch in AROMATIC_ORGANIC:
-            tokens.append(Token(TokenKind.ATOM_ORGANIC, ch, i))
-            i += 1
-        elif ch in BOND_CHARS:
-            tokens.append(Token(TokenKind.BOND, ch, i))
-            i += 1
-        elif ch.isdigit() and ch.isascii():
-            tokens.append(Token(TokenKind.RING_CLOSURE, ch, i))
-            i += 1
-        elif ch == "%":
-            pair = smiles[i + 1 : i + 3]
-            if len(pair) != 2 or not (pair.isdigit() and pair.isascii()):
-                raise LexError("expected two digits after '%'", i)
-            tokens.append(Token(TokenKind.RING_CLOSURE, smiles[i : i + 3], i))
-            i += 3
-        elif ch == "(":
-            tokens.append(Token(TokenKind.BRANCH_OPEN, ch, i))
-            i += 1
-        elif ch == ")":
-            tokens.append(Token(TokenKind.BRANCH_CLOSE, ch, i))
-            i += 1
-        elif ch == ".":
-            tokens.append(Token(TokenKind.DOT, ch, i))
-            i += 1
-        else:
-            raise LexError(f"character {ch!r} outside the SMILES alphabet", i)
-    return tokens
-
-
-def ring_label(token: Token) -> int:
-    """Numeric label of a ring-closure token (``7`` -> 7, ``%12`` -> 12)."""
-    if token.kind is not TokenKind.RING_CLOSURE:
-        raise ValueError(f"not a ring-closure token: {token!r}")
-    text = token.text
-    return int(text[1:]) if text.startswith("%") else int(text)
+    texts = lex(smiles)
+    starts = accumulate(map(len, texts), initial=0)
+    return [Token(_KIND_OF_FIRST[text[0]], text, start) for text, start in zip(texts, starts)]

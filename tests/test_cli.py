@@ -370,6 +370,35 @@ def test_canonicalize_invalid_lines_continue(capsys, monkeypatch):
     assert lines[1] == "CCO"
 
 
+# Bracket atoms holding non-ASCII digits, which int() would read (or fail on)
+NON_ASCII_DIGIT_BRACKETS = ["[²C]", "[CH²]", "[C+²]", "[٣C]", "[CH٣]", "[C:²]"]
+
+
+@pytest.mark.parametrize("bad", NON_ASCII_DIGIT_BRACKETS)
+def test_evaluate_non_ascii_digit_prediction_is_one_invalid_side(tmp_path, capsys, bad):
+    preds = tmp_path / "preds.jsonl"
+    write_predictions(preds, TaskKind.TEXT2MOL, [("CCO", "CCO"), (bad, "CCO"), ("CCN", "CCN")])
+    code, out, _ = run_cli(
+        ["evaluate", "--task", "text2mol", "--predictions", str(preds), "--quiet"],
+        capsys=capsys,
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["skip_reasons"] == {"invalid_smiles_side": 1}
+    assert report["counts"] == {"n_skipped": 1, "n_total": 3, "n_valid_pred": 2}
+
+
+@pytest.mark.parametrize("bad", NON_ASCII_DIGIT_BRACKETS)
+def test_canonicalize_non_ascii_digit_line_is_invalid(capsys, monkeypatch, bad):
+    code, out, _ = run_cli(
+        ["canonicalize"], stdin_text=f"OCC\n{bad}\nNCC\n", capsys=capsys, monkeypatch=monkeypatch
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "CCO" and lines[2] == "CCN"
+    assert lines[1].startswith("INVALID ") and "bracket atom" in lines[1]
+
+
 def test_canonicalize_all_invalid_exits_2(capsys, monkeypatch):
     code, out, _ = run_cli(
         ["canonicalize"], stdin_text="C(\nxx\n", capsys=capsys, monkeypatch=monkeypatch

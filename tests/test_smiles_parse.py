@@ -17,7 +17,9 @@ from chemtext.smiles import (
     parse_smiles,
     tokenize,
 )
-from chemtext.smiles.parse import _resolved_atom
+from chemtext.smiles.parse import _bond, _default_hydrogens, _resolved_atom
+from chemtext.smiles.tokenize import LexError, Token
+from chemtext.smiles.valence import hydrogens_for_total
 from molgen import random_molecule
 
 
@@ -253,6 +255,24 @@ def test_aromatic_bracket_atoms():
     assert n.symbol == "N" and n.aromatic and n.hydrogens == 1
 
 
+@pytest.mark.parametrize(
+    "smiles, message",
+    [
+        # int() reads these digits, or fails on them with a ValueError
+        ("[²C]", "expected element symbol in bracket atom '[²C]' at position 0"),
+        ("[٣C]", "expected element symbol in bracket atom '[٣C]' at position 0"),
+        ("C[CH²]", "unexpected '²' in bracket atom '[CH²]' at position 1"),
+        ("C[CH٣]", "unexpected '٣' in bracket atom '[CH٣]' at position 1"),
+        ("[C+²]", "unexpected '²' in bracket atom '[C+²]' at position 0"),
+        ("[C:²]", "expected digits after ':' in bracket atom '[C:²]' at position 0"),
+    ],
+)
+def test_bracket_atoms_take_only_ascii_digits(smiles, message):
+    with pytest.raises(ParseError) as info:
+        parse_smiles(smiles)
+    assert str(info.value) == message
+
+
 def test_explicit_aromatic_bond_needs_aromatic_atoms():
     with pytest.raises(ParseError):
         parse_smiles("C:C")
@@ -281,6 +301,32 @@ def test_bond_orders_and_stereo():
     assert orders == [1, 1, 2]
     stereos = [b.stereo for b in mol.bonds if b.stereo]
     assert sorted(stereos) == ["down", "up"]
+
+
+@pytest.mark.parametrize(
+    "smiles, message",
+    [
+        ("[13CH3]C)", "unbalanced ')' at position 8"),
+        ("C%12CC(=O)==C", "two bond symbols in a row at position 11"),
+        ("CC.[C$]", "unexpected '$' in bracket atom '[C$]' at position 3"),
+    ],
+)
+def test_error_positions_count_characters(smiles, message):
+    with pytest.raises(ParseError) as info:
+        parse_smiles(smiles)
+    assert str(info.value) == message
+
+
+def test_parse_reports_the_token_positions_it_is_given():
+    tokens = [Token(t.kind, t.text, t.position + 10) for t in tokenize("C)")]
+    with pytest.raises(ParseError, match="unbalanced '\\)' at position 11"):
+        parse(tokens)
+
+
+def test_lex_error_wins_over_an_earlier_parse_error():
+    with pytest.raises(LexError) as info:
+        parse_smiles("C))x")
+    assert info.value.position == 3
 
 
 def test_parse_accepts_token_sequence():
@@ -344,3 +390,37 @@ def test_each_resolved_atom_is_built_once():
     assert _resolved_atom.cache_info().misses == 2
     assert all(a is b for a, b in zip(first.atoms, second.atoms))
     assert first.atoms[0] is first.atoms[3]
+
+
+# -- the bond and default-hydrogen memos -------------------------------------------
+
+
+def test_bond_memo_is_bounded_and_changes_nothing():
+    maxsize = _bond.cache_info().maxsize
+    assert maxsize is not None
+    mol = parse_smiles("C" * (2 * maxsize) + "1CC1")  # more distinct bonds than the memo holds
+    assert _bond.cache_info().currsize <= maxsize
+    fresh = Molecule(mol.atoms, [Bond(b.a, b.b, b.order, b.aromatic, b.stereo) for b in mol.bonds])
+    assert mol == fresh and hash(mol) == hash(fresh) and repr(mol) == repr(fresh)
+    assert all(type(b) is Bond for b in mol.bonds)
+
+
+def test_each_parsed_bond_is_built_once():
+    _bond.cache_clear()
+    first = parse_smiles("c1ccccc1/C=C/F")
+    second = parse_smiles("c1ccccc1/C=C/F")
+    assert _bond.cache_info().misses == len(first.bonds)
+    assert all(a is b for a, b in zip(first.bonds, second.bonds))
+
+
+@pytest.mark.parametrize("max_atoms, seed", [(10, 1), (30, 2)])
+def test_default_hydrogens_match_the_valence_table(max_atoms, seed):
+    assert _default_hydrogens.cache_info().maxsize is not None
+    rng = random.Random(seed)
+    for _ in range(150):
+        mol = random_molecule(rng, max_atoms)
+        for i, atom in enumerate(mol.atoms):
+            expected = hydrogens_for_total(
+                atom.symbol, atom.aromatic, mol.bond_order_totals[i], mol.degree(i)
+            )
+            assert mol.default_hydrogens[i] == expected

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chemtext.smiles import LexError, TokenKind, tokenize
+from chemtext.smiles.tokenize import lex
 
 
 def kinds(smiles):
@@ -58,7 +59,9 @@ def test_positions_and_coverage():
         offset += len(token.text)
 
 
-@pytest.mark.parametrize("bad", ["CxC", "C&C", "C[NH4", "C%1", "C%", "Cz", "C C"])
+@pytest.mark.parametrize(
+    "bad", ["CxC", "C&C", "C[NH4", "C%1", "C%", "Cz", "C C", "C²", "C%1²", "C٣C"]
+)
 def test_lex_errors_carry_position(bad):
     with pytest.raises(LexError) as err:
         tokenize(bad)
@@ -76,3 +79,20 @@ def test_tokenizer_totality(s):
         assert 0 <= err.position < len(s)
     else:
         assert "".join(t.text for t in tokens) == s
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("CC[NH4", "unterminated bracket atom (position 2)"),
+        ("C%1C", "expected two digits after '%' (position 1)"),
+        ("CC)x[", "character 'x' outside the SMILES alphabet (position 3)"),
+        ("C1²", "character '²' outside the SMILES alphabet (position 2)"),
+    ],
+)
+def test_lex_error_messages(bad, message):
+    for lexer in (lex, tokenize):
+        with pytest.raises(LexError) as err:
+            lexer(bad)
+        assert str(err.value) == message
+
