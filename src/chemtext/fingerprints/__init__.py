@@ -16,11 +16,15 @@ pinned by the hashing and encoding rules in this module so fingerprints are
 stable across platforms and releases. The hash is 64-bit FNV-1a over the
 UTF-8 serialization spelled out in each function.
 
-Morgan and path fingerprints are computed in batches:
-:func:`morgan_fingerprints` and :func:`path_fingerprints` hash the strings
-of all their molecules in one call per Morgan layer and one for all path
-encodings, and :func:`morgan_fingerprint` and :func:`path_fingerprint` are
-batches of one.
+Morgan and path fingerprints are computed in batches, and
+:func:`morgan_fingerprint` and :func:`path_fingerprint` are batches of one.
+:func:`morgan_fingerprints` hashes the strings of all its molecules in one
+call per layer. :func:`path_fingerprints` walks the paths of a batch of
+``_NUMPY_MIN_ATOMS`` atoms or more together in numpy, one bond at a time
+across every molecule, carrying each walk's FNV-1a state; a smaller batch
+walks each molecule alone and hashes the distinct encodings in one call.
+One numpy FNV-1a column pass hashes the Morgan layers, the encodings and the
+numpy walk's steps.
 
 Four rules hold across releases:
 
@@ -45,6 +49,7 @@ Four rules hold across releases:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 from chemtext.errors import ChemtextError
@@ -70,6 +75,22 @@ _MAX_PATHS_WALKED = 500_000
 # cross near 30 rows on both Morgan payloads (~57 bytes) and path encodings
 # (~11 bytes) of <=30-atom molecules.
 _NUMPY_MIN_ROWS = 32
+
+# Below this many atoms in a batch, walking each molecule alone in Python
+# beats the numpy walk, whose cost per path length is fixed; on <=30-atom
+# molecules the two cross near 18 atoms for one molecule, 22 for two and 26
+# for three.
+_NUMPY_MIN_ATOMS = 24
+
+# The numpy path walk expands about this many steps at once (one atom's
+# neighbors are never split), so it holds about one such block per path
+# length, whatever the molecule.
+_WALK_BLOCK_STEPS = 1 << 14
+
+# bytes.translate table taking each UTF-8 byte b to b + 1 (UTF-8 never uses
+# 0xFE or 0xFF): numpy ``S`` arrays drop trailing NULs, and shifted strings
+# hold none and compare in the same order
+_NO_NUL = bytes(range(1, 256)) + b"\xff"
 
 # scheme names :func:`fingerprint` accepts
 SCHEMES = ("morgan", "path", "keys")
@@ -108,7 +129,7 @@ class BitFingerprint:
     def __post_init__(self) -> None:
         if self.nbits <= 0:
             raise ValueError("nbits must be positive")
-        if any(b < 0 or b >= self.nbits for b in self.bits):
+        if self.bits and (min(self.bits) < 0 or max(self.bits) >= self.nbits):
             raise ValueError("bit index out of range")
 
 
@@ -124,31 +145,55 @@ def fnv1a64(data: bytes) -> int:
 def _fnv1a64_many(data: list[bytes]) -> list[int]:
     """``[fnv1a64(d) for d in data]``, in one numpy pass when that is faster.
 
-    Fewer than ``_NUMPY_MIN_ROWS`` rows are hashed one at a time in Python.
-    Otherwise the rows, longest first, are packed into a zero-padded byte
-    matrix and hashed a column at a time over the rows still that long;
-    uint64 arithmetic wraps exactly like FNV-1a's mod 2**64.
+    Fewer than ``_NUMPY_MIN_ROWS`` rows are hashed one at a time in Python;
+    more go through :func:`_fnv1a64_columns` as a zero-padded byte matrix.
     """
     if not data or len(data) < _NUMPY_MIN_ROWS:
         return [fnv1a64(d) for d in data]
     import numpy as np
 
-    order = sorted(range(len(data)), key=lambda k: len(data[k]), reverse=True)
-    rows = [data[k] for k in order]
-    width = len(rows[0])
-    matrix = np.array(rows, dtype=f"S{max(width, 1)}").view(np.uint8).reshape(len(rows), -1)
-    hashes = np.full(len(rows), _FNV_OFFSET, dtype=np.uint64)
+    lengths = np.array(list(map(len, data)))
+    # numpy drops trailing NULs from each row, but the padding is NUL too
+    matrix = np.array(data, dtype=f"S{max(int(lengths.max()), 1)}")
+    hashes = np.full(len(data), _FNV_OFFSET, dtype=np.uint64)
+    return _fnv1a64_columns(hashes, _byte_matrix(matrix), lengths).tolist()
+
+
+def _byte_matrix(strings):
+    """The bytes of a numpy ``S`` array as a uint8 matrix, one row each."""
+    return strings.view("u1").reshape(len(strings), strings.dtype.itemsize)
+
+
+def _fnv1a64_columns(hashes, matrix, lengths):
+    """Continue the FNV-1a states ``hashes`` in place over the first
+    ``lengths[i]`` bytes of row ``i`` of the uint8 ``matrix``, and return
+    them; the one FNV-1a loop over numpy arrays.
+
+    Every row takes the columns up to the shortest row's length, then the
+    longer rows take the columns up to the next length, and so on, so there
+    is one gather per distinct length and no sort. uint64 arithmetic wraps
+    exactly like FNV-1a's mod 2**64.
+    """
+    import numpy as np
+
     prime = np.uint64(_FNV_PRIME)
-    live = len(rows)
-    for col in range(width):
-        while len(rows[live - 1]) <= col:
-            live -= 1
-        head = hashes[:live]
-        head ^= matrix[:live, col]
-        head *= prime
-    out = np.empty_like(hashes)
-    out[order] = hashes
-    return out.tolist()
+    out = hashes
+    rows = None  # indices into out of the rows still hashed; None for all
+    done = 0  # columns hashed so far
+    while len(hashes):
+        shortest = int(lengths.min())
+        for col in range(done, shortest):
+            hashes ^= matrix[:, col]
+            hashes *= prime
+        if rows is not None:
+            out[rows] = hashes
+        if shortest == matrix.shape[1]:
+            break
+        done = shortest
+        longer = np.flatnonzero(lengths > shortest)
+        rows = longer if rows is None else rows[longer]
+        hashes, matrix, lengths = hashes[longer], matrix.take(longer, axis=0), lengths[longer]
+    return out
 
 
 def _require_valid(mol: Molecule) -> None:
@@ -230,8 +275,9 @@ def path_fingerprints(
     Enumerates simple paths of 1..max_len bonds. Each path is encoded as
     alternating atom and bond codes (aromatic atoms lowercase); the
     lexicographically smaller of the forward and reverse renderings is
-    hashed. Longer ``max_len`` yields a superset of bits. The distinct
-    encodings of all the molecules are hashed in one call.
+    hashed. Longer ``max_len`` yields a superset of bits. A batch of
+    ``_NUMPY_MIN_ATOMS`` atoms or more walks the paths of all its molecules
+    together, one bond at a time; a smaller one walks each molecule alone.
     """
     if max_len < 1:
         raise ValueError("max_len must be positive")
@@ -239,14 +285,28 @@ def path_fingerprints(
         raise ValueError("nbits must be positive")
     for mol in mols:
         _require_valid(mol)
+    if sum(len(mol.atoms) for mol in mols) < _NUMPY_MIN_ATOMS:
+        found = _path_bits_one_at_a_time(mols, max_len, nbits)
+    elif len(mols) > 1 and len(mols) * nbits > 1 << 64:
+        # a (molecule, bit) key of this batch would not fit in 64 bits
+        found = [bits for mol in mols for bits in _walk_paths([mol], max_len, nbits)]
+    else:
+        found = _walk_paths(mols, max_len, nbits)
+    return [
+        None if bits is None else BitFingerprint(scheme="path", nbits=nbits, bits=bits)
+        for bits in found
+    ]
+
+
+def _path_bits_one_at_a_time(
+    mols: Sequence[Molecule], max_len: int, nbits: int
+) -> list[frozenset[int] | None]:
+    """:func:`_walk_paths` by a recursive walk of each molecule; the distinct
+    encodings of all the molecules are hashed in one call."""
     found = [_path_encodings(mol, max_len) for mol in mols]
     distinct = list(set().union(*(e for e in found if e is not None)))
     bit_of = dict(zip(distinct, (h % nbits for h in _fnv1a64_many([e.encode() for e in distinct]))))
-    return [
-        None if e is None
-        else BitFingerprint(scheme="path", nbits=nbits, bits=frozenset(map(bit_of.__getitem__, e)))
-        for e in found
-    ]
+    return [None if e is None else frozenset(map(bit_of.__getitem__, e)) for e in found]
 
 
 def _path_encodings(mol: Molecule, max_len: int) -> set[str] | None:
@@ -296,6 +356,141 @@ def _path_encodings(mol: Molecule, max_len: int) -> set[str] | None:
     except FingerprintError:
         return None
     return encodings
+
+
+def _walk_paths(
+    mols: Sequence[Molecule], max_len: int, nbits: int
+) -> list[frozenset[int] | None]:
+    """The path bits of each molecule, or ``None`` over the path budget.
+
+    One row is one walk: its atoms in order (start first), its forward and
+    reverse renderings, and the FNV-1a state of the forward one. A step
+    appends ``bond + atom`` to the forward rendering and prepends
+    ``atom + bond`` to the reverse one. Every path is walked once from each
+    end, and an end whose forward rendering is not the larger records its
+    hash (a palindrome, the same hash from both ends). Rows are expanded a
+    block at a time, deepest block first, so the walk holds about one block
+    of ``_WALK_BLOCK_STEPS`` steps per path length, whatever the molecule.
+    """
+    import numpy as np
+
+    codes: list[str] = []
+    symbols: list[str] = []
+    flat: list[int] = []  # per adjacency entry: neighbor, bond (molecule-local)
+    degrees: list[int] = []
+    sizes: list[tuple[int, int]] = []  # per molecule: atoms, bonds
+    for mol in mols:
+        codes += [a.symbol.lower() if a.aromatic else a.symbol for a in mol.atoms]
+        symbols += [bond.symbol for bond in mol.bonds]
+        degrees += map(len, mol.adjacency)
+        flat += chain.from_iterable(chain.from_iterable(mol.adjacency))
+        sizes.append((len(mol.atoms), len(mol.bonds)))
+    if not symbols:
+        return [frozenset() for _ in mols]
+    n_mols, n_atoms = len(mols), len(codes)
+    atom_counts, bond_counts = np.array(sizes).T
+    atom_mol = np.repeat(np.arange(n_mols), atom_counts)
+    entries = np.array(flat, dtype=np.intp).reshape(-1, 2)
+    neighbor = entries[:, 0] + np.repeat(np.cumsum(atom_counts) - atom_counts, 2 * bond_counts)
+    bond = entries[:, 1] + np.repeat(np.cumsum(bond_counts) - bond_counts, 2 * bond_counts)
+    # each atom's neighbors and adjacency entries, padded to the widest atom
+    # with the atom itself, which every walk from it has visited
+    degree = np.array(degrees, dtype=np.intp)
+    width = int(degree.max())
+    owner = np.repeat(np.arange(n_atoms), degree)
+    slot = np.arange(len(owner)) - np.repeat(np.cumsum(degree) - degree, degree)
+    neighbors = np.repeat(np.arange(n_atoms, dtype=np.int32)[:, None], width, axis=1)
+    neighbors[owner, slot] = neighbor
+    steps = np.zeros((n_atoms, width), dtype=np.intp)
+    steps[owner, slot] = np.arange(len(owner))
+    # renderings hold UTF-8 shifted off NUL; hashes read the real bytes
+    code_text = np.array([c.encode().translate(_NO_NUL) for c in codes])
+    symbol_text = np.array([s.encode().translate(_NO_NUL) for s in symbols], dtype="S1")
+    forward_steps = np.char.add(symbol_text[bond], code_text[neighbor])
+    reverse_steps = np.char.add(code_text[neighbor], symbol_text[bond])
+    step_bytes = _byte_matrix(forward_steps) - 1
+    step_lengths = np.char.str_len(forward_steps)
+    distinct = list(set(codes))
+    hash_of = dict(zip(distinct, _fnv1a64_many([c.encode() for c in distinct])))
+    start_hashes = np.array([hash_of[c] for c in codes], dtype=np.uint64)
+
+    found: list = []  # (molecule, hash) arrays of recorded paths
+    held, room = 0, _WALK_BLOCK_STEPS  # hashes held; how many before deduplicating
+    walked = np.zeros(n_mols, dtype=np.int64)
+    some_dead, dead = False, np.zeros(n_mols, dtype=bool)
+    block = max(_WALK_BLOCK_STEPS // width, 1)
+    # a path's atoms fill columns 0..bonds of its row
+    starts = np.zeros((n_atoms, max_len + 1), dtype=np.int32)
+    starts[:, 0] = np.arange(n_atoms)
+    stack = [(0, starts, atom_mol, code_text, code_text, start_hashes)]
+    while stack:
+        bonds, path, row_mol, fwd, rev, hashes = stack.pop()
+        if len(path) > block:
+            rest = (path[block:], row_mol[block:], fwd[block:], rev[block:], hashes[block:])
+            stack.append((bonds, *rest))
+            path, row_mol, fwd, rev, hashes = (
+                path[:block], row_mol[:block], fwd[:block], rev[:block], hashes[:block]
+            )
+        tails = path[:, bonds]
+        nxt = neighbors.take(tails, axis=0)
+        fresh = nxt != path[:, :1]
+        for col in range(1, bonds + 1):
+            fresh &= nxt != path[:, col:col + 1]
+        if some_dead:
+            fresh &= ~dead[row_mol][:, None]
+        flat_at = np.flatnonzero(fresh)
+        rows = flat_at // width
+        edges = steps.take(tails, axis=0).take(flat_at)
+        row_mol = row_mol[rows]
+        walked += np.bincount(row_mol, minlength=n_mols)
+        if walked.max() > _MAX_PATHS_WALKED:
+            some_dead, dead = True, walked > _MAX_PATHS_WALKED
+            alive = np.flatnonzero(~dead[row_mol])
+            rows, edges, flat_at = rows[alive], edges[alive], flat_at[alive]
+            row_mol = row_mol[alive]
+        fwd = np.char.add(fwd[rows], forward_steps[edges])
+        rev = np.char.add(reverse_steps[edges], rev[rows])
+        hashes = _fnv1a64_columns(
+            hashes[rows], step_bytes.take(edges, axis=0), step_lengths[edges]
+        )
+        record = fwd <= rev
+        found.append((row_mol[record], hashes[record]))
+        held += len(found[-1][0])
+        if held > room:
+            found = [_distinct_paths(found, nbits)]
+            held = len(found[0][0])
+            room = max(room, 2 * held)
+        if bonds + 1 < max_len and len(rows):
+            grown = path.take(rows, axis=0)
+            grown[:, bonds + 1] = nxt.take(flat_at)
+            stack.append((bonds + 1, grown, row_mol, fwd, rev, hashes))
+
+    owner, bits = _distinct_paths(found, nbits)
+    bits = bits.tolist()
+    bounds = np.searchsorted(owner, np.arange(n_mols + 1)).tolist()
+    return [
+        None if gone else frozenset(bits[lo:hi])
+        for gone, lo, hi in zip(dead.tolist(), bounds, bounds[1:])
+    ]
+
+
+def _distinct_paths(found, nbits):
+    """The distinct (molecule, bit) pairs of ``found``, a list of (molecule,
+    hash) array pairs, as two arrays sorted by molecule, then bit."""
+    import numpy as np
+
+    owner = np.concatenate([m for m, _ in found])
+    hashes = np.concatenate([h for _, h in found])
+    if nbits >= 1 << 64:  # one molecule (see path_fingerprints): bit = hash
+        keys = hashes
+    else:
+        span = np.uint64(nbits)
+        keys = owner.astype(np.uint64) * span + hashes % span
+    keys.sort()
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))] if len(keys) else keys
+    if nbits >= 1 << 64:
+        return np.zeros(len(keys), dtype=np.intp), keys
+    return (keys // span).astype(np.intp), keys % span
 
 
 def key_fingerprint(

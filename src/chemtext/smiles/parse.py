@@ -297,8 +297,11 @@ _PENDING_BONDS: dict[str, _Pending] = {
     "\\": (1, False, "down"),
 }
 
-# str.isdigit would also accept non-ASCII digits, which int() then reads
+# str.isdigit would also accept non-ASCII digits, which int() then reads,
+# and str.isupper and str.islower non-ASCII letters
 _DIGITS = frozenset("0123456789")
+_UPPER = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
+_LOWER = frozenset("abcdefghijklmnopqrstuvwxyz")
 
 
 @lru_cache(maxsize=4096, typed=True)
@@ -440,16 +443,16 @@ def _bracket_atom(text: str) -> Atom:
         symbol = inner[i : i + 2].capitalize()
         aromatic = True
         i += 2
-    elif i < n and inner[i].islower():
+    elif i < n and inner[i] in _LOWER:
         if inner[i] not in AROMATIC_BRACKET:
             raise ParseError(f"unknown aromatic symbol {inner[i]!r}")
         symbol = inner[i].upper()
         aromatic = True
         i += 1
-    elif i < n and inner[i].isupper():
+    elif i < n and inner[i] in _UPPER:
         symbol = inner[i]
         i += 1
-        if i < n and inner[i].islower():
+        if i < n and inner[i] in _LOWER:
             symbol += inner[i]
             i += 1
     else:

@@ -372,10 +372,11 @@ def test_canonicalize_invalid_lines_continue(capsys, monkeypatch):
 
 # Bracket atoms holding non-ASCII digits, which int() would read (or fail on)
 NON_ASCII_DIGIT_BRACKETS = ["[²C]", "[CH²]", "[C+²]", "[٣C]", "[CH٣]", "[C:²]"]
+# Bracket atoms holding non-ASCII letters, which str.isupper and str.islower accept
+NON_ASCII_LETTER_BRACKETS = ["[Ä]", "C[Cä]C", "[Ωx]"]
 
 
-@pytest.mark.parametrize("bad", NON_ASCII_DIGIT_BRACKETS)
-def test_evaluate_non_ascii_digit_prediction_is_one_invalid_side(tmp_path, capsys, bad):
+def _assert_one_invalid_prediction(tmp_path, capsys, bad):
     preds = tmp_path / "preds.jsonl"
     write_predictions(preds, TaskKind.TEXT2MOL, [("CCO", "CCO"), (bad, "CCO"), ("CCN", "CCN")])
     code, out, _ = run_cli(
@@ -388,8 +389,7 @@ def test_evaluate_non_ascii_digit_prediction_is_one_invalid_side(tmp_path, capsy
     assert report["counts"] == {"n_skipped": 1, "n_total": 3, "n_valid_pred": 2}
 
 
-@pytest.mark.parametrize("bad", NON_ASCII_DIGIT_BRACKETS)
-def test_canonicalize_non_ascii_digit_line_is_invalid(capsys, monkeypatch, bad):
+def _assert_invalid_line_in_the_middle(capsys, monkeypatch, bad):
     code, out, _ = run_cli(
         ["canonicalize"], stdin_text=f"OCC\n{bad}\nNCC\n", capsys=capsys, monkeypatch=monkeypatch
     )
@@ -397,6 +397,26 @@ def test_canonicalize_non_ascii_digit_line_is_invalid(capsys, monkeypatch, bad):
     lines = out.splitlines()
     assert lines[0] == "CCO" and lines[2] == "CCN"
     assert lines[1].startswith("INVALID ") and "bracket atom" in lines[1]
+
+
+@pytest.mark.parametrize("bad", NON_ASCII_DIGIT_BRACKETS)
+def test_evaluate_non_ascii_digit_prediction_is_one_invalid_side(tmp_path, capsys, bad):
+    _assert_one_invalid_prediction(tmp_path, capsys, bad)
+
+
+@pytest.mark.parametrize("bad", NON_ASCII_DIGIT_BRACKETS)
+def test_canonicalize_non_ascii_digit_line_is_invalid(capsys, monkeypatch, bad):
+    _assert_invalid_line_in_the_middle(capsys, monkeypatch, bad)
+
+
+@pytest.mark.parametrize("bad", NON_ASCII_LETTER_BRACKETS)
+def test_evaluate_non_ascii_letter_prediction_is_one_invalid_side(tmp_path, capsys, bad):
+    _assert_one_invalid_prediction(tmp_path, capsys, bad)
+
+
+@pytest.mark.parametrize("bad", NON_ASCII_LETTER_BRACKETS)
+def test_canonicalize_non_ascii_letter_line_is_invalid(capsys, monkeypatch, bad):
+    _assert_invalid_line_in_the_middle(capsys, monkeypatch, bad)
 
 
 def test_canonicalize_all_invalid_exits_2(capsys, monkeypatch):

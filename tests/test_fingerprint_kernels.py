@@ -2,6 +2,7 @@
 implementations in fingerprint_oracles.py, bit for bit."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -115,17 +116,26 @@ def test_morgan_bits_match_oracle(corpus):
             )
 
 
-def _dense(n):
+def _dense(n, missing=frozenset()):
+    """``n`` gold atoms, every pair bonded except the ``missing`` pairs."""
     atoms = [Atom(symbol="Au", hydrogens=0) for _ in range(n)]
-    bonds = [Bond(a=i, b=j) for i in range(n) for j in range(i + 1, n)]
+    bonds = [Bond(a=i, b=j) for i in range(n) for j in range(i + 1, n) if (i, j) not in missing]
     return Molecule(atoms, bonds)
 
 
-@pytest.mark.parametrize("module", [fingerprints, oracles], ids=["kernel", "oracle"])
+# the kernel as the measured cutoff picks its walk, the kernel with each walk
+# forced, and the reference
+_BUDGET_WALKERS = {"kernel": None, "numpy_walk": 0, "recursive_walk": 10**9, "oracle": None}
+
+
+@pytest.mark.parametrize("walker", list(_BUDGET_WALKERS))
 @pytest.mark.parametrize("max_len", [3, 5])
-def test_budget_counts_every_step_in_both_directions(monkeypatch, module, max_len):
+def test_budget_counts_every_step_in_both_directions(monkeypatch, walker, max_len):
     # the kernel and the reference trip the budget on exactly the same inputs
-    fingerprint = path_fingerprint if module is fingerprints else oracles.path_oracle
+    module = oracles if walker == "oracle" else fingerprints
+    fingerprint = oracles.path_oracle if walker == "oracle" else path_fingerprint
+    if _BUDGET_WALKERS[walker] is not None:
+        monkeypatch.setattr(fingerprints, "_NUMPY_MIN_ATOMS", _BUDGET_WALKERS[walker])
     for mol in (_dense(6), _LARGE[0], parse_smiles("c1ccc2ccccc2c1")):
         steps = directed_path_steps(mol, max_len)
         monkeypatch.setattr(module, "_MAX_PATHS_WALKED", steps)
@@ -176,7 +186,27 @@ def test_batch_kernels_match_oracle_off_defaults(hash_method, radius, max_len, n
     ]
 
 
+# walk each batch as the measured cutoff picks, all in numpy, or each
+# molecule alone
+_WALK_METHODS = {"measured": None, "numpy": 0, "recursive": 10**9}
+
+
+@pytest.fixture(params=list(_WALK_METHODS), ids=list(_WALK_METHODS))
+def walk_method(request, monkeypatch):
+    if _WALK_METHODS[request.param] is not None:
+        monkeypatch.setattr(fingerprints, "_NUMPY_MIN_ATOMS", _WALK_METHODS[request.param])
+    return request.param
+
+
 def test_budget_molecule_is_marked_without_touching_its_batch(hash_method):
+    _assert_budget_molecule_is_marked()
+
+
+def test_budget_molecule_is_marked_on_either_walk(walk_method):
+    _assert_budget_molecule_is_marked()
+
+
+def _assert_budget_molecule_is_marked():
     clique = parse_smiles(clique_smiles())
     mols = _LARGE[:6] + [clique] + _LARGE[6:12]
     marked = path_fingerprints(mols)
@@ -184,6 +214,89 @@ def test_budget_molecule_is_marked_without_touching_its_batch(hash_method):
     assert marked[:6] + marked[7:] == [oracles.path_oracle(m) for m in mols if m is not clique]
     # Morgan has no budget: the clique gets its bits like any molecule
     assert morgan_fingerprints(mols) == [oracles.morgan_oracle(m) for m in mols]
+
+
+def _chain(symbols):
+    """Atoms of the given symbols, each bonded to the next."""
+    atoms = [Atom(symbol=sym) for sym in symbols]
+    return Molecule(atoms, [Bond(i, i + 1) for i in range(len(atoms) - 1)])
+
+
+def _odd_molecules():
+    rng = random.Random(103)
+    big = [random_molecule(rng, 90) for _ in range(40)]
+    unusual = _chain(["Cl", "Ä", "Ωx", "X\x00", "\x00", "é\x00", "😀", "", "Br"])
+    return [
+        # more than 64 atoms, in chains, rings and random graphs
+        parse_smiles("C" * 70),
+        parse_smiles("C1" + "C" * 68 + "1"),
+        parse_smiles("c1ccc(cc1)" * 12 + "C"),
+        *[m for m in big if len(m.atoms) > 64][:3],
+        # two-letter, aromatic two-letter and charged or isotopic symbols
+        parse_smiles("ClC(Br)C(Cl)CBr"),
+        parse_smiles("c1cc[se]c1C[as]1cccc1"),
+        parse_smiles("[13CH3][NH3+].[O-]C(=O)C"),
+        # non-ASCII symbols, and symbols ending in NUL, which numpy S arrays drop
+        Molecule(unusual.atoms, unusual.bonds + (Bond(1, 5), Bond(2, 7))),
+        _chain(["\x00", "\x00\x00", "\x00"]),
+        # palindromic paths
+        parse_smiles("OCCO"),
+        parse_smiles("CC(C)(C)C"),
+        parse_smiles("c1ccccc1"),
+        parse_smiles("C1CC2CCC1CC2"),
+        _chain(["N", "Ä", "N"]),
+        # no bonds, one atom
+        parse_smiles("[Na+].[Cl-]"),
+        parse_smiles("C"),
+    ]
+
+
+_ODD = _odd_molecules()
+
+
+@pytest.mark.parametrize("batch", [1, 2, 5, 40])
+def test_path_walk_matches_oracle(walk_method, batch):
+    for corpus, (mols, _, path) in _ORACLE_BITS.items():
+        for lo in range(0, len(mols), batch):
+            assert path_fingerprints(mols[lo:lo + batch]) == path[lo:lo + batch], corpus
+
+
+@pytest.mark.parametrize("batch", [1, 2, 5, 40])
+@pytest.mark.parametrize("max_len,nbits", [(7, 2048), (1, 2048), (9, 997), (3, 2**70)])
+def test_path_walk_matches_oracle_on_odd_molecules(walk_method, batch, max_len, nbits):
+    want = [oracles.path_oracle(m, max_len, nbits) for m in _ODD]
+    for lo in range(0, len(_ODD), batch):
+        assert path_fingerprints(_ODD[lo:lo + batch], max_len, nbits) == want[lo:lo + batch]
+
+
+def test_path_walk_blocks_do_not_change_bits(monkeypatch):
+    # blocks of a few steps split every level and deduplicate held bits often
+    monkeypatch.setattr(fingerprints, "_NUMPY_MIN_ATOMS", 0)
+    monkeypatch.setattr(fingerprints, "_WALK_BLOCK_STEPS", 5)
+    mols = _ODD + _LARGE[:10]
+    assert path_fingerprints(mols) == [oracles.path_oracle(m) for m in mols]
+    assert path_fingerprints(mols, 9, 997) == [oracles.path_oracle(m, 9, 997) for m in mols]
+
+
+@pytest.mark.parametrize("case", ["dense", "clique", "under_budget"])
+def test_numpy_walk_memory_is_bounded(monkeypatch, case):
+    # blocks keep the walk's peak memory flat whatever the molecule; the
+    # 9-clique missing two bonds walks 421,484 steps, under the 500,000-step
+    # budget
+    monkeypatch.setattr(fingerprints, "_NUMPY_MIN_ATOMS", 0)
+    mol = {
+        "dense": _dense(14),
+        "clique": parse_smiles(clique_smiles()),
+        "under_budget": _dense(9, {(0, 1), (2, 3)}),
+    }[case]
+    tracemalloc.start()
+    try:
+        (fp,) = path_fingerprints([mol])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (fp is None) == (case != "under_budget")
+    assert peak <= 64 * 2**20
 
 
 def test_empty_batches():

@@ -204,6 +204,17 @@ def test_bit_index_bounds_enforced():
         BitFingerprint("morgan", 0, frozenset())
 
 
+@pytest.mark.parametrize("bits", [{-1}, {8}, {0, 7, 8}, {-1, 3}, {2**70}])
+def test_bit_out_of_range_is_named(bits):
+    with pytest.raises(ValueError, match="bit index out of range"):
+        BitFingerprint("path", 8, frozenset(bits))
+
+
+def test_bits_at_both_ends_of_the_range_are_kept():
+    assert BitFingerprint("path", 8, frozenset({0, 7})).bits == {0, 7}
+    assert BitFingerprint("path", 8, frozenset()).bits == frozenset()
+
+
 def test_path_enumeration_budget():
     # unknown bracket elements have unchecked valence, so a dense graph can
     # be built; the walk must fail fast instead of hanging

@@ -16,6 +16,7 @@ from chemtext.smiles import (
     parse,
     parse_smiles,
     tokenize,
+    validate_smiles,
 )
 from chemtext.smiles.parse import _bond, _default_hydrogens, _resolved_atom
 from chemtext.smiles.tokenize import LexError, Token
@@ -271,6 +272,26 @@ def test_bracket_atoms_take_only_ascii_digits(smiles, message):
     with pytest.raises(ParseError) as info:
         parse_smiles(smiles)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "smiles, message",
+    [
+        # str.isupper and str.islower accept these letters
+        ("[Ä]", "expected element symbol in bracket atom '[Ä]' at position 0"),
+        ("[ä]", "expected element symbol in bracket atom '[ä]' at position 0"),
+        ("C[Cä]C", "unexpected 'ä' in bracket atom '[Cä]' at position 1"),
+        ("[Ωx]", "expected element symbol in bracket atom '[Ωx]' at position 0"),
+        ("[13Ωx+]", "expected element symbol in bracket atom '[13Ωx+]' at position 0"),
+    ],
+)
+def test_bracket_atoms_take_only_ascii_letters(smiles, message):
+    with pytest.raises(ParseError) as info:
+        parse_smiles(smiles)
+    assert str(info.value) == message
+    assert validate_smiles(smiles).reasons == (message,)
+    with pytest.raises(ParseError):
+        canonical_smiles(smiles)
 
 
 def test_explicit_aromatic_bond_needs_aromatic_atoms():
