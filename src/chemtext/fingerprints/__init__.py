@@ -16,15 +16,26 @@ pinned by the hashing and encoding rules in this module so fingerprints are
 stable across platforms and releases. The hash is 64-bit FNV-1a over the
 UTF-8 serialization spelled out in each function.
 
-Morgan and path fingerprints are computed in batches, and
+Every scheme has a batch kernel (:func:`morgan_fingerprints`,
+:func:`path_fingerprints`, :func:`key_fingerprints`), and
 :func:`morgan_fingerprint` and :func:`path_fingerprint` are batches of one.
-:func:`morgan_fingerprints` hashes the strings of all its molecules in one
-call per layer. :func:`path_fingerprints` walks the paths of a batch of
-``_NUMPY_MIN_ATOMS`` atoms or more together in numpy, one bond at a time
-across every molecule, carrying each walk's FNV-1a state; a smaller batch
-walks each molecule alone and hashes the distinct encodings in one call.
-One numpy FNV-1a column pass hashes the Morgan layers, the encodings and the
-numpy walk's steps.
+One measured cutoff, ``_NUMPY_MIN_ATOMS`` atoms in the batch, decides for
+all three schemes. Below it each molecule is scored alone in Python (the
+path walk is recursive, Morgan hashes each layer's strings in one call, keys
+embed one pattern at a time). From it on, the batch's graph table
+(:class:`chemtext.fingerprints.chunk.GraphTable`: interned atoms, degrees,
+ring-bond counts, bond ends and kinds, and a padded neighbor table, built in
+one Python pass) feeds three numpy chunk kernels: the path walk goes one
+bond at a time across every molecule, carrying each walk's FNV-1a state;
+Morgan continues the FNV-1a state of every atom of a layer at once over its
+payload bytes; the keys count slots per molecule and embed every tree key
+of every molecule one pattern node at a time. The graph table and the key
+and Morgan chunk kernels live in :mod:`chemtext.fingerprints.chunk`, which
+is imported only for such a batch. A :class:`MoleculeBatch` handed to
+several kernels builds its table once. A small batch also walks in numpy
+when one of its molecules might pass the path budget, since the recursive
+walk keeps every encoding it finds. One numpy FNV-1a column pass hashes the
+Morgan layers, the encodings and the numpy walk's steps.
 
 Four rules hold across releases:
 
@@ -49,8 +60,8 @@ Four rules hold across releases:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Sequence
 
 from chemtext.errors import ChemtextError
 from chemtext.fingerprints.keys import (
@@ -62,6 +73,9 @@ from chemtext.fingerprints.keys import (
     parse_pattern,
 )
 from chemtext.smiles.parse import Molecule
+
+if TYPE_CHECKING:
+    from chemtext.fingerprints.chunk import GraphTable
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -76,10 +90,12 @@ _MAX_PATHS_WALKED = 500_000
 # (~11 bytes) of <=30-atom molecules.
 _NUMPY_MIN_ROWS = 32
 
-# Below this many atoms in a batch, walking each molecule alone in Python
-# beats the numpy walk, whose cost per path length is fixed; on <=30-atom
-# molecules the two cross near 18 atoms for one molecule, 22 for two and 26
-# for three.
+# Below this many atoms in a batch, each scheme scores each molecule alone in
+# Python; from it on, the batch's graph table goes through the numpy chunk
+# kernels, whose cost per path length, Morgan layer or key-tree level is fixed.
+# On batches of 1-3 <=30-atom molecules, the three schemes together (one table
+# built) take 1.25x the Python time at 16-23 atoms, 0.95x at 24-31 and 0.84x
+# at 32-39.
 _NUMPY_MIN_ATOMS = 24
 
 # The numpy path walk expands about this many steps at once (one atom's
@@ -201,6 +217,38 @@ def _require_valid(mol: Molecule) -> None:
         raise FingerprintError("; ".join(mol.validity.reasons))
 
 
+class MoleculeBatch(tuple):
+    """Molecules fingerprinted together, each checked valid once.
+
+    The batch kernels take any sequence of molecules. A batch passed to
+    several of them builds its graph table
+    (:class:`chemtext.fingerprints.chunk.GraphTable`) once, on the first
+    call that scores in numpy, and the others read it.
+    """
+
+    def __new__(cls, mols: Sequence[Molecule] = ()) -> MoleculeBatch:
+        batch = super().__new__(cls, mols)
+        for mol in batch:
+            _require_valid(mol)
+        return batch
+
+    @cached_property
+    def in_numpy(self) -> bool:
+        """Whether the batch has the ``_NUMPY_MIN_ATOMS`` atoms from which
+        every scheme scores it in numpy."""
+        return sum(len(mol.atoms) for mol in self) >= _NUMPY_MIN_ATOMS
+
+    @cached_property
+    def table(self) -> GraphTable:
+        from chemtext.fingerprints.chunk import GraphTable
+
+        return GraphTable(self)
+
+
+def _as_batch(mols: Sequence[Molecule]) -> MoleculeBatch:
+    return mols if isinstance(mols, MoleculeBatch) else MoleculeBatch(mols)
+
+
 def morgan_fingerprint(mol: Molecule, radius: int = 2, nbits: int = 2048) -> BitFingerprint:
     """:func:`morgan_fingerprints` of one molecule."""
     return morgan_fingerprints([mol], radius, nbits)[0]
@@ -216,19 +264,33 @@ def morgan_fingerprints(
     ``E|<own layer r-1 hash>|<sorted (bond code, neighbor layer r-1 hash)
     pairs>``, each pair written ``code:hash`` with the hash as 16 hex digits
     and the bond code ``:`` (aromatic) or the order. Every (atom, layer)
-    hash sets bit ``hash % nbits``. Each layer of all the molecules is
-    hashed in one call.
+    hash sets bit ``hash % nbits``. A batch of ``_NUMPY_MIN_ATOMS`` atoms
+    or more continues the FNV-1a state of every atom of a layer at once in
+    numpy; a smaller one hashes each layer's strings in one call.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
     if nbits <= 0:
         raise ValueError("nbits must be positive")
+    batch = _as_batch(mols)
+    if batch.in_numpy:
+        from chemtext.fingerprints.chunk import morgan_bits
+
+        found = morgan_bits(batch.table, radius, nbits)
+    else:
+        found = _morgan_bits_one_at_a_time(batch, radius, nbits)
+    return [BitFingerprint(scheme="morgan", nbits=nbits, bits=bits) for bits in found]
+
+
+def _morgan_bits_one_at_a_time(
+    mols: Sequence[Molecule], radius: int, nbits: int
+) -> list[frozenset[int]]:
+    """The Morgan bits of each molecule, from its layer strings."""
     seeds: list[bytes] = []
     # per atom of the batch: (bond code + ":", batch index of the neighbor)
     neighbors: list[list[tuple[str, int]]] = []
     bounds = [0]
     for mol in mols:
-        _require_valid(mol)
         base = bounds[-1]
         codes = [":" if bond.aromatic else str(bond.order) for bond in mol.bonds]
         for a, entries in zip(mol.atoms, mol.adjacency):
@@ -248,11 +310,7 @@ def morgan_fingerprints(
             payloads.append(f"E|{own}|{'|'.join(parts)}".encode())
         layers.append(_fnv1a64_many(payloads))
     return [
-        BitFingerprint(
-            scheme="morgan",
-            nbits=nbits,
-            bits=frozenset(h % nbits for layer in layers for h in layer[lo:hi]),
-        )
+        frozenset(h % nbits for layer in layers for h in layer[lo:hi])
         for lo, hi in zip(bounds, bounds[1:])
     ]
 
@@ -277,25 +335,44 @@ def path_fingerprints(
     lexicographically smaller of the forward and reverse renderings is
     hashed. Longer ``max_len`` yields a superset of bits. A batch of
     ``_NUMPY_MIN_ATOMS`` atoms or more walks the paths of all its molecules
-    together, one bond at a time; a smaller one walks each molecule alone.
+    together, one bond at a time; so does a batch holding a molecule whose
+    walk might pass the budget (see :func:`_walk_bound`). Any other batch
+    walks each molecule alone.
     """
     if max_len < 1:
         raise ValueError("max_len must be positive")
     if nbits <= 0:
         raise ValueError("nbits must be positive")
-    for mol in mols:
-        _require_valid(mol)
-    if sum(len(mol.atoms) for mol in mols) < _NUMPY_MIN_ATOMS:
-        found = _path_bits_one_at_a_time(mols, max_len, nbits)
-    elif len(mols) > 1 and len(mols) * nbits > 1 << 64:
+    batch = _as_batch(mols)
+    if not batch.in_numpy and all(_walk_bound(m, max_len) <= _MAX_PATHS_WALKED for m in batch):
+        found = _path_bits_one_at_a_time(batch, max_len, nbits)
+    elif len(batch) > 1 and len(batch) * nbits > 1 << 64:
         # a (molecule, bit) key of this batch would not fit in 64 bits
-        found = [bits for mol in mols for bits in _walk_paths([mol], max_len, nbits)]
+        alone = (MoleculeBatch([mol]).table for mol in batch)
+        found = [bits for table in alone for bits in _walk_paths(table, max_len, nbits)]
     else:
-        found = _walk_paths(mols, max_len, nbits)
+        found = _walk_paths(batch.table, max_len, nbits)
     return [
         None if bits is None else BitFingerprint(scheme="path", nbits=nbits, bits=bits)
         for bits in found
     ]
+
+
+def _walk_bound(mol: Molecule, max_len: int) -> int:
+    """An upper bound on the walk steps of ``mol``'s paths: from each of its
+    n atoms, at most ``d * (d-1)**k`` walks of k+1 bonds, with d its highest
+    degree. The sum stops growing once it passes the budget."""
+    n = len(mol.atoms)
+    d = max(map(len, mol.adjacency), default=0)
+    if d <= 2:
+        return n * d * (max_len if d == 2 else 1)
+    total, term = 0, n * d
+    for _ in range(max_len):
+        total += term
+        if total > _MAX_PATHS_WALKED:
+            break
+        term *= d - 1
+    return total
 
 
 def _path_bits_one_at_a_time(
@@ -358,10 +435,9 @@ def _path_encodings(mol: Molecule, max_len: int) -> set[str] | None:
     return encodings
 
 
-def _walk_paths(
-    mols: Sequence[Molecule], max_len: int, nbits: int
-) -> list[frozenset[int] | None]:
-    """The path bits of each molecule, or ``None`` over the path budget.
+def _walk_paths(table: GraphTable, max_len: int, nbits: int) -> list[frozenset[int] | None]:
+    """The path bits of each molecule of ``table``, or ``None`` over the
+    path budget.
 
     One row is one walk: its atoms in order (start first), its forward and
     reverse renderings, and the FNV-1a state of the forward one. A step
@@ -374,45 +450,22 @@ def _walk_paths(
     """
     import numpy as np
 
-    codes: list[str] = []
-    symbols: list[str] = []
-    flat: list[int] = []  # per adjacency entry: neighbor, bond (molecule-local)
-    degrees: list[int] = []
-    sizes: list[tuple[int, int]] = []  # per molecule: atoms, bonds
-    for mol in mols:
-        codes += [a.symbol.lower() if a.aromatic else a.symbol for a in mol.atoms]
-        symbols += [bond.symbol for bond in mol.bonds]
-        degrees += map(len, mol.adjacency)
-        flat += chain.from_iterable(chain.from_iterable(mol.adjacency))
-        sizes.append((len(mol.atoms), len(mol.bonds)))
-    if not symbols:
-        return [frozenset() for _ in mols]
-    n_mols, n_atoms = len(mols), len(codes)
-    atom_counts, bond_counts = np.array(sizes).T
-    atom_mol = np.repeat(np.arange(n_mols), atom_counts)
-    entries = np.array(flat, dtype=np.intp).reshape(-1, 2)
-    neighbor = entries[:, 0] + np.repeat(np.cumsum(atom_counts) - atom_counts, 2 * bond_counts)
-    bond = entries[:, 1] + np.repeat(np.cumsum(bond_counts) - bond_counts, 2 * bond_counts)
-    # each atom's neighbors and adjacency entries, padded to the widest atom
-    # with the atom itself, which every walk from it has visited
-    degree = np.array(degrees, dtype=np.intp)
-    width = int(degree.max())
-    owner = np.repeat(np.arange(n_atoms), degree)
-    slot = np.arange(len(owner)) - np.repeat(np.cumsum(degree) - degree, degree)
-    neighbors = np.repeat(np.arange(n_atoms, dtype=np.int32)[:, None], width, axis=1)
-    neighbors[owner, slot] = neighbor
-    steps = np.zeros((n_atoms, width), dtype=np.intp)
-    steps[owner, slot] = np.arange(len(owner))
+    n_mols, n_atoms = len(table.mols), table.n_atoms
+    if not len(table.bond_kind):
+        return [frozenset() for _ in range(n_mols)]
+    neighbors, steps, width = table.neighbors, table.entries, table.width
+    neighbor, bond = table.entry_neighbor, table.entry_bond
     # renderings hold UTF-8 shifted off NUL; hashes read the real bytes
-    code_text = np.array([c.encode().translate(_NO_NUL) for c in codes])
-    symbol_text = np.array([s.encode().translate(_NO_NUL) for s in symbols], dtype="S1")
+    codes = [a.symbol.lower() if a.aromatic else a.symbol for a in table.atoms]
+    code_text = np.array([c.encode().translate(_NO_NUL) for c in codes])[table.atom_id]
+    kind_text = np.array([s.encode().translate(_NO_NUL) for s in "-=#:"], dtype="S1")
+    symbol_text = kind_text[table.bond_kind]
     forward_steps = np.char.add(symbol_text[bond], code_text[neighbor])
     reverse_steps = np.char.add(code_text[neighbor], symbol_text[bond])
     step_bytes = _byte_matrix(forward_steps) - 1
     step_lengths = np.char.str_len(forward_steps)
-    distinct = list(set(codes))
-    hash_of = dict(zip(distinct, _fnv1a64_many([c.encode() for c in distinct])))
-    start_hashes = np.array([hash_of[c] for c in codes], dtype=np.uint64)
+    start_hashes = np.array(_fnv1a64_many([c.encode() for c in codes]), dtype=np.uint64)
+    start_hashes = start_hashes[table.atom_id]
 
     found: list = []  # (molecule, hash) arrays of recorded paths
     held, room = 0, _WALK_BLOCK_STEPS  # hashes held; how many before deduplicating
@@ -422,7 +475,7 @@ def _walk_paths(
     # a path's atoms fill columns 0..bonds of its row
     starts = np.zeros((n_atoms, max_len + 1), dtype=np.int32)
     starts[:, 0] = np.arange(n_atoms)
-    stack = [(0, starts, atom_mol, code_text, code_text, start_hashes)]
+    stack = [(0, starts, table.atom_mol, code_text, code_text, start_hashes)]
     while stack:
         bonds, path, row_mol, fwd, rev, hashes = stack.pop()
         if len(path) > block:
@@ -501,14 +554,36 @@ def key_fingerprint(
     shipped 166-entry table is used. A :class:`KeyTable` (what
     :func:`load_key_table` returns) is compiled once; any other sequence is
     compiled on every call."""
+    compiled = _compiled_keys(key_table)
+    _require_valid(mol)
+    return BitFingerprint(scheme="keys", nbits=compiled.nbits, bits=compiled.bits(mol))
+
+
+def key_fingerprints(
+    mols: Sequence[Molecule], key_table: Sequence[KeyDefinition] | None = None
+) -> list[BitFingerprint]:
+    """:func:`key_fingerprint` of each molecule, with the table compiled
+    once. A batch of ``_NUMPY_MIN_ATOMS`` atoms or more is scored from its
+    graph table in numpy, every key of every molecule together (see
+    :mod:`chemtext.fingerprints.keys`); a smaller one one molecule at a
+    time."""
+    compiled = _compiled_keys(key_table)
+    batch = _as_batch(mols)
+    found = (
+        compiled.chunk.bits(batch.table)
+        if batch.in_numpy
+        else [compiled.bits(mol) for mol in batch]
+    )
+    return [BitFingerprint(scheme="keys", nbits=compiled.nbits, bits=bits) for bits in found]
+
+
+def _compiled_keys(key_table: Sequence[KeyDefinition] | None):
     if key_table is None:
         key_table = default_key_table()
     table = key_table if isinstance(key_table, KeyTable) else KeyTable(key_table)
     if not table:
         raise KeyTableError("key table must be non-empty")
-    _require_valid(mol)
-    compiled = table.compiled
-    return BitFingerprint(scheme="keys", nbits=compiled.nbits, bits=compiled.bits(mol))
+    return table.compiled
 
 
 def fingerprint(
@@ -545,12 +620,14 @@ __all__ = [
     "KeyDefinition",
     "KeyTable",
     "KeyTableError",
+    "MoleculeBatch",
     "SCHEMES",
     "SchemeMismatchError",
     "default_key_table",
     "fingerprint",
     "fnv1a64",
     "key_fingerprint",
+    "key_fingerprints",
     "load_key_table",
     "morgan_fingerprint",
     "morgan_fingerprints",

@@ -1,0 +1,418 @@
+"""The numpy chunk kernels: one graph table per batch of molecules, read by
+the key, path and Morgan fingerprints.
+
+:mod:`chemtext.fingerprints` imports this module only for a batch of
+``_NUMPY_MIN_ATOMS`` atoms or more, so commands that never fingerprint such
+a batch neither compile it nor import numpy. Every kernel must set exactly
+the bits of its one-molecule-at-a-time form and of the references kept in
+``tests/fingerprint_oracles.py``.
+
+- :class:`GraphTable` holds the batch's atoms and bonds as arrays, built in
+  one Python pass.
+- :func:`morgan_bits` continues the FNV-1a state of every atom of a layer
+  at once over that layer's payload bytes.
+- :class:`ChunkKeys`, the numpy form of a compiled key table, counts atom
+  and bond keys as per-molecule sums over one slot matrix and embeds every
+  tree key of every molecule in one level-synchronous join.
+- The path walk (``chemtext.fingerprints._walk_paths``) reads the same
+  table.
+"""
+
+from __future__ import annotations
+
+from functools import cached_property, lru_cache
+from itertools import chain
+from operator import attrgetter, truth
+from typing import Sequence
+
+import numpy as np
+
+from chemtext.fingerprints import _fnv1a64_columns, fnv1a64
+from chemtext.smiles.parse import Atom, Molecule
+
+_ORDER = attrgetter("order")
+_AROMATIC = attrgetter("aromatic")
+
+# bond kinds of the key kernel: a bond symbol's index, and "~" any bond
+_BOND_KINDS = "-=#:~"
+_ANY_BOND = _BOND_KINDS.index("~")
+
+# A key table's chunk form keeps the slot row of at most this many distinct
+# atom feature tuples; the memo is emptied when it is full.
+_SLOT_MEMO_CAP = 4096
+
+# The tree-key join extends about this many candidate atoms at once, so it
+# holds about one such block per pattern node, whatever the molecule.
+_JOIN_BLOCK_STEPS = 1 << 14
+
+
+class GraphTable:
+    """The atoms and bonds of a batch as numpy arrays, from one Python pass.
+
+    Atoms are numbered across the batch, molecule by molecule, and so are
+    bonds; an adjacency entry is one (atom, neighbor, bond) of
+    :attr:`Molecule.adjacency`, in atom order. The arrays:
+
+    - ``atoms``: the distinct :class:`Atom` objects; ``atom_id`` per atom
+      indexes it, so per-atom facts are worked out once per distinct atom
+    - ``atom_mol``, ``degree``; ``atom_start`` and ``bond_start`` (one more
+      than the molecules) bound each molecule's atoms and bonds
+    - ``bond_kind``: per bond, its symbol's index in ``"-=#:"``;
+      ``bond_ends``: per bond, its two atoms
+    - ``entry_owner``, ``entry_neighbor``, ``entry_bond``, and per atom
+      ``entry_start``, its first entry
+    - ``neighbors`` and ``entries``: per atom, its neighbors and its
+      adjacency entries, padded to the widest atom with the atom itself
+      (which every walk or embedding through it has already used) and
+      entry 0
+    """
+
+    def __init__(self, mols: Sequence[Molecule]) -> None:
+        atoms: list[Atom] = []
+        orders: list[int] = []
+        aromatic: list[bool] = []
+        flat: list[int] = []  # per adjacency entry: neighbor, bond (molecule-local)
+        degrees: list[int] = []
+        sizes: list[tuple[int, int]] = []  # per molecule: atoms, bonds
+        for mol in mols:
+            atoms += mol.atoms
+            orders += map(_ORDER, mol.bonds)
+            aromatic += map(truth, map(_AROMATIC, mol.bonds))
+            degrees += map(len, mol.adjacency)
+            flat += chain.from_iterable(chain.from_iterable(mol.adjacency))
+            sizes.append((len(mol.atoms), len(mol.bonds)))
+        self.mols = tuple(mols)  # not a batch that holds this table
+        # the parser shares atom objects (see chemtext.smiles.parse), so
+        # interning by identity leaves few distinct atoms and hashes none
+        _, first, atom_id = np.unique(
+            np.fromiter(map(id, atoms), dtype=np.uint64, count=len(atoms)),
+            return_index=True, return_inverse=True,
+        )
+        self.atoms = [atoms[i] for i in first.tolist()]
+        self.atom_id = atom_id.reshape(-1)
+        self.n_atoms = n_atoms = len(atoms)
+        self.bond_kind = np.where(aromatic, 3, np.array(orders, dtype=np.intp) - 1)
+        atom_counts, bond_counts = np.array(sizes, dtype=np.intp).reshape(-1, 2).T
+        self.atom_start = np.concatenate(([0], np.cumsum(atom_counts)))
+        self.bond_start = np.concatenate(([0], np.cumsum(bond_counts)))
+        self.atom_mol = np.repeat(np.arange(len(sizes)), atom_counts)
+        self.degree = degree = np.array(degrees, dtype=np.intp)
+        local = np.array(flat, dtype=np.intp).reshape(-1, 2)
+        self.entry_owner = owner = np.repeat(np.arange(n_atoms), degree)
+        self.entry_neighbor = local[:, 0] + np.repeat(self.atom_start[:-1], 2 * bond_counts)
+        self.entry_bond = local[:, 1] + np.repeat(self.bond_start[:-1], 2 * bond_counts)
+        lower = owner < self.entry_neighbor  # each bond once, from its lower end
+        self.bond_ends = np.empty((len(orders), 2), dtype=np.intp)
+        self.bond_ends[self.entry_bond[lower]] = np.stack(
+            (owner[lower], self.entry_neighbor[lower]), axis=1
+        )
+        self.width = width = int(degree.max()) if n_atoms else 0
+        self.entry_start = np.cumsum(degree) - degree
+        slot = np.arange(len(owner)) - self.entry_start[owner]
+        self.neighbors = np.repeat(np.arange(n_atoms, dtype=np.int32)[:, None], width, axis=1)
+        self.neighbors[owner, slot] = self.entry_neighbor
+        self.entries = np.zeros((n_atoms, width), dtype=np.intp)
+        self.entries[owner, slot] = np.arange(len(owner))
+
+    @cached_property
+    def ring_bonds(self):
+        """Per atom, its bonds that lie on a cycle (key fingerprints read it)."""
+        ring = np.zeros(len(self.bond_kind), dtype=bool)
+        ring[[
+            start + bi for mol, start in zip(self.mols, self.bond_start.tolist())
+            for bi in mol.ring_bond_indices
+        ]] = True
+        return np.bincount(self.entry_owner, ring[self.entry_bond], self.n_atoms).astype(np.intp)
+
+
+# -- Morgan ---------------------------------------------------------------------------
+
+
+def morgan_bits(table: GraphTable, radius: int, nbits: int) -> list[frozenset[int]]:
+    """The Morgan bits of each molecule of ``table``, one layer of all its
+    atoms at a time.
+
+    A layer's payload ``E|own|code:hex|...`` is laid out as a byte matrix,
+    one row per atom: the own hash's 16 hex digits and ``|``, then each
+    neighbor's ``code:hex|`` in (code byte, hash) order, which is the order
+    of the sorted ``code:hex`` strings; a row's length leaves off the last
+    ``|``. Every row continues the FNV-1a state of ``E|``.
+    """
+    owner, neighbor = table.entry_owner, table.entry_neighbor
+    hashes = _morgan_seeds(table)
+    layers = [hashes]
+    if radius:
+        code = np.frombuffer(b"123:", dtype=np.uint8)[table.bond_kind[table.entry_bond]]
+        base = 17 + 19 * (np.arange(len(owner)) - table.entry_start[owner])
+        digits = base[:, None] + np.arange(2, 18)
+        template = np.full((table.n_atoms, 17 + 19 * table.width), ord("|"), dtype=np.uint8)
+        template[owner, base + 1] = ord(":")
+        lengths = 16 + 19 * table.degree + (table.degree == 0)
+        prefix = fnv1a64(b"E|")
+    for _ in range(radius):
+        hexes = _hex_digits(hashes)
+        # entries stay grouped by owner; within one, (code byte, hash) order
+        order = np.lexsort((hashes[neighbor], code, owner))
+        matrix = template.copy()
+        matrix[:, :16] = hexes
+        matrix[owner, base] = code[order]
+        matrix[owner[:, None], digits] = hexes[neighbor[order]]
+        hashes = _fnv1a64_columns(
+            np.full(table.n_atoms, prefix, dtype=np.uint64), matrix, lengths
+        )
+        layers.append(hashes)
+    bits = np.stack(layers, axis=1)  # per atom, its hash in each layer
+    if nbits < 1 << 64:
+        bits %= np.uint64(nbits)
+    bits = bits.ravel().tolist()
+    bounds = (table.atom_start * (radius + 1)).tolist()
+    return [frozenset(bits[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _morgan_seeds(table: GraphTable):
+    """Layer 0 of ``table``: the hash of each atom's invariant string,
+    worked out once per distinct (atom, degree) of the batch."""
+    span = table.width + 1
+    distinct, inverse = np.unique(table.atom_id * span + table.degree, return_inverse=True)
+    hashes = [_morgan_seed(table.atoms[key // span], key % span) for key in distinct.tolist()]
+    return np.array(hashes, dtype=np.uint64)[inverse.reshape(-1)]
+
+
+@lru_cache(maxsize=4096)
+def _morgan_seed(atom: Atom, degree: int) -> int:
+    """The layer-0 hash of ``atom`` with ``degree`` bonds, kept across
+    batches in a bounded memo."""
+    return fnv1a64(
+        f"A|{atom.symbol}|{int(atom.aromatic)}|{atom.charge}|{atom.isotope or 0}"
+        f"|{degree}|{atom.hydrogens}".encode()
+    )
+
+
+_HEX = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+
+
+def _hex_digits(hashes):
+    """The 16 lowercase hex digits of each uint64 in ``hashes``, as a uint8
+    matrix with one row per hash."""
+    shifts = np.arange(60, -4, -4, dtype=np.uint64)
+    return _HEX[(hashes[:, None] >> shifts) & np.uint64(15)]
+
+
+# -- keys -------------------------------------------------------------------------------
+
+
+class ChunkKeys:
+    """A compiled key table (``keys._CompiledTable``) as numpy arrays, and
+    the memo of slot rows it has matched.
+
+    Each distinct (atom, degree, ring-bond count) of a batch maps to a
+    boolean row of the slots it satisfies. Atom keys and bond keys are then
+    per-molecule sums over the batch's slot matrix, and tree keys one
+    level-synchronous join over every tree key and molecule.
+    """
+
+    def __init__(self, compiled) -> None:
+        self.compiled = compiled
+        self.nbits = compiled.nbits
+        self.n_slots = len(compiled._slot_of)
+        self.slot_rows: dict[tuple, np.ndarray] = {}  # atom features -> slot row
+        # per atom key: bit, threshold, slot
+        self.atom_keys = np.array(compiled.atom_keys, dtype=np.intp).reshape(-1, 3).T
+        # per bond key: bit, threshold, slot, bond kind, child slot
+        self.bond_keys = np.array(
+            [(b, t, s, _BOND_KINDS.index(k), c) for b, t, s, k, c in compiled.bond_keys],
+            dtype=np.intp,
+        ).reshape(-1, 5).T
+        # per tree key: bit, threshold, node count; per tree key and node:
+        # parent node, bond kind, slot; and the slots each tree key uses
+        tree = compiled.tree_keys
+        self.tree_keys = np.array(
+            [(b, t, len(steps)) for b, t, steps in tree], dtype=np.intp
+        ).reshape(-1, 3).T
+        depth = max((len(steps) for _, _, steps in tree), default=1)
+        self.nodes = np.zeros((3, len(tree), depth), dtype=np.intp)
+        self.uses = np.zeros((len(tree), self.n_slots), dtype=bool)
+        for k, (_, _, steps) in enumerate(tree):
+            for s, (parent, symbol, slot) in enumerate(steps):
+                self.nodes[:, k, s] = (max(parent, 0), _BOND_KINDS.index(symbol or "~"), slot)
+                self.uses[k, slot] = True
+
+    def bits(self, table: GraphTable) -> list[frozenset[int]]:
+        """The key bits of each molecule of ``table``, every key at once."""
+        n_mols = len(table.mols)
+        slots = self._slot_matrix(table)
+        slot_counts = _segment_sums(slots, table.atom_start)
+        a_bit, a_threshold, a_slot = self.atom_keys
+        hit_mol, hit_bit = [], []
+        mols, keys = np.nonzero(slot_counts[:, a_slot] >= a_threshold)
+        hit_mol.append(mols)
+        hit_bit.append(a_bit[keys])
+        if self.bond_keys.size and len(table.bond_kind):
+            b_bit, b_threshold, first, kind, second = self.bond_keys
+            a_slots, b_slots = slots[table.bond_ends[:, 0]], slots[table.bond_ends[:, 1]]
+            # one bond is one atom set, so a single-bond key counts bonds
+            found = a_slots[:, first] & b_slots[:, second]
+            found |= b_slots[:, first] & a_slots[:, second]
+            found &= (kind == _ANY_BOND) | (table.bond_kind[:, None] == kind)
+            mols, keys = np.nonzero(_segment_sums(found, table.bond_start) >= b_threshold)
+            hit_mol.append(mols)
+            hit_bit.append(b_bit[keys])
+        if self.tree_keys.size:
+            mols, bits = self._tree_key_hits(table, slots, slot_counts)
+            hit_mol.append(mols)
+            hit_bit.append(bits)
+        hits = np.zeros((n_mols, self.nbits), dtype=bool)
+        hits[np.concatenate(hit_mol), np.concatenate(hit_bit)] = True
+        mols, bits = np.nonzero(hits)
+        bits = bits.tolist()
+        bounds = np.searchsorted(mols, np.arange(n_mols + 1)).tolist()
+        return [frozenset(bits[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+    def _slot_matrix(self, table: GraphTable):
+        """Per atom of ``table``, the boolean row of slots it satisfies,
+        from the memo of one row per distinct atom feature tuple."""
+        span = table.width + 1
+        features = (table.atom_id * span + table.degree) * span + table.ring_bonds
+        distinct, inverse = np.unique(features, return_inverse=True)
+        rows = np.empty((len(distinct), self.n_slots), dtype=bool)
+        memo = self.slot_rows
+        for u, code in enumerate(distinct.tolist()):
+            atom_degree, ring_bonds = divmod(code, span)
+            atom_id, degree = divmod(atom_degree, span)
+            atom = table.atoms[atom_id]
+            key = (atom.symbol, atom.aromatic, atom.charge, atom.hydrogens, degree, ring_bonds)
+            row = memo.get(key)
+            if row is None:
+                if len(memo) >= _SLOT_MEMO_CAP:
+                    memo.clear()
+                row = memo[key] = np.zeros(self.n_slots, dtype=bool)
+                row[self.compiled._matching_slots(key)] = True
+            rows[u] = row
+        return rows[inverse.reshape(-1)]
+
+    def _tree_key_hits(self, table: GraphTable, slots, slot_counts):
+        """(molecule, bit) arrays of the tree keys that reach their count
+        threshold.
+
+        A row is one partial embedding: its key and the atoms of its
+        pattern nodes so far, in preorder (unassigned nodes hold -1). A
+        level gives each row's next node every unused neighbor of its
+        parent's atom that satisfies the node's slot over an allowed bond.
+        A complete row's atom set, sorted, is counted once per (key,
+        molecule) pair, and a pair is decided as soon as it has its
+        threshold of distinct sets: its rows are dropped. Rows are extended
+        a block at a time, deepest block first, so the join holds about one
+        block of ``_JOIN_BLOCK_STEPS`` candidates per pattern node.
+        """
+        (bit, threshold, size), (parent, kind, slot) = self.tree_keys, self.nodes
+        n_keys, depth = parent.shape
+        n_mols, width = len(table.mols), table.width
+        pair_threshold = np.repeat(threshold, n_mols)  # pair = key * n_mols + molecule
+        # a pair can match only if each slot of its key matches an atom
+        possible = ~(self.uses[:, None, :] & (slot_counts == 0)[None]).any(axis=2)
+        root_atom, root_key = np.nonzero(slots[:, slot[:, 0]] & possible.T[table.atom_mol])
+        rows = np.full((len(root_atom), depth), -1, dtype=np.int32)
+        rows[:, 0] = root_atom
+        stack = [(1, root_key, rows)]
+        entry_kinds = table.bond_kind[table.entry_bond][table.entries]
+        flat_slots = slots.ravel()
+        block = max(_JOIN_BLOCK_STEPS // max(width, 1), 1)
+        done = np.zeros(n_keys * n_mols, dtype=bool)  # pairs at their threshold
+        counted = np.zeros(n_keys * n_mols, dtype=np.intp)  # distinct sets at the last count
+        pending = np.zeros(n_keys * n_mols, dtype=np.intp)  # complete rows since then
+        found: list = []  # per complete row: its pair, and the pair and sorted atom set packed
+        held, room = 0, _JOIN_BLOCK_STEPS  # rows in found; how many before counting
+        spans = [n_keys * n_mols] + [table.n_atoms + 1] * depth
+
+        def count_distinct() -> None:
+            nonlocal found, held, room
+            pairs = np.concatenate([p for p, _ in found])
+            packed = np.concatenate([k for _, k in found])
+            open_ = ~done[pairs]
+            pairs, packed = pairs[open_], packed[open_]
+            order = np.lexsort(packed.T[::-1])
+            pairs, packed = pairs[order], packed[order]
+            fresh = np.ones(len(pairs), dtype=bool)
+            fresh[1:] = (packed[1:] != packed[:-1]).any(axis=1)
+            pairs, packed = pairs[fresh], packed[fresh]
+            counted[:] = np.bincount(pairs, minlength=len(counted))
+            done[counted >= pair_threshold] = True
+            open_ = ~done[pairs]
+            found = [(pairs[open_], packed[open_])]
+            held = int(open_.sum())
+            room = max(room, 2 * held)
+            pending[:] = 0
+
+        while stack:
+            step, key, rows = stack.pop()
+            if len(rows) > block:
+                stack.append((step, key[block:], rows[block:]))
+                key, rows = key[:block], rows[:block]
+            if done.any():
+                open_ = ~done[key * n_mols + table.atom_mol[rows[:, 0]]]
+                key, rows = key[open_], rows[open_]
+            if not len(rows) or not width:
+                continue
+            at = rows[np.arange(len(rows)), parent[key, step]]
+            nxt = table.neighbors.take(at, axis=0)
+            want = kind[key, step][:, None]
+            fits = (want == _ANY_BOND) | (entry_kinds.take(at, axis=0) == want)
+            fits &= flat_slots.take(nxt * self.n_slots + slot[key, step][:, None])
+            for col in range(step):
+                fits &= nxt != rows[:, col:col + 1]
+            flat_at = np.flatnonzero(fits)
+            grown = rows.take(flat_at // width, axis=0)
+            grown[:, step] = nxt.take(flat_at)
+            key = key[flat_at // width]
+            complete = size[key] == step + 1
+            if not complete.all():
+                stack.append((step + 1, key[~complete], grown[~complete]))
+            if not complete.any():
+                continue
+            grown = grown[complete]
+            pairs = key[complete] * n_mols + table.atom_mol[grown[:, 0]]
+            # a threshold of one is met by any embedding
+            first = pair_threshold[pairs] == 1
+            done[pairs[first]] = True
+            pairs, grown = pairs[~first], grown[~first]
+            if not len(pairs):
+                continue
+            # unassigned nodes (-1) sort first, and every key has a fixed size
+            found.append((pairs, _packed([pairs, *np.sort(grown, axis=1).T + 1], spans)))
+            held += len(pairs)
+            pending += np.bincount(pairs, minlength=len(pending))
+            # count again once rows held double, or a pair may have reached
+            # its threshold with at least as many new rows as it had sets
+            reach = (counted + pending >= pair_threshold) & (pending >= counted) & ~done
+            if held > room or reach.any():
+                count_distinct()
+        if held:
+            count_distinct()
+        keys, mols = np.divmod(np.flatnonzero(done), n_mols)
+        return mols, bit[keys]
+
+
+def _packed(columns, spans):
+    """The rows of ``columns`` (non-negative int arrays, column i below
+    ``spans[i]``) as an int64 matrix of as few columns as keep each value
+    below 2**62: equal rows give equal packed rows, and distinct ones
+    distinct."""
+    words: list = []
+    word, room = None, 1
+    for column, span in zip(columns, spans):
+        if word is not None and room * span > 1 << 62:
+            words.append(word)
+            word, room = None, 1
+        column = column.astype(np.int64)
+        word = column if word is None else word * span + column
+        room *= span
+    words.append(word)
+    return np.stack(words, axis=1)
+
+
+def _segment_sums(values, starts):
+    """Per segment ``starts[i]:starts[i+1]`` of the rows of ``values``, the
+    column sums."""
+    sums = np.zeros((len(values) + 1, values.shape[1]), dtype=np.intp)
+    np.cumsum(values, axis=0, out=sums[1:])
+    return sums[starts[1:]] - sums[starts[:-1]]

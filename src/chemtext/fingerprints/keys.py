@@ -29,12 +29,20 @@ supporting an embedding, so a symmetric pattern like ``O-C-O`` counts each
 acetal site once.
 
 A :class:`KeyTable` is compiled on first use: its distinct pattern atoms
-become numbered slots, and each molecule is scored from per-slot atom
-bitsets. Single-atom keys count atoms, single-bond keys count bonds, and
-larger patterns go through the same embedder as :func:`count_matches`.
-Key bits are stable across releases: the compiled matcher must set exactly
-the bits of the one-pattern-at-a-time reference kept in
-``tests/fingerprint_oracles.py``.
+become numbered slots. Single-atom keys count atoms, single-bond keys count
+bonds, and larger patterns (tree keys) count embeddings. A molecule scored
+alone (a batch under the fingerprint package's numpy cutoff) is scored from
+per-slot atom bitsets, its tree keys through the same embedder as
+:func:`count_matches`. A larger batch is scored as one chunk from its graph
+table by the table's numpy form (:mod:`chemtext.fingerprints.chunk`, loaded
+on first use): each distinct (atom, degree, ring-bond count) maps to a
+boolean row of the slots it satisfies, kept in a bounded memo; atom and bond
+keys are per-molecule sums over that slot matrix; and the tree keys of every
+molecule are embedded together, one pattern node at a time, counting each
+key's distinct atom sets per molecule and dropping a (key, molecule) pair's
+rows once its threshold is met. Key bits are stable across releases: both
+matchers must set exactly the bits of the one-pattern-at-a-time reference
+kept in ``tests/fingerprint_oracles.py``.
 """
 
 from __future__ import annotations
@@ -371,6 +379,14 @@ class _CompiledTable(_CompiledPatterns):
             if _count_embeddings(mol, kinds, slot_atoms, steps, threshold) >= threshold:
                 bits.add(bit)
         return frozenset(bits)
+
+    @cached_property
+    def chunk(self):
+        """The numpy form of this table, which scores a fingerprint graph
+        table (:mod:`chemtext.fingerprints.chunk`) at once."""
+        from chemtext.fingerprints.chunk import ChunkKeys
+
+        return ChunkKeys(self)
 
 
 def _count_embeddings(

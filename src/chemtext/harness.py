@@ -17,9 +17,10 @@ Task conventions:
   as ``tanimoto(ref_fp, ref_fp)``: equal canonical SMILES give equal
   fingerprints (see :mod:`chemtext.fingerprints`), and the pinned 0/0 rule
   still scores an empty fingerprint 0.0. Pairs are scored in chunks of 16:
-  the molecules of a chunk are fingerprinted in one batch per scheme and
-  the Tanimoto values are summed in pair order, so the report is the one
-  pair-by-pair scoring gives, to the bit.
+  the molecules of a chunk become one :class:`MoleculeBatch`, whose graph
+  table the three schemes' batch kernels share, and the Tanimoto values are
+  summed in pair order, so the report is the one pair-by-pair scoring
+  gives, to the bit.
 - forward: top-1 accuracy under canonical-SMILES equality.
 - retro: roundtrip accuracy through a ForwardOracle: the predicted
   precursors are fed to the oracle and the regenerated product must match
@@ -58,7 +59,8 @@ from chemtext.dataset import TaskKind
 from chemtext.errors import ChemtextError
 from chemtext.fingerprints import (
     FingerprintConfig,
-    key_fingerprint,
+    MoleculeBatch,
+    key_fingerprints,
     morgan_fingerprints,
     path_fingerprints,
     tanimoto,
@@ -326,10 +328,11 @@ def eval_text2mol(
             sides.append((ref_index, len(mols) - 1))
         if not mols:
             continue
+        batch = MoleculeBatch(mols)
         fps = {
-            "keys": [key_fingerprint(mol, config.key_table) for mol in mols],
-            "path": path_fingerprints(mols, config.path_max_len, config.nbits),
-            "morgan": morgan_fingerprints(mols, config.radius, config.nbits),
+            "keys": key_fingerprints(batch, config.key_table),
+            "path": path_fingerprints(batch, config.path_max_len, config.nbits),
+            "morgan": morgan_fingerprints(batch, config.radius, config.nbits),
         }
         for ref_at, pred_at in sides:
             if fps["path"][ref_at] is None or fps["path"][pred_at] is None:

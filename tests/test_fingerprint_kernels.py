@@ -2,7 +2,10 @@
 implementations in fingerprint_oracles.py, bit for bit."""
 
 import random
+import time
 import tracemalloc
+from functools import lru_cache
+from math import comb
 
 import pytest
 
@@ -11,15 +14,18 @@ import fingerprint_oracles as oracles
 from chemtext.fingerprints import (
     FingerprintError,
     KeyTable,
+    MoleculeBatch,
     default_key_table,
     fnv1a64,
     key_fingerprint,
+    key_fingerprints,
     load_key_table,
     morgan_fingerprint,
     morgan_fingerprints,
     path_fingerprint,
     path_fingerprints,
 )
+from chemtext.fingerprints import chunk as chunk_kernels
 from chemtext.fingerprints.keys import count_matches, parse_pattern
 from chemtext.smiles import Atom, Bond, Molecule, parse_smiles
 from molgen import clique_smiles, directed_path_steps, random_molecule
@@ -136,6 +142,9 @@ def test_budget_counts_every_step_in_both_directions(monkeypatch, walker, max_le
     fingerprint = oracles.path_oracle if walker == "oracle" else path_fingerprint
     if _BUDGET_WALKERS[walker] is not None:
         monkeypatch.setattr(fingerprints, "_NUMPY_MIN_ATOMS", _BUDGET_WALKERS[walker])
+    if walker == "recursive_walk":
+        # the degree bound would send these dense molecules to the numpy walk
+        monkeypatch.setattr(fingerprints, "_walk_bound", lambda mol, max_len: 0)
     for mol in (_dense(6), _LARGE[0], parse_smiles("c1ccc2ccccc2c1")):
         steps = directed_path_steps(mol, max_len)
         monkeypatch.setattr(module, "_MAX_PATHS_WALKED", steps)
@@ -302,6 +311,8 @@ def test_numpy_walk_memory_is_bounded(monkeypatch, case):
 def test_empty_batches():
     assert morgan_fingerprints([]) == []
     assert path_fingerprints([]) == []
+    assert key_fingerprints([]) == []
+    assert key_fingerprints(MoleculeBatch()) == []
 
 
 def test_batch_rejects_an_invalid_molecule():
@@ -309,6 +320,10 @@ def test_batch_rejects_an_invalid_molecule():
         morgan_fingerprints([_LARGE[0], parse_smiles("C(C)(C)(C)(C)C")])
     with pytest.raises(FingerprintError):
         path_fingerprints([_LARGE[0], parse_smiles("C(C)(C)(C)(C)C")])
+    with pytest.raises(FingerprintError):
+        key_fingerprints([_LARGE[0], parse_smiles("C(C)(C)(C)(C)C")])
+    with pytest.raises(FingerprintError):
+        MoleculeBatch([_LARGE[0], parse_smiles("C(C)(C)(C)(C)C")])
 
 
 @pytest.mark.parametrize(
@@ -325,3 +340,206 @@ def test_batch_rejects_an_invalid_molecule():
 )
 def test_fnv1a64_many_equals_fnv1a64(hash_method, rows):
     assert fingerprints._fnv1a64_many(rows) == [fnv1a64(row) for row in rows]
+
+
+def test_small_over_budget_molecule_walks_in_numpy():
+    # the 10-atom clique is under the numpy cutoff, but its degree bound sends
+    # it to the numpy walk, which holds about one block per path length
+    # (traced: ~4 MB and ~0.3 s); the recursive walk keeps every encoding it
+    # finds until the budget trips (traced: ~48 MB and ~4 s)
+    clique = parse_smiles(clique_smiles())
+    assert len(clique.atoms) < fingerprints._NUMPY_MIN_ATOMS
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        assert path_fingerprints([clique]) == [None]
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+    assert elapsed < 1.0
+    with pytest.raises(FingerprintError, match="budget"):
+        path_fingerprint(clique)
+
+
+def test_ordinary_molecules_stay_on_the_recursive_walk():
+    for mol in _SMALL + _LARGE:
+        assert fingerprints._walk_bound(mol, 7) <= fingerprints._MAX_PATHS_WALKED
+        assert fingerprints._walk_bound(mol, 7) >= directed_path_steps(mol, 7)
+    # the bound is capped just past the budget, so a huge max_len stays cheap
+    assert fingerprints._walk_bound(_dense(5), 10**9) <= 2 * fingerprints._MAX_PATHS_WALKED
+    assert fingerprints._walk_bound(parse_smiles("C" * 20), 10**9) == 2 * 20 * 10**9
+
+
+# -- key and Morgan chunk kernels --------------------------------------------------
+
+# score every batch as the measured cutoff picks, all from the numpy graph
+# table, or each molecule alone in Python
+_CUTOFFS = {"measured": None, "numpy": 0, "python": 10**9}
+
+
+@pytest.fixture(params=list(_CUTOFFS), ids=list(_CUTOFFS))
+def cutoff(request, monkeypatch):
+    if _CUTOFFS[request.param] is not None:
+        monkeypatch.setattr(fingerprints, "_NUMPY_MIN_ATOMS", _CUTOFFS[request.param])
+    return request.param
+
+
+def _generated_key_table(seed, n_keys=40):
+    """Random keys of 1-5 nodes over the whole pattern grammar: element,
+    ``*``, ``X`` and ``Q`` atoms, ``ar``/``al``, ``chg``/``rb``/``H``/``deg``
+    bounds, every bond symbol with ``~`` the likeliest, branches at any node
+    and thresholds above one."""
+    rng = random.Random(seed)
+
+    def atom():
+        attrs = []
+        if rng.random() < 0.3:
+            attrs.append(rng.choice(["ar", "al"]))
+        for field, low, high in (("chg", -1, 1), ("rb", 0, 3), ("H", 0, 3), ("deg", 0, 4)):
+            if rng.random() < 0.15:
+                attrs.append(f"{field}{rng.choice(['=', '>=', '<='])}{rng.randint(low, high)}")
+        symbol = rng.choice(["C", "C", "N", "O", "S", "Cl", "*", "*", "X", "Q"])
+        return symbol + (f"[{','.join(attrs)}]" if attrs else "")
+
+    def tree(nodes):
+        sizes = []
+        nodes -= 1
+        while nodes:
+            sizes.append(rng.randint(1, nodes))
+            nodes -= sizes[-1]
+        children = [rng.choice("-=#:~~~") + tree(size) for size in sizes]
+        return atom() + "".join(f"({c})" for c in children[:-1]) + "".join(children[-1:])
+
+    return load_key_table(
+        f"{i}\t{rng.choice([1, 1, 2, 3, 5])}\t{tree(rng.randint(1, 5))}"
+        for i in range(1, n_keys + 1)
+    )
+
+
+_KEY_TABLES = {
+    "shipped": default_key_table(),
+    "custom": load_key_table(_CUSTOM_TABLE.splitlines()),
+    "generated_a": _generated_key_table(201),
+    "generated_b": _generated_key_table(202),
+}
+
+# built with Molecule: aromatic=1 beside aromatic=True, and a charged,
+# hydrogen-bearing ring of unknown elements
+_MADE = [
+    Molecule(
+        [Atom("C", aromatic=1), Atom("C", aromatic=True), Atom("N", aromatic=1), Atom("O")],
+        [Bond(0, 1, aromatic=True), Bond(1, 2, aromatic=True), Bond(0, 2, aromatic=True),
+         Bond(2, 3)],
+    ),
+    Molecule(
+        [Atom("Ä", charge=1, hydrogens=2), Atom("Q\x00", charge=-1), Atom("X", hydrogens=1),
+         Atom("Cl")],
+        [Bond(0, 1, order=2), Bond(1, 2), Bond(2, 0), Bond(2, 3)],
+    ),
+]
+
+_KEY_CORPORA = {"le10": _SMALL[:120], "le30": _LARGE[:60], "odd": _ODD + _MADE}
+
+
+@lru_cache(maxsize=None)
+def _key_oracle_bits(table, corpus):
+    return [oracles.key_oracle(m, _KEY_TABLES[table]) for m in _KEY_CORPORA[corpus]]
+
+
+@lru_cache(maxsize=None)
+def _morgan_oracle_bits(corpus, radius, nbits):
+    return [oracles.morgan_oracle(m, radius, nbits) for m in _KEY_CORPORA[corpus]]
+
+
+@pytest.mark.parametrize("table", list(_KEY_TABLES))
+@pytest.mark.parametrize("corpus", list(_KEY_CORPORA))
+@pytest.mark.parametrize("batch", [1, 2, 5, 32, 40])
+def test_key_chunk_kernel_matches_oracle(cutoff, table, corpus, batch):
+    # a batch of one is each molecule alone; the others mix molecules
+    mols, want = _KEY_CORPORA[corpus], _key_oracle_bits(table, corpus)
+    for lo in range(0, len(mols), batch):
+        assert key_fingerprints(mols[lo:lo + batch], _KEY_TABLES[table]) == want[lo:lo + batch]
+
+
+@pytest.mark.parametrize("corpus", list(_KEY_CORPORA))
+@pytest.mark.parametrize("batch", [1, 2, 5, 32, 40])
+@pytest.mark.parametrize("radius,nbits", [(2, 2048), (0, 64), (3, 997), (1, 2**70)])
+def test_morgan_chunk_kernel_matches_oracle(cutoff, corpus, batch, radius, nbits):
+    mols, want = _KEY_CORPORA[corpus], _morgan_oracle_bits(corpus, radius, nbits)
+    for lo in range(0, len(mols), batch):
+        assert morgan_fingerprints(mols[lo:lo + batch], radius, nbits) == want[lo:lo + batch]
+
+
+def test_one_batch_feeds_all_three_kernels(cutoff):
+    mols = _LARGE[:20] + _MADE
+    batch = MoleculeBatch(mols)
+    table = _KEY_TABLES["generated_a"]
+    assert key_fingerprints(batch, table) == [oracles.key_oracle(m, table) for m in mols]
+    assert path_fingerprints(batch) == [oracles.path_oracle(m) for m in mols]
+    assert morgan_fingerprints(batch) == [oracles.morgan_oracle(m) for m in mols]
+    # the graph table is built at most once, by the first numpy kernel
+    assert ("table" in vars(batch)) == (cutoff != "python")
+
+
+def test_tree_key_join_blocks_do_not_change_bits(monkeypatch):
+    # blocks of a few candidates split every level and count sets often
+    monkeypatch.setattr(fingerprints, "_NUMPY_MIN_ATOMS", 0)
+    monkeypatch.setattr(chunk_kernels, "_JOIN_BLOCK_STEPS", 5)
+    mols = _LARGE[:30] + _MADE
+    for name in ("shipped", "generated_a", "generated_b"):
+        table = _KEY_TABLES[name]
+        assert key_fingerprints(mols, table) == [oracles.key_oracle(m, table) for m in mols], name
+
+
+def _path_key_table(thresholds):
+    return load_key_table(f"{i}\t{t}\t*~*~*~*~*" for i, t in enumerate(thresholds, 1))
+
+
+@pytest.mark.parametrize("n", [9, 20])
+def test_tree_key_join_memory_is_bounded(monkeypatch, n):
+    # any 5 atoms of an n-clique hold a 5-node path, so the key counts
+    # comb(n, 5) atom sets among n!/(n-5)! embeddings; a threshold one over
+    # that makes the join walk all of them
+    monkeypatch.setattr(fingerprints, "_NUMPY_MIN_ATOMS", 0)
+    sets = comb(n, 5)
+    table = _path_key_table([1, 2, sets // 2, sets, sets + 1])
+    clique = _dense(n)
+    tracemalloc.start()
+    try:
+        (fp,) = key_fingerprints([clique], table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20
+    assert fp.bits == {0, 1, 2, 3}
+    # the reference enumerates every embedding one at a time, so it is asked
+    # only what it answers quickly
+    quick = table if n == 9 else _path_key_table([1, 2, 100])
+    assert key_fingerprints([clique], quick) == [oracles.key_oracle(clique, quick)]
+
+
+def test_morgan_seed_memo_is_bounded():
+    # more distinct (atom, degree) pairs than the memo keeps, in one batch
+    # and then a few at a time
+    seed = chunk_kernels._morgan_seed
+    atoms = [Atom("C", isotope=i, hydrogens=0) for i in range(seed.cache_info().maxsize + 500)]
+    crowd = Molecule(atoms, [Bond(i, i + 1) for i in range(0, len(atoms) - 1, 2)])
+    assert morgan_fingerprints([crowd], 1) == [oracles.morgan_oracle(crowd, 1)]
+    assert seed.cache_info().currsize == seed.cache_info().maxsize
+    for lo in range(0, 40, 3):
+        chunk = _LARGE[lo:lo + 3] + _MADE
+        assert morgan_fingerprints(chunk) == [oracles.morgan_oracle(m) for m in chunk]
+    assert seed.cache_info().currsize <= seed.cache_info().maxsize
+
+
+def test_slot_row_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr(fingerprints, "_NUMPY_MIN_ATOMS", 0)
+    monkeypatch.setattr(chunk_kernels, "_SLOT_MEMO_CAP", 8)
+    table = load_key_table(_CUSTOM_TABLE.splitlines())
+    mols = _LARGE[:40] + _MADE
+    for lo in range(0, len(mols), 3):
+        chunk = mols[lo:lo + 3]
+        assert key_fingerprints(chunk, table) == [oracles.key_oracle(m, table) for m in chunk]
+        assert 0 < len(table.compiled.chunk.slot_rows) <= 8

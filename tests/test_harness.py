@@ -203,11 +203,11 @@ def test_text2mol_fp_config_respected():
 def _counted_fingerprint_molecules(monkeypatch):
     """Molecules handed to each scheme's kernel, by scheme."""
     counts = Counter()
-    kernels = {"keys": "key_fingerprint", "path": "path_fingerprints", "morgan": "morgan_fingerprints"}
+    kernels = {"keys": "key_fingerprints", "path": "path_fingerprints", "morgan": "morgan_fingerprints"}
     for scheme, name in kernels.items():
-        def counted(mol_or_mols, *args, scheme=scheme, kernel=getattr(harness, name)):
-            counts[scheme] += 1 if scheme == "keys" else len(mol_or_mols)
-            return kernel(mol_or_mols, *args)
+        def counted(mols, *args, scheme=scheme, kernel=getattr(harness, name)):
+            counts[scheme] += len(mols)
+            return kernel(mols, *args)
 
         monkeypatch.setattr(harness, name, counted)
     return counts
