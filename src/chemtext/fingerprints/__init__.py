@@ -20,9 +20,10 @@ Every scheme has a batch kernel (:func:`morgan_fingerprints`,
 :func:`path_fingerprints`, :func:`key_fingerprints`), and
 :func:`morgan_fingerprint` and :func:`path_fingerprint` are batches of one.
 One measured cutoff, ``_NUMPY_MIN_ATOMS`` atoms in the batch, decides for
-all three schemes. Below it each molecule is scored alone in Python (the
-path walk is recursive, Morgan hashes each layer's strings in one call, keys
-embed one pattern at a time). From it on, the batch's graph table
+all three schemes. Below it each molecule is scored alone in Python with
+:func:`fnv1a64` and without numpy (the path walk is recursive and hashes as
+it walks, Morgan hashes each atom's layer string, keys embed one pattern at
+a time). From it on, the batch's graph table
 (:class:`chemtext.fingerprints.chunk.GraphTable`: interned atoms, degrees,
 ring-bond counts, bond ends and kinds, and a padded neighbor table, built in
 one Python pass) feeds three numpy chunk kernels: the path walk goes one
@@ -34,8 +35,8 @@ and Morgan chunk kernels live in :mod:`chemtext.fingerprints.chunk`, which
 is imported only for such a batch. A :class:`MoleculeBatch` handed to
 several kernels builds its table once. A small batch also walks in numpy
 when one of its molecules might pass the path budget, since the recursive
-walk keeps every encoding it finds. One numpy FNV-1a column pass hashes the
-Morgan layers, the encodings and the numpy walk's steps.
+walk takes several times longer to reach it. One numpy FNV-1a
+column pass hashes the Morgan layers and the numpy walk's steps.
 
 Four rules hold across releases:
 
@@ -84,11 +85,6 @@ _MASK64 = (1 << 64) - 1
 # Simple-path enumeration is exponential in principle; valence bounds keep
 # real molecules tame, but unknown bracket elements have unchecked degree.
 _MAX_PATHS_WALKED = 500_000
-
-# Below this many rows, hashing each in Python beats one numpy pass; the two
-# cross near 30 rows on both Morgan payloads (~57 bytes) and path encodings
-# (~11 bytes) of <=30-atom molecules.
-_NUMPY_MIN_ROWS = 32
 
 # Below this many atoms in a batch, each scheme scores each molecule alone in
 # Python; from it on, the batch's graph table goes through the numpy chunk
@@ -156,23 +152,6 @@ def fnv1a64(data: bytes) -> int:
         value ^= byte
         value = (value * _FNV_PRIME) & _MASK64
     return value
-
-
-def _fnv1a64_many(data: list[bytes]) -> list[int]:
-    """``[fnv1a64(d) for d in data]``, in one numpy pass when that is faster.
-
-    Fewer than ``_NUMPY_MIN_ROWS`` rows are hashed one at a time in Python;
-    more go through :func:`_fnv1a64_columns` as a zero-padded byte matrix.
-    """
-    if not data or len(data) < _NUMPY_MIN_ROWS:
-        return [fnv1a64(d) for d in data]
-    import numpy as np
-
-    lengths = np.array(list(map(len, data)))
-    # numpy drops trailing NULs from each row, but the padding is NUL too
-    matrix = np.array(data, dtype=f"S{max(int(lengths.max()), 1)}")
-    hashes = np.full(len(data), _FNV_OFFSET, dtype=np.uint64)
-    return _fnv1a64_columns(hashes, _byte_matrix(matrix), lengths).tolist()
 
 
 def _byte_matrix(strings):
@@ -266,7 +245,7 @@ def morgan_fingerprints(
     and the bond code ``:`` (aromatic) or the order. Every (atom, layer)
     hash sets bit ``hash % nbits``. A batch of ``_NUMPY_MIN_ATOMS`` atoms
     or more continues the FNV-1a state of every atom of a layer at once in
-    numpy; a smaller one hashes each layer's strings in one call.
+    numpy; a smaller one hashes each atom's layer string alone.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
@@ -300,7 +279,7 @@ def _morgan_bits_one_at_a_time(
             )
             neighbors.append([(codes[bi] + ":", base + j) for j, bi in entries])
         bounds.append(base + len(mol.atoms))
-    layers = [_fnv1a64_many(seeds)]
+    layers = [list(map(fnv1a64, seeds))]
     for _ in range(radius):
         hexes = [f"{h:016x}" for h in layers[-1]]
         payloads = []
@@ -308,7 +287,7 @@ def _morgan_bits_one_at_a_time(
             # the hex is fixed-width, so sorting "code:hex" sorts (code, hash)
             parts = sorted([code + hexes[j] for code, j in entries])
             payloads.append(f"E|{own}|{'|'.join(parts)}".encode())
-        layers.append(_fnv1a64_many(payloads))
+        layers.append(list(map(fnv1a64, payloads)))
     return [
         frozenset(h % nbits for layer in layers for h in layer[lo:hi])
         for lo, hi in zip(bounds, bounds[1:])
@@ -337,7 +316,7 @@ def path_fingerprints(
     ``_NUMPY_MIN_ATOMS`` atoms or more walks the paths of all its molecules
     together, one bond at a time; so does a batch holding a molecule whose
     walk might pass the budget (see :func:`_walk_bound`). Any other batch
-    walks each molecule alone.
+    walks each molecule alone, recursively.
     """
     if max_len < 1:
         raise ValueError("max_len must be positive")
@@ -345,7 +324,7 @@ def path_fingerprints(
         raise ValueError("nbits must be positive")
     batch = _as_batch(mols)
     if not batch.in_numpy and all(_walk_bound(m, max_len) <= _MAX_PATHS_WALKED for m in batch):
-        found = _path_bits_one_at_a_time(batch, max_len, nbits)
+        found = [_path_bits(mol, max_len, nbits) for mol in batch]
     elif len(batch) > 1 and len(batch) * nbits > 1 << 64:
         # a (molecule, bit) key of this batch would not fit in 64 bits
         alone = (MoleculeBatch([mol]).table for mol in batch)
@@ -361,7 +340,11 @@ def path_fingerprints(
 def _walk_bound(mol: Molecule, max_len: int) -> int:
     """An upper bound on the walk steps of ``mol``'s paths: from each of its
     n atoms, at most ``d * (d-1)**k`` walks of k+1 bonds, with d its highest
-    degree. The sum stops growing once it passes the budget."""
+    degree. The sum stops growing once it passes the budget.
+
+    A molecule whose bound passes the budget walks in numpy, which reaches
+    the budget several times sooner than the recursive walk (the 10-atom
+    clique: ~0.1 s against ~0.6 s)."""
     n = len(mol.atoms)
     d = max(map(len, mol.adjacency), default=0)
     if d <= 2:
@@ -375,64 +358,59 @@ def _walk_bound(mol: Molecule, max_len: int) -> int:
     return total
 
 
-def _path_bits_one_at_a_time(
-    mols: Sequence[Molecule], max_len: int, nbits: int
-) -> list[frozenset[int] | None]:
-    """:func:`_walk_paths` by a recursive walk of each molecule; the distinct
-    encodings of all the molecules are hashed in one call."""
-    found = [_path_encodings(mol, max_len) for mol in mols]
-    distinct = list(set().union(*(e for e in found if e is not None)))
-    bit_of = dict(zip(distinct, (h % nbits for h in _fnv1a64_many([e.encode() for e in distinct]))))
-    return [None if e is None else frozenset(map(bit_of.__getitem__, e)) for e in found]
-
-
-def _path_encodings(mol: Molecule, max_len: int) -> set[str] | None:
-    """The path encodings of ``mol``, or ``None`` over the path budget.
+def _path_bits(mol: Molecule, max_len: int, nbits: int) -> frozenset[int] | None:
+    """The path bits of ``mol``, or ``None`` over the path budget.
 
     The walk starts at every atom, so each path is reached once from each
-    end; both renderings are grown one step at a time and a path is recorded
-    from the end with the lower atom index. Every step of the walk, in both
-    directions, counts toward the budget.
+    end. It records paths by :func:`_walk_paths`' rule: a walk carries its
+    forward and reverse renderings and the FNV-1a state of the forward one,
+    a step continues that state over its ``bond + atom`` bytes, and an end
+    whose forward rendering is not the larger records ``state % nbits``.
+    Every step of the walk, in both directions, counts toward the budget.
     """
-    atom_code = [
-        a.symbol.lower() if a.aromatic else a.symbol for a in mol.atoms
-    ]
+    codes = [a.symbol.lower() if a.aromatic else a.symbol for a in mol.atoms]
     bond_text = [bond.symbol for bond in mol.bonds]
-    steps = [
-        tuple((j, bond_text[bi], atom_code[j]) for j, bi in neighbors)
-        for neighbors in mol.adjacency
-    ]
-    on_path = [False] * len(mol.atoms)
-    encodings: set[str] = set()
-    add = encodings.add
+    # per atom, each step: (neighbor, bond + atom, atom + bond, bond + atom bytes)
+    steps: list[list[tuple[int, str, str, bytes]]] = []
+    for neighbors in mol.adjacency:
+        steps.append([])
+        for j, bi in neighbors:
+            bond, atom = bond_text[bi], codes[j]
+            steps[-1].append((j, bond + atom, atom + bond, (bond + atom).encode()))
+    on_path = [False] * len(codes)
+    bits: set[int] = set()
+    add = bits.add
     walked = 0
 
-    def walk(start: int, tail: int, forward: str, backward: str, depth: int) -> None:
-        # forward/backward render the path start..tail from either end;
-        # depth is its bond count
+    def walk(tail: int, forward: str, backward: str, state: int, depth: int) -> None:
+        # forward/backward render the path so far from either end, state is
+        # the FNV-1a state of forward, depth its bond count
         nonlocal walked
         on_path[tail] = True
         depth += 1
-        for nxt, bond, atom in steps[tail]:
+        for nxt, forward_step, reverse_step, data in steps[tail]:
             if on_path[nxt]:
                 continue
             walked += 1
             if walked > _MAX_PATHS_WALKED:
                 raise FingerprintError("path enumeration budget exceeded")
-            f = forward + bond + atom
-            r = atom + bond + backward
-            if start < nxt:
-                add(f if f < r else r)
+            f = forward + forward_step
+            r = reverse_step + backward
+            h = state
+            for byte in data:
+                h = ((h ^ byte) * _FNV_PRIME) & _MASK64
+            if f <= r:
+                add(h % nbits)
             if depth < max_len:
-                walk(start, nxt, f, r, depth)
+                walk(nxt, f, r, h, depth)
         on_path[tail] = False
 
     try:
-        for start, code in enumerate(atom_code):
-            walk(start, start, code, code, 0)
+        for start, code in enumerate(codes):
+            walk(start, code, code, fnv1a64(code.encode()), 0)
     except FingerprintError:
         return None
-    return encodings
+    return frozenset(bits)
 
 
 def _walk_paths(table: GraphTable, max_len: int, nbits: int) -> list[frozenset[int] | None]:
@@ -453,6 +431,9 @@ def _walk_paths(table: GraphTable, max_len: int, nbits: int) -> list[frozenset[i
     n_mols, n_atoms = len(table.mols), table.n_atoms
     if not len(table.bond_kind):
         return [frozenset() for _ in range(n_mols)]
+    # a simple path has fewer bonds than its molecule has atoms, so the rows
+    # need be no wider than the largest molecule, whatever max_len is
+    max_len = min(max_len, max(len(mol.atoms) for mol in table.mols) - 1)
     neighbors, steps, width = table.neighbors, table.entries, table.width
     neighbor, bond = table.entry_neighbor, table.entry_bond
     # renderings hold UTF-8 shifted off NUL; hashes read the real bytes
@@ -464,7 +445,7 @@ def _walk_paths(table: GraphTable, max_len: int, nbits: int) -> list[frozenset[i
     reverse_steps = np.char.add(code_text[neighbor], symbol_text[bond])
     step_bytes = _byte_matrix(forward_steps) - 1
     step_lengths = np.char.str_len(forward_steps)
-    start_hashes = np.array(_fnv1a64_many([c.encode() for c in codes]), dtype=np.uint64)
+    start_hashes = np.array([fnv1a64(c.encode()) for c in codes], dtype=np.uint64)
     start_hashes = start_hashes[table.atom_id]
 
     found: list = []  # (molecule, hash) arrays of recorded paths

@@ -67,7 +67,7 @@ from chemtext.fingerprints import (
 )
 from chemtext.smiles import CanonError, LexError, Molecule, ParseError, parse_smiles
 from chemtext.smiles.canon import canonicalize
-from chemtext.smiles.tokenize import lex
+from chemtext.smiles.tokenize import tokenize
 from chemtext.textmetrics import (
     EmptyCorpusError,
     MetricValue,
@@ -249,7 +249,7 @@ def smiles_bleu_tokenize(smiles: str) -> TokenizedText:
     """SMILES-token-level tokenization for the text2mol BLEU; falls back to
     characters when the string does not tokenize."""
     try:
-        tokens = tuple(lex(smiles))
+        tokens = tuple(tokenize(smiles))
     except LexError:
         return char_tokenize(smiles)
     if not tokens:

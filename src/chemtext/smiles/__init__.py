@@ -6,10 +6,9 @@ from chemtext.smiles.parse import (
     Bond,
     Molecule,
     ParseError,
-    parse,
     parse_smiles,
 )
-from chemtext.smiles.tokenize import LexError, Token, TokenKind, tokenize
+from chemtext.smiles.tokenize import LexError, tokenize
 from chemtext.smiles.valence import (
     DEFAULT_VALENCES,
     ValidityResult,
@@ -26,13 +25,10 @@ __all__ = [
     "LexError",
     "Molecule",
     "ParseError",
-    "Token",
-    "TokenKind",
     "ValidityResult",
     "canonical_smiles",
     "canonicalize",
     "implicit_hydrogen_count",
-    "parse",
     "parse_smiles",
     "random_smiles",
     "tokenize",

@@ -1,6 +1,6 @@
 """SMILES parser: token texts to molecular graph.
 
-One loop reads the texts of :func:`~chemtext.smiles.tokenize.lex`,
+One loop reads the texts of :func:`~chemtext.smiles.tokenize.tokenize`,
 dispatches on each text's first character and resolves branches and ring
 closures into an explicit atom/bond graph. ``Molecule(atoms, bonds)``, the
 one constructor, checks the bonds, gives atoms without a hydrogen count their
@@ -36,8 +36,7 @@ from chemtext.smiles.tokenize import (
     AROMATIC_ORGANIC,
     ORGANIC_ONE_LETTER,
     ORGANIC_TWO_LETTER,
-    Token,
-    lex,
+    tokenize,
 )
 
 if TYPE_CHECKING:
@@ -311,13 +310,12 @@ def _bond(a: int, b: int, order: int, aromatic: bool, stereo: str | None) -> Bon
     return Bond(a, b, order, aromatic, stereo)
 
 
-def _parse(texts: Sequence[str], positions: Sequence[int] | None) -> Molecule:
-    """The parse loop over token texts. ``positions`` holds each text's
-    offset; ``None`` means the texts cover the input from offset 0. An error
-    position is worked out only when an error is raised."""
+def _parse(texts: Sequence[str]) -> Molecule:
+    """The parse loop over token texts, which cover the input from offset
+    0. An error position is worked out only when an error is raised."""
 
     def at(k: int) -> str:
-        return f"at position {sum(map(len, texts[:k])) if positions is None else positions[k]}"
+        return f"at position {sum(map(len, texts[:k]))}"
 
     if not texts:
         raise ParseError("empty SMILES")
@@ -507,20 +505,15 @@ def _bracket_atom(text: str) -> Atom:
     return Atom(symbol, aromatic, charge, isotope, hydrogens, chirality)
 
 
-def parse(tokens: Sequence[Token]) -> Molecule:
-    """Parse a token sequence (from :func:`chemtext.smiles.tokenize.tokenize`)
-    into a :class:`Molecule`. Each token is read by its text and position.
+def parse_smiles(smiles: str) -> Molecule:
+    """Tokenize and parse a SMILES string into a :class:`Molecule`. The
+    whole string is tokenized first, so a
+    :class:`~chemtext.smiles.tokenize.LexError` wins over a parse error
+    earlier in the string.
 
     Raises:
         ParseError: on unbalanced branches, reused-unclosed or conflicting
             ring labels, bond symbols with no following atom, or dangling
             dots.
     """
-    return _parse([t.text for t in tokens], [t.position for t in tokens])
-
-
-def parse_smiles(smiles: str) -> Molecule:
-    """Lex and parse in one step. The whole string is lexed first, so a
-    :class:`~chemtext.smiles.tokenize.LexError` wins over a parse error
-    earlier in the string."""
-    return _parse(lex(smiles), None)
+    return _parse(tokenize(smiles))

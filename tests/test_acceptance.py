@@ -42,7 +42,6 @@ from chemtext.smiles import (
     tokenize,
     validate_smiles,
 )
-from chemtext.smiles.tokenize import TokenKind
 from chemtext.textmetrics import (
     bleu,
     levenshtein,
@@ -99,9 +98,8 @@ def _oracle_valid(smiles: str) -> bool:
         mol = parse_smiles(smiles)
     except Exception:
         return False
-    atom_tokens = [
-        t for t in tokens if t.kind in (TokenKind.ATOM_ORGANIC, TokenKind.ATOM_BRACKET)
-    ]
+    # an atom is a text starting with "[" (a bracket atom) or a letter
+    atom_tokens = [t for t in tokens if t[0] == "[" or t[0].isalpha()]
     assert len(atom_tokens) == len(mol.atoms)
     bracket_re = re.compile(
         r"(\d*)(se|as|[A-Z][a-z]?|[bcnops])(@{1,2})?(H(\d*))?([+-]?.*)"
@@ -114,8 +112,8 @@ def _oracle_valid(smiles: str) -> bool:
             orders.append(1 if bond.aromatic else bond.order)
         bond_sum = sum(orders)
         degree = len(orders)
-        if token.kind is TokenKind.ATOM_BRACKET:
-            match = bracket_re.fullmatch(token.text[1:-1])
+        if token[0] == "[":
+            match = bracket_re.fullmatch(token[1:-1])
             hydrogens = 0
             if match and match.group(4):
                 hydrogens = int(match.group(5)) if match.group(5) else 1

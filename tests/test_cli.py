@@ -832,8 +832,23 @@ _NUMPY_PROBE = (
     "import json, sys\n"
     "from chemtext.cli import main\n"
     "code = main(json.loads(sys.argv[1]))\n"
-    "print(json.dumps([code, 'numpy' in sys.modules]), file=sys.stderr)\n"
+    "loaded = [m for m in ('numpy', 'chemtext.fingerprints.chunk') if m in sys.modules]\n"
+    "print(json.dumps([code, loaded]), file=sys.stderr)\n"
 )
+
+
+def _run_probe(argv, stdin_text=""):
+    """Which of numpy and the fingerprint chunk kernels ``chemtext argv``
+    loads in a fresh interpreter; the command must exit 0."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(chemtext.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(argv)],
+        input=stdin_text, capture_output=True, text=True, env=env, timeout=120,
+    )
+    code, loaded = json.loads(proc.stderr.splitlines()[-1])
+    assert code == 0, proc.stderr
+    return loaded
+
 
 _PROBE_ROWS = {
     TaskKind.MOL2TEXT: [("an acid", "a strong acid")],
@@ -864,14 +879,28 @@ def test_text_and_smiles_commands_never_import_numpy(tmp_path, command):
             oracle = tmp_path / "oracle.jsonl"
             oracle.write_text('{"precursors":"CC.O","product":"CCO"}\n')
             argv += ["--oracle", f"lookup:{oracle}"]
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(chemtext.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(argv)],
-        input=stdin_text, capture_output=True, text=True, env=env, timeout=120,
-    )
-    code, numpy_loaded = json.loads(proc.stderr.splitlines()[-1])
-    assert code == 0, proc.stderr
-    assert not numpy_loaded
+    assert "numpy" not in _run_probe(argv, stdin_text)
+
+
+_ACETAMINOPHEN, _NICOTINE = "CC(=O)Nc1ccc(O)cc1", "CN1CCCC1c1cccnc1"
+
+
+@pytest.mark.parametrize("command", ["morgan", "path", "keys", "similarity", "text2mol"])
+def test_small_fingerprints_never_import_numpy(tmp_path, command):
+    # below 24 atoms in a batch every scheme scores in Python: the path walk
+    # of acetaminophen (43 encodings) and nicotine (95) included
+    stdin_text = ""
+    if command == "similarity":
+        argv = ["similarity", _ACETAMINOPHEN, _NICOTINE, "--scheme", "path"]
+    elif command == "text2mol":
+        preds = tmp_path / "preds.jsonl"
+        # 11 + 10 atoms: one chunk under the cutoff
+        write_predictions(preds, TaskKind.TEXT2MOL, [(_ACETAMINOPHEN, "CC(=O)Nc1ccccc1")])
+        argv = ["evaluate", "--task", "text2mol", "--predictions", str(preds), "--quiet"]
+    else:
+        argv = ["fingerprint", "--scheme", command]
+        stdin_text = _ACETAMINOPHEN + "\n"
+    assert _run_probe(argv, stdin_text) == []
 
 
 # -- generated text-task streams -------------------------------------------------

@@ -7,6 +7,7 @@ import tracemalloc
 from functools import lru_cache
 from math import comb
 
+import numpy as np
 import pytest
 
 import chemtext.fingerprints as fingerprints
@@ -156,17 +157,6 @@ def test_budget_counts_every_step_in_both_directions(monkeypatch, walker, max_le
 
 # -- batch kernels ----------------------------------------------------------------
 
-# hash every batch as the measured crossover picks, all in numpy, or all in Python
-_HASH_METHODS = {"measured": None, "numpy": 0, "python": 10**9}
-
-
-@pytest.fixture(params=list(_HASH_METHODS), ids=list(_HASH_METHODS))
-def hash_method(request, monkeypatch):
-    if _HASH_METHODS[request.param] is not None:
-        monkeypatch.setattr(fingerprints, "_NUMPY_MIN_ROWS", _HASH_METHODS[request.param])
-    return request.param
-
-
 _ORACLE_BITS = {
     name: (corpus, [oracles.morgan_oracle(m) for m in corpus], [oracles.path_oracle(m) for m in corpus])
     for name, corpus in (("le10", _SMALL[:120]), ("le30", _LARGE[:60]))
@@ -175,8 +165,8 @@ _ORACLE_BITS = {
 
 @pytest.mark.parametrize("corpus", list(_ORACLE_BITS))
 @pytest.mark.parametrize("batch", [1, 2, 5, 40])
-def test_batch_kernels_match_oracle(hash_method, corpus, batch):
-    # 1 and 2 molecules hash fewer rows than the crossover, 40 far more
+def test_batch_kernels_match_oracle(corpus, batch):
+    # 1 and 2 molecules score below the numpy cutoff, 40 far above it
     mols, morgan, path = _ORACLE_BITS[corpus]
     for lo in range(0, len(mols), batch):
         chunk = mols[lo:lo + batch]
@@ -185,7 +175,7 @@ def test_batch_kernels_match_oracle(hash_method, corpus, batch):
 
 
 @pytest.mark.parametrize("radius,max_len,nbits", [(0, 1, 64), (3, 3, 1024), (1, 9, 997)])
-def test_batch_kernels_match_oracle_off_defaults(hash_method, radius, max_len, nbits):
+def test_batch_kernels_match_oracle_off_defaults(radius, max_len, nbits):
     mols = _SMALL[:30] + _LARGE[:10]
     assert morgan_fingerprints(mols, radius, nbits) == [
         oracles.morgan_oracle(m, radius, nbits) for m in mols
@@ -207,15 +197,7 @@ def walk_method(request, monkeypatch):
     return request.param
 
 
-def test_budget_molecule_is_marked_without_touching_its_batch(hash_method):
-    _assert_budget_molecule_is_marked()
-
-
 def test_budget_molecule_is_marked_on_either_walk(walk_method):
-    _assert_budget_molecule_is_marked()
-
-
-def _assert_budget_molecule_is_marked():
     clique = parse_smiles(clique_smiles())
     mols = _LARGE[:6] + [clique] + _LARGE[6:12]
     marked = path_fingerprints(mols)
@@ -308,6 +290,21 @@ def test_numpy_walk_memory_is_bounded(monkeypatch, case):
     assert peak <= 64 * 2**20
 
 
+def test_numpy_walk_width_follows_the_molecule_not_max_len():
+    # a simple path has fewer bonds than its molecule has atoms, so a huge
+    # max_len walks rows no wider, and sets no other bits, than n - 1
+    mol = next(m for m in _LARGE if len(m.atoms) >= fingerprints._NUMPY_MIN_ATOMS)
+    want = path_fingerprints([mol], len(mol.atoms) - 1)
+    tracemalloc.start()
+    try:
+        got = path_fingerprints([mol], 10**5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak <= 16 * 2**20
+
+
 def test_empty_batches():
     assert morgan_fingerprints([]) == []
     assert path_fingerprints([]) == []
@@ -338,15 +335,26 @@ def test_batch_rejects_an_invalid_molecule():
     ],
     ids=["empty_list", "empty_row", "empty_rows", "trailing_nul", "high_bytes", "one_long_row"],
 )
-def test_fnv1a64_many_equals_fnv1a64(hash_method, rows):
-    assert fingerprints._fnv1a64_many(rows) == [fnv1a64(row) for row in rows]
+def test_fnv1a64_columns_continue_fnv1a64(rows):
+    # each row continues the FNV-1a state of its own prefix, over a matrix as
+    # wide as the longest row; the bytes past a shorter row's length are noise
+    # the hash must not read
+    rng = random.Random(len(rows))
+    prefixes = [bytes(rng.randrange(256) for _ in range(rng.randrange(5))) for _ in rows]
+    width = max(map(len, rows), default=0)
+    matrix = np.array(
+        [list(row) + [0xAB] * (width - len(row)) for row in rows], dtype=np.uint8
+    ).reshape(len(rows), width)
+    states = np.array([fnv1a64(prefix) for prefix in prefixes], dtype=np.uint64)
+    lengths = np.array(list(map(len, rows)), dtype=np.int64)
+    hashed = fingerprints._fnv1a64_columns(states, matrix, lengths)
+    assert hashed.tolist() == [fnv1a64(prefix + row) for prefix, row in zip(prefixes, rows)]
 
 
 def test_small_over_budget_molecule_walks_in_numpy():
     # the 10-atom clique is under the numpy cutoff, but its degree bound sends
-    # it to the numpy walk, which holds about one block per path length
-    # (traced: ~4 MB and ~0.3 s); the recursive walk keeps every encoding it
-    # finds until the budget trips (traced: ~48 MB and ~4 s)
+    # it to the numpy walk, which reaches the budget in a fraction of the
+    # recursive walk's time and holds about one block per path length
     clique = parse_smiles(clique_smiles())
     assert len(clique.atoms) < fingerprints._NUMPY_MIN_ATOMS
     tracemalloc.start()

@@ -13,13 +13,11 @@ from chemtext.smiles import (
     canonical_smiles,
     canonicalize,
     implicit_hydrogen_count,
-    parse,
     parse_smiles,
-    tokenize,
     validate_smiles,
 )
 from chemtext.smiles.parse import _bond, _default_hydrogens, _resolved_atom
-from chemtext.smiles.tokenize import LexError, Token
+from chemtext.smiles.tokenize import LexError
 from chemtext.smiles.valence import hydrogens_for_total
 from molgen import random_molecule
 
@@ -338,20 +336,14 @@ def test_error_positions_count_characters(smiles, message):
     assert str(info.value) == message
 
 
-def test_parse_reports_the_token_positions_it_is_given():
-    tokens = [Token(t.kind, t.text, t.position + 10) for t in tokenize("C)")]
-    with pytest.raises(ParseError, match="unbalanced '\\)' at position 11"):
-        parse(tokens)
-
-
 def test_lex_error_wins_over_an_earlier_parse_error():
     with pytest.raises(LexError) as info:
         parse_smiles("C))x")
     assert info.value.position == 3
 
 
-def test_parse_accepts_token_sequence():
-    mol = parse(tokenize("O=C=O"))
+def test_parse_reads_double_bonds():
+    mol = parse_smiles("O=C=O")
     assert isinstance(mol, Molecule)
     assert sorted(b.order for b in mol.bonds) == [2, 2]
 

@@ -2,61 +2,52 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chemtext.smiles import LexError, TokenKind, tokenize
-from chemtext.smiles.tokenize import lex
+from chemtext.smiles import LexError, tokenize
 
 
-def kinds(smiles):
-    return [t.kind for t in tokenize(smiles)]
-
-
-def texts(smiles):
-    return [t.text for t in tokenize(smiles)]
+def is_atom(text):
+    # an atom token is a bracket atom or an organic-subset symbol
+    return text[0] == "[" or text[0].isalpha()
 
 
 def test_three_organic_atoms():
-    assert kinds("CCO") == [TokenKind.ATOM_ORGANIC] * 3
-    assert texts("CCO") == ["C", "C", "O"]
+    assert tokenize("CCO") == ["C", "C", "O"]
+    assert all(map(is_atom, tokenize("CCO")))
 
 
 def test_two_letter_elements_consume_two_chars():
-    assert texts("CCl") == ["C", "Cl"]
-    assert texts("BrBr") == ["Br", "Br"]
+    assert tokenize("CCl") == ["C", "Cl"]
+    assert tokenize("BrBr") == ["Br", "Br"]
     # 'Cl' wins over 'C' even mid-string
-    assert texts("ClCCl") == ["Cl", "C", "Cl"]
+    assert tokenize("ClCCl") == ["Cl", "C", "Cl"]
 
 
 def test_unbalanced_branch_is_not_a_lex_error():
     # lexer/parser separation: tokenization succeeds, parsing fails later
-    assert kinds("C(C") == [
-        TokenKind.ATOM_ORGANIC,
-        TokenKind.BRANCH_OPEN,
-        TokenKind.ATOM_ORGANIC,
-    ]
+    assert tokenize("C(C") == ["C", "(", "C"]
+    assert [is_atom(t) for t in tokenize("C(C")] == [True, False, True]
 
 
 def test_bracket_atom_is_single_token():
     # hand-applied grammar on the alanine SMILES
-    assert texts("C[C@@H](N)C(=O)O") == [
+    assert tokenize("C[C@@H](N)C(=O)O") == [
         "C", "[C@@H]", "(", "N", ")", "C", "(", "=", "O", ")", "O",
     ]
-    assert kinds("C[C@@H](N)C(=O)O")[1] == TokenKind.ATOM_BRACKET
+    assert [t for t in tokenize("C[C@@H](N)C(=O)O") if is_atom(t)] == [
+        "C", "[C@@H]", "N", "C", "O", "O",
+    ]
 
 
 def test_ring_closure_labels():
     tokens = tokenize("C1CC%12C1C%12")
-    ring = [t for t in tokens if t.kind == TokenKind.RING_CLOSURE]
-    assert [t.text for t in ring] == ["1", "%12", "1", "%12"]
+    ring = [t for t in tokens if t[0] in "%0123456789"]
+    assert ring == ["1", "%12", "1", "%12"]
 
 
-def test_positions_and_coverage():
+def test_texts_cover_the_input():
     smiles = "c1ccccc1.[NH4+]"
-    tokens = tokenize(smiles)
-    assert "".join(t.text for t in tokens) == smiles
-    offset = 0
-    for token in tokens:
-        assert token.position == offset
-        offset += len(token.text)
+    assert tokenize(smiles) == ["c", "1", "c", "c", "c", "c", "c", "1", ".", "[NH4+]"]
+    assert "".join(tokenize(smiles)) == smiles
 
 
 @pytest.mark.parametrize(
@@ -78,7 +69,7 @@ def test_tokenizer_totality(s):
     except LexError as err:
         assert 0 <= err.position < len(s)
     else:
-        assert "".join(t.text for t in tokens) == s
+        assert "".join(tokens) == s
 
 
 @pytest.mark.parametrize(
@@ -91,8 +82,7 @@ def test_tokenizer_totality(s):
     ],
 )
 def test_lex_error_messages(bad, message):
-    for lexer in (lex, tokenize):
-        with pytest.raises(LexError) as err:
-            lexer(bad)
-        assert str(err.value) == message
+    with pytest.raises(LexError) as err:
+        tokenize(bad)
+    assert str(err.value) == message
 
