@@ -157,6 +157,18 @@ def test_budget_counts_every_step_in_both_directions(monkeypatch, walker, max_le
 
 # -- batch kernels ----------------------------------------------------------------
 
+# score every batch as the measured cutoff picks, all from the numpy graph
+# table, or each molecule alone in Python, hashing with plain fnv1a64
+_CUTOFFS = {"measured": None, "numpy": 0, "python": 10**9}
+
+
+@pytest.fixture(params=list(_CUTOFFS), ids=list(_CUTOFFS))
+def cutoff(request, monkeypatch):
+    if _CUTOFFS[request.param] is not None:
+        monkeypatch.setattr(fingerprints, "_NUMPY_MIN_ATOMS", _CUTOFFS[request.param])
+    return request.param
+
+
 _ORACLE_BITS = {
     name: (corpus, [oracles.morgan_oracle(m) for m in corpus], [oracles.path_oracle(m) for m in corpus])
     for name, corpus in (("le10", _SMALL[:120]), ("le30", _LARGE[:60]))
@@ -165,8 +177,8 @@ _ORACLE_BITS = {
 
 @pytest.mark.parametrize("corpus", list(_ORACLE_BITS))
 @pytest.mark.parametrize("batch", [1, 2, 5, 40])
-def test_batch_kernels_match_oracle(corpus, batch):
-    # 1 and 2 molecules score below the numpy cutoff, 40 far above it
+def test_batch_kernels_match_oracle(cutoff, corpus, batch):
+    # at the measured cutoff, 1 and 2 molecules score in Python, 40 in numpy
     mols, morgan, path = _ORACLE_BITS[corpus]
     for lo in range(0, len(mols), batch):
         chunk = mols[lo:lo + batch]
@@ -175,7 +187,7 @@ def test_batch_kernels_match_oracle(corpus, batch):
 
 
 @pytest.mark.parametrize("radius,max_len,nbits", [(0, 1, 64), (3, 3, 1024), (1, 9, 997)])
-def test_batch_kernels_match_oracle_off_defaults(radius, max_len, nbits):
+def test_batch_kernels_match_oracle_off_defaults(cutoff, radius, max_len, nbits):
     mols = _SMALL[:30] + _LARGE[:10]
     assert morgan_fingerprints(mols, radius, nbits) == [
         oracles.morgan_oracle(m, radius, nbits) for m in mols
@@ -195,6 +207,18 @@ def walk_method(request, monkeypatch):
     if _WALK_METHODS[request.param] is not None:
         monkeypatch.setattr(fingerprints, "_NUMPY_MIN_ATOMS", _WALK_METHODS[request.param])
     return request.param
+
+
+def test_budget_molecule_is_marked_without_touching_its_batch(cutoff):
+    # one batch feeds all three kernels: only the clique's path bits are lost
+    clique = parse_smiles(clique_smiles())
+    mols = _LARGE[:6] + [clique] + _LARGE[6:12]
+    batch = MoleculeBatch(mols)
+    marked = path_fingerprints(batch)
+    assert marked[6] is None
+    assert marked[:6] + marked[7:] == [oracles.path_oracle(m) for m in mols if m is not clique]
+    assert key_fingerprints(batch) == [oracles.key_oracle(m) for m in mols]
+    assert morgan_fingerprints(batch) == [oracles.morgan_oracle(m) for m in mols]
 
 
 def test_budget_molecule_is_marked_on_either_walk(walk_method):
@@ -381,18 +405,6 @@ def test_ordinary_molecules_stay_on_the_recursive_walk():
 
 
 # -- key and Morgan chunk kernels --------------------------------------------------
-
-# score every batch as the measured cutoff picks, all from the numpy graph
-# table, or each molecule alone in Python
-_CUTOFFS = {"measured": None, "numpy": 0, "python": 10**9}
-
-
-@pytest.fixture(params=list(_CUTOFFS), ids=list(_CUTOFFS))
-def cutoff(request, monkeypatch):
-    if _CUTOFFS[request.param] is not None:
-        monkeypatch.setattr(fingerprints, "_NUMPY_MIN_ATOMS", _CUTOFFS[request.param])
-    return request.param
-
 
 def _generated_key_table(seed, n_keys=40):
     """Random keys of 1-5 nodes over the whole pattern grammar: element,

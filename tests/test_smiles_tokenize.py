@@ -44,9 +44,31 @@ def test_ring_closure_labels():
     assert ring == ["1", "%12", "1", "%12"]
 
 
-def test_texts_cover_the_input():
-    smiles = "c1ccccc1.[NH4+]"
-    assert tokenize(smiles) == ["c", "1", "c", "c", "c", "c", "c", "1", ".", "[NH4+]"]
+@pytest.mark.parametrize(
+    "smiles,texts",
+    [
+        ("c1ccccc1.[NH4+]", ["c", "1", "c", "c", "c", "c", "c", "1", ".", "[NH4+]"]),
+        ("", []),
+        ("C=C#N", ["C", "=", "C", "#", "N"]),
+        ("C:c-C", ["C", ":", "c", "-", "C"]),
+        ("F/C=C\\F", ["F", "/", "C", "=", "C", "\\", "F"]),
+        ("[13CH3][C@@H](Cl)[O-]", ["[13CH3]", "[C@@H]", "(", "Cl", ")", "[O-]"]),
+        # 'Sc' is sulfur then aromatic carbon: only Cl and Br are two letters
+        ("Sc1ccsc1", ["S", "c", "1", "c", "c", "s", "c", "1"]),
+        # a bare digit is one ring label, '%' takes the next two
+        ("C12CC1C2", ["C", "1", "2", "C", "C", "1", "C", "2"]),
+        ("C%10CC%10", ["C", "%10", "C", "C", "%10"]),
+        ("[nH]1cccc1", ["[nH]", "1", "c", "c", "c", "c", "1"]),
+        ("CC(C)(C(=O)O)N", ["C", "C", "(", "C", ")", "(", "C", "(", "=", "O", ")", "O", ")", "N"]),
+    ],
+    ids=[
+        "aromatic_ion", "empty", "bonds", "aromatic_bond", "stereo_bonds", "brackets",
+        "sulfur_then_aromatic", "digit_labels", "percent_labels", "bracket_aromatic",
+        "nested_branches",
+    ],
+)
+def test_texts_cover_the_input(smiles, texts):
+    assert tokenize(smiles) == texts
     assert "".join(tokenize(smiles)) == smiles
 
 
