@@ -19,24 +19,21 @@ UTF-8 serialization spelled out in each function.
 Every scheme has a batch kernel (:func:`morgan_fingerprints`,
 :func:`path_fingerprints`, :func:`key_fingerprints`), and
 :func:`morgan_fingerprint` and :func:`path_fingerprint` are batches of one.
-One measured cutoff, ``_NUMPY_MIN_ATOMS`` atoms in the batch, decides for
-all three schemes. Below it each molecule is scored alone in Python with
-:func:`fnv1a64` and without numpy (the path walk is recursive and hashes as
-it walks, Morgan hashes each atom's layer string, keys embed one pattern at
-a time). From it on, the batch's graph table
-(:class:`chemtext.fingerprints.chunk.GraphTable`: interned atoms, degrees,
-ring-bond counts, bond ends and kinds, and a padded neighbor table, built in
-one Python pass) feeds three numpy chunk kernels: the path walk goes one
-bond at a time across every molecule, carrying each walk's FNV-1a state;
-Morgan continues the FNV-1a state of every atom of a layer at once over its
-payload bytes; the keys count slots per molecule and embed every tree key
-of every molecule one pattern node at a time. The graph table and the key
-and Morgan chunk kernels live in :mod:`chemtext.fingerprints.chunk`, which
-is imported only for such a batch. A :class:`MoleculeBatch` handed to
-several kernels builds its table once. A small batch also walks in numpy
-when one of its molecules might pass the path budget, since the recursive
-walk takes several times longer to reach it. One numpy FNV-1a
-column pass hashes the Morgan layers and the numpy walk's steps.
+Each kernel scores a batch one of two ways, and one measured cutoff,
+``_NUMPY_MIN_ATOMS`` atoms in the batch, decides for all three schemes:
+
+- Below it, each molecule is scored alone in Python by this module's
+  function for the scheme (:func:`_morgan_bits`, :func:`_path_bits`, the
+  compiled key table's ``bits``), hashing with :func:`fnv1a64`, and numpy
+  is never imported.
+- From it on, the batch's graph table feeds the scheme's numpy function in
+  :mod:`chemtext.fingerprints.chunk`, which only such a batch imports. A
+  :class:`MoleculeBatch` handed to several kernels builds its table once.
+
+A small batch also walks its paths in numpy when one of its molecules might
+pass the path budget (see :func:`_walk_bound`), since the recursive walk
+takes several times longer to reach it. :func:`key_fingerprint` always
+scores its one molecule in Python.
 
 Four rules hold across releases:
 
@@ -61,7 +58,7 @@ Four rules hold across releases:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 from chemtext.errors import ChemtextError
@@ -73,7 +70,7 @@ from chemtext.fingerprints.keys import (
     load_key_table,
     parse_pattern,
 )
-from chemtext.smiles.parse import Molecule
+from chemtext.smiles.parse import Atom, Molecule
 
 if TYPE_CHECKING:
     from chemtext.fingerprints.chunk import GraphTable
@@ -93,16 +90,6 @@ _MAX_PATHS_WALKED = 500_000
 # built) take 1.25x the Python time at 16-23 atoms, 0.95x at 24-31 and 0.84x
 # at 32-39.
 _NUMPY_MIN_ATOMS = 24
-
-# The numpy path walk expands about this many steps at once (one atom's
-# neighbors are never split), so it holds about one such block per path
-# length, whatever the molecule.
-_WALK_BLOCK_STEPS = 1 << 14
-
-# bytes.translate table taking each UTF-8 byte b to b + 1 (UTF-8 never uses
-# 0xFE or 0xFF): numpy ``S`` arrays drop trailing NULs, and shifted strings
-# hold none and compare in the same order
-_NO_NUL = bytes(range(1, 256)) + b"\xff"
 
 # scheme names :func:`fingerprint` accepts
 SCHEMES = ("morgan", "path", "keys")
@@ -152,43 +139,6 @@ def fnv1a64(data: bytes) -> int:
         value ^= byte
         value = (value * _FNV_PRIME) & _MASK64
     return value
-
-
-def _byte_matrix(strings):
-    """The bytes of a numpy ``S`` array as a uint8 matrix, one row each."""
-    return strings.view("u1").reshape(len(strings), strings.dtype.itemsize)
-
-
-def _fnv1a64_columns(hashes, matrix, lengths):
-    """Continue the FNV-1a states ``hashes`` in place over the first
-    ``lengths[i]`` bytes of row ``i`` of the uint8 ``matrix``, and return
-    them; the one FNV-1a loop over numpy arrays.
-
-    Every row takes the columns up to the shortest row's length, then the
-    longer rows take the columns up to the next length, and so on, so there
-    is one gather per distinct length and no sort. uint64 arithmetic wraps
-    exactly like FNV-1a's mod 2**64.
-    """
-    import numpy as np
-
-    prime = np.uint64(_FNV_PRIME)
-    out = hashes
-    rows = None  # indices into out of the rows still hashed; None for all
-    done = 0  # columns hashed so far
-    while len(hashes):
-        shortest = int(lengths.min())
-        for col in range(done, shortest):
-            hashes ^= matrix[:, col]
-            hashes *= prime
-        if rows is not None:
-            out[rows] = hashes
-        if shortest == matrix.shape[1]:
-            break
-        done = shortest
-        longer = np.flatnonzero(lengths > shortest)
-        rows = longer if rows is None else rows[longer]
-        hashes, matrix, lengths = hashes[longer], matrix.take(longer, axis=0), lengths[longer]
-    return out
 
 
 def _require_valid(mol: Molecule) -> None:
@@ -257,41 +207,37 @@ def morgan_fingerprints(
 
         found = morgan_bits(batch.table, radius, nbits)
     else:
-        found = _morgan_bits_one_at_a_time(batch, radius, nbits)
+        found = [_morgan_bits(mol, radius, nbits) for mol in batch]
     return [BitFingerprint(scheme="morgan", nbits=nbits, bits=bits) for bits in found]
 
 
-def _morgan_bits_one_at_a_time(
-    mols: Sequence[Molecule], radius: int, nbits: int
-) -> list[frozenset[int]]:
-    """The Morgan bits of each molecule, from its layer strings."""
-    seeds: list[bytes] = []
-    # per atom of the batch: (bond code + ":", batch index of the neighbor)
-    neighbors: list[list[tuple[str, int]]] = []
-    bounds = [0]
-    for mol in mols:
-        base = bounds[-1]
-        codes = [":" if bond.aromatic else str(bond.order) for bond in mol.bonds]
-        for a, entries in zip(mol.atoms, mol.adjacency):
-            seeds.append(
-                f"A|{a.symbol}|{int(a.aromatic)}|{a.charge}|{a.isotope or 0}"
-                f"|{len(entries)}|{a.hydrogens}".encode()
-            )
-            neighbors.append([(codes[bi] + ":", base + j) for j, bi in entries])
-        bounds.append(base + len(mol.atoms))
-    layers = [list(map(fnv1a64, seeds))]
+@lru_cache(maxsize=4096)
+def _morgan_seed(atom: Atom, degree: int) -> int:
+    """The layer-0 hash of ``atom`` with ``degree`` bonds, kept across
+    molecules and batches in a bounded memo."""
+    return fnv1a64(
+        f"A|{atom.symbol}|{int(atom.aromatic)}|{atom.charge}|{atom.isotope or 0}"
+        f"|{degree}|{atom.hydrogens}".encode()
+    )
+
+
+def _morgan_bits(mol: Molecule, radius: int, nbits: int) -> frozenset[int]:
+    """The Morgan bits of ``mol``, from its layer strings."""
+    codes = [":" if bond.aromatic else str(bond.order) for bond in mol.bonds]
+    # per atom: (bond code + ":", neighbor)
+    neighbors = [[(codes[bi] + ":", j) for j, bi in entries] for entries in mol.adjacency]
+    hashes = [_morgan_seed(a, len(entries)) for a, entries in zip(mol.atoms, mol.adjacency)]
+    bits = {h % nbits for h in hashes}
     for _ in range(radius):
-        hexes = [f"{h:016x}" for h in layers[-1]]
+        hexes = [f"{h:016x}" for h in hashes]
         payloads = []
         for own, entries in zip(hexes, neighbors):
             # the hex is fixed-width, so sorting "code:hex" sorts (code, hash)
             parts = sorted([code + hexes[j] for code, j in entries])
             payloads.append(f"E|{own}|{'|'.join(parts)}".encode())
-        layers.append(list(map(fnv1a64, payloads)))
-    return [
-        frozenset(h % nbits for layer in layers for h in layer[lo:hi])
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
+        hashes = list(map(fnv1a64, payloads))
+        bits.update(h % nbits for h in hashes)
+    return frozenset(bits)
 
 
 def path_fingerprint(mol: Molecule, max_len: int = 7, nbits: int = 2048) -> BitFingerprint:
@@ -325,12 +271,10 @@ def path_fingerprints(
     batch = _as_batch(mols)
     if not batch.in_numpy and all(_walk_bound(m, max_len) <= _MAX_PATHS_WALKED for m in batch):
         found = [_path_bits(mol, max_len, nbits) for mol in batch]
-    elif len(batch) > 1 and len(batch) * nbits > 1 << 64:
-        # a (molecule, bit) key of this batch would not fit in 64 bits
-        alone = (MoleculeBatch([mol]).table for mol in batch)
-        found = [bits for table in alone for bits in _walk_paths(table, max_len, nbits)]
     else:
-        found = _walk_paths(batch.table, max_len, nbits)
+        from chemtext.fingerprints.chunk import path_bits
+
+        found = path_bits(batch.table, max_len, nbits)
     return [
         None if bits is None else BitFingerprint(scheme="path", nbits=nbits, bits=bits)
         for bits in found
@@ -340,12 +284,14 @@ def path_fingerprints(
 def _walk_bound(mol: Molecule, max_len: int) -> int:
     """An upper bound on the walk steps of ``mol``'s paths: from each of its
     n atoms, at most ``d * (d-1)**k`` walks of k+1 bonds, with d its highest
-    degree. The sum stops growing once it passes the budget.
+    degree, up to ``min(max_len, n - 1)`` bonds. The sum stops growing once
+    it passes the budget.
 
     A molecule whose bound passes the budget walks in numpy, which reaches
     the budget several times sooner than the recursive walk (the 10-atom
     clique: ~0.1 s against ~0.6 s)."""
     n = len(mol.atoms)
+    max_len = min(max_len, n - 1)  # a simple path has fewer bonds than atoms
     d = max(map(len, mol.adjacency), default=0)
     if d <= 2:
         return n * d * (max_len if d == 2 else 1)
@@ -362,7 +308,8 @@ def _path_bits(mol: Molecule, max_len: int, nbits: int) -> frozenset[int] | None
     """The path bits of ``mol``, or ``None`` over the path budget.
 
     The walk starts at every atom, so each path is reached once from each
-    end. It records paths by :func:`_walk_paths`' rule: a walk carries its
+    end. It records paths by the numpy walk's rule
+    (:func:`chemtext.fingerprints.chunk.path_bits`): a walk carries its
     forward and reverse renderings and the FNV-1a state of the forward one,
     a step continues that state over its ``bond + atom`` bytes, and an end
     whose forward rendering is not the larger records ``state % nbits``.
@@ -411,120 +358,6 @@ def _path_bits(mol: Molecule, max_len: int, nbits: int) -> frozenset[int] | None
     except FingerprintError:
         return None
     return frozenset(bits)
-
-
-def _walk_paths(table: GraphTable, max_len: int, nbits: int) -> list[frozenset[int] | None]:
-    """The path bits of each molecule of ``table``, or ``None`` over the
-    path budget.
-
-    One row is one walk: its atoms in order (start first), its forward and
-    reverse renderings, and the FNV-1a state of the forward one. A step
-    appends ``bond + atom`` to the forward rendering and prepends
-    ``atom + bond`` to the reverse one. Every path is walked once from each
-    end, and an end whose forward rendering is not the larger records its
-    hash (a palindrome, the same hash from both ends). Rows are expanded a
-    block at a time, deepest block first, so the walk holds about one block
-    of ``_WALK_BLOCK_STEPS`` steps per path length, whatever the molecule.
-    """
-    import numpy as np
-
-    n_mols, n_atoms = len(table.mols), table.n_atoms
-    if not len(table.bond_kind):
-        return [frozenset() for _ in range(n_mols)]
-    # a simple path has fewer bonds than its molecule has atoms, so the rows
-    # need be no wider than the largest molecule, whatever max_len is
-    max_len = min(max_len, max(len(mol.atoms) for mol in table.mols) - 1)
-    neighbors, steps, width = table.neighbors, table.entries, table.width
-    neighbor, bond = table.entry_neighbor, table.entry_bond
-    # renderings hold UTF-8 shifted off NUL; hashes read the real bytes
-    codes = [a.symbol.lower() if a.aromatic else a.symbol for a in table.atoms]
-    code_text = np.array([c.encode().translate(_NO_NUL) for c in codes])[table.atom_id]
-    kind_text = np.array([s.encode().translate(_NO_NUL) for s in "-=#:"], dtype="S1")
-    symbol_text = kind_text[table.bond_kind]
-    forward_steps = np.char.add(symbol_text[bond], code_text[neighbor])
-    reverse_steps = np.char.add(code_text[neighbor], symbol_text[bond])
-    step_bytes = _byte_matrix(forward_steps) - 1
-    step_lengths = np.char.str_len(forward_steps)
-    start_hashes = np.array([fnv1a64(c.encode()) for c in codes], dtype=np.uint64)
-    start_hashes = start_hashes[table.atom_id]
-
-    found: list = []  # (molecule, hash) arrays of recorded paths
-    held, room = 0, _WALK_BLOCK_STEPS  # hashes held; how many before deduplicating
-    walked = np.zeros(n_mols, dtype=np.int64)
-    some_dead, dead = False, np.zeros(n_mols, dtype=bool)
-    block = max(_WALK_BLOCK_STEPS // width, 1)
-    # a path's atoms fill columns 0..bonds of its row
-    starts = np.zeros((n_atoms, max_len + 1), dtype=np.int32)
-    starts[:, 0] = np.arange(n_atoms)
-    stack = [(0, starts, table.atom_mol, code_text, code_text, start_hashes)]
-    while stack:
-        bonds, path, row_mol, fwd, rev, hashes = stack.pop()
-        if len(path) > block:
-            rest = (path[block:], row_mol[block:], fwd[block:], rev[block:], hashes[block:])
-            stack.append((bonds, *rest))
-            path, row_mol, fwd, rev, hashes = (
-                path[:block], row_mol[:block], fwd[:block], rev[:block], hashes[:block]
-            )
-        tails = path[:, bonds]
-        nxt = neighbors.take(tails, axis=0)
-        fresh = nxt != path[:, :1]
-        for col in range(1, bonds + 1):
-            fresh &= nxt != path[:, col:col + 1]
-        if some_dead:
-            fresh &= ~dead[row_mol][:, None]
-        flat_at = np.flatnonzero(fresh)
-        rows = flat_at // width
-        edges = steps.take(tails, axis=0).take(flat_at)
-        row_mol = row_mol[rows]
-        walked += np.bincount(row_mol, minlength=n_mols)
-        if walked.max() > _MAX_PATHS_WALKED:
-            some_dead, dead = True, walked > _MAX_PATHS_WALKED
-            alive = np.flatnonzero(~dead[row_mol])
-            rows, edges, flat_at = rows[alive], edges[alive], flat_at[alive]
-            row_mol = row_mol[alive]
-        fwd = np.char.add(fwd[rows], forward_steps[edges])
-        rev = np.char.add(reverse_steps[edges], rev[rows])
-        hashes = _fnv1a64_columns(
-            hashes[rows], step_bytes.take(edges, axis=0), step_lengths[edges]
-        )
-        record = fwd <= rev
-        found.append((row_mol[record], hashes[record]))
-        held += len(found[-1][0])
-        if held > room:
-            found = [_distinct_paths(found, nbits)]
-            held = len(found[0][0])
-            room = max(room, 2 * held)
-        if bonds + 1 < max_len and len(rows):
-            grown = path.take(rows, axis=0)
-            grown[:, bonds + 1] = nxt.take(flat_at)
-            stack.append((bonds + 1, grown, row_mol, fwd, rev, hashes))
-
-    owner, bits = _distinct_paths(found, nbits)
-    bits = bits.tolist()
-    bounds = np.searchsorted(owner, np.arange(n_mols + 1)).tolist()
-    return [
-        None if gone else frozenset(bits[lo:hi])
-        for gone, lo, hi in zip(dead.tolist(), bounds, bounds[1:])
-    ]
-
-
-def _distinct_paths(found, nbits):
-    """The distinct (molecule, bit) pairs of ``found``, a list of (molecule,
-    hash) array pairs, as two arrays sorted by molecule, then bit."""
-    import numpy as np
-
-    owner = np.concatenate([m for m, _ in found])
-    hashes = np.concatenate([h for _, h in found])
-    if nbits >= 1 << 64:  # one molecule (see path_fingerprints): bit = hash
-        keys = hashes
-    else:
-        span = np.uint64(nbits)
-        keys = owner.astype(np.uint64) * span + hashes % span
-    keys.sort()
-    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))] if len(keys) else keys
-    if nbits >= 1 << 64:
-        return np.zeros(len(keys), dtype=np.intp), keys
-    return (keys // span).astype(np.intp), keys % span
 
 
 def key_fingerprint(

@@ -9,25 +9,33 @@ the bits of its one-molecule-at-a-time form and of the references kept in
 
 - :class:`GraphTable` holds the batch's atoms and bonds as arrays, built in
   one Python pass.
+- :func:`path_bits` walks every path of every molecule one bond at a time,
+  carrying each walk's renderings and FNV-1a state, and stops a molecule's
+  walk at the path budget without touching the rest of the batch.
 - :func:`morgan_bits` continues the FNV-1a state of every atom of a layer
   at once over that layer's payload bytes.
 - :class:`ChunkKeys`, the numpy form of a compiled key table, counts atom
   and bond keys as per-molecule sums over one slot matrix and embeds every
   tree key of every molecule in one level-synchronous join.
-- The path walk (``chemtext.fingerprints._walk_paths``) reads the same
-  table.
+
+The path walk and the tree-key join expand a block of about
+``_BLOCK_STEPS`` rows at a time, deepest block first, so each holds about
+one block per path length or pattern node, whatever the molecule. One
+FNV-1a column pass, :func:`_fnv1a64_columns`, hashes the path steps and the
+Morgan layers.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import chain
 from operator import attrgetter, truth
 from typing import Sequence
 
 import numpy as np
 
-from chemtext.fingerprints import _fnv1a64_columns, fnv1a64
+from chemtext import fingerprints
+from chemtext.fingerprints import _FNV_PRIME, _morgan_seed, fnv1a64
 from chemtext.smiles.parse import Atom, Molecule
 
 _ORDER = attrgetter("order")
@@ -41,9 +49,14 @@ _ANY_BOND = _BOND_KINDS.index("~")
 # atom feature tuples; the memo is emptied when it is full.
 _SLOT_MEMO_CAP = 4096
 
-# The tree-key join extends about this many candidate atoms at once, so it
-# holds about one such block per pattern node, whatever the molecule.
-_JOIN_BLOCK_STEPS = 1 << 14
+# The path walk and the tree-key join expand about this many steps or
+# candidate atoms at once (one atom's neighbors are never split).
+_BLOCK_STEPS = 1 << 14
+
+# bytes.translate table taking each UTF-8 byte b to b + 1 (UTF-8 never uses
+# 0xFE or 0xFF): numpy ``S`` arrays drop trailing NULs, and shifted strings
+# hold none and compare in the same order
+_NO_NUL = bytes(range(1, 256)) + b"\xff"
 
 
 class GraphTable:
@@ -125,6 +138,152 @@ class GraphTable:
         return np.bincount(self.entry_owner, ring[self.entry_bond], self.n_atoms).astype(np.intp)
 
 
+def _fnv1a64_columns(hashes, matrix, lengths):
+    """Continue the FNV-1a states ``hashes`` in place over the first
+    ``lengths[i]`` bytes of row ``i`` of the uint8 ``matrix``, and return
+    them; the one FNV-1a loop over numpy arrays.
+
+    Every row takes the columns up to the shortest row's length, then the
+    longer rows take the columns up to the next length, and so on, so there
+    is one gather per distinct length and no sort. uint64 arithmetic wraps
+    exactly like FNV-1a's mod 2**64.
+    """
+    prime = np.uint64(_FNV_PRIME)
+    out = hashes
+    rows = None  # indices into out of the rows still hashed; None for all
+    done = 0  # columns hashed so far
+    while len(hashes):
+        shortest = int(lengths.min())
+        for col in range(done, shortest):
+            hashes ^= matrix[:, col]
+            hashes *= prime
+        if rows is not None:
+            out[rows] = hashes
+        if shortest == matrix.shape[1]:
+            break
+        done = shortest
+        longer = np.flatnonzero(lengths > shortest)
+        rows = longer if rows is None else rows[longer]
+        hashes, matrix, lengths = hashes[longer], matrix.take(longer, axis=0), lengths[longer]
+    return out
+
+
+# -- paths ----------------------------------------------------------------------------
+
+
+def path_bits(table: GraphTable, max_len: int, nbits: int) -> list[frozenset[int] | None]:
+    """The path bits of each molecule of ``table``, or ``None`` over the
+    path budget (``chemtext.fingerprints._MAX_PATHS_WALKED``).
+
+    One row is one walk: its atoms in order (start first), its forward and
+    reverse renderings, and the FNV-1a state of the forward one. A step
+    appends ``bond + atom`` to the forward rendering and prepends
+    ``atom + bond`` to the reverse one. Every path is walked once from each
+    end, and an end whose forward rendering is not the larger records its
+    hash (a palindrome, the same hash from both ends).
+    """
+    n_mols, n_atoms = len(table.mols), table.n_atoms
+    if n_mols > 1 and n_mols * nbits > 1 << 64:
+        # a (molecule, bit) key of this batch would not fit in 64 bits
+        alone = (GraphTable([mol]) for mol in table.mols)
+        return [bits for one in alone for bits in path_bits(one, max_len, nbits)]
+    if not len(table.bond_kind):
+        return [frozenset() for _ in range(n_mols)]
+    budget = fingerprints._MAX_PATHS_WALKED
+    # a simple path has fewer bonds than its molecule has atoms, so the rows
+    # need be no wider than the largest molecule, whatever max_len is
+    max_len = min(max_len, max(len(mol.atoms) for mol in table.mols) - 1)
+    neighbors, steps, width = table.neighbors, table.entries, table.width
+    neighbor, bond = table.entry_neighbor, table.entry_bond
+    # renderings hold UTF-8 shifted off NUL; hashes read the real bytes
+    codes = [a.symbol.lower() if a.aromatic else a.symbol for a in table.atoms]
+    code_text = np.array([c.encode().translate(_NO_NUL) for c in codes])[table.atom_id]
+    kind_text = np.array([s.encode().translate(_NO_NUL) for s in "-=#:"], dtype="S1")
+    symbol_text = kind_text[table.bond_kind]
+    forward_steps = np.char.add(symbol_text[bond], code_text[neighbor])
+    reverse_steps = np.char.add(code_text[neighbor], symbol_text[bond])
+    step_bytes = forward_steps.view("u1").reshape(len(bond), forward_steps.itemsize) - 1
+    step_lengths = np.char.str_len(forward_steps)
+    start_hashes = np.array([fnv1a64(c.encode()) for c in codes], dtype=np.uint64)
+    start_hashes = start_hashes[table.atom_id]
+
+    found: list = []  # (molecule, hash) arrays of recorded paths
+    held, room = 0, _BLOCK_STEPS  # hashes held; how many before deduplicating
+    walked = np.zeros(n_mols, dtype=np.int64)
+    some_dead, dead = False, np.zeros(n_mols, dtype=bool)
+    block = max(_BLOCK_STEPS // width, 1)
+    # a path's atoms fill columns 0..bonds of its row
+    starts = np.zeros((n_atoms, max_len + 1), dtype=np.int32)
+    starts[:, 0] = np.arange(n_atoms)
+    stack = [(0, starts, table.atom_mol, code_text, code_text, start_hashes)]
+    while stack:
+        bonds, path, row_mol, fwd, rev, hashes = stack.pop()
+        if len(path) > block:
+            rest = (path[block:], row_mol[block:], fwd[block:], rev[block:], hashes[block:])
+            stack.append((bonds, *rest))
+            path, row_mol, fwd, rev, hashes = (
+                path[:block], row_mol[:block], fwd[:block], rev[:block], hashes[:block]
+            )
+        tails = path[:, bonds]
+        nxt = neighbors.take(tails, axis=0)
+        fresh = nxt != path[:, :1]
+        for col in range(1, bonds + 1):
+            fresh &= nxt != path[:, col:col + 1]
+        if some_dead:
+            fresh &= ~dead[row_mol][:, None]
+        flat_at = np.flatnonzero(fresh)
+        rows = flat_at // width
+        edges = steps.take(tails, axis=0).take(flat_at)
+        row_mol = row_mol[rows]
+        walked += np.bincount(row_mol, minlength=n_mols)
+        if walked.max() > budget:
+            some_dead, dead = True, walked > budget
+            alive = np.flatnonzero(~dead[row_mol])
+            rows, edges, flat_at = rows[alive], edges[alive], flat_at[alive]
+            row_mol = row_mol[alive]
+        fwd = np.char.add(fwd[rows], forward_steps[edges])
+        rev = np.char.add(reverse_steps[edges], rev[rows])
+        hashes = _fnv1a64_columns(
+            hashes[rows], step_bytes.take(edges, axis=0), step_lengths[edges]
+        )
+        record = fwd <= rev
+        found.append((row_mol[record], hashes[record]))
+        held += len(found[-1][0])
+        if held > room:
+            found = [_distinct_paths(found, nbits)]
+            held = len(found[0][0])
+            room = max(room, 2 * held)
+        if bonds + 1 < max_len and len(rows):
+            grown = path.take(rows, axis=0)
+            grown[:, bonds + 1] = nxt.take(flat_at)
+            stack.append((bonds + 1, grown, row_mol, fwd, rev, hashes))
+
+    owner, bits = _distinct_paths(found, nbits)
+    bits = bits.tolist()
+    bounds = np.searchsorted(owner, np.arange(n_mols + 1)).tolist()
+    return [
+        None if gone else frozenset(bits[lo:hi])
+        for gone, lo, hi in zip(dead.tolist(), bounds, bounds[1:])
+    ]
+
+
+def _distinct_paths(found, nbits):
+    """The distinct (molecule, bit) pairs of ``found``, a list of (molecule,
+    hash) array pairs, as two arrays sorted by molecule, then bit."""
+    owner = np.concatenate([m for m, _ in found])
+    hashes = np.concatenate([h for _, h in found])
+    if nbits >= 1 << 64:  # one molecule (see path_bits): bit = hash
+        keys = hashes
+    else:
+        span = np.uint64(nbits)
+        keys = owner.astype(np.uint64) * span + hashes % span
+    keys.sort()
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))] if len(keys) else keys
+    if nbits >= 1 << 64:
+        return np.zeros(len(keys), dtype=np.intp), keys
+    return (keys // span).astype(np.intp), keys % span
+
+
 # -- Morgan ---------------------------------------------------------------------------
 
 
@@ -178,16 +337,6 @@ def _morgan_seeds(table: GraphTable):
     return np.array(hashes, dtype=np.uint64)[inverse.reshape(-1)]
 
 
-@lru_cache(maxsize=4096)
-def _morgan_seed(atom: Atom, degree: int) -> int:
-    """The layer-0 hash of ``atom`` with ``degree`` bonds, kept across
-    batches in a bounded memo."""
-    return fnv1a64(
-        f"A|{atom.symbol}|{int(atom.aromatic)}|{atom.charge}|{atom.isotope or 0}"
-        f"|{degree}|{atom.hydrogens}".encode()
-    )
-
-
 _HEX = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
 
 
@@ -213,22 +362,31 @@ class ChunkKeys:
 
     def __init__(self, compiled) -> None:
         self.compiled = compiled
-        self.nbits = compiled.nbits
         self.n_slots = len(compiled._slot_of)
         self.slot_rows: dict[tuple, np.ndarray] = {}  # atom features -> slot row
-        # per atom key: bit, threshold, slot
-        self.atom_keys = np.array(compiled.atom_keys, dtype=np.intp).reshape(-1, 3).T
-        # per bond key: bit, threshold, slot, bond kind, child slot
+        # the bit of each key, atom keys first, then bond keys, then tree
+        # keys: a key id can be any size, so bits stay Python ints
+        self.key_bits = [
+            key[0] for keys in (compiled.atom_keys, compiled.bond_keys, compiled.tree_keys)
+            for key in keys
+        ]
+        # no count reaches this, so a larger threshold is capped to it
+        most = np.iinfo(np.intp).max
+        # per atom key: threshold, slot
+        self.atom_keys = np.array(
+            [(min(t, most), s) for _, t, s in compiled.atom_keys], dtype=np.intp
+        ).reshape(-1, 2).T
+        # per bond key: threshold, slot, bond kind, child slot
         self.bond_keys = np.array(
-            [(b, t, s, _BOND_KINDS.index(k), c) for b, t, s, k, c in compiled.bond_keys],
+            [(min(t, most), s, _BOND_KINDS.index(k), c) for _, t, s, k, c in compiled.bond_keys],
             dtype=np.intp,
-        ).reshape(-1, 5).T
-        # per tree key: bit, threshold, node count; per tree key and node:
-        # parent node, bond kind, slot; and the slots each tree key uses
+        ).reshape(-1, 4).T
+        # per tree key: threshold, node count; per tree key and node: parent
+        # node, bond kind, slot; and the slots each tree key uses
         tree = compiled.tree_keys
         self.tree_keys = np.array(
-            [(b, t, len(steps)) for b, t, steps in tree], dtype=np.intp
-        ).reshape(-1, 3).T
+            [(min(t, most), len(steps)) for _, t, steps in tree], dtype=np.intp
+        ).reshape(-1, 2).T
         depth = max((len(steps) for _, _, steps in tree), default=1)
         self.nodes = np.zeros((3, len(tree), depth), dtype=np.intp)
         self.uses = np.zeros((len(tree), self.n_slots), dtype=bool)
@@ -238,34 +396,28 @@ class ChunkKeys:
                 self.uses[k, slot] = True
 
     def bits(self, table: GraphTable) -> list[frozenset[int]]:
-        """The key bits of each molecule of ``table``, every key at once."""
-        n_mols = len(table.mols)
+        """The key bits of each molecule of ``table``, every key at once:
+        one (molecule, key) column of hits per key, in ``key_bits`` order."""
         slots = self._slot_matrix(table)
         slot_counts = _segment_sums(slots, table.atom_start)
-        a_bit, a_threshold, a_slot = self.atom_keys
-        hit_mol, hit_bit = [], []
-        mols, keys = np.nonzero(slot_counts[:, a_slot] >= a_threshold)
-        hit_mol.append(mols)
-        hit_bit.append(a_bit[keys])
-        if self.bond_keys.size and len(table.bond_kind):
-            b_bit, b_threshold, first, kind, second = self.bond_keys
-            a_slots, b_slots = slots[table.bond_ends[:, 0]], slots[table.bond_ends[:, 1]]
-            # one bond is one atom set, so a single-bond key counts bonds
-            found = a_slots[:, first] & b_slots[:, second]
-            found |= b_slots[:, first] & a_slots[:, second]
-            found &= (kind == _ANY_BOND) | (table.bond_kind[:, None] == kind)
-            mols, keys = np.nonzero(_segment_sums(found, table.bond_start) >= b_threshold)
-            hit_mol.append(mols)
-            hit_bit.append(b_bit[keys])
-        if self.tree_keys.size:
-            mols, bits = self._tree_key_hits(table, slots, slot_counts)
-            hit_mol.append(mols)
-            hit_bit.append(bits)
-        hits = np.zeros((n_mols, self.nbits), dtype=bool)
-        hits[np.concatenate(hit_mol), np.concatenate(hit_bit)] = True
-        mols, bits = np.nonzero(hits)
-        bits = bits.tolist()
-        bounds = np.searchsorted(mols, np.arange(n_mols + 1)).tolist()
+        a_threshold, a_slot = self.atom_keys
+        b_threshold, first, kind, second = self.bond_keys
+        a_slots, b_slots = slots[table.bond_ends[:, 0]], slots[table.bond_ends[:, 1]]
+        # one bond is one atom set, so a single-bond key counts bonds
+        found = a_slots[:, first] & b_slots[:, second]
+        found |= b_slots[:, first] & a_slots[:, second]
+        found &= (kind == _ANY_BOND) | (table.bond_kind[:, None] == kind)
+        hits = np.concatenate(
+            (
+                slot_counts[:, a_slot] >= a_threshold,
+                _segment_sums(found, table.bond_start) >= b_threshold,
+                self._tree_key_hits(table, slots, slot_counts),
+            ),
+            axis=1,
+        )
+        mols, columns = np.nonzero(hits)
+        bits = [self.key_bits[c] for c in columns.tolist()]
+        bounds = np.searchsorted(mols, np.arange(len(table.mols) + 1)).tolist()
         return [frozenset(bits[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
     def _slot_matrix(self, table: GraphTable):
@@ -291,7 +443,7 @@ class ChunkKeys:
         return rows[inverse.reshape(-1)]
 
     def _tree_key_hits(self, table: GraphTable, slots, slot_counts):
-        """(molecule, bit) arrays of the tree keys that reach their count
+        """Per molecule and tree key, whether the key reaches its count
         threshold.
 
         A row is one partial embedding: its key and the atoms of its
@@ -302,9 +454,9 @@ class ChunkKeys:
         molecule) pair, and a pair is decided as soon as it has its
         threshold of distinct sets: its rows are dropped. Rows are extended
         a block at a time, deepest block first, so the join holds about one
-        block of ``_JOIN_BLOCK_STEPS`` candidates per pattern node.
+        block of ``_BLOCK_STEPS`` candidates per pattern node.
         """
-        (bit, threshold, size), (parent, kind, slot) = self.tree_keys, self.nodes
+        (threshold, size), (parent, kind, slot) = self.tree_keys, self.nodes
         n_keys, depth = parent.shape
         n_mols, width = len(table.mols), table.width
         pair_threshold = np.repeat(threshold, n_mols)  # pair = key * n_mols + molecule
@@ -316,12 +468,12 @@ class ChunkKeys:
         stack = [(1, root_key, rows)]
         entry_kinds = table.bond_kind[table.entry_bond][table.entries]
         flat_slots = slots.ravel()
-        block = max(_JOIN_BLOCK_STEPS // max(width, 1), 1)
+        block = max(_BLOCK_STEPS // max(width, 1), 1)
         done = np.zeros(n_keys * n_mols, dtype=bool)  # pairs at their threshold
         counted = np.zeros(n_keys * n_mols, dtype=np.intp)  # distinct sets at the last count
         pending = np.zeros(n_keys * n_mols, dtype=np.intp)  # complete rows since then
         found: list = []  # per complete row: its pair, and the pair and sorted atom set packed
-        held, room = 0, _JOIN_BLOCK_STEPS  # rows in found; how many before counting
+        held, room = 0, _BLOCK_STEPS  # rows in found; how many before counting
         spans = [n_keys * n_mols] + [table.n_atoms + 1] * depth
 
         def count_distinct() -> None:
@@ -388,8 +540,7 @@ class ChunkKeys:
                 count_distinct()
         if held:
             count_distinct()
-        keys, mols = np.divmod(np.flatnonzero(done), n_mols)
-        return mols, bit[keys]
+        return done.reshape(n_keys, n_mols).T
 
 
 def _packed(columns, spans):

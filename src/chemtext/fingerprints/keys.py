@@ -30,17 +30,20 @@ acetal site once.
 
 A :class:`KeyTable` is compiled on first use: its distinct pattern atoms
 become numbered slots. Single-atom keys count atoms, single-bond keys count
-bonds, and larger patterns (tree keys) count embeddings. A molecule scored
-alone (a batch under the fingerprint package's numpy cutoff) is scored from
-per-slot atom bitsets, its tree keys through the same embedder as
-:func:`count_matches`. A larger batch is scored as one chunk from its graph
-table by the table's numpy form (:mod:`chemtext.fingerprints.chunk`, loaded
-on first use): each distinct (atom, degree, ring-bond count) maps to a
-boolean row of the slots it satisfies, kept in a bounded memo; atom and bond
-keys are per-molecule sums over that slot matrix; and the tree keys of every
-molecule are embedded together, one pattern node at a time, counting each
-key's distinct atom sets per molecule and dropping a (key, molecule) pair's
-rows once its threshold is met. Key bits are stable across releases: both
+bonds, and larger patterns (tree keys) count embeddings. There are two
+matchers. A molecule scored alone (by :func:`key_fingerprint
+<chemtext.fingerprints.key_fingerprint>`, or in a batch under the fingerprint
+package's numpy cutoff) is scored from per-slot atom bitsets, its tree keys
+through the same embedder as :func:`count_matches`. A larger batch is scored
+as one chunk from its graph table by the table's numpy form
+(:class:`chemtext.fingerprints.chunk.ChunkKeys`, built on first use): each
+distinct (atom, degree, ring-bond count) maps to a boolean row of the slots
+it satisfies, kept in a bounded memo; atom and bond keys are per-molecule
+sums over that slot matrix; and the tree keys of every molecule are embedded
+together, one pattern node at a time, counting each key's distinct atom sets
+per molecule and dropping a (key, molecule) pair's rows once its threshold
+is met. It keeps one (molecule, key) column of hits per key, so a key id
+costs nothing however large. Key bits are stable across releases: both
 matchers must set exactly the bits of the one-pattern-at-a-time reference
 kept in ``tests/fingerprint_oracles.py``.
 """

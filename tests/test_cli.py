@@ -885,12 +885,18 @@ def test_text_and_smiles_commands_never_import_numpy(tmp_path, command):
 _ACETAMINOPHEN, _NICOTINE = "CC(=O)Nc1ccc(O)cc1", "CN1CCCC1c1cccnc1"
 
 
-@pytest.mark.parametrize("command", ["morgan", "path", "keys", "similarity", "text2mol"])
+@pytest.mark.parametrize(
+    "command", ["morgan", "path", "path_max_len_20", "keys", "similarity", "text2mol"]
+)
 def test_small_fingerprints_never_import_numpy(tmp_path, command):
     # below 24 atoms in a batch every scheme scores in Python: the path walk
-    # of acetaminophen (43 encodings) and nicotine (95) included
+    # of acetaminophen (43 encodings) and nicotine (95) included, and a
+    # max_len past acetaminophen's 10-bond longest path
     stdin_text = ""
-    if command == "similarity":
+    if command == "path_max_len_20":
+        argv = ["fingerprint", "--scheme", "path", "--max-len", "20"]
+        stdin_text = _ACETAMINOPHEN + "\n"
+    elif command == "similarity":
         argv = ["similarity", _ACETAMINOPHEN, _NICOTINE, "--scheme", "path"]
     elif command == "text2mol":
         preds = tmp_path / "preds.jsonl"

@@ -287,7 +287,7 @@ def test_path_walk_matches_oracle_on_odd_molecules(walk_method, batch, max_len, 
 def test_path_walk_blocks_do_not_change_bits(monkeypatch):
     # blocks of a few steps split every level and deduplicate held bits often
     monkeypatch.setattr(fingerprints, "_NUMPY_MIN_ATOMS", 0)
-    monkeypatch.setattr(fingerprints, "_WALK_BLOCK_STEPS", 5)
+    monkeypatch.setattr(chunk_kernels, "_BLOCK_STEPS", 5)
     mols = _ODD + _LARGE[:10]
     assert path_fingerprints(mols) == [oracles.path_oracle(m) for m in mols]
     assert path_fingerprints(mols, 9, 997) == [oracles.path_oracle(m, 9, 997) for m in mols]
@@ -371,7 +371,7 @@ def test_fnv1a64_columns_continue_fnv1a64(rows):
     ).reshape(len(rows), width)
     states = np.array([fnv1a64(prefix) for prefix in prefixes], dtype=np.uint64)
     lengths = np.array(list(map(len, rows)), dtype=np.int64)
-    hashed = fingerprints._fnv1a64_columns(states, matrix, lengths)
+    hashed = chunk_kernels._fnv1a64_columns(states, matrix, lengths)
     assert hashed.tolist() == [fnv1a64(prefix + row) for prefix, row in zip(prefixes, rows)]
 
 
@@ -401,7 +401,7 @@ def test_ordinary_molecules_stay_on_the_recursive_walk():
         assert fingerprints._walk_bound(mol, 7) >= directed_path_steps(mol, 7)
     # the bound is capped just past the budget, so a huge max_len stays cheap
     assert fingerprints._walk_bound(_dense(5), 10**9) <= 2 * fingerprints._MAX_PATHS_WALKED
-    assert fingerprints._walk_bound(parse_smiles("C" * 20), 10**9) == 2 * 20 * 10**9
+    assert fingerprints._walk_bound(parse_smiles("C" * 20), 10**9) == 2 * 20 * 19
 
 
 # -- key and Morgan chunk kernels --------------------------------------------------
@@ -506,7 +506,7 @@ def test_one_batch_feeds_all_three_kernels(cutoff):
 def test_tree_key_join_blocks_do_not_change_bits(monkeypatch):
     # blocks of a few candidates split every level and count sets often
     monkeypatch.setattr(fingerprints, "_NUMPY_MIN_ATOMS", 0)
-    monkeypatch.setattr(chunk_kernels, "_JOIN_BLOCK_STEPS", 5)
+    monkeypatch.setattr(chunk_kernels, "_BLOCK_STEPS", 5)
     mols = _LARGE[:30] + _MADE
     for name in ("shipped", "generated_a", "generated_b"):
         table = _KEY_TABLES[name]
@@ -540,10 +540,10 @@ def test_tree_key_join_memory_is_bounded(monkeypatch, n):
     assert key_fingerprints([clique], quick) == [oracles.key_oracle(clique, quick)]
 
 
-def test_morgan_seed_memo_is_bounded():
+def test_morgan_seed_memo_is_bounded(cutoff):
     # more distinct (atom, degree) pairs than the memo keeps, in one batch
     # and then a few at a time
-    seed = chunk_kernels._morgan_seed
+    seed = fingerprints._morgan_seed
     atoms = [Atom("C", isotope=i, hydrogens=0) for i in range(seed.cache_info().maxsize + 500)]
     crowd = Molecule(atoms, [Bond(i, i + 1) for i in range(0, len(atoms) - 1, 2)])
     assert morgan_fingerprints([crowd], 1) == [oracles.morgan_oracle(crowd, 1)]
@@ -563,3 +563,30 @@ def test_slot_row_memo_is_bounded(monkeypatch):
         chunk = mols[lo:lo + 3]
         assert key_fingerprints(chunk, table) == [oracles.key_oracle(m, table) for m in chunk]
         assert 0 < len(table.compiled.chunk.slot_rows) <= 8
+
+
+@pytest.mark.parametrize("big_id", [10**7, 10**21])
+def test_large_key_ids_keep_memory_per_key(cutoff, big_id):
+    # hits are kept per key, not per bit: an id far past the number of keys
+    # costs no wider rows, and one past int64 still scores, as does a
+    # threshold past int64 (never met)
+    table = load_key_table([
+        "1\t1\tC",
+        f"{big_id}\t1\tO",
+        f"{big_id - 1}\t1\tC~O",
+        f"{big_id + 1}\t2\tC~C~O",
+        f"2\t{10**21}\tC",
+        f"3\t{10**21}\tC~C",
+        f"4\t{10**21}\tC~C~C",
+    ])
+    mols = _LARGE[:3]
+    assert sum(len(m.atoms) for m in mols) >= 24
+    tracemalloc.start()
+    try:
+        got = key_fingerprints(mols, table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == [oracles.key_oracle(m, table) for m in mols]
+    assert any(big_id - 1 in fp.bits for fp in got)
+    assert peak <= 16 * 2**20
