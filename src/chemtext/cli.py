@@ -76,6 +76,15 @@ def _int_at_least(minimum: int) -> Callable[[str], int]:
 _positive_int = _int_at_least(1)
 _non_negative_int = _int_at_least(0)
 
+# per fingerprint flag (its argparse dest): the FingerprintConfig field it
+# sets and the schemes that read it; any other scheme makes it a usage error
+_SCHEME_FLAGS = {
+    "bits": ("nbits", ("morgan", "path")),
+    "radius": ("radius", ("morgan",)),
+    "max_len": ("path_max_len", ("path",)),
+    "key_table": ("key_table", ("keys",)),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
@@ -99,8 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--task", required=True, choices=[t.value for t in TaskKind])
     ev.add_argument("--predictions", required=True)
     ev.add_argument("--oracle", help="forward oracle spec, e.g. lookup:PATH")
-    ev.add_argument("--fp-bits", type=_positive_int, help="text2mol only; default 2048")
-    ev.add_argument("--fp-radius", type=_non_negative_int, help="text2mol only; default 2")
+    ev.add_argument("--fp-bits", type=_positive_int, help="text2mol only")
+    ev.add_argument("--fp-radius", type=_non_negative_int, help="text2mol only")
     ev.add_argument("--quiet", action="store_true")
     ev.set_defaults(func=cmd_evaluate)
 
@@ -109,9 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     fp = sub.add_parser("fingerprint", help="set-bit indices per stdin line")
     fp.add_argument("--scheme", required=True, choices=SCHEMES)
-    fp.add_argument("--bits", type=_positive_int, default=2048)
-    fp.add_argument("--radius", type=_non_negative_int, default=2)
-    fp.add_argument("--max-len", type=_positive_int, default=7)
     fp.add_argument("--key-table", help="custom key table file (keys scheme)")
     fp.set_defaults(func=cmd_fingerprint)
 
@@ -119,10 +125,11 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("smiles_a")
     sim.add_argument("smiles_b")
     sim.add_argument("--scheme", default="morgan", choices=SCHEMES)
-    sim.add_argument("--bits", type=_positive_int, default=2048)
-    sim.add_argument("--radius", type=_non_negative_int, default=2)
-    sim.add_argument("--max-len", type=_positive_int, default=7)
     sim.set_defaults(func=cmd_similarity)
+    for cmd in (fp, sim):  # unset flags keep FingerprintConfig's defaults
+        cmd.add_argument("--bits", type=_positive_int)
+        cmd.add_argument("--radius", type=_non_negative_int)
+        cmd.add_argument("--max-len", type=_positive_int)
 
     demo = sub.add_parser("merge-demo", help="cross-attention merge demo")
     demo.add_argument("--base", required=True, help="base-domain matrix file")
@@ -238,10 +245,8 @@ def cmd_evaluate(args) -> int:
     oracle = _load_oracle(args.oracle) if args.oracle else None
     with open(args.predictions, "r", encoding="utf-8") as fp:
         pairs = [_prediction_pair(where, obj) for where, obj in read_jsonl(fp, args.predictions)]
-    config = FingerprintConfig(
-        radius=2 if args.fp_radius is None else args.fp_radius,
-        nbits=2048 if args.fp_bits is None else args.fp_bits,
-    )
+    given = (("radius", args.fp_radius), ("nbits", args.fp_bits))
+    config = FingerprintConfig(**{field: value for field, value in given if value is not None})
     report = eval_pairs(pairs, task, oracle=oracle, fp_config=config)
     print(report_to_json(report))
     if not args.quiet:
@@ -271,16 +276,28 @@ def cmd_canonicalize(args) -> int:
     return _each_stdin_line(canonical_smiles, (LexError, ParseError, CanonError))
 
 
+def _fingerprint_config(args) -> FingerprintConfig:
+    """The config of the fingerprint flags given; one that ``args.scheme``
+    does not read is a usage error, raised before any file is read."""
+    given = {}
+    for dest, (field, schemes) in _SCHEME_FLAGS.items():
+        value = getattr(args, dest, None)  # similarity takes no --key-table
+        if value is None:
+            continue
+        if args.scheme not in schemes:
+            raise _UsageError(
+                f"argument --{dest.replace('_', '-')}: only --scheme "
+                f"{' or '.join(schemes)} reads it, not {args.scheme}"
+            )
+        given[field] = value
+    if "key_table" in given:
+        with open(given["key_table"], "r", encoding="utf-8") as fp:
+            given["key_table"] = load_key_table(fp)
+    return FingerprintConfig(**given)
+
+
 def cmd_fingerprint(args) -> int:
-    if args.key_table and args.scheme != "keys":
-        raise _UsageError(f"argument --key-table: only --scheme keys reads it, not {args.scheme}")
-    key_table = None
-    if args.key_table:
-        with open(args.key_table, "r", encoding="utf-8") as fp:
-            key_table = load_key_table(fp)
-    config = FingerprintConfig(
-        radius=args.radius, nbits=args.bits, path_max_len=args.max_len, key_table=key_table
-    )
+    config = _fingerprint_config(args)
 
     def set_bits(smiles: str) -> str:
         fp = fingerprint(parse_smiles(smiles), args.scheme, config)
@@ -290,7 +307,7 @@ def cmd_fingerprint(args) -> int:
 
 
 def cmd_similarity(args) -> int:
-    config = FingerprintConfig(radius=args.radius, nbits=args.bits, path_max_len=args.max_len)
+    config = _fingerprint_config(args)
     fp_a, fp_b = (
         fingerprint(parse_smiles(s), args.scheme, config) for s in (args.smiles_a, args.smiles_b)
     )

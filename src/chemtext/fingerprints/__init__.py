@@ -33,7 +33,9 @@ Each kernel scores a batch one of two ways, and one measured cutoff,
 A small batch also walks its paths in numpy when one of its molecules might
 pass the path budget (see :func:`_walk_bound`), since the recursive walk
 takes several times longer to reach it. :func:`key_fingerprint` always
-scores its one molecule in Python.
+scores its one molecule in Python, and so does every batch of a key table
+with a tree key counted past one: numpy finds whether a tree key embeds,
+and only the Python embedder counts atom sets.
 
 Four rules hold across releases:
 
@@ -377,15 +379,14 @@ def key_fingerprints(
     mols: Sequence[Molecule], key_table: Sequence[KeyDefinition] | None = None
 ) -> list[BitFingerprint]:
     """:func:`key_fingerprint` of each molecule, with the table compiled
-    once. A batch of ``_NUMPY_MIN_ATOMS`` atoms or more is scored from its
-    graph table in numpy, every key of every molecule together (see
-    :mod:`chemtext.fingerprints.keys`); a smaller one one molecule at a
-    time."""
+    once. A batch of ``_NUMPY_MIN_ATOMS`` atoms or more is scored in numpy
+    from its graph table unless a tree key is counted past one (see
+    :mod:`chemtext.fingerprints.keys`); any other one molecule at a time."""
     compiled = _compiled_keys(key_table)
     batch = _as_batch(mols)
     found = (
         compiled.chunk.bits(batch.table)
-        if batch.in_numpy
+        if batch.in_numpy and compiled.chunkable
         else [compiled.bits(mol) for mol in batch]
     )
     return [BitFingerprint(scheme="keys", nbits=compiled.nbits, bits=bits) for bits in found]

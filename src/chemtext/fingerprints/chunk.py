@@ -15,8 +15,9 @@ the bits of its one-molecule-at-a-time form and of the references kept in
 - :func:`morgan_bits` continues the FNV-1a state of every atom of a layer
   at once over that layer's payload bytes.
 - :class:`ChunkKeys`, the numpy form of a compiled key table, counts atom
-  and bond keys as per-molecule sums over one slot matrix and embeds every
-  tree key of every molecule in one level-synchronous join.
+  and bond keys as per-molecule sums over one slot matrix and finds, in one
+  level-synchronous join, whether each tree key embeds in each molecule
+  (counting atom sets is left to the Python embedder).
 
 The path walk and the tree-key join expand a block of about
 ``_BLOCK_STEPS`` rows at a time, deepest block first, so each holds about
@@ -356,8 +357,9 @@ class ChunkKeys:
 
     Each distinct (atom, degree, ring-bond count) of a batch maps to a
     boolean row of the slots it satisfies. Atom keys and bond keys are then
-    per-molecule sums over the batch's slot matrix, and tree keys one
-    level-synchronous join over every tree key and molecule.
+    per-molecule sums over the batch's slot matrix, and tree keys, each of
+    threshold one, one level-synchronous join over every tree key and
+    molecule.
     """
 
     def __init__(self, compiled) -> None:
@@ -381,12 +383,10 @@ class ChunkKeys:
             [(min(t, most), s, _BOND_KINDS.index(k), c) for _, t, s, k, c in compiled.bond_keys],
             dtype=np.intp,
         ).reshape(-1, 4).T
-        # per tree key: threshold, node count; per tree key and node: parent
-        # node, bond kind, slot; and the slots each tree key uses
+        # per tree key: node count; per tree key and node: parent node, bond
+        # kind, slot; and the slots each tree key uses
         tree = compiled.tree_keys
-        self.tree_keys = np.array(
-            [(min(t, most), len(steps)) for _, t, steps in tree], dtype=np.intp
-        ).reshape(-1, 2).T
+        self.tree_sizes = np.array([len(steps) for _, _, steps in tree], dtype=np.intp)
         depth = max((len(steps) for _, _, steps in tree), default=1)
         self.nodes = np.zeros((3, len(tree), depth), dtype=np.intp)
         self.uses = np.zeros((len(tree), self.n_slots), dtype=bool)
@@ -443,23 +443,20 @@ class ChunkKeys:
         return rows[inverse.reshape(-1)]
 
     def _tree_key_hits(self, table: GraphTable, slots, slot_counts):
-        """Per molecule and tree key, whether the key reaches its count
-        threshold.
+        """Per molecule and tree key, whether the key embeds.
 
         A row is one partial embedding: its key and the atoms of its
         pattern nodes so far, in preorder (unassigned nodes hold -1). A
         level gives each row's next node every unused neighbor of its
         parent's atom that satisfies the node's slot over an allowed bond.
-        A complete row's atom set, sorted, is counted once per (key,
-        molecule) pair, and a pair is decided as soon as it has its
-        threshold of distinct sets: its rows are dropped. Rows are extended
-        a block at a time, deepest block first, so the join holds about one
-        block of ``_BLOCK_STEPS`` candidates per pattern node.
+        A (key, molecule) pair is done at its first complete row, and its
+        other rows are dropped. Rows are extended a block at a time, deepest
+        block first, so the join holds about one block of ``_BLOCK_STEPS``
+        candidates per pattern node.
         """
-        (threshold, size), (parent, kind, slot) = self.tree_keys, self.nodes
+        size, (parent, kind, slot) = self.tree_sizes, self.nodes
         n_keys, depth = parent.shape
         n_mols, width = len(table.mols), table.width
-        pair_threshold = np.repeat(threshold, n_mols)  # pair = key * n_mols + molecule
         # a pair can match only if each slot of its key matches an atom
         possible = ~(self.uses[:, None, :] & (slot_counts == 0)[None]).any(axis=2)
         root_atom, root_key = np.nonzero(slots[:, slot[:, 0]] & possible.T[table.atom_mol])
@@ -469,32 +466,7 @@ class ChunkKeys:
         entry_kinds = table.bond_kind[table.entry_bond][table.entries]
         flat_slots = slots.ravel()
         block = max(_BLOCK_STEPS // max(width, 1), 1)
-        done = np.zeros(n_keys * n_mols, dtype=bool)  # pairs at their threshold
-        counted = np.zeros(n_keys * n_mols, dtype=np.intp)  # distinct sets at the last count
-        pending = np.zeros(n_keys * n_mols, dtype=np.intp)  # complete rows since then
-        found: list = []  # per complete row: its pair, and the pair and sorted atom set packed
-        held, room = 0, _BLOCK_STEPS  # rows in found; how many before counting
-        spans = [n_keys * n_mols] + [table.n_atoms + 1] * depth
-
-        def count_distinct() -> None:
-            nonlocal found, held, room
-            pairs = np.concatenate([p for p, _ in found])
-            packed = np.concatenate([k for _, k in found])
-            open_ = ~done[pairs]
-            pairs, packed = pairs[open_], packed[open_]
-            order = np.lexsort(packed.T[::-1])
-            pairs, packed = pairs[order], packed[order]
-            fresh = np.ones(len(pairs), dtype=bool)
-            fresh[1:] = (packed[1:] != packed[:-1]).any(axis=1)
-            pairs, packed = pairs[fresh], packed[fresh]
-            counted[:] = np.bincount(pairs, minlength=len(counted))
-            done[counted >= pair_threshold] = True
-            open_ = ~done[pairs]
-            found = [(pairs[open_], packed[open_])]
-            held = int(open_.sum())
-            room = max(room, 2 * held)
-            pending[:] = 0
-
+        done = np.zeros(n_keys * n_mols, dtype=bool)  # pair = key * n_mols + molecule
         while stack:
             step, key, rows = stack.pop()
             if len(rows) > block:
@@ -517,48 +489,10 @@ class ChunkKeys:
             grown[:, step] = nxt.take(flat_at)
             key = key[flat_at // width]
             complete = size[key] == step + 1
+            done[key[complete] * n_mols + table.atom_mol[grown[complete, 0]]] = True
             if not complete.all():
                 stack.append((step + 1, key[~complete], grown[~complete]))
-            if not complete.any():
-                continue
-            grown = grown[complete]
-            pairs = key[complete] * n_mols + table.atom_mol[grown[:, 0]]
-            # a threshold of one is met by any embedding
-            first = pair_threshold[pairs] == 1
-            done[pairs[first]] = True
-            pairs, grown = pairs[~first], grown[~first]
-            if not len(pairs):
-                continue
-            # unassigned nodes (-1) sort first, and every key has a fixed size
-            found.append((pairs, _packed([pairs, *np.sort(grown, axis=1).T + 1], spans)))
-            held += len(pairs)
-            pending += np.bincount(pairs, minlength=len(pending))
-            # count again once rows held double, or a pair may have reached
-            # its threshold with at least as many new rows as it had sets
-            reach = (counted + pending >= pair_threshold) & (pending >= counted) & ~done
-            if held > room or reach.any():
-                count_distinct()
-        if held:
-            count_distinct()
         return done.reshape(n_keys, n_mols).T
-
-
-def _packed(columns, spans):
-    """The rows of ``columns`` (non-negative int arrays, column i below
-    ``spans[i]``) as an int64 matrix of as few columns as keep each value
-    below 2**62: equal rows give equal packed rows, and distinct ones
-    distinct."""
-    words: list = []
-    word, room = None, 1
-    for column, span in zip(columns, spans):
-        if word is not None and room * span > 1 << 62:
-            words.append(word)
-            word, room = None, 1
-        column = column.astype(np.int64)
-        word = column if word is None else word * span + column
-        room *= span
-    words.append(word)
-    return np.stack(words, axis=1)
 
 
 def _segment_sums(values, starts):

@@ -31,21 +31,19 @@ acetal site once.
 A :class:`KeyTable` is compiled on first use: its distinct pattern atoms
 become numbered slots. Single-atom keys count atoms, single-bond keys count
 bonds, and larger patterns (tree keys) count embeddings. There are two
-matchers. A molecule scored alone (by :func:`key_fingerprint
-<chemtext.fingerprints.key_fingerprint>`, or in a batch under the fingerprint
-package's numpy cutoff) is scored from per-slot atom bitsets, its tree keys
-through the same embedder as :func:`count_matches`. A larger batch is scored
-as one chunk from its graph table by the table's numpy form
-(:class:`chemtext.fingerprints.chunk.ChunkKeys`, built on first use): each
-distinct (atom, degree, ring-bond count) maps to a boolean row of the slots
-it satisfies, kept in a bounded memo; atom and bond keys are per-molecule
-sums over that slot matrix; and the tree keys of every molecule are embedded
-together, one pattern node at a time, counting each key's distinct atom sets
-per molecule and dropping a (key, molecule) pair's rows once its threshold
-is met. It keeps one (molecule, key) column of hits per key, so a key id
-costs nothing however large. Key bits are stable across releases: both
-matchers must set exactly the bits of the one-pattern-at-a-time reference
-kept in ``tests/fingerprint_oracles.py``.
+matchers. The Python matcher scores one molecule from per-slot atom bitsets,
+its tree keys through the embedder of :func:`count_matches`, which counts
+distinct atom sets. It scores :func:`key_fingerprint
+<chemtext.fingerprints.key_fingerprint>`, a batch under the fingerprint
+package's numpy cutoff, and any batch of a table with a tree key counted
+past one (:attr:`_CompiledTable.chunkable`). The numpy matcher
+(:class:`chemtext.fingerprints.chunk.ChunkKeys`, built on first use) scores a
+larger batch as one chunk from its graph table: atom and bond keys are
+per-molecule sums over a slot matrix, and every tree key of every molecule
+is embedded together, one pattern node at a time, only to find whether one
+embedding exists. Key bits are stable across releases: both matchers must
+set exactly the bits of the one-pattern-at-a-time reference kept in
+``tests/fingerprint_oracles.py``.
 """
 
 from __future__ import annotations
@@ -61,7 +59,9 @@ from chemtext.errors import ChemtextError
 from chemtext.smiles.parse import Molecule
 
 _HALOGENS = frozenset({"F", "Cl", "Br", "I"})
-_ATTR_RE = re.compile(r"(chg|rb|H|deg)(>=|<=|=)([+-]?\d+)")
+_ATTR_RE = re.compile(r"(chg|rb|H|deg)(>=|<=|=)([+-]?[0-9]+)")
+# int() and \d would also read "1_0", " 1" and non-ASCII digits
+_KEY_LINE = re.compile(r"([0-9]+)\t([0-9]+)\t([^\t]*)")
 
 
 class KeyTableError(ChemtextError):
@@ -190,14 +190,12 @@ def load_key_table(lines: Iterable[str]) -> KeyTable:
         # '#' is the triple-bond character, so only whole-line comments
         if not line or line.startswith("#"):
             continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise KeyTableError(f"line {lineno}: expected id<TAB>threshold<TAB>pattern")
-        try:
-            key_id = int(parts[0])
-            threshold = int(parts[1])
-        except ValueError as exc:
-            raise KeyTableError(f"line {lineno}: {exc}") from exc
+        parts = _KEY_LINE.fullmatch(line)
+        if not parts:
+            raise KeyTableError(
+                f"line {lineno}: expected id<TAB>threshold<TAB>pattern, id and threshold in 0-9"
+            )
+        key_id, threshold, source = int(parts[1]), int(parts[2]), parts[3]
         if key_id < 1:
             raise KeyTableError(f"line {lineno}: id must be >= 1")
         if key_id in seen_ids:
@@ -206,12 +204,11 @@ def load_key_table(lines: Iterable[str]) -> KeyTable:
             raise KeyTableError(f"line {lineno}: threshold must be >= 1")
         seen_ids.add(key_id)
         try:
-            pattern = parse_pattern(parts[2])
+            pattern = parse_pattern(source)
         except KeyTableError as exc:
             raise KeyTableError(f"line {lineno}: {exc}") from exc
         table.append(
-            KeyDefinition(id=key_id, count_threshold=threshold, pattern=pattern,
-                          source=parts[2])
+            KeyDefinition(id=key_id, count_threshold=threshold, pattern=pattern, source=source)
         )
     if not table:
         raise KeyTableError("key table must be non-empty")
@@ -349,6 +346,8 @@ class _CompiledTable(_CompiledPatterns):
                 self.bond_keys.append((bit, threshold, slot, bond, child_slot))
             else:
                 self.tree_keys.append((bit, threshold, steps))
+        # numpy finds whether a tree key embeds; only Python counts atom sets
+        self.chunkable = all(threshold == 1 for _, threshold, _ in self.tree_keys)
 
     def bits(self, mol: Molecule) -> frozenset[int]:
         """Indices of the keys whose pattern reaches its count threshold."""
@@ -386,7 +385,10 @@ class _CompiledTable(_CompiledPatterns):
     @cached_property
     def chunk(self):
         """The numpy form of this table, which scores a fingerprint graph
-        table (:mod:`chemtext.fingerprints.chunk`) at once."""
+        table (:mod:`chemtext.fingerprints.chunk`) at once; only a
+        :attr:`chunkable` table has one."""
+        if not self.chunkable:
+            raise ValueError("the numpy key join cannot count tree-key embeddings")
         from chemtext.fingerprints.chunk import ChunkKeys
 
         return ChunkKeys(self)

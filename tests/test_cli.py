@@ -559,6 +559,16 @@ def test_out_of_range_width_or_radius_is_usage_error(tmp_path, capsys, monkeypat
          "--fp-radius"),
         (["evaluate", "--task", "retro", "--predictions", "MISSING", "--oracle", "lookup:MISSING",
           "--fp-bits", "7", "--fp-radius", "9"], "--fp-bits"),
+        (["fingerprint", "--scheme", "keys", "--bits", "512"], "--bits"),
+        (["fingerprint", "--scheme", "keys", "--radius", "5"], "--radius"),
+        (["fingerprint", "--scheme", "keys", "--max-len", "3"], "--max-len"),
+        (["fingerprint", "--scheme", "path", "--radius", "2"], "--radius"),
+        (["fingerprint", "--scheme", "morgan", "--max-len", "7"], "--max-len"),
+        (["fingerprint", "--scheme", "keys", "--key-table", "MISSING", "--bits", "512",
+          "--radius", "5", "--max-len", "3"], "--bits"),
+        (["similarity", "CCO", "CCN", "--scheme", "path", "--radius", "9"], "--radius"),
+        (["similarity", "CCO", "CCN", "--scheme", "keys", "--bits", "512"], "--bits"),
+        (["similarity", "CCO", "CCN", "--max-len", "3"], "--max-len"),
     ],
 )
 def test_ignored_or_out_of_range_flag_is_usage_error_before_any_read(

@@ -4,6 +4,7 @@ implementations in fingerprint_oracles.py, bit for bit."""
 import random
 import time
 import tracemalloc
+from dataclasses import replace
 from functools import lru_cache
 from math import comb
 
@@ -438,12 +439,22 @@ def _generated_key_table(seed, n_keys=40):
     )
 
 
+def _tree_keys_once(table):
+    """``table`` with each tree key's threshold set to one, so a large batch
+    goes through the numpy join; atom and bond keys keep theirs."""
+    trees = {bit + 1 for bit, _, _ in table.compiled.tree_keys}
+    return KeyTable(replace(k, count_threshold=1) if k.id in trees else k for k in table)
+
+
+# the counted tables check that a tree key counted past one is scored in
+# Python at every batch size; their threshold-one forms check the numpy join
 _KEY_TABLES = {
     "shipped": default_key_table(),
     "custom": load_key_table(_CUSTOM_TABLE.splitlines()),
     "generated_a": _generated_key_table(201),
     "generated_b": _generated_key_table(202),
 }
+_KEY_TABLES.update({f"{name}_once": _tree_keys_once(_KEY_TABLES[name]) for name in list(_KEY_TABLES)[1:]})
 
 # built with Molecule: aromatic=1 beside aromatic=True, and a charged,
 # hydrogen-bearing ring of unknown elements
@@ -503,14 +514,27 @@ def test_one_batch_feeds_all_three_kernels(cutoff):
     assert ("table" in vars(batch)) == (cutoff != "python")
 
 
+def test_counted_tree_keys_never_reach_the_numpy_join():
+    # the custom table counts N(-C)-C, C-C-C and Q~C~Q past one
+    table = load_key_table(_CUSTOM_TABLE.splitlines())
+    assert not table.compiled.chunkable
+    mols = _LARGE[:20]
+    assert MoleculeBatch(mols).in_numpy
+    assert key_fingerprints(mols, table) == [oracles.key_oracle(m, table) for m in mols]
+    assert "chunk" not in vars(table.compiled)
+    with pytest.raises(ValueError, match="count"):
+        table.compiled.chunk
+
+
 def test_tree_key_join_blocks_do_not_change_bits(monkeypatch):
     # blocks of a few candidates split every level and count sets often
     monkeypatch.setattr(fingerprints, "_NUMPY_MIN_ATOMS", 0)
     monkeypatch.setattr(chunk_kernels, "_BLOCK_STEPS", 5)
     mols = _LARGE[:30] + _MADE
-    for name in ("shipped", "generated_a", "generated_b"):
+    for name in ("shipped", "custom_once", "generated_a_once", "generated_b_once"):
         table = _KEY_TABLES[name]
         assert key_fingerprints(mols, table) == [oracles.key_oracle(m, table) for m in mols], name
+        assert "chunk" in vars(table.compiled)
 
 
 def _path_key_table(thresholds):
@@ -521,7 +545,8 @@ def _path_key_table(thresholds):
 def test_tree_key_join_memory_is_bounded(monkeypatch, n):
     # any 5 atoms of an n-clique hold a 5-node path, so the key counts
     # comb(n, 5) atom sets among n!/(n-5)! embeddings; a threshold one over
-    # that makes the join walk all of them
+    # that makes the embedder walk all of them (a counted table is scored in
+    # Python at any cutoff)
     monkeypatch.setattr(fingerprints, "_NUMPY_MIN_ATOMS", 0)
     sets = comb(n, 5)
     table = _path_key_table([1, 2, sets // 2, sets, sets + 1])
@@ -538,6 +563,19 @@ def test_tree_key_join_memory_is_bounded(monkeypatch, n):
     # only what it answers quickly
     quick = table if n == 9 else _path_key_table([1, 2, 100])
     assert key_fingerprints([clique], quick) == [oracles.key_oracle(clique, quick)]
+    # with an isolated N as its last pattern node, the numpy join explores
+    # every embedding of the first four nodes and completes none
+    lone = Molecule(clique.atoms + (Atom("N", hydrogens=3),), clique.bonds)
+    table = load_key_table(["1\t1\t*~*~*~*~N", "2\t1\t*~*~*~*~*"])
+    tracemalloc.start()
+    try:
+        (fp,) = key_fingerprints([lone], table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "chunk" in vars(table.compiled)
+    assert peak <= 64 * 2**20
+    assert fp.bits == {1}
 
 
 def test_morgan_seed_memo_is_bounded(cutoff):
@@ -557,7 +595,7 @@ def test_morgan_seed_memo_is_bounded(cutoff):
 def test_slot_row_memo_is_bounded(monkeypatch):
     monkeypatch.setattr(fingerprints, "_NUMPY_MIN_ATOMS", 0)
     monkeypatch.setattr(chunk_kernels, "_SLOT_MEMO_CAP", 8)
-    table = load_key_table(_CUSTOM_TABLE.splitlines())
+    table = _tree_keys_once(load_key_table(_CUSTOM_TABLE.splitlines()))
     mols = _LARGE[:40] + _MADE
     for lo in range(0, len(mols), 3):
         chunk = mols[lo:lo + 3]
@@ -568,16 +606,17 @@ def test_slot_row_memo_is_bounded(monkeypatch):
 @pytest.mark.parametrize("big_id", [10**7, 10**21])
 def test_large_key_ids_keep_memory_per_key(cutoff, big_id):
     # hits are kept per key, not per bit: an id far past the number of keys
-    # costs no wider rows, and one past int64 still scores, as does a
-    # threshold past int64 (never met)
+    # costs no wider rows, and one past int64 still scores, as do atom and
+    # bond thresholds past int64 (never met); the tree keys have threshold
+    # one, so the numpy join scores them
     table = load_key_table([
         "1\t1\tC",
         f"{big_id}\t1\tO",
         f"{big_id - 1}\t1\tC~O",
-        f"{big_id + 1}\t2\tC~C~O",
+        f"{big_id + 1}\t1\tC~C~O",
         f"2\t{10**21}\tC",
         f"3\t{10**21}\tC~C",
-        f"4\t{10**21}\tC~C~C",
+        "4\t1\tC~C~C",
     ])
     mols = _LARGE[:3]
     assert sum(len(m.atoms) for m in mols) >= 24
@@ -589,4 +628,5 @@ def test_large_key_ids_keep_memory_per_key(cutoff, big_id):
         tracemalloc.stop()
     assert got == [oracles.key_oracle(m, table) for m in mols]
     assert any(big_id - 1 in fp.bits for fp in got)
+    assert ("chunk" in vars(table.compiled)) == (cutoff != "python")
     assert peak <= 16 * 2**20

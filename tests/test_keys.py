@@ -23,6 +23,15 @@ def test_default_table_well_formed():
     assert all(k.count_threshold >= 1 for k in table)
 
 
+def test_default_tree_keys_have_threshold_one():
+    # so the numpy join scores the shipped table (a counted tree key would
+    # send every text2mol chunk to the Python embedder)
+    compiled = default_key_table().compiled
+    assert len(compiled.tree_keys) == 38
+    assert all(threshold == 1 for _, threshold, _ in compiled.tree_keys)
+    assert compiled.chunkable
+
+
 def test_empty_table_rejected():
     with pytest.raises(KeyTableError):
         key_fingerprint(parse_smiles("C"), [])
@@ -42,10 +51,15 @@ def test_empty_table_rejected():
         "1\t1\t(C)",            # branch with no root
         "1\t1\tC(-)",           # branch missing atom
         "1\t1\tq",              # bad class
+        "\u0661\t\u0662\tC",        # Arabic-Indic id and threshold
+        "\u0661\t1\tC",           # non-ASCII id
+        "1\t\u0662\tC",           # non-ASCII threshold
+        "1_0\t1\tC",            # underscore read by int()
+        "1\t1\tC[deg>=\u0663]",   # non-ASCII attribute digit
     ],
 )
 def test_malformed_tables(bad_line):
-    with pytest.raises(KeyTableError):
+    with pytest.raises(KeyTableError, match="^line 1: "):
         load_key_table([bad_line])
 
 
