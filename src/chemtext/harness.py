@@ -26,15 +26,20 @@ Task conventions:
   precursors are fed to the oracle and the regenerated product must match
   the reference product canonically; oracle failures count as incorrect.
 - text2mol, forward and retro: each SMILES field is parsed once into one
-  record holding the string and the molecule (``None`` unless it is valid);
-  its canonical string is computed on first read, so a side whose pair is
-  already decided is never canonicalized. A :class:`LookupOracle` is handed
-  the prediction's record, any other ForwardOracle the string. A pair whose
-  valid molecule the canonical writer gives up on (``CanonError``, chiefly
-  the symmetry-search budget) scores as incorrect and is counted under the
-  skip reason ``canon_budget``; validity counts are unaffected, and
-  text2mol also leaves the pair out of Tanimoto. For retro this includes an
-  oracle lookup that raises ``CanonError`` on the predicted precursors.
+  record holding the string and the molecule (``None`` unless it is valid).
+  Two sides are canonically equal when both are valid and their canonical
+  strings are equal; the strings are written only for sides whose formulas
+  (bond count and sorted atom texts, which the canonical string determines)
+  are equal, so a pair of differing formulas is never canonicalized. A
+  :class:`LookupOracle` is handed the prediction's record, any other
+  ForwardOracle the string. A pair with two valid sides of equal formula
+  whose canonical string the writer gives up on (``CanonError``, chiefly the
+  symmetry-search budget) scores as incorrect and is counted under the skip
+  reason ``canon_budget``; validity counts are unaffected, and text2mol also
+  leaves the pair out of Tanimoto. A pair whose formulas differ is plainly
+  incorrect whatever the budget, and text2mol fingerprints it. For retro an
+  oracle lookup that raises ``CanonError`` on the predicted precursors is
+  also a ``canon_budget`` skip.
 - para2actions: BLEU-4 over word tokens plus exact-string accuracy after
   whitespace normalization.
 
@@ -165,8 +170,12 @@ class ForwardOracle(Protocol):
 @dataclass(frozen=True)
 class _Side:
     """One SMILES field, parsed once: ``mol`` is ``None`` unless the string
-    lexes, parses and passes validation. ``canonical`` is computed on first
-    read and cached; a budget ``CanonError`` propagates to the reader."""
+    lexes, parses and passes validation. ``formula`` and ``canonical`` are
+    computed on first read and cached; a budget ``CanonError`` propagates to
+    the reader of ``canonical``. :meth:`same_molecule` is the one equality
+    rule: it reads ``canonical`` only when the formulas are equal, so only
+    such a pair can raise ``CanonError``, and a pair of differing formulas
+    is unequal whatever the canonicalization budget."""
 
     smiles: str
     mol: Molecule | None
@@ -180,8 +189,26 @@ class _Side:
         return cls(smiles, mol if mol.validity.valid else None)
 
     @cached_property
+    def formula(self) -> tuple[int, list[str]] | None:
+        """The bond count and the sorted atom texts, ``None`` without a
+        valid molecule. The canonical writer writes every bond and each
+        atom's text once, so both can be read back from the canonical
+        string: sides whose formulas differ never have equal strings."""
+        mol = self.mol
+        return None if mol is None else (len(mol.bonds), sorted(mol.atom_texts))
+
+    @cached_property
     def canonical(self) -> str | None:
         return None if self.mol is None else canonicalize(self.mol)
+
+    def same_molecule(self, other: _Side) -> bool:
+        """Whether both sides are valid with equal canonical strings."""
+        formula = self.formula
+        return (
+            formula is not None
+            and formula == other.formula
+            and self.canonical == other.canonical
+        )
 
     @property
     def key(self) -> str:
@@ -224,7 +251,7 @@ class LookupOracle:
         """Whether two product strings are equal or canonically equal; a
         product over the canonicalization budget equals only itself."""
         try:
-            return a == b or _Side.of(a).key == _Side.of(b).key
+            return a == b or _Side.of(a).same_molecule(_Side.of(b))
         except CanonError:
             return False
 
@@ -315,7 +342,7 @@ def eval_text2mol(
                 reasons["invalid_smiles_side"] += 1
                 continue
             try:
-                same = pred.canonical == ref.canonical
+                same = pred.same_molecule(ref)
             except CanonError:
                 reasons["canon_budget"] += 1
                 continue
@@ -378,8 +405,7 @@ def eval_forward(pairs: Sequence[PredictionPair]) -> MetricReport:
             continue
         n_valid += 1
         try:
-            # the reference is parsed only once the prediction canonicalized
-            exact += pred.canonical == _Side.of(pair.reference).canonical
+            exact += pred.same_molecule(_Side.of(pair.reference))
         except CanonError:
             reasons["canon_budget"] += 1
     n = len(pairs)
@@ -409,9 +435,8 @@ def eval_retro(pairs: Sequence[PredictionPair], oracle: ForwardOracle) -> Metric
         n_valid += pred.mol is not None
         lookup = pred if isinstance(oracle, LookupOracle) else pair.prediction
         try:
-            regenerated = _Side.of(oracle.predict_product(lookup)).canonical
-            if regenerated is not None and regenerated == _Side.of(pair.reference).canonical:
-                hits += 1
+            product = _Side.of(oracle.predict_product(lookup))
+            hits += product.same_molecule(_Side.of(pair.reference))
         except OracleError:
             reasons["oracle_failure"] += 1
         except CanonError:

@@ -33,9 +33,10 @@ the enantiomers ``C[C@H](N)O`` and ``N[C@H](C)O`` give one.
 Connected components (found from the bonds, so ``C1.C1`` is one) are
 canonicalized independently and emitted in lexicographic order. The search
 and its candidate budget are per component, so identical fragments do not
-multiply each other's candidates. Each atom's text (bare or bracketed, by the
-molecule's recorded default hydrogens) and its (bond code, neighbour) pairs
-are computed once per call.
+multiply each other's candidates. Each atom's (bond code, neighbour) pairs
+are computed once per call, and its text (bare or bracketed, by the
+molecule's recorded default hydrogens) once per molecule, as
+:attr:`Molecule.atom_texts`, which other readers share.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ def random_smiles(mol: Molecule, rng: random.Random) -> str:
     centre). ROADMAP item 6, "Chirality parity on output", holds the fix."""
     ranks = list(range(len(mol.atoms)))
     rng.shuffle(ranks)
-    texts = _atom_texts(mol)
+    texts = mol.atom_texts
     strings = [_write_component(mol, comp, ranks, texts) for comp in mol.components]
     rng.shuffle(strings)
     return ".".join(strings)
@@ -248,7 +249,7 @@ def _canonical_string(mol: Molecule) -> str:
     codes = _neighbour_codes(mol)
     partition = _initial_partition(mol)
     _refine(codes, partition, range(len(mol.atoms)))
-    texts = _atom_texts(mol)
+    texts = mol.atom_texts
     return ".".join(
         sorted(
             _canonical_component(mol, comp, partition, codes, texts)
@@ -296,7 +297,8 @@ _CLOSE_BRANCH = (-1, ")")
 def _write_component(
     mol: Molecule, atoms: Sequence[int], ranks: Sequence[int], texts: Sequence[str]
 ) -> str:
-    """SMILES of component ``atoms`` in ``ranks`` order; ``texts`` from :func:`_atom_texts`."""
+    """SMILES of component ``atoms`` in ``ranks`` order; ``texts`` is
+    :attr:`Molecule.atom_texts`."""
     adjacency = mol.adjacency
 
     def by_rank(entry: tuple[int, int]) -> int:
@@ -392,10 +394,6 @@ def _bond_text(mol: Molecule, bond_index: int, from_atom: int, to_atom: int) -> 
     if mol.atoms[from_atom].aromatic and mol.atoms[to_atom].aromatic:
         return "-"
     return ""
-
-
-def _atom_texts(mol: Molecule) -> list[str]:
-    return [_atom_text(atom, h) for atom, h in zip(mol.atoms, mol.default_hydrogens)]
 
 
 def _atom_text(atom: Atom, default_hydrogens: int) -> str:

@@ -209,6 +209,15 @@ class Molecule:
         return valence.validate(self)
 
     @cached_property
+    def atom_texts(self) -> tuple[str, ...]:
+        """Each atom's text as the canonical writer writes it (bare or
+        bracketed, by the recorded default hydrogens), computed once;
+        canonicalization and the harness's formula check read it."""
+        from chemtext.smiles.canon import _atom_text  # canon imports this module
+
+        return tuple(map(_atom_text, self.atoms, self.default_hydrogens))
+
+    @cached_property
     def ring_bond_indices(self) -> frozenset[int]:
         """Indices of bonds that lie on a cycle (non-bridge edges)."""
         return _non_bridge_edges(self.adjacency, len(self.bonds))

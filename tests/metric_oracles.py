@@ -10,6 +10,9 @@ pair, as the harness did before it scored an exact match from the
 reference's fingerprints alone, and so are the forward and retro loops
 after it, which parse and canonicalize each field through their own helpers,
 as the harness did before it analysed each SMILES side into one record.
+All three canonicalize a pair only when its two sides have equal formulas
+(bond count and sorted atom texts, from the first release's atom writer in
+``canon_oracle``), so only such a pair can count under ``canon_budget``.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from chemtext.textmetrics import (
     char_tokenize,
     levenshtein,
 )
+from canon_oracle import _atom_text
 
 EPS = 1e-9
 
@@ -287,9 +291,18 @@ def _parse_valid(smiles):
     return mol if mol.validity.valid else None
 
 
-def _canonical_or_none(smiles):
-    mol = _parse_valid(smiles)
-    return canonicalize(mol) if mol is not None else None
+def _formula(mol):
+    """Bond count and sorted atom texts: what any canonical string of the
+    molecule holds, so molecules whose formulas differ are unequal."""
+    return len(mol.bonds), sorted(_atom_text(mol, i) for i in range(len(mol.atoms)))
+
+
+def _canonically_equal(a, b):
+    """Whether two valid-or-None molecules are equal under canonical SMILES;
+    canonicalizes (and may raise ``CanonError``) only for equal formulas."""
+    if a is None or b is None or _formula(a) != _formula(b):
+        return False
+    return canonicalize(a) == canonicalize(b)
 
 
 def text2mol_both_sides_oracle(
@@ -310,7 +323,7 @@ def text2mol_both_sides_oracle(
         if pred_mol is None or ref_mol is None:
             continue
         try:
-            exact += canonicalize(pred_mol) == canonicalize(ref_mol)
+            exact += _canonically_equal(pred_mol, ref_mol)
         except CanonError:
             canon_hits += 1
             continue
@@ -358,7 +371,7 @@ def text2mol_both_sides_oracle(
 
 def forward_oracle(pairs: Sequence[PredictionPair]) -> MetricReport:
     """The forward report as the harness computed it before it analysed
-    each SMILES side into one record."""
+    each SMILES side into one record, under the formula rule."""
     exact = 0
     n_valid = 0
     canon_hits = 0
@@ -368,8 +381,7 @@ def forward_oracle(pairs: Sequence[PredictionPair]) -> MetricReport:
             continue
         n_valid += 1
         try:
-            if canonicalize(pred_mol) == _canonical_or_none(pair.reference):
-                exact += 1
+            exact += _canonically_equal(pred_mol, _parse_valid(pair.reference))
         except CanonError:
             canon_hits += 1
     n = len(pairs)
@@ -385,8 +397,8 @@ def forward_oracle(pairs: Sequence[PredictionPair]) -> MetricReport:
 
 def retro_oracle(pairs: Sequence[PredictionPair], oracle: ForwardOracle) -> MetricReport:
     """The retro report as the harness computed it before it analysed each
-    SMILES side into one record: the prediction is parsed for the validity
-    count and handed to the oracle as a string."""
+    SMILES side into one record, under the formula rule: the prediction is
+    parsed for the validity count and handed to the oracle as a string."""
     hits = 0
     n_valid = 0
     failures = 0
@@ -395,9 +407,8 @@ def retro_oracle(pairs: Sequence[PredictionPair], oracle: ForwardOracle) -> Metr
         if _parse_valid(pair.prediction) is not None:
             n_valid += 1
         try:
-            regenerated = _canonical_or_none(oracle.predict_product(pair.prediction))
-            if regenerated is not None and regenerated == _canonical_or_none(pair.reference):
-                hits += 1
+            product = _parse_valid(oracle.predict_product(pair.prediction))
+            hits += _canonically_equal(product, _parse_valid(pair.reference))
         except OracleError:
             failures += 1
         except CanonError:

@@ -18,6 +18,7 @@ from chemtext.harness import (
     MixedTasksError,
     OracleError,
     PredictionPair,
+    _Side,
     eval_forward,
     eval_mol2text,
     eval_pairs,
@@ -28,7 +29,7 @@ from chemtext.harness import (
     report_to_json,
 )
 from chemtext import fingerprints, harness, textmetrics
-from chemtext.smiles import canon, canonicalize, parse_smiles, random_smiles
+from chemtext.smiles import canon, canonicalize, parse_smiles, random_smiles, tokenize
 from chemtext.textmetrics import (
     EmptyCorpusError,
     bleu,
@@ -501,12 +502,13 @@ def _counted_smiles_calls(monkeypatch):
     [
         # hit: the prediction, the product and the reference, each once
         (("O.CC", "OCC"), None, 3, 3),
+        (("O.CC", "CCN"), None, 3, 1),                # wrong product: formulas differ
         (("CI.O", "CO"), None, 1, 1),                 # miss
         (("C(", "CCO"), None, 1, 0),                  # does not parse: a miss
         (("C(C)(C)(C)(C)C.O", "CCO"), None, 3, 2),    # fails validation: hit by its string
         (("C1CCCCC1.O", "CCO"), 1, 1, 1),             # over the canonicalization budget
     ],
-    ids=["hit", "miss", "unparseable", "invalid", "canon_budget"],
+    ids=["hit", "wrong_product", "miss", "unparseable", "invalid", "canon_budget"],
 )
 def test_retro_lookup_calls_per_pair(monkeypatch, row, budget, parses, canons):
     oracle = LookupOracle({"CC.O": "CCO", "C(C)(C)(C)(C)C.O": "CCO"})
@@ -515,6 +517,80 @@ def test_retro_lookup_calls_per_pair(monkeypatch, row, budget, parses, canons):
         monkeypatch.setattr(canon, "_MAX_CANDIDATES", budget)
     eval_retro(pairs_for(TaskKind.RETRO, [row]), oracle)
     assert (counts["parse_smiles"], counts["canonicalize"]) == (parses, canons)
+
+
+@pytest.mark.parametrize("evaluate", [eval_forward, eval_text2mol], ids=["forward", "text2mol"])
+@pytest.mark.parametrize(
+    "row, canons",
+    [
+        (("OCC", "CCO"), 2),    # equal formulas, one molecule
+        (("CC=O", "CCO"), 2),   # equal formulas, two molecules
+        (("CCN", "CCO"), 0),    # atom texts differ
+        (("C1CC1", "CCC"), 0),  # bond counts differ
+        (("C(", "CCO"), 0),     # does not parse
+    ],
+    ids=["exact", "same_formula", "other_atoms", "other_bonds", "unparseable"],
+)
+def test_canonicalize_calls_per_pair(monkeypatch, evaluate, row, canons):
+    counts = _counted_smiles_calls(monkeypatch)
+    task = TaskKind.FORWARD if evaluate is eval_forward else TaskKind.TEXT2MOL
+    evaluate(pairs_for(task, [row]))
+    assert counts["canonicalize"] == canons
+
+
+# -- the formula rule: canonical inequality decided before canonicalizing ----
+
+
+def _atom_tokens(smiles):
+    return sorted(t for t in tokenize(smiles) if t[0] == "[" or t[0].isalpha())
+
+
+@pytest.mark.parametrize("max_atoms", [10, 30])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_formula_is_read_back_from_the_canonical_string(max_atoms, seed):
+    rng = random.Random(seed)
+    formulas: dict[str, tuple] = {}
+    for _ in range(40):
+        mol = random_molecule(rng, max_atoms)
+        for smiles in [random_smiles(mol, rng) for _ in range(3)]:
+            side = _Side.of(smiles)
+            canonical = canonicalize(side.mol)
+            written = (len(parse_smiles(canonical).bonds), _atom_tokens(canonical))
+            assert side.formula == written, smiles
+            # equal canonical strings have equal formulas
+            assert formulas.setdefault(canonical, side.formula) == side.formula, smiles
+    assert len(formulas) > 20
+
+
+_BENZENE, _BENZENE_RESPELT = "c1ccccc1", "c1cc[cH]cc1"
+
+
+@pytest.mark.parametrize("evaluate", [eval_forward, eval_text2mol], ids=["forward", "text2mol"])
+def test_over_budget_pair_of_differing_formulas_is_plainly_incorrect(monkeypatch, evaluate):
+    monkeypatch.setattr(canon, "_MAX_CANDIDATES", 1)
+    task = TaskKind.FORWARD if evaluate is eval_forward else TaskKind.TEXT2MOL
+    differ = evaluate(pairs_for(task, [(_BENZENE, "CCO"), ("CCO", _BENZENE)]))
+    assert differ.skip_reasons == {}
+    assert differ.value("accuracy") == 0.0
+    same = evaluate(pairs_for(task, [(_BENZENE, _BENZENE_RESPELT)]))
+    assert same.skip_reasons == {"canon_budget": 1}
+    assert same.value("accuracy") == 0.0
+    if evaluate is eval_text2mol:
+        # the differing pairs are fingerprinted, the equal-formula one is not
+        assert differ.n_skipped == 0 and differ.metrics["morgan_fts"].support == 2
+        assert same.n_skipped == 1 and "morgan_fts" in same.omitted_metrics
+
+
+@pytest.mark.parametrize("lookup", [True, False], ids=["lookup", "string"])
+def test_over_budget_product_of_differing_formula_is_plainly_incorrect(monkeypatch, lookup):
+    monkeypatch.setattr(canon, "_MAX_CANDIDATES", 1)
+    oracle = LookupOracle({"CCN.O": _BENZENE})
+    if not lookup:
+        oracle = _StringOracle(oracle)
+    rows = [("O.NCC", "CCO"), ("CCN.O", _BENZENE_RESPELT)]
+    report = eval_retro(pairs_for(TaskKind.RETRO, rows), oracle)
+    assert report.skip_reasons == {"canon_budget": 1}
+    assert report.value("roundtrip_accuracy") == 0.0
 
 
 # -- forward and retro against the loops that parsed each field on its own ---
@@ -637,11 +713,14 @@ def test_field_by_field_corpora_reach_every_outcome():
         retro.append(retro_oracle(pairs, LookupOracle(table)))
     assert all(0 < r.value("roundtrip_accuracy") < 1 for r in retro)
     assert all(r.skip_reasons.get("oracle_failure") for r in retro)
-    (pairs, table), forward_pairs = _retro_corpus(0, 10, 12), _forward_corpus(0, 10, 12)
+    pairs, table = _retro_corpus(0, 10, 12)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(canon, "_MAX_CANDIDATES", 1)
         assert retro_oracle(pairs, LookupOracle(table)).skip_reasons.get("canon_budget")
-        assert forward_oracle(forward_pairs).skip_reasons.get("canon_budget")
+        # only a pair of two valid sides with equal formulas counts, and of
+        # these four seeds only seed 2 holds one over this budget
+        forward = [forward_oracle(_forward_corpus(seed, 10, 12)) for seed in range(4)]
+        assert any(r.skip_reasons.get("canon_budget") for r in forward)
 
 
 def test_eval_pairs_retro_requires_oracle():

@@ -257,7 +257,7 @@ def test_double_bond_markers_follow_the_output_order():
 def _writes(mol, ranks):
     """Each component written by the package's writer and by the oracle's,
     or the error each raised."""
-    texts = canon._atom_texts(mol)
+    texts = mol.atom_texts
     results = []
     for comp in mol.components:
         pair = []
