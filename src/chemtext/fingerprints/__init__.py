@@ -107,12 +107,17 @@ class SchemeMismatchError(ChemtextError):
 
 @dataclass(frozen=True)
 class FingerprintConfig:
-    """Parameters of the three schemes, as :func:`fingerprint` applies them."""
+    """Parameters of the three schemes, as :func:`fingerprint` applies them.
+    A ``key_table`` is stored as a :class:`KeyTable`, so it compiles once."""
 
     radius: int = 2
     nbits: int = 2048
     path_max_len: int = 7
     key_table: tuple[KeyDefinition, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if self.key_table is not None and not isinstance(self.key_table, KeyTable):
+            object.__setattr__(self, "key_table", KeyTable(self.key_table))  # frozen
 
 
 @dataclass(frozen=True)

@@ -131,12 +131,8 @@ class GraphTable:
     @cached_property
     def ring_bonds(self):
         """Per atom, its bonds that lie on a cycle (key fingerprints read it)."""
-        ring = np.zeros(len(self.bond_kind), dtype=bool)
-        ring[[
-            start + bi for mol, start in zip(self.mols, self.bond_start.tolist())
-            for bi in mol.ring_bond_indices
-        ]] = True
-        return np.bincount(self.entry_owner, ring[self.entry_bond], self.n_atoms).astype(np.intp)
+        counts = chain.from_iterable(mol.ring_bond_counts for mol in self.mols)
+        return np.fromiter(counts, dtype=np.intp, count=self.n_atoms)
 
 
 def _fnv1a64_columns(hashes, matrix, lengths):

@@ -238,17 +238,9 @@ _FIELD_INDEX = {"chg": 2, "H": 3, "deg": 4, "rb": 5}
 
 
 def _atom_features(mol: Molecule) -> list[tuple]:
-    ring_bonds = mol.ring_bond_indices
     return [
-        (
-            atom.symbol,
-            atom.aromatic,
-            atom.charge,
-            atom.hydrogens,
-            len(neighbors),
-            sum(1 for _, bi in neighbors if bi in ring_bonds),
-        )
-        for atom, neighbors in zip(mol.atoms, mol.adjacency)
+        (atom.symbol, atom.aromatic, atom.charge, atom.hydrogens, len(neighbors), ring_bonds)
+        for atom, neighbors, ring_bonds in zip(mol.atoms, mol.adjacency, mol.ring_bond_counts)
     ]
 
 

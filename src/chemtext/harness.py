@@ -12,7 +12,9 @@ Task conventions:
   incorrect), mean Levenshtein over raw strings, mean Tanimoto over the
   keys/path/morgan fingerprints restricted to pairs where BOTH sides are
   valid and within the path-enumeration budget (skipped pairs are counted
-  per reason and reported), and validity (valid predictions / total).
+  per reason and reported; with no pair left, the omitted fingerprint
+  metrics' reason names each budget that skipped one), and validity (valid
+  predictions / total).
   An exact-match pair is scored from the reference's fingerprints alone,
   as ``tanimoto(ref_fp, ref_fp)``: equal canonical SMILES give equal
   fingerprints (see :mod:`chemtext.fingerprints`), and the pinned 0/0 rule
@@ -298,6 +300,8 @@ def eval_mol2text(pairs: Sequence[PredictionPair]) -> MetricReport:
 
 
 _FTS_SCHEMES = {"maccs_fts": "keys", "rdk_fts": "path", "morgan_fts": "morgan"}
+# the budgets that can skip a text2mol pair of two valid sides, by skip reason
+_BUDGET_NAMES = {"canon_budget": "canonicalization", "fingerprint_budget": "path-enumeration"}
 
 # text2mol pairs fingerprinted together: at most 32 molecules per kernel call,
 # which keeps a chunk's hashing matrices small
@@ -378,9 +382,10 @@ def eval_text2mol(
         for name, total in fts_sums.items():
             metrics[name] = MetricValue(name, total / fts_support, fts_support)
     else:
+        budgets = [name for skip, name in _BUDGET_NAMES.items() if reasons[skip]]
         reason = "no pair with both sides valid"
-        if reasons["fingerprint_budget"]:
-            reason += " within the path-enumeration budget"
+        if budgets:
+            reason += f" within the {' and '.join(budgets)} budget{'s' * (len(budgets) > 1)}"
         omitted = dict.fromkeys(fts_sums, reason)
     return MetricReport(
         task=TaskKind.TEXT2MOL,

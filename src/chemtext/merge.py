@@ -29,11 +29,13 @@ Given base tokens ``H_t (n_t x h_t)`` and adaptation tokens
   it reads any file.
 
 Each op has one forward path: a stack of ``depth`` blocks (depth 1 for
-``cross_attend``) or the bidirectional pair. Each returns its output and a
-backward closure over its own caches, so ``grad_check`` differentiates the
-very forward the public functions run. A private table maps each op id to
-its forward, next to :data:`OPS`, the public table from op id to function
-read by ``grad_check`` and the ``merge-demo`` CLI.
+``cross_attend``), for ``base_only`` params only, or the bidirectional pair,
+for a bidirectional combine mode only (else :class:`CombineError`). Each
+returns its output and a backward closure over its own caches, so
+``grad_check`` differentiates the very forward the public functions run. A
+private table maps each op id to its forward, next to :data:`OPS`, the
+public table from op id to function read by ``grad_check`` and the
+``merge-demo`` CLI.
 
 All functions are pure; matrices are float64 throughout and accumulation
 order is fixed, so results are run-to-run stable.
@@ -224,6 +226,8 @@ def _stacked_forward(h_t: np.ndarray, h_m: np.ndarray, params: MergeParams,
     """``depth`` forward blocks, each fed the previous output as its base;
     returns the output and its backward (output gradient -> gradients of
     ``w_q``, ``w_k``, ``w_v``)."""
+    if params.combine is not CombineMode.BASE_ONLY:  # else combine and w_c go unread
+        raise CombineError(f"forward-only merges need base_only, not {params.combine.value}")
     if depth > 1 and params.d != h_t.shape[1]:
         raise ShapeError(
             f"depth feedback needs d == h_t ({params.d} != {h_t.shape[1]})"

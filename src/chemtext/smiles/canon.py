@@ -114,7 +114,7 @@ def _neighbour_codes(mol: Molecule) -> list[list[tuple[int, int]]]:
 
 
 def _initial_partition(mol: Molecule) -> _Partition:
-    ring = mol.ring_atom_indices
+    ring_bonds = mol.ring_bond_counts
     keys = [
         (
             atom.symbol,
@@ -123,7 +123,7 @@ def _initial_partition(mol: Molecule) -> _Partition:
             atom.isotope or 0,
             mol.degree(i),
             atom.hydrogens,
-            i in ring,
+            ring_bonds[i] > 0,
         )
         for i, atom in enumerate(mol.atoms)
     ]

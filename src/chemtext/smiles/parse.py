@@ -16,8 +16,9 @@ Bracket atoms support the standard field order
 ``[isotope? symbol chirality? Hcount? charge? :map?]``; atom maps are accepted
 and ignored. Ring-closure labels are reusable once closed, and closures may
 span ``.`` separators (so ``C1.C1`` parses to ethane written as two dot
-fragments). :attr:`Molecule.components` finds the connected components from
-the bonds, never from the dots, so that ethane is one component.
+fragments). One depth-first walk of the bonds, never the dots, gives each
+molecule's components (so ethane is one component), its ring bonds and each
+atom's ring-bond count, which canonicalization and key fingerprints read.
 
 Bond stereo markers ``/`` and ``\\`` and the chirality tags ``@``/``@@`` are
 preserved as annotations. A bond's ``stereo`` field is oriented: ``up`` means
@@ -102,6 +103,8 @@ class Molecule:
     non-negative int. An atom with ``hydrogens=None`` gets its
     valence-table default. Equality, hashing and ``repr`` read only
     ``atoms`` and ``bonds``; the other fields are facts recorded on the way.
+    Cached properties are worked out on first read; one graph walk gives
+    :attr:`components`, :attr:`ring_bond_indices` and :attr:`ring_bond_counts`.
     """
 
     atoms: tuple[Atom, ...]
@@ -181,24 +184,7 @@ class Molecule:
         """Connected components as ascending atom-index tuples, ordered by
         their smallest atom index. A ring bond that spans a dot joins its
         two sides into one component."""
-        adjacency = self.adjacency
-        seen = [False] * len(self.atoms)
-        components: list[tuple[int, ...]] = []
-        for start in range(len(self.atoms)):
-            if seen[start]:
-                continue
-            comp = [start]
-            seen[start] = True
-            frontier = [start]
-            while frontier:
-                u = frontier.pop()
-                for v, _ in adjacency[u]:
-                    if not seen[v]:
-                        seen[v] = True
-                        comp.append(v)
-                        frontier.append(v)
-            components.append(tuple(sorted(comp)))
-        return tuple(components)
+        return self._walk[0]
 
     @cached_property
     def validity(self) -> ValidityResult:
@@ -220,15 +206,58 @@ class Molecule:
     @cached_property
     def ring_bond_indices(self) -> frozenset[int]:
         """Indices of bonds that lie on a cycle (non-bridge edges)."""
-        return _non_bridge_edges(self.adjacency, len(self.bonds))
+        return self._walk[1]
 
     @cached_property
-    def ring_atom_indices(self) -> frozenset[int]:
-        atoms: set[int] = set()
-        for bi in self.ring_bond_indices:
-            atoms.add(self.bonds[bi].a)
-            atoms.add(self.bonds[bi].b)
-        return frozenset(atoms)
+    def ring_bond_counts(self) -> tuple[int, ...]:
+        """Per atom, how many of its bonds lie on a cycle; an atom is on a
+        ring iff its count is positive."""
+        return self._walk[2]
+
+    @cached_property
+    def _walk(self) -> tuple[tuple[tuple[int, ...], ...], frozenset[int], tuple[int, ...]]:
+        """The three facts from Tarjan's iterative low-link bridge search: each
+        root discovers its component, and a bond is on a ring iff no bridge."""
+        adj = self.adjacency
+        disc = [-1] * len(adj)  # discovery time, -1 until discovered
+        low = [0] * len(adj)
+        found: list[int] = []  # atoms in discovery order
+        counts = list(map(len, adj))  # degrees until bridges are taken off
+        bridges: set[int] = set()
+        components: list[tuple[int, ...]] = []
+        for root in range(len(adj)):
+            if disc[root] >= 0:
+                continue
+            first = len(found)
+            disc[root] = low[root] = first
+            found.append(root)
+            # per open atom: (atom, bond it was reached by, its unread entries)
+            stack = [(root, -1, iter(adj[root]))]
+            while stack:
+                node, via_bond, entries = stack[-1]
+                for nxt, bi in entries:
+                    if bi == via_bond:
+                        continue
+                    if disc[nxt] < 0:
+                        disc[nxt] = low[nxt] = len(found)
+                        found.append(nxt)
+                        stack.append((nxt, bi, iter(adj[nxt])))
+                        break
+                    if disc[nxt] < low[node]:
+                        low[node] = disc[nxt]
+                else:
+                    stack.pop()
+                    if stack:
+                        parent = stack[-1][0]
+                        if low[node] > disc[parent]:
+                            bridges.add(via_bond)
+                            counts[node] -= 1
+                            counts[parent] -= 1
+                        elif low[node] < low[parent]:
+                            low[parent] = low[node]
+            components.append(tuple(sorted(found[first:])))
+        ring = frozenset(range(len(self.bonds))).difference(bridges)
+        return tuple(components), ring, tuple(counts)
 
 
 @lru_cache(maxsize=1024, typed=True)
@@ -248,42 +277,6 @@ def _default_hydrogens(symbol: str, aromatic: bool, total: int, degree: int) -> 
     from chemtext.smiles.valence import hydrogens_for_total  # valence imports this module
 
     return hydrogens_for_total(symbol, aromatic, total, degree)
-
-
-def _non_bridge_edges(adj: Sequence[Sequence[tuple[int, int]]], n_bonds: int) -> frozenset[int]:
-    """Bridge detection via iterative DFS low-links over
-    :attr:`Molecule.adjacency`; returns ring bonds."""
-    n_atoms = len(adj)
-    disc = [-1] * n_atoms
-    low = [0] * n_atoms
-    bridges: set[int] = set()
-    timer = 0
-    for root in range(n_atoms):
-        if disc[root] >= 0:
-            continue
-        stack: list[tuple[int, int, int]] = [(root, -1, 0)]
-        while stack:
-            node, via_bond, ptr = stack[-1]
-            if ptr == 0:
-                disc[node] = low[node] = timer
-                timer += 1
-            if ptr < len(adj[node]):
-                stack[-1] = (node, via_bond, ptr + 1)
-                nxt, bi = adj[node][ptr]
-                if bi == via_bond:
-                    continue
-                if disc[nxt] >= 0:
-                    low[node] = min(low[node], disc[nxt])
-                else:
-                    stack.append((nxt, bi, 0))
-            else:
-                stack.pop()
-                if stack:
-                    parent_node = stack[-1][0]
-                    low[parent_node] = min(low[parent_node], low[node])
-                    if low[node] > disc[parent_node]:
-                        bridges.add(via_bond)
-    return frozenset(set(range(n_bonds)) - bridges)
 
 
 # Organic-subset atoms by token text; hydrogens stay None until the

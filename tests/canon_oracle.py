@@ -49,8 +49,25 @@ def _dense_ranks(keys: Sequence) -> list[int]:
     return [index[key] for key in keys]
 
 
+def _ring_atoms(mol: Molecule) -> set[int]:
+    """Atoms with a bond whose ends stay connected without it, found by one
+    search per bond rather than by the package's bridge search."""
+    ring: set[int] = set()
+    for bi, bond in enumerate(mol.bonds):
+        seen = {bond.a}
+        frontier = [bond.a]
+        while frontier:
+            for j, bj in mol.adjacency[frontier.pop()]:
+                if bj != bi and j not in seen:
+                    seen.add(j)
+                    frontier.append(j)
+        if bond.b in seen:
+            ring.update((bond.a, bond.b))
+    return ring
+
+
 def _initial_ranks(mol: Molecule) -> list[int]:
-    ring = mol.ring_atom_indices
+    ring = _ring_atoms(mol)
     keys = [
         (
             atom.symbol,

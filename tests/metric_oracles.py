@@ -349,7 +349,11 @@ def text2mol_both_sides_oracle(
             metrics[name] = MetricValue(name, total / fts_support, fts_support)
     else:
         reason = "no pair with both sides valid"
-        if budget_hits:
+        if canon_hits and budget_hits:
+            reason += " within the canonicalization and path-enumeration budgets"
+        elif canon_hits:
+            reason += " within the canonicalization budget"
+        elif budget_hits:
             reason += " within the path-enumeration budget"
         omitted = dict.fromkeys(fts_sums, reason)
     skipped = n - fts_support

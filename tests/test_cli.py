@@ -63,7 +63,7 @@ def test_build_dataset_counts_and_determinism(tmp_path, capsys):
     code, out, _ = run_cli(argv + ["--out", str(out1)], capsys=capsys)
     assert code == 0
     assert out.splitlines() == ["forward\t10", "retro\t10"]
-    assert sum(1 for _ in open(out1)) == 20
+    assert len(out1.read_text(encoding="utf-8").splitlines()) == 20
     code, _, _ = run_cli(argv + ["--out", str(out2)], capsys=capsys)
     assert code == 0
     assert out1.read_bytes() == out2.read_bytes()

@@ -167,6 +167,28 @@ def test_text2mol_fingerprint_budget_is_a_skip_reason():
     )
 
 
+@pytest.mark.parametrize(
+    "rows, budgets",
+    [
+        ([("c1ccccc1", "c1ccccc1")], "canonicalization budget"),
+        (
+            [("c1ccccc1", "c1ccccc1"), (clique_smiles(), clique_smiles())],
+            "canonicalization and path-enumeration budgets",
+        ),
+    ],
+    ids=["canon", "both"],
+)
+def test_text2mol_omitted_reason_names_each_budget(monkeypatch, rows, budgets):
+    # the clique's atoms are all distinct, so one candidate canonicalizes it
+    monkeypatch.setattr(canon, "_MAX_CANDIDATES", 1)
+    pairs = pairs_for(TaskKind.TEXT2MOL, rows)
+    report = eval_text2mol(pairs)
+    assert report.value("validity") == 1.0
+    reason = f"no pair with both sides valid within the {budgets}"
+    assert report.omitted_metrics == dict.fromkeys(("maccs_fts", "rdk_fts", "morgan_fts"), reason)
+    assert report == text2mol_both_sides_oracle(pairs)
+
+
 def test_text2mol_canonical_equality_not_string_equality():
     rows = [("OCC", "CCO")]
     report = eval_text2mol(pairs_for(TaskKind.TEXT2MOL, rows))
@@ -299,6 +321,24 @@ def test_text2mol_chunks_equal_both_sides_oracle(monkeypatch, n):
     report = eval_text2mol(pairs)
     assert report == text2mol_both_sides_oracle(pairs)
     assert report.skip_reasons.get("fingerprint_budget", 0) == sum(i < n for i in budget_rows)
+
+
+def test_text2mol_compiles_a_plain_tuple_key_table_once(monkeypatch):
+    built = []
+
+    class CountedTable(fingerprints.keys._CompiledTable):
+        def __init__(self, table):
+            built.append(len(table))
+            super().__init__(table)
+
+    monkeypatch.setattr(fingerprints.keys, "_CompiledTable", CountedTable)
+    table = tuple(fingerprints.default_key_table())
+    config = FingerprintConfig(key_table=table)
+    assert config == FingerprintConfig(key_table=fingerprints.KeyTable(table))
+    pairs = _text2mol_corpus(7, 30, 60)  # four chunks of pairs
+    report = eval_text2mol(pairs, config)
+    assert built == [len(table)]
+    assert report == eval_text2mol(pairs)
 
 
 def test_text2mol_bleu_tokenizer_override():

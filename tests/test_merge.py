@@ -10,6 +10,7 @@ from chemtext.merge import (
     GradCheckReport,
     MergeParams,
     NonFiniteError,
+    OPS,
     ShapeError,
     attention_weights,
     bidirectional_merge,
@@ -236,6 +237,21 @@ def test_combine_mode_errors():
             combine=CombineMode.BIDIRECTIONAL_CONCAT_PROJECT,
             w_c=np.ones((2, 2)),
         )
+
+
+@pytest.mark.parametrize(
+    "combine", [CombineMode.BIDIRECTIONAL_SUM, CombineMode.BIDIRECTIONAL_CONCAT_PROJECT]
+)
+@pytest.mark.parametrize("op_id", ["cross_attend", "hierarchical_merge"])
+def test_forward_only_merges_reject_bidirectional_combine(combine, op_id):
+    # the forward-only ops would otherwise drop the combine mode and w_c
+    rng = np.random.default_rng(25)
+    h_t, h_m = rng.normal(size=(3, 4)), rng.normal(size=(2, 5))
+    params = random_params(h_t=4, h_m=5, d=3, seed=4, combine=combine)
+    with pytest.raises(CombineError, match="base_only"):
+        OPS[op_id](h_t, h_m, params)
+    with pytest.raises(CombineError, match="base_only"):
+        grad_check(op_id, h_t, h_m, params, epsilon=1e-5)
 
 
 def test_params_reject_fields_no_op_reads():

@@ -1,10 +1,12 @@
 import random
 import re
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chemtext.fingerprints import key_fingerprint
 from chemtext.smiles import (
     Atom,
     Bond,
@@ -14,6 +16,8 @@ from chemtext.smiles import (
     canonicalize,
     implicit_hydrogen_count,
     parse_smiles,
+    random_smiles,
+    tokenize,
     validate_smiles,
 )
 from chemtext.smiles.parse import _bond, _default_hydrogens, _resolved_atom
@@ -437,3 +441,128 @@ def test_default_hydrogens_match_the_valence_table(max_atoms, seed):
                 atom.symbol, atom.aromatic, mol.bond_order_totals[i], mol.degree(i)
             )
             assert mol.default_hydrogens[i] == expected
+
+
+# -- the graph walk: components, ring bonds, ring-bond counts --------------------
+
+
+def _walk_smiles(rng: random.Random, max_atoms: int) -> str:
+    """One to three random fragments joined by dots, with up to four ring
+    closures between atoms of different fragments: these join fragments
+    across a dot and can close rings through several of them."""
+    parts = [
+        list(tokenize(random_smiles(random_molecule(rng, max_atoms), rng)))
+        for _ in range(rng.randint(1, 3))
+    ]
+    sites = [
+        (f, k) for f, part in enumerate(parts)
+        for k, text in enumerate(part) if text[0] == "[" or text[0].isalpha()
+    ]
+    pairs: list[tuple[tuple[int, int], tuple[int, int]]] = []
+    for _ in range(rng.randint(0, 4) if len(parts) > 1 else 0):
+        a, b = sorted(rng.sample(sites, 2))
+        if a[0] != b[0] and (a, b) not in pairs:
+            pairs.append((a, b))
+    for label, pair in enumerate(pairs, 90):
+        for f, k in pair:
+            parts[f][k] += f"%{label}"
+    return ".".join(map("".join, parts))
+
+
+def _brute_force_walk(mol: Molecule):
+    """Components, ring bonds and ring-bond counts by their definitions: a
+    component is what a search over the bonds reaches, and a bond is on a
+    ring iff its ends stay connected without it."""
+    incident: dict[int, list[int]] = {i: [] for i in range(len(mol.atoms))}
+    for bi, bond in enumerate(mol.bonds):
+        incident[bond.a].append(bi)
+        incident[bond.b].append(bi)
+
+    def reach(start: int, skip: int | None = None) -> set[int]:
+        seen, frontier = {start}, [start]
+        while frontier:
+            u = frontier.pop()
+            for bi in incident[u]:
+                bond = mol.bonds[bi]
+                v = bond.a + bond.b - u
+                if bi != skip and v not in seen:
+                    seen.add(v)
+                    frontier.append(v)
+        return seen
+
+    components: list[tuple[int, ...]] = []
+    for i in range(len(mol.atoms)):
+        if not any(i in c for c in components):
+            components.append(tuple(sorted(reach(i))))
+    ring = frozenset(bi for bi, b in enumerate(mol.bonds) if b.b in reach(b.a, skip=bi))
+    counts = tuple(sum(bi in ring for bi in incident[i]) for i in range(len(mol.atoms)))
+    return tuple(components), ring, counts
+
+
+def _check_walk(mol: Molecule) -> None:
+    components, ring, counts = _brute_force_walk(mol)
+    assert mol.components == components
+    assert mol.ring_bond_indices == ring
+    assert mol.ring_bond_counts == counts
+
+
+@pytest.mark.parametrize(
+    "smiles",
+    ["C", "CC.O", "C1.C1", "C12.C1C2", "C1CC1.C2CC2", "c1ccccc1.C1CC1CC", "C1CC12CC2", "C%90.C%90CC1.C1"],
+)
+def test_walk_matches_brute_force_on_examples(smiles):
+    _check_walk(parse_smiles(smiles))
+
+
+@pytest.mark.parametrize("max_atoms", [10, 30])
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_walk_matches_brute_force(max_atoms, seed):
+    _check_walk(parse_smiles(_walk_smiles(random.Random(seed), max_atoms)))
+
+
+def test_walk_corpus_closes_rings_across_dots():
+    # the corpus above joins fragments, and closes rings, through dots
+    rng = random.Random(0)
+    joined = crossing_rings = 0
+    for _ in range(100):
+        smiles = _walk_smiles(rng, 10)
+        mol = parse_smiles(smiles)
+        fragment_of = []  # per atom, how many dots precede it
+        dots = 0
+        for text in tokenize(smiles):
+            dots += text == "."
+            if text[0] == "[" or text[0].isalpha():
+                fragment_of.append(dots)
+        joined += len(mol.components) < dots + 1
+        crossing_rings += any(
+            fragment_of[mol.bonds[bi].a] != fragment_of[mol.bonds[bi].b]
+            for bi in mol.ring_bond_indices
+        )
+    assert joined > 20 and crossing_rings > 5
+
+
+def test_each_molecule_is_walked_once(monkeypatch):
+    # the three facts, canonicalization and key fingerprints all read one walk
+    rng = random.Random(5)
+    smiles = [_walk_smiles(rng, max_atoms) for max_atoms in (10, 30) * 10]
+    walked = []
+    walk = Molecule._walk
+
+    def counted(mol):
+        walked.append(mol)
+        return walk.func(mol)
+
+    prop = cached_property(counted)
+    prop.__set_name__(Molecule, "_walk")
+    monkeypatch.setattr(Molecule, "_walk", prop)
+    mols = [parse_smiles(text) for text in smiles]
+    assert walked == []
+    for mol in mols:
+        for name in ("ring_bond_counts", "components", "ring_bond_indices", "ring_bond_counts"):
+            getattr(mol, name)
+        if mol.validity.valid:
+            canonicalize(mol)
+            key_fingerprint(mol)
+    assert len(walked) == len(mols) and all(a is b for a, b in zip(walked, mols))
+    assert any(mol.validity.valid for mol in mols)
