@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Mapping, Sequence
@@ -58,7 +59,7 @@ class EmptyStreamError(ChemtextError):
 
 
 class BadFractionsError(ChemtextError):
-    """Split fractions do not sum to 1."""
+    """Split fractions are not finite, are negative or do not sum to 1."""
 
 
 class RecordError(ChemtextError):
@@ -148,6 +149,8 @@ def build_splits(
     seed: int,
 ) -> dict[str, list[TaskRecord]]:
     """Disjoint, covering train/valid/test split, stratified by task."""
+    if not all(map(math.isfinite, fractions)):
+        raise BadFractionsError(f"fractions must be finite, got {fractions!r}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise BadFractionsError(f"fractions sum to {sum(fractions)!r}, not 1")
     if any(f < 0 for f in fractions):

@@ -35,13 +35,14 @@ Task conventions:
   are equal, so a pair of differing formulas is never canonicalized. A
   :class:`LookupOracle` is handed the prediction's record, any other
   ForwardOracle the string. A pair with two valid sides of equal formula
-  whose canonical string the writer gives up on (``CanonError``, chiefly the
-  symmetry-search budget) scores as incorrect and is counted under the skip
-  reason ``canon_budget``; validity counts are unaffected, and text2mol also
-  leaves the pair out of Tanimoto. A pair whose formulas differ is plainly
-  incorrect whatever the budget, and text2mol fingerprints it. For retro an
-  oracle lookup that raises ``CanonError`` on the predicted precursors is
-  also a ``canon_budget`` skip.
+  whose canonical string the writer gives up on (``CanonError``: the
+  symmetry-search budget, or more than 99 ring closures open at once, as a
+  clique of 21 or more atoms needs) scores as incorrect and is counted
+  under the skip reason ``canon_budget``; validity counts are unaffected,
+  and text2mol also leaves the pair out of Tanimoto. A pair whose formulas
+  differ is plainly incorrect whatever the budget, and text2mol fingerprints
+  it. For retro an oracle lookup that raises ``CanonError`` on the predicted
+  precursors is also a ``canon_budget`` skip.
 - para2actions: BLEU-4 over word tokens plus exact-string accuracy after
   whitespace normalization.
 
@@ -586,6 +587,8 @@ def frechet_distance(features_a, features_b, *, ridge: float = 0.0) -> float:
             f"feature dimensions differ: {a.shape[1]} vs {b.shape[1]}"
         )
     d = a.shape[1]
+    if not math.isfinite(ridge):
+        raise ValueError(f"ridge must be finite, got {ridge!r}")
     if ridge < 0:
         raise ValueError("ridge must be non-negative")
     if ridge == 0.0 and (a.shape[0] < d + 1 or b.shape[0] < d + 1):

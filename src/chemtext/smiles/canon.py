@@ -17,10 +17,12 @@ sub-cells depends on it. Refinement stops when no cell splits.
 Remaining ties are broken by individualizing one atom of the lowest-ranked
 tied class: it keeps its cell's start alone, the rest of the cell moves one
 place up, and refinement continues from the cells next to the atoms that
-moved. Every member of that class is tried and the lexicographically
-smallest emitted string wins, which keeps the result invariant under any
-renumbering of the input atoms, including graphs the refinement alone
-cannot separate.
+moved. The smallest string over all such choices wins, which keeps the
+result invariant under any renumbering of the input atoms. A node skips a
+tied atom that a known automorphism fixing its path maps onto an atom it
+tried (McKay & Piperno, "Practical graph isomorphism, II", 2014). Two leaves
+writing one string prove an automorphism; the root adds swaps of degree-one
+atoms written alike on one neighbour, each twin with the one before.
 
 Stereo annotations (``@``/``@@`` and ``/``/``\\``) never participate in
 ranking. ``/`` and ``\\`` are written for the direction each bond is
@@ -53,7 +55,7 @@ _BARE_PLAIN = frozenset({"B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I"})
 _BARE_AROMATIC = frozenset({"B", "C", "N", "O", "P", "S"})
 
 # Safety valve for pathologically symmetric graphs: the tie-break search
-# emits one candidate string per complete ranking of a component.
+# writes one candidate string per leaf of a component it does not prune.
 _MAX_CANDIDATES = 200_000
 
 
@@ -89,7 +91,7 @@ def random_smiles(mol: Molecule, rng: random.Random) -> str:
     ranks = list(range(len(mol.atoms)))
     rng.shuffle(ranks)
     texts = mol.atom_texts
-    strings = [_write_component(mol, comp, ranks, texts) for comp in mol.components]
+    strings = [_write_component(mol, comp, ranks, texts)[0] for comp in mol.components]
     rng.shuffle(strings)
     return ".".join(strings)
 
@@ -212,39 +214,6 @@ def _lowest_tied_class(ranks: list[int], atoms: Sequence[int]) -> list[int]:
     return []
 
 
-def _branch_atoms(mol: Molecule, tied: list[int]) -> list[int]:
-    """Drop tied atoms that are provably automorphic to an earlier one.
-
-    Atoms of degree <= 1 sharing the same (only) neighbor, bond type and
-    annotations are interchangeable by a graph automorphism, so splitting any
-    one of them yields the same minimum; this collapses the factorial blowup
-    on e.g. repeated methyl groups.
-    """
-    keep: list[int] = []
-    seen: set[tuple] = set()
-    for atom_index in tied:
-        adjacency = mol.adjacency[atom_index]
-        if len(adjacency) > 1:
-            keep.append(atom_index)
-            continue
-        atom = mol.atoms[atom_index]
-        if adjacency:
-            neighbor, bond_index = adjacency[0]
-            bond = mol.bonds[bond_index]
-            stereo = bond.stereo
-            if stereo is not None and (bond.a, bond.b) != (neighbor, atom_index):
-                stereo = "down" if stereo == "up" else "up"
-            attachment = (neighbor, _bond_code(bond), stereo)
-        else:
-            attachment = None
-        key = (attachment, atom.chirality)
-        if key in seen:
-            continue
-        seen.add(key)
-        keep.append(atom_index)
-    return keep
-
-
 def _canonical_string(mol: Molecule) -> str:
     codes = _neighbour_codes(mol)
     partition = _initial_partition(mol)
@@ -266,26 +235,56 @@ def _canonical_component(
     texts: Sequence[str],
 ) -> str:
     """Smallest string of one component over the tie-break search on its
-    atoms; branches refine the whole molecule, but only ``atoms`` are read."""
-    best: str | None = None
-    emitted = 0
-    stack = [partition]
-    while stack:
-        partition = stack.pop()
-        ranks = partition[0]
-        tied = _lowest_tied_class(ranks, atoms)
-        if not tied:
-            emitted += 1
-            if emitted > _MAX_CANDIDATES:
-                raise CanonError("symmetry search budget exceeded")
-            candidate = _write_component(mol, atoms, ranks, texts)
-            if best is None or candidate < best:
-                best = candidate
+    atoms; branches refine the whole molecule, but only ``atoms`` are read.
+    Open nodes are (partition, tied atoms, atoms tried), deepest last; a
+    node's path is the last atom tried at each node above it."""
+    best, best_order = "", []
+    written = 0
+    automorphisms: list[dict[int, int]] = []  # each maps the atoms it moves
+    stack: list[tuple[_Partition, list[int], list[int]]] = []
+    while True:
+        tied = _lowest_tied_class(partition[0], atoms)
+        if tied:
+            if not stack:
+                # degree-one twins on one neighbour swap, each with the previous
+                previous: dict[tuple[int, str, str], int] = {}
+                for i in atoms:
+                    if len(mol.adjacency[i]) == 1:
+                        ((j, bi),) = mol.adjacency[i]
+                        key = (j, texts[i], _bond_text(mol, bi, j, i))
+                        if key in previous:
+                            automorphisms.append({i: previous[key], previous[key]: i})
+                        previous[key] = i
+            stack.append((partition, tied, [tied[0]]))
+            partition = _individualize(codes, partition, tied[0])
             continue
-        for atom in _branch_atoms(mol, tied):
-            stack.append(_individualize(codes, partition, atom))
-    assert best is not None
-    return best
+        written += 1
+        if written > _MAX_CANDIDATES:
+            raise CanonError("symmetry search budget exceeded")
+        candidate, order = _write_component(mol, atoms, partition[0], texts)
+        if written == 1 or candidate < best:
+            best, best_order = candidate, order
+        elif candidate == best:  # the atoms written at each position correspond
+            automorphisms.append({a: b for a, b in zip(best_order, order) if a != b})
+        # back up to a node with a tied atom outside its tried atoms' orbit
+        while stack:
+            node, tied, tried = stack[-1]
+            path = [entry[2][-1] for entry in stack[:-1]]
+            orbit, todo = set(tried), list(tried)
+            for i in todo:  # grows into the orbit under automorphisms fixing the path
+                for g in automorphisms:
+                    j = g.get(i, i)
+                    if j not in orbit and g.keys().isdisjoint(path):
+                        orbit.add(j)
+                        todo.append(j)
+            atom = next((i for i in tied if i not in orbit), None)
+            if atom is not None:
+                tried.append(atom)
+                partition = _individualize(codes, node, atom)
+                break
+            stack.pop()
+        else:
+            return best
 
 
 # -- emission ----------------------------------------------------------------
@@ -296,9 +295,9 @@ _CLOSE_BRANCH = (-1, ")")
 
 def _write_component(
     mol: Molecule, atoms: Sequence[int], ranks: Sequence[int], texts: Sequence[str]
-) -> str:
-    """SMILES of component ``atoms`` in ``ranks`` order; ``texts`` is
-    :attr:`Molecule.atom_texts`."""
+) -> tuple[str, list[int]]:
+    """SMILES of component ``atoms`` in ``ranks`` order, and the atoms in
+    the order it writes them; ``texts`` is :attr:`Molecule.atom_texts`."""
     adjacency = mol.adjacency
 
     def by_rank(entry: tuple[int, int]) -> int:
@@ -375,7 +374,7 @@ def _write_component(
                 v, bi = children[k]
                 emit_stack.append(_CLOSE_BRANCH)
                 emit_stack.append((v, "(" + _bond_text(mol, bi, u, v)))
-    return "".join(out)
+    return "".join(out), list(disc)
 
 
 def _bond_text(mol: Molecule, bond_index: int, from_atom: int, to_atom: int) -> str:

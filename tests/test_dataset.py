@@ -15,6 +15,7 @@ from chemtext.dataset import (
     equal_mix,
     make_record,
     read_records,
+    record_from_obj,
     render_prompt,
     write_records,
 )
@@ -164,6 +165,30 @@ def test_splits_stratified_arithmetic():
 def test_bad_fractions():
     with pytest.raises(BadFractionsError):
         build_splits(stream(TaskKind.RETRO, 4), (0.5, 0.6, 0.1), seed=0)
+
+
+@pytest.mark.parametrize(
+    "fractions",
+    [(0.5, 0.5, float("nan")), (float("nan"), 0.5, 0.5), (float("inf"), 0.5, -float("inf"))],
+)
+def test_non_finite_fractions_are_rejected(fractions):
+    # the first once split 10 records 5/5/0; the second raised a raw ValueError
+    with pytest.raises(BadFractionsError, match="fractions must be finite"):
+        build_splits(stream(TaskKind.RETRO, 10), fractions, seed=0)
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ([1], "record is not an object (in.jsonl:3)"),
+        ({"task": "forward", "source": "CC", "target": "C", "prompt": 3},
+         "non-string field 'prompt' (in.jsonl:3)"),
+    ],
+)
+def test_record_from_obj_names_a_non_object_and_a_non_string_prompt(obj, message):
+    with pytest.raises(RecordError) as info:
+        record_from_obj(obj, "in.jsonl:3")
+    assert str(info.value) == message
 
 
 # -- JSONL --------------------------------------------------------------------

@@ -15,7 +15,9 @@ from chemtext.fingerprints import (
     fnv1a64,
     key_fingerprint,
     morgan_fingerprint,
+    morgan_fingerprints,
     path_fingerprint,
+    path_fingerprints,
     tanimoto,
 )
 from chemtext.smiles import canonicalize, parse_smiles, random_smiles
@@ -38,6 +40,14 @@ def test_fingerprint_dispatches_by_scheme_name():
     assert [fingerprint(mol, s).scheme for s in SCHEMES] == ["morgan", "path", "keys"]
     with pytest.raises(ValueError):
         fingerprint(mol, "maccs")
+
+
+def test_batch_kernels_reject_a_negative_radius_and_a_non_positive_length():
+    mols = [parse_smiles("CCO")]
+    with pytest.raises(ValueError, match="radius must be non-negative"):
+        morgan_fingerprints(mols, radius=-1)
+    with pytest.raises(ValueError, match="max_len must be positive"):
+        path_fingerprints(mols, max_len=0)
 
 
 @pytest.mark.parametrize("nbits", [0, -1])

@@ -15,6 +15,7 @@ from chemtext.harness import (
     FingerprintConfig,
     IllConditionedError,
     LookupOracle,
+    MetricReport,
     MixedTasksError,
     OracleError,
     PredictionPair,
@@ -509,6 +510,10 @@ def test_lookup_oracle_same_product(monkeypatch):
     monkeypatch.setattr(canon, "_MAX_CANDIDATES", 1)
     assert LookupOracle.same_product("c1ccccc1", "c1ccccc1")
     assert not LookupOracle.same_product("c1ccccc1", "C1=CC=CC=C1")
+    # equal formulas, so only canonicalization could tell them apart
+    assert not LookupOracle.same_product("c1ccccc1", "c1cc[cH]cc1")
+    monkeypatch.undo()
+    assert LookupOracle.same_product("c1ccccc1", "c1cc[cH]cc1")
 
 
 def test_retro_hands_other_oracles_the_string():
@@ -872,3 +877,25 @@ def test_frechet_errors():
         rng.normal(size=(3, 5)), rng.normal(size=(10, 5)), ridge=1e-6
     )
     assert value >= 0.0
+
+
+@pytest.mark.parametrize("ridge", [float("nan"), float("inf"), -1.0])
+def test_frechet_rejects_a_non_finite_or_negative_ridge(ridge):
+    # numpy's eigensolver once failed on the first two with LinAlgError
+    rng = np.random.default_rng(3)
+    message = "ridge must be non-negative" if ridge < 0 else "ridge must be finite"
+    with pytest.raises(ValueError, match=message):
+        frechet_distance(rng.normal(size=(10, 3)), rng.normal(size=(10, 3)), ridge=ridge)
+
+
+def test_report_strings_escape_quotes_backslashes_and_control_characters():
+    report = MetricReport(
+        TaskKind.FORWARD, {}, 1, skip_reasons={'say "hi"\\\n': 1},
+        omitted_metrics={"accuracy": 'a "b" \\ c\nd'},
+    )
+    text = report_to_json(report)
+    assert r'"omitted": {"accuracy": "a \"b\" \\ c\u000ad"}' in text
+    assert r'"skip_reasons": {"say \"hi\"\\\u000a": 1}' in text
+    decoded = json.loads(text)
+    assert decoded["omitted"] == report.omitted_metrics
+    assert decoded["skip_reasons"] == report.skip_reasons

@@ -32,6 +32,21 @@ def test_default_tree_keys_have_threshold_one():
     assert compiled.chunkable
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("C-C)", "trailing characters in pattern 'C-C)'"),
+        ("C(C)", "expected bond after '(' in 'C(C)'"),
+        ("C(-C", "missing ')' in pattern 'C(-C'"),
+        ("C-", "expected atom at end of pattern 'C-'"),
+    ],
+)
+def test_pattern_grammar_errors(text, message):
+    with pytest.raises(KeyTableError) as info:
+        parse_pattern(text)
+    assert str(info.value) == message
+
+
 def test_empty_table_rejected():
     with pytest.raises(KeyTableError):
         key_fingerprint(parse_smiles("C"), [])

@@ -181,6 +181,14 @@ def _clique(n):
     return Molecule(atoms, [Bond(a, b) for a in range(n) for b in range(a + 1, n)])
 
 
+def _ring(n):
+    return parse_smiles("C1" + "C" * (n - 1) + "1")
+
+
+def _oligophenylene(k):
+    return parse_smiles("c1ccc(cc1)" * k + "C")
+
+
 def _molgen_with_brackets(count):
     rng = random.Random(4242)
     found = []
@@ -194,15 +202,15 @@ def _molgen_with_brackets(count):
 # family name -> builder of its molecules, called inside the test
 _SYMMETRIC_FAMILIES = {
     "chains": lambda: [parse_smiles("C" * n) for n in (1, 2, 3, 4, 7, 20, 51, 200)],
-    "cycles": lambda: [parse_smiles("C1" + "C" * (n - 1) + "1")
-                       for n in (3, 4, 5, 6, 9, 16, 25, 40)],
-    "oligophenylenes": lambda: [parse_smiles("c1ccc(cc1)" * k + "C") for k in range(1, 7)],
+    "cycles": lambda: [_ring(n) for n in (3, 4, 5, 6, 9, 12, 16, 25, 40)],
+    "cages": lambda: [parse_smiles("C12C3C4C1C5C2C3C45"), parse_smiles("C1CC2CCC1CC2")],
+    "oligophenylenes": lambda: [_oligophenylene(k) for k in range(1, 7)],
     "tied_fragments": lambda: [
         parse_smiles(smiles)
         for smiles in ("C1CC1.C1CC1.C1CC1", "CC.CC.CC", "c1ccccc1.c1ccccc1",
                        "C1CC1.C1CCC1.C1CC1", "OCC(O)CO.OCC(O)CO", "C1CC2CCC1CC2.C1CC2CCC1CC2")
     ],
-    "uranium_cliques": lambda: [_clique(4), _clique(5)],
+    "uranium_cliques": lambda: [_clique(4), _clique(5), _clique(6)],
     # several cells split in one round here, so the sub-cell order depends on
     # every split of a round reading the ranks the round began with
     "ring_systems": lambda: [
@@ -229,6 +237,40 @@ def test_symmetric_families_match_the_oracle(family):
         assert canonicalize(mol) == expected
         rewritten = random_smiles(mol, rng)
         assert canonical_smiles(rewritten) == expected, rewritten
+
+
+# -- automorphism pruning ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build, size", [(_ring, 200), (_oligophenylene, 30), (_clique, 9)],
+    ids=["ring_200", "oligophenylene_30", "uranium_clique_9"],
+)
+def test_hard_families_fit_a_budget_of_100(monkeypatch, build, size):
+    # each exceeded this budget when the search pruned only degree-one twins
+    monkeypatch.setattr(canon, "_MAX_CANDIDATES", 100)
+    mol = build(size)
+    string = canonicalize(mol)
+    assert isomorphic(parse_smiles(string), mol)
+    assert canonical_smiles(random_smiles(mol, random.Random(size))) == string
+
+
+@pytest.mark.parametrize(
+    "smiles, leaves", [("FS(F)(F)(F)(F)F", 1), ("CC(C)(C)C(C)(C)C(C)(C)C", 2)]
+)
+def test_degree_one_twins_prune_from_the_root(monkeypatch, smiles, leaves):
+    """Twins swap each with the one before, so a swap still fixes the twins
+    tried before it; swaps from the first twin would all move it."""
+    written = []
+    write = canon._write_component
+
+    def counting(*args):
+        written.append(args)
+        return write(*args)
+
+    monkeypatch.setattr(canon, "_write_component", counting)
+    canonical_smiles(smiles)
+    assert len(written) == leaves
 
 
 _PARITY_XFAIL = pytest.mark.xfail(
@@ -261,7 +303,7 @@ def _writes(mol, ranks):
     results = []
     for comp in mol.components:
         pair = []
-        for write in (lambda: canon._write_component(mol, comp, ranks, texts),
+        for write in (lambda: canon._write_component(mol, comp, ranks, texts)[0],
                       lambda: oracle_write_component(mol, comp, ranks)):
             try:
                 pair.append(write())

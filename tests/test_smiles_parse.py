@@ -308,6 +308,7 @@ def test_explicit_aromatic_bond_needs_aromatic_atoms():
         ("CC12CC12", "duplicate bond between atoms (1, 3)"),
         ("C:C", "aromatic bond between non-aromatic atoms (0, 1)"),
         ("c1ccccc1:C", "aromatic bond between non-aromatic atoms (5, 6)"),
+        ("[C++2]", "charge combines repeated signs with digits in bracket atom '[C++2]' at position 0"),
         # the bond checks run when the molecule is built, after end-of-input checks
         ("C1C1C(", "unclosed branch at end of input"),
     ],
