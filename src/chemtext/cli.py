@@ -62,10 +62,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _int_at_least(minimum: int) -> Callable[[str], int]:
+def _int_at_least(minimum: int | None) -> Callable[[str], int]:
     def parse(text: str) -> int:
+        digits = text.removeprefix("-")  # int() would also read "1_024", " 1024 " and "١٠٢٤"
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(text)
         value = int(text)
-        if value < minimum:
+        if minimum is not None and value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
         return value
 
@@ -75,6 +78,7 @@ def _int_at_least(minimum: int) -> Callable[[str], int]:
 
 _positive_int = _int_at_least(1)
 _non_negative_int = _int_at_least(0)
+_any_int = _int_at_least(None)
 
 # per fingerprint flag (its argparse dest): the FingerprintConfig field it
 # sets and the schemes that read it; any other scheme makes it a usage error
@@ -99,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="task stream as kind=path; repeatable",
     )
     build.add_argument("--per-task", type=_positive_int, required=True)
-    build.add_argument("--seed", type=int, required=True)
+    build.add_argument("--seed", type=_any_int, required=True)
     build.add_argument("--out", required=True)
     build.add_argument("--quiet", action="store_true")
     build.set_defaults(func=cmd_build_dataset)
@@ -218,19 +222,13 @@ def _load_oracle(spec: str) -> LookupOracle:
     scheme, sep, path = spec.partition(":")
     if not sep or scheme != "lookup":
         raise _UsageError(f"unsupported oracle spec {spec!r}; expected lookup:PATH")
-    table: dict[str, str] = {}
+    entries = []
     with open(path, "r", encoding="utf-8") as fp:
         for where, obj in read_jsonl(fp, path):
             if not (isinstance(obj.get("precursors"), str) and isinstance(obj.get("product"), str)):
                 raise RecordError(f"{where}: oracle entries need string precursors and product")
-            precursors, product = obj["precursors"], obj["product"]
-            if precursors in table and not LookupOracle.same_product(table[precursors], product):
-                raise RecordError(
-                    f"{where}: precursors {precursors!r} have product {product!r} here "
-                    f"and {table[precursors]!r} on an earlier line"
-                )
-            table[precursors] = product
-    return LookupOracle(table)
+            entries.append((where, obj["precursors"], obj["product"]))
+    return LookupOracle(entries)
 
 
 def cmd_evaluate(args) -> int:

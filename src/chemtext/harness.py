@@ -61,7 +61,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Protocol, Sequence
 
 from chemtext.dataset import TaskKind
 from chemtext.errors import ChemtextError
@@ -193,10 +193,12 @@ class _Side:
 
     @cached_property
     def formula(self) -> tuple[int, list[str]] | None:
-        """The bond count and the sorted atom texts, ``None`` without a
-        valid molecule. The canonical writer writes every bond and each
-        atom's text once, so both can be read back from the canonical
-        string: sides whose formulas differ never have equal strings."""
+        """The bond count and the sorted atom texts the
+        :class:`~chemtext.smiles.Molecule` constructor recorded, ``None``
+        without a valid molecule. The canonical writer writes every bond and
+        each of those texts once, so both can be read back from the
+        canonical string: sides whose formulas differ never have equal
+        strings."""
         mol = self.mol
         return None if mol is None else (len(mol.bonds), sorted(mol.atom_texts))
 
@@ -224,30 +226,35 @@ class LookupOracle:
 
     Keys are the precursors' canonical SMILES, so any atom ordering of the
     same precursor set hits the same entry; precursors that do not parse or
-    fail validation are keyed by their exact string. Precursors that exceed
-    the canonicalization budget raise ``CanonError`` on lookup in any
-    ordering; such table entries are dropped, as no lookup can reach them.
-    Two spellings of one precursor set whose products differ (see
-    :meth:`same_product`) raise ``ChemtextError`` naming both.
+    fail validation are keyed by their exact string, and so are precursors
+    that exceed the canonicalization budget, which no lookup reaches: they
+    raise ``CanonError`` on lookup in any ordering. Two entries with one key
+    whose products differ (see :meth:`same_product`) raise ``ChemtextError``
+    naming both. ``table`` maps precursors to product, or lists ``(where,
+    precursors, product)`` entries, ``where`` naming each (an oracle file's
+    ``path:line``); a mapping's entries are named ``entry 1``, ``entry 2``...
     :meth:`predict_product` also takes the record :func:`eval_retro` has
     already made for the prediction, so the precursors are parsed once.
     """
 
-    def __init__(self, table: dict[str, str]) -> None:
+    def __init__(self, table: Mapping[str, str] | Iterable[tuple[str, str, str]]) -> None:
+        if isinstance(table, Mapping):
+            table = ((f"entry {k}", *item) for k, item in enumerate(table.items(), start=1))
         self._table: dict[str, str] = {}
-        spellings: dict[str, str] = {}
-        for precursors, product in table.items():
+        named: dict[str, tuple[str, str]] = {}  # key -> where and precursors of its last entry
+        for where, precursors, product in table:
             try:
                 key = _Side.of(precursors).key
             except CanonError:
-                continue
+                key = precursors
             if key in self._table and not self.same_product(self._table[key], product):
                 raise ChemtextError(
-                    f"oracle precursors {spellings[key]!r} and {precursors!r} are one "
-                    f"precursor set with different products {self._table[key]!r} and {product!r}"
+                    f"{where}: oracle precursors {named[key][1]!r} and {precursors!r} are one "
+                    f"precursor set with different products {self._table[key]!r} and {product!r} "
+                    f"(the first at {named[key][0]})"
                 )
             self._table[key] = product
-            spellings[key] = precursors
+            named[key] = (where, precursors)
 
     @staticmethod
     def same_product(a: str, b: str) -> bool:

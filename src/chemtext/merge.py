@@ -28,9 +28,10 @@ Given base tokens ``H_t (n_t x h_t)`` and adaptation tokens
   :func:`check_grad_epsilon`, which the ``merge-demo`` CLI also calls before
   it reads any file.
 
-Each op has one forward path: a stack of ``depth`` blocks (depth 1 for
-``cross_attend``), for ``base_only`` params only, or the bidirectional pair,
-for a bidirectional combine mode only (else :class:`CombineError`). Each
+Each op has one forward path: a stack of ``depth`` blocks (``cross_attend``
+takes depth-1 params only), for ``base_only`` params only, or the
+bidirectional pair, for a bidirectional combine mode only (else
+:class:`CombineError`). Each
 returns its output and a backward closure over its own caches, so
 ``grad_check`` differentiates the very forward the public functions run. A
 private table maps each op id to its forward, next to :data:`OPS`, the
@@ -228,6 +229,8 @@ def _stacked_forward(h_t: np.ndarray, h_m: np.ndarray, params: MergeParams,
     ``w_q``, ``w_k``, ``w_v``)."""
     if params.combine is not CombineMode.BASE_ONLY:  # else combine and w_c go unread
         raise CombineError(f"forward-only merges need base_only, not {params.combine.value}")
+    if depth < params.depth:  # cross_attend: else the deeper blocks go unrun
+        raise CombineError(f"depth {params.depth} needs hierarchical_merge, not one block")
     if depth > 1 and params.d != h_t.shape[1]:
         raise ShapeError(
             f"depth feedback needs d == h_t ({params.d} != {h_t.shape[1]})"
@@ -302,7 +305,8 @@ def attention_weights(h_t, h_m, params: MergeParams) -> np.ndarray:
 
 
 def cross_attend(h_t, h_m, params: MergeParams) -> np.ndarray:
-    """One cross-attention block; output is ``n_t x d``."""
+    """One cross-attention block; output is ``n_t x d``. Params of depth
+    above 1 are for :func:`hierarchical_merge` (else :class:`CombineError`)."""
     return _run("cross_attend", h_t, h_m, params)
 
 
@@ -430,15 +434,14 @@ def grad_check(op_id: str, h_t, h_m, params: MergeParams | None = None,
 
 
 def load_matrix(fp: IO[str]) -> np.ndarray:
-    """Read the CLI matrix format: first line ``rows cols``, then row-major
-    whitespace-separated decimals."""
+    """Read the CLI matrix format: first line ``rows cols`` in ASCII digits,
+    then row-major whitespace-separated decimals."""
     header = fp.readline().split()
     if len(header) != 2:
         raise ShapeError("matrix header must be 'rows cols'")
-    try:
-        rows, cols = int(header[0]), int(header[1])
-    except ValueError as exc:
-        raise ShapeError(f"bad matrix header: {exc}") from None
+    if not all(field.isascii() and field.isdigit() for field in header):  # int() reads "1_0"
+        raise ShapeError(f"bad matrix header {' '.join(header)!r}: rows and cols take ASCII digits")
+    rows, cols = int(header[0]), int(header[1])
     values: list[float] = []
     for line in fp:
         values.extend(float(x) for x in line.split())

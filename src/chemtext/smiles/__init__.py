@@ -7,6 +7,7 @@ from chemtext.smiles.parse import (
     Molecule,
     ParseError,
     parse_smiles,
+    validate_smiles,
 )
 from chemtext.smiles.tokenize import LexError, tokenize
 from chemtext.smiles.valence import (
@@ -14,7 +15,6 @@ from chemtext.smiles.valence import (
     ValidityResult,
     implicit_hydrogen_count,
     validate,
-    validate_smiles,
 )
 
 __all__ = [

@@ -36,8 +36,8 @@ Connected components (found from the bonds, so ``C1.C1`` is one) are
 canonicalized independently and emitted in lexicographic order. The search
 and its candidate budget are per component, so identical fragments do not
 multiply each other's candidates. Each atom's (bond code, neighbour) pairs
-are computed once per call, and its text (bare or bracketed, by the
-molecule's recorded default hydrogens) once per molecule, as
+are computed once per call. Its text (bare or bracketed) is not worked out
+here: the :class:`Molecule` constructor records it as
 :attr:`Molecule.atom_texts`, which other readers share.
 """
 
@@ -48,11 +48,7 @@ from heapq import heappop, heappush
 from typing import Sequence
 
 from chemtext.errors import ChemtextError
-from chemtext.smiles.parse import Atom, Bond, Molecule, parse_smiles
-
-# Elements writable without brackets, per aromaticity.
-_BARE_PLAIN = frozenset({"B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I"})
-_BARE_AROMATIC = frozenset({"B", "C", "N", "O", "P", "S"})
+from chemtext.smiles.parse import Bond, Molecule, parse_smiles
 
 # Safety valve for pathologically symmetric graphs: the tie-break search
 # writes one candidate string per leaf of a component it does not prune.
@@ -394,21 +390,3 @@ def _bond_text(mol: Molecule, bond_index: int, from_atom: int, to_atom: int) -> 
         return "-"
     return ""
 
-
-def _atom_text(atom: Atom, default_hydrogens: int) -> str:
-    symbol = atom.symbol.lower() if atom.aromatic else atom.symbol
-    bare_set = _BARE_AROMATIC if atom.aromatic else _BARE_PLAIN
-    if (
-        atom.symbol in bare_set
-        and atom.charge == 0
-        and atom.isotope is None
-        and atom.chirality is None
-        and atom.hydrogens == default_hydrogens
-    ):
-        return symbol
-    isotope = "" if atom.isotope is None else atom.isotope
-    hydrogens = atom.hydrogens
-    h_text = "H" if hydrogens == 1 else f"H{hydrogens}" if hydrogens > 1 else ""
-    charge = atom.charge
-    charge_text = "" if charge == 0 else {1: "+", -1: "-"}.get(charge, f"{charge:+d}")
-    return f"[{isotope}{symbol}{atom.chirality or ''}{h_text}{charge_text}]"

@@ -3,14 +3,16 @@
 One loop reads the texts of :func:`~chemtext.smiles.tokenize.tokenize`,
 dispatches on each text's first character and resolves branches and ring
 closures into an explicit atom/bond graph. ``Molecule(atoms, bonds)``, the
-one constructor, checks the bonds, gives atoms without a hydrogen count their
-valence-table default and records each atom's adjacency, bond-order total
-and default hydrogen count, which validation, canonicalization and
-fingerprints read. Atoms and bonds are frozen, so the parser takes
-organic-subset atoms from a prebuilt table and each bond from a bounded
-memo, and the constructor takes default hydrogen counts and resolved atoms
-from bounded memos instead of building new ones. Aromaticity is taken
-syntactically from lowercase notation; no ring perception or kekulization.
+one constructor, checks the bonds and analyses each atom once: one bounded
+memo, keyed on the atom's fields, bond-order total and degree, gives the
+resolved atom (``hydrogens=None`` gets the valence-table default), its text
+as the canonical writer writes it and its valence violation, so validity and
+atom texts are recorded when a molecule is built. Atoms and bonds are frozen,
+so the parser takes organic-subset atoms from a prebuilt table and each bond
+from a bounded memo, and resolved atoms are shared across molecules.
+Aromaticity is taken syntactically from lowercase notation; no ring
+perception or kekulization. Imports run one way: tokenize, valence (the
+tables and rules), this module, canon.
 
 Bracket atoms support the standard field order
 ``[isotope? symbol chirality? Hcount? charge? :map?]``; atom maps are accepted
@@ -30,21 +32,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from chemtext.errors import ChemtextError
 from chemtext.smiles.tokenize import (
     AROMATIC_ORGANIC,
     ORGANIC_ONE_LETTER,
     ORGANIC_TWO_LETTER,
+    LexError,
     tokenize,
 )
-
-if TYPE_CHECKING:
-    from chemtext.smiles.valence import ValidityResult
+from chemtext.smiles.valence import ValidityResult, hydrogens_for_total, valence_violation
 
 # Lowercase symbols allowed as aromatic atoms inside brackets.
 AROMATIC_BRACKET = frozenset({"b", "c", "n", "o", "p", "s", "se", "as"})
+
+# Elements writable without brackets, per aromaticity.
+_BARE_PLAIN = frozenset({"B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I"})
+_BARE_AROMATIC = frozenset({"B", "C", "N", "O", "P", "S"})
 
 
 class ParseError(ChemtextError):
@@ -93,7 +98,7 @@ class Bond:
 
 @dataclass(frozen=True)
 class Molecule:
-    """Immutable molecular graph, checked and resolved when built.
+    """Immutable molecular graph, checked and analysed when built.
 
     Atoms and bonds may be any iterables and are stored as tuples. A bond
     that breaks a :class:`Bond` rule, joins an atom to itself or to a missing
@@ -102,8 +107,9 @@ class Molecule:
     or whose isotope or hydrogen count is neither ``None`` nor a
     non-negative int. An atom with ``hydrogens=None`` gets its
     valence-table default. Equality, hashing and ``repr`` read only
-    ``atoms`` and ``bonds``; the other fields are facts recorded on the way.
-    Cached properties are worked out on first read; one graph walk gives
+    ``atoms`` and ``bonds``; the other fields are facts recorded on the way,
+    from one memo call per atom. Cached properties are worked out on first
+    read; one graph walk gives
     :attr:`components`, :attr:`ring_bond_indices` and :attr:`ring_bond_counts`.
     """
 
@@ -113,10 +119,10 @@ class Molecule:
     adjacency: tuple[tuple[tuple[int, int], ...], ...] = field(
         init=False, repr=False, compare=False
     )
-    # per atom: the sum of its bonds' orders (an aromatic bond counts 1)
-    bond_order_totals: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    # per atom: the hydrogen count the valence table gives it when written bare
-    default_hydrogens: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # per atom: its text as the canonical writer writes it, bare or bracketed
+    atom_texts: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    # one reason per atom over its allowed valence; never raised
+    validity: ValidityResult = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         atoms = tuple(self.atoms)
@@ -152,9 +158,10 @@ class Molecule:
             totals[a] += order
             totals[b] += order
         adjacency = tuple(map(tuple, adj))
-        defaults: list[int] = []
         resolved: list[Atom] = []
-        for atom, total, entries in zip(atoms, totals, adjacency):
+        texts: list[str] = []
+        reasons: list[str] = []
+        for i, (atom, total, entries) in enumerate(zip(atoms, totals, adjacency)):
             isotope, hydrogens = atom.isotope, atom.hydrogens
             if type(atom.charge) is not int:
                 raise ParseError(f"atom charge must be an int: {atom}")
@@ -162,19 +169,20 @@ class Molecule:
                 raise ParseError(f"atom isotope must be None or a non-negative int: {atom}")
             if hydrogens is not None and (type(hydrogens) is not int or hydrogens < 0):
                 raise ParseError(f"atom hydrogen count must be None or a non-negative int: {atom}")
-            h = _default_hydrogens(atom.symbol, atom.aromatic, total, len(entries))
-            defaults.append(h)
-            if hydrogens is None:
-                atom = _resolved_atom(
-                    atom.symbol, atom.aromatic, atom.charge, isotope, atom.chirality, h
-                )
+            atom, text, violation = _analysed_atom(
+                atom.symbol, atom.aromatic, atom.charge, isotope, hydrogens, atom.chirality,
+                total, len(entries),
+            )
             resolved.append(atom)
+            texts.append(text)
+            if violation is not None:
+                reasons.append(f"valence violation at atom {i} {violation}")
         set_field = object.__setattr__  # the dataclass is frozen
         set_field(self, "atoms", tuple(resolved))
         set_field(self, "bonds", bonds)
         set_field(self, "adjacency", adjacency)
-        set_field(self, "bond_order_totals", tuple(totals))
-        set_field(self, "default_hydrogens", tuple(defaults))
+        set_field(self, "atom_texts", tuple(texts))
+        set_field(self, "validity", ValidityResult(False, tuple(reasons)) if reasons else _VALID)
 
     def degree(self, i: int) -> int:
         return len(self.adjacency[i])
@@ -185,23 +193,6 @@ class Molecule:
         their smallest atom index. A ring bond that spans a dot joins its
         two sides into one component."""
         return self._walk[0]
-
-    @cached_property
-    def validity(self) -> ValidityResult:
-        """:func:`~chemtext.smiles.valence.validate` of this molecule,
-        computed once; canonicalization and fingerprints read it."""
-        from chemtext.smiles import valence  # valence imports this module
-
-        return valence.validate(self)
-
-    @cached_property
-    def atom_texts(self) -> tuple[str, ...]:
-        """Each atom's text as the canonical writer writes it (bare or
-        bracketed, by the recorded default hydrogens), computed once;
-        canonicalization and the harness's formula check read it."""
-        from chemtext.smiles.canon import _atom_text  # canon imports this module
-
-        return tuple(map(_atom_text, self.atoms, self.default_hydrogens))
 
     @cached_property
     def ring_bond_indices(self) -> frozenset[int]:
@@ -260,23 +251,35 @@ class Molecule:
         return tuple(components), ring, tuple(counts)
 
 
-@lru_cache(maxsize=1024, typed=True)
-def _resolved_atom(
-    symbol: str, aromatic: bool, charge: int, isotope: int | None, chirality: str | None, h: int
-) -> Atom:
-    """The atom with these fields and ``h`` hydrogens, built once per
-    distinct fields. The memo keys on each field's value and type, so an atom
-    keeps the repr it was given: ``aromatic=1`` is not answered with ``True``."""
-    return Atom(symbol, aromatic, charge, isotope, h, chirality)
+_VALID = ValidityResult(True)
 
 
-@lru_cache(maxsize=1024)
-def _default_hydrogens(symbol: str, aromatic: bool, total: int, degree: int) -> int:
-    """:func:`~chemtext.smiles.valence.hydrogens_for_total`, computed once
-    per distinct arguments."""
-    from chemtext.smiles.valence import hydrogens_for_total  # valence imports this module
-
-    return hydrogens_for_total(symbol, aromatic, total, degree)
+@lru_cache(maxsize=4096, typed=True)
+def _analysed_atom(
+    symbol: str, aromatic: bool, charge: int, isotope: int | None, hydrogens: int | None,
+    chirality: str | None, total: int, degree: int,
+) -> tuple[Atom, str, str | None]:
+    """For an atom with these fields whose ``degree`` bonds' orders sum to
+    ``total``: the atom with its hydrogen count resolved (``None`` gets the
+    valence-table default), its text as the canonical writer writes it (bare
+    when it can be and carries the default count, else bracketed), and its
+    valence violation after "at atom i", or ``None``. Worked out once per
+    distinct arguments; the memo keys on each argument's value and type, so
+    an atom keeps the repr it was given: ``aromatic=0`` is not answered with
+    ``False``."""
+    default = hydrogens_for_total(symbol, aromatic, total, degree)
+    if hydrogens is None:
+        hydrogens = default
+    atom = Atom(symbol, aromatic, charge, isotope, hydrogens, chirality)
+    violation = valence_violation(symbol, aromatic, charge, hydrogens, total, degree)
+    written = symbol.lower() if aromatic else symbol
+    bare = symbol in (_BARE_AROMATIC if aromatic else _BARE_PLAIN) and not charge
+    if bare and isotope is None and chirality is None and hydrogens == default:
+        return atom, written, violation
+    h_text = "H" if hydrogens == 1 else f"H{hydrogens}" if hydrogens > 1 else ""
+    charge_text = "" if charge == 0 else {1: "+", -1: "-"}.get(charge, f"{charge:+d}")
+    isotope_text = "" if isotope is None else isotope
+    return atom, f"[{isotope_text}{written}{chirality or ''}{h_text}{charge_text}]", violation
 
 
 # Organic-subset atoms by token text; hydrogens stay None until the
@@ -519,3 +522,17 @@ def parse_smiles(smiles: str) -> Molecule:
             dots.
     """
     return _parse(tokenize(smiles))
+
+
+def validate_smiles(smiles: str) -> ValidityResult:
+    """Full-string validity: tokenize, parse and the valence check the
+    :class:`Molecule` constructor records.
+
+    Any string that fails to tokenize or parse is reported invalid with the
+    error message as the reason.
+    """
+    try:
+        mol = parse_smiles(smiles)
+    except (LexError, ParseError) as exc:
+        return ValidityResult(valid=False, reasons=(str(exc),))
+    return mol.validity

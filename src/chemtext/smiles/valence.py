@@ -1,8 +1,13 @@
-"""Valence bookkeeping: implicit hydrogens and validity checking.
+"""Valence bookkeeping: implicit hydrogens and the validity rule.
 
 Validity here means "tokenizes, parses, and passes the default valence
 table". The table covers the organic subset plus common bracket elements;
 bracket atoms with unknown elements are accepted with unchecked valence.
+This module holds the table and the per-atom rules and imports no other
+part of the package but its errors. The :class:`~chemtext.smiles.parse.Molecule`
+constructor applies the rules once per distinct atom, through one memo,
+and records the outcome as ``Molecule.validity``, which :func:`validate`
+returns.
 
 Aromatic accounting is purely syntactic and documented here once:
 
@@ -26,11 +31,12 @@ elements gain ``charge`` (so N+ allows 4, O- allows 1), boron gains
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from chemtext.errors import ChemtextError
-from chemtext.smiles.parse import Molecule, ParseError, parse_smiles
-from chemtext.smiles.tokenize import LexError
+
+if TYPE_CHECKING:
+    from chemtext.smiles.parse import Molecule
 
 DEFAULT_VALENCES: dict[str, tuple[int, ...]] = {
     "H": (1,),
@@ -122,37 +128,24 @@ def allowed_valences(symbol: str, charge: int) -> tuple[int, ...] | None:
     return tuple(max(0, v + shift) for v in base)
 
 
+def valence_violation(
+    symbol: str, aromatic: bool, charge: int, hydrogens: int, bond_total: int, degree: int
+) -> str | None:
+    """Whether an atom's bond-order total plus hydrogens exceeds the largest
+    allowed valence: the reason's text after "at atom i", or ``None``."""
+    allowed = allowed_valences(symbol, charge)
+    if allowed is None:
+        return None
+    total = bond_total + hydrogens + _pi_increment(symbol, aromatic, degree, hydrogens, charge)
+    limit = max(allowed)
+    if total <= limit:
+        return None
+    charge_note = f"{charge:+d}" if charge else ""
+    return f"({symbol}{charge_note}): total {total} exceeds {limit}"
+
+
 def validate(mol: Molecule) -> ValidityResult:
-    """Check every atom's bond-order total plus hydrogens against the
-    valence table. Violations are reported, never raised."""
-    reasons: list[str] = []
-    for i, (atom, bond_total, entries) in enumerate(
-        zip(mol.atoms, mol.bond_order_totals, mol.adjacency)
-    ):
-        allowed = allowed_valences(atom.symbol, atom.charge)
-        if allowed is None:
-            continue
-        total = bond_total + atom.hydrogens + _pi_increment(
-            atom.symbol, atom.aromatic, len(entries), atom.hydrogens, atom.charge
-        )
-        limit = max(allowed)
-        if total > limit:
-            charge_note = f"{atom.charge:+d}" if atom.charge else ""
-            reasons.append(
-                f"valence violation at atom {i} ({atom.symbol}{charge_note}): "
-                f"total {total} exceeds {limit}"
-            )
-    return ValidityResult(valid=not reasons, reasons=tuple(reasons))
-
-
-def validate_smiles(smiles: str) -> ValidityResult:
-    """Full-string validity: tokenize + parse + valence check.
-
-    Any string that fails to tokenize or parse is reported invalid with the
-    error message as the reason.
-    """
-    try:
-        mol = parse_smiles(smiles)
-    except (LexError, ParseError) as exc:
-        return ValidityResult(valid=False, reasons=(str(exc),))
+    """The valence check of ``mol``, which its constructor recorded as
+    ``mol.validity``: one reason per atom over its allowed valence.
+    Violations are reported, never raised."""
     return mol.validity

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from chemtext.smiles.canon import _BARE_AROMATIC, _BARE_PLAIN, CanonError
-from chemtext.smiles.parse import Bond, Molecule
+from chemtext.smiles.canon import CanonError
+from chemtext.smiles.parse import _BARE_AROMATIC, _BARE_PLAIN, Bond, Molecule
 from chemtext.smiles.valence import implicit_hydrogen_count
 
 _MAX_CANDIDATES = 200_000

@@ -360,23 +360,25 @@ def test_text2mol_bleu_tokenizer_override():
 # -- forward ------------------------------------------------------------------
 
 
-def test_each_parsed_molecule_is_validated_once(monkeypatch):
+def test_each_parsed_molecule_records_its_validity_when_built(monkeypatch):
     from chemtext import harness
     from chemtext.smiles import valence
 
-    parsed, validated = [], []
-    parse, validate = harness.parse_smiles, valence.validate
+    parsed = []
+    parse = harness.parse_smiles
 
     def counting_parse(smiles):
-        parsed.append(parse(smiles))
-        return parsed[-1]
+        mol = parse(smiles)
+        # recorded by the constructor, not worked out on a later read
+        assert {"validity", "atom_texts"} <= vars(mol).keys()
+        parsed.append(mol)
+        return mol
 
-    def counting_validate(mol):
-        validated.append(mol)
-        return validate(mol)
+    def uncalled_validate(mol):
+        raise AssertionError("the harness reads mol.validity")
 
     monkeypatch.setattr(harness, "parse_smiles", counting_parse)
-    monkeypatch.setattr(valence, "validate", counting_validate)
+    monkeypatch.setattr(valence, "validate", uncalled_validate)
     rows = [("CCO", "OCC"), ("c1ccccc1", "CCN"), ("C(C)(C)(C)(C)C", "CCO"), ("C(", "CC"), ("CC", "xx")]
     eval_text2mol([PredictionPair(TaskKind.TEXT2MOL, p, r) for p, r in rows])
     eval_forward([PredictionPair(TaskKind.FORWARD, p, r) for p, r in rows])
@@ -387,7 +389,7 @@ def test_each_parsed_molecule_is_validated_once(monkeypatch):
     # 3 table keys, then each prediction once and, on its 3 hits, the
     # product and the reference ("xx" fails)
     assert len(parsed) == 14 + 3 + 9
-    assert sorted(map(id, validated)) == sorted(map(id, parsed))
+    assert [mol.validity.valid for mol in parsed].count(False) == 3
 
 
 def test_forward_accuracy():
@@ -467,6 +469,15 @@ def test_retro_lookup_canon_budget_in_any_atom_order(monkeypatch, precursors):
     assert report.value("roundtrip_accuracy") == 0.0
 
 
+def test_lookup_oracle_checks_repeats_of_over_budget_precursors(monkeypatch):
+    # dropped from the table, but a repeat with another product still conflicts
+    monkeypatch.setattr(canon, "_MAX_CANDIDATES", 1)
+    entries = [("oracle:1", "C1CCCCC1.O", "CCO"), ("oracle:2", "C1CCCCC1.O", "CN")]
+    with pytest.raises(ChemtextError, match=r"^oracle:2: .*\(the first at oracle:1\)$"):
+        LookupOracle(entries)
+    LookupOracle([entries[0], ("oracle:2", "O.C1CCCCC1", "CN")])  # no lookup reaches either
+
+
 def test_retro_lookup_invalid_valence_is_an_oracle_failure():
     # parses but fails validation: not a budget hit, so the key stays the
     # exact string and any other spelling misses the table
@@ -487,7 +498,8 @@ def test_lookup_oracle_canonical_keys():
 
 
 def test_lookup_oracle_conflicting_spellings_raise():
-    with pytest.raises(ChemtextError, match=r"'CC\.O' and 'O\.CC'.*'CCO' and 'CN'"):
+    message = r"^entry 2: .*'CC\.O' and 'O\.CC'.*'CCO' and 'CN' \(the first at entry 1\)$"
+    with pytest.raises(ChemtextError, match=message):
         LookupOracle({"CC.O": "CCO", "O.CC": "CN"})
     # spellings that do not parse are keyed by their exact string, so they
     # never collide with one another

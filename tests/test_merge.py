@@ -154,6 +154,18 @@ def test_depth_three_composes():
     assert np.allclose(hierarchical_merge(h_t, h_m, params), manual, atol=1e-14)
 
 
+def test_cross_attend_rejects_deeper_params():
+    # a depth-3 stack would otherwise be run, and checked, as one block
+    rng = np.random.default_rng(16)
+    h_t, h_m = rng.normal(size=(3, 4)), rng.normal(size=(2, 5))
+    params = random_params(h_t=4, h_m=5, d=4, seed=6, depth=3)
+    with pytest.raises(CombineError, match="hierarchical_merge"):
+        cross_attend(h_t, h_m, params)
+    with pytest.raises(CombineError, match="hierarchical_merge"):
+        grad_check("cross_attend", h_t, h_m, params, epsilon=1e-5)
+    assert hierarchical_merge(h_t, h_m, params).shape == (3, 4)
+
+
 def test_depth_feedback_shape_enforced():
     rng = np.random.default_rng(15)
     h_t, h_m, params = random_instance(rng)  # d=3 != h_t=4
@@ -367,3 +379,7 @@ def test_matrix_format_errors():
         load_matrix(io.StringIO("2\n1 2\n"))
     with pytest.raises(ShapeError):
         load_matrix(io.StringIO("2 2\n1 2 3\n"))
+    # int() reads these headers: "1_0 1" as 10 rows, "١ 1" as one
+    for header in ("1_0 1", "١ 1", "1 ²", "-1 1", "+1 1"):
+        with pytest.raises(ShapeError, match="bad matrix header"):
+            load_matrix(io.StringIO(header + "\n" + "1.0\n" * 10))

@@ -20,7 +20,7 @@ from chemtext.smiles import (
     tokenize,
     validate_smiles,
 )
-from chemtext.smiles.parse import _bond, _default_hydrogens, _resolved_atom
+from chemtext.smiles.parse import _analysed_atom, _bond
 from chemtext.smiles.tokenize import LexError
 from chemtext.smiles.valence import hydrogens_for_total
 from molgen import random_molecule
@@ -105,13 +105,16 @@ def test_ring_closure_across_dot():
     assert len(mol.components) == 1
 
 
-@pytest.mark.parametrize("smiles", ["CC.O", "C1.C1"])
+@pytest.mark.parametrize("smiles", ["CC.O", "C1.C1", "C(C)(C)(C)(C)C.c1ccccc1", "FC(F)(F)(F)F"])
 def test_equality_does_not_depend_on_construction(smiles):
-    # bare atoms given with hydrogens=None resolve to what the parser wrote
+    # bare atoms given with hydrogens=None resolve to what the parser wrote,
+    # and the recorded validity and atom texts follow
     mol = parse_smiles(smiles)
     bare = [Atom(a.symbol, a.aromatic) for a in mol.atoms]
     for built in (Molecule(mol.atoms, mol.bonds), Molecule(bare, mol.bonds)):
         assert built == mol and hash(built) == hash(mol) and repr(built) == repr(mol)
+        assert built.validity == mol.validity
+        assert built.atom_texts == mol.atom_texts
 
 
 def test_bare_atom_gets_its_default_hydrogens():
@@ -214,14 +217,30 @@ def test_recorded_facts_do_not_depend_on_construction(max_atoms, seed):
         incident[bond.b].append((bond.a, bi))
     bonds_of = [[(mol.bonds[bi].order, mol.bonds[bi].aromatic) for _, bi in e] for e in incident]
     assert mol.adjacency == tuple(map(tuple, incident))
-    assert mol.bond_order_totals == tuple(sum(o for o, _ in b) for b in bonds_of)
-    assert mol.default_hydrogens == tuple(
-        implicit_hydrogen_count(a.symbol, a.aromatic, b) for a, b in zip(mol.atoms, bonds_of)
-    )
+    defaults = [implicit_hydrogen_count(a.symbol, a.aromatic, b)
+                for a, b in zip(mol.atoms, bonds_of)]
     bare = Molecule([Atom(a.symbol, a.aromatic) for a in mol.atoms], mol.bonds)
-    assert [a.hydrogens for a in bare.atoms] == list(mol.default_hydrogens)
-    for name in ("adjacency", "bond_order_totals", "default_hydrogens"):
-        assert getattr(bare, name) == getattr(mol, name), name
+    assert [a.hydrogens for a in bare.atoms] == defaults
+    assert bare.adjacency == mol.adjacency
+    # two extra single bonds may leave atoms over their valence
+    rng = random.Random(seed)
+    pairs = {(b.a, b.b) for b in mol.bonds} | {(b.b, b.a) for b in mol.bonds}
+    extra = [(a, b) for a in range(len(mol.atoms)) for b in range(a) if (a, b) not in pairs]
+    extra = rng.sample(extra, min(2, len(extra)))
+    over = Molecule(mol.atoms, [*mol.bonds, *(Bond(a, b) for a, b in extra)])
+    for built in (mol, over):
+        # a parse of the molecule, and the molecules built from its
+        # explicit-H atoms and from its atoms with the hydrogens of those
+        # written bare left to the constructor, record the same facts
+        parsed = parse_smiles(random_smiles(built, rng))
+        assert sorted(parsed.atom_texts) == sorted(built.atom_texts)
+        assert len(parsed.validity.reasons) == len(built.validity.reasons)
+        left = [a if text.startswith("[") else Atom(a.symbol, a.aromatic)
+                for a, text in zip(parsed.atoms, parsed.atom_texts)]
+        for other in (Molecule(parsed.atoms, parsed.bonds), Molecule(left, parsed.bonds)):
+            assert other.atoms == parsed.atoms
+            for name in ("adjacency", "atom_texts", "validity"):
+                assert getattr(other, name) == getattr(parsed, name), name
 
 
 def test_ring_label_reuse_after_closure():
@@ -369,18 +388,18 @@ def test_implicit_hydrogens_follow_valence_table():
         assert het.hydrogens == 0
 
 
-# -- the resolved-atom memo ------------------------------------------------------
+# -- the per-atom memo -----------------------------------------------------------
 
 
 def test_atom_memo_is_bounded_and_changes_nothing():
-    maxsize = _resolved_atom.cache_info().maxsize
+    maxsize = _analysed_atom.cache_info().maxsize
     assert maxsize is not None
     # 5,000 atoms with distinct isotopes: 50 chains of 100 carbons
     for first in range(1, 5001, 100):
         atoms = [Atom("C", isotope=first + k) for k in range(100)]
         bonds = [Bond(k, k + 1) for k in range(99)]
         mol = Molecule(atoms, bonds)
-        assert _resolved_atom.cache_info().currsize <= maxsize
+        assert _analysed_atom.cache_info().currsize <= maxsize
         fresh = Molecule(
             [Atom("C", isotope=first + k, hydrogens=3 if k in (0, 99) else 2)
              for k in range(100)],
@@ -389,28 +408,32 @@ def test_atom_memo_is_bounded_and_changes_nothing():
         assert mol == fresh
         assert hash(mol) == hash(fresh)
         assert repr(mol) == repr(fresh)
-        assert mol.default_hydrogens == fresh.default_hydrogens
+        assert mol.atom_texts == fresh.atom_texts
+        assert mol.validity == fresh.validity
         assert all(type(a) is Atom for a in mol.atoms)
 
 
-def test_atom_memo_keeps_field_types():
-    # equal fields of different types (True and 1) are resolved apart
-    Molecule([Atom("C", aromatic=False)], [])
-    mol = Molecule([Atom("C", aromatic=0)], [])
-    assert repr(mol) == repr(Molecule([Atom("C", aromatic=0, hydrogens=4)], []))
+@pytest.mark.parametrize("hydrogens", [None, 4])
+def test_atom_memo_keeps_field_types(hydrogens):
+    # equal fields of different types (False and 0) are resolved apart
+    Molecule([Atom("C", aromatic=False, hydrogens=hydrogens)], [])
+    mol = Molecule([Atom("C", aromatic=0, hydrogens=hydrogens)], [])
+    assert repr(mol) == "Molecule(atoms=(Atom(symbol='C', aromatic=0, charge=0, isotope=None, " \
+        "hydrogens=4, chirality=None),), bonds=())"
+    assert mol.atom_texts == ("C",)
 
 
-def test_each_resolved_atom_is_built_once():
-    _resolved_atom.cache_clear()
+def test_each_atom_is_analysed_once():
+    _analysed_atom.cache_clear()
     first = parse_smiles("CCCC")
     second = parse_smiles("CCCC")
     # the end and middle carbons, once each
-    assert _resolved_atom.cache_info().misses == 2
+    assert _analysed_atom.cache_info().misses == 2
     assert all(a is b for a, b in zip(first.atoms, second.atoms))
     assert first.atoms[0] is first.atoms[3]
 
 
-# -- the bond and default-hydrogen memos -------------------------------------------
+# -- the bond memo and default hydrogens -------------------------------------------
 
 
 def test_bond_memo_is_bounded_and_changes_nothing():
@@ -433,15 +456,20 @@ def test_each_parsed_bond_is_built_once():
 
 @pytest.mark.parametrize("max_atoms, seed", [(10, 1), (30, 2)])
 def test_default_hydrogens_match_the_valence_table(max_atoms, seed):
-    assert _default_hydrogens.cache_info().maxsize is not None
+    # an atom is written bare only with the hydrogens the table gives it bare
     rng = random.Random(seed)
     for _ in range(150):
         mol = random_molecule(rng, max_atoms)
+        totals = [0] * len(mol.atoms)
+        for bond in mol.bonds:
+            totals[bond.a] += bond.order
+            totals[bond.b] += bond.order
+        bare = Molecule([Atom(a.symbol, a.aromatic) for a in mol.atoms], mol.bonds)
         for i, atom in enumerate(mol.atoms):
-            expected = hydrogens_for_total(
-                atom.symbol, atom.aromatic, mol.bond_order_totals[i], mol.degree(i)
-            )
-            assert mol.default_hydrogens[i] == expected
+            expected = hydrogens_for_total(atom.symbol, atom.aromatic, totals[i], mol.degree(i))
+            assert bare.atoms[i].hydrogens == expected
+            if not mol.atom_texts[i].startswith("["):
+                assert atom.hydrogens == expected
 
 
 # -- the graph walk: components, ring bonds, ring-bond counts --------------------
