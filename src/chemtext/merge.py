@@ -31,12 +31,11 @@ Given base tokens ``H_t (n_t x h_t)`` and adaptation tokens
 Each op has one forward path: a stack of ``depth`` blocks (``cross_attend``
 takes depth-1 params only), for ``base_only`` params only, or the
 bidirectional pair, for a bidirectional combine mode only (else
-:class:`CombineError`). Each
-returns its output and a backward closure over its own caches, so
-``grad_check`` differentiates the very forward the public functions run. A
-private table maps each op id to its forward, next to :data:`OPS`, the
-public table from op id to function read by ``grad_check`` and the
-``merge-demo`` CLI.
+:class:`CombineError`). Each returns its output and a backward closure over
+its own caches, so ``grad_check`` differentiates the very forward the public
+functions run. A private table maps each op id to its forward, next to
+:data:`OPS`, the public table from op id to function read by ``grad_check``
+and the ``merge-demo`` CLI.
 
 All functions are pure; matrices are float64 throughout and accumulation
 order is fixed, so results are run-to-run stable.

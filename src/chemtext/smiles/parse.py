@@ -109,8 +109,8 @@ class Molecule:
     valence-table default. Equality, hashing and ``repr`` read only
     ``atoms`` and ``bonds``; the other fields are facts recorded on the way,
     from one memo call per atom. Cached properties are worked out on first
-    read; one graph walk gives
-    :attr:`components`, :attr:`ring_bond_indices` and :attr:`ring_bond_counts`.
+    read; one graph walk gives :attr:`components`, :attr:`ring_bond_indices`
+    and :attr:`ring_bond_counts`.
     """
 
     atoms: tuple[Atom, ...]
@@ -251,7 +251,7 @@ class Molecule:
         return tuple(components), ring, tuple(counts)
 
 
-_VALID = ValidityResult(True)
+_VALID = ValidityResult(True)  # shared by every valid molecule
 
 
 @lru_cache(maxsize=4096, typed=True)

@@ -4,10 +4,10 @@ Validity here means "tokenizes, parses, and passes the default valence
 table". The table covers the organic subset plus common bracket elements;
 bracket atoms with unknown elements are accepted with unchecked valence.
 This module holds the table and the per-atom rules and imports no other
-part of the package but its errors. The :class:`~chemtext.smiles.parse.Molecule`
-constructor applies the rules once per distinct atom, through one memo,
-and records the outcome as ``Molecule.validity``, which :func:`validate`
-returns.
+part of the package but its errors. The
+:class:`~chemtext.smiles.parse.Molecule` constructor applies the rules once
+per distinct atom, through one memo, and records the outcome as
+``Molecule.validity``, which :func:`validate` returns.
 
 Aromatic accounting is purely syntactic and documented here once:
 

@@ -470,12 +470,13 @@ def test_retro_lookup_canon_budget_in_any_atom_order(monkeypatch, precursors):
 
 
 def test_lookup_oracle_checks_repeats_of_over_budget_precursors(monkeypatch):
-    # dropped from the table, but a repeat with another product still conflicts
+    # kept under its exact string, which no lookup reaches; a repeat of that
+    # string with another product conflicts, another spelling is another key
     monkeypatch.setattr(canon, "_MAX_CANDIDATES", 1)
     entries = [("oracle:1", "C1CCCCC1.O", "CCO"), ("oracle:2", "C1CCCCC1.O", "CN")]
     with pytest.raises(ChemtextError, match=r"^oracle:2: .*\(the first at oracle:1\)$"):
         LookupOracle(entries)
-    LookupOracle([entries[0], ("oracle:2", "O.C1CCCCC1", "CN")])  # no lookup reaches either
+    LookupOracle([entries[0], ("oracle:2", "O.C1CCCCC1", "CN")])
 
 
 def test_retro_lookup_invalid_valence_is_an_oracle_failure():
