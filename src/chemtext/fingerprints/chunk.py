@@ -54,11 +54,6 @@ _SLOT_MEMO_CAP = 4096
 # candidate atoms at once (one atom's neighbors are never split).
 _BLOCK_STEPS = 1 << 14
 
-# bytes.translate table taking each UTF-8 byte b to b + 1 (UTF-8 never uses
-# 0xFE or 0xFF): numpy ``S`` arrays drop trailing NULs, and shifted strings
-# hold none and compare in the same order
-_NO_NUL = bytes(range(1, 256)) + b"\xff"
-
 
 class GraphTable:
     """The atoms and bonds of a batch as numpy arrays, from one Python pass.
@@ -192,14 +187,14 @@ def path_bits(table: GraphTable, max_len: int, nbits: int) -> list[frozenset[int
     max_len = min(max_len, max(len(mol.atoms) for mol in table.mols) - 1)
     neighbors, steps, width = table.neighbors, table.entries, table.width
     neighbor, bond = table.entry_neighbor, table.entry_bond
-    # renderings hold UTF-8 shifted off NUL; hashes read the real bytes
+    # atom codes are ASCII letters (the Molecule constructor checks them),
+    # so no rendering holds the NULs that numpy S arrays drop
     codes = [a.symbol.lower() if a.aromatic else a.symbol for a in table.atoms]
-    code_text = np.array([c.encode().translate(_NO_NUL) for c in codes])[table.atom_id]
-    kind_text = np.array([s.encode().translate(_NO_NUL) for s in "-=#:"], dtype="S1")
-    symbol_text = kind_text[table.bond_kind]
+    code_text = np.array([c.encode() for c in codes])[table.atom_id]
+    symbol_text = np.array([b"-", b"=", b"#", b":"])[table.bond_kind]
     forward_steps = np.char.add(symbol_text[bond], code_text[neighbor])
     reverse_steps = np.char.add(code_text[neighbor], symbol_text[bond])
-    step_bytes = forward_steps.view("u1").reshape(len(bond), forward_steps.itemsize) - 1
+    step_bytes = forward_steps.view("u1").reshape(len(bond), forward_steps.itemsize)
     step_lengths = np.char.str_len(forward_steps)
     start_hashes = np.array([fnv1a64(c.encode()) for c in codes], dtype=np.uint64)
     start_hashes = start_hashes[table.atom_id]

@@ -1,8 +1,11 @@
 """Per-task evaluation pipelines.
 
 Each ``eval_*`` function consumes aligned :class:`PredictionPair` lists for a
-single task and produces a :class:`MetricReport`. All aggregations are
-commutative reductions, so shuffling the pairs never changes a value.
+single task and produces a :class:`MetricReport`. Counts do not depend on
+pair order. Tanimoto, ROUGE and METEOR are float sums taken in pair order,
+so shuffling the pairs can move a value in its last bits. The report JSON
+rounds values to six decimals, which hides such a move unless a value lies
+within a few ulps of a rounding boundary, so the JSON is order-independent.
 
 Task conventions:
 

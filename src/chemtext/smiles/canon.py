@@ -24,6 +24,12 @@ tried (McKay & Piperno, "Practical graph isomorphism, II", 2014). Two leaves
 writing one string prove an automorphism; the root adds swaps of degree-one
 atoms written alike on one neighbour, each twin with the one before.
 
+A string is written in two walks of its component: a preorder depth-first
+walk over neighbours in rank order numbers the atoms and records the bond
+each was reached by, and the emission walk reads each atom's bonds in that
+numbering. A bond to an earlier atom closes a ring; one to a later atom is a
+branch or the chain if it reached that atom, and opens a ring otherwise.
+
 Stereo annotations (``@``/``@@`` and ``/``/``\\``) never participate in
 ranking. ``/`` and ``\\`` are written for the direction each bond is
 emitted in, so both writings of a double bond's configuration agree.
@@ -299,77 +305,66 @@ def _write_component(
     def by_rank(entry: tuple[int, int]) -> int:
         return ranks[entry[0]]
 
-    start = min(atoms, key=ranks.__getitem__)
+    def by_disc(entry: tuple[int, int]) -> int:
+        return disc[entry[0]]
 
-    # Pass 1: preorder DFS in rank order; classify tree vs ring bonds. Each
-    # stack entry holds an atom and the iterator over its sorted neighbours.
-    disc: dict[int, int] = {start: 0}
-    tree_children: dict[int, list[tuple[int, int]]] = {start: []}
-    ring_open: dict[int, list[tuple[int, int]]] = {}
-    ring_close: dict[int, list[tuple[int, int]]] = {}
-    used_bonds: set[int] = set()
-    stack = [(start, iter(sorted(adjacency[start], key=by_rank)))]
+    # Walk 1: preorder DFS over neighbours in rank order, recording each
+    # atom's discovery number and the bond it was reached by. Each stack
+    # entry iterates an open atom's (neighbour, bond) pairs.
+    disc: dict[int, int] = {}
+    via: dict[int, int] = {}
+    stack = [iter([(min(atoms, key=ranks.__getitem__), -1)])]
     while stack:
-        u, nbrs = stack[-1]
-        for v, bi in nbrs:
-            if bi in used_bonds:
-                continue
-            used_bonds.add(bi)
-            if v in disc:
-                # ring bond: the earlier-discovered endpoint opens
-                ring_open.setdefault(v, []).append((u, bi))
-                ring_close.setdefault(u, []).append((v, bi))
-            else:
+        for v, bi in stack[-1]:
+            if v not in disc:
                 disc[v] = len(disc)
-                tree_children[u].append((v, bi))
-                tree_children[v] = []
-                stack.append((v, iter(sorted(adjacency[v], key=by_rank))))
+                via[v] = bi
+                stack.append(iter(sorted(adjacency[v], key=by_rank)))
                 break
         else:
             stack.pop()
-    for entries in ring_open.values():
-        entries.sort(key=lambda e: disc[e[0]])
-    for entries in ring_close.values():
-        entries.sort(key=lambda e: disc[e[0]])
 
-    # Pass 2: emit in the same preorder with explicit branch parentheses.
-    # Stack entries are (atom, text written before it); _CLOSE_BRANCH writes
-    # ")" only. Ring digits reuse the smallest free one.
+    # Walk 2: emit in the same preorder, each atom's bonds in discovery
+    # order. Past the bond an atom was reached by, a bond to an earlier atom
+    # closes a ring (so closures come first), and one to a later atom is a
+    # child if it reached that atom, else it opens a ring. Stack entries are
+    # (atom, text written before it); _CLOSE_BRANCH writes ")" only. Ring
+    # digits reuse the smallest free one.
     out: list[str] = []
-    digit_of: dict[int, int] = {}
-    free_digits: list[int] = []
-    next_digit = 1
-    emit_stack = [(start, "")]
+    digit_of: dict[int, int] = {}  # per open ring bond
+    free_digits: list[int] = []  # with digit_of's values, exactly 1..max used
+    emit_stack = [(next(iter(disc)), "")]
     while emit_stack:
         u, prefix = emit_stack.pop()
         out.append(prefix)
         if u < 0:
             continue
         out.append(texts[u])
-        for v, bi in ring_close.get(u, ()):
-            digit = digit_of.pop(bi)
-            heappush(free_digits, digit)
-            out.append(str(digit) if digit < 10 else f"%{digit:02d}")
-        for v, bi in ring_open.get(u, ()):
-            if free_digits:
-                digit = heappop(free_digits)
+        children = []
+        here, reached_by = disc[u], via[u]
+        entries = adjacency[u]  # a leaf's one bond needs no sort
+        for v, bi in sorted(entries, key=by_disc) if len(entries) > 1 else entries:
+            if bi == reached_by:
+                continue
+            if via[v] == bi:
+                children.append((v, bi))
+                continue
+            if disc[v] < here:
+                digit = digit_of.pop(bi)
+                heappush(free_digits, digit)
             else:
-                digit = next_digit
-                next_digit += 1
+                digit = heappop(free_digits) if free_digits else len(digit_of) + 1
                 if digit > 99:
                     raise CanonError("more than 99 simultaneously open ring closures")
-            digit_of[bi] = digit
-            out.append(_bond_text(mol, bi, u, v))
+                digit_of[bi] = digit
+                out.append(_bond_text(mol, bi, u, v))
             out.append(str(digit) if digit < 10 else f"%{digit:02d}")
-        children = tree_children[u]
         if children:
             # the last child continues the chain; earlier ones are branches
-            v, bi = children[-1]
+            v, bi = children.pop()
             emit_stack.append((v, _bond_text(mol, bi, u, v)))
-            for k in range(len(children) - 2, -1, -1):
-                v, bi = children[k]
-                emit_stack.append(_CLOSE_BRANCH)
-                emit_stack.append((v, "(" + _bond_text(mol, bi, u, v)))
+            for v, bi in reversed(children):
+                emit_stack += (_CLOSE_BRANCH, (v, "(" + _bond_text(mol, bi, u, v)))
     return "".join(out), list(disc)
 
 

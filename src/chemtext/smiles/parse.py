@@ -16,11 +16,17 @@ tables and rules), this module, canon.
 
 Bracket atoms support the standard field order
 ``[isotope? symbol chirality? Hcount? charge? :map?]``; atom maps are accepted
-and ignored. Ring-closure labels are reusable once closed, and closures may
-span ``.`` separators (so ``C1.C1`` parses to ethane written as two dot
-fragments). One depth-first walk of the bonds, never the dots, gives each
-molecule's components (so ethane is one component), its ring bonds and each
-atom's ring-bond count, which canonicalization and key fingerprints read.
+and ignored. One compiled ASCII regex reads a bracket's interior, every field
+optional, and a malformed one is reported by the first faulty field in that
+order. The element-symbol shape the regex reads, one upper-case letter and an
+optional lower-case one, is also the one the constructor requires of an
+atom's symbol, so every atom it accepts is written back as the same atom.
+
+Ring-closure labels are reusable once closed, and closures may span ``.``
+separators (so ``C1.C1`` parses to ethane written as two dot fragments). One
+depth-first walk of the bonds, never the dots, gives each molecule's
+components (so ethane is one component), its ring bonds and each atom's
+ring-bond count, which canonicalization and key fingerprints read.
 
 Bond stereo markers ``/`` and ``\\`` and the chirality tags ``@``/``@@`` are
 preserved as annotations. A bond's ``stereo`` field is oriented: ``up`` means
@@ -30,6 +36,7 @@ read in the other direction is ``down``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -50,6 +57,10 @@ AROMATIC_BRACKET = frozenset({"b", "c", "n", "o", "p", "s", "se", "as"})
 # Elements writable without brackets, per aromaticity.
 _BARE_PLAIN = frozenset({"B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I"})
 _BARE_AROMATIC = frozenset({"B", "C", "N", "O", "P", "S"})
+
+# The shape of an element symbol, as the parser reads it and as a
+# Molecule's atoms must spell it; unknown elements are allowed.
+_ELEMENT = re.compile("[A-Z][a-z]?")
 
 
 class ParseError(ChemtextError):
@@ -103,14 +114,16 @@ class Molecule:
     Atoms and bonds may be any iterables and are stored as tuples. A bond
     that breaks a :class:`Bond` rule, joins an atom to itself or to a missing
     atom, repeats a pair, or is aromatic between atoms not both aromatic
-    raises :class:`ParseError`, as does an atom whose charge is not an int
-    or whose isotope or hydrogen count is neither ``None`` nor a
-    non-negative int. An atom with ``hydrogens=None`` gets its
-    valence-table default. Equality, hashing and ``repr`` read only
-    ``atoms`` and ``bonds``; the other fields are facts recorded on the way,
-    from one memo call per atom. Cached properties are worked out on first
-    read; one graph walk gives :attr:`components`, :attr:`ring_bond_indices`
-    and :attr:`ring_bond_counts`.
+    raises :class:`ParseError`, as does an atom whose charge is not an int,
+    whose isotope or hydrogen count is neither ``None`` nor a non-negative
+    int, whose symbol is not ASCII ``[A-Z][a-z]?`` (or, if aromatic, not B,
+    C, N, O, P, S, Se or As), or whose chirality is not ``None``, ``@`` or
+    ``@@``. An atom with ``hydrogens=None`` gets its valence-table default.
+    Equality, hashing and ``repr`` read only ``atoms`` and ``bonds``; the
+    other fields are facts recorded on the way, from one memo call per atom.
+    Cached properties are worked out on first read; one graph walk gives
+    :attr:`components`, :attr:`ring_bond_indices` and
+    :attr:`ring_bond_counts`.
     """
 
     atoms: tuple[Atom, ...]
@@ -169,6 +182,10 @@ class Molecule:
                 raise ParseError(f"atom isotope must be None or a non-negative int: {atom}")
             if hydrogens is not None and (type(hydrogens) is not int or hydrogens < 0):
                 raise ParseError(f"atom hydrogen count must be None or a non-negative int: {atom}")
+            if type(atom.symbol) is not str:
+                raise ParseError(f"atom symbol must be a str: {atom}")
+            if atom.chirality is not None and type(atom.chirality) is not str:
+                raise ParseError(f"atom chirality must be None, '@' or '@@': {atom}")
             atom, text, violation = _analysed_atom(
                 atom.symbol, atom.aromatic, atom.charge, isotope, hydrogens, atom.chirality,
                 total, len(entries),
@@ -266,7 +283,14 @@ def _analysed_atom(
     valence violation after "at atom i", or ``None``. Worked out once per
     distinct arguments; the memo keys on each argument's value and type, so
     an atom keeps the repr it was given: ``aromatic=0`` is not answered with
-    ``False``."""
+    ``False``. A symbol or chirality the writer could not write back
+    raises :class:`ParseError`."""
+    if not _ELEMENT.fullmatch(symbol):
+        raise ParseError(f"atom symbol must be A-Z and an optional a-z: {symbol!r}")
+    if aromatic and symbol.lower() not in AROMATIC_BRACKET:
+        raise ParseError(f"aromatic atom symbol must be B, C, N, O, P, S, Se or As: {symbol!r}")
+    if chirality not in (None, "@", "@@"):
+        raise ParseError(f"atom chirality must be None, '@' or '@@': {chirality!r}")
     default = hydrogens_for_total(symbol, aromatic, total, degree)
     if hydrogens is None:
         hydrogens = default
@@ -301,11 +325,16 @@ _PENDING_BONDS: dict[str, _Pending] = {
     "\\": (1, False, "down"),
 }
 
-# str.isdigit would also accept non-ASCII digits, which int() then reads,
-# and str.isupper and str.islower non-ASCII letters
+# str.isdigit would also accept non-ASCII digits, which int() then reads
 _DIGITS = frozenset("0123456789")
-_UPPER = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
-_LOWER = frozenset("abcdefghijklmnopqrstuvwxyz")
+
+# A bracket atom's interior, every field optional: isotope, symbol (an
+# aromatic one is lower case), chirality, hydrogen count, charge (signs,
+# then digits) and atom map. [0-9] and [A-Za-z] are ASCII only, where
+# str.isdigit, \d and str.isalpha would read other scripts too.
+_BRACKET_INTERIOR = re.compile(
+    rf"([0-9]*)(se|as|[a-z]|{_ELEMENT.pattern})?(@@?)?(H[0-9]*)?(?:(\++|-+)([0-9]*))?(:[0-9]*)?"
+)
 
 
 @lru_cache(maxsize=4096, typed=True)
@@ -429,85 +458,30 @@ def _ring_bond(
 def _bracket_atom(text: str) -> Atom:
     """The atom of a bracket token. A malformed one raises
     :class:`ParseError` with a message the parser completes with the token
-    and its position."""
-    inner = text[1:-1]
-    i = 0
-    n = len(inner)
-
-    isotope: int | None = None
-    start = i
-    while i < n and inner[i] in _DIGITS:
-        i += 1
-    if i > start:
-        isotope = int(inner[start:i])
-
-    aromatic = False
-    if len(inner[i : i + 2]) == 2 and inner[i : i + 2] in ("se", "as"):
-        symbol = inner[i : i + 2].capitalize()
-        aromatic = True
-        i += 2
-    elif i < n and inner[i] in _LOWER:
-        if inner[i] not in AROMATIC_BRACKET:
-            raise ParseError(f"unknown aromatic symbol {inner[i]!r}")
-        symbol = inner[i].upper()
-        aromatic = True
-        i += 1
-    elif i < n and inner[i] in _UPPER:
-        symbol = inner[i]
-        i += 1
-        if i < n and inner[i] in _LOWER:
-            symbol += inner[i]
-            i += 1
-    else:
+    and its position; a field's fault is reported before a later field's."""
+    end = len(text) - 1
+    match = _BRACKET_INTERIOR.match(text, 1, end)
+    isotope, symbol, chirality, h_text, signs, digits, atom_map = match.groups()
+    if symbol is None:
         raise ParseError("expected element symbol")
-
-    chirality: str | None = None
-    if i < n and inner[i] == "@":
-        i += 1
-        if i < n and inner[i] == "@":
-            chirality = "@@"
-            i += 1
-        else:
-            chirality = "@"
-
-    hydrogens = 0
-    if i < n and inner[i] == "H":
-        i += 1
-        start = i
-        while i < n and inner[i] in _DIGITS:
-            i += 1
-        hydrogens = int(inner[start:i]) if i > start else 1
-
+    aromatic = symbol.islower()
+    if aromatic:
+        if symbol not in AROMATIC_BRACKET:
+            raise ParseError(f"unknown aromatic symbol {symbol!r}")
+        symbol = symbol.capitalize()
+    if digits and len(signs) > 1:
+        raise ParseError("charge combines repeated signs with digits")
+    if atom_map == ":":
+        raise ParseError("expected digits after ':'")
+    if match.end() != end:
+        raise ParseError(f"unexpected {text[match.end():end]!r}")
     charge = 0
-    if i < n and inner[i] in "+-":
-        sign = 1 if inner[i] == "+" else -1
-        ch = inner[i]
-        run = 0
-        while i < n and inner[i] == ch:
-            run += 1
-            i += 1
-        start = i
-        while i < n and inner[i] in _DIGITS:
-            i += 1
-        if i > start:
-            if run > 1:
-                raise ParseError("charge combines repeated signs with digits")
-            charge = sign * int(inner[start:i])
-        else:
-            charge = sign * run
-
-    if i < n and inner[i] == ":":
-        # atom map label: accepted and ignored
-        i += 1
-        start = i
-        while i < n and inner[i] in _DIGITS:
-            i += 1
-        if i == start:
-            raise ParseError("expected digits after ':'")
-
-    if i != n:
-        raise ParseError(f"unexpected {inner[i:]!r}")
-    return Atom(symbol, aromatic, charge, isotope, hydrogens, chirality)
+    if signs:
+        charge = (int(digits) if digits else len(signs)) * (-1 if signs[0] == "-" else 1)
+    return Atom(
+        symbol, aromatic, charge, int(isotope) if isotope else None,
+        int(h_text[1:] or 1) if h_text else 0, chirality,
+    )
 
 
 def parse_smiles(smiles: str) -> Molecule:

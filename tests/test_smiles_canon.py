@@ -386,6 +386,14 @@ def test_writer_cases_reach_percent_labels_and_the_ring_limit():
     assert new == old == ("CanonError", "more than 99 simultaneously open ring closures")
 
 
+@pytest.mark.parametrize("smiles, bonds", [("C" * 5000, 4999), ("C1" + "C" * 4999 + "1", 5000)])
+def test_writer_is_iterative_on_long_chains_and_rings(smiles, bonds):
+    # random_smiles runs the writer alone, with no refinement; a recursive
+    # walk would pass the interpreter's recursion limit
+    back = parse_smiles(random_smiles(parse_smiles(smiles), random.Random(5)))
+    assert (len(back.atoms), len(back.bonds)) == (5000, bonds)
+
+
 def _first_atom_end(smiles):
     if smiles.startswith("["):
         return smiles.index("]") + 1

@@ -1,5 +1,7 @@
 import random
 import re
+from collections import Counter
+from dataclasses import replace
 from functools import cached_property
 
 import pytest
@@ -10,6 +12,7 @@ from chemtext.fingerprints import key_fingerprint
 from chemtext.smiles import (
     Atom,
     Bond,
+    CanonError,
     Molecule,
     ParseError,
     canonical_smiles,
@@ -20,10 +23,10 @@ from chemtext.smiles import (
     tokenize,
     validate_smiles,
 )
-from chemtext.smiles.parse import _analysed_atom, _bond
+from chemtext.smiles.parse import AROMATIC_BRACKET, _analysed_atom, _bond
 from chemtext.smiles.tokenize import LexError
 from chemtext.smiles.valence import hydrogens_for_total
-from molgen import random_molecule
+from molgen import isomorphic, random_molecule
 
 
 def test_ethanol_graph():
@@ -158,13 +161,34 @@ def test_constructor_rejects_malformed_bonds(atoms, bonds, message):
         (Atom("C", isotope="13"), "atom isotope must be None or a non-negative int"),
         (Atom("C", charge=2.5), "atom charge must be an int"),
         (Atom("C", charge=None), "atom charge must be an int"),
+        (Atom(6), "atom symbol must be a str"),
+        (Atom(None), "atom symbol must be a str"),
+        (Atom(""), "atom symbol must be A-Z and an optional a-z: ''"),
+        (Atom("c"), "atom symbol must be A-Z and an optional a-z: 'c'"),
+        (Atom("Cx1"), "atom symbol must be A-Z and an optional a-z: 'Cx1'"),
+        (Atom("CL"), "atom symbol must be A-Z and an optional a-z: 'CL'"),
+        (Atom("Ä"), "atom symbol must be A-Z and an optional a-z: 'Ä'"),
+        (Atom("C\n"), "atom symbol must be A-Z and an optional a-z: 'C\\n'"),
+        (Atom("c", aromatic=True), "atom symbol must be A-Z and an optional a-z: 'c'"),
+        (Atom("Cl", aromatic=True), "aromatic atom symbol must be B, C, N, O, P, S, Se or As: 'Cl'"),
+        (Atom("X", aromatic=1), "aromatic atom symbol must be B, C, N, O, P, S, Se or As: 'X'"),
+        (Atom("C", chirality="x"), "atom chirality must be None, '@' or '@@': 'x'"),
+        (Atom("C", chirality=""), "atom chirality must be None, '@' or '@@': ''"),
+        (Atom("C", chirality="@@@"), "atom chirality must be None, '@' or '@@': '@@@'"),
+        (Atom("C", chirality=1), "atom chirality must be None, '@' or '@@'"),
+        (Atom("C", chirality=["@"]), "atom chirality must be None, '@' or '@@'"),
     ],
     ids=["hydrogens_negative", "hydrogens_float", "isotope_negative", "isotope_str",
-         "charge_float", "charge_none"],
+         "charge_float", "charge_none", "symbol_int", "symbol_none", "symbol_empty",
+         "symbol_lower", "symbol_digit", "symbol_upper_upper", "symbol_non_ascii",
+         "symbol_newline", "aromatic_lower", "aromatic_cl", "aromatic_unknown",
+         "chirality_x", "chirality_empty", "chirality_triple", "chirality_int",
+         "chirality_list"],
 )
 def test_constructor_rejects_malformed_atoms(atom, message):
     # each of these once built a molecule whose canonical string named another
-    # molecule, did not parse, or raised ValueError
+    # molecule, did not parse, or raised ValueError; Atom("C", chirality="x")
+    # wrote [CxH4], an element Cx, and Atom("c") an aromatic [c]
     with pytest.raises(ParseError, match=re.escape(message)):
         Molecule([atom], [])
     with pytest.raises(ParseError, match=re.escape(message)):
@@ -174,6 +198,80 @@ def test_constructor_rejects_malformed_atoms(atom, message):
 def test_constructor_accepts_zero_counts():
     mol = Molecule([Atom("C", isotope=0, hydrogens=0)], [])
     assert canonical_smiles(canonicalize(mol)) == canonicalize(mol)
+
+
+def test_constructor_accepts_every_symbol_shape_the_parser_reads():
+    mol = Molecule(
+        [Atom("Xx"), Atom("Q"), Atom("Se", aromatic=True), Atom("As", aromatic=1),
+         Atom("H", chirality="@@"), Atom("C", aromatic=0, chirality="@")],
+        [Bond(2, 3, aromatic=True)],
+    )
+    assert mol.atom_texts == ("[Xx]", "[Q]", "[seH]", "[asH2]", "[H@@H]", "[C@H4]")
+
+
+# one value of each field the constructor rejects, and some it accepts
+_ANY_FIELD = {
+    "symbol": st.one_of(st.text(max_size=3), st.sampled_from([None, 6, b"C", "c", "CL", "Ä"])),
+    "aromatic": st.sampled_from([False, True, 0, 1]),
+    "charge": st.sampled_from([None, 1.0, True]),
+    "isotope": st.sampled_from([-1, 1.0, "13"]),
+    "hydrogens": st.sampled_from([-1, 1.0, "1"]),
+    "chirality": st.one_of(st.text(max_size=3), st.sampled_from([1, b"@", ["@"]])),
+}
+
+
+@st.composite
+def _atoms(draw):
+    symbol = draw(st.sampled_from(["C", "N", "O", "S", "P", "B", "Cl", "Br", "Se", "As", "H",
+                                   "Na", "Xx", "Q"]))
+    return Atom(
+        symbol,
+        symbol.lower() in AROMATIC_BRACKET and draw(st.booleans()),
+        draw(st.integers(-2, 2)),
+        draw(st.one_of(st.none(), st.integers(0, 300))),
+        draw(st.one_of(st.none(), st.integers(0, 4))),
+        draw(st.sampled_from([None, None, "@", "@@"])),
+    )
+
+
+@st.composite
+def _built_molecules(draw):
+    """Atoms with well-formed fields, of which one may take any value, and
+    bonds between some of their pairs."""
+    atoms = draw(st.lists(_atoms(), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(atoms) - 1))
+        name = draw(st.sampled_from(sorted(_ANY_FIELD)))
+        atoms[k] = replace(atoms[k], **{name: draw(_ANY_FIELD[name])})
+    pairs = [(a, b) for a in range(len(atoms)) for b in range(a)]
+    bonds = []
+    for a, b in draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []:
+        order = draw(st.sampled_from([1, 1, 1, 2, 3]))
+        aromatic = order == 1 and atoms[a].aromatic and atoms[b].aromatic and draw(st.booleans())
+        plain = order == 1 and not aromatic
+        stereo = draw(st.sampled_from([None, None, "up", "down"])) if plain else None
+        bonds.append(Bond(a, b, order, bool(aromatic), stereo))
+    return atoms, bonds
+
+
+@given(_built_molecules())
+@settings(max_examples=400, deadline=None)
+def test_built_molecules_are_rejected_or_written_back(built):
+    # ROADMAP item 6: every molecule the constructor accepts is written as a
+    # string naming that molecule
+    try:
+        mol = Molecule(*built)
+    except ParseError:
+        return
+    if not mol.validity.valid:
+        with pytest.raises(CanonError):
+            canonicalize(mol)
+        return
+    text = canonicalize(mol)
+    back = parse_smiles(text)
+    assert isomorphic(back, mol)
+    assert Counter(back.atoms) == Counter(mol.atoms)
+    assert canonicalize(back) == text
 
 
 def _random_bond(rng, n):

@@ -134,3 +134,34 @@ def test_mutated_rewrites_match_the_oracle(smiles):
 def test_arbitrary_text_matches_the_oracle(smiles):
     assume(not _non_ascii_in_bracket(smiles))
     _assert_same_as_oracle(smiles)
+
+
+# bracket pieces: digits, the two-letter aromatic symbols, letters, and
+# the chirality, hydrogen, charge and atom-map characters
+_BRACKET_PIECES = [*"0123456789", "se", "as", *"CNOSHXZclsaehx", "@", "H", "+", "-", ":"]
+# per field in order, values that are well formed or faulty
+_BRACKET_FIELDS = [
+    ["", "", "13", "0", "007"],
+    ["C", "c", "Cl", "se", "as", "x", "Xx", "H", ""],
+    ["", "@", "@@", "@@@"],
+    ["", "H", "H2", "H0", "HH"],
+    ["", "+", "-", "++", "--", "+2", "-3", "++2", "+-"],
+    ["", ":", ":1", ":12", "::"],
+]
+
+
+@st.composite
+def _brackets(draw):
+    if draw(st.booleans()):
+        pieces = draw(st.lists(st.sampled_from(_BRACKET_PIECES), max_size=8))
+    else:
+        pieces = [draw(st.sampled_from(values)) for values in _BRACKET_FIELDS]
+    return draw(st.sampled_from(["", "C"])) + "[" + "".join(pieces) + "]"
+
+
+@given(_brackets())
+@settings(max_examples=600, deadline=None)
+def test_bracket_interiors_match_the_oracle(smiles):
+    # several fields, and several faults, in one bracket: the first fault
+    # in field order is the one reported
+    _assert_same_as_oracle(smiles)
