@@ -183,7 +183,7 @@ def cmd_build_dataset(args) -> int:
     streams = {}
     for kind, path in paths.items():
         with open(path, "r", encoding="utf-8") as fp:
-            records = read_records(fp)
+            records = read_records(fp, path)
         for record in records:
             if record.task is not kind:
                 raise RecordError(
@@ -221,7 +221,7 @@ def _prediction_pair(where: str, obj: dict) -> PredictionPair:
 def _load_oracle(spec: str) -> LookupOracle:
     scheme, sep, path = spec.partition(":")
     if not sep or scheme != "lookup":
-        raise _UsageError(f"unsupported oracle spec {spec!r}; expected lookup:PATH")
+        raise _UsageError(f"argument --oracle: unsupported spec {spec!r}; expected lookup:PATH")
     entries = []
     with open(path, "r", encoding="utf-8") as fp:
         for where, obj in read_jsonl(fp, path):

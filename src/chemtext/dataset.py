@@ -186,25 +186,25 @@ def record_to_json(record: TaskRecord) -> str:
 
 def record_from_obj(obj: dict, where: str | None = None) -> TaskRecord:
     """Validate one decoded record; ``where`` (as :func:`read_jsonl` yields
-    it) is appended to error messages."""
-    where = "" if where is None else f" ({where})"
+    it) starts error messages."""
+    where = "" if where is None else f"{where}: "
     if not isinstance(obj, dict):
-        raise RecordError(f"record is not an object{where}")
+        raise RecordError(f"{where}record is not an object")
     try:
         task = TaskKind(obj["task"])
     except KeyError:
-        raise RecordError(f"missing field 'task'{where}") from None
+        raise RecordError(f"{where}missing field 'task'") from None
     except ValueError:
-        raise RecordError(f"unknown task {obj['task']!r}{where}") from None
+        raise RecordError(f"{where}unknown task {obj['task']!r}") from None
     for key in ("source", "target"):
         if key not in obj or not isinstance(obj[key], str):
-            raise RecordError(f"missing or non-string field {key!r}{where}")
+            raise RecordError(f"{where}missing or non-string field {key!r}")
     extra = {
         k: v for k, v in obj.items() if k not in ("task", "source", "target", "prompt")
     }
     prompt = obj.get("prompt")
     if prompt is not None and not isinstance(prompt, str):
-        raise RecordError(f"non-string field 'prompt'{where}")
+        raise RecordError(f"{where}non-string field 'prompt'")
     try:
         if prompt is None:
             return make_record(task, obj["source"], obj["target"], extra)
@@ -213,7 +213,7 @@ def record_from_obj(obj: dict, where: str | None = None) -> TaskRecord:
             prompt=prompt, extra=extra,
         )
     except (RecordError, EmptyInputError) as exc:
-        raise RecordError(f"{exc}{where}") from None
+        raise RecordError(f"{where}{exc}") from None
 
 
 def read_jsonl(fp: IO[str], path: str | None = None) -> Iterator[tuple[str, dict]]:
@@ -236,10 +236,10 @@ def read_jsonl(fp: IO[str], path: str | None = None) -> Iterator[tuple[str, dict
         yield where, obj
 
 
-def read_records(fp: IO[str]) -> list[TaskRecord]:
-    """Read JSONL task records; raises RecordError with the line number on
-    malformed lines. A missing prompt field is rendered from the template."""
-    return [record_from_obj(obj, where) for where, obj in read_jsonl(fp)]
+def read_records(fp: IO[str], path: str | None = None) -> list[TaskRecord]:
+    """Read JSONL task records; a malformed line raises RecordError led by its
+    ``where`` (see :func:`read_jsonl`), and a missing prompt is rendered."""
+    return [record_from_obj(obj, where) for where, obj in read_jsonl(fp, path)]
 
 
 def write_records(fp: IO[str], records: Iterable[TaskRecord]) -> int:

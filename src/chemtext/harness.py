@@ -10,42 +10,39 @@ within a few ulps of a rounding boundary, so the JSON is order-independent.
 Task conventions:
 
 - mol2text: BLEU-2/4, ROUGE-1/2/L and METEOR-lite over word tokens.
-- text2mol: character-level BLEU over the raw SMILES strings, exact-match
-  accuracy under canonical-SMILES equality (an invalid prediction counts as
-  incorrect), mean Levenshtein over raw strings, mean Tanimoto over the
-  keys/path/morgan fingerprints restricted to pairs where BOTH sides are
-  valid and within the path-enumeration budget (skipped pairs are counted
-  per reason and reported; with no pair left, the omitted fingerprint
-  metrics' reason names each budget that skipped one), and validity (valid
-  predictions / total).
-  An exact-match pair is scored from the reference's fingerprints alone,
-  as ``tanimoto(ref_fp, ref_fp)``: equal canonical SMILES give equal
-  fingerprints (see :mod:`chemtext.fingerprints`), and the pinned 0/0 rule
-  still scores an empty fingerprint 0.0. Pairs are scored in chunks of 16:
-  the molecules of a chunk become one :class:`MoleculeBatch`, whose graph
-  table the three schemes' batch kernels share, and the Tanimoto values are
-  summed in pair order, so the report is the one pair-by-pair scoring
-  gives, to the bit.
-- forward: top-1 accuracy under canonical-SMILES equality.
-- retro: roundtrip accuracy through a ForwardOracle: the predicted
-  precursors are fed to the oracle and the regenerated product must match
-  the reference product canonically; oracle failures count as incorrect.
 - text2mol, forward and retro: each SMILES field is parsed once into one
   record holding the string and the molecule (``None`` unless it is valid).
   Two sides are canonically equal when both are valid and their canonical
   strings are equal; the strings are written only for sides whose formulas
   (bond count and sorted atom texts, which the canonical string determines)
-  are equal, so a pair of differing formulas is never canonicalized. A
-  :class:`LookupOracle` is handed the prediction's record, any other
-  ForwardOracle the string. A pair with two valid sides of equal formula
-  whose canonical string the writer gives up on (``CanonError``: the
-  symmetry-search budget, or more than 99 ring closures open at once, as a
-  clique of 21 or more atoms needs) scores as incorrect and is counted
-  under the skip reason ``canon_budget``; validity counts are unaffected,
-  and text2mol also leaves the pair out of Tanimoto. A pair whose formulas
-  differ is plainly incorrect whatever the budget, and text2mol fingerprints
-  it. For retro an oracle lookup that raises ``CanonError`` on the predicted
-  precursors is also a ``canon_budget`` skip.
+  are equal, so a pair of differing formulas is plainly incorrect and never
+  canonicalized. Each pair is scored once into a row (prediction valid,
+  pair equal, skip reason, and for text2mol three Tanimoto values), and one
+  fold of the rows, in pair order, gives accuracy, ``n_valid_pred`` and the
+  skip reasons. A pair of equal formulas whose canonical string the writer
+  gives up on (``CanonError``: the symmetry-search budget, or more than 99
+  ring closures open at once, as a clique of 21 or more atoms needs) is
+  incorrect under the skip reason ``canon_budget``. Only text2mol counts
+  skipped pairs in ``n_skipped``.
+- text2mol: character-level BLEU and mean Levenshtein over the raw strings,
+  kept outside the rows; exact-match accuracy; validity (valid predictions
+  / total); mean Tanimoto over the keys/path/morgan fingerprints of pairs
+  with both sides valid and within the canonicalization and path budgets
+  (an exact pair over the path budget still counts as exact; with no pair
+  left, the omitted metrics' reason names each budget that skipped one).
+  An exact pair is fingerprinted from the reference alone, as
+  ``tanimoto(ref_fp, ref_fp)`` (0.0 for an empty one, by the pinned 0/0
+  rule): equal canonical SMILES give equal fingerprints (see
+  :mod:`chemtext.fingerprints`). Pairs are fingerprinted in chunks of 16,
+  one :class:`MoleculeBatch` each, whose graph table the three schemes'
+  batch kernels share; the fold adds the Tanimoto values in pair order, so
+  the report is the one pair-by-pair scoring gives, to the bit.
+- forward: top-1 accuracy; an invalid prediction's reference is not parsed.
+- retro: roundtrip accuracy through a ForwardOracle (a :class:`LookupOracle`
+  is handed the prediction's record, any other the string): the regenerated
+  product must equal the reference product canonically. A failed lookup is
+  incorrect under ``oracle_failure``, or ``canon_budget`` if it raised
+  ``CanonError``; validity is the prediction's.
 - para2actions: BLEU-4 over word tokens plus exact-string accuracy after
   whitespace normalization.
 
@@ -61,10 +58,9 @@ their feature source.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Protocol, Sequence
 
 from chemtext.dataset import TaskKind
 from chemtext.errors import ChemtextError
@@ -319,6 +315,58 @@ _BUDGET_NAMES = {"canon_budget": "canonicalization", "fingerprint_budget": "path
 _CHUNK_PAIRS = 16
 
 
+class _PairRow(NamedTuple):
+    """One SMILES pair scored: prediction valid, pair canonically equal, skip
+    reason, and (text2mol) its Tanimoto values in ``_FTS_SCHEMES`` order."""
+
+    valid: bool
+    exact: bool
+    skip: str | None = None
+    fts: tuple[float, ...] | None = None
+
+
+def _compare(pred: _Side, ref: _Side) -> _PairRow:
+    """The one place a pair's ``CanonError`` becomes ``canon_budget``."""
+    try:
+        return _PairRow(pred.mol is not None, pred.same_molecule(ref))
+    except CanonError:
+        return _PairRow(pred.mol is not None, False, "canon_budget")
+
+
+def _report(task: TaskKind, accuracy_name: str, rows: list[_PairRow], **fields) -> MetricReport:
+    """The one fold of a SMILES task's rows, in pair order: accuracy (beside
+    ``fields``, the metrics computed outside the rows), valid predictions and
+    skip reasons, and for text2mol validity and the Tanimoto means over the
+    rows with ``fts``; only text2mol counts the other rows as ``n_skipped``."""
+    n = len(rows)
+    exact = n_valid = support = 0
+    sums = [0.0] * len(_FTS_SCHEMES)  # +=, as sum() compensates floats from Python 3.12
+    skips: dict[str, int] = {}
+    for row in rows:
+        exact += row.exact
+        n_valid += row.valid
+        if row.skip is not None:
+            skips[row.skip] = skips.get(row.skip, 0) + 1
+        if row.fts is not None:
+            support += 1
+            for k, value in enumerate(row.fts):
+                sums[k] += value
+    metrics = {accuracy_name: MetricValue(accuracy_name, exact / n, n), **fields}
+    if task is not TaskKind.TEXT2MOL:
+        return MetricReport(task, metrics, n, n_valid, skip_reasons=skips)
+    metrics["validity"] = MetricValue("validity", n_valid / n, n)
+    if not support:
+        budgets = [name for skip, name in _BUDGET_NAMES.items() if skip in skips]
+        reason = "no pair with both sides valid"
+        if budgets:
+            reason += f" within the {' and '.join(budgets)} budget{'s' * (len(budgets) > 1)}"
+        return MetricReport(task, metrics, n, n_valid, n_skipped=n, skip_reasons=skips,
+                            omitted_metrics=dict.fromkeys(_FTS_SCHEMES, reason))
+    for name, total in zip(_FTS_SCHEMES, sums):
+        metrics[name] = MetricValue(name, total / support, support)
+    return MetricReport(task, metrics, n, n_valid, n_skipped=n - support, skip_reasons=skips)
+
+
 def eval_text2mol(
     pairs: Sequence[PredictionPair],
     fp_config: FingerprintConfig | None = None,
@@ -335,39 +383,27 @@ def eval_text2mol(
     cands = [bleu_tokenizer(p.prediction) for p in pairs]
     refs = [bleu_tokenizer(p.reference) for p in pairs]
     char_bleu = bleu(cands, refs, 4)
-    metrics: dict[str, MetricValue] = {
-        "bleu": MetricValue("bleu", char_bleu.value, char_bleu.support)
-    }
-
-    exact = 0
-    n_valid = 0
-    lev_total = 0
-    fts_sums = dict.fromkeys(_FTS_SCHEMES, 0.0)
-    fts_support = 0
-    reasons: Counter[str] = Counter()
-    for start in range(0, len(pairs), _CHUNK_PAIRS):
+    n = len(pairs)
+    lev_total = sum(levenshtein(p.prediction, p.reference) for p in pairs)
+    rows: list[_PairRow] = []
+    for start in range(0, n, _CHUNK_PAIRS):
         mols: list[Molecule] = []
-        # per scored pair of the chunk: (reference, prediction) indices in mols
-        sides: list[tuple[int, int]] = []
+        # per fingerprinted pair of the chunk: (row, reference, prediction) indices
+        scored: list[tuple[int, int, int]] = []
         for pair in pairs[start:start + _CHUNK_PAIRS]:
-            lev_total += levenshtein(pair.prediction, pair.reference)
             pred, ref = _Side.of(pair.prediction), _Side.of(pair.reference)
-            n_valid += pred.mol is not None
             if pred.mol is None or ref.mol is None:
-                reasons["invalid_smiles_side"] += 1
+                rows.append(_PairRow(pred.mol is not None, False, "invalid_smiles_side"))
                 continue
-            try:
-                same = pred.same_molecule(ref)
-            except CanonError:
-                reasons["canon_budget"] += 1
-                continue
-            exact += same
-            ref_index = len(mols)
-            mols.append(ref.mol)
-            if not same:
-                # equal canonical SMILES give equal fingerprints
-                mols.append(pred.mol)
-            sides.append((ref_index, len(mols) - 1))
+            row = _compare(pred, ref)
+            if row.skip is None:
+                ref_at = len(mols)
+                mols.append(ref.mol)
+                if not row.exact:
+                    # equal canonical SMILES give equal fingerprints
+                    mols.append(pred.mol)
+                scored.append((len(rows), ref_at, len(mols) - 1))
+            rows.append(row)
         if not mols:
             continue
         batch = MoleculeBatch(mols)
@@ -376,63 +412,30 @@ def eval_text2mol(
             "path": path_fingerprints(batch, config.path_max_len, config.nbits),
             "morgan": morgan_fingerprints(batch, config.radius, config.nbits),
         }
-        for ref_at, pred_at in sides:
+        for at, ref_at, pred_at in scored:
             if fps["path"][ref_at] is None or fps["path"][pred_at] is None:
-                reasons["fingerprint_budget"] += 1
-                continue
-            for name, scheme in _FTS_SCHEMES.items():
-                fts_sums[name] += tanimoto(fps[scheme][pred_at], fps[scheme][ref_at])
-            fts_support += 1
-
-    n = len(pairs)
-    metrics["accuracy"] = MetricValue("accuracy", exact / n, n)
-    metrics["levenshtein"] = MetricValue("levenshtein", lev_total / n, n)
-    metrics["validity"] = MetricValue("validity", n_valid / n, n)
-    omitted: dict[str, str] = {}
-    if fts_support:
-        for name, total in fts_sums.items():
-            metrics[name] = MetricValue(name, total / fts_support, fts_support)
-    else:
-        budgets = [name for skip, name in _BUDGET_NAMES.items() if reasons[skip]]
-        reason = "no pair with both sides valid"
-        if budgets:
-            reason += f" within the {' and '.join(budgets)} budget{'s' * (len(budgets) > 1)}"
-        omitted = dict.fromkeys(fts_sums, reason)
-    return MetricReport(
-        task=TaskKind.TEXT2MOL,
-        metrics=metrics,
-        n_total=n,
-        n_valid_pred=n_valid,
-        n_skipped=n - fts_support,
-        skip_reasons=dict(reasons),
-        omitted_metrics=omitted,
+                rows[at] = rows[at]._replace(skip="fingerprint_budget")
+            else:
+                fts = (tanimoto(fps[s][pred_at], fps[s][ref_at]) for s in _FTS_SCHEMES.values())
+                rows[at] = rows[at]._replace(fts=tuple(fts))
+    return _report(
+        TaskKind.TEXT2MOL, "accuracy", rows,
+        bleu=MetricValue("bleu", char_bleu.value, char_bleu.support),
+        levenshtein=MetricValue("levenshtein", lev_total / n, n),
     )
 
 
 def eval_forward(pairs: Sequence[PredictionPair]) -> MetricReport:
     """Forward reaction prediction: top-1 canonical-equality accuracy."""
     _check_task(pairs, TaskKind.FORWARD)
-    exact = 0
-    n_valid = 0
-    reasons: Counter[str] = Counter()
+    rows = []
     for pair in pairs:
         pred = _Side.of(pair.prediction)
-        if pred.mol is None:
-            continue
-        n_valid += 1
-        try:
-            exact += pred.same_molecule(_Side.of(pair.reference))
-        except CanonError:
-            reasons["canon_budget"] += 1
-    n = len(pairs)
-    metrics = {"accuracy": MetricValue("accuracy", exact / n, n)}
-    return MetricReport(
-        task=TaskKind.FORWARD,
-        metrics=metrics,
-        n_total=n,
-        n_valid_pred=n_valid,
-        skip_reasons=dict(reasons),
-    )
+        if pred.mol is None:  # incorrect whatever the reference, so that is not parsed
+            rows.append(_PairRow(False, False))
+        else:
+            rows.append(_compare(pred, _Side.of(pair.reference)))
+    return _report(TaskKind.FORWARD, "accuracy", rows)
 
 
 def eval_retro(pairs: Sequence[PredictionPair], oracle: ForwardOracle) -> MetricReport:
@@ -443,29 +446,18 @@ def eval_retro(pairs: Sequence[PredictionPair], oracle: ForwardOracle) -> Metric
     reference product under canonical equality.
     """
     _check_task(pairs, TaskKind.RETRO)
-    hits = 0
-    n_valid = 0
-    reasons: Counter[str] = Counter()
+    rows = []
     for pair in pairs:
         pred = _Side.of(pair.prediction)
-        n_valid += pred.mol is not None
         lookup = pred if isinstance(oracle, LookupOracle) else pair.prediction
         try:
-            product = _Side.of(oracle.predict_product(lookup))
-            hits += product.same_molecule(_Side.of(pair.reference))
+            row = _compare(_Side.of(oracle.predict_product(lookup)), _Side.of(pair.reference))
         except OracleError:
-            reasons["oracle_failure"] += 1
-        except CanonError:
-            reasons["canon_budget"] += 1
-    n = len(pairs)
-    metrics = {"roundtrip_accuracy": MetricValue("roundtrip_accuracy", hits / n, n)}
-    return MetricReport(
-        task=TaskKind.RETRO,
-        metrics=metrics,
-        n_total=n,
-        n_valid_pred=n_valid,
-        skip_reasons=dict(reasons),
-    )
+            row = _PairRow(False, False, "oracle_failure")
+        except CanonError:  # on lookup: _compare maps its own
+            row = _PairRow(False, False, "canon_budget")
+        rows.append(_PairRow(pred.mol is not None, row.exact, row.skip))
+    return _report(TaskKind.RETRO, "roundtrip_accuracy", rows)
 
 
 def _normalize_ws(text: str) -> str:

@@ -118,7 +118,8 @@ class Molecule:
     whose isotope or hydrogen count is neither ``None`` nor a non-negative
     int, whose symbol is not ASCII ``[A-Z][a-z]?`` (or, if aromatic, not B,
     C, N, O, P, S, Se or As), or whose chirality is not ``None``, ``@`` or
-    ``@@``. An atom with ``hydrogens=None`` gets its valence-table default.
+    ``@@``; bond endpoints and orders must be ints, and ``aromatic`` flags
+    bools or the ints 0 and 1. ``hydrogens=None`` gets the valence-table default.
     Equality, hashing and ``repr`` read only ``atoms`` and ``bonds``; the
     other fields are facts recorded on the way, from one memo call per atom.
     Cached properties are worked out on first read; one graph walk gives
@@ -145,18 +146,20 @@ class Molecule:
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         totals = [0] * n
         for bi, bond in enumerate(bonds):
-            a, b, order = bond.a, bond.b, bond.order
-            if not (0 <= a < n and 0 <= b < n):
-                raise ParseError(f"bond endpoint out of range: {bond}")
+            a, b, order, aromatic = bond.a, bond.b, bond.order, bond.aromatic
+            if type(a) is not int or type(b) is not int or not (0 <= a < n and 0 <= b < n):
+                raise ParseError(f"bond endpoint out of range or not an int: {bond}")
             if a == b:
                 raise ParseError(f"bond endpoints must be distinct: {bond}")
             pair = (a, b) if a < b else (b, a)
             if pair in seen_pairs:
                 raise ParseError(f"duplicate bond between atoms {pair}")
             seen_pairs.add(pair)
-            if order not in (1, 2, 3):
+            if type(order) is not int or order not in (1, 2, 3):
                 raise ParseError(f"bond order must be 1, 2 or 3: {bond}")
-            if bond.aromatic:
+            if type(aromatic) is not bool and (type(aromatic) is not int or aromatic not in (0, 1)):
+                raise ParseError(f"bond aromatic flag must be a bool, 0 or 1: {bond}")
+            if aromatic:
                 if order != 1:
                     raise ParseError(f"aromatic bond must have order 1: {bond}")
                 if not (atoms[a].aromatic and atoms[b].aromatic):
@@ -164,7 +167,7 @@ class Molecule:
             if bond.stereo is not None:
                 if bond.stereo not in ("up", "down"):
                     raise ParseError(f"bond stereo must be None, 'up' or 'down': {bond}")
-                if order != 1 or bond.aromatic:
+                if order != 1 or aromatic:
                     raise ParseError("stereo marker on a non-single bond")
             adj[a].append((b, bi))
             adj[b].append((a, bi))
@@ -175,19 +178,21 @@ class Molecule:
         texts: list[str] = []
         reasons: list[str] = []
         for i, (atom, total, entries) in enumerate(zip(atoms, totals, adjacency)):
-            isotope, hydrogens = atom.isotope, atom.hydrogens
+            aromatic, isotope, hydrogens = atom.aromatic, atom.isotope, atom.hydrogens
             if type(atom.charge) is not int:
                 raise ParseError(f"atom charge must be an int: {atom}")
             if isotope is not None and (type(isotope) is not int or isotope < 0):
                 raise ParseError(f"atom isotope must be None or a non-negative int: {atom}")
             if hydrogens is not None and (type(hydrogens) is not int or hydrogens < 0):
                 raise ParseError(f"atom hydrogen count must be None or a non-negative int: {atom}")
+            if type(aromatic) is not bool and (type(aromatic) is not int or aromatic not in (0, 1)):
+                raise ParseError(f"atom aromatic flag must be a bool, 0 or 1: {atom}")
             if type(atom.symbol) is not str:
                 raise ParseError(f"atom symbol must be a str: {atom}")
             if atom.chirality is not None and type(atom.chirality) is not str:
                 raise ParseError(f"atom chirality must be None, '@' or '@@': {atom}")
             atom, text, violation = _analysed_atom(
-                atom.symbol, atom.aromatic, atom.charge, isotope, hydrogens, atom.chirality,
+                atom.symbol, aromatic, atom.charge, isotope, hydrogens, atom.chirality,
                 total, len(entries),
             )
             resolved.append(atom)

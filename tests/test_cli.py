@@ -105,16 +105,27 @@ def test_build_dataset_empty_stream_is_data_error(tmp_path, capsys):
     assert code == 2
 
 
-def test_build_dataset_malformed_jsonl_is_data_error(tmp_path, capsys):
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text('{"task":"forward","source":"a"}\n')
-    code, _, err = run_cli(
-        ["build-dataset", "--task-file", f"forward={bad}", "--per-task", "2",
-         "--seed", "1", "--out", str(tmp_path / "o.jsonl")],
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"task":"forward","source":"a"}\n', ":1: missing or non-string field 'target'"),
+        ('\n{"task":"forward","source":"a","target":"b"}\nnot json\n', ":3: bad JSON: "),
+        ('{"task":"retro","source":"a","target":"b"}\n', ": stream declared forward but holds retro"),
+    ],
+    ids=["missing_field", "bad_json", "wrong_task"],
+)
+def test_build_dataset_malformed_jsonl_is_data_error(tmp_path, capsys, text, message):
+    # the bad file is the second one read, and every error names it
+    good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+    write_task_file(good, TaskKind.RETRO, 2)
+    bad.write_text(text)
+    code, out, err = run_cli(
+        ["build-dataset", "--task-file", f"retro={good}", "--task-file", f"forward={bad}",
+         "--per-task", "2", "--seed", "1", "--out", str(tmp_path / "o.jsonl")],
         capsys=capsys,
     )
-    assert code == 2
-    assert "line 1" in err
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bad}{message}")
 
 
 # -- evaluate -------------------------------------------------------------------
@@ -563,6 +574,10 @@ def test_out_of_range_width_or_radius_is_usage_error(tmp_path, capsys, monkeypat
          "--oracle"),
         (["evaluate", "--task", "mol2text", "--predictions", "PREDS", "--oracle", "MISSING"],
          "--oracle"),
+        (["evaluate", "--task", "retro", "--predictions", "MISSING", "--oracle", "file:MISSING"],
+         "--oracle"),
+        (["evaluate", "--task", "retro", "--predictions", "MISSING", "--oracle", "MISSING"],
+         "--oracle"),
         (["fingerprint", "--scheme", "morgan", "--key-table", "MISSING"], "--key-table"),
         (["fingerprint", "--scheme", "path", "--key-table", "MISSING"], "--key-table"),
         (["merge-demo", "--base", "MISSING", "--adapt", "MISSING", "--params", "MISSING",
@@ -578,6 +593,10 @@ def test_out_of_range_width_or_radius_is_usage_error(tmp_path, capsys, monkeypat
         (["build-dataset", "--task-file", "retro=MISSING", "--task-file", "forward=MISSING",
           "--task-file", "retro=MISSING", "--per-task", "1", "--seed", "1", "--out", "MISSING"],
          "--task-file"),
+        (["build-dataset", "--task-file", "forward", "--per-task", "1", "--seed", "1",
+          "--out", "MISSING"], "--task-file"),
+        (["build-dataset", "--task-file", "retro=MISSING", "--task-file", "nope=MISSING",
+          "--per-task", "1", "--seed", "1", "--out", "MISSING"], "--task-file"),
         (["evaluate", "--task", "forward", "--predictions", "MISSING", "--fp-bits", "7"],
          "--fp-bits"),
         (["evaluate", "--task", "mol2text", "--predictions", "MISSING", "--fp-radius", "9"],

@@ -180,9 +180,9 @@ def test_non_finite_fractions_are_rejected(fractions):
 @pytest.mark.parametrize(
     "obj, message",
     [
-        ([1], "record is not an object (in.jsonl:3)"),
+        ([1], "in.jsonl:3: record is not an object"),
         ({"task": "forward", "source": "CC", "target": "C", "prompt": 3},
-         "non-string field 'prompt' (in.jsonl:3)"),
+         "in.jsonl:3: non-string field 'prompt'"),
     ],
 )
 def test_record_from_obj_names_a_non_object_and_a_non_string_prompt(obj, message):
@@ -237,4 +237,4 @@ def test_jsonl_renders_missing_prompt():
 def test_jsonl_errors_carry_line_numbers(line):
     with pytest.raises(RecordError) as err:
         read_records(io.StringIO(line + "\n"))
-    assert "line 1" in str(err.value)
+    assert str(err.value).startswith("line 1: ")

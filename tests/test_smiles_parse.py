@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chemtext.fingerprints import key_fingerprint
+from chemtext.fingerprints import SCHEMES, fingerprint, key_fingerprint
 from chemtext.smiles import (
     Atom,
     Bond,
@@ -143,9 +143,19 @@ _C, _c = Atom("C"), Atom("C", aromatic=True)
         ([_C, _C], [Bond(0, 1, stereo="x")], "bond stereo must be None, 'up' or 'down'"),
         ([_C, _C], [Bond(0, 1, 2, stereo="up")], "stereo marker on a non-single bond"),
         ([_c, _c], [Bond(0, 1, 1, True, "down")], "stereo marker on a non-single bond"),
+        ([_C, _C], [Bond(0.0, 1)], "bond endpoint out of range or not an int"),
+        ([_C, _C], [Bond(0, True)], "bond endpoint out of range or not an int"),
+        ([_C, _C], [Bond(0, 1, order=2.0)], "bond order must be 1, 2 or 3"),
+        ([_C, _C], [Bond(0, 1, order=True)], "bond order must be 1, 2 or 3"),
+        ([_c, _c], [Bond(0, 1, aromatic="yes")], "bond aromatic flag must be a bool, 0 or 1"),
+        ([_c, _c], [Bond(0, 1, aromatic=2)], "bond aromatic flag must be a bool, 0 or 1"),
+        ([_c, _c], [Bond(0, 1, aromatic=1.0)], "bond aromatic flag must be a bool, 0 or 1"),
+        ([_c, _c], [Bond(0, 1, aromatic=[])], "bond aromatic flag must be a bool, 0 or 1"),
     ],
     ids=["self", "out_of_range", "negative", "duplicate", "aromatic_plain_ends", "order_0",
-         "order_4", "aromatic_order_2", "stereo_x", "stereo_double", "stereo_aromatic"],
+         "order_4", "aromatic_order_2", "stereo_x", "stereo_double", "stereo_aromatic",
+         "endpoint_float", "endpoint_bool", "order_float", "order_bool", "aromatic_str",
+         "aromatic_2", "aromatic_float", "aromatic_list"],
 )
 def test_constructor_rejects_malformed_bonds(atoms, bonds, message):
     with pytest.raises(ParseError, match=re.escape(message)):
@@ -177,13 +187,19 @@ def test_constructor_rejects_malformed_bonds(atoms, bonds, message):
         (Atom("C", chirality="@@@"), "atom chirality must be None, '@' or '@@': '@@@'"),
         (Atom("C", chirality=1), "atom chirality must be None, '@' or '@@'"),
         (Atom("C", chirality=["@"]), "atom chirality must be None, '@' or '@@'"),
+        (Atom("C", aromatic=[]), "atom aromatic flag must be a bool, 0 or 1"),
+        (Atom("C", aromatic="yes"), "atom aromatic flag must be a bool, 0 or 1"),
+        (Atom("C", aromatic=2), "atom aromatic flag must be a bool, 0 or 1"),
+        (Atom("C", aromatic=1.0), "atom aromatic flag must be a bool, 0 or 1"),
+        (Atom("C", aromatic=None), "atom aromatic flag must be a bool, 0 or 1"),
     ],
     ids=["hydrogens_negative", "hydrogens_float", "isotope_negative", "isotope_str",
          "charge_float", "charge_none", "symbol_int", "symbol_none", "symbol_empty",
          "symbol_lower", "symbol_digit", "symbol_upper_upper", "symbol_non_ascii",
          "symbol_newline", "aromatic_lower", "aromatic_cl", "aromatic_unknown",
          "chirality_x", "chirality_empty", "chirality_triple", "chirality_int",
-         "chirality_list"],
+         "chirality_list", "aromatic_list", "aromatic_str", "aromatic_2", "aromatic_float",
+         "aromatic_none"],
 )
 def test_constructor_rejects_malformed_atoms(atom, message):
     # each of these once built a molecule whose canonical string named another
@@ -212,7 +228,7 @@ def test_constructor_accepts_every_symbol_shape_the_parser_reads():
 # one value of each field the constructor rejects, and some it accepts
 _ANY_FIELD = {
     "symbol": st.one_of(st.text(max_size=3), st.sampled_from([None, 6, b"C", "c", "CL", "Ä"])),
-    "aromatic": st.sampled_from([False, True, 0, 1]),
+    "aromatic": st.sampled_from([False, True, 0, 1, 2, 1.0, None, "yes", []]),
     "charge": st.sampled_from([None, 1.0, True]),
     "isotope": st.sampled_from([-1, 1.0, "13"]),
     "hydrogens": st.sampled_from([-1, 1.0, "1"]),
@@ -224,9 +240,10 @@ _ANY_FIELD = {
 def _atoms(draw):
     symbol = draw(st.sampled_from(["C", "N", "O", "S", "P", "B", "Cl", "Br", "Se", "As", "H",
                                    "Na", "Xx", "Q"]))
+    aromatic = symbol.lower() in AROMATIC_BRACKET and draw(st.booleans())
     return Atom(
         symbol,
-        symbol.lower() in AROMATIC_BRACKET and draw(st.booleans()),
+        draw(st.sampled_from([bool, int]))(aromatic),  # aromatic=0 and 1 are accepted
         draw(st.integers(-2, 2)),
         draw(st.one_of(st.none(), st.integers(0, 300))),
         draw(st.one_of(st.none(), st.integers(0, 4))),
@@ -234,10 +251,19 @@ def _atoms(draw):
     )
 
 
+# the same for a bond
+_ANY_BOND_FIELD = {
+    "a": st.sampled_from([0.0, True, False, -1]),
+    "b": st.sampled_from([1.0, True, 6]),
+    "order": st.sampled_from([2.0, 1.0, True, 0, "1"]),
+    "aromatic": st.sampled_from([0, 1, 2, 1.0, None, "yes", []]),
+}
+
+
 @st.composite
 def _built_molecules(draw):
     """Atoms with well-formed fields, of which one may take any value, and
-    bonds between some of their pairs."""
+    bonds between some of their pairs, of which one may take any value."""
     atoms = draw(st.lists(_atoms(), min_size=1, max_size=6))
     if draw(st.booleans()):
         k = draw(st.integers(0, len(atoms) - 1))
@@ -250,7 +276,12 @@ def _built_molecules(draw):
         aromatic = order == 1 and atoms[a].aromatic and atoms[b].aromatic and draw(st.booleans())
         plain = order == 1 and not aromatic
         stereo = draw(st.sampled_from([None, None, "up", "down"])) if plain else None
-        bonds.append(Bond(a, b, order, bool(aromatic), stereo))
+        flag = draw(st.sampled_from([bool, int]))(bool(aromatic))  # 0 and 1 are accepted
+        bonds.append(Bond(a, b, order, flag, stereo))
+    if bonds and draw(st.booleans()):
+        k = draw(st.integers(0, len(bonds) - 1))
+        name = draw(st.sampled_from(sorted(_ANY_BOND_FIELD)))
+        bonds[k] = replace(bonds[k], **{name: draw(_ANY_BOND_FIELD[name])})
     return atoms, bonds
 
 
@@ -272,14 +303,20 @@ def test_built_molecules_are_rejected_or_written_back(built):
     assert isomorphic(back, mol)
     assert Counter(back.atoms) == Counter(mol.atoms)
     assert canonicalize(back) == text
+    for scheme in SCHEMES:
+        assert fingerprint(mol, scheme).bits == fingerprint(back, scheme).bits, scheme
 
 
 def _random_bond(rng, n):
-    if rng.random() < 0.05:  # any field may be out of range
-        return Bond(rng.randrange(-1, n + 1), rng.randrange(-1, n + 1), rng.randrange(5),
-                    rng.random() < 0.5, rng.choice([None, "up", "down", "x"]))
+    if rng.random() < 0.05:  # any field may be out of range or of another type
+        return Bond(rng.choice([rng.randrange(-1, n + 1), 0.0, True]),
+                    rng.choice([rng.randrange(-1, n + 1), 1.0, False]),
+                    rng.choice([rng.randrange(5), 2.0, True]),
+                    rng.choice([False, True, 0, 1, 2, 1.0, None, "yes", []]),
+                    rng.choice([None, "up", "down", "x"]))
     return Bond(rng.randrange(n), rng.randrange(n), rng.choice([1, 1, 1, 2, 3]),
-                rng.random() < 0.2, rng.choice([None, None, None, "up", "down"]))
+                rng.choice([bool, int])(rng.random() < 0.2),
+                rng.choice([None, None, None, "up", "down"]))
 
 
 @pytest.mark.parametrize("max_atoms", [10, 30])
