@@ -234,7 +234,7 @@ def _load_oracle(spec: str) -> LookupOracle:
 def cmd_evaluate(args) -> int:
     task = TaskKind(args.task)
     if task is TaskKind.RETRO and not args.oracle:
-        raise _UsageError("retro evaluation requires --oracle lookup:PATH")
+        raise _UsageError("argument --oracle: --task retro needs it, e.g. lookup:PATH")
     if task is not TaskKind.RETRO and args.oracle:
         raise _UsageError(f"argument --oracle: only --task retro reads it, not {task.value}")
     for flag, value in (("--fp-bits", args.fp_bits), ("--fp-radius", args.fp_radius)):

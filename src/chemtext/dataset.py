@@ -59,7 +59,7 @@ class EmptyStreamError(ChemtextError):
 
 
 class BadFractionsError(ChemtextError):
-    """Split fractions are not finite, are negative or do not sum to 1."""
+    """Split fractions are not three finite non-negative numbers summing to 1."""
 
 
 class RecordError(ChemtextError):
@@ -149,6 +149,8 @@ def build_splits(
     seed: int,
 ) -> dict[str, list[TaskRecord]]:
     """Disjoint, covering train/valid/test split, stratified by task."""
+    if len(fractions) != 3:
+        raise BadFractionsError(f"need three fractions (train, valid, test), got {fractions!r}")
     if not all(map(math.isfinite, fractions)):
         raise BadFractionsError(f"fractions must be finite, got {fractions!r}")
     if abs(sum(fractions) - 1.0) > 1e-9:

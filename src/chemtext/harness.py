@@ -1,11 +1,13 @@
 """Per-task evaluation pipelines.
 
-Each ``eval_*`` function consumes aligned :class:`PredictionPair` lists for a
-single task and produces a :class:`MetricReport`. Counts do not depend on
-pair order. Tanimoto, ROUGE and METEOR are float sums taken in pair order,
-so shuffling the pairs can move a value in its last bits. The report JSON
-rounds values to six decimals, which hides such a move unless a value lies
-within a few ulps of a rounding boundary, so the JSON is order-independent.
+Each ``eval_*`` function scores each :class:`PredictionPair` of one task
+into a row that depends on that pair alone, then one fold turns the rows,
+in pair order, into a :class:`MetricReport` of the metrics one table names
+for the task, so any subset of rows, resampled ones too, folds to that
+subset's report. Counts do not depend on pair order. Means are float sums
+in pair order, which a shuffle can move in the last bits: the report JSON's
+six decimals hide that unless a value lies within a few ulps of a rounding
+boundary.
 
 Task conventions:
 
@@ -16,27 +18,22 @@ Task conventions:
   strings are equal; the strings are written only for sides whose formulas
   (bond count and sorted atom texts, which the canonical string determines)
   are equal, so a pair of differing formulas is plainly incorrect and never
-  canonicalized. Each pair is scored once into a row (prediction valid,
-  pair equal, skip reason, and for text2mol three Tanimoto values), and one
-  fold of the rows, in pair order, gives accuracy, ``n_valid_pred`` and the
-  skip reasons. A pair of equal formulas whose canonical string the writer
+  canonicalized. A pair of equal formulas whose canonical string the writer
   gives up on (``CanonError``: the symmetry-search budget, or more than 99
   ring closures open at once, as a clique of 21 or more atoms needs) is
   incorrect under the skip reason ``canon_budget``. Only text2mol counts
   skipped pairs in ``n_skipped``.
-- text2mol: character-level BLEU and mean Levenshtein over the raw strings,
-  kept outside the rows; exact-match accuracy; validity (valid predictions
-  / total); mean Tanimoto over the keys/path/morgan fingerprints of pairs
-  with both sides valid and within the canonicalization and path budgets
-  (an exact pair over the path budget still counts as exact; with no pair
-  left, the omitted metrics' reason names each budget that skipped one).
-  An exact pair is fingerprinted from the reference alone, as
-  ``tanimoto(ref_fp, ref_fp)`` (0.0 for an empty one, by the pinned 0/0
-  rule): equal canonical SMILES give equal fingerprints (see
-  :mod:`chemtext.fingerprints`). Pairs are fingerprinted in chunks of 16,
-  one :class:`MoleculeBatch` each, whose graph table the three schemes'
-  batch kernels share; the fold adds the Tanimoto values in pair order, so
-  the report is the one pair-by-pair scoring gives, to the bit.
+- text2mol: character-level BLEU and mean Levenshtein over the raw strings;
+  exact-match accuracy; validity (valid predictions / total); mean Tanimoto
+  over the keys/path/morgan fingerprints of pairs with both sides valid and
+  within the canonicalization and path budgets (an exact pair over the path
+  budget still counts as exact; with no pair left, the omitted metrics'
+  reason names each budget that skipped one). An exact pair is
+  fingerprinted from the reference alone, as ``tanimoto(ref_fp, ref_fp)``
+  (0.0 for an empty one, by the pinned 0/0 rule): equal canonical SMILES
+  give equal fingerprints (see :mod:`chemtext.fingerprints`). Pairs are
+  fingerprinted in chunks of 16, one :class:`MoleculeBatch` each, whose
+  graph table the three schemes' batch kernels share.
 - forward: top-1 accuracy; an invalid prediction's reference is not parsed.
 - retro: roundtrip accuracy through a ForwardOracle (a :class:`LookupOracle`
   is handed the prediction's record, any other the string): the regenerated
@@ -60,6 +57,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Protocol, Sequence
 
 from chemtext.dataset import TaskKind
@@ -74,17 +72,18 @@ from chemtext.fingerprints import (
 )
 from chemtext.smiles import CanonError, LexError, Molecule, ParseError, parse_smiles
 from chemtext.smiles.canon import canonicalize
-from chemtext.smiles.tokenize import tokenize
 from chemtext.textmetrics import (
     EmptyCorpusError,
     MetricValue,
-    TokenizedText,
-    bleu,
+    NgramRow,
+    bleu_from_rows,
     char_tokenize,
     levenshtein,
-    meteor_lite,
-    ngram_scores,
-    rouge_l,
+    mean,
+    meteor_pair,
+    ngram_row,
+    rouge_l_pair,
+    rouge_n_pair,
     word_tokenize,
 )
 
@@ -109,7 +108,6 @@ __all__ = [
     "eval_text2mol",
     "frechet_distance",
     "report_to_json",
-    "smiles_bleu_tokenize",
 ]
 
 
@@ -281,31 +279,6 @@ def _check_task(pairs: Sequence[PredictionPair], task: TaskKind) -> None:
         )
 
 
-def smiles_bleu_tokenize(smiles: str) -> TokenizedText:
-    """SMILES-token-level tokenization for the text2mol BLEU; falls back to
-    characters when the string does not tokenize."""
-    try:
-        tokens = tuple(tokenize(smiles))
-    except LexError:
-        return char_tokenize(smiles)
-    if not tokens:
-        return char_tokenize(smiles)
-    return TokenizedText(tokens=tokens, source=smiles)
-
-
-def eval_mol2text(pairs: Sequence[PredictionPair]) -> MetricReport:
-    """Molecular captioning: the six word-level text metrics."""
-    _check_task(pairs, TaskKind.MOL2TEXT)
-    cands = [word_tokenize(p.prediction) for p in pairs]
-    refs = [word_tokenize(p.reference) for p in pairs]
-    metrics = {
-        **ngram_scores(cands, refs),
-        "rougeL": rouge_l(cands, refs),
-        "meteor_lite": meteor_lite(cands, refs),
-    }
-    return MetricReport(task=TaskKind.MOL2TEXT, metrics=metrics, n_total=len(pairs))
-
-
 _FTS_SCHEMES = {"maccs_fts": "keys", "rdk_fts": "path", "morgan_fts": "morgan"}
 # the budgets that can skip a text2mol pair of two valid sides, by skip reason
 _BUDGET_NAMES = {"canon_budget": "canonicalization", "fingerprint_budget": "path-enumeration"}
@@ -316,113 +289,152 @@ _CHUNK_PAIRS = 16
 
 
 class _PairRow(NamedTuple):
-    """One SMILES pair scored: prediction valid, pair canonically equal, skip
-    reason, and (text2mol) its Tanimoto values in ``_FTS_SCHEMES`` order."""
+    """One pair scored: prediction valid, pair equal, skip reason, Tanimoto
+    values in ``_FTS_SCHEMES`` order, n-gram row, ROUGE-L F1, METEOR-lite
+    score and Levenshtein distance, as far as its task reads them."""
 
-    valid: bool
-    exact: bool
+    valid: bool = False
+    exact: bool = False
     skip: str | None = None
     fts: tuple[float, ...] | None = None
+    ngrams: NgramRow | None = None
+    rouge_l: float = 0.0
+    meteor: float = 0.0
+    edits: int = 0
 
 
-def _compare(pred: _Side, ref: _Side) -> _PairRow:
-    """The one place a pair's ``CanonError`` becomes ``canon_budget``."""
-    try:
-        return _PairRow(pred.mol is not None, pred.same_molecule(ref))
-    except CanonError:
-        return _PairRow(pred.mol is not None, False, "canon_budget")
+_Fold = Callable[[Sequence[_PairRow]], tuple[float, int] | None]
 
 
-def _report(task: TaskKind, accuracy_name: str, rows: list[_PairRow], **fields) -> MetricReport:
-    """The one fold of a SMILES task's rows, in pair order: accuracy (beside
-    ``fields``, the metrics computed outside the rows), valid predictions and
-    skip reasons, and for text2mol validity and the Tanimoto means over the
-    rows with ``fts``; only text2mol counts the other rows as ``n_skipped``."""
-    n = len(rows)
-    exact = n_valid = support = 0
-    sums = [0.0] * len(_FTS_SCHEMES)  # +=, as sum() compensates floats from Python 3.12
-    skips: dict[str, int] = {}
+def _mean_of(value: Callable[[_PairRow], float | None]) -> _Fold:
+    """The fold of a metric that is the mean of ``value`` over the rows where
+    it is not ``None``, supported by those rows; with none, it is omitted."""
+
+    def fold(rows: Sequence[_PairRow]) -> tuple[float, int] | None:
+        values = [v for v in map(value, rows) if v is not None]
+        return (mean(values), len(values)) if values else None
+
+    return fold
+
+
+def _bleu_of(max_n: int) -> _Fold:
+    return lambda rows: (bleu_from_rows([row.ngrams for row in rows], max_n), len(rows))
+
+
+_EXACT = _mean_of(attrgetter("exact"))
+# each task's metrics, by name, and the fold of the rows that gives each
+_TASK_METRICS: dict[TaskKind, dict[str, _Fold]] = {
+    TaskKind.MOL2TEXT: {
+        "bleu2": _bleu_of(2),
+        "bleu4": _bleu_of(4),
+        "rouge1": _mean_of(lambda row: rouge_n_pair(row.ngrams, 1)),
+        "rouge2": _mean_of(lambda row: rouge_n_pair(row.ngrams, 2)),
+        "rougeL": _mean_of(attrgetter("rouge_l")),
+        "meteor_lite": _mean_of(attrgetter("meteor")),
+    },
+    TaskKind.TEXT2MOL: {
+        "accuracy": _EXACT,
+        "bleu": _bleu_of(4),
+        "levenshtein": _mean_of(attrgetter("edits")),
+        "validity": _mean_of(attrgetter("valid")),
+        **{name: _mean_of(lambda row, k=k: row.fts and row.fts[k])
+           for k, name in enumerate(_FTS_SCHEMES)},
+    },
+    TaskKind.FORWARD: {"accuracy": _EXACT},
+    TaskKind.RETRO: {"roundtrip_accuracy": _EXACT},
+    TaskKind.PARA2ACTIONS: {"bleu4": _bleu_of(4), "accuracy": _EXACT},
+}
+
+
+def _report(task: TaskKind, rows: Sequence[_PairRow]) -> MetricReport:
+    """The one fold of a task's rows, in pair order: the task's
+    ``_TASK_METRICS``, valid predictions and skip reasons. A metric no row
+    supports is omitted, naming each budget that skipped a row; only
+    text2mol counts rows with a skip reason as ``n_skipped``."""
+    n_valid = 0
+    skips: dict[str, int] = {}  # a plain dict: Counter() is slower on a one-pair call
     for row in rows:
-        exact += row.exact
         n_valid += row.valid
         if row.skip is not None:
             skips[row.skip] = skips.get(row.skip, 0) + 1
-        if row.fts is not None:
-            support += 1
-            for k, value in enumerate(row.fts):
-                sums[k] += value
-    metrics = {accuracy_name: MetricValue(accuracy_name, exact / n, n), **fields}
-    if task is not TaskKind.TEXT2MOL:
-        return MetricReport(task, metrics, n, n_valid, skip_reasons=skips)
-    metrics["validity"] = MetricValue("validity", n_valid / n, n)
-    if not support:
-        budgets = [name for skip, name in _BUDGET_NAMES.items() if skip in skips]
-        reason = "no pair with both sides valid"
+    metrics, omitted = {}, {}
+    for name, fold in _TASK_METRICS[task].items():
+        folded = fold(rows)
+        if folded is not None:
+            metrics[name] = MetricValue(name, *folded)
+            continue
+        budgets = [budget for skip, budget in _BUDGET_NAMES.items() if skip in skips]
+        omitted[name] = "no pair with both sides valid"
         if budgets:
-            reason += f" within the {' and '.join(budgets)} budget{'s' * (len(budgets) > 1)}"
-        return MetricReport(task, metrics, n, n_valid, n_skipped=n, skip_reasons=skips,
-                            omitted_metrics=dict.fromkeys(_FTS_SCHEMES, reason))
-    for name, total in zip(_FTS_SCHEMES, sums):
-        metrics[name] = MetricValue(name, total / support, support)
-    return MetricReport(task, metrics, n, n_valid, n_skipped=n - support, skip_reasons=skips)
+            omitted[name] += f" within the {' and '.join(budgets)} budget{'s' * (len(budgets) > 1)}"
+    n_skipped = sum(skips.values()) if task is TaskKind.TEXT2MOL else 0
+    return MetricReport(task, metrics, len(rows), n_valid, n_skipped, skips, omitted)
+
+
+def _compare(pred: _Side, ref: _Side) -> tuple[bool, str | None]:
+    """Whether the pair is canonically equal, and its skip reason: the one
+    place a pair's ``CanonError`` becomes ``canon_budget``."""
+    try:
+        return pred.same_molecule(ref), None
+    except CanonError:
+        return False, "canon_budget"
+
+
+def eval_mol2text(pairs: Sequence[PredictionPair]) -> MetricReport:
+    """Molecular captioning: the six word-level text metrics."""
+    _check_task(pairs, TaskKind.MOL2TEXT)
+    stems: dict[str, str] = {}  # stems each distinct token once per call
+    rows = []
+    for pair in pairs:
+        cand, ref = word_tokenize(pair.prediction), word_tokenize(pair.reference)
+        rows.append(_PairRow(ngrams=ngram_row(cand, ref), rouge_l=rouge_l_pair(cand, ref),
+                             meteor=meteor_pair(cand, ref, stems)))
+    return _report(TaskKind.MOL2TEXT, rows)
 
 
 def eval_text2mol(
     pairs: Sequence[PredictionPair],
     fp_config: FingerprintConfig | None = None,
-    bleu_tokenizer: Callable[[str], "TokenizedText"] = char_tokenize,
 ) -> MetricReport:
-    """Text-conditional de novo generation: SMILES-side metrics.
-
-    ``bleu_tokenizer`` defaults to character-level tokenization of the raw
-    strings; pass :func:`smiles_bleu_tokenize` for SMILES-token BLEU
-    instead.
-    """
+    """Text-conditional de novo generation: SMILES-side metrics."""
     _check_task(pairs, TaskKind.TEXT2MOL)
     config = fp_config or FingerprintConfig()
-    cands = [bleu_tokenizer(p.prediction) for p in pairs]
-    refs = [bleu_tokenizer(p.reference) for p in pairs]
-    char_bleu = bleu(cands, refs, 4)
-    n = len(pairs)
-    lev_total = sum(levenshtein(p.prediction, p.reference) for p in pairs)
     rows: list[_PairRow] = []
-    for start in range(0, n, _CHUNK_PAIRS):
+    for start in range(0, len(pairs), _CHUNK_PAIRS):
+        chunk = pairs[start:start + _CHUNK_PAIRS]
         mols: list[Molecule] = []
-        # per fingerprinted pair of the chunk: (row, reference, prediction) indices
-        scored: list[tuple[int, int, int]] = []
-        for pair in pairs[start:start + _CHUNK_PAIRS]:
+        outcomes = []  # per pair: valid, exact, skip reason, (ref, pred) indices in mols
+        for pair in chunk:
             pred, ref = _Side.of(pair.prediction), _Side.of(pair.reference)
             if pred.mol is None or ref.mol is None:
-                rows.append(_PairRow(pred.mol is not None, False, "invalid_smiles_side"))
+                outcomes.append((pred.mol is not None, False, "invalid_smiles_side", None))
                 continue
-            row = _compare(pred, ref)
-            if row.skip is None:
-                ref_at = len(mols)
-                mols.append(ref.mol)
-                if not row.exact:
-                    # equal canonical SMILES give equal fingerprints
-                    mols.append(pred.mol)
-                scored.append((len(rows), ref_at, len(mols) - 1))
-            rows.append(row)
-        if not mols:
-            continue
-        batch = MoleculeBatch(mols)
-        fps = {
-            "keys": key_fingerprints(batch, config.key_table),
-            "path": path_fingerprints(batch, config.path_max_len, config.nbits),
-            "morgan": morgan_fingerprints(batch, config.radius, config.nbits),
-        }
-        for at, ref_at, pred_at in scored:
-            if fps["path"][ref_at] is None or fps["path"][pred_at] is None:
-                rows[at] = rows[at]._replace(skip="fingerprint_budget")
-            else:
-                fts = (tanimoto(fps[s][pred_at], fps[s][ref_at]) for s in _FTS_SCHEMES.values())
-                rows[at] = rows[at]._replace(fts=tuple(fts))
-    return _report(
-        TaskKind.TEXT2MOL, "accuracy", rows,
-        bleu=MetricValue("bleu", char_bleu.value, char_bleu.support),
-        levenshtein=MetricValue("levenshtein", lev_total / n, n),
-    )
+            exact, skip = _compare(pred, ref)
+            at = None
+            if skip is None:  # equal canonical SMILES give equal fingerprints
+                at = (len(mols), len(mols) + (not exact))
+                mols += [ref.mol] if exact else [ref.mol, pred.mol]
+            outcomes.append((True, exact, skip, at))
+        if mols:
+            batch = MoleculeBatch(mols)
+            fps = {
+                "keys": key_fingerprints(batch, config.key_table),
+                "path": path_fingerprints(batch, config.path_max_len, config.nbits),
+                "morgan": morgan_fingerprints(batch, config.radius, config.nbits),
+            }
+        for pair, (valid, exact, skip, at) in zip(chunk, outcomes):
+            fts = None
+            if at is not None:
+                ref_at, pred_at = at
+                if fps["path"][ref_at] is None or fps["path"][pred_at] is None:
+                    skip = "fingerprint_budget"
+                else:
+                    fts = tuple(tanimoto(fps[s][pred_at], fps[s][ref_at])
+                                for s in _FTS_SCHEMES.values())
+            p, r = pair.prediction, pair.reference
+            rows.append(_PairRow(valid, exact, skip, fts, ngram_row(char_tokenize(p), char_tokenize(r)),
+                                 edits=levenshtein(p, r)))
+    return _report(TaskKind.TEXT2MOL, rows)
 
 
 def eval_forward(pairs: Sequence[PredictionPair]) -> MetricReport:
@@ -432,10 +444,10 @@ def eval_forward(pairs: Sequence[PredictionPair]) -> MetricReport:
     for pair in pairs:
         pred = _Side.of(pair.prediction)
         if pred.mol is None:  # incorrect whatever the reference, so that is not parsed
-            rows.append(_PairRow(False, False))
+            rows.append(_PairRow())
         else:
-            rows.append(_compare(pred, _Side.of(pair.reference)))
-    return _report(TaskKind.FORWARD, "accuracy", rows)
+            rows.append(_PairRow(True, *_compare(pred, _Side.of(pair.reference))))
+    return _report(TaskKind.FORWARD, rows)
 
 
 def eval_retro(pairs: Sequence[PredictionPair], oracle: ForwardOracle) -> MetricReport:
@@ -451,33 +463,24 @@ def eval_retro(pairs: Sequence[PredictionPair], oracle: ForwardOracle) -> Metric
         pred = _Side.of(pair.prediction)
         lookup = pred if isinstance(oracle, LookupOracle) else pair.prediction
         try:
-            row = _compare(_Side.of(oracle.predict_product(lookup)), _Side.of(pair.reference))
+            exact, skip = _compare(_Side.of(oracle.predict_product(lookup)), _Side.of(pair.reference))
         except OracleError:
-            row = _PairRow(False, False, "oracle_failure")
+            exact, skip = False, "oracle_failure"
         except CanonError:  # on lookup: _compare maps its own
-            row = _PairRow(False, False, "canon_budget")
-        rows.append(_PairRow(pred.mol is not None, row.exact, row.skip))
-    return _report(TaskKind.RETRO, "roundtrip_accuracy", rows)
-
-
-def _normalize_ws(text: str) -> str:
-    return " ".join(text.split())
+            exact, skip = False, "canon_budget"
+        rows.append(_PairRow(pred.mol is not None, exact, skip))
+    return _report(TaskKind.RETRO, rows)
 
 
 def eval_para2actions(pairs: Sequence[PredictionPair]) -> MetricReport:
     """Paragraph-to-actions: BLEU-4 plus normalized exact-match accuracy."""
     _check_task(pairs, TaskKind.PARA2ACTIONS)
-    cands = [word_tokenize(p.prediction) for p in pairs]
-    refs = [word_tokenize(p.reference) for p in pairs]
-    exact = sum(
-        1 for p in pairs if _normalize_ws(p.prediction) == _normalize_ws(p.reference)
-    )
-    n = len(pairs)
-    metrics = {
-        "bleu4": bleu(cands, refs, 4),
-        "accuracy": MetricValue("accuracy", exact / n, n),
-    }
-    return MetricReport(task=TaskKind.PARA2ACTIONS, metrics=metrics, n_total=n)
+    rows = [
+        _PairRow(exact=p.prediction.split() == p.reference.split(),
+                 ngrams=ngram_row(word_tokenize(p.prediction), word_tokenize(p.reference)))
+        for p in pairs
+    ]
+    return _report(TaskKind.PARA2ACTIONS, rows)
 
 
 def eval_pairs(

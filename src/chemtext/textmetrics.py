@@ -21,16 +21,17 @@ Conventions pinned here:
   pairs. Score = F_mean * (1 - gamma * (chunks/matches)^beta) with
   alpha=0.9, beta=3, gamma=0.5.
 
-Kernels: each pair's n-grams are counted once per order in one pass that
-BLEU-2/4 and ROUGE-1/2 share (:func:`ngram_scores`); the clipped overlap
-caps each candidate n-gram's count by the reference's without a
-Python-level loop, and n-gram totals come from the token counts. The
-ROUGE-L LCS length is bit-parallel on Python ints (Allison & Dix 1986, in
-Hyyrö's 2004 form), and the METEOR-lite alignment pops the leftmost free
-reference position from per-token (then per-stem) position lists, stemming
-each distinct token once per :func:`meteor_lite` call. They give the same
-integers and pairs as counting per metric, the full LCS table and the scan
-above, so the conventions are unchanged.
+Each metric folds per-pair values, so any subset of pairs scores from its
+own: :func:`ngram_row` (token counts and clipped overlaps), read by
+:func:`bleu_from_rows` and :func:`rouge_n_pair`, and :func:`rouge_l_pair`
+and :func:`meteor_pair`, folded by :func:`mean` (``+=`` in order). The
+clipped overlap caps each candidate n-gram's count by the reference's
+without a Python-level loop. The ROUGE-L LCS length is bit-parallel on
+Python ints (Allison & Dix 1986, in Hyyrö's 2004 form), and the METEOR-lite
+alignment pops the leftmost free reference position from per-token (then
+per-stem) position lists, stemming each distinct token once per shared
+memo. They give the same integers and pairs as counting per metric, the
+full LCS table and the scan above, so the conventions are unchanged.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from chemtext.errors import ChemtextError
 from chemtext.stem import porter_stem
@@ -120,31 +121,27 @@ def _ngram_total(length: int, n: int) -> int:
     return max(length - n + 1, 0)
 
 
-_Row = tuple[int, int, dict[int, int]]
+class NgramRow(NamedTuple):
+    """One pair's token counts and clipped overlap per order from 1."""
+
+    cand_len: int
+    ref_len: int
+    overlaps: tuple[int, ...]
 
 
-def _overlap_rows(
-    candidates: Sequence[TokenizedText],
-    references: Sequence[TokenizedText],
-    orders: Sequence[int],
-) -> list[_Row]:
-    """The one n-gram pass: per pair, the candidate and reference lengths and
-    the clipped overlap keyed by each of ``orders``. The overlap caps each
-    candidate n-gram's count by the reference's (``dict.get``, so a miss
-    calls no ``Counter.__missing__``) in ``map`` calls, with no Python-level
-    loop over the n-grams."""
-    rows = []
-    for cand, ref in zip(candidates, references):
-        overlaps = {}
-        for n in orders:
-            c_counts = _ngrams(cand.tokens, n)
-            r_counts = _ngrams(ref.tokens, n)
-            overlaps[n] = sum(map(min, c_counts.values(), map(r_counts.get, c_counts, repeat(0))))
-        rows.append((len(cand.tokens), len(ref.tokens), overlaps))
-    return rows
+def ngram_row(cand: TokenizedText, ref: TokenizedText, max_n: int = 4) -> NgramRow:
+    """One pass over a pair's n-grams of orders 1..``max_n``; ``dict.get``
+    reads the reference counts, so a miss calls no ``Counter.__missing__``."""
+    overlaps = []
+    for n in range(1, max_n + 1):
+        c_counts = _ngrams(cand.tokens, n)
+        r_counts = _ngrams(ref.tokens, n)
+        overlaps.append(sum(map(min, c_counts.values(), map(r_counts.get, c_counts, repeat(0)))))
+    return NgramRow(len(cand.tokens), len(ref.tokens), tuple(overlaps))
 
 
-def _bleu_value(rows: list[_Row], max_n: int) -> float:
+def bleu_from_rows(rows: Sequence[NgramRow], max_n: int) -> float:
+    """Corpus BLEU over orders 1..``max_n`` from the pairs' n-gram rows."""
     matches = [0] * max_n
     totals = [0] * max_n
     cand_len = 0
@@ -153,7 +150,7 @@ def _bleu_value(rows: list[_Row], max_n: int) -> float:
         cand_len += c_len
         ref_len += r_len
         for n in range(1, max_n + 1):
-            matches[n - 1] += overlaps[n]
+            matches[n - 1] += overlaps[n - 1]
             totals[n - 1] += _ngram_total(c_len, n)
     log_sum = 0.0
     for m, t in zip(matches, totals):
@@ -164,6 +161,19 @@ def _bleu_value(rows: list[_Row], max_n: int) -> float:
     return brevity * math.exp(log_sum / max_n)
 
 
+def mean(values: Iterable[float]) -> float:
+    """The mean of ``values``, added in order with ``+=`` from 0.0: ``sum()``
+    compensates float sums from Python 3.12, which can move a last bit."""
+    total = 0.0
+    count = 0
+    for value in values:
+        total += value
+        count += 1
+    if not count:
+        raise EmptyCorpusError("mean of no values")
+    return total / count
+
+
 def _f1(overlap: int, c_total: int, r_total: int) -> float:
     precision = overlap / c_total if c_total else 0.0
     recall = overlap / r_total if r_total else 0.0
@@ -172,11 +182,9 @@ def _f1(overlap: int, c_total: int, r_total: int) -> float:
     return 0.0
 
 
-def _rouge_value(rows: list[_Row], n: int) -> float:
-    total = 0.0
-    for c_len, r_len, overlaps in rows:
-        total += _f1(overlaps[n], _ngram_total(c_len, n), _ngram_total(r_len, n))
-    return total / len(rows)
+def rouge_n_pair(row: NgramRow, n: int) -> float:
+    """One pair's order-``n`` n-gram F1 from its n-gram row."""
+    return _f1(row.overlaps[n - 1], _ngram_total(row.cand_len, n), _ngram_total(row.ref_len, n))
 
 
 def bleu(
@@ -188,8 +196,8 @@ def bleu(
     if max_n not in (2, 4):
         raise ValueError("max_n must be 2 or 4")
     _check_pairs(candidates, references)
-    rows = _overlap_rows(candidates, references, range(1, max_n + 1))
-    return MetricValue(name=f"bleu{max_n}", value=_bleu_value(rows, max_n),
+    rows = [ngram_row(c, r, max_n) for c, r in zip(candidates, references)]
+    return MetricValue(name=f"bleu{max_n}", value=bleu_from_rows(rows, max_n),
                        support=len(candidates))
 
 
@@ -202,26 +210,8 @@ def rouge_n(
     if n not in (1, 2):
         raise ValueError("n must be 1 or 2")
     _check_pairs(candidates, references)
-    rows = _overlap_rows(candidates, references, (n,))
-    return MetricValue(name=f"rouge{n}", value=_rouge_value(rows, n),
-                       support=len(candidates))
-
-
-def ngram_scores(
-    candidates: Sequence[TokenizedText],
-    references: Sequence[TokenizedText],
-) -> dict[str, MetricValue]:
-    """BLEU-2, BLEU-4, ROUGE-1 and ROUGE-2 from one n-gram pass per pair,
-    keyed by metric name; each value equals the one its own function gives."""
-    _check_pairs(candidates, references)
-    rows = _overlap_rows(candidates, references, range(1, 5))
-    support = len(candidates)
-    return {
-        "bleu2": MetricValue("bleu2", _bleu_value(rows, 2), support),
-        "bleu4": MetricValue("bleu4", _bleu_value(rows, 4), support),
-        "rouge1": MetricValue("rouge1", _rouge_value(rows, 1), support),
-        "rouge2": MetricValue("rouge2", _rouge_value(rows, 2), support),
-    }
+    value = mean(rouge_n_pair(ngram_row(c, r, n), n) for c, r in zip(candidates, references))
+    return MetricValue(name=f"rouge{n}", value=value, support=len(candidates))
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
@@ -242,17 +232,18 @@ def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
     return len(b) - v.bit_count()
 
 
+def rouge_l_pair(cand: TokenizedText, ref: TokenizedText) -> float:
+    """One pair's F1 of longest-common-subsequence statistics."""
+    return _f1(_lcs_length(cand.tokens, ref.tokens), len(cand.tokens), len(ref.tokens))
+
+
 def rouge_l(
     candidates: Sequence[TokenizedText],
     references: Sequence[TokenizedText],
 ) -> MetricValue:
     """Mean per-pair F1 of longest-common-subsequence statistics."""
     _check_pairs(candidates, references)
-    total = 0.0
-    for cand, ref in zip(candidates, references):
-        lcs = _lcs_length(cand.tokens, ref.tokens)
-        total += _f1(lcs, len(cand.tokens), len(ref.tokens))
-    return MetricValue(name="rougeL", value=total / len(candidates),
+    return MetricValue(name="rougeL", value=mean(map(rouge_l_pair, candidates, references)),
                        support=len(candidates))
 
 
@@ -310,6 +301,22 @@ def _chunk_count(pairs: list[tuple[int, int]]) -> int:
     return chunks
 
 
+def meteor_pair(cand: TokenizedText, ref: TokenizedText, stems: dict[str, str]) -> float:
+    """One pair's METEOR-lite score; ``stems`` is the token-to-stem memo
+    :func:`_align` fills, which pairs may share."""
+    pairs = _align(cand.tokens, ref.tokens, stems)
+    m = len(pairs)
+    if m == 0:
+        return 0.0
+    precision = m / len(cand.tokens)
+    recall = m / len(ref.tokens)
+    f_mean = (precision * recall) / (
+        METEOR_ALPHA * precision + (1 - METEOR_ALPHA) * recall
+    )
+    penalty = METEOR_GAMMA * (_chunk_count(pairs) / m) ** METEOR_BETA
+    return f_mean * (1.0 - penalty)
+
+
 def meteor_lite(
     candidates: Sequence[TokenizedText],
     references: Sequence[TokenizedText],
@@ -317,22 +324,9 @@ def meteor_lite(
     """METEOR restricted to exact and Porter-stem matching, averaged over
     pairs."""
     _check_pairs(candidates, references)
-    total = 0.0
     stems: dict[str, str] = {}
-    for cand, ref in zip(candidates, references):
-        pairs = _align(cand.tokens, ref.tokens, stems)
-        m = len(pairs)
-        if m == 0:
-            continue
-        precision = m / len(cand.tokens)
-        recall = m / len(ref.tokens)
-        f_mean = (precision * recall) / (
-            METEOR_ALPHA * precision + (1 - METEOR_ALPHA) * recall
-        )
-        penalty = METEOR_GAMMA * (_chunk_count(pairs) / m) ** METEOR_BETA
-        total += f_mean * (1.0 - penalty)
-    return MetricValue(name="meteor_lite", value=total / len(candidates),
-                       support=len(candidates))
+    value = mean(meteor_pair(c, r, stems) for c, r in zip(candidates, references))
+    return MetricValue(name="meteor_lite", value=value, support=len(candidates))
 
 
 def levenshtein(a: str, b: str) -> int:

@@ -597,6 +597,7 @@ def test_out_of_range_width_or_radius_is_usage_error(tmp_path, capsys, monkeypat
           "--out", "MISSING"], "--task-file"),
         (["build-dataset", "--task-file", "retro=MISSING", "--task-file", "nope=MISSING",
           "--per-task", "1", "--seed", "1", "--out", "MISSING"], "--task-file"),
+        (["evaluate", "--task", "retro", "--predictions", "MISSING"], "--oracle"),
         (["evaluate", "--task", "forward", "--predictions", "MISSING", "--fp-bits", "7"],
          "--fp-bits"),
         (["evaluate", "--task", "mol2text", "--predictions", "MISSING", "--fp-radius", "9"],

@@ -177,6 +177,14 @@ def test_non_finite_fractions_are_rejected(fractions):
         build_splits(stream(TaskKind.RETRO, 10), fractions, seed=0)
 
 
+@pytest.mark.parametrize("fractions", [(0.6, 0.2, 0.1, 0.1), (0.5, 0.5), (1.0,)])
+def test_fractions_other_than_three_are_rejected(fractions):
+    # the first once split 10 records 6/2/2, the second left test empty and
+    # the third raised IndexError
+    with pytest.raises(BadFractionsError, match="need three fractions"):
+        build_splits(stream(TaskKind.RETRO, 10), fractions, seed=0)
+
+
 @pytest.mark.parametrize(
     "obj, message",
     [

@@ -342,21 +342,6 @@ def test_text2mol_compiles_a_plain_tuple_key_table_once(monkeypatch):
     assert report == eval_text2mol(pairs)
 
 
-def test_text2mol_bleu_tokenizer_override():
-    from chemtext.harness import smiles_bleu_tokenize
-
-    assert smiles_bleu_tokenize("CCl").tokens == ("C", "Cl")
-    assert smiles_bleu_tokenize("C\x00").tokens == ("C", "\x00")  # fallback
-    rows = [("ClCC", "CCCl"), ("CBr", "CBr")]
-    chars = eval_text2mol(pairs_for(TaskKind.TEXT2MOL, rows))
-    smi_tok = eval_text2mol(
-        pairs_for(TaskKind.TEXT2MOL, rows), bleu_tokenizer=smiles_bleu_tokenize
-    )
-    assert chars.value("bleu") != smi_tok.value("bleu")
-    # non-BLEU metrics unaffected by the tokenizer choice
-    assert chars.value("accuracy") == smi_tok.value("accuracy")
-
-
 # -- forward ------------------------------------------------------------------
 
 
@@ -779,6 +764,80 @@ def test_field_by_field_corpora_reach_every_outcome():
         # these four seeds only seed 2 holds one over this budget
         forward = [forward_oracle(_forward_corpus(seed, 10, 12)) for seed in range(4)]
         assert any(r.skip_reasons.get("canon_budget") for r in forward)
+
+
+# -- rows ---------------------------------------------------------------------
+
+
+_ROW_WORDS = ["the", "a", "acid", "acids", "react", "reacts", "reacted", "Blue", ",", ".", "STIR."]
+
+
+def _word_corpus(task, seed, n):
+    """Word pairs: equal, equal up to whitespace, and unrelated; some empty."""
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(n):
+        ref = " ".join(rng.choices(_ROW_WORDS, k=rng.randint(0, 9)))
+        other = " ".join(rng.choices(_ROW_WORDS, k=rng.randint(0, 9)))
+        rows.append((rng.choice([ref, "  ".join(ref.split()) + "\t", other]), ref))
+    return pairs_for(task, rows)
+
+
+def _row_corpus(task, seed):
+    """At least 27 pairs of ``task``, and the evaluator that scores them."""
+    if task is TaskKind.TEXT2MOL:
+        return _text2mol_corpus(seed, 10, 24), eval_text2mol
+    if task is TaskKind.FORWARD:
+        return _forward_corpus(seed, 10, 27), eval_forward
+    if task is TaskKind.RETRO:
+        pairs, table = _retro_corpus(seed, 10, 27)
+        oracle = LookupOracle(table)
+        return pairs, lambda batch: eval_retro(batch, oracle)
+    evaluate = eval_mol2text if task is TaskKind.MOL2TEXT else eval_para2actions
+    return _word_corpus(task, seed, 27), evaluate
+
+
+def _rows_of(evaluate, pairs):
+    """The rows ``evaluate`` hands its fold for ``pairs``, and its report."""
+    seen = []
+    fold = harness._report
+
+    def capture(task, rows):
+        seen.append(list(rows))
+        return fold(task, rows)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_report", capture)
+        report = evaluate(pairs)
+    (rows,) = seen
+    return rows, report
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("task", list(TaskKind), ids=lambda task: task.value)
+def test_rows_are_per_pair_and_each_report_is_their_fold(task, seed):
+    pairs, evaluate = _row_corpus(task, seed)
+    rows, report = _rows_of(evaluate, pairs)
+    # text2mol: A+B's second chunk of 16 starts inside B
+    a, b = pairs[:10], pairs[10:]
+    assert rows == _rows_of(evaluate, a)[0] + _rows_of(evaluate, b)[0]
+    assert harness._report(task, rows) == report
+    picks = random.Random(seed).choices(range(len(pairs)), k=len(pairs))
+    assert harness._report(task, [rows[i] for i in picks]) == evaluate([pairs[i] for i in picks])
+
+
+def test_row_corpora_reach_every_row_field():
+    # hits and misses, and for text2mol each of its skip reasons but canon_budget
+    for task in set(TaskKind) - {TaskKind.MOL2TEXT}:
+        pairs, evaluate = _row_corpus(task, 0)
+        rows, _ = _rows_of(evaluate, pairs)
+        assert 0 < sum(row.exact for row in rows) < len(rows), task
+    rows, _ = _rows_of(eval_mol2text, _row_corpus(TaskKind.MOL2TEXT, 0)[0])
+    assert {0.0, 1.0} < {row.rouge_l for row in rows}
+    assert 0.0 in {row.meteor for row in rows} and max(row.meteor for row in rows) > 0.0
+    rows, report = _rows_of(eval_text2mol, _text2mol_corpus(0, 10, 24))
+    assert {"fingerprint_budget", "invalid_smiles_side"} <= report.skip_reasons.keys()
+    assert any(row.fts for row in rows) and any(row.edits for row in rows)
 
 
 def test_eval_pairs_retro_requires_oracle():

@@ -5,6 +5,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chemtext.textmetrics as textmetrics
+from chemtext.dataset import TaskKind
+from chemtext.harness import PredictionPair, eval_mol2text
 from chemtext.textmetrics import _align, _lcs_length
 from chemtext.textmetrics import (
     EmptyCorpusError,
@@ -13,8 +15,8 @@ from chemtext.textmetrics import (
     bleu,
     char_tokenize,
     levenshtein,
+    mean,
     meteor_lite,
-    ngram_scores,
     rouge_l,
     rouge_n,
     word_tokenize,
@@ -112,10 +114,14 @@ def test_bleu_validations():
         bleu([], [], 2)
     with pytest.raises(ValueError):
         bleu(texts, texts, 3)
-    with pytest.raises(LengthMismatchError):
-        ngram_scores(texts, corpus(["a", "b"]))
+
+
+def test_mean_adds_in_order_and_rejects_no_values():
+    # += in order loses the 1.0 against 1e16; a compensated sum keeps it (1/3)
+    assert mean([1e16, 1.0, -1e16]) == 0.0
+    assert mean(iter([True, False, 2])) == 1.0
     with pytest.raises(EmptyCorpusError):
-        ngram_scores([], [])
+        mean([])
 
 
 # -- rouge --------------------------------------------------------------------
@@ -156,15 +162,19 @@ _NGRAM_SIDE = st.one_of(
 def test_shared_ngram_pass_equals_per_order_counters_exactly(pairs):
     cands = [TokenizedText(tuple(c), " ".join(c)) for c, _ in pairs]
     refs = [TokenizedText(tuple(r), " ".join(r)) for _, r in pairs]
-    shared = ngram_scores(cands, refs)
+    # mol2text reads BLEU-2/4 and ROUGE-1/2 from one n-gram row per pair; the
+    # tokens are lowercase words, so its word tokenizer gives them back
+    report = eval_mol2text([
+        PredictionPair(TaskKind.MOL2TEXT, c.source, r.source) for c, r in zip(cands, refs)
+    ])
     for max_n in (2, 4):
         want = bleu_counter_oracle(cands, refs, max_n)
         assert bleu(cands, refs, max_n) == want
-        assert shared[f"bleu{max_n}"] == want
+        assert report.metrics[f"bleu{max_n}"] == want
     for n in (1, 2):
         want = rouge_n_counter_oracle(cands, refs, n)
         assert rouge_n(cands, refs, n) == want
-        assert shared[f"rouge{n}"] == want
+        assert report.metrics[f"rouge{n}"] == want
 
 
 def test_rouge_l_dp_example():
