@@ -31,8 +31,9 @@ Each kernel scores a batch one of two ways, and one measured cutoff,
   :class:`MoleculeBatch` handed to several kernels builds its table once.
 
 A small batch also walks its paths in numpy when one of its molecules might
-pass the path budget (see :func:`_walk_bound`), since the recursive walk
-takes several times longer to reach it. :func:`key_fingerprint` always
+pass the path budget (see :func:`_walk_bound`): only the numpy walk counts
+steps. The recursive walk receives only molecules whose bound is within the
+budget, so it counts nothing. :func:`key_fingerprint` always
 scores its one molecule in Python, and so does every batch of a key table
 with a tree key counted past one: numpy finds whether a tree key embeds,
 and only the Python embedder counts atom sets.
@@ -294,9 +295,8 @@ def _walk_bound(mol: Molecule, max_len: int) -> int:
     degree, up to ``min(max_len, n - 1)`` bonds. The sum stops growing once
     it passes the budget.
 
-    A molecule whose bound passes the budget walks in numpy, which reaches
-    the budget several times sooner than the recursive walk (the 10-atom
-    clique: ~0.1 s against ~0.6 s)."""
+    A molecule whose bound passes the budget walks in numpy, the one walk
+    that counts its steps against the budget."""
     n = len(mol.atoms)
     max_len = min(max_len, n - 1)  # a simple path has fewer bonds than atoms
     d = max(map(len, mol.adjacency), default=0)
@@ -311,8 +311,8 @@ def _walk_bound(mol: Molecule, max_len: int) -> int:
     return total
 
 
-def _path_bits(mol: Molecule, max_len: int, nbits: int) -> frozenset[int] | None:
-    """The path bits of ``mol``, or ``None`` over the path budget.
+def _path_bits(mol: Molecule, max_len: int, nbits: int) -> frozenset[int]:
+    """The path bits of ``mol``.
 
     The walk starts at every atom, so each path is reached once from each
     end. It records paths by the numpy walk's rule
@@ -320,7 +320,9 @@ def _path_bits(mol: Molecule, max_len: int, nbits: int) -> frozenset[int] | None
     forward and reverse renderings and the FNV-1a state of the forward one,
     a step continues that state over its ``bond + atom`` bytes, and an end
     whose forward rendering is not the larger records ``state % nbits``.
-    Every step of the walk, in both directions, counts toward the budget.
+    It counts nothing: :func:`path_fingerprints` hands it only molecules
+    whose :func:`_walk_bound`, never below their step count, is within the
+    budget.
     """
     codes = [a.symbol.lower() if a.aromatic else a.symbol for a in mol.atoms]
     bond_text = [bond.symbol for bond in mol.bonds]
@@ -334,20 +336,15 @@ def _path_bits(mol: Molecule, max_len: int, nbits: int) -> frozenset[int] | None
     on_path = [False] * len(codes)
     bits: set[int] = set()
     add = bits.add
-    walked = 0
 
     def walk(tail: int, forward: str, backward: str, state: int, depth: int) -> None:
         # forward/backward render the path so far from either end, state is
         # the FNV-1a state of forward, depth its bond count
-        nonlocal walked
         on_path[tail] = True
         depth += 1
         for nxt, forward_step, reverse_step, data in steps[tail]:
             if on_path[nxt]:
                 continue
-            walked += 1
-            if walked > _MAX_PATHS_WALKED:
-                raise FingerprintError("path enumeration budget exceeded")
             f = forward + forward_step
             r = reverse_step + backward
             h = state
@@ -359,11 +356,8 @@ def _path_bits(mol: Molecule, max_len: int, nbits: int) -> frozenset[int] | None
                 walk(nxt, f, r, h, depth)
         on_path[tail] = False
 
-    try:
-        for start, code in enumerate(codes):
-            walk(start, code, code, fnv1a64(code.encode()), 0)
-    except FingerprintError:
-        return None
+    for start, code in enumerate(codes):
+        walk(start, code, code, fnv1a64(code.encode()), 0)
     return frozenset(bits)
 
 

@@ -13,7 +13,8 @@ Pattern grammar (rooted tree, SMILES-flavored)::
     pattern := atom tail
     tail    := ( "(" bond pattern ")" )* ( bond pattern )?
     atom    := class [ "[" attr ("," attr)* "]" ]
-    class   := element symbol | "*" (any) | "X" (halogen) | "Q" (hetero, not C)
+    class   := element | "*" (any) | "X" (halogen) | "Q" (hetero, not C)
+    element := [A-Z][a-z]?  (ASCII, spelled as in a SMILES bracket atom)
     bond    := "-" | "=" | "#" | ":" | "~"
     attr    := "ar" | "al"
              | ("chg" | "rb" | "H" | "deg") ("=" | ">=" | "<=") integer
@@ -21,7 +22,8 @@ Pattern grammar (rooted tree, SMILES-flavored)::
 ``ar``/``al`` constrain aromaticity; ``chg`` is formal charge, ``rb`` the
 number of incident ring bonds, ``H`` the total hydrogen count, ``deg`` the
 heavy-atom degree. ``~`` matches any bond; ``-`` matches only plain single
-bonds (not aromatic).
+bonds (not aromatic). ``X`` and ``Q`` are always classes, so ``Xe`` reads as
+a halogen followed by a stray ``e``.
 
 Matching embeds the pattern tree injectively (distinct pattern nodes map to
 distinct atoms). The match count is the number of distinct atom SETS
@@ -51,14 +53,17 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from importlib import resources
 from typing import Iterable, Sequence
 
 from chemtext.errors import ChemtextError
-from chemtext.smiles.parse import Molecule
+from chemtext.smiles.parse import _ELEMENT, Molecule
 
 _HALOGENS = frozenset({"F", "Cl", "Br", "I"})
+# "*", a class or an element, then an optional attribute list; the "]" group
+# is None when the list is unterminated
+_PATTERN_ATOM = re.compile(rf"(\*|X|Q|{_ELEMENT.pattern})(?:\[([^\]]*)(\])?)?")
 _ATTR_RE = re.compile(r"(chg|rb|H|deg)(>=|<=|=)([+-]?[0-9]+)")
 # int() and \d would also read "1_0", " 1" and non-ASCII digits
 _KEY_LINE = re.compile(r"([0-9]+)\t([0-9]+)\t([^\t]*)")
@@ -133,51 +138,30 @@ def _parse_pattern(text: str, pos: int) -> tuple[PatternNode, int]:
 
 
 def _parse_atom(text: str, pos: int) -> tuple[PatternAtom, int]:
-    if pos >= len(text):
-        raise KeyTableError(f"expected atom at end of pattern {text!r}")
-    ch = text[pos]
-    element: str | None = None
-    class_: str | None = None
-    if ch == "*":
-        pos += 1
-    elif ch in ("X", "Q"):
-        class_ = ch
-        pos += 1
-    elif ch.isupper():
-        element = ch
-        pos += 1
-        if pos < len(text) and text[pos].islower():
-            element += text[pos]
-            pos += 1
-    else:
+    match = _PATTERN_ATOM.match(text, pos)
+    if match is None:
+        if pos >= len(text):
+            raise KeyTableError(f"expected atom at end of pattern {text!r}")
         raise KeyTableError(f"bad atom class at position {pos} in {text!r}")
+    symbol, attrs, close = match.groups()
+    if attrs is not None and close is None:
+        raise KeyTableError(f"unterminated attribute list in {text!r}")
     aromatic: bool | None = None
     constraints: list[tuple[str, str, int]] = []
-    if pos < len(text) and text[pos] == "[":
-        end = text.find("]", pos)
-        if end < 0:
-            raise KeyTableError(f"unterminated attribute list in {text!r}")
-        for raw in text[pos + 1 : end].split(","):
-            raw = raw.strip()
-            if raw == "ar":
-                aromatic = True
-            elif raw == "al":
-                aromatic = False
-            else:
-                m = _ATTR_RE.fullmatch(raw)
-                if not m:
-                    raise KeyTableError(f"bad attribute {raw!r} in {text!r}")
-                constraints.append((m.group(1), m.group(2), int(m.group(3))))
-        pos = end + 1
-    return (
-        PatternAtom(
-            element=element,
-            class_=class_,
-            aromatic=aromatic,
-            constraints=tuple(constraints),
-        ),
-        pos,
-    )
+    for raw in (attrs.split(",") if attrs is not None else ()):
+        raw = raw.strip()
+        if raw == "ar":
+            aromatic = True
+        elif raw == "al":
+            aromatic = False
+        else:
+            m = _ATTR_RE.fullmatch(raw)
+            if not m:
+                raise KeyTableError(f"bad attribute {raw!r} in {text!r}")
+            constraints.append((m.group(1), m.group(2), int(m.group(3))))
+    element = None if symbol in ("*", "X", "Q") else symbol
+    class_ = symbol if symbol in ("X", "Q") else None
+    return PatternAtom(element, class_, aromatic, tuple(constraints)), match.end()
 
 
 def load_key_table(lines: Iterable[str]) -> KeyTable:
@@ -215,20 +199,15 @@ def load_key_table(lines: Iterable[str]) -> KeyTable:
     return KeyTable(table)
 
 
-_DEFAULT_TABLE: KeyTable | None = None
-
-
+@cache
 def default_key_table() -> KeyTable:
     """The shipped 166-entry table (cached)."""
-    global _DEFAULT_TABLE
-    if _DEFAULT_TABLE is None:
-        text = (
-            resources.files("chemtext.fingerprints")
-            .joinpath("data/structure-keys-v1.keys")
-            .read_text(encoding="utf-8")
-        )
-        _DEFAULT_TABLE = load_key_table(text.splitlines())
-    return _DEFAULT_TABLE
+    text = (
+        resources.files("chemtext.fingerprints")
+        .joinpath("data/structure-keys-v1.keys")
+        .read_text(encoding="utf-8")
+    )
+    return load_key_table(text.splitlines())
 
 
 # -- matching -----------------------------------------------------------------
@@ -244,21 +223,23 @@ def _atom_features(mol: Molecule) -> list[tuple]:
     ]
 
 
-class _CompiledPatterns:
-    """Patterns whose distinct pattern atoms are numbered as slots.
+class _CompiledTable:
+    """A key table whose distinct pattern atoms are numbered as slots.
 
     A compiled pattern is its tree in preorder, one ``(parent step, bond
     symbol, slot)`` step per node; the root's parent is -1. Matching a
     molecule first computes, per slot, the bitset of atoms that satisfy it,
-    so an atom test is one shift.
+    so an atom test is one shift. Keys are split by pattern size:
+    single-atom keys count atoms, single-bond keys count bonds, and only
+    larger trees use the embedder.
     """
 
-    def __init__(self, patterns: Iterable[PatternNode]) -> None:
+    def __init__(self, table: Sequence[KeyDefinition]) -> None:
         self._slot_of: dict[PatternAtom, int] = {}
         self.steps: list[tuple[tuple[int, str, int], ...]] = []
-        for pattern in patterns:
+        for key in table:
             steps: list[tuple[int, str, int]] = []
-            self._linearize(pattern, -1, "", steps)
+            self._linearize(key.pattern, -1, "", steps)
             self.steps.append(tuple(steps))
         # per slot: (aromatic, ((feature index, low, high), ...))
         self._tests: list[tuple] = []
@@ -280,6 +261,21 @@ class _CompiledPatterns:
                 self._by_element.setdefault(patom.element, []).append(slot)
             else:
                 self._by_class[patom.class_].append(slot)
+        self.nbits = max(key.id for key in table)
+        self.atom_keys: list[tuple[int, int, int]] = []
+        self.bond_keys: list[tuple[int, int, int, str, int]] = []
+        self.tree_keys: list[tuple[int, int, tuple]] = []
+        for key, steps in zip(table, self.steps):
+            bit, threshold = key.id - 1, key.count_threshold
+            if len(steps) == 1:
+                self.atom_keys.append((bit, threshold, steps[0][2]))
+            elif len(steps) == 2:
+                (_, _, slot), (_, bond, child_slot) = steps
+                self.bond_keys.append((bit, threshold, slot, bond, child_slot))
+            else:
+                self.tree_keys.append((bit, threshold, steps))
+        # numpy finds whether a tree key embeds; only Python counts atom sets
+        self.chunkable = all(threshold == 1 for _, threshold, _ in self.tree_keys)
 
     def _linearize(self, node: PatternNode, parent: int, bond: str, out: list) -> None:
         slot = self._slot_of.setdefault(node.atom, len(self._slot_of))
@@ -317,29 +313,6 @@ class _CompiledPatterns:
             for slot in self._matching_slots(features):
                 out[slot] |= atoms
         return out
-
-
-class _CompiledTable(_CompiledPatterns):
-    """A key table split by pattern size: single-atom keys count atoms,
-    single-bond keys count bonds, and only larger trees use the embedder."""
-
-    def __init__(self, table: Sequence[KeyDefinition]) -> None:
-        super().__init__(key.pattern for key in table)
-        self.nbits = max(key.id for key in table)
-        self.atom_keys: list[tuple[int, int, int]] = []
-        self.bond_keys: list[tuple[int, int, int, str, int]] = []
-        self.tree_keys: list[tuple[int, int, tuple]] = []
-        for key, steps in zip(table, self.steps):
-            bit, threshold = key.id - 1, key.count_threshold
-            if len(steps) == 1:
-                self.atom_keys.append((bit, threshold, steps[0][2]))
-            elif len(steps) == 2:
-                (_, _, slot), (_, bond, child_slot) = steps
-                self.bond_keys.append((bit, threshold, slot, bond, child_slot))
-            else:
-                self.tree_keys.append((bit, threshold, steps))
-        # numpy finds whether a tree key embeds; only Python counts atom sets
-        self.chunkable = all(threshold == 1 for _, threshold, _ in self.tree_keys)
 
     def bits(self, mol: Molecule) -> frozenset[int]:
         """Indices of the keys whose pattern reaches its count threshold."""
@@ -436,7 +409,7 @@ def count_matches(mol: Molecule, pattern: PatternNode, limit: int | None = None)
     ``limit`` allows early exit once that many distinct sets are found
     (thresholds only need "at least k").
     """
-    compiled = _CompiledPatterns([pattern])
+    compiled = _CompiledTable([KeyDefinition(1, 1, pattern, source="")])
     kinds = [bond.symbol for bond in mol.bonds]
     return _count_embeddings(mol, kinds, compiled.slot_atoms(mol), compiled.steps[0], limit)
 

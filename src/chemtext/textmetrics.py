@@ -129,15 +129,18 @@ class NgramRow(NamedTuple):
     overlaps: tuple[int, ...]
 
 
+def _overlap(cand: Sequence[str], ref: Sequence[str], n: int) -> int:
+    """The clipped overlap of two token lists' order-``n`` n-grams;
+    ``dict.get`` reads the reference counts, so a miss calls no
+    ``Counter.__missing__``."""
+    c_counts, r_counts = _ngrams(cand, n), _ngrams(ref, n)
+    return sum(map(min, c_counts.values(), map(r_counts.get, c_counts, repeat(0))))
+
+
 def ngram_row(cand: TokenizedText, ref: TokenizedText, max_n: int = 4) -> NgramRow:
-    """One pass over a pair's n-grams of orders 1..``max_n``; ``dict.get``
-    reads the reference counts, so a miss calls no ``Counter.__missing__``."""
-    overlaps = []
-    for n in range(1, max_n + 1):
-        c_counts = _ngrams(cand.tokens, n)
-        r_counts = _ngrams(ref.tokens, n)
-        overlaps.append(sum(map(min, c_counts.values(), map(r_counts.get, c_counts, repeat(0)))))
-    return NgramRow(len(cand.tokens), len(ref.tokens), tuple(overlaps))
+    """One pass over a pair's n-grams of orders 1..``max_n``."""
+    c, r = cand.tokens, ref.tokens
+    return NgramRow(len(c), len(r), tuple([_overlap(c, r, n) for n in range(1, max_n + 1)]))
 
 
 def bleu_from_rows(rows: Sequence[NgramRow], max_n: int) -> float:
@@ -210,7 +213,11 @@ def rouge_n(
     if n not in (1, 2):
         raise ValueError("n must be 1 or 2")
     _check_pairs(candidates, references)
-    value = mean(rouge_n_pair(ngram_row(c, r, n), n) for c, r in zip(candidates, references))
+    value = mean(
+        _f1(_overlap(c.tokens, r.tokens, n), _ngram_total(len(c.tokens), n),
+            _ngram_total(len(r.tokens), n))
+        for c, r in zip(candidates, references)
+    )
     return MetricValue(name=f"rouge{n}", value=value, support=len(candidates))
 
 

@@ -10,6 +10,7 @@ holds by construction, then double-checks with validate().
 
 from __future__ import annotations
 
+import math
 import random
 
 from chemtext.smiles import Atom, Bond, Molecule, ParseError, validate
@@ -62,19 +63,23 @@ def clique_smiles() -> str:
     return "".join(parts)
 
 
-def directed_path_steps(mol: Molecule, max_len: int) -> int:
+def directed_path_steps(mol: Molecule, max_len: int, limit: float = math.inf) -> int:
     """Walk steps of a full path enumeration: every simple path of
-    1..max_len bonds, once from each end (what the path budget counts)."""
+    1..max_len bonds, once from each end (what the path budget counts).
+    Counting stops at the first step past ``limit``."""
+    total = 0
+
     def count(path):
-        total = 0
+        nonlocal total
         for nxt, _ in mol.adjacency[path[-1]]:
-            if nxt not in path:
+            if nxt not in path and total <= limit:
                 total += 1
                 if len(path) < max_len:
-                    total += count(path + [nxt])
-        return total
+                    count(path + [nxt])
 
-    return sum(count([start]) for start in range(len(mol.atoms)))
+    for start in range(len(mol.atoms)):
+        count([start])
+    return total
 
 
 def _try_random_molecule(rng: random.Random, max_atoms: int) -> Molecule | None:

@@ -131,9 +131,10 @@ def _dense(n, missing=frozenset()):
     return Molecule(atoms, bonds)
 
 
-# the kernel as the measured cutoff picks its walk, the kernel with each walk
-# forced, and the reference
-_BUDGET_WALKERS = {"kernel": None, "numpy_walk": 0, "recursive_walk": 10**9, "oracle": None}
+# the kernel as the measured cutoff picks its walk, the kernel with the numpy
+# walk forced, and the reference; the recursive walk counts nothing, as it
+# takes only molecules whose bound is within the budget
+_BUDGET_WALKERS = {"kernel": None, "numpy_walk": 0, "oracle": None}
 
 
 @pytest.mark.parametrize("walker", list(_BUDGET_WALKERS))
@@ -144,9 +145,6 @@ def test_budget_counts_every_step_in_both_directions(monkeypatch, walker, max_le
     fingerprint = oracles.path_oracle if walker == "oracle" else path_fingerprint
     if _BUDGET_WALKERS[walker] is not None:
         monkeypatch.setattr(fingerprints, "_NUMPY_MIN_ATOMS", _BUDGET_WALKERS[walker])
-    if walker == "recursive_walk":
-        # the degree bound would send these dense molecules to the numpy walk
-        monkeypatch.setattr(fingerprints, "_walk_bound", lambda mol, max_len: 0)
     for mol in (_dense(6), _LARGE[0], parse_smiles("c1ccc2ccccc2c1")):
         steps = directed_path_steps(mol, max_len)
         monkeypatch.setattr(module, "_MAX_PATHS_WALKED", steps)
@@ -154,6 +152,10 @@ def test_budget_counts_every_step_in_both_directions(monkeypatch, walker, max_le
         monkeypatch.setattr(module, "_MAX_PATHS_WALKED", steps - 1)
         with pytest.raises(FingerprintError):
             fingerprint(mol, max_len=max_len)
+
+
+def test_reference_walks_the_library_budget():
+    assert oracles._MAX_PATHS_WALKED == fingerprints._MAX_PATHS_WALKED
 
 
 # -- batch kernels ----------------------------------------------------------------
@@ -406,10 +408,19 @@ def test_small_over_budget_molecule_walks_in_numpy():
 def test_ordinary_molecules_stay_on_the_recursive_walk():
     for mol in _SMALL + _LARGE:
         assert fingerprints._walk_bound(mol, 7) <= fingerprints._MAX_PATHS_WALKED
-        assert fingerprints._walk_bound(mol, 7) >= directed_path_steps(mol, 7)
     # the bound is capped just past the budget, so a huge max_len stays cheap
     assert fingerprints._walk_bound(_dense(5), 10**9) <= 2 * fingerprints._MAX_PATHS_WALKED
     assert fingerprints._walk_bound(parse_smiles("C" * 20), 10**9) == 2 * 20 * 19
+
+
+@pytest.mark.parametrize("max_len", [*range(1, 9), 10**9])
+def test_walk_bound_is_never_below_the_step_count(max_len):
+    # the recursive walk counts no steps, so a molecule within the budget by
+    # this bound must be within it by its real step count
+    for mol in _SMALL + _LARGE + _ODD + [_dense(k) for k in range(1, 11)]:
+        bound = fingerprints._walk_bound(mol, max_len)
+        if bound <= fingerprints._MAX_PATHS_WALKED:
+            assert directed_path_steps(mol, max_len, limit=bound) <= bound
 
 
 # -- key and Morgan chunk kernels --------------------------------------------------

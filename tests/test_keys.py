@@ -3,6 +3,8 @@ import pytest
 from chemtext.fingerprints import key_fingerprint
 from chemtext.fingerprints.keys import (
     KeyTableError,
+    PatternAtom,
+    PatternNode,
     count_matches,
     default_key_table,
     load_key_table,
@@ -39,12 +41,35 @@ def test_default_tree_keys_have_threshold_one():
         ("C(C)", "expected bond after '(' in 'C(C)'"),
         ("C(-C", "missing ')' in pattern 'C(-C'"),
         ("C-", "expected atom at end of pattern 'C-'"),
+        ("", "expected atom at end of pattern ''"),
+        # element symbols are ASCII [A-Z][a-z]?, as in a SMILES bracket atom
+        ("É", "bad atom class at position 0 in 'É'"),
+        ("Cé-C", "trailing characters in pattern 'Cé-C'"),
+        ("\uff23", "bad atom class at position 0 in '\uff23'"),  # fullwidth C
+        # X is always the halogen class, never the start of Xe
+        ("Xe", "trailing characters in pattern 'Xe'"),
+        ("C[ar", "unterminated attribute list in 'C[ar'"),
+        ("C[zz]", "bad attribute 'zz' in 'C[zz]'"),
     ],
 )
 def test_pattern_grammar_errors(text, message):
     with pytest.raises(KeyTableError) as info:
         parse_pattern(text)
     assert str(info.value) == message
+    if text:  # a table line drops its trailing tab, and with it an empty pattern
+        with pytest.raises(KeyTableError) as info:
+            load_key_table([f"1\t1\t{text}"])
+        assert str(info.value) == f"line 1: {message}"
+
+
+def test_pattern_atoms_read_elements_classes_and_attributes():
+    chlorine = PatternNode(PatternAtom("Cl", None, None, ()), ())
+    charged = PatternAtom(None, None, True, (("chg", ">=", 1),))
+    assert parse_pattern("Cl") == chlorine
+    assert parse_pattern("*[ar,chg>=1]-Cl") == PatternNode(charged, (("-", chlorine),))
+    assert parse_pattern("Q[al]~X").children[0][1].atom.class_ == "X"
+    table = load_key_table(["1\t1\tCl", "2\t1\t*[ar,chg>=1]-Cl"])
+    assert [key.pattern for key in table] == [chlorine, parse_pattern("*[ar,chg>=1]-Cl")]
 
 
 def test_empty_table_rejected():
