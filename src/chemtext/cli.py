@@ -228,6 +228,8 @@ def _load_oracle(spec: str) -> LookupOracle:
             if not (isinstance(obj.get("precursors"), str) and isinstance(obj.get("product"), str)):
                 raise RecordError(f"{where}: oracle entries need string precursors and product")
             entries.append((where, obj["precursors"], obj["product"]))
+    if not entries:
+        raise RecordError(f"{path}: oracle file holds no entries")
     return LookupOracle(entries)
 
 

@@ -222,20 +222,34 @@ def read_jsonl(fp: IO[str], path: str | None = None) -> Iterator[tuple[str, dict
     """Yield ``(where, obj)`` for each non-blank line of a JSONL stream.
 
     ``where`` names the line as ``path:N``, or ``line N`` when ``path`` is
-    omitted. A line that is not JSON or not an object raises
-    :class:`RecordError` starting with it."""
-    for lineno, line in enumerate(fp, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        where = f"line {lineno}" if path is None else f"{path}:{lineno}"
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise RecordError(f"{where}: bad JSON: {exc}") from None
-        if not isinstance(obj, dict):
-            raise RecordError(f"{where}: not an object")
-        yield where, obj
+    omitted. A line that is not JSON or not an object, or holds a byte the
+    stream cannot decode, raises :class:`RecordError` starting with it."""
+
+    def name(lineno: int) -> str:
+        return f"line {lineno}" if path is None else f"{path}:{lineno}"
+
+    lineno = 0
+    try:
+        for lineno, line in enumerate(fp, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise RecordError(f"{name(lineno)}: bad JSON: {exc}") from None
+            if not isinstance(obj, dict):
+                raise RecordError(f"{name(lineno)}: not an object")
+            yield name(lineno), obj
+    except UnicodeDecodeError as exc:
+        # the stream decodes a block at a time, and none of the block's lines
+        # has been read: the bad byte's line follows the line breaks before
+        # it in the block (\r, \n or \r\n, as a text stream splits lines)
+        head = exc.object[:exc.start]
+        lineno += 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise RecordError(
+            f"{name(lineno)}: bad UTF-8: {exc.reason} 0x{exc.object[exc.start]:02x}"
+        ) from None
 
 
 def read_records(fp: IO[str], path: str | None = None) -> list[TaskRecord]:

@@ -39,7 +39,10 @@ Task conventions:
   is handed the prediction's record, any other the string): the regenerated
   product must equal the reference product canonically. A failed lookup is
   incorrect under ``oracle_failure``, or ``canon_budget`` if it raised
-  ``CanonError``; validity is the prediction's.
+  ``CanonError``; validity is the prediction's. The lookup oracle applies
+  the formula rule to its entries too: it holds them by formula and
+  canonicalizes one only when a second entry or a lookup of its formula
+  compares it.
 - para2actions: BLEU-4 over word tokens plus exact-string accuracy after
   whitespace normalization.
 
@@ -189,7 +192,7 @@ class _Side:
         return cls(smiles, mol if mol.validity.valid else None)
 
     @cached_property
-    def formula(self) -> tuple[int, list[str]] | None:
+    def formula(self) -> tuple[int, tuple[str, ...]] | None:
         """The bond count and the sorted atom texts the
         :class:`~chemtext.smiles.Molecule` constructor recorded, ``None``
         without a valid molecule. The canonical writer writes every bond and
@@ -197,7 +200,7 @@ class _Side:
         canonical string: sides whose formulas differ never have equal
         strings."""
         mol = self.mol
-        return None if mol is None else (len(mol.bonds), sorted(mol.atom_texts))
+        return None if mol is None else (len(mol.bonds), tuple(sorted(mol.atom_texts)))
 
     @cached_property
     def canonical(self) -> str | None:
@@ -212,10 +215,9 @@ class _Side:
             and self.canonical == other.canonical
         )
 
-    @property
-    def key(self) -> str:
-        """Lookup-oracle key: the canonical string, else the string itself."""
-        return self.smiles if self.mol is None else self.canonical
+
+# an oracle entry: where it was read, its precursors and its product
+_Entry = tuple[str, str, str]
 
 
 class LookupOracle:
@@ -232,26 +234,59 @@ class LookupOracle:
     ``path:line``); a mapping's entries are named ``entry 1``, ``entry 2``...
     :meth:`predict_product` also takes the record :func:`eval_retro` has
     already made for the prediction, so the precursors are parsed once.
+
+    Valid precursors are held in buckets by formula, which equal canonical
+    strings share, so a key is written only where one is compared: a
+    bucket's first entry is canonicalized when a second entry joins it (for
+    the repeat check) or a lookup of its formula reaches it, each entry at
+    most once, and an entry whose formula nothing else has, never. A query
+    is canonicalized before its bucket is read, so one over the budget
+    raises ``CanonError`` whatever the table holds.
     """
 
     def __init__(self, table: Mapping[str, str] | Iterable[tuple[str, str, str]]) -> None:
         if isinstance(table, Mapping):
             table = ((f"entry {k}", *item) for k, item in enumerate(table.items(), start=1))
-        self._table: dict[str, str] = {}
-        named: dict[str, tuple[str, str]] = {}  # key -> where and precursors of its last entry
-        for where, precursors, product in table:
-            try:
-                key = _Side.of(precursors).key
-            except CanonError:
-                key = precursors
-            if key in self._table and not self.same_product(self._table[key], product):
+        # key -> latest entry, by formula; invalid precursors under None, by their string
+        self._keyed: dict[tuple | None, dict[str, _Entry]] = {}
+        self._unwritten: dict[tuple, tuple[_Side, _Entry]] = {}  # a bucket's only entry
+        for entry in table:
+            where, precursors, product = entry
+            side = _Side.of(precursors)
+            formula = side.formula
+            if formula is not None and formula not in self._keyed and formula not in self._unwritten:
+                self._unwritten[formula] = side, entry
+                continue
+            bucket, key = self._bucket(formula), self._key(side)
+            earlier = bucket.get(key)
+            if earlier is not None and not self.same_product(earlier[2], product):
                 raise ChemtextError(
-                    f"{where}: oracle precursors {named[key][1]!r} and {precursors!r} are one "
-                    f"precursor set with different products {self._table[key]!r} and {product!r} "
-                    f"(the first at {named[key][0]})"
+                    f"{where}: oracle precursors {earlier[1]!r} and {precursors!r} are one "
+                    f"precursor set with different products {earlier[2]!r} and {product!r} "
+                    f"(the first at {earlier[0]})"
                 )
-            self._table[key] = product
-            named[key] = (where, precursors)
+            bucket[key] = entry
+
+    @staticmethod
+    def _key(side: _Side) -> str:
+        """An entry's key: the canonical string, else (invalid or over the
+        canonicalization budget) the string itself."""
+        if side.mol is None:
+            return side.smiles
+        try:
+            return side.canonical
+        except CanonError:
+            return side.smiles
+
+    def _bucket(self, formula: tuple | None) -> dict[str, _Entry]:
+        """The keyed entries of one formula, writing its unwritten entry."""
+        bucket = self._keyed.get(formula)
+        if bucket is None:
+            bucket = self._keyed[formula] = {}
+            if formula in self._unwritten:
+                side, entry = self._unwritten.pop(formula)
+                bucket[self._key(side)] = entry
+        return bucket
 
     @staticmethod
     def same_product(a: str, b: str) -> bool:
@@ -264,9 +299,14 @@ class LookupOracle:
 
     def predict_product(self, precursors: str | _Side) -> str:
         side = precursors if isinstance(precursors, _Side) else _Side.of(precursors)
-        if side.key not in self._table:
-            raise OracleError(f"no product known for precursors {side.smiles!r}")
-        return self._table[side.key]
+        formula = side.formula
+        # a valid query is canonicalized first, so one over the budget raises
+        key = side.smiles if formula is None else side.canonical
+        if formula in self._keyed or formula in self._unwritten:
+            entry = self._bucket(formula).get(key)
+            if entry is not None:
+                return entry[2]
+        raise OracleError(f"no product known for precursors {side.smiles!r}")
 
 
 def _check_task(pairs: Sequence[PredictionPair], task: TaskKind) -> None:

@@ -8,8 +8,9 @@ memo, keyed on the atom's fields, bond-order total and degree, gives the
 resolved atom (``hydrogens=None`` gets the valence-table default), its text
 as the canonical writer writes it and its valence violation, so validity and
 atom texts are recorded when a molecule is built. Atoms and bonds are frozen,
-so the parser takes organic-subset atoms from a prebuilt table and each bond
-from a bounded memo, and resolved atoms are shared across molecules.
+so the parser takes organic-subset atoms from a prebuilt table and each
+bracket atom (by its token text) and each bond from a bounded memo, and
+resolved atoms are shared across molecules.
 Aromaticity is taken syntactically from lowercase notation; no ring
 perception or kekulization. Imports run one way: tokenize, valence (the
 tables and rules), this module, canon.
@@ -460,10 +461,12 @@ def _ring_bond(
     return _bond(a, b, order, arom_a or arom_b, stereo_a if stereo_a is not None else stereo_b)
 
 
+@lru_cache(maxsize=4096)
 def _bracket_atom(text: str) -> Atom:
-    """The atom of a bracket token. A malformed one raises
-    :class:`ParseError` with a message the parser completes with the token
-    and its position; a field's fault is reported before a later field's."""
+    """The atom of a bracket token, built once per distinct token text. A
+    malformed one raises :class:`ParseError` (which the memo does not keep)
+    with a message the parser completes with the token and its position; a
+    field's fault is reported before a later field's."""
     end = len(text) - 1
     match = _BRACKET_INTERIOR.match(text, 1, end)
     isotope, symbol, chirality, h_text, signs, digits, atom_map = match.groups()

@@ -13,15 +13,18 @@ as the harness did before it analysed each SMILES side into one record.
 All three canonicalize a pair only when its two sides have equal formulas
 (bond count and sorted atom texts, from the first release's atom writer in
 ``canon_oracle``), so only such a pair can count under ``canon_budget``.
+:class:`EagerLookupOracle` is the lookup oracle as the harness built it
+before it held entries by formula: every entry's key is written at build.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 from chemtext.dataset import TaskKind
+from chemtext.errors import ChemtextError
 from chemtext.fingerprints import FingerprintConfig, FingerprintError, fingerprint, tanimoto
 from chemtext.harness import ForwardOracle, MetricReport, OracleError, PredictionPair
 from chemtext.smiles import CanonError, LexError, ParseError, canonicalize, parse_smiles
@@ -427,3 +430,45 @@ def retro_oracle(pairs: Sequence[PredictionPair], oracle: ForwardOracle) -> Metr
         n_valid_pred=n_valid,
         skip_reasons={k: v for k, v in skip_reasons.items() if v},
     )
+
+
+class EagerLookupOracle:
+    """A precursors -> product table keyed at build: the canonical SMILES of
+    valid precursors, else (invalid, or over the canonicalization budget)
+    the string itself. A repeated key whose product is neither the same
+    string nor canonically equal to the latest one's raises, naming the
+    latest earlier entry of the key; a lookup canonicalizes a valid query
+    (which may raise ``CanonError``) and reads its key."""
+
+    def __init__(self, table: Mapping[str, str] | Iterable[tuple[str, str, str]]) -> None:
+        if isinstance(table, Mapping):
+            table = [(f"entry {k}", *item) for k, item in enumerate(table.items(), start=1)]
+        self.table: dict[str, tuple[str, str, str]] = {}
+        for where, precursors, product in table:
+            mol = _parse_valid(precursors)
+            try:
+                key = precursors if mol is None else canonicalize(mol)
+            except CanonError:
+                key = precursors
+            if key in self.table and not _same_product(self.table[key][2], product):
+                first, spelled, earlier = self.table[key]
+                raise ChemtextError(
+                    f"{where}: oracle precursors {spelled!r} and {precursors!r} are one "
+                    f"precursor set with different products {earlier!r} and {product!r} "
+                    f"(the first at {first})"
+                )
+            self.table[key] = (where, precursors, product)
+
+    def predict_product(self, precursors: str) -> str:
+        mol = _parse_valid(precursors)
+        key = precursors if mol is None else canonicalize(mol)
+        if key not in self.table:
+            raise OracleError(f"no product known for precursors {precursors!r}")
+        return self.table[key][2]
+
+
+def _same_product(a: str, b: str) -> bool:
+    try:
+        return a == b or _canonically_equal(_parse_valid(a), _parse_valid(b))
+    except CanonError:
+        return False

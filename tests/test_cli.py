@@ -288,6 +288,45 @@ def test_evaluate_conflicting_oracle_entries_are_data_errors(tmp_path, capsys, s
         assert '"roundtrip_accuracy": 1.000000' in out
 
 
+@pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank_lines"])
+def test_evaluate_empty_oracle_file_is_data_error(tmp_path, capsys, text):
+    preds = tmp_path / "preds.jsonl"
+    write_predictions(preds, TaskKind.RETRO, [("CC.O", "CCO")])
+    oracle = tmp_path / "oracle.jsonl"
+    oracle.write_text(text)
+    code, out, err = run_cli(
+        ["evaluate", "--task", "retro", "--predictions", str(preds),
+         "--oracle", f"lookup:{oracle}", "--quiet"],
+        capsys=capsys,
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: {oracle}: oracle file holds no entries\n"
+
+
+_UNDECODABLE = b'{"id":"1","task":"retro","prediction":"C\xffC","reference":"CCO"}\n'
+
+
+@pytest.mark.parametrize("bad_file", ["predictions", "oracle", "task_stream"])
+def test_non_utf8_byte_is_data_error_naming_file_and_line(tmp_path, capsys, bad_file):
+    preds, oracle = tmp_path / "preds.jsonl", tmp_path / "oracle.jsonl"
+    write_predictions(preds, TaskKind.RETRO, [("CC.O", "CCO")])
+    oracle.write_text('{"precursors":"CC.O","product":"CCO"}\n')
+    stream = tmp_path / "stream.jsonl"
+    write_task_file(stream, TaskKind.RETRO, 2)
+    bad = {"predictions": preds, "oracle": oracle, "task_stream": stream}[bad_file]
+    bad.write_bytes(bad.read_bytes() + b"\n" + _UNDECODABLE)
+    if bad_file == "task_stream":
+        argv = ["build-dataset", "--task-file", f"retro={stream}", "--per-task", "2",
+                "--seed", "1", "--out", str(tmp_path / "o.jsonl")]
+    else:
+        argv = ["evaluate", "--task", "retro", "--predictions", str(preds),
+                "--oracle", f"lookup:{oracle}"]
+    code, out, err = run_cli(argv, capsys=capsys)
+    assert (code, out) == (2, "")
+    line = len(bad.read_bytes().splitlines())
+    assert err == f"error: {bad}:{line}: bad UTF-8: invalid start byte 0xff\n"
+
+
 def test_evaluate_fingerprint_budget_skips_one_pair(tmp_path, capsys):
     clique = clique_smiles()
     preds = tmp_path / "preds.jsonl"

@@ -1,4 +1,5 @@
 import io
+import random
 from collections import Counter
 
 import pytest
@@ -246,3 +247,45 @@ def test_jsonl_errors_carry_line_numbers(line):
     with pytest.raises(RecordError) as err:
         read_records(io.StringIO(line + "\n"))
     assert str(err.value).startswith("line 1: ")
+
+
+def _undecodable_lines(rng, n, bad_line):
+    """``n`` JSONL lines, LF or CRLF, some blank, most long enough that the
+    file spans several decode blocks; line ``bad_line`` (from 1) holds a
+    byte that is not UTF-8."""
+    out = []
+    for lineno in range(1, n + 1):
+        body = b""
+        if rng.random() < 0.9:
+            text = "é" * rng.randint(0, 60) + "x" * rng.randint(0, 40)
+            body = ('{"task":"retro","source":"%s","target":"b"}' % text).encode()
+        if lineno == bad_line:
+            cut = rng.randint(0, len(body))
+            body = body[:cut] + rng.choice([b"\xff", b"\xe2\x28", b"\xc3"]) + body[cut:]
+        out.append(body + rng.choice([b"\n", b"\r\n"]))
+    return b"".join(out)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_undecodable_byte_is_named_by_its_line(tmp_path, seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 400)
+    bad_line = rng.randint(1, n)
+    data = _undecodable_lines(rng, n, bad_line)
+    if bad_line == n and rng.random() < 0.5:
+        data = data.rstrip(b"\r\n")  # the byte sits in an unterminated last line
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(data)
+    with open(path, encoding="utf-8") as fp, pytest.raises(RecordError) as err:
+        read_records(fp, str(path))
+    assert str(err.value).startswith(f"{path}:{bad_line}: bad UTF-8: ")
+    with open(path, encoding="utf-8") as fp, pytest.raises(RecordError) as err:
+        read_records(fp)
+    assert str(err.value).startswith(f"line {bad_line}: bad UTF-8: ")
+
+
+def test_undecodable_byte_message():
+    stream = io.TextIOWrapper(io.BytesIO(b'{"a":"b"}\n\n{"a":"\xff"}\n'), encoding="utf-8")
+    with pytest.raises(RecordError) as err:
+        read_records(stream, "in.jsonl")
+    assert str(err.value) == "in.jsonl:3: bad UTF-8: invalid start byte 0xff"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from collections import Counter
@@ -30,7 +31,16 @@ from chemtext.harness import (
     report_to_json,
 )
 from chemtext import fingerprints, harness, textmetrics
-from chemtext.smiles import canon, canonicalize, parse_smiles, random_smiles, tokenize
+from chemtext.smiles import (
+    CanonError,
+    Molecule,
+    ParseError,
+    canon,
+    canonicalize,
+    parse_smiles,
+    random_smiles,
+    tokenize,
+)
 from chemtext.textmetrics import (
     EmptyCorpusError,
     bleu,
@@ -39,7 +49,12 @@ from chemtext.textmetrics import (
     rouge_n,
     word_tokenize,
 )
-from metric_oracles import forward_oracle, retro_oracle, text2mol_both_sides_oracle
+from metric_oracles import (
+    EagerLookupOracle,
+    forward_oracle,
+    retro_oracle,
+    text2mol_both_sides_oracle,
+)
 from molgen import clique_smiles, random_molecule
 
 
@@ -543,9 +558,10 @@ def _counted_smiles_calls(monkeypatch):
 @pytest.mark.parametrize(
     "row, budget, parses, canons",
     [
-        # hit: the prediction, the product and the reference, each once
-        (("O.CC", "OCC"), None, 3, 3),
-        (("O.CC", "CCN"), None, 3, 1),                # wrong product: formulas differ
+        # hit: the prediction, the entry it reaches, the product and the
+        # reference, each once (the entry's key is written on first lookup)
+        (("O.CC", "OCC"), None, 3, 4),
+        (("O.CC", "CCN"), None, 3, 2),                # wrong product: formulas differ
         (("CI.O", "CO"), None, 1, 1),                 # miss
         (("C(", "CCO"), None, 1, 0),                  # does not parse: a miss
         (("C(C)(C)(C)(C)C.O", "CCO"), None, 3, 2),    # fails validation: hit by its string
@@ -598,7 +614,7 @@ def test_formula_is_read_back_from_the_canonical_string(max_atoms, seed):
         for smiles in [random_smiles(mol, rng) for _ in range(3)]:
             side = _Side.of(smiles)
             canonical = canonicalize(side.mol)
-            written = (len(parse_smiles(canonical).bonds), _atom_tokens(canonical))
+            written = (len(parse_smiles(canonical).bonds), tuple(_atom_tokens(canonical)))
             assert side.formula == written, smiles
             # equal canonical strings have equal formulas
             assert formulas.setdefault(canonical, side.formula) == side.formula, smiles
@@ -764,6 +780,196 @@ def test_field_by_field_corpora_reach_every_outcome():
         # these four seeds only seed 2 holds one over this budget
         forward = [forward_oracle(_forward_corpus(seed, 10, 12)) for seed in range(4)]
         assert any(r.skip_reasons.get("canon_budget") for r in forward)
+
+
+# -- the lookup oracle against the eager table ---------------------------------
+
+# precursor sets, by the spellings of each; sets of one formula (bond count
+# and sorted atom texts) follow one another
+_ISOMERS = [
+    ("CCO", "OCC"), ("COC",),
+    ("CC.O", "O.CC"), ("C.CO", "OC.C"),
+    ("C1CC1.O", "O.C1CC1"), ("C1CO1.C",),
+    ("c1ccccc1C.O",), ("c1ccccc1O.C", "C.Oc1ccccc1"),
+]
+
+
+def _formula(mol):
+    return len(mol.bonds), tuple(sorted(mol.atom_texts))
+
+
+def _isomer(rng, mol):
+    """Another molecule of ``mol``'s formula, its atoms shuffled over its
+    bonds, or ``None`` when a few shuffles give none."""
+    atoms = [dataclasses.replace(atom, hydrogens=None) for atom in mol.atoms]
+    for _ in range(20):
+        try:
+            other = Molecule(rng.sample(atoms, len(atoms)), mol.bonds)
+        except ParseError:  # an aromatic bond moved onto a plain atom
+            continue
+        if (other.validity.valid and _formula(other) == _formula(mol)
+                and canonicalize(other) != canonicalize(mol)):
+            return other
+    return None
+
+
+def _product(rng, max_atoms):
+    return random_smiles(random_molecule(rng, max_atoms), rng) if rng.random() < 0.9 else _invalid(rng)
+
+
+def _respelt(rng, text):
+    """The string, or at times a random rewrite of it if it is valid."""
+    mol = _Side.of(text).mol
+    return random_smiles(mol, rng) if mol is not None and rng.random() < 0.7 else text
+
+
+def _lookup_corpus(rng, table, queries, max_atoms):
+    """Oracle entries and lookups around a precursors -> product table. The
+    entries add isomers of its precursors, ``_ISOMERS`` and two invalid
+    strings, each with a random product, and repeats spelled as written or
+    rewritten, with the same product string. A second entry list also
+    repeats three entries with a rewritten product or another one, which
+    may conflict. The lookups are ``queries``, every precursors string and
+    a rewrite of each, isomers not in the table, every spelling in
+    ``_ISOMERS``, invalid strings and other molecules."""
+    entries = [(f"t{k}", *item) for k, item in enumerate(table.items())]
+    entries += [(f"s{k}", spellings[0], _product(rng, max_atoms))
+                for k, spellings in enumerate(_ISOMERS) if rng.random() < 0.5]
+    entries += [(f"x{k}", text, _product(rng, max_atoms)) for k, text in enumerate(rng.sample(_INVALID, 2))]
+    mols = [mol for mol in (_Side.of(precursors).mol for _, precursors, _ in entries) if mol]
+    known = {canonicalize(mol) for mol in mols}
+    isomers = []
+    for mol in mols:
+        other = _isomer(rng, mol)
+        if other is not None and canonicalize(other) not in known:
+            known.add(canonicalize(other))
+            isomers.append(random_smiles(other, rng))
+    half = len(isomers) // 2
+    entries += [(f"i{k}", text, _product(rng, max_atoms)) for k, text in enumerate(isomers[:half])]
+    rng.shuffle(entries)
+    for k in range(len(entries) // 3):
+        at = rng.randrange(len(entries))
+        _, precursors, product = entries[at]
+        entries.insert(rng.randint(at + 1, len(entries)), (f"r{k}", _respelt(rng, precursors), product))
+    repeated = list(entries)
+    for k in range(3):
+        at = rng.randrange(len(repeated))
+        _, precursors, product = repeated[at]
+        other = _respelt(rng, product) if rng.random() < 0.7 else _product(rng, max_atoms)
+        repeated.insert(rng.randint(at + 1, len(repeated)), (f"c{k}", _respelt(rng, precursors), other))
+    spelt = [precursors for _, precursors, _ in repeated]
+    queries = [*queries, *spelt, *(_respelt(rng, text) for text in spelt), *isomers[half:],
+               *(text for spellings in _ISOMERS for text in spellings), *_INVALID,
+               *(random_smiles(random_molecule(rng, max_atoms), rng) for _ in range(3))]
+    return entries, repeated, queries
+
+
+def _molgen_table(rng, max_atoms, n):
+    """Precursor sets of one or two random molecules, each with a product."""
+    table = {}
+    for _ in range(n):
+        text = random_smiles(random_molecule(rng, max_atoms), rng)
+        if rng.random() < 0.7:
+            text += "." + random_smiles(random_molecule(rng, max(3, max_atoms // 2)), rng)
+        table[text] = _product(rng, max_atoms)
+    return table
+
+
+def _lookup_corpora(seed, max_atoms, corpus):
+    rng = random.Random(seed)
+    if corpus == "retro":
+        pairs, table = _retro_corpus(seed, max_atoms, 12)
+        return _lookup_corpus(rng, table, [pair.prediction for pair in pairs], max_atoms)
+    return _lookup_corpus(rng, _molgen_table(rng, max_atoms, 6), [], max_atoms)
+
+
+def _outcome(call, arg):
+    """What ``call(arg)`` returns, or the type and message of the error."""
+    try:
+        return call(arg)
+    except ChemtextError as exc:
+        return type(exc), str(exc)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    max_atoms=st.sampled_from([10, 30]),
+    budget=_BUDGETS,
+    corpus=st.sampled_from(["retro", "molgen"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_lookup_oracle_equals_the_eager_table(seed, max_atoms, budget, corpus):
+    # every build gives the eager table's error or none, and every lookup,
+    # by string or by record, in the first or a later round, its product or
+    # error; each table is built once more as a mapping
+    entries, repeated, queries = _lookup_corpora(seed, max_atoms, corpus)
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr(canon, "_MAX_CANDIDATES", budget)
+        for table in (entries, repeated, {p: q for _, p, q in entries}):
+            oracle, eager = _outcome(LookupOracle, table), _outcome(EagerLookupOracle, table)
+            if isinstance(eager, tuple):
+                assert oracle == eager
+                continue
+            for _ in range(2):
+                for query in queries:
+                    expected = _outcome(eager.predict_product, query)
+                    assert _outcome(oracle.predict_product, query) == expected, query
+                    assert _outcome(oracle.predict_product, _Side.of(query)) == expected, query
+
+
+def test_lookup_corpora_reach_every_outcome():
+    # the corpora above hold equal-formula isomers and rewrites, and reach
+    # hits, misses within a bucket, conflicting and accepted repeats, and
+    # lookups over a budget of 1 (40 is tight only for rarer symmetries)
+    seen = Counter()
+    for corpus in ("retro", "molgen"):
+        for seed, max_atoms in zip(range(4), [10, 10, 30, 30]):
+            entries, repeated, queries = _lookup_corpora(seed, max_atoms, corpus)
+            formulas = Counter(_formula(side.mol) for side in map(_Side.of, {p for _, p, _ in entries})
+                               if side.mol is not None)
+            seen[corpus, "isomers"] += any(count > 1 for count in formulas.values())
+            eager = EagerLookupOracle(entries)  # the first list has no conflict
+            for query in queries:
+                mol = _Side.of(query).mol
+                outcome = _outcome(eager.predict_product, query)
+                if isinstance(outcome, str):
+                    seen[corpus, "hit" if mol is not None else "invalid_hit"] += 1
+                elif mol is not None and formulas[_formula(mol)]:
+                    seen[corpus, "bucket_miss"] += 1
+            seen[corpus, "conflict"] += isinstance(_outcome(EagerLookupOracle, repeated), tuple)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(canon, "_MAX_CANDIDATES", 1)
+                outcomes = [_outcome(eager.predict_product, query) for query in queries]
+            seen[corpus, "canon_budget"] += sum(o[0] is CanonError for o in outcomes
+                                                if isinstance(o, tuple))
+    for corpus in ("retro", "molgen"):
+        for outcome in ("isomers", "hit", "invalid_hit", "bucket_miss", "conflict", "canon_budget"):
+            assert seen[corpus, outcome], (corpus, outcome)
+    assert seen["retro", "conflict"] < 4 or seen["molgen", "conflict"] < 4  # some repeats build
+
+
+def test_lookup_oracle_writes_keys_only_where_compared(monkeypatch):
+    counts = _counted_smiles_calls(monkeypatch)
+    # four formulas, one entry each (and an invalid one): nothing is written
+    oracle = LookupOracle({"CC.O": "CCO", "CN.O": "CO", "c1ccccc1": "C", "C(": "C", "CC": "C"})
+    assert counts["canonicalize"] == 0
+    # a second entry of a formula writes both keys for the repeat check
+    LookupOracle({"CC.O": "CCO", "CN.O": "CO", "C.CO": "CCO"})
+    assert counts["canonicalize"] == 2
+    # a lookup writes the query, then the entry its formula reaches, once
+    assert oracle.predict_product("O.CC") == "CCO"
+    assert counts["canonicalize"] == 4
+    assert oracle.predict_product("CC.O") == "CCO"
+    assert counts["canonicalize"] == 5
+    with pytest.raises(OracleError):
+        oracle.predict_product("C.CO")  # its formula's entry is written already
+    assert counts["canonicalize"] == 6
+    with pytest.raises(OracleError):
+        oracle.predict_product("CCC")  # no entry has its formula
+    assert counts["canonicalize"] == 7
+    assert oracle.predict_product("C(") == "C"  # invalid: its string is its key
+    assert counts["canonicalize"] == 7
 
 
 # -- rows ---------------------------------------------------------------------

@@ -23,7 +23,7 @@ from chemtext.smiles import (
     tokenize,
     validate_smiles,
 )
-from chemtext.smiles.parse import AROMATIC_BRACKET, _analysed_atom, _bond
+from chemtext.smiles.parse import AROMATIC_BRACKET, _analysed_atom, _bond, _bracket_atom
 from chemtext.smiles.tokenize import LexError
 from chemtext.smiles.valence import hydrogens_for_total
 from molgen import isomorphic, random_molecule
@@ -448,6 +448,40 @@ def test_bracket_atoms_take_only_ascii_letters(smiles, message):
     assert validate_smiles(smiles).reasons == (message,)
     with pytest.raises(ParseError):
         canonical_smiles(smiles)
+
+
+@pytest.mark.parametrize("text", ["[O-]", "[13F]", "[nH]", "[C@@H]", "[NH4+]", "[Fe+2]"])
+def test_one_bracket_text_gives_one_atom(text):
+    assert _bracket_atom(text) is _bracket_atom(text)
+    assert _bracket_atom(text) is _bracket_atom(text[:-1] + "]")  # another string, one text
+    # repeats of the token in one molecule and in another read the same atom
+    first, second = parse_smiles(f"{text}.{text}"), parse_smiles(f"C{text}")
+    assert first.atoms[0] == first.atoms[1] == second.atoms[1]
+
+
+@pytest.mark.parametrize(
+    "bracket, message",
+    [
+        ("[]", "expected element symbol"),
+        ("[13]", "expected element symbol"),
+        ("[x]", "unknown aromatic symbol 'x'"),
+        ("[ax]", "unknown aromatic symbol 'a'"),
+        ("[C++2]", "charge combines repeated signs with digits"),
+        ("[C:]", "expected digits after ':'"),
+        ("[CH3q]", "unexpected 'q'"),
+        ("[C@@@H]", "unexpected '@H'"),
+        ("[Na+-]", "unexpected '-'"),
+    ],
+)
+def test_malformed_bracket_messages_are_not_memoized(bracket, message):
+    # each read raises afresh, and the parser adds the token and its position
+    for prefix in ("", "CC.", "", "C"):
+        with pytest.raises(ParseError) as info:
+            parse_smiles(prefix + bracket)
+        assert str(info.value) == f"{message} in bracket atom {bracket!r} at position {len(prefix)}"
+        with pytest.raises(ParseError) as info:
+            _bracket_atom(bracket)
+        assert str(info.value) == message
 
 
 def test_explicit_aromatic_bond_needs_aromatic_atoms():
