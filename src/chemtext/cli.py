@@ -156,7 +156,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (ChemtextError, OSError, json.JSONDecodeError, ValueError) as err:
+    except (ChemtextError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA
     except Exception as err:  # pragma: no cover - defensive
@@ -202,7 +202,7 @@ def cmd_build_dataset(args) -> int:
     return EXIT_OK
 
 
-def _prediction_pair(where: str, obj: dict) -> PredictionPair:
+def _prediction_pair(where: str, obj: dict, expected: TaskKind) -> PredictionPair:
     missing = [k for k in ("id", "task", "prediction", "reference") if k not in obj]
     if missing:
         raise RecordError(f"{where}: missing fields {missing}")
@@ -210,6 +210,8 @@ def _prediction_pair(where: str, obj: dict) -> PredictionPair:
         task = TaskKind(obj["task"])
     except ValueError:
         raise RecordError(f"{where}: unknown task {obj['task']!r}") from None
+    if task is not expected:
+        raise RecordError(f"{where}: expected only {expected.value} pairs, found {task.value}")
     not_strings = [k for k in ("id", "prediction", "reference") if not isinstance(obj[k], str)]
     if not_strings:
         raise RecordError(f"{where}: fields {not_strings} must be strings")
@@ -244,7 +246,11 @@ def cmd_evaluate(args) -> int:
             raise _UsageError(f"argument {flag}: only --task text2mol reads it, not {task.value}")
     oracle = _load_oracle(args.oracle) if args.oracle else None
     with open(args.predictions, "r", encoding="utf-8") as fp:
-        pairs = [_prediction_pair(where, obj) for where, obj in read_jsonl(fp, args.predictions)]
+        pairs = [
+            _prediction_pair(where, obj, task) for where, obj in read_jsonl(fp, args.predictions)
+        ]
+    if not pairs:
+        raise RecordError(f"{args.predictions}: predictions file holds no pairs")
     given = (("radius", args.fp_radius), ("nbits", args.fp_bits))
     config = FingerprintConfig(**{field: value for field, value in given if value is not None})
     report = eval_pairs(pairs, task, oracle=oracle, fp_config=config)

@@ -128,17 +128,11 @@ def equal_mix(
         if task not in streams:
             continue
         stream = list(streams[task])
-        if len(stream) >= per_task:
-            if len(stream) == per_task:
-                mixed.extend(stream)
-            else:
-                mixed.extend(rng.sample(stream, per_task))
-        else:
-            passes, remainder = divmod(per_task, len(stream))
-            for _ in range(passes):
-                mixed.extend(stream)
-            if remainder:
-                mixed.extend(rng.sample(stream, remainder))
+        # a stream longer than per_task makes no pass and one draw of per_task
+        passes, remainder = divmod(per_task, len(stream))
+        mixed.extend(stream * passes)
+        if remainder:
+            mixed.extend(rng.sample(stream, remainder))
     rng.shuffle(mixed)
     return mixed
 

@@ -300,8 +300,6 @@ def _walk_bound(mol: Molecule, max_len: int) -> int:
     n = len(mol.atoms)
     max_len = min(max_len, n - 1)  # a simple path has fewer bonds than atoms
     d = max(map(len, mol.adjacency), default=0)
-    if d <= 2:
-        return n * d * (max_len if d == 2 else 1)
     total, term = 0, n * d
     for _ in range(max_len):
         total += term

@@ -37,6 +37,7 @@ import numpy as np
 
 from chemtext import fingerprints
 from chemtext.fingerprints import _FNV_PRIME, _morgan_seed, fnv1a64
+from chemtext.fingerprints.keys import atom_kind
 from chemtext.smiles.parse import Atom, Molecule
 
 _ORDER = attrgetter("order")
@@ -45,10 +46,6 @@ _AROMATIC = attrgetter("aromatic")
 # bond kinds of the key kernel: a bond symbol's index, and "~" any bond
 _BOND_KINDS = "-=#:~"
 _ANY_BOND = _BOND_KINDS.index("~")
-
-# A key table's chunk form keeps the slot row of at most this many distinct
-# atom feature tuples; the memo is emptied when it is full.
-_SLOT_MEMO_CAP = 4096
 
 # The path walk and the tree-key join expand about this many steps or
 # candidate atoms at once (one atom's neighbors are never split).
@@ -343,20 +340,18 @@ def _hex_digits(hashes):
 
 
 class ChunkKeys:
-    """A compiled key table (``keys._CompiledTable``) as numpy arrays, and
-    the memo of slot rows it has matched.
+    """A compiled key table (``keys._CompiledTable``) as numpy arrays.
 
     Each distinct (atom, degree, ring-bond count) of a batch maps to a
-    boolean row of the slots it satisfies. Atom keys and bond keys are then
-    per-molecule sums over the batch's slot matrix, and tree keys, each of
-    threshold one, one level-synchronous join over every tree key and
-    molecule.
+    boolean row of the slots its atom kind satisfies. Atom keys and bond
+    keys are then per-molecule sums over the batch's slot matrix, and tree
+    keys, each of threshold one, one level-synchronous join over every tree
+    key and molecule.
     """
 
     def __init__(self, compiled) -> None:
         self.compiled = compiled
-        self.n_slots = len(compiled._slot_of)
-        self.slot_rows: dict[tuple, np.ndarray] = {}  # atom features -> slot row
+        self.n_slots = compiled.n_slots
         # the bit of each key, atom keys first, then bond keys, then tree
         # keys: a key id can be any size, so bits stay Python ints
         self.key_bits = [
@@ -412,26 +407,20 @@ class ChunkKeys:
         return [frozenset(bits[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
     def _slot_matrix(self, table: GraphTable):
-        """Per atom of ``table``, the boolean row of slots it satisfies,
-        from the memo of one row per distinct atom feature tuple."""
+        """Per atom of ``table``, the boolean row of slots it satisfies, set
+        in one assignment from the compiled table's memo."""
         span = table.width + 1
-        features = (table.atom_id * span + table.degree) * span + table.ring_bonds
-        distinct, inverse = np.unique(features, return_inverse=True)
-        rows = np.empty((len(distinct), self.n_slots), dtype=bool)
-        memo = self.slot_rows
-        for u, code in enumerate(distinct.tolist()):
-            atom_degree, ring_bonds = divmod(code, span)
-            atom_id, degree = divmod(atom_degree, span)
-            atom = table.atoms[atom_id]
-            key = (atom.symbol, atom.aromatic, atom.charge, atom.hydrogens, degree, ring_bonds)
-            row = memo.get(key)
-            if row is None:
-                if len(memo) >= _SLOT_MEMO_CAP:
-                    memo.clear()
-                row = memo[key] = np.zeros(self.n_slots, dtype=bool)
-                row[self.compiled._matching_slots(key)] = True
-            rows[u] = row
-        return rows[inverse.reshape(-1)]
+        codes = (table.atom_id * span + table.degree) * span + table.ring_bonds
+        distinct, inverse = np.unique(codes, return_inverse=True)
+        atom_degree, ring_bonds = np.divmod(distinct, span)
+        atom_id, degree = np.divmod(atom_degree, span)
+        atoms = map(table.atoms.__getitem__, atom_id.tolist())
+        kinds = map(atom_kind, atoms, degree.tolist(), ring_bonds.tolist())
+        matched = list(map(self.compiled.kind_slots, kinds))  # per distinct code
+        rows = np.repeat(np.arange(len(matched)), list(map(len, matched)))
+        matrix = np.zeros((len(matched), self.n_slots), dtype=bool)
+        matrix[rows, np.fromiter(chain.from_iterable(matched), dtype=np.intp)] = True
+        return matrix[inverse.reshape(-1)]
 
     def _tree_key_hits(self, table: GraphTable, slots, slot_counts):
         """Per molecule and tree key, whether the key embeds.

@@ -33,9 +33,11 @@ acetal site once.
 A :class:`KeyTable` is compiled on first use: its distinct pattern atoms
 become numbered slots. Single-atom keys count atoms, single-bond keys count
 bonds, and larger patterns (tree keys) count embeddings. There are two
-matchers. The Python matcher scores one molecule from per-slot atom bitsets,
-its tree keys through the embedder of :func:`count_matches`, which counts
-distinct atom sets. It scores :func:`key_fingerprint
+matchers, and both read the slots an atom kind satisfies from one bounded
+memo per compiled table (:attr:`_CompiledTable.kind_slots`). The Python
+matcher scores one molecule from per-slot atom bitsets, its tree keys
+through the embedder of :func:`count_matches`, which counts distinct atom
+sets. It scores :func:`key_fingerprint
 <chemtext.fingerprints.key_fingerprint>`, a batch under the fingerprint
 package's numpy cutoff, and any batch of a table with a tree key counted
 past one (:attr:`_CompiledTable.chunkable`). The numpy matcher
@@ -53,12 +55,12 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from importlib import resources
 from typing import Iterable, Sequence
 
 from chemtext.errors import ChemtextError
-from chemtext.smiles.parse import _ELEMENT, Molecule
+from chemtext.smiles.parse import _ELEMENT, Atom, Molecule
 
 _HALOGENS = frozenset({"F", "Cl", "Br", "I"})
 # "*", a class or an element, then an optional attribute list; the "]" group
@@ -212,15 +214,13 @@ def default_key_table() -> KeyTable:
 
 # -- matching -----------------------------------------------------------------
 
-# atom feature tuple: (symbol, aromatic, charge, hydrogens, degree, ring bonds)
+# an atom kind: (symbol, aromatic, charge, hydrogens, degree, ring bonds)
 _FIELD_INDEX = {"chg": 2, "H": 3, "deg": 4, "rb": 5}
 
 
-def _atom_features(mol: Molecule) -> list[tuple]:
-    return [
-        (atom.symbol, atom.aromatic, atom.charge, atom.hydrogens, len(neighbors), ring_bonds)
-        for atom, neighbors, ring_bonds in zip(mol.atoms, mol.adjacency, mol.ring_bond_counts)
-    ]
+def atom_kind(atom: Atom, degree: int, ring_bonds: int) -> tuple:
+    """Every field of an atom that a pattern atom can test."""
+    return (atom.symbol, atom.aromatic, atom.charge, atom.hydrogens, degree, ring_bonds)
 
 
 class _CompiledTable:
@@ -241,6 +241,7 @@ class _CompiledTable:
             steps: list[tuple[int, str, int]] = []
             self._linearize(key.pattern, -1, "", steps)
             self.steps.append(tuple(steps))
+        self.n_slots = len(self._slot_of)
         # per slot: (aromatic, ((feature index, low, high), ...))
         self._tests: list[tuple] = []
         self._by_element: dict[str, list[int]] = {}
@@ -276,6 +277,9 @@ class _CompiledTable:
                 self.tree_keys.append((bit, threshold, steps))
         # numpy finds whether a tree key embeds; only Python counts atom sets
         self.chunkable = all(threshold == 1 for _, threshold, _ in self.tree_keys)
+        # the slots an atom kind (see atom_kind) satisfies, in one bounded
+        # memo that both matchers read
+        self.kind_slots = lru_cache(maxsize=4096)(self._matching_slots)
 
     def _linearize(self, node: PatternNode, parent: int, bond: str, out: list) -> None:
         slot = self._slot_of.setdefault(node.atom, len(self._slot_of))
@@ -284,8 +288,8 @@ class _CompiledTable:
         for child_bond, child in node.children:
             self._linearize(child, step, child_bond, out)
 
-    def _matching_slots(self, features: tuple) -> list[int]:
-        symbol, aromatic = features[0], features[1]
+    def _matching_slots(self, kind: tuple) -> tuple[int, ...]:
+        symbol, aromatic = kind[0], kind[1]
         candidates = self._by_element.get(symbol, []) + self._by_class[None]
         if symbol in _HALOGENS:
             candidates += self._by_class["X"]
@@ -297,20 +301,21 @@ class _CompiledTable:
             if want_aromatic is not None and aromatic != want_aromatic:
                 continue
             for i, low, high in bounds:
-                if not low <= features[i] <= high:
+                if not low <= kind[i] <= high:
                     break
             else:
                 out.append(slot)
-        return out
+        return tuple(out)
 
     def slot_atoms(self, mol: Molecule) -> list[int]:
         """Per slot, the bitset of atom indices that satisfy it."""
-        by_features: dict[tuple, int] = {}
-        for i, features in enumerate(_atom_features(mol)):
-            by_features[features] = by_features.get(features, 0) | (1 << i)
-        out = [0] * len(self._slot_of)
-        for features, atoms in by_features.items():
-            for slot in self._matching_slots(features):
+        by_kind: dict[tuple, int] = {}
+        kinds = map(atom_kind, mol.atoms, map(len, mol.adjacency), mol.ring_bond_counts)
+        for i, kind in enumerate(kinds):
+            by_kind[kind] = by_kind.get(kind, 0) | (1 << i)
+        out = [0] * self.n_slots
+        for kind, atoms in by_kind.items():
+            for slot in self.kind_slots(kind):
                 out[slot] |= atoms
         return out
 

@@ -75,9 +75,7 @@ def _as_matrix(name: str, value) -> np.ndarray:
     array = np.asarray(value, dtype=np.float64)
     if array.ndim != 2 or array.size == 0:
         raise ShapeError(f"{name} must be a non-empty 2-D matrix, got shape {array.shape}")
-    if not np.all(np.isfinite(array)):
-        raise NonFiniteError(f"{name} contains non-finite entries")
-    return array
+    return _check_finite(name, array)
 
 
 @dataclass(frozen=True)

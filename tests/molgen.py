@@ -47,10 +47,12 @@ def random_molecule(rng: random.Random, max_atoms: int = 20) -> Molecule:
             return mol
 
 
-def clique_smiles() -> str:
-    """Ten distinct bracket elements (valence unchecked), every pair bonded:
-    quick to canonicalize, far beyond the path-enumeration budget."""
-    elements = ["Au", "Ag", "Pt", "Pd", "Rh", "Ru", "Ir", "Os", "Re", "W"]
+def clique_smiles(
+    elements: tuple[str, ...] = ("Au", "Ag", "Pt", "Pd", "Rh", "Ru", "Ir", "Os", "Re", "W"),
+) -> str:
+    """Bracket atoms of ``elements`` (valence unchecked), every pair bonded.
+    The default ten distinct elements are quick to canonicalize and far
+    beyond the path-enumeration budget."""
     labels: dict[tuple[int, int], int] = {}
     parts = []
     for i, element in enumerate(elements):

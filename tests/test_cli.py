@@ -189,15 +189,37 @@ def test_evaluate_retro_with_lookup_oracle(tmp_path, capsys):
     assert '"roundtrip_accuracy": 1.000000' in out
 
 
-def test_evaluate_mixed_tasks_is_data_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "task, lines, where, found",
+    [
+        ("text2mol", ["text2mol", "forward"], 2, "forward"),
+        ("forward", ["forward", None, "retro"], 3, "retro"),  # None: a blank line
+    ],
+    ids=["text2mol_run", "forward_run"],
+)
+def test_evaluate_mixed_tasks_is_data_error(tmp_path, capsys, task, lines, where, found):
     preds = tmp_path / "preds.jsonl"
     with open(preds, "w") as fp:
-        fp.write('{"id":"0","task":"text2mol","prediction":"C","reference":"C"}\n')
-        fp.write('{"id":"1","task":"forward","prediction":"C","reference":"C"}\n')
-    code, _, _ = run_cli(
-        ["evaluate", "--task", "text2mol", "--predictions", str(preds)], capsys=capsys
+        for i, kind in enumerate(lines):
+            fp.write("\n" if kind is None else
+                     f'{{"id":"{i}","task":"{kind}","prediction":"C","reference":"C"}}\n')
+    code, out, err = run_cli(
+        ["evaluate", "--task", task, "--predictions", str(preds)], capsys=capsys
     )
-    assert code == 2
+    assert (code, out) == (2, "")
+    assert err == f"error: {preds}:{where}: expected only {task} pairs, found {found}\n"
+
+
+@pytest.mark.parametrize("task", ["forward", "text2mol"])
+@pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank_lines"])
+def test_evaluate_empty_predictions_file_names_it(tmp_path, capsys, task, text):
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text(text)
+    code, out, err = run_cli(
+        ["evaluate", "--task", task, "--predictions", str(preds)], capsys=capsys
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: {preds}: predictions file holds no pairs\n"
 
 
 def test_evaluate_malformed_line_reports_line_number(tmp_path, capsys):

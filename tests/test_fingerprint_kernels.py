@@ -3,6 +3,7 @@ implementations in fingerprint_oracles.py, bit for bit."""
 
 import random
 import time
+from collections import Counter
 import tracemalloc
 from dataclasses import replace
 from functools import lru_cache
@@ -28,6 +29,7 @@ from chemtext.fingerprints import (
     path_fingerprints,
 )
 from chemtext.fingerprints import chunk as chunk_kernels
+from chemtext.fingerprints import keys
 from chemtext.fingerprints.keys import count_matches, parse_pattern
 from chemtext.smiles import Atom, Bond, Molecule, ParseError, parse_smiles
 from molgen import clique_smiles, directed_path_steps, random_molecule
@@ -610,15 +612,52 @@ def test_morgan_seed_memo_is_bounded(cutoff):
     assert seed.cache_info().currsize <= seed.cache_info().maxsize
 
 
-def test_slot_row_memo_is_bounded(monkeypatch):
+def test_slot_memo_is_bounded(monkeypatch):
+    # more distinct atom kinds than the memo keeps (unknown elements, so no
+    # valence bound), through the numpy matcher in one batch, the Python
+    # matcher alone, and then a few molecules at a time
     monkeypatch.setattr(fingerprints, "_NUMPY_MIN_ATOMS", 0)
-    monkeypatch.setattr(chunk_kernels, "_SLOT_MEMO_CAP", 8)
+    table = _tree_keys_once(load_key_table(_CUSTOM_TABLE.splitlines()))
+    memo = table.compiled.kind_slots
+    n = memo.cache_info().maxsize + 500
+    atoms = [Atom("Xx", charge=i - n // 2, hydrogens=i % 3) for i in range(n)]
+    crowd = Molecule(atoms, [Bond(i, i + 1) for i in range(0, n - 1, 2)])
+    expected = oracles.key_oracle(crowd, table)
+    assert key_fingerprints([crowd], table) == [expected]
+    assert "chunk" in vars(table.compiled)
+    assert memo.cache_info().currsize == memo.cache_info().maxsize
+    assert key_fingerprint(crowd, table) == expected
+    for lo in range(0, 40, 3):
+        chunk = _LARGE[lo:lo + 3] + _MADE
+        assert key_fingerprints(chunk, table) == [oracles.key_oracle(m, table) for m in chunk]
+    assert memo.cache_info().currsize <= memo.cache_info().maxsize
+
+
+def test_each_atom_kind_is_matched_once_across_both_matchers(monkeypatch):
+    calls = Counter()
+    matching_slots = keys._CompiledTable._matching_slots
+
+    def counted(self, kind):
+        calls[kind] += 1
+        return matching_slots(self, kind)
+
+    monkeypatch.setattr(keys._CompiledTable, "_matching_slots", counted)
     table = _tree_keys_once(load_key_table(_CUSTOM_TABLE.splitlines()))
     mols = _LARGE[:40] + _MADE
-    for lo in range(0, len(mols), 3):
-        chunk = mols[lo:lo + 3]
-        assert key_fingerprints(chunk, table) == [oracles.key_oracle(m, table) for m in chunk]
-        assert 0 < len(table.compiled.chunk.slot_rows) <= 8
+    expected = [oracles.key_oracle(m, table) for m in mols]
+    monkeypatch.setattr(fingerprints, "_NUMPY_MIN_ATOMS", 10**9)
+    for lo in range(0, len(mols), 2):
+        assert key_fingerprints(mols[lo:lo + 2], table) == expected[lo:lo + 2]
+    assert "chunk" not in vars(table.compiled)
+    monkeypatch.setattr(fingerprints, "_NUMPY_MIN_ATOMS", 0)
+    assert key_fingerprints(mols, table) == expected
+    assert "chunk" in vars(table.compiled)
+    kinds = {
+        keys.atom_kind(atom, len(neighbors), ring_bonds)
+        for mol in mols
+        for atom, neighbors, ring_bonds in zip(mol.atoms, mol.adjacency, mol.ring_bond_counts)
+    }
+    assert calls == Counter(dict.fromkeys(kinds, 1))
 
 
 @pytest.mark.parametrize("big_id", [10**7, 10**21])

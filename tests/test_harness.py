@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chemtext.dataset import TaskKind
@@ -662,6 +662,13 @@ def _invalid(rng):
     return rng.choice(_INVALID)
 
 
+# a uranium 10-clique as spelled and as rewritten (every rewrite is one
+# string): canonicalizing it writes 46 candidate strings, so it is the
+# corpora's molecule over a budget of 40
+_U_CLIQUE = clique_smiles(("U",) * 10)
+_U_CLIQUE_TEXTS = (_U_CLIQUE, random_smiles(parse_smiles(_U_CLIQUE), random.Random(0)))
+
+
 def _forward_corpus(seed, max_atoms, n):
     """Exact matches as rewrites, other molecules, and predictions or
     references that do not parse or fail validation."""
@@ -680,6 +687,7 @@ def _forward_corpus(seed, max_atoms, n):
         elif kind == 4:
             ref_text = _invalid(rng)
         rows.append((pred, ref_text))
+    rows.append(_U_CLIQUE_TEXTS[::-1])
     return pairs_for(TaskKind.FORWARD, rows)
 
 
@@ -688,7 +696,7 @@ def _retro_corpus(seed, max_atoms, n):
     written and in a rewritten atom order, wrong products, misses, keys and
     products that do not parse or fail validation."""
     rng = random.Random(seed)
-    table = {"C(C)(C)(C)(C)C.O": "CCO", "O.C(": "c1ccccc1"}
+    table = {"C(C)(C)(C)(C)C.O": "CCO", "O.C(": "c1ccccc1", _U_CLIQUE: "CCO"}
     keys = set()
     entries = []
     while len(entries) < max(2, n // 3):
@@ -703,7 +711,8 @@ def _retro_corpus(seed, max_atoms, n):
         text = random_smiles(product, rng) if product else _invalid(rng)
         table[random_smiles(precursors, rng)] = text
         entries.append((precursors, product))
-    rows = [("C(C)(C)(C)(C)C.O", "OCC"), ("O.C(C)(C)(C)(C)C", "CCO"), ("O.C(", "c1ccccc1")]
+    rows = [("C(C)(C)(C)(C)C.O", "OCC"), ("O.C(C)(C)(C)(C)C", "CCO"), ("O.C(", "c1ccccc1"),
+            (_U_CLIQUE_TEXTS[1], "OCC")]
     for _ in range(n):
         precursors, product = rng.choice(entries)
         ref = random_smiles(product, rng) if product else _invalid(rng)
@@ -736,6 +745,7 @@ _BUDGETS = st.sampled_from([None, 1, 40])
 
 
 @given(seed=st.integers(0, 2**32 - 1), max_atoms=st.sampled_from([10, 30]), budget=_BUDGETS)
+@example(seed=0, max_atoms=10, budget=40)
 @settings(max_examples=40, deadline=None)
 def test_forward_equals_field_by_field_loop(seed, max_atoms, budget):
     pairs = _forward_corpus(seed, max_atoms, 12)
@@ -748,6 +758,7 @@ def test_forward_equals_field_by_field_loop(seed, max_atoms, budget):
 
 
 @given(seed=st.integers(0, 2**32 - 1), max_atoms=st.sampled_from([10, 30]), budget=_BUDGETS)
+@example(seed=0, max_atoms=10, budget=40)
 @settings(max_examples=40, deadline=None)
 def test_retro_equals_field_by_field_loop(seed, max_atoms, budget):
     pairs, table = _retro_corpus(seed, max_atoms, 12)
@@ -776,10 +787,27 @@ def test_field_by_field_corpora_reach_every_outcome():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(canon, "_MAX_CANDIDATES", 1)
         assert retro_oracle(pairs, LookupOracle(table)).skip_reasons.get("canon_budget")
-        # only a pair of two valid sides with equal formulas counts, and of
-        # these four seeds only seed 2 holds one over this budget
+        # only a pair of two valid sides with equal formulas counts
         forward = [forward_oracle(_forward_corpus(seed, 10, 12)) for seed in range(4)]
         assert any(r.skip_reasons.get("canon_budget") for r in forward)
+
+
+def test_budget_40_examples_trip_the_canon_budget():
+    # the uranium clique is over a budget of 40 as a forward pair side, a
+    # retro precursor set and a lookup query, so the budget-40 examples of
+    # the differential tests score a skip, not the unbounded case again
+    forward, (pairs, table) = _forward_corpus(0, 10, 12), _retro_corpus(0, 10, 12)
+    lookups = [_lookup_corpora(0, 10, corpus) for corpus in ("retro", "molgen")]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(canon, "_MAX_CANDIDATES", 40)
+        assert eval_forward(forward).skip_reasons == {"canon_budget": 1}
+        assert eval_retro(pairs, LookupOracle(table)).skip_reasons.get("canon_budget")
+        for entries, _, queries in lookups:
+            oracle = LookupOracle(entries)
+            for text in _U_CLIQUE_TEXTS:
+                assert text in queries
+                with pytest.raises(CanonError):
+                    oracle.predict_product(text)
 
 
 # -- the lookup oracle against the eager table ---------------------------------
@@ -879,8 +907,9 @@ def _lookup_corpora(seed, max_atoms, corpus):
     rng = random.Random(seed)
     if corpus == "retro":
         pairs, table = _retro_corpus(seed, max_atoms, 12)
+        # the retro corpus already holds the uranium clique in both spellings
         return _lookup_corpus(rng, table, [pair.prediction for pair in pairs], max_atoms)
-    return _lookup_corpus(rng, _molgen_table(rng, max_atoms, 6), [], max_atoms)
+    return _lookup_corpus(rng, _molgen_table(rng, max_atoms, 6), _U_CLIQUE_TEXTS, max_atoms)
 
 
 def _outcome(call, arg):
@@ -897,6 +926,8 @@ def _outcome(call, arg):
     budget=_BUDGETS,
     corpus=st.sampled_from(["retro", "molgen"]),
 )
+@example(seed=0, max_atoms=10, budget=40, corpus="retro")
+@example(seed=0, max_atoms=10, budget=40, corpus="molgen")
 @settings(max_examples=60, deadline=None)
 def test_lookup_oracle_equals_the_eager_table(seed, max_atoms, budget, corpus):
     # every build gives the eager table's error or none, and every lookup,
@@ -921,7 +952,7 @@ def test_lookup_oracle_equals_the_eager_table(seed, max_atoms, budget, corpus):
 def test_lookup_corpora_reach_every_outcome():
     # the corpora above hold equal-formula isomers and rewrites, and reach
     # hits, misses within a bucket, conflicting and accepted repeats, and
-    # lookups over a budget of 1 (40 is tight only for rarer symmetries)
+    # lookups over a budget of 1 (and of 40: the uranium clique)
     seen = Counter()
     for corpus in ("retro", "molgen"):
         for seed, max_atoms in zip(range(4), [10, 10, 30, 30]):
