@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import IO, TYPE_CHECKING, Callable, Sequence, TypeVar
 
 from chemtext.dataset import (
     RecordError,
@@ -46,6 +46,8 @@ if TYPE_CHECKING:
     import numpy as np
 
     from chemtext.merge import MergeParams
+
+_T = TypeVar("_T")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -167,6 +169,30 @@ def main(argv: Sequence[str] | None = None) -> int:
 # -- subcommands ----------------------------------------------------------------
 
 
+def _read_file(path: str, load: Callable[[IO[str]], _T]) -> _T:
+    """``load`` of the UTF-8 file at ``path``; a byte that is not UTF-8, or
+    bad data (a ``ChemtextError`` or ``ValueError``), raises ``RecordError``
+    led by the path."""
+    with open(path, "r", encoding="utf-8") as fp:
+        try:
+            return load(fp)
+        except UnicodeDecodeError as exc:
+            raise RecordError(
+                f"{path}: bad UTF-8: {exc.reason} 0x{exc.object[exc.start]:02x}"
+            ) from None
+        except (ChemtextError, ValueError) as exc:
+            raise RecordError(f"{path}: {exc}") from None
+
+
+def _load_json(fp: IO[str]) -> object:
+    """``json.load``; bad JSON, or JSON nested too deeply to decode, raises
+    ``RecordError``."""
+    try:
+        return json.load(fp)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise RecordError(f"bad JSON: {exc}") from None
+
+
 def cmd_build_dataset(args) -> int:
     paths: dict[TaskKind, str] = {}
     for spec in args.task_file:
@@ -184,6 +210,8 @@ def cmd_build_dataset(args) -> int:
     for kind, path in paths.items():
         with open(path, "r", encoding="utf-8") as fp:
             records = read_records(fp, path)
+        if not records:
+            raise RecordError(f"{path}: empty stream for task {kind.value}")
         for record in records:
             if record.task is not kind:
                 raise RecordError(
@@ -297,8 +325,7 @@ def _fingerprint_config(args) -> FingerprintConfig:
             )
         given[field] = value
     if "key_table" in given:
-        with open(given["key_table"], "r", encoding="utf-8") as fp:
-            given["key_table"] = load_key_table(fp)
+        given["key_table"] = _read_file(given["key_table"], load_key_table)
     return FingerprintConfig(**given)
 
 
@@ -335,13 +362,11 @@ def cmd_merge_demo(args) -> int:
         check_grad_epsilon(args.grad_epsilon)
     except ValueError as err:
         raise _UsageError(f"argument --grad-epsilon: {err}") from None
-    with open(args.base, "r", encoding="utf-8") as fp:
-        h_t = load_matrix(fp)
-    with open(args.adapt, "r", encoding="utf-8") as fp:
-        h_m = load_matrix(fp)
-    with open(args.params, "r", encoding="utf-8") as fp:
-        spec = json.load(fp)
-    params = _params_from_spec(spec, h_t.shape[1], h_m.shape[1])
+    h_t = _read_file(args.base, load_matrix)
+    h_m = _read_file(args.adapt, load_matrix)
+    params = _read_file(
+        args.params, lambda fp: _params_from_spec(_load_json(fp), h_t.shape[1], h_m.shape[1])
+    )
     if params.combine is CombineMode.BASE_ONLY:
         op_id = "hierarchical_merge" if params.depth > 1 else "cross_attend"
     else:

@@ -13,8 +13,11 @@ with draws in a fixed order (tasks in ``TaskKind`` declaration order, then
 the global shuffle).
 
 JSONL interface: one record per line, object with string fields ``task``,
-``source``, ``target``, ``prompt``; UTF-8, LF line endings. Unknown fields
-are preserved on read and dropped on write.
+``source``, ``target``, ``prompt``; UTF-8, LF line endings. The prompt is
+derived, not stored: :attr:`TaskRecord.prompt` renders the task's template
+with the source, every record is written with it, and a prompt read with a
+record must equal it. Unknown fields are preserved on read and dropped on
+write.
 """
 
 from __future__ import annotations
@@ -75,32 +78,27 @@ def render_prompt(task: TaskKind, input_text: str) -> str:
 
 @dataclass(frozen=True)
 class TaskRecord:
-    """One training/eval sample. ``prompt`` is always the rendered template;
-    use :func:`make_record` unless you already have a verified prompt."""
+    """One training/eval sample; its prompt is its task's template rendered
+    with its source."""
 
     task: TaskKind
     source: str
     target: str
-    prompt: str
     extra: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         if not self.target:
             raise RecordError("record target must be non-empty")
-        if self.prompt != render_prompt(self.task, self.source):
-            raise RecordError(
-                f"prompt does not match the {self.task.value} template"
-            )
+        if not self.source:
+            raise EmptyInputError(f"empty input for task {self.task.value}")
+
+    @property
+    def prompt(self) -> str:
+        return render_prompt(self.task, self.source)
 
 
 def make_record(task: TaskKind, source: str, target: str, extra: dict | None = None) -> TaskRecord:
-    return TaskRecord(
-        task=task,
-        source=source,
-        target=target,
-        prompt=render_prompt(task, source),
-        extra=extra or {},
-    )
+    return TaskRecord(task, source, target, extra or {})
 
 
 def equal_mix(
@@ -202,22 +200,21 @@ def record_from_obj(obj: dict, where: str | None = None) -> TaskRecord:
     if prompt is not None and not isinstance(prompt, str):
         raise RecordError(f"{where}non-string field 'prompt'")
     try:
-        if prompt is None:
-            return make_record(task, obj["source"], obj["target"], extra)
-        return TaskRecord(
-            task=task, source=obj["source"], target=obj["target"],
-            prompt=prompt, extra=extra,
-        )
+        record = TaskRecord(task, obj["source"], obj["target"], extra)
     except (RecordError, EmptyInputError) as exc:
         raise RecordError(f"{where}{exc}") from None
+    if prompt is not None and prompt != record.prompt:
+        raise RecordError(f"{where}prompt does not match the {task.value} template")
+    return record
 
 
 def read_jsonl(fp: IO[str], path: str | None = None) -> Iterator[tuple[str, dict]]:
     """Yield ``(where, obj)`` for each non-blank line of a JSONL stream.
 
     ``where`` names the line as ``path:N``, or ``line N`` when ``path`` is
-    omitted. A line that is not JSON or not an object, or holds a byte the
-    stream cannot decode, raises :class:`RecordError` starting with it."""
+    omitted. A line that is not JSON (or nests too deeply to decode) or not
+    an object, or holds a byte the stream cannot decode, raises
+    :class:`RecordError` starting with it."""
 
     def name(lineno: int) -> str:
         return f"line {lineno}" if path is None else f"{path}:{lineno}"
@@ -230,7 +227,7 @@ def read_jsonl(fp: IO[str], path: str | None = None) -> Iterator[tuple[str, dict
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
                 raise RecordError(f"{name(lineno)}: bad JSON: {exc}") from None
             if not isinstance(obj, dict):
                 raise RecordError(f"{name(lineno)}: not an object")
@@ -248,7 +245,7 @@ def read_jsonl(fp: IO[str], path: str | None = None) -> Iterator[tuple[str, dict
 
 def read_records(fp: IO[str], path: str | None = None) -> list[TaskRecord]:
     """Read JSONL task records; a malformed line raises RecordError led by its
-    ``where`` (see :func:`read_jsonl`), and a missing prompt is rendered."""
+    ``where`` (see :func:`read_jsonl`)."""
     return [record_from_obj(obj, where) for where, obj in read_jsonl(fp, path)]
 
 

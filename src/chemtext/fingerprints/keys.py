@@ -19,6 +19,8 @@ Pattern grammar (rooted tree, SMILES-flavored)::
     attr    := "ar" | "al"
              | ("chg" | "rb" | "H" | "deg") ("=" | ">=" | "<=") integer
 
+A pattern holds at most 256 characters.
+
 ``ar``/``al`` constrain aromaticity; ``chg`` is formal charge, ``rb`` the
 number of incident ring bonds, ``H`` the total hydrogen count, ``deg`` the
 heavy-atom degree. ``~`` matches any bond; ``-`` matches only plain single
@@ -69,6 +71,11 @@ _PATTERN_ATOM = re.compile(rf"(\*|X|Q|{_ELEMENT.pattern})(?:\[([^\]]*)(\])?)?")
 _ATTR_RE = re.compile(r"(chg|rb|H|deg)(>=|<=|=)([+-]?[0-9]+)")
 # int() and \d would also read "1_0", " 1" and non-ASCII digits
 _KEY_LINE = re.compile(r"([0-9]+)\t([0-9]+)\t([^\t]*)")
+# the longest pattern parse_pattern reads: the parser, the compiler and the
+# embedder recurse once per pattern atom, and a pattern of n characters has
+# at most (n + 1) // 2 atoms, far below the interpreter's recursion limit
+# (the shipped table's longest pattern has 35 characters)
+_MAX_PATTERN_CHARS = 256
 
 
 class KeyTableError(ChemtextError):
@@ -113,7 +120,12 @@ class KeyTable(tuple):
 
 
 def parse_pattern(text: str) -> PatternNode:
-    """Compile a pattern string; raises KeyTableError on grammar errors."""
+    """Compile a pattern string; raises KeyTableError on grammar errors and
+    on a pattern longer than ``_MAX_PATTERN_CHARS`` (256)."""
+    if len(text) > _MAX_PATTERN_CHARS:
+        raise KeyTableError(
+            f"pattern of {len(text)} characters is over the limit of {_MAX_PATTERN_CHARS}"
+        )
     node, pos = _parse_pattern(text, 0)
     if pos != len(text):
         raise KeyTableError(f"trailing characters in pattern {text!r}")

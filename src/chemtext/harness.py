@@ -235,37 +235,40 @@ class LookupOracle:
     :meth:`predict_product` also takes the record :func:`eval_retro` has
     already made for the prediction, so the precursors are parsed once.
 
-    Valid precursors are held in buckets by formula, which equal canonical
-    strings share, so a key is written only where one is compared: a
-    bucket's first entry is canonicalized when a second entry joins it (for
-    the repeat check) or a lookup of its formula reaches it, each entry at
-    most once, and an entry whose formula nothing else has, never. A query
-    is canonicalized before its bucket is read, so one over the budget
-    raises ``CanonError`` whatever the table holds.
+    The oracle keeps one index from key to latest entry. A key fixes its
+    formula (a canonical string is written from it, and an exact-string key
+    is invalid or parses to it), so a key is written only where one is
+    compared: a formula's first entry is canonicalized when a second entry
+    of its formula joins it (for the repeat check) or a lookup of its
+    formula reaches it, each entry at most once, and an entry whose formula
+    nothing else has, never. A query is canonicalized before the index is
+    read, so one over the budget raises ``CanonError`` whatever the table
+    holds.
     """
 
     def __init__(self, table: Mapping[str, str] | Iterable[tuple[str, str, str]]) -> None:
         if isinstance(table, Mapping):
             table = ((f"entry {k}", *item) for k, item in enumerate(table.items(), start=1))
-        # key -> latest entry, by formula; invalid precursors under None, by their string
-        self._keyed: dict[tuple | None, dict[str, _Entry]] = {}
-        self._unwritten: dict[tuple, tuple[_Side, _Entry]] = {}  # a bucket's only entry
+        self._keyed: dict[str, _Entry] = {}  # key -> latest entry
+        # per valid formula seen, its one entry until that entry is keyed
+        self._unwritten: dict[tuple, tuple[_Side, _Entry] | None] = {}
         for entry in table:
             where, precursors, product = entry
             side = _Side.of(precursors)
             formula = side.formula
-            if formula is not None and formula not in self._keyed and formula not in self._unwritten:
+            if formula is not None and formula not in self._unwritten:
                 self._unwritten[formula] = side, entry
                 continue
-            bucket, key = self._bucket(formula), self._key(side)
-            earlier = bucket.get(key)
+            self._write(formula)
+            key = self._key(side)
+            earlier = self._keyed.get(key)
             if earlier is not None and not self.same_product(earlier[2], product):
                 raise ChemtextError(
                     f"{where}: oracle precursors {earlier[1]!r} and {precursors!r} are one "
                     f"precursor set with different products {earlier[2]!r} and {product!r} "
                     f"(the first at {earlier[0]})"
                 )
-            bucket[key] = entry
+            self._keyed[key] = entry
 
     @staticmethod
     def _key(side: _Side) -> str:
@@ -278,15 +281,12 @@ class LookupOracle:
         except CanonError:
             return side.smiles
 
-    def _bucket(self, formula: tuple | None) -> dict[str, _Entry]:
-        """The keyed entries of one formula, writing its unwritten entry."""
-        bucket = self._keyed.get(formula)
-        if bucket is None:
-            bucket = self._keyed[formula] = {}
-            if formula in self._unwritten:
-                side, entry = self._unwritten.pop(formula)
-                bucket[self._key(side)] = entry
-        return bucket
+    def _write(self, formula: tuple | None) -> None:
+        """Key the unwritten entry of ``formula``, if it has one."""
+        if self._unwritten.get(formula) is not None:
+            side, entry = self._unwritten[formula]
+            self._unwritten[formula] = None
+            self._keyed[self._key(side)] = entry
 
     @staticmethod
     def same_product(a: str, b: str) -> bool:
@@ -302,11 +302,11 @@ class LookupOracle:
         formula = side.formula
         # a valid query is canonicalized first, so one over the budget raises
         key = side.smiles if formula is None else side.canonical
-        if formula in self._keyed or formula in self._unwritten:
-            entry = self._bucket(formula).get(key)
-            if entry is not None:
-                return entry[2]
-        raise OracleError(f"no product known for precursors {side.smiles!r}")
+        self._write(formula)
+        entry = self._keyed.get(key)
+        if entry is None:
+            raise OracleError(f"no product known for precursors {side.smiles!r}")
+        return entry[2]
 
 
 def _check_task(pairs: Sequence[PredictionPair], task: TaskKind) -> None:
@@ -617,9 +617,10 @@ def frechet_distance(features_a, features_b, *, ridge: float = 0.0) -> float:
 
     The cross term uses the symmetrized product
     ``S1^(1/2) S2 S1^(1/2)`` whose square root comes from a symmetric
-    eigendecomposition; eigenvalues below -1e-8 raise IllConditionedError,
-    tiny negatives are clamped to zero. Each set needs at least d+1 vectors
-    unless ``ridge`` > 0, which adds ``ridge * I`` to both covariances.
+    eigendecomposition; eigenvalues below -1e-8 raise IllConditionedError
+    (so do NaN or infinite features), tiny negatives are clamped to zero.
+    Each set needs at least d+1 vectors unless ``ridge`` > 0, which adds
+    ``ridge * I`` to both covariances.
     """
     import numpy as np
 
@@ -631,6 +632,8 @@ def frechet_distance(features_a, features_b, *, ridge: float = 0.0) -> float:
         raise DimensionMismatchError(
             f"feature dimensions differ: {a.shape[1]} vs {b.shape[1]}"
         )
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise IllConditionedError("features must be finite")
     d = a.shape[1]
     if not math.isfinite(ridge):
         raise ValueError(f"ridge must be finite, got {ridge!r}")

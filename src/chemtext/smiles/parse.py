@@ -205,7 +205,7 @@ class Molecule:
         set_field(self, "bonds", bonds)
         set_field(self, "adjacency", adjacency)
         set_field(self, "atom_texts", tuple(texts))
-        set_field(self, "validity", ValidityResult(False, tuple(reasons)) if reasons else _VALID)
+        set_field(self, "validity", ValidityResult(tuple(reasons)) if reasons else _VALID)
 
     def degree(self, i: int) -> int:
         return len(self.adjacency[i])
@@ -274,7 +274,7 @@ class Molecule:
         return tuple(components), ring, tuple(counts)
 
 
-_VALID = ValidityResult(True)  # shared by every valid molecule
+_VALID = ValidityResult()  # shared by every valid molecule
 
 
 @lru_cache(maxsize=4096, typed=True)
@@ -516,5 +516,5 @@ def validate_smiles(smiles: str) -> ValidityResult:
     try:
         mol = parse_smiles(smiles)
     except (LexError, ParseError) as exc:
-        return ValidityResult(valid=False, reasons=(str(exc),))
+        return ValidityResult((str(exc),))
     return mol.validity

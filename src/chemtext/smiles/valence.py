@@ -3,8 +3,8 @@
 Validity here means "tokenizes, parses, and passes the default valence
 table". The table covers the organic subset plus common bracket elements;
 bracket atoms with unknown elements are accepted with unchecked valence.
-This module holds the table and the per-atom rules and imports no other
-part of the package but its errors. The
+This module holds the table and the per-atom rules and imports nothing
+from the package at run time. The
 :class:`~chemtext.smiles.parse.Molecule` constructor applies the rules once
 per distinct atom, through one memo, and records the outcome as
 ``Molecule.validity``, which :func:`validate` returns.
@@ -33,8 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from chemtext.errors import ChemtextError
-
 if TYPE_CHECKING:
     from chemtext.smiles.parse import Molecule
 
@@ -56,20 +54,15 @@ DEFAULT_VALENCES: dict[str, tuple[int, ...]] = {
 }
 
 
-class ValenceError(ChemtextError):
-    """Internal valence bookkeeping failure (not a user-data error)."""
-
-
 @dataclass(frozen=True)
 class ValidityResult:
-    """Outcome of a validity check; ``valid`` iff ``reasons`` is empty."""
+    """Outcome of a validity check: its reasons, valid without any."""
 
-    valid: bool
     reasons: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.valid != (len(self.reasons) == 0):
-            raise ValenceError("valid flag inconsistent with reasons")
+    @property
+    def valid(self) -> bool:
+        return not self.reasons
 
 
 def _pi_increment(

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import chemtext
 from chemtext.cli import main
 from chemtext.dataset import TaskKind, make_record, read_records, write_records
-from chemtext.fingerprints import FingerprintConfig
+from chemtext.fingerprints import FingerprintConfig, keys
 from chemtext.harness import PredictionPair, eval_pairs, report_to_json
 from chemtext.smiles import canon, random_smiles
 from molgen import clique_smiles, random_molecule
@@ -103,6 +103,7 @@ def test_build_dataset_empty_stream_is_data_error(tmp_path, capsys):
         capsys=capsys,
     )
     assert code == 2
+    assert err == f"error: {empty}: empty stream for task forward\n"
 
 
 @pytest.mark.parametrize(
@@ -347,6 +348,108 @@ def test_non_utf8_byte_is_data_error_naming_file_and_line(tmp_path, capsys, bad_
     assert (code, out) == (2, "")
     line = len(bad.read_bytes().splitlines())
     assert err == f"error: {bad}:{line}: bad UTF-8: invalid start byte 0xff\n"
+
+
+@pytest.mark.parametrize("bad_file", ["predictions", "oracle", "task_stream", "params"])
+def test_deeply_nested_json_is_data_error_naming_the_file(tmp_path, capsys, bad_file):
+    # 100,000 levels trip the decoder's recursion limit wherever it is called
+    bad = tmp_path / f"{bad_file}.json"
+    if bad_file == "task_stream":
+        bad.write_text('{"task":"retro","source":"a","target":"b"}\n' + '{"a":' * 100_000 + "\n")
+        argv = ["build-dataset", "--task-file", f"retro={bad}", "--per-task", "2",
+                "--seed", "1", "--out", str(tmp_path / "o.jsonl")]
+    elif bad_file == "params":
+        from importlib import resources
+
+        data = resources.files("chemtext") / "data" / "merge_demo"
+        bad.write_text("[" * 100_000)
+        argv = ["merge-demo", "--base", str(data / "base_3x4.txt"),
+                "--adapt", str(data / "adapt_2x5.txt"), "--params", str(bad)]
+    else:
+        preds, oracle = tmp_path / "preds.jsonl", tmp_path / "oracle.jsonl"
+        write_predictions(preds, TaskKind.RETRO, [("CC.O", "CCO")])
+        oracle.write_text('{"precursors":"CC.O","product":"CCO"}\n')
+        bad = preds if bad_file == "predictions" else oracle
+        bad.write_text(bad.read_text() + "[" * 100_000 + "\n")
+        argv = ["evaluate", "--task", "retro", "--predictions", str(preds),
+                "--oracle", f"lookup:{oracle}"]
+    code, out, err = run_cli(argv, capsys=capsys)
+    assert (code, out) == (2, "")
+    where = f"{bad}:" if bad_file == "params" else f"{bad}:2:"
+    assert err.startswith(f"error: {where} bad JSON: maximum recursion depth exceeded"), err
+
+
+def _merge_files(tmp_path, base=None, params=None):
+    """merge-demo argv over the shipped inputs, with ``base`` or ``params``
+    (bytes) written to a file in their place."""
+    from importlib import resources
+
+    data = resources.files("chemtext") / "data" / "merge_demo"
+    paths = {"base": str(data / "base_3x4.txt"), "params": str(data / "params.json")}
+    for name, content in (("base", base), ("params", params)):
+        if content is not None:
+            paths[name] = str(tmp_path / name)
+            (tmp_path / name).write_bytes(content)
+    return ["merge-demo", "--base", paths["base"], "--adapt", str(data / "adapt_2x5.txt"),
+            "--params", paths["params"]]
+
+
+@pytest.mark.parametrize(
+    "kind, content, message",
+    [
+        ("key_table", b"1\t1\tC\n2\tx\n",
+         "line 2: expected id<TAB>threshold<TAB>pattern, id and threshold in 0-9"),
+        ("key_table", b"# only a comment\n", "key table must be non-empty"),
+        ("key_table", b"1\t1\tC\xff\n", "bad UTF-8: invalid start byte 0xff"),
+        ("base", b"2 2\n1 2 3\n", "expected 4 entries, got 3"),
+        ("base", b"1 2\n1 x\n", "could not convert string to float: 'x'"),
+        ("base", b"1 1\n\xff\n", "bad UTF-8: invalid start byte 0xff"),
+        ("params", b"{a}",
+         "bad JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        ("params", b'{"d": "\xff"}', "bad UTF-8: invalid start byte 0xff"),
+    ],
+)
+def test_file_errors_name_the_file(tmp_path, capsys, monkeypatch, kind, content, message):
+    if kind == "key_table":
+        (tmp_path / kind).write_bytes(content)
+        argv = ["fingerprint", "--scheme", "keys", "--key-table", str(tmp_path / kind)]
+    else:
+        argv = _merge_files(tmp_path, **{kind: content})
+    code, out, err = run_cli(argv, stdin_text="C\n", capsys=capsys, monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err == f"error: {tmp_path / kind}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    ["C" + "-C" * 1500, "C(-" * 5000 + "C" + ")" * 5000],
+    ids=["chain", "nested_branches"],
+)
+def test_over_long_key_pattern_is_data_error(tmp_path, capsys, monkeypatch, pattern):
+    table = tmp_path / "long.keys"
+    table.write_text(f"1\t1\tC\n2\t1\t{pattern}\n")
+    code, out, err = run_cli(
+        ["fingerprint", "--scheme", "keys", "--key-table", str(table)],
+        stdin_text="CC\n", capsys=capsys, monkeypatch=monkeypatch,
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {table}: line 2: pattern of {len(pattern)} characters is over the limit of 256\n"
+    )
+
+
+def test_key_pattern_at_the_limit_loads_and_matches(tmp_path, capsys, monkeypatch):
+    # a 128-atom chain of 256 characters, matched by the 128-atom chain alone
+    pattern = "Cl" + "-C" * 127
+    assert len(pattern) == keys._MAX_PATTERN_CHARS
+    table = tmp_path / "limit.keys"
+    table.write_text(f"1\t1\tC\n2\t1\t{pattern}\n")
+    code, out, _ = run_cli(
+        ["fingerprint", "--scheme", "keys", "--key-table", str(table)],
+        stdin_text="Cl" + "C" * 127 + "\n" + "Cl" + "C" * 126 + "\n",
+        capsys=capsys, monkeypatch=monkeypatch,
+    )
+    assert (code, out) == (0, "0 1\n0\n")
 
 
 def test_evaluate_fingerprint_budget_skips_one_pair(tmp_path, capsys):
@@ -859,6 +962,7 @@ def test_merge_demo_bad_params_field_is_data_error(tmp_path, capsys, spec, field
     code, out, err = _shipped_merge_demo(tmp_path, capsys, spec)
     assert code == 2
     assert out == ""
+    assert err.startswith(f"error: {tmp_path / 'p.json'}: ")
     assert repr(field) in err
 
 
@@ -934,7 +1038,7 @@ def test_merge_demo_params_must_be_an_object(tmp_path, capsys):
     code, out, err = _shipped_merge_demo(tmp_path, capsys, [3, 7])
     assert code == 2
     assert out == ""
-    assert "JSON object" in err
+    assert err == f"error: {tmp_path / 'p.json'}: params file must hold a JSON object\n"
 
 
 def test_unknown_command_is_usage_error(capsys):

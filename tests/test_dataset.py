@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import random
 from collections import Counter
@@ -67,9 +68,18 @@ def test_prompt_round_trip():
 
 def test_record_invariants():
     with pytest.raises(RecordError):
-        TaskRecord(task=TaskKind.FORWARD, source="CC", target="", prompt=render_prompt(TaskKind.FORWARD, "CC"))
-    with pytest.raises(RecordError):
-        TaskRecord(task=TaskKind.FORWARD, source="CC", target="C", prompt="wrong")
+        TaskRecord(task=TaskKind.FORWARD, source="CC", target="")
+    with pytest.raises(RecordError):  # the target is checked first
+        TaskRecord(task=TaskKind.FORWARD, source="", target="")
+    with pytest.raises(EmptyInputError):
+        TaskRecord(task=TaskKind.FORWARD, source="", target="C")
+
+
+def test_prompt_follows_the_source():
+    record = make_record(TaskKind.RETRO, "CCO", "CC.O")
+    moved = dataclasses.replace(record, source="CCN")
+    assert moved.prompt == render_prompt(TaskKind.RETRO, "CCN")
+    assert moved == make_record(TaskKind.RETRO, "CCN", "CC.O")
 
 
 # -- equal mix ----------------------------------------------------------------
@@ -166,6 +176,8 @@ def test_splits_stratified_arithmetic():
 def test_bad_fractions():
     with pytest.raises(BadFractionsError):
         build_splits(stream(TaskKind.RETRO, 4), (0.5, 0.6, 0.1), seed=0)
+    with pytest.raises(BadFractionsError, match="fractions must be non-negative"):
+        build_splits(stream(TaskKind.RETRO, 4), (1.5, -0.5, 0.0), seed=0)
 
 
 @pytest.mark.parametrize(
@@ -241,6 +253,8 @@ def test_jsonl_renders_missing_prompt():
         '{"task":"retro","target":"b"}',
         '{"task":"retro","source":"a","target":""}',
         '{"task":"retro","source":"a","target":"b","prompt":"bad"}',
+        '{"task":"retro","source":"","target":"b"}',
+        "[" * 100_000,  # nested past the decoder's recursion limit
     ],
 )
 def test_jsonl_errors_carry_line_numbers(line):

@@ -1179,6 +1179,8 @@ def test_frechet_errors():
     rng = np.random.default_rng(3)
     with pytest.raises(DimensionMismatchError):
         frechet_distance(rng.normal(size=(10, 3)), rng.normal(size=(10, 4)))
+    with pytest.raises(DimensionMismatchError, match="must be 2-D"):
+        frechet_distance(rng.normal(size=10), rng.normal(size=(10, 1)))
     with pytest.raises(IllConditionedError):
         frechet_distance(rng.normal(size=(3, 5)), rng.normal(size=(10, 5)))
     # ridge rescues the under-determined case
@@ -1186,6 +1188,25 @@ def test_frechet_errors():
         rng.normal(size=(3, 5)), rng.normal(size=(10, 5)), ridge=1e-6
     )
     assert value >= 0.0
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("side", [0, 1])
+def test_frechet_rejects_non_finite_features(value, side):
+    # numpy's eigensolver once failed on them with LinAlgError
+    rng = np.random.default_rng(4)
+    sets = [rng.normal(size=(10, 3)), rng.normal(size=(10, 3))]
+    sets[side][2, 1] = value
+    with pytest.raises(IllConditionedError, match="features must be finite"):
+        frechet_distance(*sets)
+
+
+def test_report_validation():
+    with pytest.raises(ValueError, match="n_valid_pred cannot exceed n_total"):
+        MetricReport(TaskKind.FORWARD, {}, n_total=2, n_valid_pred=3)
+    report = MetricReport(TaskKind.FORWARD, {}, 1, omitted_metrics={"accuracy": None})
+    with pytest.raises(TypeError, match="unsupported report value None"):
+        report_to_json(report)
 
 
 @pytest.mark.parametrize("ridge", [float("nan"), float("inf"), -1.0])

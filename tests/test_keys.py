@@ -50,6 +50,9 @@ def test_default_tree_keys_have_threshold_one():
         ("Xe", "trailing characters in pattern 'Xe'"),
         ("C[ar", "unterminated attribute list in 'C[ar'"),
         ("C[zz]", "bad attribute 'zz' in 'C[zz]'"),
+        # checked before parsing, which recurses once per pattern atom
+        ("C" + "-C" * 128, "pattern of 257 characters is over the limit of 256"),
+        ("C(-" * 5000 + "C" + ")" * 5000, "pattern of 20001 characters is over the limit of 256"),
     ],
 )
 def test_pattern_grammar_errors(text, message):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from attention_oracle import cross_attend_loops, random_instance
+from chemtext import merge
 from chemtext.merge import (
     CombineError,
     CombineMode,
@@ -109,6 +110,38 @@ def test_shape_errors():
         MergeParams(w_q=np.ones((3, 2)), w_k=np.ones((5, 3)), w_v=np.ones((5, 2)))
     with pytest.raises(NonFiniteError):
         cross_attend(np.full((2, 4), np.nan), h_m, params)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda h_t, h_m, p: cross_attend(h_t[0], h_m, p), ShapeError,
+         "H_t must be a non-empty 2-D matrix, got shape (4,)"),
+        (lambda h_t, h_m, p: cross_attend(h_t, h_m[:0], p), ShapeError,
+         "H_m must be a non-empty 2-D matrix, got shape (0, 5)"),
+        (lambda h_t, h_m, p: MergeParams(p.w_q, p.w_k, p.w_v[1:]), ShapeError,
+         "w_k and w_v must share the adaptation hidden size"),
+        (lambda h_t, h_m, p: MergeParams(p.w_q, p.w_k, p.w_v, depth=0), ShapeError,
+         "depth must be >= 1"),
+        (lambda h_t, h_m, p: cross_attend(h_t, h_m[:, 1:], p), ShapeError,
+         "key input width 4 does not match projection rows 5"),
+        # every op passes one matrix as keys and values, so only a direct call
+        # reaches the value check
+        (lambda h_t, h_m, p: merge._attend(h_t, p.w_q, h_m, p.w_k, h_m[:, 1:], p.w_v),
+         ShapeError, "value input width 4 does not match projection rows 5"),
+        (lambda h_t, h_m, p: grad_check("no_such_op", h_t, h_m, p), ValueError,
+         "unknown op_id 'no_such_op'"),
+        (lambda h_t, h_m, p: grad_check("cross_attend", h_t, h_m), ValueError,
+         "cross_attend requires params"),
+    ],
+    ids=["1d_input", "empty_input", "kv_rows", "depth", "key_width", "value_width",
+         "unknown_op", "no_params"],
+)
+def test_input_validations(call, error, message):
+    h_t, h_m, params = random_instance(np.random.default_rng(12))
+    with pytest.raises(error) as info:
+        call(h_t, h_m, params)
+    assert str(info.value) == message
 
 
 # -- hierarchical --------------------------------------------------------------

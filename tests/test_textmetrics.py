@@ -11,6 +11,7 @@ from chemtext.textmetrics import _align, _lcs_length
 from chemtext.textmetrics import (
     EmptyCorpusError,
     LengthMismatchError,
+    MetricValue,
     TokenizedText,
     bleu,
     char_tokenize,
@@ -125,6 +126,14 @@ def test_mean_adds_in_order_and_rejects_no_values():
 
 
 # -- rouge --------------------------------------------------------------------
+
+
+def test_metric_validations():
+    with pytest.raises(ValueError, match="support must be >= 1"):
+        MetricValue("accuracy", 1.0, 0)
+    texts = corpus(["the cat"])
+    with pytest.raises(ValueError, match="n must be 1 or 2"):
+        rouge_n(texts, texts, 3)
 
 
 def test_rouge_identical_and_disjoint():
