@@ -795,6 +795,62 @@ def test_ignored_or_out_of_range_flag_is_usage_error_before_any_read(
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["evaluate", "--task", "text2mol", "--predictions", "PREDS", "--oracle", "MISSING"],
+         "--oracle: only --task retro reads it, not text2mol"),
+        (["evaluate", "--task", "forward", "--predictions", "PREDS", "--oracle", "MISSING"],
+         "--oracle: only --task retro reads it, not forward"),
+        (["evaluate", "--task", "mol2text", "--predictions", "PREDS", "--oracle", "MISSING"],
+         "--oracle: only --task retro reads it, not mol2text"),
+        (["evaluate", "--task", "forward", "--predictions", "MISSING", "--fp-bits", "7"],
+         "--fp-bits: only --task text2mol reads it, not forward"),
+        (["evaluate", "--task", "mol2text", "--predictions", "MISSING", "--fp-radius", "9"],
+         "--fp-radius: only --task text2mol reads it, not mol2text"),
+        (["evaluate", "--task", "retro", "--predictions", "MISSING", "--oracle", "lookup:MISSING",
+          "--fp-bits", "7", "--fp-radius", "9"], "--fp-bits: only --task text2mol reads it, not retro"),
+        (["evaluate", "--task", "forward", "--predictions", "MISSING", "--fp-radius", "0",
+          "--oracle", "MISSING"], "--oracle: only --task retro reads it, not forward"),
+        (["fingerprint", "--scheme", "morgan", "--key-table", "MISSING"],
+         "--key-table: only --scheme keys reads it, not morgan"),
+        (["fingerprint", "--scheme", "path", "--key-table", "MISSING"],
+         "--key-table: only --scheme keys reads it, not path"),
+        (["fingerprint", "--scheme", "keys", "--bits", "512"],
+         "--bits: only --scheme morgan or path reads it, not keys"),
+        (["fingerprint", "--scheme", "keys", "--radius", "5"],
+         "--radius: only --scheme morgan reads it, not keys"),
+        (["fingerprint", "--scheme", "keys", "--max-len", "3"],
+         "--max-len: only --scheme path reads it, not keys"),
+        (["fingerprint", "--scheme", "path", "--radius", "2"],
+         "--radius: only --scheme morgan reads it, not path"),
+        (["fingerprint", "--scheme", "morgan", "--max-len", "7"],
+         "--max-len: only --scheme path reads it, not morgan"),
+        (["fingerprint", "--scheme", "keys", "--key-table", "MISSING", "--bits", "512",
+          "--radius", "5", "--max-len", "3"], "--bits: only --scheme morgan or path reads it, not keys"),
+        (["fingerprint", "--scheme", "morgan", "--key-table", "MISSING", "--max-len", "3"],
+         "--max-len: only --scheme path reads it, not morgan"),
+        (["similarity", "CCO", "CCN", "--scheme", "path", "--radius", "9"],
+         "--radius: only --scheme morgan reads it, not path"),
+        (["similarity", "CCO", "CCN", "--scheme", "keys", "--bits", "512"],
+         "--bits: only --scheme morgan or path reads it, not keys"),
+        (["similarity", "CCO", "CCN", "--max-len", "3"],
+         "--max-len: only --scheme path reads it, not morgan"),
+    ],
+)
+def test_flag_the_command_would_not_read_names_who_reads_it(
+    tmp_path, capsys, monkeypatch, argv, message
+):
+    # of several such flags one is named, in a fixed order: --oracle before
+    # --fp-bits before --fp-radius, and --bits, --radius, --max-len before --key-table
+    preds = tmp_path / "preds.jsonl"
+    write_predictions(preds, TaskKind.TEXT2MOL, [("CCO", "CCO")])
+    missing = str(tmp_path / "missing")
+    argv = [str(preds) if a == "PREDS" else missing if a == "MISSING" else a for a in argv]
+    code, out, err = run_cli(argv, stdin_text="CCO\n", capsys=capsys, monkeypatch=monkeypatch)
+    assert (code, out, err) == (1, "", f"usage error: argument {message}\n")
+
+
+@pytest.mark.parametrize(
     "argv", [["canonicalize"], ["fingerprint", "--scheme", "morgan"]]
 )
 def test_line_commands_answer_each_line_before_reading_the_next(monkeypatch, argv):

@@ -1,10 +1,14 @@
+import random
+
 import pytest
 
+import fingerprint_oracles as oracles
 from chemtext.fingerprints import key_fingerprint
 from chemtext.fingerprints.keys import (
     KeyTableError,
     PatternAtom,
     PatternNode,
+    atom_kind,
     count_matches,
     default_key_table,
     load_key_table,
@@ -12,6 +16,7 @@ from chemtext.fingerprints.keys import (
     parse_pattern,
 )
 from chemtext.smiles import parse_smiles
+from molgen import random_molecule
 
 
 def bit_ids(smiles, table=None):
@@ -225,3 +230,51 @@ def test_every_default_key_matches_something():
         hit |= bit_ids(smi)
     missing = sorted(set(range(1, 167)) - hit)
     assert not missing, f"keys never matched by corpus: {missing}"
+
+
+# every pattern-atom form: "*", the X and Q classes, elements (H and the
+# halogens too) and each attribute, alone, combined and unsatisfiable
+_SLOT_TABLE = [
+    "*", "*[ar]", "*[al,rb=0]", "*[rb>=2]", "*[chg>=1]", "*[H=0,chg=0]", "*[deg=0]",
+    "X", "X[deg<=1]", "X[chg<=-1]", "Q", "Q[ar]", "Q[al,H>=1]", "Q[chg>=1,deg>=4]",
+    "H", "F", "Cl[chg=-1]", "Br", "I[chg<=-1]", "C[deg>=3,deg<=3]", "C[H>=2,H<=1]",
+    "N[ar,H>=1]", "O[al,rb=0,deg<=1]", "C[ar,rb>=2]", "C[ar]~X", "Q[rb>=1]-*[H>=3]",
+]
+# hand-made atoms: hydrogen, each halogen, an unknown element, charges,
+# aromatic atoms, ring and non-ring atoms
+_SLOT_SMILES = [
+    "[H][H]", "[2H]C", "FC(Cl)(Br)I", "[Xx]", "[Xx+2]C", "[NH4+]", "[O-]C(=O)C",
+    "[I-]", "[Na+].[Cl-]", "C[N+](C)(C)C", "c1ccccc1", "c1cc[nH]c1", "c1ccoc1",
+    "Clc1ccncc1", "C1CC2CCC1CC2", "CCO", "O=S(=O)(O)O",
+]
+
+
+def _pattern_atoms(node):
+    yield node.atom
+    for _, child in node.children:
+        yield from _pattern_atoms(child)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [default_key_table(), load_key_table(f"{i}\t1\t{p}" for i, p in enumerate(_SLOT_TABLE, 1))],
+    ids=["shipped", "custom"],
+)
+def test_kind_slots_are_the_slots_the_oracle_atom_test_accepts(table):
+    compiled = table.compiled
+    slot_patterns = {}
+    for key, steps in zip(table, compiled.steps):
+        for patom, (_, _, slot) in zip(_pattern_atoms(key.pattern), steps):
+            slot_patterns[slot] = patom
+    assert sorted(slot_patterns) == list(range(compiled.n_slots))
+    rng = random.Random(103)
+    corpus = [random_molecule(rng, size) for size in (10, 30) for _ in range(100)]
+    corpus += [parse_smiles(smiles) for smiles in _SLOT_SMILES]
+    for mol in corpus:
+        for i, atom in enumerate(mol.atoms):
+            kind = atom_kind(atom, len(mol.adjacency[i]), mol.ring_bond_counts[i])
+            expected = {
+                slot for slot, patom in slot_patterns.items()
+                if oracles._atom_matches(mol, i, patom)
+            }
+            assert set(compiled.kind_slots(kind)) == expected, (kind, sorted(expected))
