@@ -82,13 +82,17 @@ _positive_int = _int_at_least(1)
 _non_negative_int = _int_at_least(0)
 _any_int = _int_at_least(None)
 
-# per fingerprint flag (its argparse dest): the FingerprintConfig field it
-# sets and the schemes that read it; any other scheme makes it a usage error
-_SCHEME_FLAGS = {
-    "bits": ("nbits", ("morgan", "path")),
-    "radius": ("radius", ("morgan",)),
-    "max_len": ("path_max_len", ("path",)),
-    "key_table": ("key_table", ("keys",)),
+# per flag (argparse dest) that only some choices of an option read: that
+# option, those choices and the FingerprintConfig field it sets (None for
+# --oracle); with another choice it is a usage error, checked in this order
+_READ_BY = {
+    "oracle": ("task", ("retro",), None),
+    "fp_bits": ("task", ("text2mol",), "nbits"),
+    "fp_radius": ("task", ("text2mol",), "radius"),
+    "bits": ("scheme", ("morgan", "path"), "nbits"),
+    "radius": ("scheme", ("morgan",), "radius"),
+    "max_len": ("scheme", ("path",), "path_max_len"),
+    "key_table": ("scheme", ("keys",), "key_table"),
 }
 
 
@@ -221,10 +225,9 @@ def cmd_build_dataset(args) -> int:
     mixed = equal_mix(streams, per_task=args.per_task, seed=args.seed)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fp:
         write_records(fp, mixed)
-    for task in TaskKind:
+    for task in TaskKind:  # equal_mix gives each task exactly per_task records
         if task in streams:
-            count = sum(1 for r in mixed if r.task is task)
-            print(f"{task.value}\t{count}")
+            print(f"{task.value}\t{args.per_task}")
     if not args.quiet:
         print(f"wrote {len(mixed)} records to {args.out}", file=sys.stderr)
     return EXIT_OK
@@ -267,11 +270,7 @@ def cmd_evaluate(args) -> int:
     task = TaskKind(args.task)
     if task is TaskKind.RETRO and not args.oracle:
         raise _UsageError("argument --oracle: --task retro needs it, e.g. lookup:PATH")
-    if task is not TaskKind.RETRO and args.oracle:
-        raise _UsageError(f"argument --oracle: only --task retro reads it, not {task.value}")
-    for flag, value in (("--fp-bits", args.fp_bits), ("--fp-radius", args.fp_radius)):
-        if task is not TaskKind.TEXT2MOL and value is not None:
-            raise _UsageError(f"argument {flag}: only --task text2mol reads it, not {task.value}")
+    config = _fingerprint_config(args)
     oracle = _load_oracle(args.oracle) if args.oracle else None
     with open(args.predictions, "r", encoding="utf-8") as fp:
         pairs = [
@@ -279,8 +278,6 @@ def cmd_evaluate(args) -> int:
         ]
     if not pairs:
         raise RecordError(f"{args.predictions}: predictions file holds no pairs")
-    given = (("radius", args.fp_radius), ("nbits", args.fp_bits))
-    config = FingerprintConfig(**{field: value for field, value in given if value is not None})
     report = eval_pairs(pairs, task, oracle=oracle, fp_config=config)
     print(report_to_json(report))
     if not args.quiet:
@@ -311,19 +308,20 @@ def cmd_canonicalize(args) -> int:
 
 
 def _fingerprint_config(args) -> FingerprintConfig:
-    """The config of the fingerprint flags given; one that ``args.scheme``
-    does not read is a usage error, raised before any file is read."""
+    """The config of the fingerprint flags given; a ``_READ_BY`` flag the
+    command would not read is a usage error, raised before any file is read."""
     given = {}
-    for dest, (field, schemes) in _SCHEME_FLAGS.items():
-        value = getattr(args, dest, None)  # similarity takes no --key-table
+    for dest, (option, choices, field) in _READ_BY.items():
+        value = getattr(args, dest, None)  # each command has only some of them
         if value is None:
             continue
-        if args.scheme not in schemes:
+        if getattr(args, option) not in choices:
             raise _UsageError(
-                f"argument --{dest.replace('_', '-')}: only --scheme "
-                f"{' or '.join(schemes)} reads it, not {args.scheme}"
+                f"argument --{dest.replace('_', '-')}: only --{option} "
+                f"{' or '.join(choices)} reads it, not {getattr(args, option)}"
             )
-        given[field] = value
+        if field is not None:
+            given[field] = value
     if "key_table" in given:
         given["key_table"] = _read_file(given["key_table"], load_key_table)
     return FingerprintConfig(**given)
@@ -401,6 +399,9 @@ def _spec_matrix(spec: dict, name: str) -> np.ndarray:
         raise RecordError(f"params field {name!r} is not a matrix: {exc}") from None
 
 
+_PARAM_FIELDS = ("d", "depth", "combine", "seed", "w_q", "w_k", "w_v", "w_c")
+
+
 def _params_from_spec(spec, h_t_width: int, h_m_width: int) -> MergeParams:
     from chemtext.merge import CombineMode, MergeParams, random_params
 
@@ -420,22 +421,32 @@ def _params_from_spec(spec, h_t_width: int, h_m_width: int) -> MergeParams:
     if not given:
         if seed is None:
             raise RecordError("params file needs either w_q/w_k/w_v or a seed")
-        return random_params(
+        params = random_params(
             h_t=h_t_width, h_m=h_m_width, d=d, seed=seed, depth=depth, combine=combine
         )
-    missing = [name for name in ("w_q", "w_k", "w_v") if name not in spec]
-    if missing:
-        raise RecordError(f"params file gives {given} but not {missing}; give all of w_q/w_k/w_v")
-    params = MergeParams(
-        w_q=_spec_matrix(spec, "w_q"),
-        w_k=_spec_matrix(spec, "w_k"),
-        w_v=_spec_matrix(spec, "w_v"),
-        depth=depth,
-        combine=combine,
-        w_c=_spec_matrix(spec, "w_c") if "w_c" in spec else None,
-    )
-    if params.d != d:
-        raise RecordError(f"params field 'd' is {d} but w_q has width {params.d}")
+    else:
+        missing = [name for name in ("w_q", "w_k", "w_v") if name not in spec]
+        if missing:
+            raise RecordError(
+                f"params file gives {given} but not {missing}; give all of w_q/w_k/w_v"
+            )
+        params = MergeParams(
+            w_q=_spec_matrix(spec, "w_q"),
+            w_k=_spec_matrix(spec, "w_k"),
+            w_v=_spec_matrix(spec, "w_v"),
+            depth=depth,
+            combine=combine,
+            w_c=_spec_matrix(spec, "w_c") if "w_c" in spec else None,
+        )
+        if params.d != d:
+            raise RecordError(f"params field 'd' is {d} but w_q has width {params.d}")
+        if seed is not None:
+            raise RecordError("params field 'seed' is read only when w_q/w_k/w_v are not given")
+    unknown = [name for name in spec if name not in _PARAM_FIELDS]
+    if unknown:
+        raise RecordError(
+            f"params field {unknown[0]!r} is unknown; the fields are {', '.join(_PARAM_FIELDS)}"
+        )
     return params
 
 

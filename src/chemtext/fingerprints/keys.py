@@ -241,9 +241,10 @@ class _CompiledTable:
     A compiled pattern is its tree in preorder, one ``(parent step, bond
     symbol, slot)`` step per node; the root's parent is -1. Matching a
     molecule first computes, per slot, the bitset of atoms that satisfy it,
-    so an atom test is one shift. Keys are split by pattern size:
-    single-atom keys count atoms, single-bond keys count bonds, and only
-    larger trees use the embedder.
+    so an atom test is one shift; :attr:`kind_slots` tests every slot once
+    per atom kind. Keys are split by pattern size: single-atom keys count
+    atoms, single-bond keys count bonds, and only larger trees use the
+    embedder.
     """
 
     def __init__(self, table: Sequence[KeyDefinition]) -> None:
@@ -254,11 +255,9 @@ class _CompiledTable:
             self._linearize(key.pattern, -1, "", steps)
             self.steps.append(tuple(steps))
         self.n_slots = len(self._slot_of)
-        # per slot: (aromatic, ((feature index, low, high), ...))
+        # per slot: (element, class, aromatic, ((feature index, low, high), ...))
         self._tests: list[tuple] = []
-        self._by_element: dict[str, list[int]] = {}
-        self._by_class: dict[str | None, list[int]] = {None: [], "X": [], "Q": []}
-        for slot, patom in enumerate(self._slot_of):
+        for patom in self._slot_of:
             bounds: dict[int, tuple[float, float]] = {}
             for field, op, value in patom.constraints:
                 low, high = bounds.get(_FIELD_INDEX[field], (-math.inf, math.inf))
@@ -267,13 +266,8 @@ class _CompiledTable:
                 if op in ("=", "<="):
                     high = min(high, value)
                 bounds[_FIELD_INDEX[field]] = (low, high)
-            self._tests.append(
-                (patom.aromatic, tuple((i, lo, hi) for i, (lo, hi) in bounds.items()))
-            )
-            if patom.element is not None:
-                self._by_element.setdefault(patom.element, []).append(slot)
-            else:
-                self._by_class[patom.class_].append(slot)
+            tests = tuple((i, lo, hi) for i, (lo, hi) in bounds.items())
+            self._tests.append((patom.element, patom.class_, patom.aromatic, tests))
         self.nbits = max(key.id for key in table)
         self.atom_keys: list[tuple[int, int, int]] = []
         self.bond_keys: list[tuple[int, int, int, str, int]] = []
@@ -302,22 +296,15 @@ class _CompiledTable:
 
     def _matching_slots(self, kind: tuple) -> tuple[int, ...]:
         symbol, aromatic = kind[0], kind[1]
-        candidates = self._by_element.get(symbol, []) + self._by_class[None]
-        if symbol in _HALOGENS:
-            candidates += self._by_class["X"]
-        if symbol not in ("C", "H"):
-            candidates += self._by_class["Q"]
-        out = []
-        for slot in candidates:
-            want_aromatic, bounds = self._tests[slot]
-            if want_aromatic is not None and aromatic != want_aromatic:
-                continue
-            for i, low, high in bounds:
-                if not low <= kind[i] <= high:
-                    break
-            else:
-                out.append(slot)
-        return tuple(out)
+        return tuple(
+            slot
+            for slot, (element, class_, want_aromatic, bounds) in enumerate(self._tests)
+            if element in (None, symbol)
+            and not (class_ == "X" and symbol not in _HALOGENS)
+            and not (class_ == "Q" and symbol in ("C", "H"))
+            and want_aromatic in (None, aromatic)
+            and all(low <= kind[i] <= high for i, low, high in bounds)
+        )
 
     def slot_atoms(self, mol: Molecule) -> list[int]:
         """Per slot, the bitset of atom indices that satisfy it."""

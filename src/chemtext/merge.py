@@ -165,33 +165,28 @@ def _check_finite(name: str, array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _attend(
-    q_in: np.ndarray, w_q: np.ndarray,
-    k_in: np.ndarray, w_k: np.ndarray,
-    v_in: np.ndarray, w_v: np.ndarray,
-) -> tuple[np.ndarray, dict]:
-    """Generic attention; returns (output, cache for backward)."""
+def _attend(q_in: np.ndarray, w_q: np.ndarray, kv_in: np.ndarray, w_k: np.ndarray,
+            w_v: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Attention of ``q_in`` (queries through ``w_q``) over one input
+    ``kv_in``, which supplies the keys through ``w_k`` and the values through
+    ``w_v``; returns (output, cache for backward)."""
     if q_in.shape[1] != w_q.shape[0]:
         raise ShapeError(
             f"query input width {q_in.shape[1]} does not match projection rows {w_q.shape[0]}"
         )
-    if k_in.shape[1] != w_k.shape[0]:
+    if kv_in.shape[1] != w_k.shape[0]:  # w_v has the rows of w_k (see MergeParams)
         raise ShapeError(
-            f"key input width {k_in.shape[1]} does not match projection rows {w_k.shape[0]}"
-        )
-    if v_in.shape[1] != w_v.shape[0]:
-        raise ShapeError(
-            f"value input width {v_in.shape[1]} does not match projection rows {w_v.shape[0]}"
+            f"key input width {kv_in.shape[1]} does not match projection rows {w_k.shape[0]}"
         )
     d = w_q.shape[1]
     inv_sqrt_d = 1.0 / math.sqrt(d)
     q = q_in @ w_q
-    k = k_in @ w_k
-    v = v_in @ w_v
+    k = kv_in @ w_k
+    v = kv_in @ w_v
     weights = _row_softmax(_check_finite("attention scores", q @ k.T * inv_sqrt_d))
     out = _check_finite("attention output", weights @ v)
-    cache = dict(q_in=q_in, k_in=k_in, v_in=v_in, w_q=w_q, w_k=w_k, w_v=w_v,
-                 q=q, k=k, v=v, weights=weights, inv=inv_sqrt_d)
+    cache = dict(q_in=q_in, kv_in=kv_in, w_q=w_q, q=q, k=k, v=v, weights=weights,
+                 inv=inv_sqrt_d)
     return out, cache
 
 
@@ -206,17 +201,10 @@ def _attend_backward(g_out: np.ndarray, cache: dict) -> dict:
     g_k = g_scores.T @ cache["q"] * cache["inv"]
     return dict(
         q_mat=cache["q_in"].T @ g_q,
-        k_mat=cache["k_in"].T @ g_k,
-        v_mat=cache["v_in"].T @ g_v,
+        k_mat=cache["kv_in"].T @ g_k,
+        v_mat=cache["kv_in"].T @ g_v,
         q_in=g_q @ cache["w_q"].T,
     )
-
-
-def _forward_block(x: np.ndarray, h_m: np.ndarray, params: MergeParams
-                   ) -> tuple[np.ndarray, dict]:
-    """One forward block: ``x`` queries through ``w_q``, the adaptation side
-    supplies keys through ``w_k`` and values through ``w_v``."""
-    return _attend(x, params.w_q, h_m, params.w_k, h_m, params.w_v)
 
 
 def _stacked_forward(h_t: np.ndarray, h_m: np.ndarray, params: MergeParams,
@@ -235,7 +223,7 @@ def _stacked_forward(h_t: np.ndarray, h_m: np.ndarray, params: MergeParams,
     caches = []
     current = h_t
     for _ in range(depth):
-        current, cache = _forward_block(current, h_m, params)
+        current, cache = _attend(current, params.w_q, h_m, params.w_k, params.w_v)
         caches.append(cache)
 
     def backward(g_out: np.ndarray) -> dict[str, np.ndarray]:
@@ -257,10 +245,10 @@ def _bidirectional_forward(h_t: np.ndarray, h_m: np.ndarray, params: MergeParams
     output and its backward (output gradient -> parameter gradients)."""
     if params.combine is CombineMode.BASE_ONLY:
         raise CombineError("bidirectional_merge requires a bidirectional combine mode")
-    forward, f_cache = _forward_block(h_t, h_m, params)
+    forward, f_cache = _attend(h_t, params.w_q, h_m, params.w_k, params.w_v)
     # the reverse block swaps roles: the adaptation side queries through w_k,
     # the base side supplies keys and values through w_q
-    reverse, r_cache = _attend(h_m, params.w_k, h_t, params.w_q, h_t, params.w_q)
+    reverse, r_cache = _attend(h_m, params.w_k, h_t, params.w_q, params.w_q)
     pooled = reverse.mean(axis=0, keepdims=True)
     d, n_m = params.d, h_m.shape[0]
     if params.combine is CombineMode.BIDIRECTIONAL_SUM:
@@ -298,7 +286,8 @@ def _run(op_id: str, h_t, h_m, params: MergeParams) -> np.ndarray:
 
 def attention_weights(h_t, h_m, params: MergeParams) -> np.ndarray:
     """The row-stochastic attention matrix of a single forward block."""
-    return _forward_block(_as_matrix("H_t", h_t), _as_matrix("H_m", h_m), params)[1]["weights"]
+    h_t, h_m = _as_matrix("H_t", h_t), _as_matrix("H_m", h_m)
+    return _attend(h_t, params.w_q, h_m, params.w_k, params.w_v)[1]["weights"]
 
 
 def cross_attend(h_t, h_m, params: MergeParams) -> np.ndarray:

@@ -738,6 +738,7 @@ def test_out_of_range_width_or_radius_is_usage_error(tmp_path, capsys, monkeypat
          "--oracle"),
         (["evaluate", "--task", "mol2text", "--predictions", "PREDS", "--oracle", "MISSING"],
          "--oracle"),
+        (["evaluate", "--task", "forward", "--predictions", "MISSING", "--oracle", ""], "--oracle"),
         (["evaluate", "--task", "retro", "--predictions", "MISSING", "--oracle", "file:MISSING"],
          "--oracle"),
         (["evaluate", "--task", "retro", "--predictions", "MISSING", "--oracle", "MISSING"],
@@ -1012,6 +1013,12 @@ def test_merge_demo_op_paths_match_library(tmp_path, capsys, spec, op_id):
         ({"d": 3, "seed": 7, "combine": None}, "combine"),
         ({"d": 3, "seed": 7, "combine": "sideways"}, "combine"),
         ({"d": 3, "seed": 7, "combine": 3}, "combine"),
+        # a seed only generates projections, so with explicit ones it would go unread
+        (
+            {"d": 1, "seed": 7, "w_q": [[1.0]] * 4, "w_k": [[1.0]] * 5, "w_v": [[1.0]] * 5},
+            "seed",
+        ),
+        ({"d": 3, "seed": 7, "colour": "red"}, "colour"),
     ],
 )
 def test_merge_demo_bad_params_field_is_data_error(tmp_path, capsys, spec, field):

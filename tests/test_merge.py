@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from attention_oracle import cross_attend_loops, random_instance
-from chemtext import merge
 from chemtext.merge import (
     CombineError,
     CombineMode,
@@ -125,17 +124,12 @@ def test_shape_errors():
          "depth must be >= 1"),
         (lambda h_t, h_m, p: cross_attend(h_t, h_m[:, 1:], p), ShapeError,
          "key input width 4 does not match projection rows 5"),
-        # every op passes one matrix as keys and values, so only a direct call
-        # reaches the value check
-        (lambda h_t, h_m, p: merge._attend(h_t, p.w_q, h_m, p.w_k, h_m[:, 1:], p.w_v),
-         ShapeError, "value input width 4 does not match projection rows 5"),
         (lambda h_t, h_m, p: grad_check("no_such_op", h_t, h_m, p), ValueError,
          "unknown op_id 'no_such_op'"),
         (lambda h_t, h_m, p: grad_check("cross_attend", h_t, h_m), ValueError,
          "cross_attend requires params"),
     ],
-    ids=["1d_input", "empty_input", "kv_rows", "depth", "key_width", "value_width",
-         "unknown_op", "no_params"],
+    ids=["1d_input", "empty_input", "kv_rows", "depth", "key_width", "unknown_op", "no_params"],
 )
 def test_input_validations(call, error, message):
     h_t, h_m, params = random_instance(np.random.default_rng(12))
