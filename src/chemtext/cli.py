@@ -152,12 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    try:
+    try:  # parse_args raises only _UsageError, or SystemExit for -h
         args = parser.parse_args(argv)
-    except _UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
         return args.func(args)
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
@@ -421,6 +417,8 @@ def _params_from_spec(spec, h_t_width: int, h_m_width: int) -> MergeParams:
     if not given:
         if seed is None:
             raise RecordError("params file needs either w_q/w_k/w_v or a seed")
+        if seed < 0:
+            raise RecordError(f"params field 'seed' must be at least 0, got {seed}")
         params = random_params(
             h_t=h_t_width, h_m=h_m_width, d=d, seed=seed, depth=depth, combine=combine
         )
@@ -446,6 +444,17 @@ def _params_from_spec(spec, h_t_width: int, h_m_width: int) -> MergeParams:
     if unknown:
         raise RecordError(
             f"params field {unknown[0]!r} is unknown; the fields are {', '.join(_PARAM_FIELDS)}"
+        )
+    # w_v has the rows of w_k (see MergeParams)
+    for name, width, side in (("w_q", h_t_width, "base"), ("w_k", h_m_width, "adaptation")):
+        rows = getattr(params, name).shape[0]
+        if rows != width:
+            raise RecordError(
+                f"params field {name!r} has {rows} rows but the {side} matrix has {width} columns"
+            )
+    if depth > 1 and d != h_t_width:
+        raise RecordError(
+            f"params field 'd' is {d} but depth {depth} needs the base matrix's width {h_t_width}"
         )
     return params
 

@@ -291,11 +291,9 @@ class LookupOracle:
     @staticmethod
     def same_product(a: str, b: str) -> bool:
         """Whether two product strings are equal or canonically equal; a
-        product over the canonicalization budget equals only itself."""
-        try:
-            return a == b or _Side.of(a).same_molecule(_Side.of(b))
-        except CanonError:
-            return False
+        product over the canonicalization budget equals only itself, by
+        :func:`_compare`'s rule."""
+        return a == b or _compare(_Side.of(a), _Side.of(b))[0]
 
     def predict_product(self, precursors: str | _Side) -> str:
         side = precursors if isinstance(precursors, _Side) else _Side.of(precursors)
@@ -413,7 +411,8 @@ def _report(task: TaskKind, rows: Sequence[_PairRow]) -> MetricReport:
 
 def _compare(pred: _Side, ref: _Side) -> tuple[bool, str | None]:
     """Whether the pair is canonically equal, and its skip reason: the one
-    place a pair's ``CanonError`` becomes ``canon_budget``."""
+    place a pair's ``CanonError`` becomes ``canon_budget``, and the rule of
+    the oracle's repeat check (:meth:`LookupOracle.same_product`)."""
     try:
         return pred.same_molecule(ref), None
     except CanonError:

@@ -92,8 +92,7 @@ def random_smiles(mol: Molecule, rng: random.Random) -> str:
     centre). ROADMAP item 6, "Chirality parity on output", holds the fix."""
     ranks = list(range(len(mol.atoms)))
     rng.shuffle(ranks)
-    texts = mol.atom_texts
-    strings = [_write_component(mol, comp, ranks, texts)[0] for comp in mol.components]
+    strings = [_write_component(mol, comp, ranks)[0] for comp in mol.components]
     rng.shuffle(strings)
     return ".".join(strings)
 
@@ -220,12 +219,8 @@ def _canonical_string(mol: Molecule) -> str:
     codes = _neighbour_codes(mol)
     partition = _initial_partition(mol)
     _refine(codes, partition, range(len(mol.atoms)))
-    texts = mol.atom_texts
     return ".".join(
-        sorted(
-            _canonical_component(mol, comp, partition, codes, texts)
-            for comp in mol.components
-        )
+        sorted(_canonical_component(mol, comp, partition, codes) for comp in mol.components)
     )
 
 
@@ -234,7 +229,6 @@ def _canonical_component(
     atoms: tuple[int, ...],
     partition: _Partition,
     codes: Sequence[Sequence[tuple[int, int]]],
-    texts: Sequence[str],
 ) -> str:
     """Smallest string of one component over the tie-break search on its
     atoms; branches refine the whole molecule, but only ``atoms`` are read.
@@ -253,7 +247,7 @@ def _canonical_component(
                 for i in atoms:
                     if len(mol.adjacency[i]) == 1:
                         ((j, bi),) = mol.adjacency[i]
-                        key = (j, texts[i], _bond_text(mol, bi, j, i))
+                        key = (j, mol.atom_texts[i], _bond_text(mol, bi, j, i))
                         if key in previous:
                             automorphisms.append({i: previous[key], previous[key]: i})
                         previous[key] = i
@@ -263,7 +257,7 @@ def _canonical_component(
         written += 1
         if written > _MAX_CANDIDATES:
             raise CanonError("symmetry search budget exceeded")
-        candidate, order = _write_component(mol, atoms, partition[0], texts)
+        candidate, order = _write_component(mol, atoms, partition[0])
         if written == 1 or candidate < best:
             best, best_order = candidate, order
         elif candidate == best:  # the atoms written at each position correspond
@@ -296,11 +290,11 @@ _CLOSE_BRANCH = (-1, ")")
 
 
 def _write_component(
-    mol: Molecule, atoms: Sequence[int], ranks: Sequence[int], texts: Sequence[str]
+    mol: Molecule, atoms: Sequence[int], ranks: Sequence[int]
 ) -> tuple[str, list[int]]:
     """SMILES of component ``atoms`` in ``ranks`` order, and the atoms in
-    the order it writes them; ``texts`` is :attr:`Molecule.atom_texts`."""
-    adjacency = mol.adjacency
+    the order it writes them, each as its :attr:`Molecule.atom_texts` entry."""
+    adjacency, texts = mol.adjacency, mol.atom_texts
 
     def by_rank(entry: tuple[int, int]) -> int:
         return ranks[entry[0]]

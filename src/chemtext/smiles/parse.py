@@ -56,8 +56,8 @@ from chemtext.smiles.valence import ValidityResult, hydrogens_for_total, valence
 AROMATIC_BRACKET = frozenset({"b", "c", "n", "o", "p", "s", "se", "as"})
 
 # Elements writable without brackets, per aromaticity.
-_BARE_PLAIN = frozenset({"B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I"})
-_BARE_AROMATIC = frozenset({"B", "C", "N", "O", "P", "S"})
+_BARE_PLAIN = ORGANIC_ONE_LETTER.union(ORGANIC_TWO_LETTER)
+_BARE_AROMATIC = frozenset(map(str.upper, AROMATIC_ORGANIC))
 
 # The shape of an element symbol, as the parser reads it and as a
 # Molecule's atoms must spell it; unknown elements are allowed.

@@ -1019,6 +1019,11 @@ def test_merge_demo_op_paths_match_library(tmp_path, capsys, spec, op_id):
             "seed",
         ),
         ({"d": 3, "seed": 7, "colour": "red"}, "colour"),
+        # params that do not fit the shipped 3x4 base and 2x5 adaptation inputs
+        ({"d": 1, "w_q": [[1.0]] * 3, "w_k": [[1.0]] * 5, "w_v": [[1.0]] * 5}, "w_q"),
+        ({"d": 1, "w_q": [[1.0]] * 4, "w_k": [[1.0]] * 3, "w_v": [[1.0]] * 3}, "w_k"),
+        ({"d": 3, "seed": 7, "depth": 2}, "d"),
+        ({"d": 3, "seed": -1}, "seed"),
     ],
 )
 def test_merge_demo_bad_params_field_is_data_error(tmp_path, capsys, spec, field):
@@ -1095,6 +1100,15 @@ def test_merge_demo_never_exits_3(tmp_path, capsys, spec, epsilon):
     assert code in (0, 1, 2), err
     if code == 1:
         assert out == ""
+
+
+def test_merge_demo_params_need_matrices_or_a_seed(tmp_path, capsys):
+    code, out, err = _shipped_merge_demo(tmp_path, capsys, {"d": 3})
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: {tmp_path / 'p.json'}: params file needs either w_q/w_k/w_v or a seed\n"
+    )
 
 
 def test_merge_demo_params_must_be_an_object(tmp_path, capsys):

@@ -299,11 +299,10 @@ def test_double_bond_markers_follow_the_output_order():
 def _writes(mol, ranks):
     """Each component written by the package's writer and by the oracle's,
     or the error each raised."""
-    texts = mol.atom_texts
     results = []
     for comp in mol.components:
         pair = []
-        for write in (lambda: canon._write_component(mol, comp, ranks, texts)[0],
+        for write in (lambda: canon._write_component(mol, comp, ranks)[0],
                       lambda: oracle_write_component(mol, comp, ranks)):
             try:
                 pair.append(write())

@@ -521,6 +521,7 @@ def test_bond_orders_and_stereo():
         ("[13CH3]C)", "unbalanced ')' at position 8"),
         ("C%12CC(=O)==C", "two bond symbols in a row at position 11"),
         ("CC.[C$]", "unexpected '$' in bracket atom '[C$]' at position 3"),
+        ("C(C=)C", "dangling bond inside branch at position 4"),
     ],
 )
 def test_error_positions_count_characters(smiles, message):
