@@ -32,6 +32,7 @@ from chemtext.dataset import (
 )
 from chemtext.errors import ChemtextError
 from chemtext.fingerprints import (
+    MORGAN_MAX_RADIUS,
     SCHEMES,
     FingerprintConfig,
     FingerprintError,
@@ -64,7 +65,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _int_at_least(minimum: int | None) -> Callable[[str], int]:
+def _int_within(minimum: int | None, maximum: int | None = None) -> Callable[[str], int]:
     def parse(text: str) -> int:
         digits = text.removeprefix("-")  # int() would also read "1_024", " 1024 " and "١٠٢٤"
         if not (digits.isascii() and digits.isdigit()):
@@ -72,15 +73,17 @@ def _int_at_least(minimum: int | None) -> Callable[[str], int]:
         value = int(text)
         if minimum is not None and value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
         return value
 
     parse.__name__ = "int"  # a non-integer reads "invalid int value: ..."
     return parse
 
 
-_positive_int = _int_at_least(1)
-_non_negative_int = _int_at_least(0)
-_any_int = _int_at_least(None)
+_positive_int = _int_within(1)
+_radius = _int_within(0, MORGAN_MAX_RADIUS)
+_any_int = _int_within(None)
 
 # per flag (argparse dest) that only some choices of an option read: that
 # option, those choices and the FingerprintConfig field it sets (None for
@@ -119,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--predictions", required=True)
     ev.add_argument("--oracle", help="forward oracle spec, e.g. lookup:PATH")
     ev.add_argument("--fp-bits", type=_positive_int, help="text2mol only")
-    ev.add_argument("--fp-radius", type=_non_negative_int, help="text2mol only")
+    ev.add_argument("--fp-radius", type=_radius, help="text2mol only")
     ev.add_argument("--quiet", action="store_true")
     ev.set_defaults(func=cmd_evaluate)
 
@@ -138,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=cmd_similarity)
     for cmd in (fp, sim):  # unset flags keep FingerprintConfig's defaults
         cmd.add_argument("--bits", type=_positive_int)
-        cmd.add_argument("--radius", type=_non_negative_int)
+        cmd.add_argument("--radius", type=_radius)
         cmd.add_argument("--max-len", type=_positive_int)
 
     demo = sub.add_parser("merge-demo", help="cross-attention merge demo")
@@ -343,14 +346,7 @@ def cmd_similarity(args) -> int:
 
 
 def cmd_merge_demo(args) -> int:
-    from chemtext.merge import (
-        OPS,
-        CombineMode,
-        check_grad_epsilon,
-        grad_check,
-        load_matrix,
-        save_matrix,
-    )
+    from chemtext.merge import OPS, check_grad_epsilon, grad_check, load_matrix, save_matrix
 
     try:
         check_grad_epsilon(args.grad_epsilon)
@@ -358,13 +354,9 @@ def cmd_merge_demo(args) -> int:
         raise _UsageError(f"argument --grad-epsilon: {err}") from None
     h_t = _read_file(args.base, load_matrix)
     h_m = _read_file(args.adapt, load_matrix)
-    params = _read_file(
+    params, op_id = _read_file(
         args.params, lambda fp: _params_from_spec(_load_json(fp), h_t.shape[1], h_m.shape[1])
     )
-    if params.combine is CombineMode.BASE_ONLY:
-        op_id = "hierarchical_merge" if params.depth > 1 else "cross_attend"
-    else:
-        op_id = "bidirectional_merge"
     save_matrix(sys.stdout, OPS[op_id](h_t, h_m, params))
     report = grad_check(op_id, h_t, h_m, params, epsilon=args.grad_epsilon)
     print(
@@ -398,8 +390,16 @@ def _spec_matrix(spec: dict, name: str) -> np.ndarray:
 _PARAM_FIELDS = ("d", "depth", "combine", "seed", "w_q", "w_k", "w_v", "w_c")
 
 
-def _params_from_spec(spec, h_t_width: int, h_m_width: int) -> MergeParams:
-    from chemtext.merge import CombineMode, MergeParams, random_params
+def _params_from_spec(spec, h_t_width: int, h_m_width: int) -> tuple[MergeParams, str]:
+    """The params of ``spec`` and the op they run on inputs of these widths."""
+    from chemtext.merge import (
+        MAX_GRAD_CHECK_BLOCKS,
+        CombineMode,
+        MergeParams,
+        grad_check_blocks,
+        random_params,
+        selected_op,
+    )
 
     if not isinstance(spec, dict):
         raise RecordError("params file must hold a JSON object")
@@ -412,6 +412,12 @@ def _params_from_spec(spec, h_t_width: int, h_m_width: int) -> MergeParams:
     d = _spec_int(spec, "d")
     if d < 1:
         raise RecordError(f"params field 'd' must be at least 1, got {d}")
+    blocks = grad_check_blocks(h_t_width, h_m_width, d, depth, combine)
+    if blocks > MAX_GRAD_CHECK_BLOCKS:
+        raise RecordError(
+            f"params fields 'd' {d} and 'depth' {depth} make the gradient check run {blocks} "
+            f"attention blocks on these inputs; the most is {MAX_GRAD_CHECK_BLOCKS}"
+        )
     seed = _spec_int(spec, "seed") if "seed" in spec else None
     given = [name for name in ("w_q", "w_k", "w_v", "w_c") if name in spec]
     if not given:
@@ -445,18 +451,7 @@ def _params_from_spec(spec, h_t_width: int, h_m_width: int) -> MergeParams:
         raise RecordError(
             f"params field {unknown[0]!r} is unknown; the fields are {', '.join(_PARAM_FIELDS)}"
         )
-    # w_v has the rows of w_k (see MergeParams)
-    for name, width, side in (("w_q", h_t_width, "base"), ("w_k", h_m_width, "adaptation")):
-        rows = getattr(params, name).shape[0]
-        if rows != width:
-            raise RecordError(
-                f"params field {name!r} has {rows} rows but the {side} matrix has {width} columns"
-            )
-    if depth > 1 and d != h_t_width:
-        raise RecordError(
-            f"params field 'd' is {d} but depth {depth} needs the base matrix's width {h_t_width}"
-        )
-    return params
+    return params, selected_op(params, h_t_width, h_m_width)
 
 
 if __name__ == "__main__":

@@ -94,6 +94,10 @@ _MAX_PATHS_WALKED = 500_000
 # at 32-39.
 _NUMPY_MIN_ATOMS = 24
 
+# The largest Morgan radius accepted. Each layer hashes every atom again, so
+# the radius bounds the work; 64 is far above any radius in use (default 2).
+MORGAN_MAX_RADIUS = 64
+
 # scheme names :func:`fingerprint` accepts
 SCHEMES = ("morgan", "path", "keys")
 
@@ -207,6 +211,8 @@ def morgan_fingerprints(
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
+    if radius > MORGAN_MAX_RADIUS:
+        raise ValueError(f"radius must be at most {MORGAN_MAX_RADIUS}, got {radius}")
     if nbits <= 0:
         raise ValueError("nbits must be positive")
     batch = _as_batch(mols)
@@ -432,6 +438,7 @@ __all__ = [
     "KeyDefinition",
     "KeyTable",
     "KeyTableError",
+    "MORGAN_MAX_RADIUS",
     "MoleculeBatch",
     "SCHEMES",
     "SchemeMismatchError",

@@ -28,14 +28,11 @@ Given base tokens ``H_t (n_t x h_t)`` and adaptation tokens
   :func:`check_grad_epsilon`, which the ``merge-demo`` CLI also calls before
   it reads any file.
 
-Each op has one forward path: a stack of ``depth`` blocks (``cross_attend``
-takes depth-1 params only), for ``base_only`` params only, or the
-bidirectional pair, for a bidirectional combine mode only (else
-:class:`CombineError`). Each returns its output and a backward closure over
-its own caches, so ``grad_check`` differentiates the very forward the public
-functions run. A private table maps each op id to its forward, next to
-:data:`OPS`, the public table from op id to function read by ``grad_check``
-and the ``merge-demo`` CLI.
+:func:`selected_op` alone decides which op a params object runs and whether
+it fits the inputs. Every op and ``grad_check`` enter one private forward,
+which returns a backward closure over its own caches, so ``grad_check``
+differentiates the very forward the public functions run. :data:`OPS` maps
+op ids to functions for ``grad_check`` and the ``merge-demo`` CLI.
 
 All functions are pure; matrices are float64 throughout and accumulation
 order is fixed, so results are run-to-run stable.
@@ -170,14 +167,6 @@ def _attend(q_in: np.ndarray, w_q: np.ndarray, kv_in: np.ndarray, w_k: np.ndarra
     """Attention of ``q_in`` (queries through ``w_q``) over one input
     ``kv_in``, which supplies the keys through ``w_k`` and the values through
     ``w_v``; returns (output, cache for backward)."""
-    if q_in.shape[1] != w_q.shape[0]:
-        raise ShapeError(
-            f"query input width {q_in.shape[1]} does not match projection rows {w_q.shape[0]}"
-        )
-    if kv_in.shape[1] != w_k.shape[0]:  # w_v has the rows of w_k (see MergeParams)
-        raise ShapeError(
-            f"key input width {kv_in.shape[1]} does not match projection rows {w_k.shape[0]}"
-        )
     d = w_q.shape[1]
     inv_sqrt_d = 1.0 / math.sqrt(d)
     q = q_in @ w_q
@@ -207,22 +196,14 @@ def _attend_backward(g_out: np.ndarray, cache: dict) -> dict:
     )
 
 
-def _stacked_forward(h_t: np.ndarray, h_m: np.ndarray, params: MergeParams,
-                     depth: int) -> tuple[np.ndarray, Callable]:
-    """``depth`` forward blocks, each fed the previous output as its base;
-    returns the output and its backward (output gradient -> gradients of
-    ``w_q``, ``w_k``, ``w_v``)."""
-    if params.combine is not CombineMode.BASE_ONLY:  # else combine and w_c go unread
-        raise CombineError(f"forward-only merges need base_only, not {params.combine.value}")
-    if depth < params.depth:  # cross_attend: else the deeper blocks go unrun
-        raise CombineError(f"depth {params.depth} needs hierarchical_merge, not one block")
-    if depth > 1 and params.d != h_t.shape[1]:
-        raise ShapeError(
-            f"depth feedback needs d == h_t ({params.d} != {h_t.shape[1]})"
-        )
+def _stacked_forward(h_t: np.ndarray, h_m: np.ndarray, params: MergeParams
+                     ) -> tuple[np.ndarray, Callable]:
+    """``params.depth`` forward blocks, each fed the previous output as its
+    base; returns the output and its backward (output gradient -> gradients
+    of ``w_q``, ``w_k``, ``w_v``)."""
     caches = []
     current = h_t
-    for _ in range(depth):
+    for _ in range(params.depth):
         current, cache = _attend(current, params.w_q, h_m, params.w_k, params.w_v)
         caches.append(cache)
 
@@ -243,8 +224,6 @@ def _bidirectional_forward(h_t: np.ndarray, h_m: np.ndarray, params: MergeParams
                            ) -> tuple[np.ndarray, Callable]:
     """Forward and reverse blocks combined per ``params.combine``; returns the
     output and its backward (output gradient -> parameter gradients)."""
-    if params.combine is CombineMode.BASE_ONLY:
-        raise CombineError("bidirectional_merge requires a bidirectional combine mode")
     forward, f_cache = _attend(h_t, params.w_q, h_m, params.w_k, params.w_v)
     # the reverse block swaps roles: the adaptation side queries through w_k,
     # the base side supplies keys and values through w_q
@@ -280,32 +259,77 @@ def _bidirectional_forward(h_t: np.ndarray, h_m: np.ndarray, params: MergeParams
     return out, backward
 
 
-def _run(op_id: str, h_t, h_m, params: MergeParams) -> np.ndarray:
-    return _FORWARDS[op_id](_as_matrix("H_t", h_t), _as_matrix("H_m", h_m), params)[0]
+def selected_op(params: MergeParams, base_width: int, adapt_width: int) -> str:
+    """The op id that runs ``params`` on inputs of these widths:
+    ``bidirectional_merge`` for a bidirectional combine mode, else
+    ``hierarchical_merge`` at depth > 1, else ``cross_attend``. Params that
+    do not fit the widths raise :class:`ShapeError` naming the field."""
+    for name, width, side in (("w_q", base_width, "base"), ("w_k", adapt_width, "adaptation")):
+        if (rows := getattr(params, name).shape[0]) != width:  # w_v has the rows of w_k
+            raise ShapeError(
+                f"params field {name!r} has {rows} rows but the {side} matrix has {width} columns"
+            )
+    if params.combine is not CombineMode.BASE_ONLY:
+        return "bidirectional_merge"
+    if params.depth > 1 and params.d != base_width:  # each output is the next block's base
+        raise ShapeError(f"params field 'd' is {params.d} but depth {params.depth} needs "
+                         f"the base matrix's width {base_width}")
+    return "hierarchical_merge" if params.depth > 1 else "cross_attend"
+
+
+#: The most :func:`grad_check_blocks` the ``merge-demo`` CLI accepts (its
+#: shipped inputs and params need 84).
+MAX_GRAD_CHECK_BLOCKS = 30_000
+
+
+def grad_check_blocks(base_width: int, adapt_width: int, d: int, depth: int,
+                      combine: CombineMode) -> int:
+    """Attention blocks :func:`grad_check` runs for params of these fields
+    on inputs of these widths: two forwards per projection entry, each
+    ``depth`` blocks (the forward and reverse block when bidirectional)."""
+    entries = d * (base_width + 2 * adapt_width)
+    if combine is CombineMode.BIDIRECTIONAL_CONCAT_PROJECT:
+        entries += 2 * d * d
+    return entries * 2 * (depth if combine is CombineMode.BASE_ONLY else 2)
+
+
+def _forward(op_id: str, h_t, h_m, params: MergeParams) -> tuple[np.ndarray, Callable]:
+    """Output and backward of ``op_id``, the :func:`selected_op` of ``params``
+    (``hierarchical_merge`` also runs depth-1 params, else CombineError)."""
+    h_t, h_m = _as_matrix("H_t", h_t), _as_matrix("H_m", h_m)
+    selected = selected_op(params, h_t.shape[1], h_m.shape[1])
+    if op_id != selected and (op_id, selected) != ("hierarchical_merge", "cross_attend"):
+        raise CombineError(f"params with combine {params.combine.value} and depth {params.depth} "
+                           f"run {selected}, not {op_id} (only base_only params run "
+                           "cross_attend or hierarchical_merge)")
+    if selected == "bidirectional_merge":
+        return _bidirectional_forward(h_t, h_m, params)
+    return _stacked_forward(h_t, h_m, params)
 
 
 def attention_weights(h_t, h_m, params: MergeParams) -> np.ndarray:
     """The row-stochastic attention matrix of a single forward block."""
     h_t, h_m = _as_matrix("H_t", h_t), _as_matrix("H_m", h_m)
+    selected_op(params, h_t.shape[1], h_m.shape[1])  # raises unless the params fit
     return _attend(h_t, params.w_q, h_m, params.w_k, params.w_v)[1]["weights"]
 
 
 def cross_attend(h_t, h_m, params: MergeParams) -> np.ndarray:
     """One cross-attention block; output is ``n_t x d``. Params of depth
     above 1 are for :func:`hierarchical_merge` (else :class:`CombineError`)."""
-    return _run("cross_attend", h_t, h_m, params)
+    return _forward("cross_attend", h_t, h_m, params)[0]
 
 
 def hierarchical_merge(h_t, h_m, params: MergeParams) -> np.ndarray:
     """``depth``-fold reapplication with the base replaced by the previous
     output. Requires ``d == h_t`` when depth > 1 so the output can feed
     back."""
-    return _run("hierarchical_merge", h_t, h_m, params)
+    return _forward("hierarchical_merge", h_t, h_m, params)[0]
 
 
 def bidirectional_merge(h_t, h_m, params: MergeParams) -> np.ndarray:
     """Forward and reverse blocks combined per ``params.combine``."""
-    return _run("bidirectional_merge", h_t, h_m, params)
+    return _forward("bidirectional_merge", h_t, h_m, params)[0]
 
 
 def mean_aggregate(h_t, h_m) -> np.ndarray:
@@ -318,16 +342,6 @@ def mean_aggregate(h_t, h_m) -> np.ndarray:
         )
     pooled = h_m.mean(axis=0, keepdims=True)
     return (h_t + pooled) / 2.0
-
-
-#: The caching forward of each parameterised op, by op id; the public ops
-#: return its output and ``grad_check`` also runs its backward.
-_FORWARDS: dict[str, Callable] = {
-    "cross_attend": lambda h_t, h_m, params: _stacked_forward(h_t, h_m, params, 1),
-    "hierarchical_merge":
-        lambda h_t, h_m, params: _stacked_forward(h_t, h_m, params, params.depth),
-    "bidirectional_merge": _bidirectional_forward,
-}
 
 
 #: The parameterised ops by id, as ``grad_check`` and the ``merge-demo`` CLI
@@ -391,7 +405,7 @@ def grad_check(op_id: str, h_t, h_m, params: MergeParams | None = None,
     elif params is None:
         raise ValueError(f"{op_id} requires params")
     else:
-        out, backward = _FORWARDS[op_id](h_t, h_m, params)
+        out, backward = _forward(op_id, h_t, h_m, params)
         analytic = backward(np.ones_like(out))
         centers = {name: getattr(params, name) for name in analytic}
 

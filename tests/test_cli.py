@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import os
 import random
@@ -148,8 +149,9 @@ def test_evaluate_text2mol_perfect(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flags, config",
     [([], FingerprintConfig(radius=2, nbits=2048)),
-     (["--fp-bits", "64", "--fp-radius", "0"], FingerprintConfig(radius=0, nbits=64))],
-    ids=["defaults", "given"],
+     (["--fp-bits", "64", "--fp-radius", "0"], FingerprintConfig(radius=0, nbits=64)),
+     (["--fp-radius", "64"], FingerprintConfig(radius=64))],  # the largest Morgan radius
+    ids=["defaults", "given", "max_radius"],
 )
 def test_evaluate_text2mol_reads_fp_flags(tmp_path, capsys, flags, config):
     rows = [("CCO", "CCN"), ("c1ccccc1O", "c1ccccc1N"), ("CC(=O)O", "CC(=O)O")]
@@ -779,6 +781,12 @@ def test_out_of_range_width_or_radius_is_usage_error(tmp_path, capsys, monkeypat
         (["similarity", "CCO", "CCN", "--scheme", "path", "--radius", "9"], "--radius"),
         (["similarity", "CCO", "CCN", "--scheme", "keys", "--bits", "512"], "--bits"),
         (["similarity", "CCO", "CCN", "--max-len", "3"], "--max-len"),
+        # one past the largest Morgan radius (64): each layer rehashes every atom
+        (["fingerprint", "--scheme", "morgan", "--radius", "65"], "--radius"),
+        (["similarity", "CCO", "CCN", "--radius", "65"], "--radius"),
+        (["evaluate", "--task", "text2mol", "--predictions", "MISSING", "--fp-radius", "65"],
+         "--fp-radius"),
+        (["fingerprint", "--scheme", "morgan", "--radius", "1000000"], "--radius"),
     ],
 )
 def test_ignored_or_out_of_range_flag_is_usage_error_before_any_read(
@@ -1024,6 +1032,10 @@ def test_merge_demo_op_paths_match_library(tmp_path, capsys, spec, op_id):
         ({"d": 1, "w_q": [[1.0]] * 4, "w_k": [[1.0]] * 3, "w_v": [[1.0]] * 3}, "w_k"),
         ({"d": 3, "seed": 7, "depth": 2}, "d"),
         ({"d": 3, "seed": -1}, "seed"),
+        # a gradient check past merge.MAX_GRAD_CHECK_BLOCKS attention blocks:
+        # numpy would be asked for 4 x 2**40 floats, or the run would stall
+        ({"d": 1099511627776, "seed": 1}, "d"),
+        ({"d": 4, "depth": 1000000000, "seed": 1}, "depth"),
     ],
 )
 def test_merge_demo_bad_params_field_is_data_error(tmp_path, capsys, spec, field):
@@ -1042,8 +1054,10 @@ _JSON_SCALAR = st.one_of(
 # rows of any small length, so shapes may be right, wrong or ragged
 _ROWS = st.lists(st.lists(st.one_of(st.floats(-3, 3), _JSON_SCALAR), max_size=6), max_size=11)
 _MATRIX = st.one_of(_ROWS, _JSON_SCALAR, st.dictionaries(st.text(max_size=2), _JSON_SCALAR))
+# d and depth also go past the work bound, up to sizes no run could finish
 _ANY_VALUES = {
-    "d": _JSON_SCALAR, "depth": _JSON_SCALAR,
+    "d": st.one_of(st.integers(-3, 2**64), _JSON_SCALAR),
+    "depth": st.one_of(st.integers(-3, 2**64), _JSON_SCALAR),
     "seed": st.one_of(st.integers(-2, 2**64), _JSON_SCALAR),
     "combine": st.one_of(st.sampled_from(_COMBINES), _JSON_SCALAR),
     "w_q": _MATRIX, "w_k": _MATRIX, "w_v": _MATRIX, "w_c": _MATRIX,
@@ -1059,14 +1073,17 @@ _EPSILON = st.one_of(
 @st.composite
 def _merge_params(draw):
     """Params that fit the shipped 3x4 base and 2x5 adaptation inputs (by
-    seed or by explicit matrices), with up to three fields then dropped or
-    replaced by a value of any type or shape."""
+    seed or by explicit matrices; a seeded one may get a ``d`` or ``depth``
+    of up to 2**64), with up to three fields then dropped or replaced by a
+    value of any type or shape."""
     combine = draw(st.sampled_from(_COMBINES))
     depth = draw(st.integers(1, 3)) if combine == "base_only" else 1
     d = 4 if depth > 1 else draw(st.integers(1, 4))
     spec = {"d": d, "depth": depth, "combine": combine}
     if draw(st.booleans()):
         spec["seed"] = draw(st.integers(0, 2**32 - 1))
+        if draw(st.booleans()):
+            spec[draw(st.sampled_from(["d", "depth"]))] = draw(st.integers(1, 2**64))
     else:
         rng = random.Random(draw(st.integers(0, 2**32 - 1)))
         shapes = {"w_q": (4, d), "w_k": (5, d), "w_v": (5, d)}
@@ -1085,18 +1102,30 @@ def _merge_params(draw):
 @given(spec=_merge_params(), epsilon=_EPSILON)
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_merge_demo_never_exits_3(tmp_path, capsys, spec, epsilon):
+def test_merge_demo_never_exits_3(tmp_path, capsys, monkeypatch, spec, epsilon):
     from importlib import resources
+
+    from chemtext import merge
+
+    # an accepted spec runs at most the bounded gradient check plus the
+    # demo's own forward, under twice the bound; past that it fails, not stalls
+    attend, blocks = merge._attend, itertools.count(1)
+
+    def counted_attend(*args):
+        assert next(blocks) <= 2 * merge.MAX_GRAD_CHECK_BLOCKS, "merge-demo work is unbounded"
+        return attend(*args)
 
     data = resources.files("chemtext") / "data" / "merge_demo"
     params = tmp_path / "p.json"
     params.write_text(json.dumps(spec))
-    code, out, err = run_cli(
-        ["merge-demo", "--base", str(data / "base_3x4.txt"),
-         "--adapt", str(data / "adapt_2x5.txt"), "--params", str(params),
-         f"--grad-epsilon={epsilon}"],
-        capsys=capsys,
-    )
+    with monkeypatch.context() as patch:  # one counter per example
+        patch.setattr(merge, "_attend", counted_attend)
+        code, out, err = run_cli(
+            ["merge-demo", "--base", str(data / "base_3x4.txt"),
+             "--adapt", str(data / "adapt_2x5.txt"), "--params", str(params),
+             f"--grad-epsilon={epsilon}"],
+            capsys=capsys,
+        )
     assert code in (0, 1, 2), err
     if code == 1:
         assert out == ""

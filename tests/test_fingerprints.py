@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import chemtext.fingerprints as fingerprints
 from chemtext.fingerprints import (
+    MORGAN_MAX_RADIUS,
     SCHEMES,
     BitFingerprint,
     FingerprintConfig,
@@ -48,6 +49,15 @@ def test_batch_kernels_reject_a_negative_radius_and_a_non_positive_length():
         morgan_fingerprints(mols, radius=-1)
     with pytest.raises(ValueError, match="max_len must be positive"):
         path_fingerprints(mols, max_len=0)
+
+
+def test_morgan_radius_past_the_maximum_is_rejected():
+    # one small batch scored in Python, one large enough for the numpy kernel
+    for mols in ([parse_smiles("CCO")], [parse_smiles("C" * 30)]):
+        assert len(morgan_fingerprints(mols, radius=MORGAN_MAX_RADIUS)) == 1
+        with pytest.raises(ValueError) as info:
+            morgan_fingerprints(mols, radius=MORGAN_MAX_RADIUS + 1)
+        assert str(info.value) == f"radius must be at most 64, got {MORGAN_MAX_RADIUS + 1}"
 
 
 @pytest.mark.parametrize("nbits", [0, -1])

@@ -123,7 +123,7 @@ def test_shape_errors():
         (lambda h_t, h_m, p: MergeParams(p.w_q, p.w_k, p.w_v, depth=0), ShapeError,
          "depth must be >= 1"),
         (lambda h_t, h_m, p: cross_attend(h_t, h_m[:, 1:], p), ShapeError,
-         "key input width 4 does not match projection rows 5"),
+         "params field 'w_k' has 5 rows but the adaptation matrix has 4 columns"),
         (lambda h_t, h_m, p: grad_check("no_such_op", h_t, h_m, p), ValueError,
          "unknown op_id 'no_such_op'"),
         (lambda h_t, h_m, p: grad_check("cross_attend", h_t, h_m), ValueError,
