@@ -412,7 +412,8 @@ def _params_from_spec(spec, h_t_width: int, h_m_width: int) -> tuple[MergeParams
     d = _spec_int(spec, "d")
     if d < 1:
         raise RecordError(f"params field 'd' must be at least 1, got {d}")
-    blocks = grad_check_blocks(h_t_width, h_m_width, d, depth, combine)
+    # a depth below 1 is MergeParams' error, after random_params allocates
+    blocks = grad_check_blocks(h_t_width, h_m_width, d, max(depth, 1), combine)
     if blocks > MAX_GRAD_CHECK_BLOCKS:
         raise RecordError(
             f"params fields 'd' {d} and 'depth' {depth} make the gradient check run {blocks} "

@@ -300,8 +300,7 @@ def _forward(op_id: str, h_t, h_m, params: MergeParams) -> tuple[np.ndarray, Cal
     selected = selected_op(params, h_t.shape[1], h_m.shape[1])
     if op_id != selected and (op_id, selected) != ("hierarchical_merge", "cross_attend"):
         raise CombineError(f"params with combine {params.combine.value} and depth {params.depth} "
-                           f"run {selected}, not {op_id} (only base_only params run "
-                           "cross_attend or hierarchical_merge)")
+                           f"run {selected}, not {op_id}")
     if selected == "bidirectional_merge":
         return _bidirectional_forward(h_t, h_m, params)
     return _stacked_forward(h_t, h_m, params)

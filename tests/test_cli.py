@@ -1036,6 +1036,9 @@ def test_merge_demo_op_paths_match_library(tmp_path, capsys, spec, op_id):
         # numpy would be asked for 4 x 2**40 floats, or the run would stall
         ({"d": 1099511627776, "seed": 1}, "d"),
         ({"d": 4, "depth": 1000000000, "seed": 1}, "depth"),
+        # a depth below 1 still counts as one block per entry
+        ({"d": 1099511627776, "depth": 0, "seed": 1}, "d"),
+        ({"d": 100000000, "depth": -1, "seed": 1}, "d"),
     ],
 )
 def test_merge_demo_bad_params_field_is_data_error(tmp_path, capsys, spec, field):

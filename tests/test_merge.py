@@ -186,9 +186,9 @@ def test_cross_attend_rejects_deeper_params():
     rng = np.random.default_rng(16)
     h_t, h_m = rng.normal(size=(3, 4)), rng.normal(size=(2, 5))
     params = random_params(h_t=4, h_m=5, d=4, seed=6, depth=3)
-    with pytest.raises(CombineError, match="hierarchical_merge"):
+    with pytest.raises(CombineError, match="run hierarchical_merge, not cross_attend"):
         cross_attend(h_t, h_m, params)
-    with pytest.raises(CombineError, match="hierarchical_merge"):
+    with pytest.raises(CombineError, match="run hierarchical_merge, not cross_attend"):
         grad_check("cross_attend", h_t, h_m, params, epsilon=1e-5)
     assert hierarchical_merge(h_t, h_m, params).shape == (3, 4)
 
@@ -287,9 +287,9 @@ def test_forward_only_merges_reject_bidirectional_combine(combine, op_id):
     rng = np.random.default_rng(25)
     h_t, h_m = rng.normal(size=(3, 4)), rng.normal(size=(2, 5))
     params = random_params(h_t=4, h_m=5, d=3, seed=4, combine=combine)
-    with pytest.raises(CombineError, match="base_only"):
+    with pytest.raises(CombineError, match=f"run bidirectional_merge, not {op_id}"):
         OPS[op_id](h_t, h_m, params)
-    with pytest.raises(CombineError, match="base_only"):
+    with pytest.raises(CombineError, match=f"run bidirectional_merge, not {op_id}"):
         grad_check(op_id, h_t, h_m, params, epsilon=1e-5)
 
 
