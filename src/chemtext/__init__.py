@@ -14,15 +14,12 @@ Subpackages and modules:
 - :mod:`chemtext.merge` -- cross-attention domain merging with gradient
   verification
 - :mod:`chemtext.cli` -- the ``chemtext`` command-line front end
+
+The SMILES functions exported here load :mod:`chemtext.smiles` on first
+read, so ``import chemtext`` does not.
 """
 
 from chemtext.errors import ChemtextError
-from chemtext.smiles import (
-    canonical_smiles,
-    canonicalize,
-    parse_smiles,
-    validate_smiles,
-)
 
 __version__ = "0.1.0"
 
@@ -34,3 +31,13 @@ __all__ = [
     "parse_smiles",
     "validate_smiles",
 ]
+
+_SMILES_NAMES = frozenset({"canonical_smiles", "canonicalize", "parse_smiles", "validate_smiles"})
+
+
+def __getattr__(name: str):
+    if name in _SMILES_NAMES:
+        from chemtext import smiles
+
+        return getattr(smiles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

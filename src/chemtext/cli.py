@@ -37,16 +37,15 @@ from chemtext.fingerprints import (
     FingerprintConfig,
     FingerprintError,
     fingerprint,
-    load_key_table,
     tanimoto,
 )
-from chemtext.harness import LookupOracle, PredictionPair, eval_pairs, report_to_json
-from chemtext.smiles import CanonError, LexError, ParseError, canonical_smiles, parse_smiles
+from chemtext.harness import PredictionPair, eval_pairs, report_to_json
 
 if TYPE_CHECKING:
     import numpy as np
 
     from chemtext.merge import MergeParams
+    from chemtext.molecule_tasks import LookupOracle
 
 _T = TypeVar("_T")
 
@@ -251,6 +250,8 @@ def _prediction_pair(where: str, obj: dict, expected: TaskKind) -> PredictionPai
 
 
 def _load_oracle(spec: str) -> LookupOracle:
+    from chemtext.molecule_tasks import LookupOracle
+
     scheme, sep, path = spec.partition(":")
     if not sep or scheme != "lookup":
         raise _UsageError(f"argument --oracle: unsupported spec {spec!r}; expected lookup:PATH")
@@ -303,6 +304,8 @@ def _each_stdin_line(transform: Callable[[str], str], invalid_errors: tuple) -> 
 
 
 def cmd_canonicalize(args) -> int:
+    from chemtext.smiles import CanonError, LexError, ParseError, canonical_smiles
+
     return _each_stdin_line(canonical_smiles, (LexError, ParseError, CanonError))
 
 
@@ -322,11 +325,15 @@ def _fingerprint_config(args) -> FingerprintConfig:
         if field is not None:
             given[field] = value
     if "key_table" in given:
+        from chemtext.fingerprints.keys import load_key_table
+
         given["key_table"] = _read_file(given["key_table"], load_key_table)
     return FingerprintConfig(**given)
 
 
 def cmd_fingerprint(args) -> int:
+    from chemtext.smiles import LexError, ParseError, parse_smiles
+
     config = _fingerprint_config(args)
 
     def set_bits(smiles: str) -> str:
@@ -337,11 +344,17 @@ def cmd_fingerprint(args) -> int:
 
 
 def cmd_similarity(args) -> int:
+    from chemtext.smiles import LexError, ParseError, parse_smiles
+
     config = _fingerprint_config(args)
-    fp_a, fp_b = (
-        fingerprint(parse_smiles(s), args.scheme, config) for s in (args.smiles_a, args.smiles_b)
-    )
-    print(f"{tanimoto(fp_a, fp_b):.6f}")
+    fps = []
+    for name in ("smiles_a", "smiles_b"):
+        smiles = getattr(args, name)
+        try:
+            fps.append(fingerprint(parse_smiles(smiles), args.scheme, config))
+        except (LexError, ParseError, FingerprintError) as err:
+            raise ChemtextError(f"{name} {smiles!r}: {err}") from None
+    print(f"{tanimoto(*fps):.6f}")
     return EXIT_OK
 
 

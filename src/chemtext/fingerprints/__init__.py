@@ -11,6 +11,12 @@ Three schemes back the corpus-level fingerprint-similarity metrics;
 - ``keys``: a fixed table of substructure questions, one bit per key
   (see :mod:`chemtext.fingerprints.keys`)
 
+Loading this module loads neither :mod:`chemtext.smiles` nor
+:mod:`chemtext.fingerprints.keys`: it reads only the molecules it is
+handed, and the key module loads with the first key fingerprint, key
+table config or read of a key-table name exported here (``KeyTable``,
+``load_key_table``...), so a command without keys starts without it.
+
 No bit-for-bit parity with any external toolkit is claimed; the schemes are
 pinned by the hashing and encoding rules in this module so fingerprints are
 stable across platforms and releases. The hash is 64-bit FNV-1a over the
@@ -65,18 +71,11 @@ from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 from chemtext.errors import ChemtextError
-from chemtext.fingerprints.keys import (
-    KeyDefinition,
-    KeyTable,
-    KeyTableError,
-    default_key_table,
-    load_key_table,
-    parse_pattern,
-)
-from chemtext.smiles.parse import Atom, Molecule
 
 if TYPE_CHECKING:
     from chemtext.fingerprints.chunk import GraphTable
+    from chemtext.fingerprints.keys import KeyDefinition
+    from chemtext.smiles.parse import Atom, Molecule
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -121,8 +120,11 @@ class FingerprintConfig:
     key_table: tuple[KeyDefinition, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.key_table is not None and not isinstance(self.key_table, KeyTable):
-            object.__setattr__(self, "key_table", KeyTable(self.key_table))  # frozen
+        if self.key_table is not None:
+            from chemtext.fingerprints.keys import KeyTable
+
+            if not isinstance(self.key_table, KeyTable):
+                object.__setattr__(self, "key_table", KeyTable(self.key_table))  # frozen
 
 
 @dataclass(frozen=True)
@@ -396,6 +398,8 @@ def key_fingerprints(
 
 
 def _compiled_keys(key_table: Sequence[KeyDefinition] | None):
+    from chemtext.fingerprints.keys import KeyTable, KeyTableError, default_key_table
+
     if key_table is None:
         key_table = default_key_table()
     table = key_table if isinstance(key_table, KeyTable) else KeyTable(key_table)
@@ -455,3 +459,17 @@ __all__ = [
     "path_fingerprints",
     "tanimoto",
 ]
+
+# names of chemtext.fingerprints.keys this module exports; it loads on first read
+_KEY_NAMES = frozenset(
+    {"KeyDefinition", "KeyTable", "KeyTableError", "default_key_table", "load_key_table",
+     "parse_pattern"}
+)
+
+
+def __getattr__(name: str):
+    if name in _KEY_NAMES:
+        from chemtext.fingerprints import keys
+
+        return getattr(keys, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

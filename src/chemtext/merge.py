@@ -397,8 +397,9 @@ def grad_check(op_id: str, h_t, h_m, params: MergeParams | None = None,
         }
         centers = {"h_t": h_t, "h_m": h_m}
 
-        def output_with(name: str, matrix: np.ndarray) -> np.ndarray:
-            return mean_aggregate(**{**centers, name: matrix})
+        def output_with(name: str, matrix: np.ndarray) -> Callable[[], np.ndarray]:
+            inputs = {**centers, name: matrix}
+            return lambda: mean_aggregate(**inputs)
     elif op_id not in OPS:
         raise ValueError(f"unknown op_id {op_id!r}")
     elif params is None:
@@ -408,18 +409,22 @@ def grad_check(op_id: str, h_t, h_m, params: MergeParams | None = None,
         analytic = backward(np.ones_like(out))
         centers = {name: getattr(params, name) for name in analytic}
 
-        def output_with(name: str, matrix: np.ndarray) -> np.ndarray:
-            return OPS[op_id](h_t, h_m, replace(params, **{name: matrix}))
+        def output_with(name: str, matrix: np.ndarray) -> Callable[[], np.ndarray]:
+            perturbed = replace(params, **{name: matrix})  # holds matrix itself, not a copy
+            return lambda: OPS[op_id](h_t, h_m, perturbed)
 
     worst = 0.0
     for name, grad in analytic.items():
         center = centers[name]
+        # one copy per matrix: each entry is perturbed in place, then restored
+        matrix = center.copy()
+        output = output_with(name, matrix)
         for index in np.ndindex(center.shape):
             losses = []
             for value in (center[index] + epsilon, center[index] - epsilon):
-                matrix = center.copy()
                 matrix[index] = value
-                losses.append(float(np.sum(output_with(name, matrix))))
+                losses.append(float(np.sum(output())))
+            matrix[index] = center[index]
             numeric = (losses[0] - losses[1]) / (2.0 * epsilon)
             a = grad[index]
             worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric), 1e-8))

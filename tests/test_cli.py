@@ -685,9 +685,21 @@ def test_similarity_self_is_one(capsys):
         assert out.strip() == "1.000000"
 
 
+_SIMILARITY_ERRORS = [  # each data error is led by the argument it came from
+    (["similarity", "C(", "CCO"], "error: smiles_a 'C(': unclosed branch at end of input\n"),
+    (["similarity", "CCO", "C(C)(C)(C)(C)C"],
+     "error: smiles_b 'C(C)(C)(C)(C)C': valence violation at atom 0 (C): total 5 exceeds 4\n"),
+    (["similarity", "CC", ""], "error: smiles_b '': empty SMILES\n"),
+    (["similarity", "", "C(C)(C)(C)(C)C"], "error: smiles_a '': empty SMILES\n"),
+    (["similarity", "C(C)(C)(C)(C)C", "CC", "--scheme", "keys"],
+     "error: smiles_a 'C(C)(C)(C)(C)C': valence violation at atom 0 (C): total 5 exceeds 4\n"),
+]
+
+
 def test_similarity_invalid_is_data_error(capsys):
-    code, _, _ = run_cli(["similarity", "C(", "CCO"], capsys=capsys)
-    assert code == 2
+    for argv, message in _SIMILARITY_ERRORS:
+        code, out, err = run_cli(argv, capsys=capsys)
+        assert (code, out, err) == (2, "", message)
 
 
 @pytest.mark.parametrize(
@@ -1157,18 +1169,22 @@ def test_unknown_command_is_usage_error(capsys):
 
 # -- start-up -------------------------------------------------------------------
 
+_NUMPY_MODULES = {"numpy", "chemtext.fingerprints.chunk"}
+# the SMILES layer, the key tables and the molecule tasks, which load on first use
+_SMILES_LAYER = {"chemtext.smiles", "chemtext.fingerprints.keys", "chemtext.molecule_tasks"}
 _NUMPY_PROBE = (
     "import json, sys\n"
     "from chemtext.cli import main\n"
     "code = main(json.loads(sys.argv[1]))\n"
-    "loaded = [m for m in ('numpy', 'chemtext.fingerprints.chunk') if m in sys.modules]\n"
+    f"loaded = [m for m in {sorted(_NUMPY_MODULES | _SMILES_LAYER)!r} if m in sys.modules]\n"
     "print(json.dumps([code, loaded]), file=sys.stderr)\n"
 )
 
 
 def _run_probe(argv, stdin_text=""):
-    """Which of numpy and the fingerprint chunk kernels ``chemtext argv``
-    loads in a fresh interpreter; the command must exit 0."""
+    """Which of numpy, the fingerprint chunk kernels and the ``_SMILES_LAYER``
+    modules ``chemtext argv`` loads in a fresh interpreter; the command must
+    exit 0."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(chemtext.__file__)))
     proc = subprocess.run(
         [sys.executable, "-c", _NUMPY_PROBE, json.dumps(argv)],
@@ -1176,7 +1192,7 @@ def _run_probe(argv, stdin_text=""):
     )
     code, loaded = json.loads(proc.stderr.splitlines()[-1])
     assert code == 0, proc.stderr
-    return loaded
+    return set(loaded)
 
 
 _PROBE_ROWS = {
@@ -1187,10 +1203,9 @@ _PROBE_ROWS = {
 }
 
 
-@pytest.mark.parametrize(
-    "command", ["mol2text", "para2actions", "forward", "retro", "canonicalize", "build-dataset"]
-)
-def test_text_and_smiles_commands_never_import_numpy(tmp_path, command):
+def _probe_command(tmp_path, command):
+    """argv and stdin of a small run of ``command``: an evaluate task, or
+    ``canonicalize`` or ``build-dataset``."""
     stdin_text = ""
     if command == "canonicalize":
         argv = ["canonicalize"]
@@ -1208,7 +1223,26 @@ def test_text_and_smiles_commands_never_import_numpy(tmp_path, command):
             oracle = tmp_path / "oracle.jsonl"
             oracle.write_text('{"precursors":"CC.O","product":"CCO"}\n')
             argv += ["--oracle", f"lookup:{oracle}"]
-    assert "numpy" not in _run_probe(argv, stdin_text)
+    return argv, stdin_text
+
+
+_PROBED_COMMANDS = ["mol2text", "para2actions", "forward", "retro", "canonicalize", "build-dataset"]
+
+
+@pytest.mark.parametrize("command", _PROBED_COMMANDS)
+def test_text_and_smiles_commands_never_import_numpy(tmp_path, command):
+    assert "numpy" not in _run_probe(*_probe_command(tmp_path, command))
+
+
+@pytest.mark.parametrize("command", _PROBED_COMMANDS)
+def test_each_command_loads_only_the_layers_it_calls(tmp_path, command):
+    loaded = _run_probe(*_probe_command(tmp_path, command)) & _SMILES_LAYER
+    if command in ("mol2text", "para2actions", "build-dataset"):
+        assert loaded == set()
+    elif command == "canonicalize":
+        assert loaded == {"chemtext.smiles"}
+    else:  # forward and retro: no key fingerprint, so no key table
+        assert loaded == {"chemtext.smiles", "chemtext.molecule_tasks"}
 
 
 _ACETAMINOPHEN, _NICOTINE = "CC(=O)Nc1ccc(O)cc1", "CN1CCCC1c1cccnc1"
@@ -1235,7 +1269,7 @@ def test_small_fingerprints_never_import_numpy(tmp_path, command):
     else:
         argv = ["fingerprint", "--scheme", command]
         stdin_text = _ACETAMINOPHEN + "\n"
-    assert _run_probe(argv, stdin_text) == []
+    assert _run_probe(argv, stdin_text) & _NUMPY_MODULES == set()
 
 
 # -- generated text-task streams -------------------------------------------------

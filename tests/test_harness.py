@@ -30,7 +30,8 @@ from chemtext.harness import (
     frechet_distance,
     report_to_json,
 )
-from chemtext import fingerprints, harness, textmetrics
+import chemtext.fingerprints.keys
+from chemtext import fingerprints, harness, molecule_tasks, textmetrics
 from chemtext.smiles import (
     CanonError,
     Molecule,
@@ -244,11 +245,11 @@ def _counted_fingerprint_molecules(monkeypatch):
     counts = Counter()
     kernels = {"keys": "key_fingerprints", "path": "path_fingerprints", "morgan": "morgan_fingerprints"}
     for scheme, name in kernels.items():
-        def counted(mols, *args, scheme=scheme, kernel=getattr(harness, name)):
+        def counted(mols, *args, scheme=scheme, kernel=getattr(molecule_tasks, name)):
             counts[scheme] += len(mols)
             return kernel(mols, *args)
 
-        monkeypatch.setattr(harness, name, counted)
+        monkeypatch.setattr(molecule_tasks, name, counted)
     return counts
 
 
@@ -361,11 +362,10 @@ def test_text2mol_compiles_a_plain_tuple_key_table_once(monkeypatch):
 
 
 def test_each_parsed_molecule_records_its_validity_when_built(monkeypatch):
-    from chemtext import harness
     from chemtext.smiles import valence
 
     parsed = []
-    parse = harness.parse_smiles
+    parse = molecule_tasks.parse_smiles
 
     def counting_parse(smiles):
         mol = parse(smiles)
@@ -377,7 +377,7 @@ def test_each_parsed_molecule_records_its_validity_when_built(monkeypatch):
     def uncalled_validate(mol):
         raise AssertionError("the harness reads mol.validity")
 
-    monkeypatch.setattr(harness, "parse_smiles", counting_parse)
+    monkeypatch.setattr(molecule_tasks, "parse_smiles", counting_parse)
     monkeypatch.setattr(valence, "validate", uncalled_validate)
     rows = [("CCO", "OCC"), ("c1ccccc1", "CCN"), ("C(C)(C)(C)(C)C", "CCO"), ("C(", "CC"), ("CC", "xx")]
     eval_text2mol([PredictionPair(TaskKind.TEXT2MOL, p, r) for p, r in rows])
@@ -547,11 +547,11 @@ def _counted_smiles_calls(monkeypatch):
     """parse_smiles and canonicalize calls the harness makes, by name."""
     counts = Counter()
     for name in ("parse_smiles", "canonicalize"):
-        def counted(arg, name=name, fn=getattr(harness, name)):
+        def counted(arg, name=name, fn=getattr(molecule_tasks, name)):
             counts[name] += 1
             return fn(arg)
 
-        monkeypatch.setattr(harness, name, counted)
+        monkeypatch.setattr(molecule_tasks, name, counted)
     return counts
 
 
@@ -1044,7 +1044,8 @@ def _rows_of(evaluate, pairs):
         return fold(task, rows)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "_report", capture)
+        for module in (harness, molecule_tasks):  # the text and the molecule tasks
+            mp.setattr(module, "_report", capture)
         report = evaluate(pairs)
     (rows,) = seen
     return rows, report

@@ -370,6 +370,32 @@ def test_grad_check_hierarchical_and_bidirectional():
         assert report.max_rel_error < 1e-4
 
 
+@pytest.mark.parametrize("combine, op_id", [
+    (CombineMode.BASE_ONLY, "cross_attend"),
+    (CombineMode.BIDIRECTIONAL_CONCAT_PROJECT, "bidirectional_merge"),
+])
+def test_grad_check_builds_one_params_per_matrix(monkeypatch, combine, op_id):
+    built = []
+    post_init = MergeParams.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    rng = np.random.default_rng(24)
+    h_t, h_m = rng.normal(size=(3, 4)), rng.normal(size=(2, 5))
+    for d in (2, 8):  # 4x to 10x the entries, the same params count
+        params = random_params(h_t=4, h_m=5, d=d, seed=5, combine=combine)
+        saved = {name: getattr(params, name).copy() for name in ("w_q", "w_k", "w_v")}
+        with monkeypatch.context() as mp:
+            mp.setattr(MergeParams, "__post_init__", counting)
+            grad_check(op_id, h_t, h_m, params, epsilon=1e-5)
+        assert len(built) == (4 if params.w_c is not None else 3)
+        built.clear()
+        # each perturbed entry is restored on a copy; the caller's params are untouched
+        assert all(np.array_equal(getattr(params, name), saved[name]) for name in saved)
+
+
 def test_grad_check_mean_aggregate_inputs():
     rng = np.random.default_rng(22)
     h_t = rng.normal(size=(3, 4))
