@@ -30,7 +30,7 @@ from chemtext.dataset import (
     read_records,
     write_records,
 )
-from chemtext.errors import ChemtextError
+from chemtext.errors import ChemtextError, bad_utf8
 from chemtext.fingerprints import (
     MORGAN_MAX_RADIUS,
     SCHEMES,
@@ -179,9 +179,7 @@ def _read_file(path: str, load: Callable[[IO[str]], _T]) -> _T:
         try:
             return load(fp)
         except UnicodeDecodeError as exc:
-            raise RecordError(
-                f"{path}: bad UTF-8: {exc.reason} 0x{exc.object[exc.start]:02x}"
-            ) from None
+            raise RecordError(f"{path}: {bad_utf8(exc)}") from None
         except (ChemtextError, ValueError) as exc:
             raise RecordError(f"{path}: {exc}") from None
 
@@ -287,14 +285,25 @@ def cmd_evaluate(args) -> int:
 
 def _each_stdin_line(transform: Callable[[str], str], invalid_errors: tuple) -> int:
     """Print ``transform(line)`` for each non-blank stdin line as it is read,
-    or ``INVALID <reason>`` when it raises one of ``invalid_errors``. Exits
-    with a data error only when there were lines and all were invalid."""
+    or ``INVALID <reason>`` when the line is not UTF-8 or ``transform``
+    raises one of ``invalid_errors``. Exits with a data error only when
+    there were lines and all were invalid."""
     lines = invalid = 0
     for line in sys.stdin:
         line = line.strip()
         if not line:
             continue
         lines += 1
+        try:
+            # stdin keeps a byte that is not UTF-8 as a lone surrogate when it
+            # decodes with surrogateescape; this gets the byte back
+            line.encode("utf-8", "surrogateescape").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            invalid += 1
+            print(f"INVALID {bad_utf8(exc)}")
+            continue
+        except UnicodeEncodeError:  # a surrogate no byte maps to: the reader names it
+            pass
         try:
             print(transform(line))
         except invalid_errors as err:

@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
-from chemtext.errors import ChemtextError
+from chemtext.errors import ChemtextError, bad_utf8
 
 
 class TaskKind(enum.Enum):
@@ -238,9 +238,7 @@ def read_jsonl(fp: IO[str], path: str | None = None) -> Iterator[tuple[str, dict
         # it in the block (\r, \n or \r\n, as a text stream splits lines)
         head = exc.object[:exc.start]
         lineno += 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
-        raise RecordError(
-            f"{name(lineno)}: bad UTF-8: {exc.reason} 0x{exc.object[exc.start]:02x}"
-        ) from None
+        raise RecordError(f"{name(lineno)}: {bad_utf8(exc)}") from None
 
 
 def read_records(fp: IO[str], path: str | None = None) -> list[TaskRecord]:

@@ -392,7 +392,7 @@ def frechet_distance(features_a, features_b, *, ridge: float = 0.0) -> float:
     eigendecomposition; eigenvalues below -1e-8 raise IllConditionedError
     (so do NaN or infinite features), tiny negatives are clamped to zero.
     Each set needs at least d+1 vectors unless ``ridge`` > 0, which adds
-    ``ridge * I`` to both covariances.
+    ``ridge * I`` to both covariances, and at least 2 whatever ``ridge`` is.
     """
     import numpy as np
 
@@ -414,6 +414,11 @@ def frechet_distance(features_a, features_b, *, ridge: float = 0.0) -> float:
     if ridge == 0.0 and (a.shape[0] < d + 1 or b.shape[0] < d + 1):
         raise IllConditionedError(
             f"need at least d+1 = {d + 1} vectors per set (or enable ridge)"
+        )
+    if a.shape[0] < 2 or b.shape[0] < 2:
+        raise IllConditionedError(
+            f"need at least 2 vectors per set for a sample covariance, "
+            f"got {a.shape[0]} and {b.shape[0]}"
         )
     mu_a = a.mean(axis=0)
     mu_b = b.mean(axis=0)

@@ -222,8 +222,10 @@ def eval_text2mol(
         mols: list[Molecule] = []
         outcomes = []  # per pair: valid, exact, skip reason, (ref, pred) indices in mols
         for pair in chunk:
-            pred, ref = _Side.of(pair.prediction), _Side.of(pair.reference)
-            if pred.mol is None or ref.mol is None:
+            pred = _Side.of(pair.prediction)
+            # an invalid prediction makes the pair invalid whatever the reference
+            ref = None if pred.mol is None else _Side.of(pair.reference)
+            if ref is None or ref.mol is None:
                 outcomes.append((pred.mol is not None, False, "invalid_smiles_side", None))
                 continue
             exact, skip = _compare(pred, ref)

@@ -8,21 +8,25 @@ each member of a cell by the sorted multiset of (bond code, neighbour rank)
 pairs, where a bond's code is its order, or 4 if it is aromatic, and splits
 the cell into sub-cells in key order; the first sub-cell
 keeps the cell's start, so only atoms of the later sub-cells change rank.
+A pair is keyed as the one int ``code * n + rank`` for ``n`` atoms, which
+orders as the pair does because every rank is below ``n``.
 The first round keys every cell; later rounds key only the cells holding a
 neighbour of an atom whose rank just changed, since no other cell can split.
 Rounds run in lockstep: every key of a round is read from the ranks the round
 began with, and only then are the splits applied, because the order of the
 sub-cells depends on it. Refinement stops when no cell splits.
 
-Remaining ties are broken by individualizing one atom of the lowest-ranked
-tied class: it keeps its cell's start alone, the rest of the cell moves one
-place up, and refinement continues from the cells next to the atoms that
-moved. The smallest string over all such choices wins, which keeps the
-result invariant under any renumbering of the input atoms. A node skips a
-tied atom that a known automorphism fixing its path maps onto an atom it
-tried (McKay & Piperno, "Practical graph isomorphism, II", 2014). Two leaves
-writing one string prove an automorphism; the root adds swaps of degree-one
-atoms written alike on one neighbour, each twin with the one before.
+A component whose refined partition has no tie is written once, with no
+search. Remaining ties are broken by individualizing one atom of the
+lowest-ranked tied class: it keeps its cell's start alone, the rest of the
+cell moves one place up, and refinement continues from the cells next to the
+atoms that moved. The smallest string over all such choices wins, which
+keeps the result invariant under any renumbering of the input atoms. A node
+skips a tied atom that a known automorphism fixing its path maps onto an
+atom it tried (McKay & Piperno, "Practical graph isomorphism, II", 2014).
+Two leaves writing one string prove an automorphism; the root adds swaps of
+degree-one atoms written alike on one neighbour, each twin with the one
+before.
 
 A string is written in two walks of its component: a preorder depth-first
 walk over neighbours in rank order numbers the atoms and records the bond
@@ -41,9 +45,9 @@ the enantiomers ``C[C@H](N)O`` and ``N[C@H](C)O`` give one.
 Connected components (found from the bonds, so ``C1.C1`` is one) are
 canonicalized independently and emitted in lexicographic order. The search
 and its candidate budget are per component, so identical fragments do not
-multiply each other's candidates. Each atom's (bond code, neighbour) pairs
-are computed once per call. Its text (bare or bracketed) is not worked out
-here: the :class:`Molecule` constructor records it as
+multiply each other's candidates. Each atom's (bond code times ``n``,
+neighbour) pairs are computed once per call. Its text (bare or bracketed) is
+not worked out here: the :class:`Molecule` constructor records it as
 :attr:`Molecule.atom_texts`, which other readers share.
 """
 
@@ -54,7 +58,7 @@ from heapq import heappop, heappush
 from typing import Sequence
 
 from chemtext.errors import ChemtextError
-from chemtext.smiles.parse import Bond, Molecule, parse_smiles
+from chemtext.smiles.parse import Molecule, parse_smiles
 
 # Safety valve for pathologically symmetric graphs: the tie-break search
 # writes one candidate string per leaf of a component it does not prune.
@@ -102,33 +106,30 @@ def random_smiles(mol: Molecule, rng: random.Random) -> str:
 # A partition is ``(ranks, order, ends)``: ``order`` lists the atoms cell by
 # cell, the cell starting at position ``s`` is ``order[s:ends[s]]``, and
 # ``ranks[i]`` is the start of atom ``i``'s cell. ``ends`` is read only at
-# cell starts. ``codes[i]`` holds atom ``i``'s (bond code, neighbour) pairs.
+# cell starts. ``codes[i]`` holds atom ``i``'s (bond code * n, neighbour)
+# pairs for ``n`` atoms.
 
 _Partition = tuple[list[int], list[int], list[int]]
 
 
-def _bond_code(bond: Bond) -> int:
-    return 4 if bond.aromatic else bond.order
-
-
 def _neighbour_codes(mol: Molecule) -> list[list[tuple[int, int]]]:
-    bonds = mol.bonds
-    return [[(_bond_code(bonds[bi]), j) for j, bi in entries] for entries in mol.adjacency]
+    n = len(mol.atoms)
+    bond_codes = [(4 if bond.aromatic else bond.order) * n for bond in mol.bonds]
+    return [[(bond_codes[bi], j) for j, bi in entries] for entries in mol.adjacency]
 
 
 def _initial_partition(mol: Molecule) -> _Partition:
-    ring_bonds = mol.ring_bond_counts
     keys = [
         (
             atom.symbol,
             atom.aromatic,
             atom.charge,
             atom.isotope or 0,
-            mol.degree(i),
+            len(entries),
             atom.hydrogens,
-            ring_bonds[i] > 0,
+            ring_bonds > 0,
         )
-        for i, atom in enumerate(mol.atoms)
+        for atom, entries, ring_bonds in zip(mol.atoms, mol.adjacency, mol.ring_bond_counts)
     ]
     order = sorted(range(len(keys)), key=keys.__getitem__)
     ranks = [0] * len(order)
@@ -149,8 +150,8 @@ def _refine(
     atoms in ``moved``, whose ranks have just changed.
 
     A round keys each member of the cells holding a neighbour of a moved
-    atom (no other cell can split) by its sorted (bond code, neighbour rank)
-    pairs, all from the ranks the round began with, and only then splits
+    atom (no other cell can split) by its sorted ``code * n + rank`` ints,
+    all from the ranks the round began with, and only then splits
     those cells: sub-cells in key order, the first keeping the cell's start.
     The atoms of the later sub-cells are the next round's moved atoms.
     """
@@ -161,9 +162,9 @@ def _refine(
             end = ends[start]
             if end - start < 2:
                 continue
-            groups: dict[tuple, list[int]] = {}
+            groups: dict[tuple[int, ...], list[int]] = {}
             for i in order[start:end]:
-                key = tuple(sorted([(code, ranks[j]) for code, j in codes[i]]))
+                key = tuple(sorted([code + ranks[j] for code, j in codes[i]]))
                 if key in groups:
                     groups[key].append(i)
                 else:
@@ -206,6 +207,8 @@ def _individualize(
 
 
 def _lowest_tied_class(ranks: list[int], atoms: Sequence[int]) -> list[int]:
+    if len({ranks[i] for i in atoms}) == len(atoms):  # the common case: no tie
+        return []
     members: dict[int, list[int]] = {}
     for i in atoms:
         members.setdefault(ranks[i], []).append(i)
@@ -219,8 +222,11 @@ def _canonical_string(mol: Molecule) -> str:
     codes = _neighbour_codes(mol)
     partition = _initial_partition(mol)
     _refine(codes, partition, range(len(mol.atoms)))
+    components = mol.components
+    if len(components) == 1:
+        return _canonical_component(mol, components[0], partition, codes)
     return ".".join(
-        sorted(_canonical_component(mol, comp, partition, codes) for comp in mol.components)
+        sorted(_canonical_component(mol, comp, partition, codes) for comp in components)
     )
 
 
@@ -303,17 +309,25 @@ def _write_component(
         return disc[entry[0]]
 
     # Walk 1: preorder DFS over neighbours in rank order, recording each
-    # atom's discovery number and the bond it was reached by. Each stack
-    # entry iterates an open atom's (neighbour, bond) pairs.
-    disc: dict[int, int] = {}
-    via: dict[int, int] = {}
+    # atom's discovery number (-1 until reached) and the bond it was reached
+    # by. Each stack entry iterates an open atom's (neighbour, bond) pairs.
+    # Lists indexed by atom read faster than dicts but take the molecule's
+    # n atoms to build, so only a component holding most of them gets lists:
+    # k smaller components, keyed by their own atoms, cost O(n), not O(k n).
+    n = len(adjacency)
+    disc: list[int] | dict[int, int]
+    disc = [-1] * n if 2 * len(atoms) > n else dict.fromkeys(atoms, -1)
+    via = disc.copy()
+    order: list[int] = []
     stack = [iter([(min(atoms, key=ranks.__getitem__), -1)])]
     while stack:
         for v, bi in stack[-1]:
-            if v not in disc:
-                disc[v] = len(disc)
+            if disc[v] < 0:
+                disc[v] = len(order)
+                order.append(v)
                 via[v] = bi
-                stack.append(iter(sorted(adjacency[v], key=by_rank)))
+                entries = adjacency[v]  # a leaf's one bond needs no sort
+                stack.append(iter(sorted(entries, key=by_rank) if len(entries) > 1 else entries))
                 break
         else:
             stack.pop()
@@ -327,7 +341,7 @@ def _write_component(
     out: list[str] = []
     digit_of: dict[int, int] = {}  # per open ring bond
     free_digits: list[int] = []  # with digit_of's values, exactly 1..max used
-    emit_stack = [(next(iter(disc)), "")]
+    emit_stack = [(order[0], "")]
     while emit_stack:
         u, prefix = emit_stack.pop()
         out.append(prefix)
@@ -359,7 +373,7 @@ def _write_component(
             emit_stack.append((v, _bond_text(mol, bi, u, v)))
             for v, bi in reversed(children):
                 emit_stack += (_CLOSE_BRANCH, (v, "(" + _bond_text(mol, bi, u, v)))
-    return "".join(out), list(disc)
+    return "".join(out), order
 
 
 def _bond_text(mol: Molecule, bond_index: int, from_atom: int, to_atom: int) -> str:

@@ -558,6 +558,33 @@ def test_canonicalize_invalid_lines_continue(capsys, monkeypatch):
     assert lines[1] == "CCO"
 
 
+_STDIN_COMMANDS = [["canonicalize"], ["fingerprint", "--scheme", "morgan"]]
+
+
+@pytest.mark.parametrize("argv", _STDIN_COMMANDS, ids=["canonicalize", "fingerprint"])
+def test_stdin_byte_that_is_not_utf8_is_one_invalid_line(capsys, monkeypatch, argv):
+    # a stdin that decodes with surrogateescape hands the byte 0xff on as "\udcff"
+    _, valid, _ = run_cli(argv, stdin_text="CCO\n", capsys=capsys, monkeypatch=monkeypatch)
+    code, out, _ = run_cli(
+        argv, stdin_text="CC\udcffO\nCCO\n", capsys=capsys, monkeypatch=monkeypatch
+    )
+    assert code == 0
+    assert out == "INVALID bad UTF-8: invalid start byte 0xff\n" + valid
+
+
+@pytest.mark.parametrize("argv", _STDIN_COMMANDS, ids=["canonicalize", "fingerprint"])
+def test_stdin_bytes_that_are_not_utf8_are_one_invalid_line(argv):
+    # UTF-8 mode pins the stdin decoding to surrogateescape whatever the locale
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(chemtext.__file__)),
+               PYTHONUTF8="1")
+    env.pop("PYTHONIOENCODING", None)
+    run = [sys.executable, "-m", "chemtext", *argv]
+    valid = subprocess.run(run, input=b"CCO\n", capture_output=True, env=env, timeout=120)
+    proc = subprocess.run(run, input=b"CC\xffO\nCCO\n", capture_output=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == b"INVALID bad UTF-8: invalid start byte 0xff\n" + valid.stdout
+
+
 # Bracket atoms holding non-ASCII digits, which int() would read (or fail on)
 NON_ASCII_DIGIT_BRACKETS = ["[²C]", "[CH²]", "[C+²]", "[٣C]", "[CH٣]", "[C:²]"]
 # Bracket atoms holding non-ASCII letters, which str.isupper and str.islower accept

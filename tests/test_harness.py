@@ -384,11 +384,11 @@ def test_each_parsed_molecule_records_its_validity_when_built(monkeypatch):
     eval_forward([PredictionPair(TaskKind.FORWARD, p, r) for p, r in rows])
     oracle = LookupOracle({"OCC": "CCO", "c1ccccc1": "CCN", "CC": "CC"})
     eval_retro([PredictionPair(TaskKind.RETRO, p, r) for p, r in rows], oracle)
-    # text2mol parses 8 of its 10 fields ("C(" and "xx" fail); forward also
-    # skips the references of its two invalid predictions; retro parses the
-    # 3 table keys, then each prediction once and, on its 3 hits, the
-    # product and the reference ("xx" fails)
-    assert len(parsed) == 14 + 3 + 9
+    # text2mol and forward each parse 6 of their 10 fields: every prediction
+    # and, past its two invalid predictions, each reference ("C(" and "xx"
+    # fail); retro parses the 3 table keys, then each prediction once and,
+    # on its 3 hits, the product and the reference ("xx" fails)
+    assert len(parsed) == 12 + 3 + 9
     assert [mol.validity.valid for mol in parsed].count(False) == 3
 
 
@@ -580,21 +580,22 @@ def test_retro_lookup_calls_per_pair(monkeypatch, row, budget, parses, canons):
 
 @pytest.mark.parametrize("evaluate", [eval_forward, eval_text2mol], ids=["forward", "text2mol"])
 @pytest.mark.parametrize(
-    "row, canons",
+    "row, parses, canons",
     [
-        (("OCC", "CCO"), 2),    # equal formulas, one molecule
-        (("CC=O", "CCO"), 2),   # equal formulas, two molecules
-        (("CCN", "CCO"), 0),    # atom texts differ
-        (("C1CC1", "CCC"), 0),  # bond counts differ
-        (("C(", "CCO"), 0),     # does not parse
+        (("OCC", "CCO"), 2, 2),                # equal formulas, one molecule
+        (("CC=O", "CCO"), 2, 2),               # equal formulas, two molecules
+        (("CCN", "CCO"), 2, 0),                # atom texts differ
+        (("C1CC1", "CCC"), 2, 0),              # bond counts differ
+        (("C(", "CCO"), 1, 0),                 # does not parse: the reference is not read
+        (("C(C)(C)(C)(C)C", "CCO"), 1, 0),     # fails validation: nor is it here
     ],
-    ids=["exact", "same_formula", "other_atoms", "other_bonds", "unparseable"],
+    ids=["exact", "same_formula", "other_atoms", "other_bonds", "unparseable", "invalid"],
 )
-def test_canonicalize_calls_per_pair(monkeypatch, evaluate, row, canons):
+def test_canonicalize_calls_per_pair(monkeypatch, evaluate, row, parses, canons):
     counts = _counted_smiles_calls(monkeypatch)
     task = TaskKind.FORWARD if evaluate is eval_forward else TaskKind.TEXT2MOL
     evaluate(pairs_for(task, [row]))
-    assert counts["canonicalize"] == canons
+    assert (counts["parse_smiles"], counts["canonicalize"]) == (parses, canons)
 
 
 # -- the formula rule: canonical inequality decided before canonicalizing ----
@@ -1217,6 +1218,18 @@ def test_frechet_rejects_a_non_finite_or_negative_ridge(ridge):
     message = "ridge must be non-negative" if ridge < 0 else "ridge must be finite"
     with pytest.raises(ValueError, match=message):
         frechet_distance(rng.normal(size=(10, 3)), rng.normal(size=(10, 3)), ridge=ridge)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("side", [0, 1])
+def test_frechet_needs_two_vectors_per_set_whatever_the_ridge(n, side):
+    # numpy once warned on an empty or one-row set and the distance was NaN
+    rng = np.random.default_rng(5)
+    sets = [rng.normal(size=(10, 3)), rng.normal(size=(10, 3))]
+    sets[side] = sets[side][:n]
+    counts = " and ".join(str(len(s)) for s in sets)
+    with pytest.raises(IllConditionedError, match=f"at least 2 vectors per set .*, got {counts}"):
+        frechet_distance(*sets, ridge=1e-6)
 
 
 def test_report_strings_escape_quotes_backslashes_and_control_characters():

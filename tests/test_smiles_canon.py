@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import pathlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,8 @@ from chemtext.smiles import (
     random_smiles,
 )
 from chemtext.smiles import canon, parse
+from canon_oracle import _initial_ranks as oracle_initial_ranks
+from canon_oracle import _refine as oracle_refine
 from canon_oracle import _write_component as oracle_write_component
 from canon_oracle import oracle_canonical_smiles
 from molgen import isomorphic, random_molecule
@@ -271,6 +274,52 @@ def test_degree_one_twins_prune_from_the_root(monkeypatch, smiles, leaves):
     monkeypatch.setattr(canon, "_write_component", counting)
     canonical_smiles(smiles)
     assert len(written) == leaves
+
+
+def _counted_search_calls(monkeypatch):
+    """Calls of the writer and of the tie-break step, by name."""
+    calls = Counter()
+    for name in ("_write_component", "_individualize"):
+        def counted(*args, name=name, fn=getattr(canon, name)):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(canon, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("max_atoms", [10, 30])
+def test_a_component_with_no_tie_is_written_once(monkeypatch, max_atoms):
+    """Ties are read from the oracle's refinement, not the package's."""
+    calls = _counted_search_calls(monkeypatch)
+    rng = random.Random(max_atoms)
+    untied = 0
+    for _ in range(100):
+        mol = random_molecule(rng, max_atoms)
+        ranks = oracle_refine(mol, oracle_initial_ranks(mol))
+        if any(len({ranks[i] for i in comp}) < len(comp) for comp in mol.components):
+            continue
+        untied += 1
+        calls.clear()
+        canonicalize(mol)
+        assert calls == {"_write_component": len(mol.components)}
+    assert untied >= 60
+
+
+@pytest.mark.parametrize(
+    "smiles, writes, individualized",
+    [
+        ("FS(F)(F)(F)(F)F", 1, 5),
+        ("CC(C)(C)C(C)(C)C(C)(C)C", 2, 10),
+        ("c1ccccc1", 4, 6),
+        ("C12C3C4C1C5C2C3C45", 7, 13),
+    ],
+    ids=["sf6", "tert_butyl_chain", "benzene", "cubane"],
+)
+def test_tied_molecules_keep_their_search_work(monkeypatch, smiles, writes, individualized):
+    calls = _counted_search_calls(monkeypatch)
+    canonical_smiles(smiles)
+    assert calls == {"_write_component": writes, "_individualize": individualized}
 
 
 _PARITY_XFAIL = pytest.mark.xfail(
