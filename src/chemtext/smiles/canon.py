@@ -310,13 +310,10 @@ def _write_component(
 
     # Walk 1: preorder DFS over neighbours in rank order, recording each
     # atom's discovery number (-1 until reached) and the bond it was reached
-    # by. Each stack entry iterates an open atom's (neighbour, bond) pairs.
-    # Lists indexed by atom read faster than dicts but take the molecule's
-    # n atoms to build, so only a component holding most of them gets lists:
-    # k smaller components, keyed by their own atoms, cost O(n), not O(k n).
-    n = len(adjacency)
-    disc: list[int] | dict[int, int]
-    disc = [-1] * n if 2 * len(atoms) > n else dict.fromkeys(atoms, -1)
+    # by, in lists indexed by atom (so each write costs the molecule's atom
+    # count, and k fragments cost O(k n)). Each stack entry iterates an open
+    # atom's (neighbour, bond) pairs.
+    disc = [-1] * len(adjacency)
     via = disc.copy()
     order: list[int] = []
     stack = [iter([(min(atoms, key=ranks.__getitem__), -1)])]
